@@ -21,13 +21,11 @@
 //! timing-invisible, so the expected delta is zero).
 
 use lrp_bench::alloc_count::CountingAlloc;
-use lrp_bench::cli::Cli;
+use lrp_bench::cli::{die, gate_command, write_out, Cli};
 use lrp_bench::crashfuzz::{self, CrashFuzzSpec};
 use lrp_bench::host::{self, HostSpec};
-use lrp_bench::profile::render_gate;
 use lrp_bench::serve_bench::{self, ServeBenchSpec};
 use lrp_lfds::{KeyDist, Structure};
-use lrp_obs::Json;
 use lrp_sim::{Mechanism, NvmMode};
 
 // The benchmark binary counts its own heap traffic so the report can
@@ -169,27 +167,16 @@ fn main() {
             }
         }
         "gate" => {
-            let max_regression = max_regression.unwrap_or(2.0);
-            let (Some(base_path), Some(cur_path)) = (&baseline, &current) else {
-                cli.fail("gate needs --baseline and --current")
-            };
-            let base = load_json(base_path);
-            let cur = load_json(cur_path);
-            let verdict = host::gate_host(&base, &cur, max_regression).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(1);
-            });
-            if let Some(out) = &json_out {
-                write_out(out, &host::gate_json(&verdict, max_regression).to_pretty());
-                eprintln!("wrote gate verdict to {out}");
-            }
-            if let Ok(table) = host::render_gate_deltas(&base, &cur) {
-                print!("{table}");
-            }
-            print!("{}", render_gate(&verdict));
-            if !verdict.pass() {
-                std::process::exit(1);
-            }
+            let k = max_regression.unwrap_or(2.0);
+            gate_command(
+                &cli,
+                "gate",
+                (baseline.as_deref(), current.as_deref()),
+                json_out.as_deref(),
+                |base, cur| host::gate_host(base, cur, k),
+                |v| host::gate_json(v, k),
+                |base, cur| host::render_gate_deltas(base, cur).unwrap_or_default(),
+            )
         }
         "serve" => {
             let mut spec = ServeBenchSpec::smoke();
@@ -225,10 +212,7 @@ fn main() {
                     cell.shed_rate()
                 );
             })
-            .unwrap_or_else(|e| {
-                eprintln!("serve bench failed: {e}");
-                std::process::exit(1);
-            });
+            .unwrap_or_else(|e| die(format!("serve bench failed: {e}")));
             print!("{}", serve_bench::render_report(&report));
             if let Some(out) = &json_out {
                 write_out(out, &serve_bench::report_json(&report).to_pretty());
@@ -236,28 +220,16 @@ fn main() {
             }
         }
         "serve-gate" => {
-            let max_regression = max_regression.unwrap_or(3.0);
-            let (Some(base_path), Some(cur_path)) = (&baseline, &current) else {
-                cli.fail("serve-gate needs --baseline and --current")
-            };
-            let base = load_json(base_path);
-            let cur = load_json(cur_path);
-            let verdict =
-                serve_bench::gate_serve(&base, &cur, max_regression).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(1);
-                });
-            if let Some(out) = &json_out {
-                write_out(
-                    out,
-                    &serve_bench::gate_json(&verdict, max_regression).to_pretty(),
-                );
-                eprintln!("wrote serve-gate verdict to {out}");
-            }
-            print!("{}", render_gate(&verdict));
-            if !verdict.pass() {
-                std::process::exit(1);
-            }
+            let k = max_regression.unwrap_or(3.0);
+            gate_command(
+                &cli,
+                "serve-gate",
+                (baseline.as_deref(), current.as_deref()),
+                json_out.as_deref(),
+                |base, cur| serve_bench::gate_serve(base, cur, k),
+                |v| serve_bench::gate_json(v, k),
+                |_, _| String::new(),
+            )
         }
         "critpath-overhead" => {
             let spec = host_spec();
@@ -270,10 +242,7 @@ fn main() {
                     cell.wall_overhead_frac() * 100.0
                 );
             });
-            let verdict = host::gate_overhead(&cells, max_overhead).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(1);
-            });
+            let verdict = host::gate_overhead(&cells, max_overhead).unwrap_or_else(|e| die(e));
             if let Some(out) = &json_out {
                 write_out(
                     out,
@@ -341,22 +310,4 @@ fn main() {
         }
         other => cli.fail(format!("unknown command {other:?}")),
     }
-}
-
-fn load_json(path: &str) -> Json {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    Json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse {path}: {e}");
-        std::process::exit(1);
-    })
-}
-
-fn write_out(path: &str, text: &str) {
-    std::fs::write(path, text).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    });
 }

@@ -19,7 +19,7 @@
 //! manifest from a different matrix is refused. `matrix` prints the
 //! cells a run would execute, without executing anything.
 
-use lrp_bench::cli::Cli;
+use lrp_bench::cli::{die, Cli};
 use lrp_campaign::{
     render_table, run_to_files, write_bench_json, CampaignConfig, CellOutcome, MatrixSpec,
 };
@@ -127,10 +127,7 @@ fn main() {
                     );
                 }
             })
-            .unwrap_or_else(|e| {
-                eprintln!("campaign failed: {e}");
-                std::process::exit(1);
-            });
+            .unwrap_or_else(|e| die(format!("campaign failed: {e}")));
 
             if outcome.resumed > 0 && !quiet {
                 eprintln!(
@@ -151,10 +148,8 @@ fn main() {
                 eprintln!("cell {} ({}) {}", r.spec.index, r.spec.id(), why);
             }
             if !no_bench {
-                write_bench_json(&bench, &matrix, &outcome.summary).unwrap_or_else(|e| {
-                    eprintln!("cannot write {}: {e}", bench.display());
-                    std::process::exit(1);
-                });
+                write_bench_json(&bench, &matrix, &outcome.summary)
+                    .unwrap_or_else(|e| die(format!("cannot write {}: {e}", bench.display())));
                 if !quiet {
                     eprintln!("wrote {} and {}", out.display(), bench.display());
                 }

@@ -16,7 +16,7 @@
 //! for CI artifact upload). NOP promises nothing: its enumerated
 //! violations are reported as counts, never as failures.
 
-use lrp_bench::cli::Cli;
+use lrp_bench::cli::{write_out, Cli};
 use lrp_check::{cross_validate, enumerate_check, generator_preds, mutate_reorder, CheckBound};
 use lrp_check::{cross_validate_schedule, CrossReport};
 use lrp_lfds::Structure;
@@ -260,11 +260,4 @@ fn report(
         eprintln!("wrote report to {out}");
     }
     println!("{command}: {ncells} cells ok");
-}
-
-fn write_out(path: &str, text: &str) {
-    std::fs::write(path, text).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    });
 }

@@ -9,12 +9,12 @@
 //!          [--quick] [--threads N] [--ops N] [--seed N]
 //! ```
 
-use lrp_bench::cli::Cli;
+use lrp_bench::cli::{report_run, Cli};
 use lrp_bench::experiments::{
     claims, fig2_conflicts, fig6, fig8, fig_norm_exec, size_sensitivity, EvalParams,
 };
 use lrp_lfds::Structure;
-use lrp_obs::{chrome, metrics, RecorderConfig};
+use lrp_obs::RecorderConfig;
 use lrp_sim::{Mechanism, NvmMode, Sim, SimConfig};
 
 const USAGE: &str = "usage:\n  \
@@ -30,8 +30,7 @@ const USAGE: &str = "usage:\n  \
     --quick              4 threads, 12 ops/thread, small structures\n  \
     --trace-out FILE     write a Chrome trace-event JSON timeline\n  \
     --metrics-out FILE   write JSONL metrics (stats, histograms, blame, audit)\n  \
-    --sample-every N     record time-series samples every N cycles (0 = off)\n  \
-    --no-critpath        disable durability critical-path tracing\n\n\
+    --sample-every N     record time-series samples every N cycles (0 = off)\n\n\
     exit codes:\n  \
     0  success\n  \
     1  output file write error\n  \
@@ -55,7 +54,6 @@ fn main() {
         params.seed = seed;
     }
     let structure: Option<Structure> = cli.opt_parse("structure");
-    let no_critpath = cli.flag("no-critpath");
     if let Some(structure) = structure {
         let mech: Mechanism = cli.opt_parse("mech").unwrap_or(Mechanism::Lrp);
         let mode: NvmMode = cli.opt_parse("mode").unwrap_or(NvmMode::Cached);
@@ -63,17 +61,21 @@ fn main() {
         let metrics_out: Option<String> = cli.opt("metrics-out");
         let sample_every: u64 = cli.opt_parse("sample-every").unwrap_or(0);
         cli.positionals(0, 0);
-        run_one(
-            &params,
-            structure,
-            mech,
-            mode,
-            trace_out,
-            metrics_out,
+        let trace = params.trace(structure, params.threads);
+        let rec = RecorderConfig {
             sample_every,
-            !no_critpath,
-        );
-        return;
+            ..RecorderConfig::default()
+        };
+        let r = Sim::new(SimConfig::new(mech).nvm_mode(mode), &trace)
+            .with_recorder(rec)
+            .run();
+        let title = format!("{} under {mech}", structure.name());
+        std::process::exit(report_run(
+            &title,
+            &r,
+            trace_out.as_deref(),
+            metrics_out.as_deref(),
+        ));
     }
     let cmd = cli.positionals(1, 1).remove(0);
 
@@ -116,122 +118,6 @@ fn main() {
         }
         other => cli.fail(format!("unknown command {other:?}")),
     }
-}
-
-/// Runs one structure×mechanism simulation with the observability
-/// recorder attached and writes the requested exports.
-#[allow(clippy::too_many_arguments)]
-fn run_one(
-    params: &EvalParams,
-    structure: Structure,
-    mech: Mechanism,
-    mode: NvmMode,
-    trace_out: Option<String>,
-    metrics_out: Option<String>,
-    sample_every: u64,
-    critpath: bool,
-) {
-    let trace = params.trace(structure, params.threads);
-    let cfg = SimConfig::new(mech).nvm_mode(mode);
-    let rec = RecorderConfig {
-        sample_every,
-        critpath,
-        ..RecorderConfig::default()
-    };
-    let r = Sim::new(cfg, &trace).with_recorder(rec).run();
-    print!(
-        "{}",
-        lrp_sim::report::render(&format!("{} under {mech}", structure.name()), &r)
-    );
-    let obs = r.obs.as_ref().expect("recorder was attached");
-    println!("-- observability --");
-    println!(
-        "events captured        {:>12} (dropped {})",
-        obs.events.len(),
-        obs.dropped
-    );
-    let deduped = metrics::warn_ring_drops("event", obs.dropped);
-    if deduped > 0 {
-        eprintln!("  ({deduped} further drop warnings deduplicated)");
-    }
-    println!("sample intervals       {:>12}", obs.intervals.len());
-    println!("ret high water         {:>12}", obs.ret_high_water);
-    for (name, hist) in metrics::hist_rows(obs) {
-        if hist.is_empty() {
-            println!("  {name:<20} (no samples)");
-        } else {
-            println!(
-                "  {:<20} n={} mean={:.1} p50={} p99={} max={}",
-                name,
-                hist.count,
-                hist.mean(),
-                hist.percentile(0.5),
-                hist.percentile(0.99),
-                hist.max()
-            );
-        }
-    }
-    println!("-- invariant audit (I1-I4) --");
-    for (name, c) in obs.audit.rows() {
-        println!(
-            "  {:<20} checks={:<8} violations={}",
-            name, c.checks, c.violations
-        );
-    }
-    let mut crit_violations = 0;
-    if let Some(crit) = &obs.crit {
-        println!("-- durability critical path --");
-        println!(
-            "  paths traced         {:>12} ({} cycles, longest {})",
-            crit.paths(),
-            crit.total_cycles(),
-            crit.max_path
-        );
-        let shares = crit.shares();
-        for kind in lrp_obs::CritSegKind::ALL {
-            let k = kind.idx();
-            if crit.seg_counts[k] > 0 {
-                println!(
-                    "  {:<20} n={:<6} cycles={:<10} share={:.1}%",
-                    kind.name(),
-                    crit.seg_counts[k],
-                    crit.seg_cycles[k],
-                    shares[k] * 100.0
-                );
-            }
-        }
-        for (name, c) in crit.audit.rows() {
-            println!(
-                "  {:<20} checks={:<8} violations={}",
-                name, c.checks, c.violations
-            );
-        }
-        crit_violations = crit.audit.total_violations();
-    }
-    if let Some(path) = trace_out {
-        write_or_die(&path, &chrome::export(obs));
-        eprintln!("wrote Chrome trace to {path}");
-    }
-    if let Some(path) = metrics_out {
-        write_or_die(&path, &metrics::export_jsonl(obs, &r.stats));
-        eprintln!("wrote JSONL metrics to {path}");
-    }
-    if obs.audit.total_violations() + crit_violations > 0 {
-        eprintln!(
-            "WARNING: {} invariant violations observed ({} I1-I4, {} critpath C1-C2)",
-            obs.audit.total_violations() + crit_violations,
-            obs.audit.total_violations(),
-            crit_violations
-        );
-        std::process::exit(3);
-    }
-}
-
-fn write_or_die(path: &str, text: &str) {
-    std::fs::write(path, text).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    });
 }
 
 fn table1() {

@@ -15,7 +15,7 @@
 //! and, with `--json-out`, to a file. Exit 4 flags a durability
 //! violation — the signal CI gates on.
 
-use lrp_bench::cli::Cli;
+use lrp_bench::cli::{die, write_out, Cli};
 use lrp_lfds::KeyDist;
 use lrp_serve::{probe, run_load, Bind, LoadSpec};
 
@@ -102,10 +102,7 @@ fn main() {
                 println!("{json}");
                 return;
             }
-            Err(e) => {
-                eprintln!("probe failed: {e}");
-                std::process::exit(1);
-            }
+            Err(e) => die(format!("probe failed: {e}")),
         }
     }
 
@@ -124,17 +121,11 @@ fn main() {
     spec.verify = !no_verify;
     spec.shutdown = shutdown;
 
-    let summary = run_load(&spec).unwrap_or_else(|e| {
-        eprintln!("load failed: {e}");
-        std::process::exit(1);
-    });
+    let summary = run_load(&spec).unwrap_or_else(|e| die(format!("load failed: {e}")));
     let doc = summary.to_json().to_pretty();
     println!("{doc}");
     if let Some(path) = &json_out {
-        std::fs::write(path, &doc).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
+        write_out(path, &doc);
         eprintln!("wrote load summary to {path}");
     }
     if summary.errors > 0 {

@@ -20,10 +20,9 @@
 //! `BENCH_campaign.json` summaries and fails (exit 1) on
 //! out-of-tolerance regressions.
 
-use lrp_bench::cli::Cli;
+use lrp_bench::cli::{gate_command, write_out, Cli};
 use lrp_bench::profile::{self, GateTolerances, ProfileSpec};
 use lrp_lfds::Structure;
-use lrp_obs::Json;
 use lrp_sim::{Mechanism, NvmMode};
 
 const USAGE: &str = "usage:\n  \
@@ -145,43 +144,15 @@ fn main() {
                 std::process::exit(3);
             }
         }
-        "gate" => {
-            let (Some(base_path), Some(cur_path)) = (&baseline, &current) else {
-                cli.fail("gate needs --baseline and --current")
-            };
-            let base = load_summary(base_path);
-            let cur = load_summary(cur_path);
-            let verdict = profile::gate(&base, &cur, &tol).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(1);
-            });
-            if let Some(out) = &json_out {
-                write_out(out, &profile::verdict_json(&verdict, &tol).to_pretty());
-                eprintln!("wrote gate verdict to {out}");
-            }
-            print!("{}", profile::render_gate(&verdict));
-            if !verdict.pass() {
-                std::process::exit(1);
-            }
-        }
+        "gate" => gate_command(
+            &cli,
+            "gate",
+            (baseline.as_deref(), current.as_deref()),
+            json_out.as_deref(),
+            |base, cur| profile::gate(base, cur, &tol),
+            |v| profile::verdict_json(v, &tol),
+            |_, _| String::new(),
+        ),
         other => cli.fail(format!("unknown command {other:?}")),
     }
-}
-
-fn load_summary(path: &str) -> Json {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    Json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse {path}: {e}");
-        std::process::exit(1);
-    })
-}
-
-fn write_out(path: &str, text: &str) {
-    std::fs::write(path, text).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    });
 }

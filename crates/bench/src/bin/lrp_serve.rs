@@ -12,7 +12,7 @@
 //! any durably-acked write was lost or a null-recovery check failed —
 //! the service-level durability contract of the paper.
 
-use lrp_bench::cli::Cli;
+use lrp_bench::cli::{die, write_out, Cli};
 use lrp_lfds::Structure;
 use lrp_obs::RecorderConfig;
 use lrp_serve::{Bind, Server, ServerConfig, ShardConfig};
@@ -156,10 +156,7 @@ fn main() {
     cfg.flight = flight_cap;
     cfg.flight_dir = flight_dir.map(Into::into);
 
-    let server = Server::start(cfg).unwrap_or_else(|e| {
-        eprintln!("cannot start server: {e}");
-        std::process::exit(1);
-    });
+    let server = Server::start(cfg).unwrap_or_else(|e| die(format!("cannot start server: {e}")));
     let published = match server.local_addr() {
         Some(addr) => addr.to_string(),
         None => uds_path.unwrap_or_else(|| "unix socket".into()),
@@ -168,26 +165,17 @@ fn main() {
         "lrp-serve: {shards} shard(s) of {structure_name}/{mech_name}/{mode_name} on {published}"
     );
     if let Some(path) = &port_file {
-        std::fs::write(path, &published).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
+        write_out(path, &published);
     }
 
     // Blocks until a client sends Shutdown.
     let report = server.join();
     if let Some(path) = &metrics_out {
-        std::fs::write(path, report.to_jsonl()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
+        write_out(path, &report.to_jsonl());
         eprintln!("wrote shard metrics to {path}");
     }
     if let Some(path) = &trace_out {
-        std::fs::write(path, report.chrome_trace().to_compact()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
+        write_out(path, &report.chrome_trace().to_compact());
         eprintln!(
             "wrote {} span(s) to {path} ({} dropped)",
             report.spans().len(),

@@ -7,13 +7,14 @@
 //! lrp-trace check  <FILE>    # replay under every mechanism, verify RP
 //!                            # and null recovery
 //! lrp-trace report <FILE> [mech] [--trace-out FILE] [--metrics-out FILE]
-//!                  [--sample-every N]   # full stat dump of one replay
+//!                  [--sample-every N]   # full stat dump of one replay;
+//!                                       # exit 3 on I1-I4/C1-C2 violations
 //! ```
 //!
 //! Traces use the plain-text format of `lrp_model::codec`, so they can
 //! be diffed, versioned, and shipped as regression inputs.
 
-use lrp_bench::cli::Cli;
+use lrp_bench::cli::{die, read_text, report_run, write_out, Cli};
 use lrp_lfds::{Structure, WorkloadSpec};
 use lrp_model::{codec, Census, Trace};
 use lrp_obs::RecorderConfig;
@@ -26,29 +27,22 @@ const USAGE: &str = "usage:\n  \
     lrp-trace info <FILE>\n  \
     lrp-trace check <FILE>\n  \
     lrp-trace report <FILE> [mech] [--trace-out FILE] [--metrics-out FILE] \
-    [--sample-every N] [--no-critpath]\n\n\
+    [--sample-every N]\n\n\
     defaults:\n  \
     --size 64   --threads 4   --ops 25   --seed 1\n  \
     --out FILE           write the generated trace there instead of stdout\n  \
     report mech          lrp (one of nop|sb|bb|lrp|dpo)\n  \
     --trace-out FILE     write a Chrome trace-event JSON timeline\n  \
     --metrics-out FILE   write JSONL metrics (stats, histograms, blame, audit)\n  \
-    --sample-every N     record time-series samples every N cycles (0 = off)\n  \
-    --no-critpath        disable durability critical-path tracing\n\n\
+    --sample-every N     record time-series samples every N cycles (0 = off)\n\n\
     exit codes:\n  \
     0  success\n  \
     1  file read/write/parse error\n  \
-    2  usage error (unknown flag or command, missing or invalid value)";
+    2  usage error (unknown flag or command, missing or invalid value)\n  \
+    3  report: invariant violations observed (I1-I4, critpath C1-C2)";
 
 fn load(path: &str) -> Trace {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    codec::from_text(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse {path}: {e}");
-        std::process::exit(1);
-    })
+    codec::from_text(&read_text(path)).unwrap_or_else(|e| die(format!("cannot parse {path}: {e}")))
 }
 
 fn main() {
@@ -63,7 +57,6 @@ fn main() {
         trace_out: cli.opt("trace-out"),
         metrics_out: cli.opt("metrics-out"),
         sample_every: cli.opt_parse("sample-every").unwrap_or(0),
-        critpath: !cli.flag("no-critpath"),
     };
     let pos = cli.positionals(1, 3);
     match pos[0].as_str() {
@@ -112,10 +105,7 @@ fn gen(
     let text = codec::to_text(&trace);
     match out {
         Some(path) => {
-            std::fs::write(&path, text).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
+            write_out(&path, &text);
             eprintln!(
                 "wrote {} events ({} ops) to {path}",
                 trace.events.len(),
@@ -147,7 +137,6 @@ struct ObsOut {
     trace_out: Option<String>,
     metrics_out: Option<String>,
     sample_every: u64,
-    critpath: bool,
 }
 
 impl ObsOut {
@@ -165,52 +154,16 @@ fn report(cli: &Cli, path: &str, mech: &str, obs: &ObsOut) {
     if obs.wanted() {
         sim = sim.with_recorder(RecorderConfig {
             sample_every: obs.sample_every,
-            critpath: obs.critpath,
             ..RecorderConfig::default()
         });
     }
-    let r = sim.run();
-    print!(
-        "{}",
-        lrp_sim::report::render(&format!("{path} under {mech}"), &r)
+    let code = report_run(
+        &format!("{path} under {mech}"),
+        &sim.run(),
+        obs.trace_out.as_deref(),
+        obs.metrics_out.as_deref(),
     );
-    if let Some(rep) = r.obs.as_ref() {
-        lrp_obs::metrics::warn_ring_drops("event", rep.dropped);
-        if let Some(crit) = &rep.crit {
-            println!(
-                "critical path: {} paths, {} cycles, longest {} ({} conservation violations)",
-                crit.paths(),
-                crit.total_cycles(),
-                crit.max_path,
-                crit.audit.total_violations()
-            );
-        }
-        if let Some(out) = &obs.trace_out {
-            write_out(out, &lrp_obs::chrome::export(rep));
-            eprintln!("wrote Chrome trace to {out}");
-        }
-        if let Some(out) = &obs.metrics_out {
-            write_out(out, &lrp_obs::metrics::export_jsonl(rep, &r.stats));
-            eprintln!("wrote JSONL metrics to {out}");
-        }
-        if rep.audit.total_violations()
-            + rep.crit.as_ref().map_or(0, |c| c.audit.total_violations())
-            > 0
-        {
-            eprintln!(
-                "WARNING: {} invariant violations observed",
-                rep.audit.total_violations()
-                    + rep.crit.as_ref().map_or(0, |c| c.audit.total_violations())
-            );
-        }
-    }
-}
-
-fn write_out(path: &str, text: &str) {
-    std::fs::write(path, text).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    });
+    std::process::exit(code);
 }
 
 fn check(path: &str) {

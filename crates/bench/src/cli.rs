@@ -11,7 +11,15 @@
 //! understands (each call removes the flag from the argument list), then
 //! call [`Cli::positionals`] — anything left that still looks like a
 //! flag is an error.
+//!
+//! The module also holds the bodies the binaries share: JSON file
+//! I/O that exits 1 on failure ([`load_json`], [`write_out`]), the gate
+//! subcommand ([`gate_command`]) and the instrumented-run report
+//! ([`report_run`]).
 
+use crate::gate::{render_gate, GateVerdict};
+use lrp_obs::{chrome, metrics, AuditCounter, CritSegKind, Json};
+use lrp_sim::RunResult;
 use std::fmt::Display;
 use std::str::FromStr;
 
@@ -122,4 +130,147 @@ impl Cli {
         }
         std::mem::take(&mut self.args)
     }
+}
+
+/// Prints `msg` to stderr and exits 1 (I/O, parse or run failure).
+pub fn die(msg: impl Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1)
+}
+
+/// Reads a text file; exits 1 with a message on failure.
+pub fn read_text(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| die(format!("cannot read {path}: {e}")))
+}
+
+/// Reads and parses a JSON document; exits 1 with a message on failure.
+pub fn load_json(path: &str) -> Json {
+    Json::parse(&read_text(path)).unwrap_or_else(|e| die(format!("cannot parse {path}: {e}")))
+}
+
+/// Writes `text` to `path`; exits 1 with a message on failure.
+pub fn write_out(path: &str, text: &str) {
+    std::fs::write(path, text).unwrap_or_else(|e| die(format!("cannot write {path}: {e}")));
+}
+
+/// The body of every gate subcommand: reads the `--baseline` and
+/// `--current` documents, gates them, writes the verdict's `doc` to
+/// `json_out`, prints `preamble`'s output and the verdict, and exits 1
+/// on a regression or a bad document. `what` names the verdict in
+/// progress messages.
+pub fn gate_command(
+    cli: &Cli,
+    what: &str,
+    paths: (Option<&str>, Option<&str>),
+    json_out: Option<&str>,
+    gate: impl FnOnce(&Json, &Json) -> Result<GateVerdict, String>,
+    doc: impl FnOnce(&GateVerdict) -> Json,
+    preamble: impl FnOnce(&Json, &Json) -> String,
+) {
+    let (Some(base_path), Some(cur_path)) = paths else {
+        cli.fail(format!("{what} needs --baseline and --current"))
+    };
+    let (base, cur) = (load_json(base_path), load_json(cur_path));
+    let verdict = gate(&base, &cur).unwrap_or_else(|e| die(e));
+    if let Some(out) = json_out {
+        write_out(out, &doc(&verdict).to_pretty());
+        eprintln!("wrote {what} verdict to {out}");
+    }
+    print!("{}", preamble(&base, &cur));
+    print!("{}", render_gate(&verdict));
+    if !verdict.pass() {
+        std::process::exit(1);
+    }
+}
+
+/// Reports one simulator run: the stat dump, then — when a recorder was
+/// attached — the observability section (event ring, histograms, I1–I4
+/// audit, durability critical path), one warning if the event ring
+/// dropped, and the requested Chrome trace / JSONL metrics exports.
+/// Returns the exit status: 3 when any I1–I4 or C1–C2 violation was
+/// observed, else 0.
+pub fn report_run(
+    title: &str,
+    r: &RunResult,
+    trace_out: Option<&str>,
+    metrics_out: Option<&str>,
+) -> i32 {
+    print!("{}", lrp_sim::report::render(title, r));
+    let Some(obs) = r.obs.as_ref() else { return 0 };
+    println!("-- observability --");
+    println!(
+        "events captured        {:>12} (dropped {})",
+        obs.events.len(),
+        obs.dropped
+    );
+    let deduped = metrics::warn_ring_drops("event", obs.dropped);
+    if deduped > 0 {
+        eprintln!("  ({deduped} further drop warnings deduplicated)");
+    }
+    println!("sample intervals       {:>12}", obs.intervals.len());
+    println!("ret high water         {:>12}", obs.ret_high_water);
+    for (name, hist) in metrics::hist_rows(obs) {
+        if hist.is_empty() {
+            println!("  {name:<20} (no samples)");
+        } else {
+            println!(
+                "  {:<20} n={} mean={:.1} p50={} p99={} max={}",
+                name,
+                hist.count,
+                hist.mean(),
+                hist.percentile(0.5),
+                hist.percentile(0.99),
+                hist.max()
+            );
+        }
+    }
+    let print_audit = |rows: &[(&str, AuditCounter)]| {
+        for (name, c) in rows {
+            println!(
+                "  {name:<20} checks={:<8} violations={}",
+                c.checks, c.violations
+            );
+        }
+    };
+    println!("-- invariant audit (I1-I4) --");
+    print_audit(&obs.audit.rows());
+    let crit = &obs.crit;
+    println!("-- durability critical path --");
+    println!(
+        "  paths traced         {:>12} ({} cycles, longest {})",
+        crit.paths(),
+        crit.total_cycles(),
+        crit.max_path
+    );
+    let shares = crit.shares();
+    for kind in CritSegKind::ALL {
+        let k = kind.idx();
+        if crit.seg_counts[k] > 0 {
+            println!(
+                "  {:<20} n={:<6} cycles={:<10} share={:.1}%",
+                kind.name(),
+                crit.seg_counts[k],
+                crit.seg_cycles[k],
+                shares[k] * 100.0
+            );
+        }
+    }
+    print_audit(&crit.audit.rows());
+    if let Some(path) = trace_out {
+        write_out(path, &chrome::export(obs));
+        eprintln!("wrote Chrome trace to {path}");
+    }
+    if let Some(path) = metrics_out {
+        write_out(path, &metrics::export_jsonl(obs, &r.stats));
+        eprintln!("wrote JSONL metrics to {path}");
+    }
+    let (audit, crit) = (obs.audit.total_violations(), crit.audit.total_violations());
+    if audit + crit == 0 {
+        return 0;
+    }
+    eprintln!(
+        "WARNING: {} invariant violations observed ({audit} I1-I4, {crit} critpath C1-C2)",
+        audit + crit
+    );
+    3
 }

@@ -16,12 +16,11 @@
 //!
 //! [`gate_host`] compares two reports and fails any cell whose
 //! ops/sec dropped by more than the allowed factor — the CI regression
-//! gate of the hot-path overhaul, reusing the check/verdict machinery
-//! of [`crate::profile`].
+//! gate of the hot-path overhaul, built on [`crate::gate`].
 
 use crate::alloc_count;
+use crate::gate::{check_factor, paired, Bound, GateVerdict, Rows};
 use crate::microbench::sample_ms;
-use crate::profile::{GateCheck, GateVerdict};
 use lrp_lfds::{Structure, WorkloadSpec};
 use lrp_model::Trace;
 use lrp_obs::{Json, RecorderConfig};
@@ -363,14 +362,14 @@ fn host_err(msg: impl Into<String>) -> String {
 /// One cell's comparable metrics pulled out of a `BENCH_host.json`
 /// document.
 struct CellRow {
-    key: String,
     ops_per_sec: f64,
     wall_ms_min: f64,
     allocs_per_op: Option<f64>,
 }
 
-/// Extracts the per-cell metric rows from a `BENCH_host.json` document.
-fn extract(doc: &Json) -> Result<Vec<CellRow>, String> {
+/// Extracts the per-cell metric rows, keyed `structure/mechanism`, from
+/// a `BENCH_host.json` document.
+fn extract(doc: &Json) -> Result<Rows<CellRow>, String> {
     if doc.get("type").and_then(Json::as_str) != Some("host-bench") {
         return Err(host_err("missing type: \"host-bench\""));
     }
@@ -380,24 +379,18 @@ fn extract(doc: &Json) -> Result<Vec<CellRow>, String> {
         .ok_or_else(|| host_err("missing cells array"))?;
     let mut out = Vec::new();
     for c in cells {
-        let structure = c
-            .get("structure")
-            .and_then(Json::as_str)
-            .ok_or_else(|| host_err("cell without structure"))?;
-        let mechanism = c
-            .get("mechanism")
-            .and_then(Json::as_str)
-            .ok_or_else(|| host_err("cell without mechanism"))?;
+        let structure = c.field_str("structure").map_err(host_err)?;
+        let mechanism = c.field_str("mechanism").map_err(host_err)?;
         let ops = c
             .get("ops_per_sec")
             .and_then(Json::as_f64)
             .ok_or_else(|| host_err("cell without ops_per_sec"))?;
-        out.push(CellRow {
-            key: format!("{structure}/{mechanism}"),
+        let row = CellRow {
             ops_per_sec: ops,
             wall_ms_min: c.get("wall_ms_min").and_then(Json::as_f64).unwrap_or(0.0),
             allocs_per_op: c.get("allocs_per_op").and_then(Json::as_f64),
-        });
+        };
+        out.push((format!("{structure}/{mechanism}"), row));
     }
     Ok(out)
 }
@@ -414,13 +407,11 @@ pub fn render_gate_deltas(baseline: &Json, current: &Json) -> Result<String, Str
         "cell", "base ms", "cur ms", "wall", "base a/op", "cur a/op", "allocs",
     );
     let mut compared = 0;
-    for b in &base {
-        let Some(c) = cur.iter().find(|c| c.key == b.key) else {
-            continue;
-        };
+    for (key, b, c) in paired(&base, &cur) {
         compared += 1;
-        let wall_delta = if b.wall_ms_min > 0.0 {
-            format!("{:+.0}%", (c.wall_ms_min / b.wall_ms_min - 1.0) * 100.0)
+        let (bw, cw) = (b.wall_ms_min, c.wall_ms_min);
+        let wall_delta = if bw > 0.0 {
+            format!("{:+.0}%", (cw / bw - 1.0) * 100.0)
         } else {
             "-".to_string()
         };
@@ -439,7 +430,7 @@ pub fn render_gate_deltas(baseline: &Json, current: &Json) -> Result<String, Str
         };
         out.push_str(&format!(
             "{:<24} {:>10.3} {:>10.3} {:>8} {:>10} {:>10} {:>8}\n",
-            b.key, b.wall_ms_min, c.wall_ms_min, wall_delta, ba, ca, alloc_delta,
+            key, bw, cw, wall_delta, ba, ca, alloc_delta,
         ));
     }
     out.push_str(&format!("({compared} cells compared)\n"));
@@ -449,61 +440,30 @@ pub fn render_gate_deltas(baseline: &Json, current: &Json) -> Result<String, Str
 /// Gates `current` against `baseline`: a cell fails when its ops/sec
 /// dropped below `baseline / max_regression` (2.0 = tolerate anything
 /// better than a 2x slowdown — CI runners are noisy and heterogeneous).
-/// Cells present in only one report are ignored, so growing the matrix
-/// never fails the gate by itself.
 pub fn gate_host(
     baseline: &Json,
     current: &Json,
     max_regression: f64,
 ) -> Result<GateVerdict, String> {
-    if max_regression < 1.0 || max_regression.is_nan() {
-        return Err("max regression factor must be >= 1.0".to_string());
+    check_factor(max_regression)?;
+    let (base, cur) = (extract(baseline)?, extract(current)?);
+    let bound = Bound::FactorFloor(max_regression);
+    let mut v = GateVerdict::default();
+    for (key, b, c) in paired(&base, &cur) {
+        v.compared += 1;
+        v.checks
+            .push(bound.check(key, "ops_per_sec", b.ops_per_sec, c.ops_per_sec));
     }
-    let base = extract(baseline)?;
-    let cur = extract(current)?;
-    let mut checks = Vec::new();
-    let mut compared = 0;
-    for b in &base {
-        let Some(c) = cur.iter().find(|c| c.key == b.key) else {
-            continue;
-        };
-        compared += 1;
-        checks.push(GateCheck {
-            key: b.key.clone(),
-            metric: "ops_per_sec".to_string(),
-            baseline: b.ops_per_sec,
-            current: c.ops_per_sec,
-            tol: max_regression,
-            pass: c.ops_per_sec * max_regression >= b.ops_per_sec,
-        });
-    }
-    Ok(GateVerdict { compared, checks })
+    Ok(v)
 }
 
-/// Serializes a gate verdict (mirrors `profile::verdict_json`'s shape,
-/// with the host gate's single tolerance knob).
+/// Serializes a host gate verdict.
 pub fn gate_json(v: &GateVerdict, max_regression: f64) -> Json {
-    let checks = v
-        .checks
-        .iter()
-        .map(|c| {
-            Json::obj([
-                ("key", Json::Str(c.key.clone())),
-                ("metric", Json::Str(c.metric.clone())),
-                ("baseline", Json::F64(c.baseline)),
-                ("current", Json::F64(c.current)),
-                ("tolerance", Json::F64(c.tol)),
-                ("pass", Json::Bool(c.pass)),
-            ])
-        })
-        .collect();
-    Json::obj([
-        ("type", Json::Str("host-gate".to_string())),
-        ("pass", Json::Bool(v.pass())),
+    let header = vec![
         ("compared_keys", Json::U64(v.compared as u64)),
         ("max_regression", Json::F64(max_regression)),
-        ("checks", Json::Arr(checks)),
-    ])
+    ];
+    crate::gate::verdict_json("host-gate", header, v)
 }
 
 /// One cell of the critical-path overhead comparison: the same
@@ -536,20 +496,12 @@ impl OverheadCell {
 
     /// Simulated ops/cycle without a recorder.
     pub fn opc_off(&self) -> f64 {
-        if self.sim_cycles_off > 0 {
-            self.ops_off as f64 / self.sim_cycles_off as f64
-        } else {
-            0.0
-        }
+        ops_per_cycle(self.ops_off, self.sim_cycles_off)
     }
 
     /// Simulated ops/cycle with the critpath recorder.
     pub fn opc_on(&self) -> f64 {
-        if self.sim_cycles_on > 0 {
-            self.ops_on as f64 / self.sim_cycles_on as f64
-        } else {
-            0.0
-        }
+        ops_per_cycle(self.ops_on, self.sim_cycles_on)
     }
 
     /// Host wall-time overhead of tracing, as a fraction of the bare
@@ -560,6 +512,14 @@ impl OverheadCell {
         } else {
             0.0
         }
+    }
+}
+
+fn ops_per_cycle(ops: u64, cycles: u64) -> f64 {
+    if cycles > 0 {
+        ops as f64 / cycles as f64
+    } else {
+        0.0
     }
 }
 
@@ -611,17 +571,11 @@ pub fn gate_overhead(cells: &[OverheadCell], max_frac: f64) -> Result<GateVerdic
     if !(0.0..=1.0).contains(&max_frac) {
         return Err("overhead budget must be a fraction in [0, 1]".to_string());
     }
-    let checks = cells
+    let bound = Bound::Symmetric(max_frac);
+    let checks: Vec<_> = cells
         .iter()
-        .map(|c| GateCheck {
-            key: c.key(),
-            metric: "ops_per_cycle".to_string(),
-            baseline: c.opc_off(),
-            current: c.opc_on(),
-            tol: max_frac,
-            pass: (c.opc_on() - c.opc_off()).abs() <= max_frac * c.opc_off(),
-        })
-        .collect::<Vec<_>>();
+        .map(|c| bound.check(&c.key(), "ops_per_cycle", c.opc_off(), c.opc_on()))
+        .collect();
     Ok(GateVerdict {
         compared: checks.len(),
         checks,
@@ -692,7 +646,7 @@ pub fn render_overhead(cells: &[OverheadCell], v: &GateVerdict, max_frac: f64) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::render_gate;
+    use crate::gate::render_gate;
 
     fn tiny_spec() -> HostSpec {
         HostSpec {
@@ -718,10 +672,10 @@ mod tests {
         assert_eq!(doc.get("tier").and_then(Json::as_str), Some("quick"));
         let rows = extract(&doc).unwrap();
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].key, "queue/nop");
+        assert_eq!(rows[0].0, "queue/nop");
         assert!(rows
             .iter()
-            .all(|r| r.ops_per_sec > 0.0 && r.wall_ms_min > 0.0));
+            .all(|(_, r)| r.ops_per_sec > 0.0 && r.wall_ms_min > 0.0));
         let rendered = render_report(&report);
         assert!(rendered.contains("queue/lrp"));
         let deltas = render_gate_deltas(&doc, &doc).unwrap();
@@ -771,19 +725,13 @@ mod tests {
     fn host_gate_rejects_junk_documents() {
         let junk = Json::obj([("type", Json::Str("campaign".to_string()))]);
         assert!(gate_host(&junk, &junk, 2.0).is_err());
-        let report = report_json(&run_host(
-            &HostSpec {
-                mechanisms: vec![Mechanism::Nop],
-                samples: 1,
-                ops_per_thread: 4,
-                initial_size: 8,
-                structures: vec![Structure::Queue],
-                ..HostSpec::quick()
-            },
-            |_| {},
-        ));
+        let empty = Json::obj([
+            ("type", Json::Str("host-bench".to_string())),
+            ("cells", Json::Arr(Vec::new())),
+        ]);
+        assert!(gate_host(&empty, &empty, 2.0).unwrap().pass());
         assert!(
-            gate_host(&report, &report, 0.5).is_err(),
+            gate_host(&empty, &empty, 0.5).is_err(),
             "factor < 1 rejected"
         );
     }

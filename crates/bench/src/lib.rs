@@ -6,7 +6,9 @@
 //! under `benches/` wrap the same runners (via [`microbench`]) for
 //! regression tracking. The `lrp-campaign` binary drives the
 //! `lrp-campaign` crate's parallel evaluation-campaign runner. All
-//! binaries share the [`cli`] flag parser. The `lrp-profile` binary
+//! binaries share [`cli`]: the flag parser, file I/O, the gate
+//! subcommand body and the instrumented-run report. Every regression
+//! gate runs on the one [`gate`] engine. The `lrp-profile` binary
 //! wraps [`profile`], the persist-blame profiler: per-site attribution
 //! of stall cycles and persist latency, LRP-vs-baseline differentials,
 //! folded-stacks flame-graph export, and the perf-regression gate over
@@ -19,6 +21,7 @@ pub mod alloc_count;
 pub mod cli;
 pub mod crashfuzz;
 pub mod experiments;
+pub mod gate;
 pub mod host;
 pub mod microbench;
 pub mod profile;

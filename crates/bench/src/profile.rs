@@ -15,6 +15,7 @@
 //!   per-metric tolerances.
 
 use crate::experiments::EvalParams;
+use crate::gate::{paired, Bound, GateVerdict, Rows};
 use lrp_lfds::{Structure, WorkloadSpec};
 use lrp_obs::blame::{diff, BlameDelta};
 use lrp_obs::{BlameTable, CritSegKind, CritSummary, Json, RecorderConfig, Stats};
@@ -108,7 +109,7 @@ pub fn run(spec: &ProfileSpec) -> ProfileRun {
     ProfileRun {
         stats: result.stats,
         blame: obs.blame,
-        crit: obs.crit.unwrap_or_default(),
+        crit: obs.crit,
     }
 }
 
@@ -388,43 +389,8 @@ impl Default for GateTolerances {
     }
 }
 
-/// One metric comparison at one matrix key.
-#[derive(Debug, Clone)]
-pub struct GateCheck {
-    /// `structure/mode/tN/mechanism` matrix key.
-    pub key: String,
-    /// Metric name (`ops_per_cycle`, `stall_share/<cause>`,
-    /// `<hist>/p50`, `<hist>/p99`).
-    pub metric: String,
-    /// Baseline value.
-    pub baseline: f64,
-    /// Current value.
-    pub current: f64,
-    /// The tolerance applied.
-    pub tol: f64,
-    /// Whether the current value is within tolerance.
-    pub pass: bool,
-}
-
-/// The gate's machine-readable outcome.
-#[derive(Debug, Clone)]
-pub struct GateVerdict {
-    /// Matrix keys present in both summaries.
-    pub compared: usize,
-    /// Every metric comparison performed.
-    pub checks: Vec<GateCheck>,
-}
-
-impl GateVerdict {
-    /// True when every check passed.
-    pub fn pass(&self) -> bool {
-        self.checks.iter().all(|c| c.pass)
-    }
-
-    /// The failing checks.
-    pub fn failures(&self) -> Vec<&GateCheck> {
-        self.checks.iter().filter(|c| !c.pass).collect()
-    }
+fn summary_err(msg: impl Into<String>) -> String {
+    format!("bad campaign summary: {}", msg.into())
 }
 
 /// The metrics the gate extracts per matrix key.
@@ -437,13 +403,10 @@ struct KeyMetrics {
     latencies: Vec<(String, f64)>,
 }
 
-fn summary_err(msg: impl Into<String>) -> String {
-    format!("bad campaign summary: {}", msg.into())
-}
-
 /// Extracts gate metrics from a `BENCH_campaign.json` document, keyed
-/// by `structure/mode/tN/mechanism` (skipping keys with no ok cells).
-fn extract(doc: &Json) -> Result<BTreeMap<String, KeyMetrics>, String> {
+/// by `structure/mode/tN/mechanism` in key order (skipping keys with no
+/// ok cells).
+fn extract(doc: &Json) -> Result<Rows<KeyMetrics>, String> {
     if doc.get("type").and_then(Json::as_str) != Some("campaign") {
         return Err(summary_err("missing type: \"campaign\""));
     }
@@ -453,18 +416,9 @@ fn extract(doc: &Json) -> Result<BTreeMap<String, KeyMetrics>, String> {
         .ok_or_else(|| summary_err("missing groups array"))?;
     let mut keys = BTreeMap::new();
     for g in groups {
-        let structure = g
-            .get("structure")
-            .and_then(Json::as_str)
-            .ok_or_else(|| summary_err("group without structure"))?;
-        let mode = g
-            .get("mode")
-            .and_then(Json::as_str)
-            .ok_or_else(|| summary_err("group without mode"))?;
-        let threads = g
-            .get("threads")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| summary_err("group without threads"))?;
+        let structure = g.field_str("structure").map_err(summary_err)?;
+        let mode = g.field_str("mode").map_err(summary_err)?;
+        let threads = g.field_u64("threads").map_err(summary_err)?;
         let mechs = g
             .get("mechanisms")
             .and_then(Json::as_arr)
@@ -473,10 +427,7 @@ fn extract(doc: &Json) -> Result<BTreeMap<String, KeyMetrics>, String> {
             if m.get("ok").and_then(Json::as_u64).unwrap_or(0) == 0 {
                 continue;
             }
-            let mech = m
-                .get("mechanism")
-                .and_then(Json::as_str)
-                .ok_or_else(|| summary_err("mechanism entry without name"))?;
+            let mech = m.field_str("mechanism").map_err(summary_err)?;
             let key = format!("{structure}/{mode}/t{threads}/{mech}");
             let mut metrics = KeyMetrics::default();
             if let Some(stats) = m.get("merged_stats") {
@@ -509,28 +460,28 @@ fn extract(doc: &Json) -> Result<BTreeMap<String, KeyMetrics>, String> {
             keys.insert(key, metrics);
         }
     }
-    Ok(keys)
+    Ok(keys.into_iter().collect())
 }
 
-/// Compares two campaign summaries. Only keys present in both are
-/// gated, so growing the matrix never fails the gate by itself.
+/// Compares two campaign summaries. Stall shares missing from the
+/// current summary count as zero; under `ops_only` everything but
+/// ops/cycle is informational.
 pub fn gate(baseline: &Json, current: &Json, tol: &GateTolerances) -> Result<GateVerdict, String> {
-    let base = extract(baseline)?;
-    let cur = extract(current)?;
-    let mut checks = Vec::new();
-    let mut compared = 0;
-    for (key, b) in &base {
-        let Some(c) = cur.get(key) else { continue };
-        compared += 1;
+    let (base, cur) = (extract(baseline)?, extract(current)?);
+    let ops = Bound::FracFloor(tol.ops_frac);
+    let (stall, latency) = if tol.ops_only {
+        (Bound::Info(tol.stall_share), Bound::Info(tol.latency_frac))
+    } else {
+        (
+            Bound::Slack(tol.stall_share),
+            Bound::FracCeil(tol.latency_frac),
+        )
+    };
+    let mut v = GateVerdict::default();
+    for (key, b, c) in paired(&base, &cur) {
+        v.compared += 1;
         if let (Some(b_opc), Some(c_opc)) = (b.ops_per_cycle, c.ops_per_cycle) {
-            checks.push(GateCheck {
-                key: key.clone(),
-                metric: "ops_per_cycle".to_string(),
-                baseline: b_opc,
-                current: c_opc,
-                tol: tol.ops_frac,
-                pass: c_opc >= b_opc * (1.0 - tol.ops_frac),
-            });
+            v.checks.push(ops.check(key, "ops_per_cycle", b_opc, c_opc));
         }
         for (cause, b_share) in &b.stall_shares {
             let c_share = c
@@ -538,83 +489,32 @@ pub fn gate(baseline: &Json, current: &Json, tol: &GateTolerances) -> Result<Gat
                 .iter()
                 .find(|(name, _)| name == cause)
                 .map_or(0.0, |&(_, s)| s);
-            checks.push(GateCheck {
-                key: key.clone(),
-                metric: format!("stall_share/{cause}"),
-                baseline: *b_share,
-                current: c_share,
-                tol: tol.stall_share,
-                pass: tol.ops_only || c_share <= b_share + tol.stall_share,
-            });
+            let metric = format!("stall_share/{cause}");
+            v.checks.push(stall.check(key, &metric, *b_share, c_share));
         }
         for (label, b_lat) in &b.latencies {
             let Some(&(_, c_lat)) = c.latencies.iter().find(|(l, _)| l == label) else {
                 continue;
             };
-            checks.push(GateCheck {
-                key: key.clone(),
-                metric: label.clone(),
-                baseline: *b_lat,
-                current: c_lat,
-                tol: tol.latency_frac,
-                pass: tol.ops_only || c_lat <= b_lat * (1.0 + tol.latency_frac),
-            });
+            v.checks.push(latency.check(key, label, *b_lat, c_lat));
         }
     }
-    Ok(GateVerdict { compared, checks })
+    Ok(v)
 }
 
 /// The gate verdict as a machine-readable JSON document.
 pub fn verdict_json(v: &GateVerdict, tol: &GateTolerances) -> Json {
-    let checks = v
-        .checks
-        .iter()
-        .map(|c| {
-            Json::obj([
-                ("key", Json::Str(c.key.clone())),
-                ("metric", Json::Str(c.metric.clone())),
-                ("baseline", Json::F64(c.baseline)),
-                ("current", Json::F64(c.current)),
-                ("tolerance", Json::F64(c.tol)),
-                ("pass", Json::Bool(c.pass)),
-            ])
-        })
-        .collect();
-    Json::obj([
-        ("type", Json::Str("gate".to_string())),
-        ("pass", Json::Bool(v.pass())),
+    let tolerances = Json::obj([
+        ("ops_frac", Json::F64(tol.ops_frac)),
+        ("stall_share", Json::F64(tol.stall_share)),
+        ("latency_frac", Json::F64(tol.latency_frac)),
+        ("ops_only", Json::Bool(tol.ops_only)),
+    ]);
+    let header = vec![
         ("compared_keys", Json::U64(v.compared as u64)),
-        (
-            "tolerances",
-            Json::obj([
-                ("ops_frac", Json::F64(tol.ops_frac)),
-                ("stall_share", Json::F64(tol.stall_share)),
-                ("latency_frac", Json::F64(tol.latency_frac)),
-                ("ops_only", Json::Bool(tol.ops_only)),
-            ]),
-        ),
-        ("checks", Json::Arr(checks)),
-    ])
-}
-
-/// Renders the gate outcome for terminals: every failure, then the
-/// verdict line.
-pub fn render_gate(v: &GateVerdict) -> String {
-    let mut out = String::new();
-    for c in v.failures() {
-        out.push_str(&format!(
-            "FAIL {} {}: baseline {:.6} -> current {:.6} (tolerance {:.2})\n",
-            c.key, c.metric, c.baseline, c.current, c.tol
-        ));
-    }
-    out.push_str(&format!(
-        "gate: {} ({} keys compared, {} checks, {} failed)\n",
-        if v.pass() { "PASS" } else { "FAIL" },
-        v.compared,
-        v.checks.len(),
-        v.failures().len()
-    ));
-    out
+        ("tolerances", tolerances),
+    ];
+    crate::gate::verdict_json("gate", header, v)
 }
 
 /// The quick-scale profile specs used by docs and tests: the workload
@@ -636,6 +536,7 @@ pub fn quick_spec(structure: Structure, mechanism: Mechanism) -> ProfileSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::render_gate;
     use lrp_campaign::{run_campaign, summarize, summary_json, CampaignConfig, MatrixSpec};
     use lrp_obs::blame::BlameCause;
 

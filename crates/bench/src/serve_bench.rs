@@ -15,12 +15,12 @@
 //!
 //! [`report_json`] emits the `BENCH_serve.json` document and
 //! [`gate_serve`] compares two documents for CI, reusing the
-//! check/verdict machinery of [`crate::profile`]. Wall-clock service
+//! rule-table engine of [`crate::gate`]. Wall-clock service
 //! numbers are far noisier than the simulator's host benches (thread
 //! scheduling, loopback TCP), so the default regression factor is
 //! generous and the shed-rate check is an absolute-delta bound.
 
-use crate::profile::{GateCheck, GateVerdict};
+use crate::gate::{check_factor, paired, Bound, GateVerdict, Rows};
 use lrp_lfds::{KeyDist, Structure};
 use lrp_obs::Json;
 use lrp_serve::{run_load, Bind, LoadSpec, LoadSummary, Server, ServerConfig, ShardConfig};
@@ -288,13 +288,14 @@ fn serve_err(msg: impl Into<String>) -> String {
 }
 
 struct CellMetrics {
-    name: String,
     ops_per_sec: f64,
     dur_p99_us: f64,
     shed_rate: f64,
 }
 
-fn extract(doc: &Json) -> Result<(Vec<CellMetrics>, Option<f64>), String> {
+/// Per-cell gate rows keyed by cell name, plus the report's tracing
+/// overhead. A missing p99 or shed rate reads as zero.
+fn extract(doc: &Json) -> Result<(Rows<CellMetrics>, Option<f64>), String> {
     if doc.get("type").and_then(Json::as_str) != Some("serve-bench") {
         return Err(serve_err("missing type: \"serve-bench\""));
     }
@@ -304,12 +305,8 @@ fn extract(doc: &Json) -> Result<(Vec<CellMetrics>, Option<f64>), String> {
         .ok_or_else(|| serve_err("missing cells array"))?;
     let mut out = Vec::new();
     for c in cells {
-        out.push(CellMetrics {
-            name: c
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or_else(|| serve_err("cell without name"))?
-                .to_string(),
+        let name = c.field_str("name").map_err(serve_err)?.to_string();
+        let row = CellMetrics {
             ops_per_sec: c
                 .get("ops_per_sec")
                 .and_then(Json::as_f64)
@@ -319,7 +316,8 @@ fn extract(doc: &Json) -> Result<(Vec<CellMetrics>, Option<f64>), String> {
                 .and_then(Json::as_f64)
                 .unwrap_or(0.0),
             shed_rate: c.get("shed_rate").and_then(Json::as_f64).unwrap_or(0.0),
-        });
+        };
+        out.push((name, row));
     }
     let overhead = doc.get("tracing_overhead_pct").and_then(Json::as_f64);
     Ok((out, overhead))
@@ -347,81 +345,41 @@ pub fn gate_serve(
     current: &Json,
     max_regression: f64,
 ) -> Result<GateVerdict, String> {
-    if max_regression < 1.0 || max_regression.is_nan() {
-        return Err("max regression factor must be >= 1.0".to_string());
-    }
+    check_factor(max_regression)?;
     let (base, _) = extract(baseline)?;
     let (cur, cur_overhead) = extract(current)?;
-    let mut checks = Vec::new();
-    let mut compared = 0;
-    for b in &base {
-        let Some(c) = cur.iter().find(|c| c.name == b.name) else {
-            continue;
-        };
-        compared += 1;
-        checks.push(GateCheck {
-            key: b.name.clone(),
-            metric: "ops_per_sec".to_string(),
-            baseline: b.ops_per_sec,
-            current: c.ops_per_sec,
-            tol: max_regression,
-            pass: c.ops_per_sec * max_regression >= b.ops_per_sec,
-        });
+    let (ops, p99) = (
+        Bound::FactorFloor(max_regression),
+        Bound::FactorCeil(max_regression),
+    );
+    let mut v = GateVerdict::default();
+    for (key, b, c) in paired(&base, &cur) {
+        v.compared += 1;
+        v.checks
+            .push(ops.check(key, "ops_per_sec", b.ops_per_sec, c.ops_per_sec));
         if b.dur_p99_us > 0.0 {
-            checks.push(GateCheck {
-                key: b.name.clone(),
-                metric: "dur_lat_p99_us".to_string(),
-                baseline: b.dur_p99_us,
-                current: c.dur_p99_us,
-                tol: max_regression,
-                pass: c.dur_p99_us <= b.dur_p99_us * max_regression,
-            });
+            v.checks
+                .push(p99.check(key, "dur_lat_p99_us", b.dur_p99_us, c.dur_p99_us));
         }
-        checks.push(GateCheck {
-            key: b.name.clone(),
-            metric: "shed_rate".to_string(),
-            baseline: b.shed_rate,
-            current: c.shed_rate,
-            tol: SHED_RATE_SLACK,
-            pass: c.shed_rate <= b.shed_rate + SHED_RATE_SLACK,
-        });
+        let shed = Bound::Slack(SHED_RATE_SLACK);
+        v.checks
+            .push(shed.check(key, "shed_rate", b.shed_rate, c.shed_rate));
     }
     if let Some(p) = cur_overhead {
-        checks.push(GateCheck {
-            key: "tracing".to_string(),
-            metric: "overhead_pct".to_string(),
-            baseline: 0.0,
-            current: p,
-            tol: MAX_TRACING_OVERHEAD_PCT,
-            pass: p <= MAX_TRACING_OVERHEAD_PCT,
-        });
+        let bound = Bound::Slack(MAX_TRACING_OVERHEAD_PCT);
+        v.checks
+            .push(bound.check("tracing", "overhead_pct", 0.0, p));
     }
-    Ok(GateVerdict { compared, checks })
+    Ok(v)
 }
 
 /// Serializes a gate verdict as the `serve-gate` document.
 pub fn gate_json(v: &GateVerdict, max_regression: f64) -> Json {
-    let checks = v
-        .checks
-        .iter()
-        .map(|c| {
-            Json::obj([
-                ("key", Json::Str(c.key.clone())),
-                ("metric", Json::Str(c.metric.clone())),
-                ("baseline", Json::F64(c.baseline)),
-                ("current", Json::F64(c.current)),
-                ("tolerance", Json::F64(c.tol)),
-                ("pass", Json::Bool(c.pass)),
-            ])
-        })
-        .collect();
-    Json::obj([
-        ("type", Json::Str("serve-gate".to_string())),
-        ("pass", Json::Bool(v.pass())),
+    let header = vec![
         ("compared_cells", Json::U64(v.compared as u64)),
         ("max_regression", Json::F64(max_regression)),
-        ("checks", Json::Arr(checks)),
-    ])
+    ];
+    crate::gate::verdict_json("serve-gate", header, v)
 }
 
 #[cfg(test)]

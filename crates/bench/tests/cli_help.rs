@@ -38,7 +38,6 @@ fn lrp_eval_help_documents_every_flag() {
             "trace-out",
             "metrics-out",
             "sample-every",
-            "no-critpath",
         ],
     );
 }
@@ -57,7 +56,6 @@ fn lrp_trace_help_documents_every_flag() {
             "trace-out",
             "metrics-out",
             "sample-every",
-            "no-critpath",
         ],
     );
 }
@@ -150,6 +148,15 @@ fn lrp_profile_help_documents_the_critpath_commands() {
     assert!(
         help.contains("3  critpath conservation violation"),
         "lrp-profile --help documents exit 3:\n{help}"
+    );
+}
+
+#[test]
+fn lrp_trace_help_documents_the_report_violation_exit() {
+    let help = help_output(env!("CARGO_BIN_EXE_lrp-trace"));
+    assert!(
+        help.contains("3  report: invariant violations observed"),
+        "lrp-trace --help documents exit 3:\n{help}"
     );
 }
 

@@ -32,7 +32,7 @@ fn conservation_holds_across_the_structure_mechanism_matrix() {
                 .with_recorder(RecorderConfig::default())
                 .run();
             let obs = r.obs.expect("recorder was attached");
-            let crit = obs.crit.expect("critpath tracing defaults on");
+            let crit = obs.crit;
             let cell = format!("{}/{}", structure.name(), mechanism.name());
 
             assert_eq!(crit.audit.total_violations(), 0, "{cell}");
@@ -63,8 +63,8 @@ fn conservation_holds_across_the_structure_mechanism_matrix() {
     }
 }
 
-/// Golden fixture: the same replay with critpath tracing on and off
-/// (and with no recorder at all) yields byte-identical stats and an
+/// Golden fixture: the same replay with and without the recorder (and
+/// its critical-path tracer) yields byte-identical stats and an
 /// identical persist schedule — the tracer is timing-invisible.
 #[test]
 fn critpath_leaves_stats_and_persist_schedule_identical() {
@@ -73,31 +73,16 @@ fn critpath_leaves_stats_and_persist_schedule_identical() {
         for mechanism in [Mechanism::Bb, Mechanism::Lrp] {
             let cfg = SimConfig::new(mechanism);
             let bare = Sim::new(cfg.clone(), &trace).run();
-            let off = Sim::new(cfg.clone(), &trace)
-                .with_recorder(RecorderConfig {
-                    critpath: false,
-                    ..RecorderConfig::default()
-                })
-                .run();
             let on = Sim::new(cfg.clone(), &trace)
                 .with_recorder(RecorderConfig::default())
                 .run();
             let cell = format!("{}/{}", structure.name(), mechanism.name());
 
-            assert_eq!(bare.stats, off.stats, "{cell}: recorder perturbed stats");
             assert_eq!(bare.stats, on.stats, "{cell}: critpath perturbed stats");
             assert_eq!(
                 bare.schedule, on.schedule,
                 "{cell}: critpath perturbed the persist schedule"
             );
-            assert_eq!(off.schedule, on.schedule, "{cell}");
-            // Off means off: no summary, and every other observability
-            // product matches the traced run.
-            let (off_obs, on_obs) = (off.obs.unwrap(), on.obs.unwrap());
-            assert!(off_obs.crit.is_none(), "{cell}");
-            assert!(on_obs.crit.is_some(), "{cell}");
-            assert_eq!(off_obs.release_to_persist, on_obs.release_to_persist);
-            assert_eq!(off_obs.flush_to_ack, on_obs.flush_to_ack);
         }
     }
 }

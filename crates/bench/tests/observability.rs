@@ -184,3 +184,54 @@ fn blame_survives_ring_drops() {
     );
     assert_eq!(dropped.blame, clean.blame);
 }
+
+#[test]
+fn lrp_trace_report_prints_the_instrumented_run_and_writes_exports() {
+    let dir = std::env::temp_dir().join(format!("lrp-trace-report-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (trace, chrome, metrics) = (path("t.trace"), path("t.json"), path("t.jsonl"));
+    let run = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_lrp-trace"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert_eq!(out.status.code(), Some(0), "{args:?}:\n{stdout}");
+        stdout
+    };
+    run(&[
+        "gen",
+        "--structure",
+        "queue",
+        "--ops",
+        "6",
+        "--threads",
+        "2",
+        "--out",
+        &trace,
+    ]);
+    let stdout = run(&[
+        "report",
+        &trace,
+        "lrp",
+        "--sample-every",
+        "500",
+        "--trace-out",
+        &chrome,
+        "--metrics-out",
+        &metrics,
+    ]);
+    for section in [
+        "-- invariant audit (I1-I4) --",
+        "-- durability critical path --",
+    ] {
+        assert!(stdout.contains(section), "missing {section}:\n{stdout}");
+    }
+    let jsonl = std::fs::read_to_string(&metrics).expect("metrics written");
+    assert!(jsonl.lines().count() > 1);
+    assert!(jsonl.lines().all(|l| Json::parse(l).is_ok()));
+    let doc = Json::parse(&std::fs::read_to_string(&chrome).expect("trace written")).unwrap();
+    assert!(doc.get("traceEvents").and_then(Json::as_arr).is_some());
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -2,7 +2,7 @@
 //! parseable `BENCH_serve.json` that self-passes the serve gate, and
 //! the gate catches synthetic regressions.
 
-use lrp_bench::profile::render_gate;
+use lrp_bench::gate::render_gate;
 use lrp_bench::serve_bench::{gate_serve, report_json, run_serve_bench, ServeBenchSpec};
 use lrp_obs::Json;
 

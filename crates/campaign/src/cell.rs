@@ -105,7 +105,7 @@ pub fn run_cell(spec: &CellSpec) -> CellResult {
         blame: obs.blame.clone(),
         audit_checks: obs.audit.total_checks(),
         audit_violations: obs.audit.total_violations(),
-        crit: obs.crit.clone().unwrap_or_default(),
+        crit: obs.crit.clone(),
         stats: run.stats,
         rp_checked,
         rp_violations,

@@ -60,15 +60,11 @@ pub fn header_json(matrix: &MatrixSpec) -> Json {
 }
 
 fn field_u64(doc: &Json, key: &str) -> io::Result<u64> {
-    doc.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| bad_data(format!("missing or non-integer field {key:?}")))
+    doc.field_u64(key).map_err(bad_data)
 }
 
 fn field_str<'a>(doc: &'a Json, key: &str) -> io::Result<&'a str> {
-    doc.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad_data(format!("missing or non-string field {key:?}")))
+    doc.field_str(key).map_err(bad_data)
 }
 
 fn field_bool(doc: &Json, key: &str) -> io::Result<bool> {

@@ -97,8 +97,13 @@ where
             let f = &f;
             scope.spawn(move || {
                 loop {
-                    // Own work first (front), then steal (back).
-                    let next = deques[w].lock().unwrap().pop_front().or_else(|| {
+                    // Own work first (front), then steal (back). The own
+                    // pop is bound first so its guard is released before
+                    // any victim lock is taken: holding it while stealing
+                    // lets two idle workers lock each other's deques in
+                    // opposite order and deadlock.
+                    let own = deques[w].lock().unwrap().pop_front();
+                    let next = own.or_else(|| {
                         (1..workers)
                             .find_map(|d| deques[(w + d) % workers].lock().unwrap().pop_back())
                     });
@@ -242,6 +247,15 @@ mod tests {
         let serial = run_parallel(items, 1, |i| i * 2 + 1, |_| {});
         assert_eq!(parallel, serial);
         assert_eq!(run_parallel(Vec::<usize>::new(), 8, |i| i, |_| {}), vec![]);
+    }
+
+    #[test]
+    fn run_parallel_survives_steal_contention() {
+        for round in 0..2000 {
+            let items: Vec<usize> = (0..16).collect();
+            let r = run_parallel(items, 8, |i| i, |_| {});
+            assert_eq!(r.len(), 16, "round {round}");
+        }
     }
 
     #[test]

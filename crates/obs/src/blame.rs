@@ -398,33 +398,14 @@ pub fn blame_json(t: &BlameTable) -> Json {
 }
 
 fn parse_cause(doc: &Json) -> Result<BlameCause, String> {
-    let kind = doc
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or("missing blame kind")?;
-    let name = doc
-        .get("cause")
-        .and_then(Json::as_str)
-        .ok_or("missing blame cause")?;
+    let kind = doc.field_str("kind")?;
+    let name = doc.field_str("cause")?;
     BlameCause::from_parts(kind, name).ok_or_else(|| format!("unknown blame cause {kind}:{name}"))
-}
-
-fn get_u64(doc: &Json, key: &str) -> Result<u64, String> {
-    doc.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing blame field {key:?}"))
-}
-
-fn get_str(doc: &Json, key: &str) -> Result<String, String> {
-    doc.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing blame field {key:?}"))
 }
 
 /// Parses a table serialized by [`blame_json`].
 pub fn parse_blame(doc: &Json) -> Result<BlameTable, String> {
-    let cap = get_u64(doc, "sketch_capacity")? as usize;
+    let cap = doc.field_u64("sketch_capacity")? as usize;
     let mut t = BlameTable::new(cap);
     for e in doc
         .get("exact")
@@ -433,10 +414,10 @@ pub fn parse_blame(doc: &Json) -> Result<BlameTable, String> {
     {
         let cause = parse_cause(e)?;
         t.exact.insert(
-            (get_str(e, "site")?, cause),
+            (e.field_str("site")?.to_string(), cause),
             BlameCell {
-                count: get_u64(e, "count")?,
-                cycles: get_u64(e, "cycles")?,
+                count: e.field_u64("count")?,
+                cycles: e.field_u64("cycles")?,
             },
         );
     }
@@ -446,19 +427,19 @@ pub fn parse_blame(doc: &Json) -> Result<BlameTable, String> {
         .ok_or("missing blame lines array")?
     {
         let key = LineKey {
-            site: get_str(e, "site")?,
+            site: e.field_str("site")?.to_string(),
             cause: parse_cause(e)?,
-            line: get_u64(e, "line")?,
+            line: e.field_u64("line")?,
         };
         t.sketch.counters.insert(
             key,
             SketchCell {
-                weight: get_u64(e, "weight")?,
-                error: get_u64(e, "error")?,
+                weight: e.field_u64("weight")?,
+                error: e.field_u64("error")?,
             },
         );
     }
-    t.sketch.evictions = get_u64(doc, "sketch_evictions")?;
+    t.sketch.evictions = doc.field_u64("sketch_evictions")?;
     Ok(t)
 }
 

@@ -66,26 +66,15 @@ fn span(name: &str, pid: u64, tid: u64, ts: u64, dur: u64, args: Json) -> (u64, 
 }
 
 fn counter(name: String, pid: u64, tid: u64, ts: u64, value: u64) -> (u64, u64, u64, Json) {
-    (
-        pid,
-        tid,
-        ts,
-        Json::obj([
-            ("name", Json::Str(name)),
-            ("ph", Json::Str("C".to_string())),
-            ("pid", Json::U64(pid)),
-            ("tid", Json::U64(tid)),
-            ("ts", Json::U64(ts)),
-            ("args", Json::obj([("entries", Json::U64(value))])),
-        ]),
-    )
+    let args = Json::obj([("entries", Json::U64(value))]);
+    event(&name, "C", pid, tid, ts, vec![("args", args)])
 }
 
 fn line_args(line: u64) -> Json {
     Json::obj([("line", Json::Str(format!("{line:#x}")))])
 }
 
-fn process_meta(pid: u64, name: &str) -> Json {
+pub(crate) fn process_meta(pid: u64, name: &str) -> Json {
     Json::obj([
         ("name", Json::Str("process_name".to_string())),
         ("ph", Json::Str("M".to_string())),

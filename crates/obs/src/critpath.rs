@@ -457,12 +457,6 @@ pub fn crit_json(c: &CritSummary) -> Json {
     ])
 }
 
-fn field_u64(doc: &Json, key: &str) -> Result<u64, String> {
-    doc.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field {key:?}"))
-}
-
 /// Parses the [`crit_json`] encoding back into a [`CritSummary`].
 pub fn parse_crit(doc: &Json) -> Result<CritSummary, String> {
     let mut c = CritSummary {
@@ -470,8 +464,8 @@ pub fn parse_crit(doc: &Json) -> Result<CritSummary, String> {
             doc.get("paths")
                 .ok_or_else(|| "missing field \"paths\"".to_string())?,
         )?,
-        max_path: field_u64(doc, "max_path")?,
-        folded_dropped: field_u64(doc, "folded_dropped")?,
+        max_path: doc.field_u64("max_path")?,
+        folded_dropped: doc.field_u64("folded_dropped")?,
         ..CritSummary::default()
     };
     let segments = doc
@@ -482,8 +476,8 @@ pub fn parse_crit(doc: &Json) -> Result<CritSummary, String> {
             .get(kind.name())
             .ok_or_else(|| format!("missing segment {:?}", kind.name()))?;
         let k = kind.idx();
-        c.seg_counts[k] = field_u64(seg, "count")?;
-        c.seg_cycles[k] = field_u64(seg, "cycles")?;
+        c.seg_counts[k] = seg.field_u64("count")?;
+        c.seg_cycles[k] = seg.field_u64("cycles")?;
         c.seg_hist[k] = parse_hist(
             seg.get("hist")
                 .ok_or_else(|| format!("segment {:?} missing hist", kind.name()))?,
@@ -494,13 +488,10 @@ pub fn parse_crit(doc: &Json) -> Result<CritSummary, String> {
         .and_then(Json::as_arr)
         .ok_or_else(|| "missing field \"folded\"".to_string())?;
     for row in folded {
-        let shape = row
-            .get("chain")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "folded row missing chain".to_string())?;
+        let shape = row.field_str("chain")?;
         c.folded.insert(
             shape.to_string(),
-            (field_u64(row, "paths")?, field_u64(row, "cycles")?),
+            (row.field_u64("paths")?, row.field_u64("cycles")?),
         );
     }
     let audit = doc
@@ -513,8 +504,8 @@ pub fn parse_crit(doc: &Json) -> Result<CritSummary, String> {
         let row = audit
             .get(name)
             .ok_or_else(|| format!("missing audit row {name:?}"))?;
-        counter.checks = field_u64(row, "checks")?;
-        counter.violations = field_u64(row, "violations")?;
+        counter.checks = row.field_u64("checks")?;
+        counter.violations = row.field_u64("violations")?;
     }
     Ok(c)
 }

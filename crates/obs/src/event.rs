@@ -152,92 +152,9 @@ pub enum EventKind {
     },
 }
 
-/// A bounded drop-oldest ring of [`TraceEvent`]s.
-#[derive(Debug, Clone, Default)]
-pub struct EventRing {
-    buf: std::collections::VecDeque<TraceEvent>,
-    cap: usize,
-    dropped: u64,
-}
-
-impl EventRing {
-    /// A ring holding at most `cap` events (`0` disables recording).
-    pub fn new(cap: usize) -> EventRing {
-        EventRing {
-            buf: std::collections::VecDeque::with_capacity(cap.min(4096)),
-            cap,
-            dropped: 0,
-        }
-    }
-
-    /// Appends an event, evicting the oldest when full.
-    pub fn push(&mut self, ev: TraceEvent) {
-        if self.cap == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(ev);
-    }
-
-    /// Events currently held, oldest first.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing is recorded.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Events evicted (or refused, for a zero-capacity ring).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Consumes the ring into a time-ordered vector.
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.buf.into_iter().collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ev(t: Time) -> TraceEvent {
-        TraceEvent {
-            t,
-            core: 0,
-            site: 0,
-            kind: EventKind::StallBegin {
-                cause: StallCause::LoadMiss,
-            },
-        }
-    }
-
-    #[test]
-    fn ring_drops_oldest_and_counts() {
-        let mut r = EventRing::new(3);
-        for t in 0..5 {
-            r.push(ev(t));
-        }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.dropped(), 2);
-        let times: Vec<Time> = r.into_events().iter().map(|e| e.t).collect();
-        assert_eq!(times, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn zero_capacity_ring_records_nothing() {
-        let mut r = EventRing::new(0);
-        r.push(ev(1));
-        assert!(r.is_empty());
-        assert_eq!(r.dropped(), 1);
-    }
 
     #[test]
     fn engine_states_have_stable_names() {

@@ -84,6 +84,20 @@ impl Json {
         }
     }
 
+    /// The integer field `key` of an object, or a message naming it.
+    pub fn field_u64(&self, key: &str) -> Result<u64, String> {
+        self.get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("missing or non-integer field {key:?}"))
+    }
+
+    /// The string field `key` of an object, or a message naming it.
+    pub fn field_str(&self, key: &str) -> Result<&str, String> {
+        self.get(key)
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("missing or non-string field {key:?}"))
+    }
+
     /// Compact single-line rendering (JSONL records).
     pub fn to_compact(&self) -> String {
         let mut out = String::new();

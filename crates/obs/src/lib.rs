@@ -12,11 +12,12 @@
 //! timing substrate threads through as an `Option` (disabled recording
 //! costs one branch per event site):
 //!
-//! * **Event tracing** ([`event`]) — a bounded drop-oldest ring buffer
-//!   of typed events: epoch advances, RET insert/squash/drain,
-//!   persist-engine FSM transitions, flush issue/ack with
-//!   [`stats::FlushClass`], coherence-detected release→acquire
-//!   synchronisation, and stall begin/end with [`stats::StallCause`].
+//! * **Event tracing** ([`event`]) — a bounded drop-oldest
+//!   [`ring::Ring`] (the one ring every obs buffer uses) of typed
+//!   events: epoch advances, RET insert/squash/drain, persist-engine
+//!   FSM transitions, flush issue/ack with [`stats::FlushClass`],
+//!   coherence-detected release→acquire synchronisation, and stall
+//!   begin/end with [`stats::StallCause`].
 //! * **Time-series metrics** ([`series`], [`hist`]) — per-interval
 //!   counter deltas sampled every N cycles (ops, flushes by class,
 //!   stalls by cause, NoC messages, RET occupancy high-water), plus
@@ -56,6 +57,7 @@ pub mod hist;
 pub mod json;
 pub mod metrics;
 pub mod recorder;
+pub mod ring;
 pub mod series;
 pub mod span;
 pub mod stats;
@@ -67,6 +69,7 @@ pub use event::{EngineState, EventKind, MechEvent, TraceEvent};
 pub use hist::Hist;
 pub use json::Json;
 pub use recorder::{ObsReport, Recorder, RecorderConfig};
+pub use ring::Ring;
 pub use series::{GaugeSample, GaugeSeries, IntervalSample, GAUGE_COUNTERS};
 pub use span::{audit_chains, chrome_trace, ChainAudit, Span, SpanId, SpanLog, SpanPhase};
 pub use stats::{FlushClass, StallCause, Stats};

@@ -52,33 +52,27 @@ pub fn stats_json(s: &Stats) -> Json {
     ])
 }
 
-fn field_u64(doc: &Json, key: &str) -> Result<u64, String> {
-    doc.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field {key:?}"))
-}
-
 /// Parses the [`stats_json`] encoding back into [`Stats`].
 pub fn parse_stats(doc: &Json) -> Result<Stats, String> {
     let mut s = Stats {
-        cycles: field_u64(doc, "cycles")?,
-        ops: field_u64(doc, "ops")?,
-        load_hits: field_u64(doc, "load_hits")?,
-        load_misses: field_u64(doc, "load_misses")?,
-        stores: field_u64(doc, "stores")?,
-        downgrades: field_u64(doc, "downgrades")?,
-        evictions: field_u64(doc, "evictions")?,
-        covered_writes: field_u64(doc, "covered_writes")?,
-        noc_messages: field_u64(doc, "noc_messages")?,
-        nvm_requests: field_u64(doc, "nvm_requests")?,
-        engine_runs: field_u64(doc, "engine_runs")?,
+        cycles: doc.field_u64("cycles")?,
+        ops: doc.field_u64("ops")?,
+        load_hits: doc.field_u64("load_hits")?,
+        load_misses: doc.field_u64("load_misses")?,
+        stores: doc.field_u64("stores")?,
+        downgrades: doc.field_u64("downgrades")?,
+        evictions: doc.field_u64("evictions")?,
+        covered_writes: doc.field_u64("covered_writes")?,
+        noc_messages: doc.field_u64("noc_messages")?,
+        nvm_requests: doc.field_u64("nvm_requests")?,
+        engine_runs: doc.field_u64("engine_runs")?,
         ..Stats::default()
     };
     let flushes = doc
         .get("flushes")
         .ok_or_else(|| "missing field \"flushes\"".to_string())?;
     for class in FlushClass::ALL {
-        let n = field_u64(flushes, class.name())?;
+        let n = flushes.field_u64(class.name())?;
         // Zero counts stay out of the map, matching how `record_flush`
         // populates it.
         if n > 0 {
@@ -89,7 +83,7 @@ pub fn parse_stats(doc: &Json) -> Result<Stats, String> {
         .get("stalls")
         .ok_or_else(|| "missing field \"stalls\"".to_string())?;
     for cause in StallCause::ALL {
-        let n = field_u64(stalls, cause.name())?;
+        let n = stalls.field_u64(cause.name())?;
         if n > 0 {
             s.stalls.insert(cause, n);
         }
@@ -128,10 +122,10 @@ pub fn parse_hist(doc: &Json) -> Result<Hist, String> {
         *slot = v.as_u64().ok_or_else(|| "non-integer bucket".to_string())?;
     }
     Ok(Hist::from_parts(
-        field_u64(doc, "count")?,
-        field_u64(doc, "sum")?,
-        field_u64(doc, "min")?,
-        field_u64(doc, "max")?,
+        doc.field_u64("count")?,
+        doc.field_u64("sum")?,
+        doc.field_u64("min")?,
+        doc.field_u64("max")?,
         buckets,
     ))
 }
@@ -214,7 +208,6 @@ fn audit_json(report: &ObsReport) -> Json {
 
 /// Renders the full JSONL metrics stream for one run.
 pub fn export_jsonl(report: &ObsReport, stats: &Stats) -> String {
-    let mut out = String::new();
     let header = Json::obj([
         ("type", Json::Str("obs-header".to_string())),
         ("format_version", Json::U64(METRICS_VERSION)),
@@ -230,59 +223,32 @@ pub fn export_jsonl(report: &ObsReport, stats: &Stats) -> String {
         ),
         ("ret_high_water", Json::U64(report.ret_high_water as u64)),
     ]);
-    out.push_str(&header.to_compact());
-    out.push('\n');
-    for interval in &report.intervals {
-        out.push_str(&interval_json(interval).to_compact());
-        out.push('\n');
-    }
+    let mut lines = vec![header];
+    lines.extend(report.intervals.iter().map(interval_json));
     for (name, hist) in hist_rows(report) {
         let mut doc = vec![
-            ("type", Json::Str("hist".to_string())),
-            ("name", Json::Str(name.to_string())),
+            ("type".to_string(), Json::Str("hist".to_string())),
+            ("name".to_string(), Json::Str(name.to_string())),
         ];
         if let Json::Obj(pairs) = hist_json(hist) {
-            doc.extend(pairs.into_iter().map(|(k, v)| {
-                // Keys come from hist_json's static set.
-                let k: &'static str = match k.as_str() {
-                    "count" => "count",
-                    "sum" => "sum",
-                    "min" => "min",
-                    "max" => "max",
-                    "mean" => "mean",
-                    "p50" => "p50",
-                    "p99" => "p99",
-                    _ => "buckets",
-                };
-                (k, v)
-            }));
+            doc.extend(pairs);
         }
-        out.push_str(&Json::obj(doc).to_compact());
-        out.push('\n');
+        lines.push(Json::Obj(doc));
     }
-    out.push_str(&audit_json(report).to_compact());
-    out.push('\n');
-    if let Some(crit) = &report.crit {
-        let line = Json::obj([
-            ("type", Json::Str("critpath".to_string())),
-            ("critpath", crate::critpath::crit_json(crit)),
-        ]);
-        out.push_str(&line.to_compact());
-        out.push('\n');
-    }
-    let blame = Json::obj([
+    lines.push(audit_json(report));
+    lines.push(Json::obj([
+        ("type", Json::Str("critpath".to_string())),
+        ("critpath", crate::critpath::crit_json(&report.crit)),
+    ]));
+    lines.push(Json::obj([
         ("type", Json::Str("blame".to_string())),
         ("blame", crate::blame::blame_json(&report.blame)),
-    ]);
-    out.push_str(&blame.to_compact());
-    out.push('\n');
-    let aggregate = Json::obj([
+    ]));
+    lines.push(Json::obj([
         ("type", Json::Str("aggregate".to_string())),
         ("stats", stats_json(stats)),
-    ]);
-    out.push_str(&aggregate.to_compact());
-    out.push('\n');
-    out
+    ]));
+    lines.iter().map(|l| l.to_compact() + "\n").collect()
 }
 
 #[cfg(test)]
@@ -333,7 +299,6 @@ mod tests {
             RecorderConfig {
                 ring_capacity: 16,
                 sample_every: 100,
-                ..RecorderConfig::default()
             },
             2,
         );
@@ -372,7 +337,7 @@ mod tests {
             .expect("critpath line present");
         let doc = Json::parse(line).unwrap();
         let back = crate::critpath::parse_crit(doc.get("critpath").unwrap()).unwrap();
-        assert_eq!(Some(back), report.crit);
+        assert_eq!(back, report.crit);
     }
 
     #[test]
@@ -384,7 +349,6 @@ mod tests {
             RecorderConfig {
                 ring_capacity: 1,
                 sample_every: 0,
-                ..RecorderConfig::default()
             },
             1,
         );

@@ -10,8 +10,9 @@
 use crate::audit::InvariantAudit;
 use crate::blame::{BlameCause, BlameTable};
 use crate::critpath::{CritPath, CritSegKind, CritSummary};
-use crate::event::{EngineState, EventKind, EventRing, MechEvent, Time, TraceEvent};
+use crate::event::{EngineState, EventKind, MechEvent, Time, TraceEvent};
 use crate::hist::Hist;
+use crate::ring::Ring;
 use crate::series::{IntervalSample, Sampler};
 use crate::stats::{FlushClass, StallCause, Stats};
 use lrp_model::{EventId, LineAddr};
@@ -27,10 +28,6 @@ pub struct RecorderConfig {
     /// Emit a time-series interval every this many cycles (`0` disables
     /// the time series).
     pub sample_every: u64,
-    /// Trace durability critical paths ([`crate::critpath`]). On by
-    /// default: the engine is online, bounded, and conservation-audited,
-    /// so every recorded run gets attribution for free.
-    pub critpath: bool,
 }
 
 impl Default for RecorderConfig {
@@ -38,7 +35,6 @@ impl Default for RecorderConfig {
         RecorderConfig {
             ring_capacity: 1 << 16,
             sample_every: 0,
-            critpath: true,
         }
     }
 }
@@ -51,7 +47,6 @@ impl RecorderConfig {
         RecorderConfig {
             ring_capacity: 0,
             sample_every: 0,
-            critpath: true,
         }
     }
 }
@@ -84,8 +79,8 @@ pub struct ObsReport {
     /// `OpSite` labels referenced by [`TraceEvent::site`] and the blame
     /// table (index 0 = unknown).
     pub site_names: Vec<String>,
-    /// Durability critical-path digest (`None` when tracing was off).
-    pub crit: Option<CritSummary>,
+    /// Durability critical-path digest.
+    pub crit: CritSummary,
 }
 
 /// Outstanding flush issues awaiting their acks, oldest first.
@@ -96,7 +91,7 @@ type FlushIssueFifo = VecDeque<(Time, u16, FlushClass)>;
 pub struct Recorder {
     ncores: u32,
     sample_every: u64,
-    ring: EventRing,
+    ring: Ring<TraceEvent>,
     sampler: Option<Sampler>,
     flush_to_ack: Hist,
     release_to_persist: Hist,
@@ -120,8 +115,8 @@ pub struct Recorder {
     /// A RET-full drain was observed on this core and not yet consumed
     /// by a store-side stall: the next store-drain stall is RET blame.
     ret_full_pending: Vec<bool>,
-    /// Durability critical-path engine (`None` when disabled).
-    crit: Option<CritPath>,
+    /// Durability critical-path engine.
+    crit: CritPath,
 }
 
 impl Recorder {
@@ -130,7 +125,7 @@ impl Recorder {
         Recorder {
             ncores,
             sample_every: cfg.sample_every,
-            ring: EventRing::new(cfg.ring_capacity),
+            ring: Ring::new(cfg.ring_capacity),
             sampler: (cfg.sample_every > 0).then(|| Sampler::new(cfg.sample_every)),
             flush_to_ack: Hist::new(),
             release_to_persist: Hist::new(),
@@ -145,7 +140,7 @@ impl Recorder {
             site_names: Vec::new(),
             core_site: vec![0; ncores as usize],
             ret_full_pending: vec![false; ncores as usize],
-            crit: cfg.critpath.then(CritPath::new),
+            crit: CritPath::new(),
         }
     }
 
@@ -162,11 +157,9 @@ impl Recorder {
 
     /// Installs the attached mechanism's classification for demand-free
     /// flush-issue waits (barrier mechanisms spend them draining epochs;
-    /// lazy mechanisms defer by design). No-op when critpath is off.
+    /// lazy mechanisms defer by design).
     pub fn set_crit_drain_kind(&mut self, kind: CritSegKind) {
-        if let Some(cp) = self.crit.as_mut() {
-            cp.set_drain_kind(kind);
-        }
+        self.crit.set_drain_kind(kind);
     }
 
     fn push(&mut self, t: Time, core: u32, kind: EventKind) {
@@ -244,16 +237,14 @@ impl Recorder {
         site: u16,
         covered: &[EventId],
     ) {
-        if let Some(cp) = self.crit.as_mut() {
-            let kind = if matches!(class, FlushClass::Sync | FlushClass::Directory) {
-                CritSegKind::CoherenceXfer
-            } else if self.ret_full_pending[core as usize] {
-                CritSegKind::RetFull
-            } else {
-                cp.drain_kind()
-            };
-            cp.flush_issued(t, kind, covered);
-        }
+        let kind = if matches!(class, FlushClass::Sync | FlushClass::Directory) {
+            CritSegKind::CoherenceXfer
+        } else if self.ret_full_pending[core as usize] {
+            CritSegKind::RetFull
+        } else {
+            self.crit.drain_kind()
+        };
+        self.crit.flush_issued(t, kind, covered);
         self.open_flush
             .entry((core, line))
             .or_default()
@@ -284,9 +275,7 @@ impl Recorder {
     /// `ev` identifies the write for the release-to-persist histogram.
     pub fn release_committed(&mut self, t: Time, ev: EventId) {
         self.release_commit.insert(ev, t);
-        if let Some(cp) = self.crit.as_mut() {
-            cp.release_committed(t, ev);
-        }
+        self.crit.release_committed(t, ev);
     }
 
     /// Writes `covered` just persisted; releases among them complete
@@ -297,9 +286,7 @@ impl Recorder {
                 self.release_to_persist.record(t.saturating_sub(committed));
             }
         }
-        if let Some(cp) = self.crit.as_mut() {
-            cp.persisted(t, covered);
-        }
+        self.crit.persisted(t, covered);
     }
 
     /// Coherence downgraded a released line: a release→acquire
@@ -367,7 +354,7 @@ impl Recorder {
             ncores: self.ncores,
             sample_every: self.sample_every,
             dropped: self.ring.dropped(),
-            events: self.ring.into_events(),
+            events: self.ring.into_vec(),
             intervals: self.sampler.map(|s| s.intervals).unwrap_or_default(),
             flush_to_ack: self.flush_to_ack,
             release_to_persist: self.release_to_persist,
@@ -376,7 +363,7 @@ impl Recorder {
             ret_high_water: self.ret_high_water,
             blame: self.blame,
             site_names: self.site_names,
-            crit: self.crit.map(|cp| cp.finish(now)),
+            crit: self.crit.finish(now),
         }
     }
 }
@@ -543,7 +530,7 @@ mod tests {
         r.flush_issue(130, 0, 0xC0, FlushClass::Critical, 0, &[3]);
         r.persisted(200, &[3]);
         let report = r.finish(300, &Stats::default());
-        let crit = report.crit.expect("critpath on by default");
+        let crit = report.crit;
         assert_eq!(crit.paths(), 3);
         assert_eq!(crit.seg_cycles[CritSegKind::CoherenceXfer.idx()], 20);
         assert_eq!(crit.seg_cycles[CritSegKind::RetFull.idx()], 10);
@@ -553,20 +540,6 @@ mod tests {
         // Conservation against the independent latency histogram.
         assert_eq!(crit.path.sum, report.release_to_persist.sum);
         assert_eq!(crit.path.count, report.release_to_persist.count);
-    }
-
-    #[test]
-    fn critpath_off_yields_no_summary_and_same_metrics() {
-        let cfg = RecorderConfig {
-            critpath: false,
-            ..RecorderConfig::default()
-        };
-        let mut r = Recorder::new(cfg, 1);
-        r.release_committed(50, 7);
-        r.persisted(170, &[7]);
-        let report = r.finish(500, &Stats::default());
-        assert!(report.crit.is_none());
-        assert_eq!(report.release_to_persist.count, 1);
     }
 
     #[test]

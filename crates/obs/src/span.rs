@@ -18,7 +18,7 @@
 //! wire→queue→batch→execute→persist→ack chain nested inside its root.
 
 use crate::json::Json;
-use std::collections::VecDeque;
+use crate::ring::Ring;
 
 /// Span identifier; 0 is reserved for "no parent".
 pub type SpanId = u64;
@@ -116,15 +116,19 @@ pub struct Span {
     pub phase: SpanPhase,
 }
 
-/// A bounded drop-oldest span collector with counted drops — the same
-/// contract as the event ring: recording never blocks and never grows
-/// without bound, and truncation is detectable.
+/// A bounded drop-oldest span collector: a [`Ring`] (read through
+/// `Deref`) plus the span-id allocator.
 #[derive(Debug)]
 pub struct SpanLog {
-    cap: usize,
-    spans: VecDeque<Span>,
-    dropped: u64,
+    spans: Ring<Span>,
     next: SpanId,
+}
+
+impl std::ops::Deref for SpanLog {
+    type Target = Ring<Span>;
+    fn deref(&self) -> &Ring<Span> {
+        &self.spans
+    }
 }
 
 impl SpanLog {
@@ -132,9 +136,7 @@ impl SpanLog {
     /// allocates ids and counts drops).
     pub fn new(cap: usize) -> SpanLog {
         SpanLog {
-            cap,
-            spans: VecDeque::with_capacity(cap.min(4096)),
-            dropped: 0,
+            spans: Ring::new(cap),
             next: 1,
         }
     }
@@ -153,36 +155,13 @@ impl SpanLog {
             span.id = self.alloc();
         }
         self.next = self.next.max(span.id + 1);
-        if self.cap == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.spans.len() >= self.cap {
-            self.spans.pop_front();
-            self.dropped += 1;
-        }
-        self.spans.push_back(span);
-    }
-
-    /// Spans currently retained.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// True when nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    /// Spans evicted or refused so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.spans.push(span);
     }
 
     /// Takes every retained span (oldest first), leaving the log empty
     /// but still counting.
     pub fn drain(&mut self) -> Vec<Span> {
-        self.spans.drain(..).collect()
+        self.spans.drain()
     }
 }
 
@@ -234,16 +213,8 @@ pub fn chrome_trace(spans: &[Span]) -> Json {
     tracks.sort_unstable();
     tracks.dedup();
     for t in &tracks {
-        events.push(Json::obj([
-            ("name", Json::Str("process_name".into())),
-            ("ph", Json::Str("M".into())),
-            ("pid", Json::U64(SPAN_PID_BASE + *t as u64)),
-            ("tid", Json::U64(0)),
-            (
-                "args",
-                Json::obj([("name", Json::Str(format!("shard-{t}")))]),
-            ),
-        ]));
+        let pid = SPAN_PID_BASE + *t as u64;
+        events.push(crate::chrome::process_meta(pid, &format!("shard-{t}")));
     }
     // Group per request chain: root first, then children by start time,
     // each as a begin/end pair in timestamp order within the group.
@@ -578,27 +549,6 @@ mod tests {
             .filter_map(|e| e.get("id").and_then(Json::as_str).map(String::from))
             .collect();
         assert_eq!(ids.len(), 2, "one async group id per request chain");
-    }
-
-    #[test]
-    fn the_log_is_bounded_and_counts_drops() {
-        let mut log = SpanLog::new(4);
-        for req in 0..10 {
-            log.record(Span {
-                id: 0,
-                parent: 0,
-                req,
-                track: 0,
-                start_us: req,
-                end_us: req + 1,
-                phase: SpanPhase::Request { op: 0 },
-            });
-        }
-        assert_eq!(log.len(), 4);
-        assert_eq!(log.dropped(), 6);
-        let spans = log.drain();
-        assert_eq!(spans[0].req, 6, "oldest spans were evicted first");
-        assert!(log.is_empty());
     }
 
     #[test]

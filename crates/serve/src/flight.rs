@@ -7,10 +7,11 @@
 //! the shard was doing in the batches leading up to the crash, and what
 //! the crash outcome was — enough to explain every `Crashed` reply
 //! post-hoc without re-running the workload. The ring is worker-local
-//! (no locks on the hot path) and drop-oldest with counted drops, the
-//! same truncation contract as the obs event ring and span log.
+//! (no locks on the hot path) and is the same drop-oldest
+//! [`lrp_obs::Ring`] with counted drops as the obs event ring and span
+//! log.
 
-use lrp_obs::Json;
+use lrp_obs::{Json, Ring};
 use std::io::Write;
 use std::path::Path;
 
@@ -153,51 +154,29 @@ impl FlightEvent {
     }
 }
 
-/// Bounded drop-oldest ring of [`FlightEvent`]s, worker-local.
+/// Bounded drop-oldest ring of [`FlightEvent`]s, worker-local: a
+/// [`Ring`] (reached through `Deref`) plus its JSONL dump.
 #[derive(Debug)]
-pub struct FlightRecorder {
-    cap: usize,
-    ring: std::collections::VecDeque<FlightEvent>,
-    dropped: u64,
+pub struct FlightRecorder(Ring<FlightEvent>);
+
+impl std::ops::Deref for FlightRecorder {
+    type Target = Ring<FlightEvent>;
+    fn deref(&self) -> &Ring<FlightEvent> {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for FlightRecorder {
+    fn deref_mut(&mut self) -> &mut Ring<FlightEvent> {
+        &mut self.0
+    }
 }
 
 impl FlightRecorder {
     /// A recorder retaining at most `cap` events (`0` disables
     /// retention but still counts).
     pub fn new(cap: usize) -> FlightRecorder {
-        FlightRecorder {
-            cap,
-            ring: std::collections::VecDeque::with_capacity(cap.min(1024)),
-            dropped: 0,
-        }
-    }
-
-    /// Records one event, evicting the oldest when full.
-    pub fn push(&mut self, ev: FlightEvent) {
-        if self.cap == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.ring.len() >= self.cap {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back(ev);
-    }
-
-    /// Events currently retained.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// True when nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Events evicted or refused so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
+        FlightRecorder(Ring::new(cap))
     }
 
     /// Renders the ring as JSONL: a `flight-dump` header line, then one
@@ -208,12 +187,12 @@ impl FlightRecorder {
             ("record", Json::Str("flight-dump".into())),
             ("shard", Json::U64(shard as u64)),
             ("crash", Json::U64(crash_no)),
-            ("events", Json::U64(self.ring.len() as u64)),
-            ("dropped", Json::U64(self.dropped)),
+            ("events", Json::U64(self.len() as u64)),
+            ("dropped", Json::U64(self.dropped())),
         ]);
         out.push_str(&header.to_compact());
         out.push('\n');
-        for ev in &self.ring {
+        for ev in self.iter() {
             out.push_str(&ev.to_json().to_compact());
             out.push('\n');
         }
@@ -243,29 +222,6 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ring_is_bounded_and_counts_drops() {
-        let mut r = FlightRecorder::new(3);
-        for batch in 0..5 {
-            r.push(FlightEvent::BatchStart {
-                t_ms: batch,
-                batch,
-                size: 1,
-            });
-        }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.dropped(), 2);
-        let dump = r.to_jsonl(0, 1);
-        let lines: Vec<&str> = dump.lines().collect();
-        assert_eq!(lines.len(), 4);
-        let header = Json::parse(lines[0]).unwrap();
-        assert_eq!(header.get("record").unwrap().as_str(), Some("flight-dump"));
-        assert_eq!(header.get("dropped").unwrap().as_u64(), Some(2));
-        // Oldest retained event is batch 2 (0 and 1 were evicted).
-        let first = Json::parse(lines[1]).unwrap();
-        assert_eq!(first.get("batch").unwrap().as_u64(), Some(2));
-    }
 
     #[test]
     fn crash_event_names_inflight_ops() {

@@ -263,7 +263,7 @@ pub struct Shard {
     /// release-to-persist, RET residency) when a recorder is attached.
     pub hists: [Hist; 3],
     /// Merged durability critical-path digest across all batches (empty
-    /// unless a recorder with critpath tracing is attached).
+    /// unless a recorder is attached).
     pub crit: CritSummary,
     last_breakdown: BatchBreakdown,
     /// Committed (durable) slot records, re-written through every
@@ -378,9 +378,7 @@ impl Shard {
             for (i, (_, h)) in lrp_obs::metrics::hist_rows(report).iter().enumerate() {
                 self.hists[i].merge(h);
             }
-            if let Some(crit) = &report.crit {
-                self.crit.merge(crit);
-            }
+            self.crit.merge(&report.crit);
             self.counters.obs_dropped += report.dropped;
         }
     }

@@ -144,7 +144,6 @@ fn metrics_snapshot_reports_live_telemetry_and_ring_drops() {
     cfg.shard.recorder = Some(RecorderConfig {
         ring_capacity: 1,
         sample_every: 0,
-        ..RecorderConfig::default()
     });
     let server = Server::start(cfg).unwrap();
     let bind = tcp_bind(&server);
