@@ -35,7 +35,8 @@ const USAGE: &str = "usage:\n  \
     server's retry-after hint before each re-send\n                 \
     (default 1; 0 gives up immediately)\n  \
     --crash-at N   inject a Crash admin request for --crash-shard\n                 \
-    (default shard 0) after N data requests; off by default\n  \
+    (default shard 0) after N durable acks, or with the first\n                 \
+    connection's last request if fewer arrive; off by default\n  \
     --no-verify    skip the read-back verification phase\n  \
     --shutdown     send Shutdown when done (stops lrp-serve)\n  \
     --probe WHAT   no load: send one admin request (stats = lifetime\n                 \

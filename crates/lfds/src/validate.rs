@@ -12,41 +12,53 @@
 
 use crate::ptr::{addr, marked};
 use crate::{bst, harness::Structure, list, queue, skiplist};
+use lrp_exec::SharedMem;
 use lrp_model::{Addr, Trace};
-use std::collections::{BTreeSet, HashMap as StdHashMap};
+use std::collections::BTreeSet;
 
 /// A raw word-granular memory image (e.g. reconstructed NVM contents).
+///
+/// It is the executor's paged [`SharedMem`]: words the image never
+/// received read as [`Trace::POISON`], exactly as unwritten functional
+/// memory does.
 #[derive(Debug, Clone, Default)]
 pub struct MemImage {
-    words: StdHashMap<Addr, u64>,
+    mem: SharedMem,
 }
 
 impl MemImage {
-    /// Builds an image from `(addr, value)` pairs.
+    /// Builds an image from `(addr, value)` pairs (a later pair for the
+    /// same address wins).
     pub fn new(words: impl IntoIterator<Item = (Addr, u64)>) -> Self {
-        MemImage {
-            words: words.into_iter().collect(),
+        let mut img = MemImage::default();
+        for (a, v) in words {
+            img.write(a, v);
         }
+        img
     }
 
-    /// Reads a word ([`Trace::POISON`] if never persisted).
+    /// Reads a word ([`Trace::POISON`] if never persisted). A misaligned
+    /// address — a walker following a garbage pointer — names no word.
     pub fn read(&self, a: Addr) -> u64 {
-        self.words.get(&a).copied().unwrap_or(Trace::POISON)
+        if !a.is_multiple_of(8) {
+            return Trace::POISON;
+        }
+        self.mem.read(a)
     }
 
     /// Writes a word (used when replaying persists onto an image).
     pub fn write(&mut self, a: Addr, v: u64) {
-        self.words.insert(a, v);
+        self.mem.write(a, v);
     }
 
     /// Number of words present.
     pub fn len(&self) -> usize {
-        self.words.len()
+        self.mem.len()
     }
 
     /// True if the image has no words.
     pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
+        self.mem.is_empty()
     }
 }
 

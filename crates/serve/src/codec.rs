@@ -543,11 +543,18 @@ pub fn response_id(resp: &Response) -> u64 {
 
 // -- framing ----------------------------------------------------------
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame with a single `write_all`.
+///
+/// Prefix and payload leave in one write, so a socket sends the frame
+/// as one segment: writing the 4-byte prefix alone would leave the
+/// payload behind it waiting for the peer's delayed ACK whenever
+/// Nagle's algorithm is on.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     debug_assert!(payload.len() <= MAX_FRAME);
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -591,6 +598,38 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
         assert_eq!(read_frame(&mut r).unwrap(), None);
+    }
+
+    /// A sink that counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        let mut w = CountingWriter::default();
+        let payload = encode_request(&Request::Ping { id: 7 });
+        write_frame(&mut w, &payload).unwrap();
+        assert_eq!(w.writes, 1, "prefix and payload must leave together");
+        write_frame(&mut w, b"").unwrap();
+        assert_eq!(w.writes, 2);
+        let mut r = &w.bytes[..];
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), payload);
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
     }
 
     #[test]

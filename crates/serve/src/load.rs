@@ -17,7 +17,8 @@
 //! which is exactly what the paper's recovery claim forbids.
 //!
 //! Mid-run it can also inject a shard crash (after a target number of
-//! durable acks) and capture the server's restart verdict.
+//! durable acks, at the latest with connection 0's last request) and
+//! capture the server's restart verdict.
 //!
 //! **Exactly-once resolution.** Mutations whose outcome is uncertain (a
 //! non-durable ack, or a `Crashed` reply) are not blindly retried:
@@ -55,10 +56,16 @@ enum ClientStream {
 }
 
 impl Client {
-    /// Dials the server.
+    /// Dials the server. TCP sockets get `TCP_NODELAY`: every frame is
+    /// one write of a complete request, so Nagle's algorithm could only
+    /// hold it back for the peer's delayed ACK.
     pub fn dial(bind: &Bind) -> io::Result<Client> {
         let stream = match bind {
-            Bind::Tcp(addr) => ClientStream::Tcp(TcpStream::connect(addr)?),
+            Bind::Tcp(addr) => {
+                let s = TcpStream::connect(addr)?;
+                s.set_nodelay(true)?;
+                ClientStream::Tcp(s)
+            }
             #[cfg(unix)]
             Bind::Uds(path) => ClientStream::Uds(std::os::unix::net::UnixStream::connect(path)?),
         };
@@ -149,7 +156,8 @@ pub struct LoadSpec {
     /// the server's retry-after hint before resending (0 = give up
     /// immediately, the pre-backoff behaviour).
     pub shed_retries: u32,
-    /// Inject a `Crash` once this many durable acks have arrived.
+    /// Inject a `Crash` once this many durable acks have arrived, or
+    /// with connection 0's last request if they never do.
     pub crash_at: Option<u64>,
     /// Which shard the injected crash kills.
     pub crash_shard: u32,
@@ -603,7 +611,10 @@ fn conn_worker(conn_idx: usize, quota: u64, shared: &Arc<LoadShared>) -> ConnTal
             outstanding.insert(id, (Instant::now(), kind, key, 0));
             tally.summary.sent += 1;
             drawn += 1;
-            maybe_inject_crash(conn_idx, shared, &mut client, &mut outstanding);
+            // The last send forces the crash if the durable-ack
+            // threshold was never reached: a crash run always crashes.
+            let last = drawn == quota;
+            maybe_inject_crash(conn_idx, shared, &mut client, &mut outstanding, last);
             continue;
         }
         if outstanding.is_empty() {
@@ -635,23 +646,28 @@ fn conn_worker(conn_idx: usize, quota: u64, shared: &Arc<LoadShared>) -> ConnTal
             &mut backoff_until,
             &mut tally,
         );
+        // Replies are what move the durable-ack count: check the
+        // threshold here too, not only after a send.
+        maybe_inject_crash(conn_idx, shared, &mut client, &mut outstanding, false);
     }
     tally
 }
 
-/// Sends the admin `Crash` once the durable-ack threshold is crossed
-/// (only connection 0 injects, so exactly one crash fires).
+/// Sends the admin `Crash` once the durable-ack threshold is crossed,
+/// or unconditionally when `force` (connection 0's last send). Only
+/// connection 0 injects, so exactly one crash fires.
 fn maybe_inject_crash(
     conn_idx: usize,
     shared: &Arc<LoadShared>,
     client: &mut Client,
     outstanding: &mut HashMap<u64, (Instant, u8, u64, u32)>,
+    force: bool,
 ) {
     let Some(at) = shared.spec.crash_at else {
         return;
     };
     if conn_idx != 0
-        || shared.durable_acks.load(Ordering::Relaxed) < at
+        || (!force && shared.durable_acks.load(Ordering::Relaxed) < at)
         || shared.crash_sent.swap(true, Ordering::SeqCst)
     {
         return;
@@ -873,5 +889,17 @@ mod tests {
         s.verify_violations = 1;
         let doc = Json::parse(&s.to_json().to_compact()).unwrap();
         assert_eq!(doc.get("durability_ok").unwrap().as_bool(), Some(false));
+    }
+
+    #[test]
+    fn tcp_clients_disable_nagle() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let client = Client::dial(&Bind::Tcp(addr)).unwrap();
+        match &client.stream {
+            ClientStream::Tcp(s) => assert!(s.nodelay().unwrap(), "Nagle still on"),
+            #[cfg(unix)]
+            ClientStream::Uds(_) => unreachable!("dialed over TCP"),
+        }
     }
 }

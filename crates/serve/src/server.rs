@@ -160,9 +160,17 @@ enum Listener {
 }
 
 impl Listener {
+    /// Accepts one connection; TCP sockets get `TCP_NODELAY` (see
+    /// [`crate::codec::write_frame`]: a reply is one write, and the
+    /// batcher already coalesces, so Nagle would only add a delayed-ACK
+    /// wait per reply).
     fn accept(&self) -> io::Result<Conn> {
         match self {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+            Listener::Tcp(l) => {
+                let (s, _) = l.accept()?;
+                s.set_nodelay(true)?;
+                Ok(Conn::Tcp(s))
+            }
             #[cfg(unix)]
             Listener::Uds(l) => l.accept().map(|(s, _)| Conn::Uds(s)),
         }

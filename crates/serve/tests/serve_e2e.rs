@@ -1,6 +1,7 @@
 //! End-to-end service tests over a real loopback socket: basic
 //! request/reply, durable-ack verification across a mid-traffic shard
-//! crash, admission-control shedding under overload, and the UDS mode.
+//! crash (also one whose durable-ack threshold is out of reach),
+//! admission-control shedding under overload, and the UDS mode.
 
 use lrp_lfds::{KeyDist, Structure};
 use lrp_serve::{
@@ -178,6 +179,41 @@ fn crash_restart_preserves_every_durably_acked_write() {
     assert!(jsonl.contains("\"serve-header\""));
     assert!(jsonl.contains("\"serve-shard\""));
     assert!(jsonl.contains("\"serve-interval\""));
+}
+
+#[test]
+fn crash_fires_even_when_the_durable_ack_threshold_is_never_reached() {
+    let server = Server::start(small_server(2, 128, 29)).unwrap();
+    let bind = tcp_bind(&server);
+
+    let mut spec = LoadSpec::new(bind);
+    spec.conns = 2;
+    spec.requests = 120;
+    spec.window = 8;
+    spec.seed = 7;
+    // More durable acks than there are requests: the threshold cannot
+    // be crossed, so the crash must come with connection 0's last send.
+    spec.crash_at = Some(spec.requests * 10);
+    spec.crash_shard = 1;
+    spec.verify = true;
+    let summary = run_load(&spec).unwrap();
+
+    assert_eq!(summary.errors, 0, "transport errors during load");
+    assert!(
+        summary.crash_recovery_ms.is_some(),
+        "crash cell ran without a crash"
+    );
+    let crash = summary
+        .crash_report
+        .as_deref()
+        .expect("crash was injected and reported");
+    assert_eq!(summary.crash_consistent, Some(true), "report: {crash}");
+    assert_eq!(summary.crash_lost_acked, Some(0), "report: {crash}");
+    assert!(summary.durability_ok());
+
+    server.shutdown();
+    let report = server.join();
+    assert_eq!(report.lost_acked(), 0, "server-side lost-ack accounting");
 }
 
 #[test]
