@@ -4,8 +4,8 @@
 //! profiler, the serve shard loop — ultimately spends its wall-clock
 //! inside the discrete-event machine, so *simulated cycles per host
 //! second* is the scaling metric that matters. This module replays a
-//! (structure × mechanism) matrix with [`crate::microbench::sample_ms`]
-//! timing each cell, and reports per-cell:
+//! (structure × mechanism) matrix with [`sample_ms`] timing each cell,
+//! and reports per-cell:
 //!
 //! * `sim_cycles` / `ops` — deterministic workload size (simulated),
 //! * `wall_ms_min` / `wall_ms_median` — host wall time per replay,
@@ -20,11 +20,26 @@
 
 use crate::alloc_count;
 use crate::gate::{check_factor, paired, Bound, GateVerdict, Rows};
-use crate::microbench::sample_ms;
 use lrp_lfds::{Structure, WorkloadSpec};
 use lrp_model::Trace;
 use lrp_obs::{Json, RecorderConfig};
 use lrp_sim::{Mechanism, NvmMode, Sim, SimConfig};
+use std::time::Instant;
+
+/// Times `samples` runs of `f` (after one untimed warmup) and returns
+/// the wall times in milliseconds, sorted ascending.
+pub fn sample_ms<R>(samples: usize, mut f: impl FnMut() -> R) -> Vec<f64> {
+    std::hint::black_box(f());
+    let mut out: Vec<f64> = (0..samples.max(1))
+        .map(|_| {
+            let t0 = Instant::now();
+            std::hint::black_box(f());
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    out.sort_by(|a, b| a.total_cmp(b));
+    out
+}
 
 /// The benchmark matrix and workload shape.
 #[derive(Debug, Clone)]

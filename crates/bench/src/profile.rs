@@ -14,7 +14,7 @@
 //!   p50/p99 per `(structure, mode, threads, mechanism)` key against
 //!   per-metric tolerances.
 
-use crate::experiments::EvalParams;
+use crate::figures::Shape;
 use crate::gate::{paired, Bound, GateVerdict, Rows};
 use lrp_lfds::{Structure, WorkloadSpec};
 use lrp_obs::blame::{diff, BlameDelta};
@@ -517,18 +517,18 @@ pub fn verdict_json(v: &GateVerdict, tol: &GateTolerances) -> Json {
     crate::gate::verdict_json("gate", header, v)
 }
 
-/// The quick-scale profile specs used by docs and tests: the workload
-/// shape of `EvalParams::quick()` for `structure` under `mechanism`.
+/// The quick-scale profile specs used by docs and tests: the cell of
+/// `structure` under `mechanism` at the `lrp-eval --quick` shape.
 pub fn quick_spec(structure: Structure, mechanism: Mechanism) -> ProfileSpec {
-    let p = EvalParams::quick();
+    let cell = Shape::new(true).cell(structure, mechanism, NvmMode::Cached);
     ProfileSpec {
         structure,
         mechanism,
-        mode: NvmMode::Cached,
-        threads: p.threads,
-        ops_per_thread: p.ops_per_thread,
-        initial_size: p.initial_size(structure),
-        seed: p.seed,
+        mode: cell.mode,
+        threads: cell.threads,
+        ops_per_thread: cell.ops_per_thread,
+        initial_size: cell.initial_size,
+        seed: cell.seed,
         ret_capacity: None,
     }
 }

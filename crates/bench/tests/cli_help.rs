@@ -301,3 +301,52 @@ fn unknown_flags_exit_2_with_usage() {
         assert!(err.contains("usage"), "{bin} prints usage on error: {err}");
     }
 }
+
+#[test]
+fn workloads_the_simulator_cannot_replay_exit_2() {
+    let eval = env!("CARGO_BIN_EXE_lrp-eval");
+    let campaign = env!("CARGO_BIN_EXE_lrp-campaign");
+    // A campaign that wrongly runs must not write into the source tree.
+    let tmp = std::env::temp_dir().join(format!("lrp-cli-workload-{}", std::process::id()));
+    let (out, bench) = (tmp.with_extension("jsonl"), tmp.with_extension("json"));
+    let cases: [(&str, &[&str], &str); 7] = [
+        (eval, &["fig5", "--quick", "--threads", "0"], "--threads"),
+        (eval, &["fig5", "--quick", "--threads", "65"], "--threads"),
+        (eval, &["fig5", "--quick", "--ops", "0"], "--ops"),
+        (
+            eval,
+            &["--structure", "queue", "--threads", "65"],
+            "--threads",
+        ),
+        (campaign, &["--threads", "0"], "--threads"),
+        (campaign, &["--threads", "2,65"], "--threads"),
+        (campaign, &["--ops", "0"], "--ops"),
+    ];
+    for (bin, args, flag) in cases {
+        let mut cmd = Command::new(bin);
+        if bin == campaign {
+            cmd.args(["run", "--smoke", "--quiet", "--out"])
+                .arg(&out)
+                .arg("--bench")
+                .arg(&bench);
+        }
+        let run = cmd.args(args).output().expect("binary runs");
+        let err = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "{bin} {args:?}: {err}");
+        assert!(
+            err.contains(flag) && err.contains("usage"),
+            "{bin} {args:?}: {err}"
+        );
+    }
+    let _ = std::fs::remove_file(&out);
+    let _ = std::fs::remove_file(&bench);
+}
+
+#[test]
+fn lrp_eval_help_documents_the_unhealthy_cell_exit() {
+    let help = help_output(env!("CARGO_BIN_EXE_lrp-eval"));
+    assert!(
+        help.contains("3  a figure cell failed, timed out, violated RP or failed recovery"),
+        "lrp-eval --help documents exit 3 for unhealthy figure cells:\n{help}"
+    );
+}

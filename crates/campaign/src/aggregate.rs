@@ -139,16 +139,6 @@ pub struct CampaignSummary {
     pub overall: Vec<OverallRow>,
 }
 
-impl CampaignSummary {
-    /// Ids of cells that did not complete, in matrix order.
-    pub fn incomplete<'a>(&self, records: &'a [CellRecord]) -> Vec<&'a CellRecord> {
-        records
-            .iter()
-            .filter(|r| !matches!(r.outcome, CellOutcome::Ok(_)))
-            .collect()
-    }
-}
-
 type Key = (Structure, Mechanism, NvmMode, u16, u64);
 
 /// Builds the deterministic aggregate view of `records` for `matrix`.
@@ -305,7 +295,7 @@ fn summarize_mech(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::run_cell;
+    use crate::cell::{build_trace, replay_cell};
     use crate::matrix::MatrixSpec;
 
     #[test]
@@ -334,7 +324,7 @@ mod tests {
             .iter()
             .map(|spec| CellRecord {
                 spec: spec.clone(),
-                outcome: CellOutcome::Ok(run_cell(spec)),
+                outcome: CellOutcome::Ok(replay_cell(spec, &build_trace(spec))),
                 wall_ms: 0.0,
             })
             .collect();
@@ -377,7 +367,7 @@ mod tests {
                         error: "injected".to_string(),
                     }
                 } else {
-                    CellOutcome::Ok(run_cell(spec))
+                    CellOutcome::Ok(replay_cell(spec, &build_trace(spec)))
                 },
                 wall_ms: 0.0,
             })

@@ -1,10 +1,12 @@
 //! End-to-end execution of one campaign cell: generate the workload
-//! trace, replay it under the simulator, validate the persist schedule
-//! against the RP specification, and check null recovery over sampled
-//! crash points.
+//! trace (shared among a workload's cells, see [`crate::traces`]),
+//! replay it under the simulator, validate the persist schedule against
+//! the RP specification, and check null recovery over sampled crash
+//! points.
 
 use crate::matrix::CellSpec;
 use lrp_lfds::WorkloadSpec;
+use lrp_model::Trace;
 use lrp_obs::{BlameTable, CritSummary, Hist, RecorderConfig};
 use lrp_recovery::{check_null_recovery, CrashPlan};
 use lrp_sim::{Mechanism, Sim, SimConfig, Stats};
@@ -54,9 +56,8 @@ impl CellResult {
     }
 }
 
-/// Runs one cell to completion. Panics propagate to the caller — the
-/// scheduler wraps this in `catch_unwind` plus a watchdog.
-pub fn run_cell(spec: &CellSpec) -> CellResult {
+/// Generates and validates the workload trace `spec` replays.
+pub fn build_trace(spec: &CellSpec) -> Trace {
     let trace = WorkloadSpec::new(spec.structure)
         .initial_size(spec.initial_size)
         .threads(spec.threads)
@@ -64,11 +65,17 @@ pub fn run_cell(spec: &CellSpec) -> CellResult {
         .seed(spec.seed)
         .build_trace();
     trace.validate().expect("generated trace is well-formed");
+    trace
+}
 
+/// Runs one cell to completion on its workload's trace, as built by
+/// [`build_trace`]. Panics propagate to the caller — the scheduler wraps
+/// this in `catch_unwind` plus a watchdog.
+pub fn replay_cell(spec: &CellSpec, trace: &Trace) -> CellResult {
     let cfg = SimConfig::new(spec.mechanism).nvm_mode(spec.mode);
     // Summaries-only recording: online histograms and audit counters,
     // no event ring and no time series, so cells stay cheap.
-    let run = Sim::new(cfg, &trace)
+    let run = Sim::new(cfg, trace)
         .with_recorder(RecorderConfig::summaries_only())
         .run();
     let obs = run.obs.as_ref().expect("recorder was attached");
@@ -76,7 +83,7 @@ pub fn run_cell(spec: &CellSpec) -> CellResult {
     let (rp_checked, rp_violations) = if spec.mechanism == Mechanism::Nop {
         (false, 0)
     } else {
-        match lrp_model::spec::check_rp(&trace, &run.schedule) {
+        match lrp_model::spec::check_rp(trace, &run.schedule) {
             Ok(()) => (true, 0),
             Err(v) => (true, v.len() as u64),
         }
@@ -90,7 +97,7 @@ pub fn run_cell(spec: &CellSpec) -> CellResult {
             samples: spec.crash_samples,
             seed: spec.seed,
         };
-        let report = check_null_recovery(spec.structure, &trace, &run.schedule, &plan);
+        let report = check_null_recovery(spec.structure, trace, &run.schedule, &plan);
         (
             true,
             report.crash_points as u64,
@@ -121,6 +128,10 @@ pub fn run_cell(spec: &CellSpec) -> CellResult {
 mod tests {
     use super::*;
     use crate::matrix::MatrixSpec;
+
+    fn run_cell(spec: &CellSpec) -> CellResult {
+        replay_cell(spec, &build_trace(spec))
+    }
 
     #[test]
     fn smoke_cells_run_healthy() {

@@ -7,10 +7,11 @@
 //! is left to finish in the background (the simulator's own `max_cycles`
 //! safety valve bounds how long that can be) while the campaign moves on.
 
-use crate::cell::{run_cell, CellResult};
+use crate::cell::{build_trace, replay_cell, CellResult};
 use crate::matrix::CellSpec;
+use crate::traces::SharedTraces;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// How one cell ended.
@@ -58,8 +59,26 @@ pub struct CellRecord {
     pub wall_ms: f64,
 }
 
+impl CellRecord {
+    /// What went wrong in this cell — a panic, a timeout, or RP or
+    /// null-recovery findings — or `None` when it is healthy.
+    pub fn problem(&self) -> Option<String> {
+        match &self.outcome {
+            CellOutcome::Ok(r) if r.healthy() => None,
+            CellOutcome::Ok(r) => Some(format!(
+                "{} RP violations, {} recovery failures",
+                r.rp_violations, r.recovery_failures
+            )),
+            CellOutcome::Failed { error } => Some(format!("failed: {error}")),
+            CellOutcome::TimedOut { timeout_secs } => {
+                Some(format!("timed out after {timeout_secs}s"))
+            }
+        }
+    }
+}
+
 /// Extracts a printable message from a panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -69,19 +88,27 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs `spec` on a watchdogged detached thread; `inject_panic` forces a
-/// deliberate panic (fault-injection for testing the isolation path).
-pub fn run_isolated(spec: &CellSpec, timeout: Duration, inject_panic: bool) -> CellRecord {
+/// Runs `spec` on a watchdogged detached thread, replaying its
+/// workload's trace from `traces` (generated there if this is the
+/// workload's first cell); `inject_panic` forces a deliberate panic
+/// (fault-injection for testing the isolation path).
+pub fn run_isolated(
+    spec: &CellSpec,
+    timeout: Duration,
+    inject_panic: bool,
+    traces: &Arc<SharedTraces>,
+) -> CellRecord {
     let started = Instant::now();
     let (tx, rx) = mpsc::channel::<Result<CellResult, String>>();
     let cell = spec.clone();
+    let traces = traces.clone();
     let builder = std::thread::Builder::new().name(format!("cell-{}", cell.index));
     let handle = builder.spawn(move || {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if inject_panic {
                 panic!("injected fault in cell {}", cell.id());
             }
-            run_cell(&cell)
+            replay_cell(&cell, &traces.get(&cell, build_trace))
         }))
         .map_err(panic_message);
         // The receiver may have timed out and gone away; that's fine.
@@ -143,9 +170,14 @@ mod tests {
         MatrixSpec::smoke().cells().remove(1)
     }
 
+    fn run(spec: &CellSpec, timeout: Duration, inject_panic: bool) -> CellRecord {
+        let traces = Arc::new(SharedTraces::new(std::slice::from_ref(spec)));
+        run_isolated(spec, timeout, inject_panic, &traces)
+    }
+
     #[test]
     fn healthy_cell_completes() {
-        let rec = run_isolated(&smoke_cell(), Duration::from_secs(120), false);
+        let rec = run(&smoke_cell(), Duration::from_secs(120), false);
         assert_eq!(rec.outcome.kind(), "ok");
         assert!(rec.wall_ms >= 0.0);
     }
@@ -153,7 +185,7 @@ mod tests {
     #[test]
     fn injected_panic_is_captured_not_propagated() {
         with_quiet_cell_panics(|| {
-            let rec = run_isolated(&smoke_cell(), Duration::from_secs(120), true);
+            let rec = run(&smoke_cell(), Duration::from_secs(120), true);
             match rec.outcome {
                 CellOutcome::Failed { ref error } => {
                     assert!(error.contains("injected fault"), "{error}");
@@ -166,7 +198,7 @@ mod tests {
     #[test]
     fn watchdog_fires_on_a_stuck_cell() {
         // A zero timeout expires before any real cell can finish.
-        let rec = run_isolated(&smoke_cell(), Duration::from_millis(0), false);
+        let rec = run(&smoke_cell(), Duration::from_millis(0), false);
         assert_eq!(rec.outcome.kind(), "timed_out");
     }
 }

@@ -6,6 +6,11 @@
 use lrp_lfds::Structure;
 use lrp_sim::{Mechanism, NvmMode};
 
+/// What a cell's trace is generated from: structure, initial size,
+/// threads, ops per thread and seed. Cells that agree on it replay the
+/// same trace.
+pub type Workload = (Structure, usize, u16, usize, u64);
+
 /// One point of the evaluation matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellSpec {
@@ -41,6 +46,17 @@ impl CellSpec {
             self.mode.name(),
             self.threads,
             self.seed
+        )
+    }
+
+    /// The workload this cell replays.
+    pub fn workload(&self) -> Workload {
+        (
+            self.structure,
+            self.initial_size,
+            self.threads,
+            self.ops_per_thread,
+            self.seed,
         )
     }
 }

@@ -676,9 +676,7 @@ mod tests {
     #[test]
     fn cell_lines_round_trip() {
         let matrix = MatrixSpec::smoke();
-        for spec in matrix.cells() {
-            let record =
-                crate::isolation::run_isolated(&spec, std::time::Duration::from_secs(120), false);
+        for record in run_campaign(matrix.cells(), &serial_cfg(), |_| {}) {
             let line = cell_json(&record).to_compact();
             let back = parse_cell_line(&line).unwrap();
             // Serialized forms agree exactly (zero-valued map entries may

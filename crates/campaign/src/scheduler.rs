@@ -9,8 +9,9 @@
 
 use crate::isolation::{run_isolated, with_quiet_cell_panics, CellRecord};
 use crate::matrix::CellSpec;
+use crate::traces::SharedTraces;
 use std::collections::VecDeque;
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 /// Execution policy for one campaign run.
@@ -127,16 +128,23 @@ where
 
 /// Runs `cells` under `cfg`, invoking `sink` once per completed cell in
 /// completion order, and returns all records sorted by cell index.
+/// Each distinct workload's trace is generated once and shared by the
+/// cells that replay it ([`SharedTraces`]).
 pub fn run_campaign(
     cells: Vec<CellSpec>,
     cfg: &CampaignConfig,
     mut sink: impl FnMut(&CellRecord),
 ) -> Vec<CellRecord> {
+    let traces = Arc::new(SharedTraces::new(&cells));
     let mut records = with_quiet_cell_panics(|| {
         run_parallel(
             cells,
             cfg.workers,
-            |spec| run_isolated(&spec, cfg.timeout, cfg.injects(&spec)),
+            |spec| {
+                let record = run_isolated(&spec, cfg.timeout, cfg.injects(&spec), &traces);
+                traces.finish(&spec);
+                record
+            },
             |record| sink(record),
         )
     });
@@ -235,6 +243,29 @@ mod tests {
             .iter()
             .filter(|r| r.spec.id() != target)
             .all(|r| matches!(r.outcome, CellOutcome::Ok(_))));
+    }
+
+    #[test]
+    fn a_failing_workload_fails_only_the_cells_sharing_its_trace() {
+        // 65 worker threads exceed the 64-core machine, so every cell
+        // replaying those traces panics; the 2-thread traces are shared
+        // by cells that must all still complete.
+        let mut matrix = quick_matrix();
+        matrix.threads = vec![2, 65];
+        let cells = matrix.cells();
+        let run = |workers| {
+            let cfg = CampaignConfig {
+                workers,
+                ..CampaignConfig::default()
+            };
+            run_campaign(cells.clone(), &cfg, |_| {})
+        };
+        let serial = run(1);
+        for r in &serial {
+            let failed = matches!(r.outcome, CellOutcome::Failed { .. });
+            assert_eq!(failed, r.spec.threads == 65, "{}", r.spec.id());
+        }
+        assert_eq!(strip_wall(&serial), strip_wall(&run(3)));
     }
 
     #[test]

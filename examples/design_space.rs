@@ -1,6 +1,7 @@
 //! Design-space exploration: sweep the LRP hardware parameters the
-//! paper fixes (RET capacity, persist-engine scan cost, engine ordering)
-//! and the extra persist-buffer baseline, on one workload.
+//! paper fixes (RET capacity, persist-engine scan cost, engine ordering),
+//! BB's proactive flushing, and the extra persist-buffer baseline, on
+//! one workload, in simulated cycles.
 //!
 //! Run with: `cargo run --release --example design_space`
 
@@ -53,6 +54,20 @@ fn main() {
         cfg.lrp.strict_epoch_engine = strict;
         let r = Sim::new(cfg, &trace).run();
         println!("{name:<22} {:>10} cycles", r.stats.cycles);
+    }
+
+    println!("\n-- BB proactive flushing --");
+    for (name, proactive) in [("on (default)", true), ("off", false)] {
+        let mut cfg = SimConfig::new(Mechanism::Bb);
+        cfg.bb.proactive_flush = proactive;
+        let r = Sim::new(cfg, &trace).run();
+        check_rp(&trace, &r.schedule).expect("RP holds either way");
+        println!(
+            "{name:<22} {:>10} cycles, {:>6} flushes, {:>5.1}% critical",
+            r.stats.cycles,
+            r.stats.total_flushes(),
+            100.0 * r.stats.critical_writeback_fraction()
+        );
     }
 
     println!("\n-- implementation school (cache-based vs persist buffer) --");
