@@ -66,8 +66,9 @@ const USAGE: &str = "usage:\n  \
     baseline/F (default 2.0; serve-gate default 3.0 --\n                     \
     loopback service numbers are noisier than sim replays)\n  \
     serve runs four cells against an in-process server: uniform, zipfian,\n  \
-    zipfian with span tracing (tracing overhead), zipfian with a mid-run\n  \
-    crash-restart (client-observed recovery time)\n                 \
+    zipfian with span tracing (three alternating pairs; tracing overhead\n  \
+    is their median), zipfian with a mid-run crash-restart (client-observed\n  \
+    recovery time); then times Shard::execute on 256..65536-key shards\n                 \
     (--shards 2 --conns 4 --requests 1200 --window 16)\n  \
     --max-overhead F   critpath-overhead: allowed fractional ops/cycle\n                     \
     delta from tracing (default 0.02)\n  \
@@ -204,7 +205,7 @@ fn main() {
             if let Some(v) = seed {
                 spec.seed = v;
             }
-            let report = serve_bench::run_serve_bench(&spec, |cell| {
+            let mut report = serve_bench::run_serve_bench(&spec, |cell| {
                 eprintln!(
                     "  {:<16} {:>10.0} ops/s (shed {:.4})",
                     cell.name,
@@ -213,6 +214,12 @@ fn main() {
                 );
             })
             .unwrap_or_else(|e| die(format!("serve bench failed: {e}")));
+            report.sweep = serve_bench::run_sweep(
+                &spec,
+                &serve_bench::SWEEP_KEYS,
+                &serve_bench::SWEEP_BATCHES,
+                serve_bench::SWEEP_SAMPLES,
+            );
             print!("{}", serve_bench::render_report(&report));
             if let Some(out) = &json_out {
                 write_out(out, &serve_bench::report_json(&report).to_pretty());

@@ -9,9 +9,18 @@
 //!   baseline for the tracing-overhead measurement;
 //! * `zipfian-traced` — the same workload with span tracing on, so the
 //!   report carries the observed tracing overhead as a first-class
-//!   metric (`tracing_overhead_pct`);
+//!   metric (`tracing_overhead_pct`). `zipfian` and `zipfian-traced`
+//!   run as alternating pairs; the overhead is the median over the
+//!   pairs, reported with every pair's value, and the two cells kept in
+//!   the report are the median pair's;
 //! * `zipfian-crash` — injects a mid-run shard crash with verification
 //!   on, and reports the client-observed crash-recovery time.
+//!
+//! `lrp-bench serve` then runs a **keyspace sweep** ([`run_sweep`]):
+//! it times `Shard::execute` on standalone shards (hash map, LRP,
+//! detection on) holding 256 to 65,536 keys at several batch sizes. Its shards run their batches round-robin, so
+//! host noise reaches every row alike. A shard commits each batch as a
+//! delta, so the per-batch cost must not grow with the keyspace.
 //!
 //! [`report_json`] emits the `BENCH_serve.json` document and
 //! [`gate_serve`] compares two documents for CI, reusing the
@@ -20,11 +29,15 @@
 //! scheduling, loopback TCP), so the default regression factor is
 //! generous and the shed-rate check is an absolute-delta bound.
 
-use crate::gate::{check_factor, paired, Bound, GateVerdict, Rows};
+use crate::gate::{check_factor, paired, Bound, GateCheck, GateVerdict, Rows};
+use lrp_exec::Xorshift64;
 use lrp_lfds::{KeyDist, Structure};
 use lrp_obs::Json;
-use lrp_serve::{run_load, Bind, LoadSpec, LoadSummary, Server, ServerConfig, ShardConfig};
+use lrp_serve::{
+    run_load, Bind, KvOp, LoadSpec, LoadSummary, Server, ServerConfig, Shard, ShardConfig, ShardReq,
+};
 use std::io;
+use std::time::Instant;
 
 /// Workload shape shared by every cell.
 #[derive(Debug, Clone)]
@@ -45,6 +58,18 @@ pub struct ServeBenchSpec {
     pub seed: u64,
 }
 
+/// `zipfian`/`zipfian-traced` pairs the tracing overhead is the median
+/// of.
+const OVERHEAD_PAIRS: usize = 3;
+
+/// Initial keys of the keyspace sweep's shards.
+pub const SWEEP_KEYS: [usize; 3] = [256, 4096, 65536];
+/// Batch sizes of the keyspace sweep.
+pub const SWEEP_BATCHES: [usize; 2] = [1, 16];
+/// Timed batches per sweep row (enough for a median resolved to a few
+/// percent under host noise; the rows run interleaved).
+pub const SWEEP_SAMPLES: usize = 41;
+
 impl ServeBenchSpec {
     /// The CI smoke shape: seconds end-to-end on a laptop-class host.
     pub fn smoke() -> ServeBenchSpec {
@@ -57,6 +82,99 @@ impl ServeBenchSpec {
             read_pct: 20,
             seed: 1,
         }
+    }
+}
+
+/// One keyspace-sweep row: a standalone shard's `execute` time.
+#[derive(Debug, Clone)]
+pub struct SweepRow {
+    /// Keys the shard was populated with.
+    pub initial_keys: usize,
+    /// Requests per batch.
+    pub batch: usize,
+    /// Median `Shard::execute` wall time, microseconds.
+    pub execute_p50_us: f64,
+    /// Timed batches.
+    pub samples: usize,
+}
+
+/// Untimed batches each sweep shard runs first (allocator and page
+/// directory warm-up).
+const SWEEP_WARMUP: usize = 4;
+
+/// Sweep requests draw their keys from `[1, SWEEP_HOT_KEYS]` on every
+/// row. Hash-map chains are sorted, so a search for one of these keys
+/// stops near the head of its chain however many larger keys the shard
+/// holds: every row does the same work per request, and the rows differ
+/// only in how much committed state sits beside it.
+const SWEEP_HOT_KEYS: u64 = 512;
+
+/// Runs the keyspace sweep: one shard per (`keys`, `batches`) row over
+/// `[1, 2 × keys]`, requests on keys uniform in `[1, SWEEP_HOT_KEYS]`
+/// with `spec.read_pct` reads and the rest split between puts and
+/// deletes, every request tracked. `samples` rounds (after a warm-up)
+/// execute one batch on every shard in turn. `lrp-bench serve` runs
+/// [`SWEEP_KEYS`] × [`SWEEP_BATCHES`] × [`SWEEP_SAMPLES`].
+pub fn run_sweep(
+    spec: &ServeBenchSpec,
+    keys: &[usize],
+    batches: &[usize],
+    samples: usize,
+) -> Vec<SweepRow> {
+    let mut rows: Vec<(usize, usize, Shard, Xorshift64, Vec<f64>)> = Vec::new();
+    for &keys in keys {
+        for &batch in batches {
+            let mut cfg = ShardConfig::new(Structure::HashMap);
+            cfg.initial_size = keys;
+            cfg.key_range = 2 * keys as u64;
+            cfg.seed = spec.seed;
+            let rng = Xorshift64::new(spec.seed ^ (keys as u64) << 8 ^ batch as u64);
+            rows.push((keys, batch, Shard::new(cfg), rng, Vec::new()));
+        }
+    }
+    let mut seq = 0u64;
+    for round in 0..SWEEP_WARMUP + samples {
+        for (_, batch, shard, rng, times) in rows.iter_mut() {
+            let ops: Vec<ShardReq> = (0..*batch)
+                .map(|_| {
+                    let key = rng.below(SWEEP_HOT_KEYS) + 1;
+                    let op = match rng.below(100) {
+                        r if r < u64::from(spec.read_pct) => KvOp::Get(key),
+                        r if r % 2 == 0 => KvOp::Put(key),
+                        _ => KvOp::Del(key),
+                    };
+                    seq += 1;
+                    ShardReq::new(op, (1 << 48) | seq)
+                })
+                .collect();
+            let t = Instant::now();
+            std::hint::black_box(shard.execute(&ops));
+            if round >= SWEEP_WARMUP {
+                times.push(t.elapsed().as_secs_f64() * 1e6);
+            }
+        }
+    }
+    rows.into_iter()
+        .map(|(initial_keys, batch, _, _, times)| SweepRow {
+            initial_keys,
+            batch,
+            samples: times.len(),
+            execute_p50_us: median(times),
+        })
+        .collect()
+}
+
+/// The median of `xs` (NaN when empty).
+fn median(mut xs: Vec<f64>) -> f64 {
+    if xs.is_empty() {
+        return f64::NAN;
+    }
+    xs.sort_by(f64::total_cmp);
+    let n = xs.len();
+    if n % 2 == 1 {
+        xs[n / 2]
+    } else {
+        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
     }
 }
 
@@ -95,18 +213,29 @@ pub struct ServeReport {
     pub spec: ServeBenchSpec,
     /// One entry per cell, in cell order.
     pub cells: Vec<ServeCell>,
+    /// Tracing overhead of each `zipfian`/`zipfian-traced` pair, in
+    /// percent, ascending.
+    pub overhead_pairs: Vec<f64>,
+    /// The keyspace sweep's rows (empty unless the caller ran
+    /// [`run_sweep`]).
+    pub sweep: Vec<SweepRow>,
+}
+
+/// Throughput `traced` lost relative to `base`, in percent (negative =
+/// traced ran faster, i.e. noise).
+fn overhead_pct(base: &ServeCell, traced: &ServeCell) -> Option<f64> {
+    if base.ops_per_sec() <= 0.0 {
+        return None;
+    }
+    Some((1.0 - traced.ops_per_sec() / base.ops_per_sec()) * 100.0)
 }
 
 impl ServeReport {
-    /// Tracing overhead in percent: throughput lost by `zipfian-traced`
-    /// relative to `zipfian` (negative = traced ran faster, i.e. noise).
+    /// Tracing overhead in percent: the median over the alternating
+    /// `zipfian`/`zipfian-traced` pairs of the throughput the traced
+    /// cell lost.
     pub fn tracing_overhead_pct(&self) -> Option<f64> {
-        let base = self.cells.iter().find(|c| c.name == "zipfian")?;
-        let traced = self.cells.iter().find(|c| c.name == "zipfian-traced")?;
-        if base.ops_per_sec() <= 0.0 {
-            return None;
-        }
-        Some((1.0 - traced.ops_per_sec() / base.ops_per_sec()) * 100.0)
+        (!self.overhead_pairs.is_empty()).then(|| median(self.overhead_pairs.clone()))
     }
 
     /// Client-observed crash-recovery time from the crash cell, ms.
@@ -170,20 +299,36 @@ pub fn run_serve_bench(
     spec: &ServeBenchSpec,
     mut progress: impl FnMut(&ServeCell),
 ) -> io::Result<ServeReport> {
-    let mut cells = Vec::new();
-    for (name, spans, crash) in [
-        ("uniform", None, false),
-        ("zipfian", None, false),
-        ("zipfian-traced", Some(65536), false),
-        ("zipfian-crash", None, true),
-    ] {
-        let cell = run_cell(spec, name, spans, crash)?;
-        progress(&cell);
-        cells.push(cell);
+    let mut cell = |name, spans, crash| -> io::Result<ServeCell> {
+        let c = run_cell(spec, name, spans, crash)?;
+        progress(&c);
+        Ok(c)
+    };
+    let mut cells = vec![cell("uniform", None, false)?];
+    // Alternate which side of a pair runs first, so drift over the run
+    // charges neither side.
+    let mut pairs = Vec::new();
+    for i in 0..OVERHEAD_PAIRS {
+        let (base, traced) = if i % 2 == 0 {
+            let base = cell("zipfian", None, false)?;
+            (base, cell("zipfian-traced", Some(65536), false)?)
+        } else {
+            let traced = cell("zipfian-traced", Some(65536), false)?;
+            (cell("zipfian", None, false)?, traced)
+        };
+        pairs.push((overhead_pct(&base, &traced), base, traced));
     }
+    pairs.sort_by(|a, b| a.0.unwrap_or(f64::NAN).total_cmp(&b.0.unwrap_or(f64::NAN)));
+    let overhead_pairs: Vec<f64> = pairs.iter().filter_map(|p| p.0).collect();
+    let (_, base, traced) = pairs.swap_remove(pairs.len() / 2);
+    cells.push(base);
+    cells.push(traced);
+    cells.push(cell("zipfian-crash", None, true)?);
     Ok(ServeReport {
         spec: spec.clone(),
         cells,
+        overhead_pairs,
+        sweep: Vec::new(),
     })
 }
 
@@ -234,6 +379,10 @@ pub fn report_json(r: &ServeReport) -> Json {
             },
         ),
         (
+            "tracing_overhead_pairs_pct",
+            Json::Arr(r.overhead_pairs.iter().map(|&p| Json::F64(p)).collect()),
+        ),
+        (
             "crash_recovery_ms",
             match r.crash_recovery_ms() {
                 Some(ms) => Json::U64(ms),
@@ -241,6 +390,22 @@ pub fn report_json(r: &ServeReport) -> Json {
             },
         ),
         ("cells", Json::Arr(cells)),
+        (
+            "shard_sweep",
+            Json::Arr(
+                r.sweep
+                    .iter()
+                    .map(|row| {
+                        Json::obj([
+                            ("initial_keys", Json::U64(row.initial_keys as u64)),
+                            ("batch", Json::U64(row.batch as u64)),
+                            ("execute_p50_us", Json::F64(row.execute_p50_us)),
+                            ("samples", Json::U64(row.samples as u64)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
     ])
 }
 
@@ -275,10 +440,26 @@ pub fn render_report(r: &ServeReport) -> String {
         ));
     }
     if let Some(p) = r.tracing_overhead_pct() {
-        out.push_str(&format!("tracing overhead: {p:.1}% throughput\n"));
+        let pairs: Vec<String> = r.overhead_pairs.iter().map(|p| format!("{p:.1}")).collect();
+        out.push_str(&format!(
+            "tracing overhead: {p:.1}% throughput (median of pairs: {})\n",
+            pairs.join(", ")
+        ));
     }
     if let Some(ms) = r.crash_recovery_ms() {
         out.push_str(&format!("crash recovery: {ms} ms client-observed\n"));
+    }
+    if !r.sweep.is_empty() {
+        out.push_str(&format!(
+            "shard sweep (Shard::execute)\n{:>12} {:>6} {:>12} {:>8}\n",
+            "keys", "batch", "p50 us", "samples"
+        ));
+        for row in &r.sweep {
+            out.push_str(&format!(
+                "{:>12} {:>6} {:>12.0} {:>8}\n",
+                row.initial_keys, row.batch, row.execute_p50_us, row.samples
+            ));
+        }
     }
     out
 }
@@ -291,6 +472,29 @@ struct CellMetrics {
     ops_per_sec: f64,
     dur_p99_us: f64,
     shed_rate: f64,
+}
+
+/// The sweep's `(initial_keys, batch, execute_p50_us)` rows (none when
+/// the report has no sweep).
+fn extract_sweep(doc: &Json) -> Result<Vec<(u64, u64, f64)>, String> {
+    let Some(rows) = doc.get("shard_sweep").and_then(Json::as_arr) else {
+        return Ok(Vec::new());
+    };
+    rows.iter()
+        .map(|r| {
+            let field = |k: &str| r.get(k).and_then(Json::as_f64);
+            match (
+                field("initial_keys"),
+                field("batch"),
+                field("execute_p50_us"),
+            ) {
+                (Some(k), Some(b), Some(p50)) => Ok((k as u64, b as u64, p50)),
+                _ => Err(serve_err(
+                    "sweep row without initial_keys/batch/execute_p50_us",
+                )),
+            }
+        })
+        .collect()
 }
 
 /// Per-cell gate rows keyed by cell name, plus the report's tracing
@@ -332,14 +536,20 @@ pub const SHED_RATE_SLACK: f64 = 0.25;
 /// the regression factor — the observability layer must stay cheap.
 pub const MAX_TRACING_OVERHEAD_PCT: f64 = 50.0;
 
+/// The keyspace sweep's flatness bound: at each batch size, the largest
+/// keyspace's `execute` p50 may be at most this factor above the
+/// smallest's (65,536 against 256 keys in the smoke shape).
+pub const MAX_SWEEP_GROWTH: f64 = 2.0;
+
 /// Gates `current` against `baseline`. Per cell present in both
 /// reports: ops/sec may not drop below `baseline / max_regression`,
 /// durable-ack p99 may not grow beyond `baseline * max_regression`
 /// (skipped when the baseline recorded none), and shed rate may not
 /// rise by more than [`SHED_RATE_SLACK`] absolute. The current report's
-/// tracing overhead is bounded by [`MAX_TRACING_OVERHEAD_PCT`]. Cells
-/// present in only one report are ignored, so growing the matrix never
-/// fails the gate by itself.
+/// tracing overhead is bounded by [`MAX_TRACING_OVERHEAD_PCT`], and its
+/// keyspace sweep by [`MAX_SWEEP_GROWTH`]. Cells present in only one
+/// report are ignored, so growing the matrix never fails the gate by
+/// itself.
 pub fn gate_serve(
     baseline: &Json,
     current: &Json,
@@ -370,7 +580,33 @@ pub fn gate_serve(
         v.checks
             .push(bound.check("tracing", "overhead_pct", 0.0, p));
     }
+    v.checks.extend(sweep_checks(&extract_sweep(current)?));
     Ok(v)
+}
+
+/// Per batch size: the largest keyspace's p50 against the smallest's,
+/// bounded by [`MAX_SWEEP_GROWTH`].
+fn sweep_checks(rows: &[(u64, u64, f64)]) -> Vec<GateCheck> {
+    let mut batches: Vec<u64> = rows.iter().map(|r| r.1).collect();
+    batches.sort_unstable();
+    batches.dedup();
+    let bound = Bound::FactorCeil(MAX_SWEEP_GROWTH);
+    batches
+        .into_iter()
+        .filter_map(|b| {
+            let at_b = || rows.iter().filter(move |r| r.1 == b);
+            let small = at_b().min_by_key(|r| r.0)?;
+            let large = at_b().max_by_key(|r| r.0)?;
+            (large.0 > small.0).then(|| {
+                bound.check(
+                    &format!("sweep/batch{b}/{}v{}", large.0, small.0),
+                    "execute_p50_us",
+                    small.2,
+                    large.2,
+                )
+            })
+        })
+        .collect()
 }
 
 /// Serializes a gate verdict as the `serve-gate` document.
@@ -422,6 +658,83 @@ mod tests {
         // Tracing overhead blew the absolute bound.
         let heavy = synthetic_report(5000.0, 800.0, 0.01, 80.0);
         assert!(!gate_serve(&base, &heavy, 3.0).unwrap().pass());
+    }
+
+    fn with_sweep(mut doc: Json, rows: &[(u64, u64, f64)]) -> Json {
+        if let Json::Obj(fields) = &mut doc {
+            let rows = rows
+                .iter()
+                .map(|&(k, b, p50)| {
+                    Json::obj([
+                        ("initial_keys", Json::U64(k)),
+                        ("batch", Json::U64(b)),
+                        ("execute_p50_us", Json::F64(p50)),
+                    ])
+                })
+                .collect();
+            fields.push(("shard_sweep".to_string(), Json::Arr(rows)));
+        }
+        doc
+    }
+
+    #[test]
+    fn serve_gate_bounds_the_keyspace_sweep() {
+        let base = synthetic_report(5000.0, 800.0, 0.01, 2.0);
+        let flat = with_sweep(
+            base.clone(),
+            &[
+                (256, 1, 900.0),
+                (4096, 1, 950.0),
+                (65536, 1, 1700.0),
+                (256, 16, 7000.0),
+                (65536, 16, 7400.0),
+            ],
+        );
+        let v = gate_serve(&base, &flat, 3.0).unwrap();
+        assert!(v.pass(), "{}", crate::gate::render_gate(&v));
+        assert_eq!(
+            v.checks
+                .iter()
+                .filter(|c| c.key.starts_with("sweep/"))
+                .count(),
+            2,
+            "one check per batch size"
+        );
+        // Per-batch cost growing with the keyspace fails, at the batch
+        // size where it grows.
+        let growing = with_sweep(base.clone(), &[(256, 1, 900.0), (65536, 1, 5600.0)]);
+        let v = gate_serve(&base, &growing, 3.0).unwrap();
+        let failed: Vec<&str> = v.failures().iter().map(|c| c.key.as_str()).collect();
+        assert_eq!(failed, ["sweep/batch1/65536v256"]);
+        // A report without a sweep (or with one keyspace) is not gated.
+        let single = with_sweep(base.clone(), &[(256, 1, 900.0)]);
+        assert!(gate_serve(&base, &single, 3.0).unwrap().pass());
+        let mut junk = base.clone();
+        if let Json::Obj(fields) = &mut junk {
+            fields.push(("shard_sweep".to_string(), Json::Arr(vec![Json::U64(1)])));
+        }
+        assert!(
+            gate_serve(&base, &junk, 3.0).is_err(),
+            "malformed sweep row"
+        );
+    }
+
+    #[test]
+    fn sweep_times_every_row_and_commits_every_batch() {
+        let rows = run_sweep(&ServeBenchSpec::smoke(), &[16, 64], &[1, 4], 3);
+        let shape: Vec<(usize, usize, usize)> = rows
+            .iter()
+            .map(|r| (r.initial_keys, r.batch, r.samples))
+            .collect();
+        assert_eq!(shape, [(16, 1, 3), (16, 4, 3), (64, 1, 3), (64, 4, 3)]);
+        assert!(rows.iter().all(|r| r.execute_p50_us > 0.0));
+    }
+
+    #[test]
+    fn median_of_odd_even_and_empty() {
+        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(vec![4.0, 1.0, 2.0, 3.0]), 2.5);
+        assert!(median(Vec::new()).is_nan());
     }
 
     #[test]

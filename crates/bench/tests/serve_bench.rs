@@ -57,6 +57,7 @@ fn serve_bench_runs_all_cells_and_self_passes_the_gate() {
     );
     assert!(report.crash_recovery_ms().is_some());
     assert!(report.tracing_overhead_pct().is_some());
+    assert_eq!(report.overhead_pairs.len(), 3, "one overhead per pair");
 
     // The document round-trips and self-passes the gate.
     let doc = Json::parse(&report_json(&report).to_pretty()).unwrap();

@@ -42,7 +42,7 @@ impl ResolvedStatus {
 }
 
 /// Maps uncertain request ids to verdicts.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Resolver {
     by_rid: HashMap<u64, SlotRecord>,
 }

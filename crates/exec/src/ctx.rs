@@ -48,6 +48,15 @@ impl Arenas {
         base
     }
 
+    /// Words handed out across all arenas.
+    pub fn used_words(&self) -> u64 {
+        self.next
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| (n - (HEAP_BASE + i as Addr * ARENA_BYTES)) / 8)
+            .sum()
+    }
+
     /// `[lo, hi)` byte range actually used across all arenas.
     pub fn used_range(&self) -> (Addr, Addr) {
         let hi = self
@@ -517,6 +526,16 @@ mod tests {
     fn arena_overflow_panics() {
         let mut a = Arenas::new(1);
         a.alloc(0, (ARENA_BYTES / 8) as usize + 1);
+    }
+
+    #[test]
+    fn used_words_sums_every_arena() {
+        let mut a = Arenas::new(3);
+        assert_eq!(a.used_words(), 0);
+        a.alloc(0, 4);
+        a.alloc(2, 3);
+        a.alloc(0, 1);
+        assert_eq!(a.used_words(), 8);
     }
 
     #[test]

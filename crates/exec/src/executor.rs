@@ -198,6 +198,60 @@ impl PmemCtx for GateCtx {
 /// Panics in worker bodies are propagated after the remaining workers
 /// finish or park.
 pub fn run(cfg: &ExecConfig, setup: impl FnOnce(&mut DirectCtx), bodies: Vec<ThreadBody>) -> Trace {
+    let mut direct = DirectCtx::new(cfg.threads, cfg.seed);
+    if cfg.record_setup {
+        direct.start_recording();
+    }
+    setup(&mut direct);
+    let DirectCtx {
+        mut mem,
+        mut arenas,
+        roots,
+        rec,
+        ..
+    } = direct;
+    // A recorded setup is part of the trace, as the extra thread;
+    // otherwise it is the trace's initial image.
+    let (rec, initial_mem) = match rec {
+        Some(rec) => (rec, Vec::new()),
+        None => (Recorder::new(), mem.snapshot()),
+    };
+    let mut trace = schedule(cfg, &mut mem, &mut arenas, roots, rec, bodies);
+    trace.initial_mem = initial_mem;
+    trace.nthreads += u16::from(cfg.record_setup);
+    trace
+}
+
+/// Runs the worker `bodies` under lockstep scheduling on caller-owned
+/// functional memory, arenas and roots, which stay with the caller: a
+/// long-lived owner (a serving shard) runs batch after batch on one
+/// warm heap, and the arenas' bump pointers carry over, so a later run
+/// never reuses an address an earlier one allocated.
+///
+/// The returned trace's `initial_mem` is empty: which words the trace
+/// starts from (and treats as durable) is the caller's statement.
+/// `cfg.record_setup` is ignored — there is no setup phase.
+pub fn run_on(
+    cfg: &ExecConfig,
+    mem: &mut SharedMem,
+    arenas: &mut Arenas,
+    roots: &[(String, Addr)],
+    bodies: Vec<ThreadBody>,
+) -> Trace {
+    schedule(cfg, mem, arenas, roots.to_vec(), Recorder::new(), bodies)
+}
+
+/// The one scheduler loop behind [`run`] and [`run_on`]: spawns the
+/// workers, interleaves their accesses on `mem`, and assembles the
+/// trace from `rec` (which may already hold recorded setup events).
+fn schedule(
+    cfg: &ExecConfig,
+    mem: &mut SharedMem,
+    arenas: &mut Arenas,
+    roots: Vec<(String, Addr)>,
+    rec: Recorder,
+    bodies: Vec<ThreadBody>,
+) -> Trace {
     let n = bodies.len();
     assert_eq!(
         n, cfg.threads as usize,
@@ -205,28 +259,10 @@ pub fn run(cfg: &ExecConfig, setup: impl FnOnce(&mut DirectCtx), bodies: Vec<Thr
         n, cfg.threads
     );
 
-    let mut direct = DirectCtx::new(cfg.threads, cfg.seed);
-    if cfg.record_setup {
-        direct.start_recording();
-    }
-    setup(&mut direct);
-    let DirectCtx {
-        mem,
-        arenas,
-        roots,
-        rec,
-        ..
-    } = direct;
-    let (initial_mem, recorder) = if cfg.record_setup {
-        (Vec::new(), rec.expect("recording was enabled"))
-    } else {
-        (mem.snapshot(), Recorder::new())
-    };
-
     let mut sched = Scheduler {
         mem,
         arenas,
-        rec: recorder,
+        rec,
         policy_rng: match cfg.sched {
             SchedPolicy::Random(s) => Some(Xorshift64::new(s)),
             SchedPolicy::RoundRobin => None,
@@ -275,9 +311,9 @@ pub fn run(cfg: &ExecConfig, setup: impl FnOnce(&mut DirectCtx), bodies: Vec<Thr
     let heap_range = sched.arenas.used_range();
     let (events, markers, site_names, event_sites) = sched.rec.into_trace_parts();
     Trace {
-        nthreads: cfg.threads + u16::from(cfg.record_setup),
+        nthreads: cfg.threads,
         events,
-        initial_mem,
+        initial_mem: Vec::new(),
         markers,
         roots,
         heap_range,
@@ -286,9 +322,9 @@ pub fn run(cfg: &ExecConfig, setup: impl FnOnce(&mut DirectCtx), bodies: Vec<Thr
     }
 }
 
-struct Scheduler {
-    mem: SharedMem,
-    arenas: Arenas,
+struct Scheduler<'a> {
+    mem: &'a mut SharedMem,
+    arenas: &'a mut Arenas,
     rec: Recorder,
     policy_rng: Option<Xorshift64>,
     cursor: usize,
@@ -298,7 +334,7 @@ struct Scheduler {
     labels: Vec<Vec<u16>>,
 }
 
-impl Scheduler {
+impl Scheduler<'_> {
     /// Gathers from thread `t` until it parks at an access or finishes.
     /// Returns the parked access, or `None` if the thread is done.
     fn gather(&mut self, t: usize, rx: &Receiver<Req>, tx: &Sender<Resp>) -> Option<Req> {
@@ -399,6 +435,7 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctx::Arenas;
     use lrp_model::EventKind;
 
     fn message_passing(policy: SchedPolicy) -> Trace {
@@ -526,6 +563,35 @@ mod tests {
         let addrs: std::collections::HashSet<_> = t.events.iter().map(|e| e.addr).collect();
         assert_eq!(addrs.len(), 4);
         assert!(t.heap_range.1 > t.heap_range.0);
+    }
+
+    #[test]
+    fn run_on_keeps_the_heap_warm_across_runs() {
+        let cfg = ExecConfig::new(1);
+        let mut mem = SharedMem::new();
+        let mut arenas = Arenas::new(2);
+        let roots = vec![("cell".to_string(), 0x1000)];
+        mem.write(0x1000, 1);
+        let body = || {
+            vec![Box::new(|c: &mut GateCtx| {
+                let v = c.read(0x1000);
+                let p = c.alloc(1);
+                c.write(p, v);
+                c.write(0x1000, v + 1);
+            }) as ThreadBody]
+        };
+        let mut a = run_on(&cfg, &mut mem, &mut arenas, &roots, body());
+        let b = run_on(&cfg, &mut mem, &mut arenas, &roots, body());
+        assert!(a.initial_mem.is_empty(), "the caller states initial_mem");
+        a.initial_mem = vec![(0x1000, 1)];
+        a.validate().unwrap();
+        assert_eq!(b.roots, roots);
+        // The second run reads the first run's write, and its bump
+        // pointer continues where the first stopped.
+        assert_eq!(b.events[0].rval, 2);
+        assert_eq!(b.events[1].addr, a.events[1].addr + 8);
+        assert_eq!(mem.read(0x1000), 3);
+        assert_eq!(arenas.used_words(), 2);
     }
 
     #[test]

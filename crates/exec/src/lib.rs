@@ -10,6 +10,11 @@
 //! function of the seed and the recorded history, executions are fully
 //! deterministic and reproducible.
 //!
+//! [`run`] builds the functional memory from a setup closure for one
+//! trace; [`run_on`] runs the same scheduler on a caller-owned memory and
+//! [`Arenas`], so a long-lived owner can execute run after run on one
+//! warm heap.
+//!
 //! # Example
 //!
 //! ```
@@ -39,7 +44,7 @@ pub mod executor;
 pub mod mem;
 pub mod rng;
 
-pub use ctx::{DirectCtx, PmemCtx};
-pub use executor::{run, ExecConfig, GateCtx, SchedPolicy, ThreadBody};
+pub use ctx::{Arenas, DirectCtx, PmemCtx};
+pub use executor::{run, run_on, ExecConfig, GateCtx, SchedPolicy, ThreadBody};
 pub use mem::SharedMem;
 pub use rng::Xorshift64;

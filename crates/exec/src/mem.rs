@@ -77,11 +77,7 @@ impl SharedMem {
     /// Reads the word at `addr`.
     pub fn read(&self, addr: Addr) -> u64 {
         debug_assert_eq!(addr % 8, 0, "unaligned word access at {addr:#x}");
-        let (page, slot) = SharedMem::split(addr);
-        match self.pages.get(&page) {
-            Some(p) if p.is_written(slot) => p.words[slot],
-            _ => Trace::POISON,
-        }
+        self.get(addr).unwrap_or(Trace::POISON)
     }
 
     /// Writes the word at `addr`.
@@ -98,6 +94,33 @@ impl SharedMem {
             self.written += 1;
         }
         p.words[slot] = val;
+    }
+
+    /// The word at `addr`, or `None` if it was never written.
+    pub fn get(&self, addr: Addr) -> Option<u64> {
+        let (page, slot) = SharedMem::split(addr);
+        match self.pages.get(&page) {
+            Some(p) if p.is_written(slot) => Some(p.words[slot]),
+            _ => None,
+        }
+    }
+
+    /// Sets the word at `addr` to `src`'s, including `src`'s "never
+    /// written" state: a word `src` lacks is forgotten here too and
+    /// reads as [`Trace::POISON`] again.
+    pub fn copy_word(&mut self, src: &SharedMem, addr: Addr) {
+        match src.get(addr) {
+            Some(v) => self.write(addr, v),
+            None => {
+                let (page, slot) = SharedMem::split(addr);
+                if let Some(p) = self.pages.get_mut(&page) {
+                    if p.is_written(slot) {
+                        p.written[slot / 64] &= !(1 << (slot % 64));
+                        self.written -= 1;
+                    }
+                }
+            }
+        }
     }
 
     /// Compare-and-swap; returns `(succeeded, observed_value)`.
@@ -211,6 +234,20 @@ mod tests {
         m.write(0x10, 2);
         assert_eq!(m.len(), 1);
         assert_eq!(m.read(0x10), 2);
+    }
+
+    #[test]
+    fn copy_word_mirrors_values_and_absence() {
+        let src = SharedMem::from_image(&[(0x10, 5)]);
+        let mut m = SharedMem::from_image(&[(0x10, 1), (0x18, 2)]);
+        m.copy_word(&src, 0x10);
+        m.copy_word(&src, 0x18);
+        m.copy_word(&src, 0x4000); // absent in both: stays absent
+        assert_eq!(m.read(0x10), 5);
+        assert_eq!(m.read(0x18), Trace::POISON, "forgotten like src");
+        assert_eq!(m.len(), 1);
+        assert_eq!(m.snapshot(), src.snapshot());
+        assert_eq!((m.get(0x10), m.get(0x18)), (Some(5), None));
     }
 
     #[test]

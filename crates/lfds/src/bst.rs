@@ -45,6 +45,8 @@ struct Seek {
     parent: Addr,
     leaf: Addr,
     leaf_key: u64,
+    /// The edge word `parent → leaf` as read (flag/tag bits included).
+    leaf_edge: u64,
 }
 
 /// Lock-free external BST handle.
@@ -120,6 +122,7 @@ impl Bst {
             parent,
             leaf,
             leaf_key,
+            leaf_edge: parent_field,
         }
     }
 
@@ -243,6 +246,16 @@ impl Bst {
     pub fn contains<C: PmemCtx>(&self, ctx: &mut C, key: u64) -> bool {
         let sk = self.seek(ctx, key);
         sk.leaf_key == key
+    }
+
+    /// `(present, settled)` for `key`. A leaf whose edge is flagged is
+    /// still present (recovery validators count it), but its removal is
+    /// pending: any later operation whose search crosses the edge splices
+    /// it out. Only a settled answer stays true until `key` is next
+    /// mutated.
+    pub fn lookup<C: PmemCtx>(&self, ctx: &mut C, key: u64) -> (bool, bool) {
+        let sk = self.seek(ctx, key);
+        (sk.leaf_key == key, !marked(sk.leaf_edge))
     }
 
     /// Pre-populates with sorted `keys` by building a balanced external

@@ -56,9 +56,20 @@ impl MemImage {
         self.mem.len()
     }
 
+    /// The image's words as paged memory.
+    pub fn as_mem(&self) -> &SharedMem {
+        &self.mem
+    }
+
     /// True if the image has no words.
     pub fn is_empty(&self) -> bool {
         self.mem.is_empty()
+    }
+}
+
+impl From<SharedMem> for MemImage {
+    fn from(mem: SharedMem) -> Self {
+        MemImage { mem }
     }
 }
 

@@ -14,11 +14,19 @@ use lrp_model::{EventId, Trace};
 /// `stamp` completes (`None` = before anything persisted).
 pub fn nvm_at(trace: &Trace, sched: &PersistSchedule, stamp: Option<u64>) -> MemImage {
     let mut img = MemImage::new(trace.initial_mem.iter().copied());
-    let Some(cut) = stamp else {
-        return img;
-    };
-    // Writes ordered by (stamp, event id): within one flush, program
-    // order decides the final value of a coalesced word.
+    if let Some(cut) = stamp {
+        apply_persisted(trace, sched, cut, &mut img);
+    }
+    img
+}
+
+/// Applies every write of `trace` whose persist stamp is `<= cut` to
+/// `img`, in (stamp, event id) order: within one flush, program order
+/// decides the final value of a coalesced word. This is the one
+/// persist-apply rule — [`nvm_at`] runs it over the trace's initial
+/// image, and a serving shard runs it over its durable image to commit
+/// a batch as a delta.
+pub fn apply_persisted(trace: &Trace, sched: &PersistSchedule, cut: u64, img: &mut MemImage) {
     let mut persisted: Vec<(u64, EventId)> = trace
         .events
         .iter()
@@ -31,7 +39,6 @@ pub fn nvm_at(trace: &Trace, sched: &PersistSchedule, stamp: Option<u64>) -> Mem
         let e = &trace.events[id as usize];
         img.write(e.addr, e.wval);
     }
-    img
 }
 
 /// Which crash points of a schedule to examine.
@@ -161,6 +168,19 @@ mod tests {
         sched.set(1, 5); // same flush
         let img = nvm_at(&t, &sched, Some(5));
         assert_eq!(img.read(0x100), 2, "later write wins within a flush");
+    }
+
+    #[test]
+    fn apply_persisted_extends_an_image_as_nvm_at_does() {
+        let (t, sched) = two_write_trace();
+        let mut img = MemImage::new([(0x100, 7), (0x200, 9)]);
+        apply_persisted(&t, &sched, 0, &mut img);
+        assert_eq!(img.read(0x100), 1);
+        assert_eq!(img.read(0x108), Trace::POISON, "stamp 1 is past the cut");
+        assert_eq!(img.read(0x200), 9, "words the trace never wrote stay");
+        apply_persisted(&t, &sched, 1, &mut img);
+        let full = nvm_at(&t, &sched, Some(1));
+        assert_eq!(img.read(0x108), full.read(0x108));
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub mod restart;
 
 pub use check::{check_null_recovery, RecoveryReport};
 pub use counterexample::Counterexample;
-pub use crash::{nvm_at, CrashPlan};
+pub use crash::{apply_persisted, nvm_at, CrashPlan};
 pub use history::{history_consistent, HistoryViolation};
 pub use restart::{
     crash_restart, crash_restart_random, random_crash_stamp, rebuild_resolution, RestartResolution,

@@ -49,4 +49,5 @@ pub use load::{probe, run_load, Client, LoadSpec, LoadSummary};
 pub use server::{route, Bind, Server, ServerConfig, ServerReport};
 pub use shard::{
     BatchBreakdown, CrashOutcome, KvOp, KvResult, Shard, ShardConfig, ShardCounters, ShardReq,
+    COMPACT_FACTOR,
 };

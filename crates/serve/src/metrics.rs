@@ -67,6 +67,8 @@ pub fn counters_json(c: &ShardCounters) -> Json {
         ("lost_acked", Json::U64(c.lost_acked)),
         ("obs_dropped", Json::U64(c.obs_dropped)),
         ("slot_torn", Json::U64(c.slot_torn)),
+        ("compactions", Json::U64(c.compactions)),
+        ("key_mismatches", Json::U64(c.key_mismatches)),
     ])
 }
 
@@ -343,5 +345,6 @@ mod tests {
         // Counters now surface torn-stamp detection.
         let c = parsed.get("counters").unwrap();
         assert_eq!(c.get("slot_torn").unwrap().as_u64(), Some(0));
+        assert_eq!(c.get("key_mismatches").unwrap().as_u64(), Some(0));
     }
 }

@@ -1,43 +1,68 @@
 //! One shard: a log-free structure plus its simulated machine.
 //!
-//! A shard executes request **batches**. Each batch becomes one trace:
-//! the setup phase re-populates the structure from the shard's durable
-//! contents (so the initial image is durable by construction), worker
-//! threads replay the batched requests, and the timing simulator runs
-//! the trace under the configured persistency mechanism. The recorded
-//! persist schedule then decides, per request, whether the ack is
-//! **durable**: every write the op performed must carry a persist
-//! stamp, and every value it read must come from a persisted write (or
-//! the durable initial image). Lazy mechanisms leave a volatile tail —
-//! those requests are answered `durable: false`, which clients treat as
-//! retryable.
+//! A shard keeps its heap **warm**. It owns the durable NVM image `D`,
+//! the functional memory batches run on (equal to `D` between batches),
+//! the executor's per-thread arenas, and the structure's roots. The one
+//! populate that builds them runs in [`Shard::new`]; after that, a
+//! request **batch** costs O(batch), not O(committed keys):
 //!
-//! After each batch the shard *commits* by rebuilding the NVM image at
-//! the final persist stamp and running the structure's null-recovery
-//! validator on it; the recovered key set becomes the durable contents
-//! the next batch starts from. The serving state is therefore always a
-//! state the shard could actually have restarted from — a crash between
-//! batches loses nothing, and a crash *during* a batch is exercised by
+//! 1. `sim_threads` workers replay the batched requests on the warm
+//!    memory ([`lrp_exec::run_on`]); the arenas' bump pointers carry
+//!    over, so a batch never reuses a live address.
+//! 2. The batch trace's initial image is `D`'s words on the cache lines
+//!    the batch touches, so the simulator warms exactly those lines into
+//!    the LLC and treats their words as durable, as it did when every
+//!    batch started from a fresh image of the whole structure.
+//! 3. The simulator runs the trace under the configured mechanism. The
+//!    recorded persist schedule decides, per request, whether the ack is
+//!    **durable**: every write the op performed must carry a persist
+//!    stamp, and every value it read must come from a persisted write
+//!    (or the durable initial image). Lazy mechanisms leave a volatile
+//!    tail — those requests are answered `durable: false`, which clients
+//!    treat as retryable.
+//! 4. The batch **commits as a delta**: its writes persisted by the
+//!    final stamp are applied to `D` with the same rule
+//!    [`lrp_recovery::nvm_at`] uses ([`lrp_recovery::apply_persisted`]),
+//!    and every word the batch wrote is reset in the functional memory
+//!    to `D`'s value. The committed key set is updated by lookups on `D`
+//!    for the keys the batch mutated (plus the few BST keys whose
+//!    removal is still pending in `D`), and the resolver is rebuilt from
+//!    `D`'s fixed-size slot table.
+//!
+//! Under a discipline that guarantees durable linearizability, `D` is
+//! always a consistent cut that null recovery accepts as it stands, so
+//! the commit runs no validator (debug builds assert it). Under `nop`
+//! every commit validates the whole image and drops the batch's writes
+//! when it is rejected. The full validator also runs at
 //! [`Shard::crash`], which samples a crash point inside the interrupted
-//! batch and restarts from whatever the validator recovers.
+//! batch and restarts from whatever the validator recovers, and at
+//! **compaction**: bump allocators never free, so once the arenas hold
+//! [`COMPACT_FACTOR`] times the words of the last fresh image, the shard
+//! repopulates a fresh image from the validated key set and slot table.
 
 use lrp_detect::{
     stamp, write_table_setup, ResolvedStatus, Resolver, SlotKind, SlotRecord, SlotSpec, SlotTable,
     ROOT_BASE, ROOT_CLIENTS, ROOT_RING,
 };
-use lrp_exec::{run, ExecConfig, PmemCtx, SchedPolicy, ThreadBody, Xorshift64};
+use lrp_exec::{run_on, Arenas, DirectCtx, ExecConfig, PmemCtx, SchedPolicy, SharedMem};
+use lrp_exec::{ThreadBody, Xorshift64};
 use lrp_lfds::bst::Bst;
 use lrp_lfds::hashmap::HashMap as LfdHashMap;
 use lrp_lfds::list::LinkedList;
 use lrp_lfds::skiplist::SkipList;
 use lrp_lfds::{validate_image, MemImage, Recovered, Structure};
 use lrp_model::spec::PersistSchedule;
-use lrp_model::{Addr, OpKind, ThreadId, Trace};
+use lrp_model::{line_of, Addr, Annot, OpKind, ThreadId, Trace, LINE_BYTES, WORD_BYTES};
 use lrp_obs::{CritSummary, Hist, ObsReport, RecorderConfig, Stats};
-use lrp_recovery::{crash_restart_random, rebuild_resolution};
+use lrp_recovery::{apply_persisted, crash_restart_random, rebuild_resolution};
 use lrp_sim::{Mechanism, NvmMode, Sim, SimConfig};
 use std::collections::BTreeSet;
-use std::sync::{Arc, OnceLock};
+
+/// Arena words in use, as a multiple of the last fresh image's, at
+/// which the shard compacts. Compaction is O(fresh image) and at least
+/// `COMPACT_FACTOR - 1` fresh images' worth of allocation separates two
+/// of them, so it costs amortised O(1) per allocating op.
+pub const COMPACT_FACTOR: u64 = 4;
 
 /// A key-value request routed to a shard (set semantics: the LFDs store
 /// `value = key`, and recovery validators extract key sets).
@@ -148,6 +173,10 @@ impl ShardConfig {
         (self.initial_size as u64).max(4)
     }
 
+    fn threads(&self) -> ThreadId {
+        self.sim_threads.max(1)
+    }
+
     fn initial_keys(&self) -> BTreeSet<u64> {
         let mut rng = Xorshift64::new(self.seed.wrapping_add(0xA11C));
         let mut set = BTreeSet::new();
@@ -232,9 +261,17 @@ pub struct ShardCounters {
     /// means the event trace is truncated; histograms and audits are
     /// computed online and stay exact.
     pub obs_dropped: u64,
-    /// Torn detectable-operation stamps seen across all commit/crash
-    /// image scans. A release-ordering discipline keeps this at zero.
+    /// Torn detectable-operation stamps that appeared in the durable
+    /// image, counted by the commit or crash restart that first saw
+    /// them. A release-ordering discipline keeps this at zero.
     pub slot_torn: u64,
+    /// Compactions taken (fresh images rebuilt from the validated key
+    /// set once the warm heap reached [`COMPACT_FACTOR`] times the last
+    /// fresh image).
+    pub compactions: u64,
+    /// Keys on which a compaction's validated image disagreed with the
+    /// incrementally maintained committed set (must stay 0).
+    pub key_mismatches: u64,
 }
 
 /// Host wall-clock breakdown of the last committed batch, used by the
@@ -245,7 +282,7 @@ pub struct BatchBreakdown {
     /// Microseconds inside the timing simulator run.
     pub sim_us: u64,
     /// Microseconds spent stamping persist times, computing durable
-    /// acks, and committing the recovered image.
+    /// acks, and committing the batch's persisted writes.
     pub persist_us: u64,
     /// Final persist stamp of the batch (0 = nothing persisted).
     pub final_stamp: u64,
@@ -254,7 +291,14 @@ pub struct BatchBreakdown {
 /// One shard: durable contents + batch executor + crash-restart.
 pub struct Shard {
     cfg: ShardConfig,
+    heap: Heap,
     committed: BTreeSet<u64>,
+    /// Keys whose presence in the durable image is not final: a BST leaf
+    /// whose removal persisted its flag but not its splice still counts
+    /// as present, and whichever later batch finishes the splice changes
+    /// the key's membership without mutating it. They are looked up
+    /// again at every commit until they settle.
+    unsettled: BTreeSet<u64>,
     batches: u64,
     counters: ShardCounters,
     /// Aggregate simulator statistics over all batches.
@@ -266,12 +310,119 @@ pub struct Shard {
     /// unless a recorder is attached).
     pub crit: CritSummary,
     last_breakdown: BatchBreakdown,
-    /// Committed (durable) slot records, re-written through every
-    /// batch's setup phase; `None` when detection is disabled.
+    /// Committed (durable) slot records, as last read from the durable
+    /// image; `None` when detection is disabled.
     slots: Option<SlotTable>,
     /// The current rid → verdict map, a pure function of the last
     /// committed (or crash-recovered) image.
     resolver: Resolver,
+    /// Torn slot records the durable image holds now (a torn record
+    /// stays until its slot is stamped again or a compaction drops it).
+    torn_in_image: u64,
+}
+
+/// The warm state batches execute on.
+struct Heap {
+    /// The durable NVM image `D`: what a restart at the last commit
+    /// recovers from.
+    durable: MemImage,
+    /// The functional memory batches run on; equal to `durable`
+    /// between batches.
+    mem: SharedMem,
+    arenas: Arenas,
+    roots: Vec<(String, Addr)>,
+    handle: Handle,
+    /// Slot-table base address (0 when detection is off).
+    slot_base: Addr,
+    /// Arena words in use right after the last fresh image was built.
+    fresh_words: u64,
+}
+
+impl Heap {
+    /// Builds a fresh image holding `keys` and the `slots` records. This
+    /// is the only populate: [`Shard::new`] and compaction call it.
+    fn populate(cfg: &ShardConfig, keys: &BTreeSet<u64>, slots: Option<&SlotTable>) -> Heap {
+        let keys: Vec<u64> = keys.iter().copied().collect();
+        let mut s = DirectCtx::new(cfg.threads(), cfg.seed);
+        let handle = match cfg.structure {
+            Structure::LinkedList => {
+                let l = LinkedList::new(&mut s);
+                l.populate(&mut s, &keys);
+                s.set_root("head", l.head_loc);
+                Handle::List(l)
+            }
+            Structure::HashMap => {
+                let m = LfdHashMap::new(&mut s, cfg.nbuckets());
+                m.populate(&mut s, &keys);
+                s.set_root("buckets", m.buckets);
+                s.set_root("nbuckets", m.nbuckets);
+                Handle::Map(m)
+            }
+            Structure::Bst => {
+                let b = Bst::new(&mut s);
+                b.populate(&mut s, &keys);
+                s.set_root("bst_r", b.r);
+                s.set_root("bst_s", b.s);
+                Handle::Bst(b)
+            }
+            Structure::SkipList => {
+                let sl = SkipList::new(&mut s);
+                sl.populate(&mut s, &keys);
+                s.set_root("sl_head", sl.head);
+                Handle::Skip(sl)
+            }
+            Structure::Queue => unreachable!("rejected by ShardConfig::new"),
+        };
+        let slot_base = match slots {
+            Some(table) => {
+                let spec = table.spec();
+                let base = s.alloc(spec.words());
+                write_table_setup(&mut s, base, table);
+                s.set_root(ROOT_BASE, base);
+                s.set_root(ROOT_CLIENTS, spec.clients);
+                s.set_root(ROOT_RING, spec.ring);
+                base
+            }
+            None => 0,
+        };
+        let DirectCtx {
+            mem, arenas, roots, ..
+        } = s;
+        Heap {
+            durable: MemImage::from(mem.clone()),
+            mem,
+            fresh_words: arenas.used_words(),
+            arenas,
+            roots,
+            handle,
+            slot_base,
+        }
+    }
+
+    /// `D`'s words on every cache line `trace` touches, address-sorted:
+    /// the batch trace's initial image.
+    fn durable_lines(&self, trace: &Trace) -> Vec<(Addr, u64)> {
+        let mut lines: Vec<u64> = trace.events.iter().map(|e| line_of(e.addr)).collect();
+        lines.sort_unstable();
+        lines.dedup();
+        let d = self.durable.as_mem();
+        lines
+            .into_iter()
+            .flat_map(|l| {
+                (0..LINE_BYTES / WORD_BYTES).map(move |w| l * LINE_BYTES + w * WORD_BYTES)
+            })
+            .filter_map(|a| d.get(a).map(|v| (a, v)))
+            .collect()
+    }
+
+    /// Resets every word `trace` wrote back to `D`'s value, restoring
+    /// "functional memory = `D`" after a batch.
+    fn reset_written(&mut self, trace: &Trace) {
+        let d = self.durable.as_mem();
+        for e in trace.events.iter().filter(|e| e.is_write_effect()) {
+            self.mem.copy_word(d, e.addr);
+        }
+    }
 }
 
 struct BatchRun {
@@ -283,14 +434,17 @@ struct BatchRun {
 }
 
 impl Shard {
-    /// Creates the shard and pre-loads its initial keys (durable by
-    /// construction — they enter every batch through the setup phase).
+    /// Creates the shard and populates its initial keys into a fresh
+    /// durable image (durable by construction).
     pub fn new(cfg: ShardConfig) -> Shard {
         let committed = cfg.initial_keys();
         let slots = cfg.detect.map(SlotTable::new);
+        let heap = Heap::populate(&cfg, &committed, slots.as_ref());
         Shard {
             cfg,
+            heap,
             committed,
+            unsettled: BTreeSet::new(),
             batches: 0,
             counters: ShardCounters::default(),
             stats: Stats::default(),
@@ -299,12 +453,31 @@ impl Shard {
             last_breakdown: BatchBreakdown::default(),
             slots,
             resolver: Resolver::empty(),
+            torn_in_image: 0,
         }
     }
 
     /// The shard's current durable contents.
     pub fn committed(&self) -> &BTreeSet<u64> {
         &self.committed
+    }
+
+    /// The durable NVM image the shard would restart from now.
+    pub fn durable_image(&self) -> &MemImage {
+        &self.heap.durable
+    }
+
+    /// Root addresses of the structure and slot table in
+    /// [`Shard::durable_image`].
+    pub fn roots(&self) -> &[(String, Addr)] {
+        &self.heap.roots
+    }
+
+    /// `(in use, at the last fresh image)` arena words of the warm heap.
+    /// Compaction keeps the first below [`COMPACT_FACTOR`] times the
+    /// second after every batch.
+    pub fn heap_words(&self) -> (u64, u64) {
+        (self.heap.arenas.used_words(), self.heap.fresh_words)
     }
 
     /// Counters snapshot.
@@ -323,15 +496,18 @@ impl Shard {
     }
 
     /// Replays `ops` as one batch trace + simulator run and returns the
-    /// trace and recorded persist schedule without committing anything.
+    /// trace and recorded persist schedule without committing anything:
+    /// the durable image, committed keys and resolver stay as they are.
     ///
-    /// This is the cross-validation hook: the trace carries the slot
-    /// stamps as first-class events (site phase `slot`), so `lrp-check`
-    /// can verify the recorded schedule is admissible under the
-    /// mechanism's discipline *with detection enabled* and that every
-    /// realized crash cut still passes durable linearizability.
+    /// This is the cross-validation hook: the trace starts from the
+    /// whole durable image and carries the slot stamps as first-class
+    /// events (site phase `slot`), so `lrp-check` can verify the
+    /// recorded schedule is admissible under the mechanism's discipline
+    /// *with detection enabled* and that every realized crash cut still
+    /// passes durable linearizability.
     pub fn replay_for_check(&mut self, ops: &[ShardReq]) -> (Trace, PersistSchedule) {
-        let run = self.run_batch(ops);
+        let run = self.run_batch(ops, true);
+        self.heap.reset_written(&run.trace);
         (run.trace, run.sched)
     }
 
@@ -361,13 +537,15 @@ impl Shard {
         self.cfg.mechanism.discipline().orders_release_stamps()
     }
 
-    /// Re-derives the slot table and resolver from a durable image.
-    fn absorb_resolution(&mut self, roots: &[(String, Addr)], image: &MemImage) {
+    /// Re-derives the slot table and resolver from the durable image.
+    fn absorb_resolution(&mut self) {
         if self.slots.is_none() {
             return;
         }
-        if let Some(res) = rebuild_resolution(roots, image, self.stamps_sound()) {
-            self.counters.slot_torn += res.torn;
+        let sound = self.stamps_sound();
+        if let Some(res) = rebuild_resolution(&self.heap.roots, &self.heap.durable, sound) {
+            self.counters.slot_torn += res.torn.saturating_sub(self.torn_in_image);
+            self.torn_in_image = res.torn;
             self.slots = Some(res.table);
             self.resolver = res.resolver;
         }
@@ -383,22 +561,24 @@ impl Shard {
         }
     }
 
-    /// Replays `ops` as one trace + simulator run and computes durable
-    /// acks from the persist schedule. Does not commit.
-    fn run_batch(&mut self, ops: &[ShardReq]) -> BatchRun {
+    /// Runs `ops` on the warm heap, simulates the trace, and computes
+    /// durable acks from the persist schedule. Does not commit: the
+    /// functional memory holds the batch's writes until the caller
+    /// resets them. `full_image` starts the trace from the whole durable
+    /// image instead of the lines the batch touches, for callers that
+    /// reconstruct or check whole crash images.
+    fn run_batch(&mut self, ops: &[ShardReq], full_image: bool) -> BatchRun {
         let batch = self.batches;
         let seed = self
             .cfg
             .seed
             .wrapping_add((batch + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let trace = build_batch_trace(
-            &self.cfg,
-            &self.committed,
-            self.slots.as_ref(),
-            ops,
-            seed,
-            batch,
-        );
+        let mut trace = self.execute_on_heap(ops, seed, batch);
+        trace.initial_mem = if full_image {
+            self.heap.durable.as_mem().snapshot()
+        } else {
+            self.heap.durable_lines(&trace)
+        };
         let sim_cfg = SimConfig::new(self.cfg.mechanism).nvm_mode(self.cfg.nvm_mode);
         let mut sim = Sim::new(sim_cfg, &trace);
         if let Some(rc) = &self.cfg.recorder {
@@ -496,43 +676,72 @@ impl Shard {
         }
     }
 
+    /// Runs `ops` on the warm functional memory: `sim_threads` workers,
+    /// op `i` on thread `i % sim_threads`, each thread in index order —
+    /// the mapping [`Shard::run_batch`] relies on to attribute markers.
+    /// Tracked mutations stamp their slot record before `op_end`, so the
+    /// stamp rides inside the op's marker and a durable ack certifies
+    /// the stamp too.
+    fn execute_on_heap(&mut self, ops: &[ShardReq], seed: u64, batch: u64) -> Trace {
+        let h = self.heap.handle;
+        let det = self.slots.as_ref().map(|t| (self.heap.slot_base, t.spec()));
+        let nthreads = self.cfg.threads();
+        let bodies: Vec<ThreadBody> = (0..nthreads)
+            .map(|t| {
+                let mine: Vec<ShardReq> = ops
+                    .iter()
+                    .copied()
+                    .enumerate()
+                    .filter(|(i, _)| (i % nthreads as usize) as ThreadId == t)
+                    .map(|(_, req)| req)
+                    .collect();
+                Box::new(move |c: &mut lrp_exec::GateCtx| {
+                    for req in mine {
+                        issue(c, h, det, batch, req);
+                    }
+                }) as ThreadBody
+            })
+            .collect();
+        let cfg = ExecConfig::new(nthreads)
+            .policy(SchedPolicy::Random(seed.wrapping_add(0x5EED)))
+            .seed(seed);
+        let heap = &mut self.heap;
+        run_on(&cfg, &mut heap.mem, &mut heap.arenas, &heap.roots, bodies)
+    }
+
     /// Executes one batch to completion and commits the durable state.
     pub fn execute(&mut self, ops: &[ShardReq]) -> Vec<KvResult> {
         if ops.is_empty() {
             return Vec::new();
         }
-        let mut run = self.run_batch(ops);
+        let mut run = self.run_batch(ops, false);
         let t_commit = std::time::Instant::now();
 
         // Commit: the durable contents are whatever null recovery gets
         // back from the image at the final persist stamp.
         let last = last_stamp(&run.sched);
-        let image = lrp_recovery::nvm_at(&run.trace, &run.sched, last);
-        match recovered_set(self.cfg.structure, &run.trace, &image) {
-            Some(recovered) => {
-                self.downgrade_contradicted(ops, &mut run.results, &recovered);
-                self.committed = recovered;
-                // The same image carries the batch's durable stamps:
-                // they become the committed slot state, and acks that
-                // were answered `durable: false` only out of caution
-                // stay resolvable as `Done`.
-                self.absorb_resolution(&run.trace.roots, &image);
-            }
-            None => {
-                // Image unusable (e.g. under `nop`): keep the previous
-                // durable contents and withdraw every durable ack — the
-                // shard could not actually restart into this batch's
-                // state.
-                self.counters.recovery_failures += 1;
-                for r in &mut run.results {
-                    if r.durable {
-                        r.durable = false;
-                        r.persist_cycles = 0;
-                        self.counters.downgrades += 1;
-                    }
+        if self.commit(ops, &run.trace, &run.sched, last) {
+            self.downgrade_contradicted(ops, &mut run.results);
+            // The same image carries the batch's durable stamps: they
+            // become the committed slot state, and acks that were
+            // answered `durable: false` only out of caution stay
+            // resolvable as `Done`.
+            self.absorb_resolution();
+        } else {
+            // Image unusable (e.g. under `nop`): the previous durable
+            // contents stay, and every durable ack is withdrawn — the
+            // shard could not actually restart into this batch's state.
+            self.counters.recovery_failures += 1;
+            for r in &mut run.results {
+                if r.durable {
+                    r.durable = false;
+                    r.persist_cycles = 0;
+                    self.counters.downgrades += 1;
                 }
             }
         }
+        self.heap.reset_written(&run.trace);
+        self.compact_if_grown();
         for r in &run.results {
             if r.durable {
                 self.counters.acked_durable += 1;
@@ -548,16 +757,94 @@ impl Shard {
         run.results
     }
 
-    /// Downgrades durable acks that the recovered image contradicts: for
+    /// Applies the batch's writes persisted by `last` to the durable
+    /// image and brings the committed key set up to date. Returns false
+    /// (leaving the image as it was) when the mechanism's discipline
+    /// does not guarantee a recoverable image and this one is rejected.
+    fn commit(
+        &mut self,
+        ops: &[ShardReq],
+        trace: &Trace,
+        sched: &PersistSchedule,
+        last: Option<u64>,
+    ) -> bool {
+        let Some(cut) = last else {
+            return true;
+        };
+        let structure = self.cfg.structure;
+        if !self.cfg.mechanism.discipline().guarantees_dl() {
+            let mut next = self.heap.durable.clone();
+            apply_persisted(trace, sched, cut, &mut next);
+            return match recovered_set(structure, &self.heap.roots, &next) {
+                Some(keys) => {
+                    self.heap.durable = next;
+                    self.committed = keys;
+                    true
+                }
+                None => false,
+            };
+        }
+        apply_persisted(trace, sched, cut, &mut self.heap.durable);
+        let touched: BTreeSet<u64> = ops
+            .iter()
+            .filter(|o| o.op.is_mutation())
+            .map(|o| o.op.key())
+            .chain(std::mem::take(&mut self.unsettled))
+            .collect();
+        for key in touched {
+            let (present, settled) = self.heap.handle.lookup(&self.heap.durable, key);
+            if present {
+                self.committed.insert(key);
+            } else {
+                self.committed.remove(&key);
+            }
+            if !settled {
+                self.unsettled.insert(key);
+            }
+        }
+        debug_assert_eq!(
+            recovered_set(structure, &self.heap.roots, &self.heap.durable).as_ref(),
+            Some(&self.committed),
+            "incremental commit diverged from the validated durable image"
+        );
+        true
+    }
+
+    /// Rebuilds a fresh image once the warm heap has grown to
+    /// [`COMPACT_FACTOR`] times the last one.
+    fn compact_if_grown(&mut self) {
+        if self.heap.arenas.used_words() >= COMPACT_FACTOR * self.heap.fresh_words {
+            self.compact();
+        }
+    }
+
+    /// Replaces the warm heap with a fresh image of the durable state:
+    /// the keys the validator recovers from the durable image, and the
+    /// committed slot records. Disagreements between those keys and the
+    /// incrementally maintained set are counted in
+    /// [`ShardCounters::key_mismatches`]; the validated keys win.
+    pub fn compact(&mut self) {
+        let structure = self.cfg.structure;
+        let keys = match recovered_set(structure, &self.heap.roots, &self.heap.durable) {
+            Some(keys) => keys,
+            None => {
+                self.counters.recovery_failures += 1;
+                self.committed.clone()
+            }
+        };
+        self.counters.key_mismatches += keys.symmetric_difference(&self.committed).count() as u64;
+        self.heap = Heap::populate(&self.cfg, &keys, self.slots.as_ref());
+        self.committed = keys;
+        self.unsettled.clear();
+        self.torn_in_image = 0;
+        self.counters.compactions += 1;
+    }
+
+    /// Downgrades durable acks that the committed image contradicts: for
     /// each key, the *last* durable mutation's expected presence must
     /// match the image; otherwise every op on that key this batch loses
     /// its durable flag.
-    fn downgrade_contradicted(
-        &mut self,
-        ops: &[ShardReq],
-        results: &mut [KvResult],
-        recovered: &BTreeSet<u64>,
-    ) {
+    fn downgrade_contradicted(&mut self, ops: &[ShardReq], results: &mut [KvResult]) {
         let mut last_mutation: std::collections::HashMap<u64, (u64, bool)> =
             std::collections::HashMap::new();
         for (req, r) in ops.iter().zip(results.iter()) {
@@ -575,7 +862,7 @@ impl Shard {
             }
         }
         for (key, (_, expect_present)) in last_mutation {
-            if recovered.contains(&key) != expect_present {
+            if self.committed.contains(&key) != expect_present {
                 for (req, r) in ops.iter().zip(results.iter_mut()) {
                     if req.op.key() == key && r.durable {
                         r.durable = false;
@@ -599,10 +886,10 @@ impl Shard {
             .cfg
             .seed
             .wrapping_add((batch + 1).wrapping_mul(0xC0FF_EE00_D15A_57E5));
-        // Replay the in-flight ops (an empty in-flight batch still
-        // crashes: the trace is setup-only and recovery must return the
-        // committed contents).
-        let run = self.run_batch(ops);
+        // Replay the in-flight ops from the whole durable image (an
+        // empty in-flight batch still crashes: the trace has no events
+        // and recovery must return the committed contents).
+        let run = self.run_batch(ops, true);
         let restart = crash_restart_random(
             self.cfg.structure,
             &run.trace,
@@ -613,7 +900,7 @@ impl Shard {
         self.counters.crashes += 1;
         let consistent = restart.consistent();
         let torn_before = self.counters.slot_torn;
-        let (recovered_count, lost_acked, phantom) = match &restart.recovered {
+        let (recovered_count, lost_acked, phantom) = match restart.recovered {
             Ok(rec) => {
                 let recovered: BTreeSet<u64> = rec.keys().iter().copied().collect();
                 // In-flight mutations may or may not have reached NVM;
@@ -639,11 +926,18 @@ impl Shard {
                     .copied()
                     .collect();
                 let n = recovered.len();
+                // The crash-cut image is the new durable image, resumed
+                // as it stands.
+                self.heap.durable = restart.image;
                 self.committed = recovered;
+                self.unsettled = self
+                    .heap
+                    .handle
+                    .pending_removals(&self.heap.durable, &self.committed);
                 // The crash-cut image decides which in-flight stamps
                 // survived: the resolver the restarted shard serves
                 // answers `Done` for exactly those.
-                self.absorb_resolution(&run.trace.roots, &restart.image);
+                self.absorb_resolution();
                 (n, lost, phantom)
             }
             Err(_) => {
@@ -655,6 +949,8 @@ impl Shard {
                 (0, Vec::new(), Vec::new())
             }
         };
+        self.heap.reset_written(&run.trace);
+        self.compact_if_grown();
         self.counters.lost_acked += lost_acked.len() as u64;
         CrashOutcome {
             batch,
@@ -679,8 +975,12 @@ fn last_stamp(sched: &PersistSchedule) -> Option<u64> {
     sched.distinct_stamps().last().copied()
 }
 
-fn recovered_set(structure: Structure, trace: &Trace, image: &MemImage) -> Option<BTreeSet<u64>> {
-    match validate_image(structure, &trace.roots, image) {
+fn recovered_set(
+    structure: Structure,
+    roots: &[(String, Addr)],
+    image: &MemImage,
+) -> Option<BTreeSet<u64>> {
+    match validate_image(structure, roots, image) {
         Ok(Recovered::Set(s)) => Some(s),
         Ok(Recovered::Queue(_)) => unreachable!("queue rejected by ShardConfig::new"),
         Err(_) => None,
@@ -695,102 +995,65 @@ enum Handle {
     Skip(SkipList),
 }
 
-/// Builds the batch trace: setup re-creates the structure from the
-/// committed keys (durable initial image) and re-writes the committed
-/// slot table, then `sim_threads` workers replay `ops` dealt
-/// round-robin (op `i` on thread `i % sim_threads`, each thread in
-/// index order — the mapping [`Shard::run_batch`] relies on to
-/// attribute markers). Tracked mutations stamp their slot record
-/// before `op_end`, so the stamp rides inside the op's marker and a
-/// durable ack certifies the stamp too.
-fn build_batch_trace(
-    cfg: &ShardConfig,
-    committed: &BTreeSet<u64>,
-    slots: Option<&SlotTable>,
-    ops: &[ShardReq],
-    seed: u64,
-    batch: u64,
-) -> Trace {
-    let structure = cfg.structure;
-    let keys: Vec<u64> = committed.iter().copied().collect();
-    let nbuckets = cfg.nbuckets();
-    // Setup publishes the structure handle and the slot-table base
-    // address (0 when detection is off) for the worker closures.
-    let handle: Arc<OnceLock<(Handle, Addr)>> = Arc::new(OnceLock::new());
-    let slot_seed = slots.cloned();
+impl Handle {
+    /// `(present, settled)` for `key` in a durable image, by the
+    /// structure's own search. Only a BST removal has a persisted
+    /// intermediate state that recovery still counts as present (the
+    /// flagged leaf); every other answer is settled.
+    fn lookup(self, img: &MemImage, key: u64) -> (bool, bool) {
+        let c = &mut ImageCtx(img);
+        match self {
+            Handle::List(l) => (l.contains(c, key), true),
+            Handle::Map(m) => (m.contains(c, key), true),
+            Handle::Bst(b) => b.lookup(c, key),
+            Handle::Skip(sl) => (sl.contains(c, key), true),
+        }
+    }
 
-    let setup_handle = handle.clone();
-    let setup = move |s: &mut lrp_exec::DirectCtx| {
-        let h = match structure {
-            Structure::LinkedList => {
-                let l = LinkedList::new(s);
-                l.populate(s, &keys);
-                s.set_root("head", l.head_loc);
-                Handle::List(l)
-            }
-            Structure::HashMap => {
-                let m = LfdHashMap::new(s, nbuckets);
-                m.populate(s, &keys);
-                s.set_root("buckets", m.buckets);
-                s.set_root("nbuckets", m.nbuckets);
-                Handle::Map(m)
-            }
-            Structure::Bst => {
-                let b = Bst::new(s);
-                b.populate(s, &keys);
-                s.set_root("bst_r", b.r);
-                s.set_root("bst_s", b.s);
-                Handle::Bst(b)
-            }
-            Structure::SkipList => {
-                let sl = SkipList::new(s);
-                sl.populate(s, &keys);
-                s.set_root("sl_head", sl.head);
-                Handle::Skip(sl)
-            }
-            Structure::Queue => unreachable!("rejected by ShardConfig::new"),
-        };
-        let base = match &slot_seed {
-            Some(table) => {
-                let spec = table.spec();
-                let base = s.alloc(spec.words());
-                write_table_setup(s, base, table);
-                s.set_root(ROOT_BASE, base);
-                s.set_root(ROOT_CLIENTS, spec.clients);
-                s.set_root(ROOT_RING, spec.ring);
-                base
-            }
-            None => 0,
-        };
-        let _ = setup_handle.set((h, base));
-    };
-
-    let det_spec = slots.map(|t| t.spec());
-    let nthreads = cfg.sim_threads.max(1);
-    let bodies: Vec<ThreadBody> = (0..nthreads)
-        .map(|t| {
-            let handle = handle.clone();
-            let mine: Vec<ShardReq> = ops
+    /// The keys of `keys` whose removal is pending in `img`.
+    fn pending_removals(self, img: &MemImage, keys: &BTreeSet<u64>) -> BTreeSet<u64> {
+        match self {
+            Handle::Bst(_) => keys
                 .iter()
                 .copied()
-                .enumerate()
-                .filter(|(i, _)| (i % nthreads as usize) as ThreadId == t)
-                .map(|(_, req)| req)
-                .collect();
-            Box::new(move |c: &mut lrp_exec::GateCtx| {
-                let (h, base) = *handle.get().expect("setup ran before workers");
-                let det = det_spec.map(|spec| (base, spec));
-                for req in mine {
-                    issue(c, h, det, batch, req);
-                }
-            }) as ThreadBody
-        })
-        .collect();
+                .filter(|&k| !self.lookup(img, k).1)
+                .collect(),
+            _ => BTreeSet::new(),
+        }
+    }
+}
 
-    let cfg = ExecConfig::new(nthreads)
-        .policy(SchedPolicy::Random(seed.wrapping_add(0x5EED)))
-        .seed(seed);
-    run(&cfg, setup, bodies)
+/// Read-only view of a durable image for the structures' searches.
+struct ImageCtx<'a>(&'a MemImage);
+
+impl PmemCtx for ImageCtx<'_> {
+    fn tid(&self) -> ThreadId {
+        0
+    }
+
+    fn read_annot(&mut self, addr: Addr, _annot: Annot) -> u64 {
+        self.0.read(addr)
+    }
+
+    fn write_annot(&mut self, addr: Addr, _val: u64, _annot: Annot) {
+        unreachable!("durable-image lookups only read (write at {addr:#x})")
+    }
+
+    fn cas_annot(&mut self, addr: Addr, _old: u64, _new: u64, _annot: Annot) -> (bool, u64) {
+        unreachable!("durable-image lookups only read (cas at {addr:#x})")
+    }
+
+    fn alloc(&mut self, _words: usize) -> Addr {
+        unreachable!("durable-image lookups never allocate")
+    }
+
+    fn rand(&mut self) -> u64 {
+        0
+    }
+
+    fn op_begin(&mut self, _op: OpKind) {}
+
+    fn op_end(&mut self, _result: u64) {}
 }
 
 /// Stamps a tracked mutation's slot record between the structure op and
