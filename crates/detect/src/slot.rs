@@ -172,9 +172,10 @@ impl SlotRecord {
     }
 }
 
-/// The volatile mirror of the table's durable contents, kept by the
-/// shard between batches and re-written through setup so committed
-/// stamps survive into every later batch's initial image.
+/// The volatile mirror of the table's durable contents, read back from
+/// the shard's durable image after every commit and re-written when the
+/// shard builds a fresh image (at start-up and at compaction), so
+/// committed stamps survive into it.
 #[derive(Debug, Clone)]
 pub struct SlotTable {
     spec: SlotSpec,
@@ -229,8 +230,8 @@ pub fn stamp<C: PmemCtx>(c: &mut C, base: Addr, spec: &SlotSpec, rec: &SlotRecor
     c.write_rel(a, rec.rid);
 }
 
-/// Re-writes a table's committed records during batch setup (setup
-/// writes enter the trace's initial image, durable by construction).
+/// Re-writes a table's committed records while a fresh image is built
+/// (those writes are the image's contents, durable by construction).
 /// Empty slots are left unwritten and read back as poison.
 pub fn write_table_setup<C: PmemCtx>(c: &mut C, base: Addr, table: &SlotTable) {
     let spec = table.spec;
