@@ -4,7 +4,6 @@
 //! lrp-bench host --smoke --json-out BENCH_host.json
 //! lrp-bench gate --baseline baselines/BENCH_host.json \
 //!                --current BENCH_host.json --max-regression 2.0
-//! lrp-bench critpath-overhead --smoke
 //! ```
 //!
 //! `host` replays a (structure × mechanism) matrix through the full
@@ -13,12 +12,8 @@
 //! `BENCH_host.json` reports and fails (exit 1) when any cell's
 //! ops/sec regressed by more than the allowed factor. `serve` boots an
 //! in-process `lrp-serve` and measures end-to-end service throughput,
-//! durable-ack latency, shed rate, tracing overhead, and crash-recovery
-//! time (`BENCH_serve.json`); `serve-gate` compares two of those.
-//! `critpath-overhead` replays the matrix bare and with the
-//! critical-path recorder and fails (exit 1) if tracing moved
-//! simulated ops/cycle beyond the budget (default 2%; the recorder is
-//! timing-invisible, so the expected delta is zero).
+//! durable-ack latency, shed rate and crash-recovery time
+//! (`BENCH_serve.json`); `serve-gate` compares two of those.
 
 use lrp_bench::alloc_count::CountingAlloc;
 use lrp_bench::cli::{die, gate_command, write_out, Cli};
@@ -43,9 +38,6 @@ const USAGE: &str = "usage:\n  \
     [--key-range N] [--read-pct N] [--seed N] [--json-out FILE]\n  \
     lrp-bench serve-gate --baseline FILE --current FILE\n                 \
     [--max-regression F] [--json-out FILE]\n  \
-    lrp-bench critpath-overhead [--smoke] [--structures a,b,..]\n                 \
-    [--mechs a,b,..] [--mode M] [--threads N] [--ops N] [--size N]\n                 \
-    [--seed N] [--samples N] [--max-overhead F] [--json-out FILE]\n  \
     lrp-bench crash-fuzz [--smoke] [--trials N] [--mechs a,b,..]\n                 \
     [--dists uniform,zipfian] [--structures S] [--key-range N]\n                 \
     [--batch N] [--warm N] [--seed N] [--json-out FILE]\n\n\
@@ -65,21 +57,17 @@ const USAGE: &str = "usage:\n  \
     --max-regression F gate: fail a cell when current ops/sec falls below\n                     \
     baseline/F (default 2.0; serve-gate default 3.0 --\n                     \
     loopback service numbers are noisier than sim replays)\n  \
-    serve runs four cells against an in-process server: uniform, zipfian,\n  \
-    zipfian with span tracing (three alternating pairs; tracing overhead\n  \
-    is their median), zipfian with a mid-run crash-restart (client-observed\n  \
-    recovery time); then times Shard::execute on 256..65536-key shards\n                 \
+    serve runs three cells against an in-process server: uniform, zipfian,\n  \
+    zipfian with a mid-run crash-restart (client-observed recovery time);\n  \
+    then times Shard::execute on 256..65536-key shards\n                 \
     (--shards 2 --conns 4 --requests 1200 --window 16)\n  \
-    --max-overhead F   critpath-overhead: allowed fractional ops/cycle\n                     \
-    delta from tracing (default 0.02)\n  \
     crash-fuzz crashes a shard at random persist points, then resolves\n  \
     every uncertain op through the recovered slot table and audits the\n  \
     exactly-once guarantees (no duplicate, no lost durably-acked write)\n                 \
     (default: lrp,sb x uniform,zipfian x 50 trials = 200 crashes;\n                 \
     --smoke runs 5 trials per cell; --trials N sets trials per cell)\n\n\
     exit codes:\n  \
-    0  success (gates: no cell regressed beyond the allowed factor,\n     \
-    critpath-overhead: tracing stayed within the budget)\n  \
+    0  success (gates: no cell regressed beyond the allowed factor)\n  \
     1  gate regression detected, or a file read/write/parse error\n  \
     2  usage error (unknown flag or command, missing or invalid value)\n  \
     4  crash-fuzz found an exactly-once violation";
@@ -106,7 +94,6 @@ fn main() {
     let baseline: Option<String> = cli.opt("baseline");
     let current: Option<String> = cli.opt("current");
     let max_regression: Option<f64> = cli.opt_parse("max-regression");
-    let max_overhead: f64 = cli.opt_parse("max-overhead").unwrap_or(0.02);
     let trials: Option<u64> = cli.opt_parse("trials");
     let dists: Option<Vec<KeyDist>> = cli.opt_list("dists");
     let batch: Option<usize> = cli.opt_parse("batch");
@@ -237,30 +224,6 @@ fn main() {
                 |v| serve_bench::gate_json(v, k),
                 |_, _| String::new(),
             )
-        }
-        "critpath-overhead" => {
-            let spec = host_spec();
-            let cells = host::run_overhead(&spec, |cell| {
-                eprintln!(
-                    "  {:<24} wall {:>8.3} -> {:>8.3} ms ({:+.1}%)",
-                    cell.key(),
-                    cell.wall_ms_off,
-                    cell.wall_ms_on,
-                    cell.wall_overhead_frac() * 100.0
-                );
-            });
-            let verdict = host::gate_overhead(&cells, max_overhead).unwrap_or_else(|e| die(e));
-            if let Some(out) = &json_out {
-                write_out(
-                    out,
-                    &host::overhead_json(&cells, &verdict, max_overhead).to_pretty(),
-                );
-                eprintln!("wrote overhead report to {out}");
-            }
-            print!("{}", host::render_overhead(&cells, &verdict, max_overhead));
-            if !verdict.pass() {
-                std::process::exit(1);
-            }
         }
         "crash-fuzz" => {
             let mut spec = if smoke {

@@ -26,7 +26,7 @@ const USAGE: &str = "usage:\n  \
     [--batch-max N] [--batch-wait-ms N] [--queue-depth N]\n            \
     [--metrics-every-ms N] [--metrics-out FILE] [--port-file FILE]\n            \
     [--trace-out FILE] [--span-cap N]\n            \
-    [--flight-dir DIR] [--flight-cap N] [--record]\n            \
+    [--flight-dir DIR] [--record]\n            \
     [--clients N] [--ring N] [--no-detect]\n\n\
     defaults:\n  \
     --bind 127.0.0.1:0   (ephemeral port; the bound address goes to\n                        \
@@ -35,13 +35,14 @@ const USAGE: &str = "usage:\n  \
     --sim-threads 2  --size 64   --key-range 256   --seed 1\n  \
     --audit-samples 8  --batch-max 16  --batch-wait-ms 5\n  \
     --queue-depth 64   --metrics-every-ms 250\n  \
-    --trace-out FILE   enable request-span tracing and write the retained\n                     \
-    spans as a Chrome trace-event document at shutdown\n                     \
-    (load into chrome://tracing or Perfetto)\n  \
-    --span-cap N       spans retained per shard, drop-oldest (default 65536)\n  \
-    --flight-dir DIR   dump each shard's flight-recorder ring as JSONL\n                     \
-    into DIR on every crash-restart\n  \
-    --flight-cap N     flight-recorder events per shard (default 256)\n  \
+    --span-cap N       request spans each shard's log retains, drop-oldest\n                     \
+    (default 65536); every answered request records its\n                     \
+    wire/queue/batch/execute/persist/ack chain there\n  \
+    --trace-out FILE   write the retained spans as a Chrome trace-event\n                     \
+    document at shutdown (chrome://tracing or Perfetto)\n  \
+    --flight-dir DIR   on every crash-restart, append the shard's crash dump\n                     \
+    (header, crash line naming the in-flight ops, then\n                     \
+    its span log as JSONL) to DIR/flight-shard-N.jsonl\n  \
     --record       attach the event recorder (summaries only)\n  \
     --clients N    slot-table client rows per shard (default 64); a client\n                 \
     id's row is id mod N, so keep N above the live client count\n  \
@@ -79,7 +80,6 @@ fn main() {
     let trace_out: Option<String> = cli.opt("trace-out");
     let span_cap = cli.opt_parse("span-cap").unwrap_or(65536usize);
     let flight_dir: Option<String> = cli.opt("flight-dir");
-    let flight_cap = cli.opt_parse("flight-cap").unwrap_or(256usize);
     let record = cli.flag("record");
     let clients: Option<u64> = cli.opt_parse("clients");
     let ring: Option<u64> = cli.opt_parse("ring");
@@ -150,10 +150,7 @@ fn main() {
     cfg.batch_wait_ms = batch_wait_ms;
     cfg.queue_depth = queue_depth;
     cfg.metrics_every_ms = metrics_every_ms;
-    // Tracing is opt-in: spans are only retained when a trace sink is
-    // named, so the default serving path stays recording-free.
-    cfg.spans = trace_out.as_ref().map(|_| span_cap);
-    cfg.flight = flight_cap;
+    cfg.spans = span_cap;
     cfg.flight_dir = flight_dir.map(Into::into);
 
     let server = Server::start(cfg).unwrap_or_else(|e| die(format!("cannot start server: {e}")));

@@ -1,7 +1,6 @@
 //! The one gate engine behind every regression gate: campaign profiles
-//! (`lrp-profile gate`), host throughput (`lrp-bench gate`), the KV
-//! service (`lrp-bench serve-gate`) and critical-path tracing overhead
-//! (`lrp-bench critpath-overhead`).
+//! (`lrp-profile gate`), host throughput (`lrp-bench gate`) and the KV
+//! service (`lrp-bench serve-gate`).
 //!
 //! Each gate extracts typed, keyed rows from its report, walks the
 //! [`paired`] baseline and current rows and applies a [`Bound`] per
@@ -60,8 +59,6 @@ pub enum Bound {
     FactorCeil(f64),
     /// May rise at most this much (absolute) above the baseline.
     Slack(f64),
-    /// May move at most this fraction of the baseline either way.
-    Symmetric(f64),
     /// Recorded with this tolerance but never fails.
     Info(f64),
 }
@@ -76,7 +73,6 @@ impl Bound {
             Bound::FactorFloor(k) => (k, current * k >= baseline),
             Bound::FactorCeil(k) => (k, current <= baseline * k),
             Bound::Slack(s) => (s, current <= baseline + s),
-            Bound::Symmetric(f) => (f, (current - baseline).abs() <= f * baseline),
             Bound::Info(t) => (t, true),
         };
         GateCheck {
@@ -173,7 +169,6 @@ mod tests {
             (Bound::FactorFloor(2.0), 10.0, 5.0, 4.9),
             (Bound::FactorCeil(3.0), 10.0, 30.0, 30.1),
             (Bound::Slack(0.25), 0.0, 0.25, 0.26),
-            (Bound::Symmetric(0.02), 1.0, 0.99, 1.03),
         ] {
             assert!(bound.check("k", "m", base, pass).pass, "{bound:?}");
             assert!(!bound.check("k", "m", base, fail).pass, "{bound:?}");

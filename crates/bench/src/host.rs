@@ -22,7 +22,7 @@ use crate::alloc_count;
 use crate::gate::{check_factor, paired, Bound, GateVerdict, Rows};
 use lrp_lfds::{Structure, WorkloadSpec};
 use lrp_model::Trace;
-use lrp_obs::{Json, RecorderConfig};
+use lrp_obs::Json;
 use lrp_sim::{Mechanism, NvmMode, Sim, SimConfig};
 use std::time::Instant;
 
@@ -481,183 +481,6 @@ pub fn gate_json(v: &GateVerdict, max_regression: f64) -> Json {
     crate::gate::verdict_json("host-gate", header, v)
 }
 
-/// One cell of the critical-path overhead comparison: the same
-/// workload replayed bare and with a critpath-tracing recorder.
-#[derive(Debug, Clone)]
-pub struct OverheadCell {
-    /// The structure under test.
-    pub structure: Structure,
-    /// The persistency mechanism.
-    pub mechanism: Mechanism,
-    /// Simulated cycles without a recorder.
-    pub sim_cycles_off: u64,
-    /// Simulated cycles with the critpath recorder.
-    pub sim_cycles_on: u64,
-    /// Harness ops without a recorder.
-    pub ops_off: u64,
-    /// Harness ops with the critpath recorder.
-    pub ops_on: u64,
-    /// Minimum wall time without a recorder, milliseconds.
-    pub wall_ms_off: f64,
-    /// Minimum wall time with the critpath recorder, milliseconds.
-    pub wall_ms_on: f64,
-}
-
-impl OverheadCell {
-    /// `structure/mechanism` report key.
-    pub fn key(&self) -> String {
-        format!("{}/{}", self.structure.name(), self.mechanism.name())
-    }
-
-    /// Simulated ops/cycle without a recorder.
-    pub fn opc_off(&self) -> f64 {
-        ops_per_cycle(self.ops_off, self.sim_cycles_off)
-    }
-
-    /// Simulated ops/cycle with the critpath recorder.
-    pub fn opc_on(&self) -> f64 {
-        ops_per_cycle(self.ops_on, self.sim_cycles_on)
-    }
-
-    /// Host wall-time overhead of tracing, as a fraction of the bare
-    /// replay (informational — wall clocks are noisy on shared CI).
-    pub fn wall_overhead_frac(&self) -> f64 {
-        if self.wall_ms_off > 0.0 {
-            (self.wall_ms_on - self.wall_ms_off) / self.wall_ms_off
-        } else {
-            0.0
-        }
-    }
-}
-
-fn ops_per_cycle(ops: u64, cycles: u64) -> f64 {
-    if cycles > 0 {
-        ops as f64 / cycles as f64
-    } else {
-        0.0
-    }
-}
-
-/// Replays the matrix with and without the critpath recorder. The
-/// recorder is timing-invisible by construction, so the simulated
-/// columns must match exactly; the wall columns measure host cost.
-pub fn run_overhead(spec: &HostSpec, mut progress: impl FnMut(&OverheadCell)) -> Vec<OverheadCell> {
-    let mut cells = Vec::new();
-    for &structure in &spec.structures {
-        let trace = WorkloadSpec::new(structure)
-            .initial_size(spec.initial_size)
-            .threads(spec.threads)
-            .ops_per_thread(spec.ops_per_thread)
-            .seed(spec.seed)
-            .build_trace();
-        for &mechanism in &spec.mechanisms {
-            let cfg = SimConfig::new(mechanism).nvm_mode(spec.mode);
-            let bare = Sim::new(cfg.clone(), &trace).run();
-            let traced = Sim::new(cfg.clone(), &trace)
-                .with_recorder(RecorderConfig::summaries_only())
-                .run();
-            let wall_off = sample_ms(spec.samples, || Sim::new(cfg.clone(), &trace).run());
-            let wall_on = sample_ms(spec.samples, || {
-                Sim::new(cfg.clone(), &trace)
-                    .with_recorder(RecorderConfig::summaries_only())
-                    .run()
-            });
-            let cell = OverheadCell {
-                structure,
-                mechanism,
-                sim_cycles_off: bare.stats.cycles,
-                sim_cycles_on: traced.stats.cycles,
-                ops_off: bare.stats.ops,
-                ops_on: traced.stats.ops,
-                wall_ms_off: wall_off[0],
-                wall_ms_on: wall_on[0],
-            };
-            progress(&cell);
-            cells.push(cell);
-        }
-    }
-    cells
-}
-
-/// Gates the overhead report: a cell fails when tracing moved its
-/// simulated ops/cycle by more than `max_frac` (the issue's ≤2%
-/// budget; the expected delta is exactly zero).
-pub fn gate_overhead(cells: &[OverheadCell], max_frac: f64) -> Result<GateVerdict, String> {
-    if !(0.0..=1.0).contains(&max_frac) {
-        return Err("overhead budget must be a fraction in [0, 1]".to_string());
-    }
-    let bound = Bound::Symmetric(max_frac);
-    let checks: Vec<_> = cells
-        .iter()
-        .map(|c| bound.check(&c.key(), "ops_per_cycle", c.opc_off(), c.opc_on()))
-        .collect();
-    Ok(GateVerdict {
-        compared: checks.len(),
-        checks,
-    })
-}
-
-/// Serializes the overhead report plus its verdict.
-pub fn overhead_json(cells: &[OverheadCell], v: &GateVerdict, max_frac: f64) -> Json {
-    let rows = cells
-        .iter()
-        .map(|c| {
-            Json::obj([
-                ("structure", Json::Str(c.structure.name().to_string())),
-                ("mechanism", Json::Str(c.mechanism.name().to_string())),
-                ("sim_cycles_off", Json::U64(c.sim_cycles_off)),
-                ("sim_cycles_on", Json::U64(c.sim_cycles_on)),
-                ("ops_off", Json::U64(c.ops_off)),
-                ("ops_on", Json::U64(c.ops_on)),
-                ("ops_per_cycle_off", Json::F64(c.opc_off())),
-                ("ops_per_cycle_on", Json::F64(c.opc_on())),
-                ("wall_ms_off", Json::F64(c.wall_ms_off)),
-                ("wall_ms_on", Json::F64(c.wall_ms_on)),
-                ("wall_overhead_frac", Json::F64(c.wall_overhead_frac())),
-            ])
-        })
-        .collect();
-    Json::obj([
-        ("type", Json::Str("critpath-overhead".to_string())),
-        ("pass", Json::Bool(v.pass())),
-        ("max_overhead_frac", Json::F64(max_frac)),
-        ("cells", Json::Arr(rows)),
-    ])
-}
-
-/// Renders the overhead report as an aligned table.
-pub fn render_overhead(cells: &[OverheadCell], v: &GateVerdict, max_frac: f64) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "critpath tracing overhead (budget {:.1}% of simulated ops/cycle)\n\
-         {:<24} {:>14} {:>14} {:>10} {:>10} {:>9}\n",
-        max_frac * 100.0,
-        "cell",
-        "opc off",
-        "opc on",
-        "wall off",
-        "wall on",
-        "wall +%",
-    ));
-    for c in cells {
-        out.push_str(&format!(
-            "{:<24} {:>14.6} {:>14.6} {:>9.3}ms {:>9.3}ms {:>+8.1}%\n",
-            c.key(),
-            c.opc_off(),
-            c.opc_on(),
-            c.wall_ms_off,
-            c.wall_ms_on,
-            c.wall_overhead_frac() * 100.0,
-        ));
-    }
-    out.push_str(&format!(
-        "verdict: {} ({} cells compared)\n",
-        if v.pass() { "PASS" } else { "FAIL" },
-        v.compared
-    ));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -749,35 +572,6 @@ mod tests {
             gate_host(&empty, &empty, 0.5).is_err(),
             "factor < 1 rejected"
         );
-    }
-
-    #[test]
-    fn critpath_tracing_has_zero_simulated_overhead() {
-        let cells = run_overhead(&tiny_spec(), |_| {});
-        assert_eq!(cells.len(), 2);
-        for c in &cells {
-            // The recorder is timing-invisible: the simulated columns
-            // match exactly, so the ops/cycle delta is zero — well
-            // inside the 2% budget.
-            assert_eq!(c.sim_cycles_off, c.sim_cycles_on, "{}", c.key());
-            assert_eq!(c.ops_off, c.ops_on, "{}", c.key());
-        }
-        let v = gate_overhead(&cells, 0.02).unwrap();
-        assert!(v.pass(), "{}", render_gate(&v));
-        let doc = Json::parse(&overhead_json(&cells, &v, 0.02).to_pretty()).unwrap();
-        assert_eq!(
-            doc.get("type").and_then(Json::as_str),
-            Some("critpath-overhead")
-        );
-        assert_eq!(doc.get("pass").and_then(Json::as_bool), Some(true));
-        let rendered = render_overhead(&cells, &v, 0.02);
-        assert!(rendered.contains("PASS"), "{rendered}");
-
-        // A cell whose traced replay lost >2% ops/cycle fails the gate.
-        let mut skewed = cells.clone();
-        skewed[0].sim_cycles_on = skewed[0].sim_cycles_off + skewed[0].sim_cycles_off / 10;
-        assert!(!gate_overhead(&skewed, 0.02).unwrap().pass());
-        assert!(gate_overhead(&skewed, 2.0).is_err(), "budget > 1 rejected");
     }
 
     #[test]

@@ -1,20 +1,16 @@
 //! End-to-end service benchmark (`lrp-bench serve` / `serve-gate`).
 //!
 //! Boots an in-process [`lrp_serve::Server`] on a loopback port and
-//! drives it with [`lrp_serve::run_load`] across four cells:
+//! drives it with [`lrp_serve::run_load`] across three cells:
 //!
-//! * `uniform` — uniform keys, tracing off, verification off: the raw
-//!   service throughput / durable-ack latency cell;
-//! * `zipfian` — hot-key skew, tracing off: the contention cell and the
-//!   baseline for the tracing-overhead measurement;
-//! * `zipfian-traced` — the same workload with span tracing on, so the
-//!   report carries the observed tracing overhead as a first-class
-//!   metric (`tracing_overhead_pct`). `zipfian` and `zipfian-traced`
-//!   run as alternating pairs; the overhead is the median over the
-//!   pairs, reported with every pair's value, and the two cells kept in
-//!   the report are the median pair's;
+//! * `uniform` — uniform keys, verification off: the raw service
+//!   throughput / durable-ack latency cell;
+//! * `zipfian` — hot-key skew: the contention cell;
 //! * `zipfian-crash` — injects a mid-run shard crash with verification
 //!   on, and reports the client-observed crash-recovery time.
+//!
+//! Every cell runs with the server's always-on request span log, so
+//! its recording cost is inside every number.
 //!
 //! `lrp-bench serve` then runs a **keyspace sweep** ([`run_sweep`]):
 //! it times `Shard::execute` on standalone shards (hash map, LRP,
@@ -57,10 +53,6 @@ pub struct ServeBenchSpec {
     /// Master seed.
     pub seed: u64,
 }
-
-/// `zipfian`/`zipfian-traced` pairs the tracing overhead is the median
-/// of.
-const OVERHEAD_PAIRS: usize = 3;
 
 /// Initial keys of the keyspace sweep's shards.
 pub const SWEEP_KEYS: [usize; 3] = [256, 4096, 65536];
@@ -181,12 +173,11 @@ fn median(mut xs: Vec<f64>) -> f64 {
 /// One benchmark cell: a fresh server + one load run.
 #[derive(Debug, Clone)]
 pub struct ServeCell {
-    /// Cell name (`uniform`, `zipfian`, `zipfian-traced`,
-    /// `zipfian-crash`).
+    /// Cell name (`uniform`, `zipfian`, `zipfian-crash`).
     pub name: &'static str,
     /// The load summary the cell produced.
     pub summary: LoadSummary,
-    /// Spans retained at shutdown (traced cell only).
+    /// Request spans the server's logs retained at shutdown.
     pub spans: u64,
 }
 
@@ -213,31 +204,12 @@ pub struct ServeReport {
     pub spec: ServeBenchSpec,
     /// One entry per cell, in cell order.
     pub cells: Vec<ServeCell>,
-    /// Tracing overhead of each `zipfian`/`zipfian-traced` pair, in
-    /// percent, ascending.
-    pub overhead_pairs: Vec<f64>,
     /// The keyspace sweep's rows (empty unless the caller ran
     /// [`run_sweep`]).
     pub sweep: Vec<SweepRow>,
 }
 
-/// Throughput `traced` lost relative to `base`, in percent (negative =
-/// traced ran faster, i.e. noise).
-fn overhead_pct(base: &ServeCell, traced: &ServeCell) -> Option<f64> {
-    if base.ops_per_sec() <= 0.0 {
-        return None;
-    }
-    Some((1.0 - traced.ops_per_sec() / base.ops_per_sec()) * 100.0)
-}
-
 impl ServeReport {
-    /// Tracing overhead in percent: the median over the alternating
-    /// `zipfian`/`zipfian-traced` pairs of the throughput the traced
-    /// cell lost.
-    pub fn tracing_overhead_pct(&self) -> Option<f64> {
-        (!self.overhead_pairs.is_empty()).then(|| median(self.overhead_pairs.clone()))
-    }
-
     /// Client-observed crash-recovery time from the crash cell, ms.
     pub fn crash_recovery_ms(&self) -> Option<u64> {
         self.cells
@@ -260,18 +232,12 @@ fn cell_spec(spec: &ServeBenchSpec, addr: std::net::SocketAddr) -> LoadSpec {
     ls
 }
 
-fn run_cell(
-    spec: &ServeBenchSpec,
-    name: &'static str,
-    spans: Option<usize>,
-    crash: bool,
-) -> io::Result<ServeCell> {
+fn run_cell(spec: &ServeBenchSpec, name: &'static str, crash: bool) -> io::Result<ServeCell> {
     let mut shard = ShardConfig::new(Structure::HashMap);
     shard.key_range = spec.key_range;
     shard.seed = spec.seed;
     let mut cfg = ServerConfig::new(shard);
     cfg.shards = spec.shards;
-    cfg.spans = spans;
     let server = Server::start(cfg)?;
     let addr = server.local_addr().expect("tcp bind");
 
@@ -294,40 +260,24 @@ fn run_cell(
     })
 }
 
-/// Runs all four cells, each against a fresh server.
+/// Runs all three cells, each against a fresh server.
 pub fn run_serve_bench(
     spec: &ServeBenchSpec,
     mut progress: impl FnMut(&ServeCell),
 ) -> io::Result<ServeReport> {
-    let mut cell = |name, spans, crash| -> io::Result<ServeCell> {
-        let c = run_cell(spec, name, spans, crash)?;
+    let mut cells = Vec::new();
+    for (name, crash) in [
+        ("uniform", false),
+        ("zipfian", false),
+        ("zipfian-crash", true),
+    ] {
+        let c = run_cell(spec, name, crash)?;
         progress(&c);
-        Ok(c)
-    };
-    let mut cells = vec![cell("uniform", None, false)?];
-    // Alternate which side of a pair runs first, so drift over the run
-    // charges neither side.
-    let mut pairs = Vec::new();
-    for i in 0..OVERHEAD_PAIRS {
-        let (base, traced) = if i % 2 == 0 {
-            let base = cell("zipfian", None, false)?;
-            (base, cell("zipfian-traced", Some(65536), false)?)
-        } else {
-            let traced = cell("zipfian-traced", Some(65536), false)?;
-            (cell("zipfian", None, false)?, traced)
-        };
-        pairs.push((overhead_pct(&base, &traced), base, traced));
+        cells.push(c);
     }
-    pairs.sort_by(|a, b| a.0.unwrap_or(f64::NAN).total_cmp(&b.0.unwrap_or(f64::NAN)));
-    let overhead_pairs: Vec<f64> = pairs.iter().filter_map(|p| p.0).collect();
-    let (_, base, traced) = pairs.swap_remove(pairs.len() / 2);
-    cells.push(base);
-    cells.push(traced);
-    cells.push(cell("zipfian-crash", None, true)?);
     Ok(ServeReport {
         spec: spec.clone(),
         cells,
-        overhead_pairs,
         sweep: Vec::new(),
     })
 }
@@ -371,17 +321,6 @@ pub fn report_json(r: &ServeReport) -> Json {
         ("key_range", Json::U64(r.spec.key_range)),
         ("read_pct", Json::U64(r.spec.read_pct as u64)),
         ("seed", Json::U64(r.spec.seed)),
-        (
-            "tracing_overhead_pct",
-            match r.tracing_overhead_pct() {
-                Some(p) => Json::F64(p),
-                None => Json::Null,
-            },
-        ),
-        (
-            "tracing_overhead_pairs_pct",
-            Json::Arr(r.overhead_pairs.iter().map(|&p| Json::F64(p)).collect()),
-        ),
         (
             "crash_recovery_ms",
             match r.crash_recovery_ms() {
@@ -439,13 +378,6 @@ pub fn render_report(r: &ServeReport) -> String {
             c.summary.acked_durable,
         ));
     }
-    if let Some(p) = r.tracing_overhead_pct() {
-        let pairs: Vec<String> = r.overhead_pairs.iter().map(|p| format!("{p:.1}")).collect();
-        out.push_str(&format!(
-            "tracing overhead: {p:.1}% throughput (median of pairs: {})\n",
-            pairs.join(", ")
-        ));
-    }
     if let Some(ms) = r.crash_recovery_ms() {
         out.push_str(&format!("crash recovery: {ms} ms client-observed\n"));
     }
@@ -497,9 +429,9 @@ fn extract_sweep(doc: &Json) -> Result<Vec<(u64, u64, f64)>, String> {
         .collect()
 }
 
-/// Per-cell gate rows keyed by cell name, plus the report's tracing
-/// overhead. A missing p99 or shed rate reads as zero.
-fn extract(doc: &Json) -> Result<(Rows<CellMetrics>, Option<f64>), String> {
+/// Per-cell gate rows keyed by cell name. A missing p99 or shed rate
+/// reads as zero.
+fn extract(doc: &Json) -> Result<Rows<CellMetrics>, String> {
     if doc.get("type").and_then(Json::as_str) != Some("serve-bench") {
         return Err(serve_err("missing type: \"serve-bench\""));
     }
@@ -523,18 +455,13 @@ fn extract(doc: &Json) -> Result<(Rows<CellMetrics>, Option<f64>), String> {
         };
         out.push((name, row));
     }
-    let overhead = doc.get("tracing_overhead_pct").and_then(Json::as_f64);
-    Ok((out, overhead))
+    Ok(out)
 }
 
 /// Shed rate may drift this much (absolute) before the gate fails:
 /// admission control depends on host scheduling, so relative bounds are
 /// meaningless near zero.
 pub const SHED_RATE_SLACK: f64 = 0.25;
-
-/// Tracing overhead above this (percent) fails the gate regardless of
-/// the regression factor — the observability layer must stay cheap.
-pub const MAX_TRACING_OVERHEAD_PCT: f64 = 50.0;
 
 /// The keyspace sweep's flatness bound: at each batch size, the largest
 /// keyspace's `execute` p50 may be at most this factor above the
@@ -546,18 +473,17 @@ pub const MAX_SWEEP_GROWTH: f64 = 2.0;
 /// durable-ack p99 may not grow beyond `baseline * max_regression`
 /// (skipped when the baseline recorded none), and shed rate may not
 /// rise by more than [`SHED_RATE_SLACK`] absolute. The current report's
-/// tracing overhead is bounded by [`MAX_TRACING_OVERHEAD_PCT`], and its
-/// keyspace sweep by [`MAX_SWEEP_GROWTH`]. Cells present in only one
-/// report are ignored, so growing the matrix never fails the gate by
-/// itself.
+/// keyspace sweep is bounded by [`MAX_SWEEP_GROWTH`]. Cells present in
+/// only one report are ignored, so growing the matrix never fails the
+/// gate by itself.
 pub fn gate_serve(
     baseline: &Json,
     current: &Json,
     max_regression: f64,
 ) -> Result<GateVerdict, String> {
     check_factor(max_regression)?;
-    let (base, _) = extract(baseline)?;
-    let (cur, cur_overhead) = extract(current)?;
+    let base = extract(baseline)?;
+    let cur = extract(current)?;
     let (ops, p99) = (
         Bound::FactorFloor(max_regression),
         Bound::FactorCeil(max_regression),
@@ -574,11 +500,6 @@ pub fn gate_serve(
         let shed = Bound::Slack(SHED_RATE_SLACK);
         v.checks
             .push(shed.check(key, "shed_rate", b.shed_rate, c.shed_rate));
-    }
-    if let Some(p) = cur_overhead {
-        let bound = Bound::Slack(MAX_TRACING_OVERHEAD_PCT);
-        v.checks
-            .push(bound.check("tracing", "overhead_pct", 0.0, p));
     }
     v.checks.extend(sweep_checks(&extract_sweep(current)?));
     Ok(v)
@@ -622,7 +543,7 @@ pub fn gate_json(v: &GateVerdict, max_regression: f64) -> Json {
 mod tests {
     use super::*;
 
-    fn synthetic_report(ops: f64, p99: f64, shed: f64, overhead: f64) -> Json {
+    fn synthetic_report(ops: f64, p99: f64, shed: f64) -> Json {
         let cell = |name: &str| {
             Json::obj([
                 ("name", Json::Str(name.to_string())),
@@ -633,31 +554,26 @@ mod tests {
         };
         Json::obj([
             ("type", Json::Str("serve-bench".to_string())),
-            ("tracing_overhead_pct", Json::F64(overhead)),
             ("cells", Json::Arr(vec![cell("uniform"), cell("zipfian")])),
         ])
     }
 
     #[test]
     fn serve_gate_passes_self_and_fails_regressions() {
-        let base = synthetic_report(5000.0, 800.0, 0.01, 2.0);
+        let base = synthetic_report(5000.0, 800.0, 0.01);
         let v = gate_serve(&base, &base, 3.0).unwrap();
         assert!(v.pass());
         assert_eq!(v.compared, 2);
 
         // Throughput collapsed 10x: fails the 3x gate.
-        let slow = synthetic_report(500.0, 800.0, 0.01, 2.0);
+        let slow = synthetic_report(500.0, 800.0, 0.01);
         let v = gate_serve(&base, &slow, 3.0).unwrap();
         assert!(!v.pass());
         assert!(v.failures().iter().all(|c| c.metric == "ops_per_sec"));
 
         // Shed rate jumped past the absolute slack.
-        let shedding = synthetic_report(5000.0, 800.0, 0.4, 2.0);
+        let shedding = synthetic_report(5000.0, 800.0, 0.4);
         assert!(!gate_serve(&base, &shedding, 3.0).unwrap().pass());
-
-        // Tracing overhead blew the absolute bound.
-        let heavy = synthetic_report(5000.0, 800.0, 0.01, 80.0);
-        assert!(!gate_serve(&base, &heavy, 3.0).unwrap().pass());
     }
 
     fn with_sweep(mut doc: Json, rows: &[(u64, u64, f64)]) -> Json {
@@ -679,7 +595,7 @@ mod tests {
 
     #[test]
     fn serve_gate_bounds_the_keyspace_sweep() {
-        let base = synthetic_report(5000.0, 800.0, 0.01, 2.0);
+        let base = synthetic_report(5000.0, 800.0, 0.01);
         let flat = with_sweep(
             base.clone(),
             &[
@@ -740,15 +656,15 @@ mod tests {
     #[test]
     fn serve_gate_rejects_junk_and_bad_factors() {
         let junk = Json::obj([("type", Json::Str("host-bench".to_string()))]);
-        let good = synthetic_report(100.0, 10.0, 0.0, 0.0);
+        let good = synthetic_report(100.0, 10.0, 0.0);
         assert!(gate_serve(&junk, &good, 3.0).is_err());
         assert!(gate_serve(&good, &good, 0.5).is_err());
     }
 
     #[test]
     fn extra_cells_in_current_are_ignored() {
-        let base = synthetic_report(100.0, 10.0, 0.0, 0.0);
-        let mut cur = synthetic_report(100.0, 10.0, 0.0, 0.0);
+        let base = synthetic_report(100.0, 10.0, 0.0);
+        let mut cur = synthetic_report(100.0, 10.0, 0.0);
         // Rename one current cell so it no longer matches the baseline.
         if let Json::Obj(fields) = &mut cur {
             for (k, v) in fields.iter_mut() {

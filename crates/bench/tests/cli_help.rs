@@ -112,7 +112,6 @@ fn lrp_bench_help_documents_every_flag() {
             "window",
             "key-range",
             "read-pct",
-            "max-overhead",
             "trials",
             "dists",
             "batch",
@@ -124,7 +123,7 @@ fn lrp_bench_help_documents_every_flag() {
 #[test]
 fn lrp_bench_help_documents_the_serve_commands() {
     let help = help_output(env!("CARGO_BIN_EXE_lrp-bench"));
-    for cmd in ["serve", "serve-gate", "critpath-overhead", "crash-fuzz"] {
+    for cmd in ["serve", "serve-gate", "crash-fuzz"] {
         assert!(
             help.contains(&format!("lrp-bench {cmd}")),
             "lrp-bench --help mentions the {cmd} command:\n{help}"
@@ -185,7 +184,6 @@ fn lrp_serve_help_documents_every_flag() {
             "trace-out",
             "span-cap",
             "flight-dir",
-            "flight-cap",
             "record",
             "clients",
             "ring",

@@ -6,7 +6,7 @@
 use lrp_exec::Xorshift64;
 use lrp_lfds::{Structure, WorkloadSpec};
 use lrp_obs::{CritSegKind, RecorderConfig};
-use lrp_sim::{Mechanism, Sim, SimConfig};
+use lrp_sim::{Mechanism, NvmMode, Sim, SimConfig};
 
 fn workload(s: Structure, seed: u64) -> lrp_model::Trace {
     WorkloadSpec::new(s)
@@ -63,26 +63,30 @@ fn conservation_holds_across_the_structure_mechanism_matrix() {
     }
 }
 
-/// Golden fixture: the same replay with and without the recorder (and
-/// its critical-path tracer) yields byte-identical stats and an
-/// identical persist schedule — the tracer is timing-invisible.
+/// Golden fixture: over every structure × mechanism × NVM mode, the
+/// same replay with and without the recorder (and its critical-path
+/// tracer) yields byte-identical stats and an identical persist
+/// schedule — the tracer is timing-invisible, so simulated ops/cycle
+/// cannot move by any amount.
 #[test]
 fn critpath_leaves_stats_and_persist_schedule_identical() {
-    for structure in [Structure::Queue, Structure::HashMap] {
+    for structure in Structure::ALL {
         let trace = workload(structure, 99);
-        for mechanism in [Mechanism::Bb, Mechanism::Lrp] {
-            let cfg = SimConfig::new(mechanism);
-            let bare = Sim::new(cfg.clone(), &trace).run();
-            let on = Sim::new(cfg.clone(), &trace)
-                .with_recorder(RecorderConfig::default())
-                .run();
-            let cell = format!("{}/{}", structure.name(), mechanism.name());
+        for mechanism in Mechanism::EXTENDED {
+            for mode in NvmMode::ALL {
+                let cfg = SimConfig::new(mechanism).nvm_mode(mode);
+                let bare = Sim::new(cfg.clone(), &trace).run();
+                let on = Sim::new(cfg.clone(), &trace)
+                    .with_recorder(RecorderConfig::default())
+                    .run();
+                let cell = format!("{}/{}/{}", structure.name(), mechanism.name(), mode.name());
 
-            assert_eq!(bare.stats, on.stats, "{cell}: critpath perturbed stats");
-            assert_eq!(
-                bare.schedule, on.schedule,
-                "{cell}: critpath perturbed the persist schedule"
-            );
+                assert_eq!(bare.stats, on.stats, "{cell}: critpath perturbed stats");
+                assert_eq!(
+                    bare.schedule, on.schedule,
+                    "{cell}: critpath perturbed the persist schedule"
+                );
+            }
         }
     }
 }

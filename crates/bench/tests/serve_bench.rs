@@ -1,4 +1,4 @@
-//! End-to-end `lrp-bench serve` path: a tiny four-cell run produces a
+//! End-to-end `lrp-bench serve` path: a tiny three-cell run produces a
 //! parseable `BENCH_serve.json` that self-passes the serve gate, and
 //! the gate catches synthetic regressions.
 
@@ -21,7 +21,8 @@ fn tiny_spec() -> ServeBenchSpec {
 #[test]
 fn serve_bench_runs_all_cells_and_self_passes_the_gate() {
     let report = run_serve_bench(&tiny_spec(), |_| {}).unwrap();
-    assert_eq!(report.cells.len(), 4);
+    let names: Vec<&str> = report.cells.iter().map(|c| c.name).collect();
+    assert_eq!(names, ["uniform", "zipfian", "zipfian-crash"]);
     for c in &report.cells {
         assert!(c.summary.completed > 0, "cell {} served nothing", c.name);
         assert!(c.ops_per_sec() > 0.0, "cell {} has no throughput", c.name);
@@ -30,21 +31,8 @@ fn serve_bench_runs_all_cells_and_self_passes_the_gate() {
             "cell {} acked nothing durable",
             c.name
         );
+        assert!(c.spans > 0, "cell {} recorded no request spans", c.name);
     }
-    let traced = report
-        .cells
-        .iter()
-        .find(|c| c.name == "zipfian-traced")
-        .unwrap();
-    assert!(traced.spans > 0, "traced cell retained no spans");
-    assert!(
-        report
-            .cells
-            .iter()
-            .filter(|c| c.name != "zipfian-traced")
-            .all(|c| c.spans == 0),
-        "untraced cells must not record spans"
-    );
     let crash = report
         .cells
         .iter()
@@ -56,14 +44,12 @@ fn serve_bench_runs_all_cells_and_self_passes_the_gate() {
         "crash cell lost durable acks"
     );
     assert!(report.crash_recovery_ms().is_some());
-    assert!(report.tracing_overhead_pct().is_some());
-    assert_eq!(report.overhead_pairs.len(), 3, "one overhead per pair");
 
     // The document round-trips and self-passes the gate.
     let doc = Json::parse(&report_json(&report).to_pretty()).unwrap();
     assert_eq!(doc.get("type").unwrap().as_str(), Some("serve-bench"));
-    assert_eq!(doc.get("cells").unwrap().as_arr().unwrap().len(), 4);
+    assert_eq!(doc.get("cells").unwrap().as_arr().unwrap().len(), 3);
     let v = gate_serve(&doc, &doc, 3.0).unwrap();
     assert!(v.pass(), "{}", render_gate(&v));
-    assert_eq!(v.compared, 4);
+    assert_eq!(v.compared, 3);
 }

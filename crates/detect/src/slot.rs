@@ -14,11 +14,13 @@
 //! +16 meta  — plain: outcome, batch, and an 8-bit fold of rid
 //! ```
 //!
-//! The meta word's rid tag makes torn cross-generation records (old
-//! stamp over new payload, possible when a slot is reused inside one
-//! batch under a weak discipline) detectable: [`SlotRecord::decode`]
-//! rejects a record whose tag does not match its rid, and the reader
-//! counts it as torn instead of resolving it.
+//! The meta word's rid tag makes torn cross-generation records
+//! detectable: [`SlotRecord::decode`] rejects a record whose tag does
+//! not match its rid, and the reader counts it as torn instead of
+//! resolving it. Tearing needs only slot reuse, under any discipline:
+//! release ordering persists a stamp *after* its own payload, but lets
+//! a re-stamped slot's new plain payload persist *before* its new rid,
+//! so a cut can hold the old rid over the new payload.
 
 use lrp_exec::PmemCtx;
 use lrp_lfds::MemImage;
@@ -262,8 +264,9 @@ pub struct TableScan {
     /// The coherently-recovered records.
     pub table: SlotTable,
     /// Slots whose rid word was written but whose record did not decode
-    /// — a torn stamp. Possible under weak disciplines; a sound
-    /// discipline's release ordering keeps this at zero.
+    /// — a torn stamp. Any discipline tears a slot being re-stamped
+    /// (old rid over new payload); a table with no reuse stays at zero
+    /// under a sound one.
     pub torn: u64,
 }
 

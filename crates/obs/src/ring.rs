@@ -1,6 +1,6 @@
 //! The bounded drop-oldest ring every obs buffer is built on: the
-//! simulator's event ring, the serving layer's span log and the crash
-//! flight recorder. Recording never blocks and never grows past the
+//! simulator's event ring and the serving layer's span log (which its
+//! crash dump renders). Recording never blocks and never grows past the
 //! capacity; each eviction is counted, so truncation is detectable.
 
 use std::collections::VecDeque;

@@ -12,8 +12,9 @@
 //!
 //! Spans are recorded into a bounded drop-oldest [`SpanLog`] (drops are
 //! counted, mirroring the event ring), exported as Chrome trace-event
-//! JSON with one process track per shard ([`chrome_trace`]), and
-//! checked for well-formedness by [`audit_chains`] — the test- and
+//! JSON with one process track per shard ([`chrome_trace`]) or as one
+//! JSONL line per span ([`span_json`], the serving layer's crash dump),
+//! and checked for well-formedness by [`audit_chains`] — the test- and
 //! CI-facing oracle that every durable ack has a complete
 //! wire→queue→batch→execute→persist→ack chain nested inside its root.
 
@@ -141,8 +142,8 @@ impl SpanLog {
         }
     }
 
-    /// Allocates a fresh span id (for roots handed out before their
-    /// children are recorded).
+    /// Allocates a fresh span id (a chain's root, so its children can
+    /// name it as their parent).
     pub fn alloc(&mut self) -> SpanId {
         let id = self.next;
         self.next += 1;
@@ -165,7 +166,9 @@ impl SpanLog {
     }
 }
 
-fn span_args(s: &Span) -> Json {
+/// The request id plus the phase's typed fields: a Chrome event's
+/// `args` and the tail of a span's JSONL line.
+fn span_args(s: &Span) -> Vec<(&'static str, Json)> {
     let mut pairs: Vec<(&'static str, Json)> = vec![("req", Json::U64(s.req))];
     match s.phase {
         SpanPhase::Request { op } => pairs.push(("op", Json::U64(op as u64))),
@@ -193,6 +196,22 @@ fn span_args(s: &Span) -> Json {
             pairs.push(("crashed", Json::Bool(crashed)));
         }
     }
+    pairs
+}
+
+/// One span as a flat JSON object — `event` (the phase name), ids,
+/// track, window, then the same fields a Chrome event carries as
+/// `args`. The crash dump writes one such line per retained span.
+pub fn span_json(s: &Span) -> Json {
+    let mut pairs = vec![
+        ("event", Json::Str(s.phase.name().into())),
+        ("id", Json::U64(s.id)),
+        ("parent", Json::U64(s.parent)),
+        ("track", Json::U64(s.track as u64)),
+        ("start_us", Json::U64(s.start_us)),
+        ("end_us", Json::U64(s.end_us)),
+    ];
+    pairs.extend(span_args(s));
     Json::obj(pairs)
 }
 
@@ -241,7 +260,7 @@ pub fn chrome_trace(spans: &[Span]) -> Json {
         };
         let mut b = common("b", s.start_us);
         if let Json::Obj(pairs) = &mut b {
-            pairs.push(("args".into(), span_args(s)));
+            pairs.push(("args".into(), Json::obj(span_args(s))));
         }
         events.push(b);
         events.push(common("e", s.end_us));

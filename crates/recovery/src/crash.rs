@@ -59,30 +59,15 @@ pub enum CrashPlan {
         /// PRNG seed.
         seed: u64,
     },
-    /// Crash at exactly one persist point: `AtPersist(0)` is the
-    /// pre-persist state, `AtPersist(n)` crashes immediately after the
-    /// `n`-th distinct flush (1-based) completes, clamped to the
-    /// schedule's last stamp. The shared crash-point vocabulary for
-    /// targeted fuzzing (serve's crash injection, the `lrp-check`
-    /// cross-validator).
-    AtPersist(usize),
 }
 
 impl CrashPlan {
-    /// The crash stamps to test for `sched`. The enumerating plans
-    /// always include `None` (the crash-before-anything-persists
-    /// state); [`CrashPlan::AtPersist`] yields its single point.
+    /// The crash stamps to test for `sched`, always including `None`
+    /// (the crash-before-anything-persists state).
     pub fn stamps(&self, sched: &PersistSchedule) -> Vec<Option<u64>> {
         let all = sched.distinct_stamps();
-        if let CrashPlan::AtPersist(n) = self {
-            if *n == 0 || all.is_empty() {
-                return vec![None];
-            }
-            return vec![Some(all[(*n - 1).min(all.len() - 1)])];
-        }
         let mut out = vec![None];
         match self {
-            CrashPlan::AtPersist(_) => unreachable!("handled above"),
             CrashPlan::Exhaustive => out.extend(all.into_iter().map(Some)),
             CrashPlan::Sampled(n) => {
                 if all.len() <= *n {
@@ -188,19 +173,6 @@ mod tests {
         let (_, sched) = two_write_trace();
         let stamps = CrashPlan::Exhaustive.stamps(&sched);
         assert_eq!(stamps, vec![None, Some(0), Some(1)]);
-    }
-
-    #[test]
-    fn at_persist_selects_single_points() {
-        let (_, sched) = two_write_trace();
-        assert_eq!(CrashPlan::AtPersist(0).stamps(&sched), vec![None]);
-        assert_eq!(CrashPlan::AtPersist(1).stamps(&sched), vec![Some(0)]);
-        assert_eq!(CrashPlan::AtPersist(2).stamps(&sched), vec![Some(1)]);
-        // Past the end clamps to the final stamp.
-        assert_eq!(CrashPlan::AtPersist(99).stamps(&sched), vec![Some(1)]);
-        // An empty schedule only has the pre-persist state.
-        let empty = PersistSchedule::new(4);
-        assert_eq!(CrashPlan::AtPersist(3).stamps(&empty), vec![None]);
     }
 
     #[test]

@@ -98,8 +98,10 @@ pub struct RestartResolution {
     pub table: SlotTable,
     /// The deterministic rid → verdict map built from them.
     pub resolver: Resolver,
-    /// Slots whose stamp word survived but whose record did not decode.
-    /// A release-ordering discipline keeps this at zero.
+    /// Slots whose stamp word survived but whose record did not decode:
+    /// a slot being re-stamped, its old rid over its new payload (any
+    /// discipline). Zero under a sound discipline only when no slot was
+    /// reused.
     pub torn: u64,
 }
 

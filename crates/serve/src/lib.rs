@@ -37,14 +37,12 @@
 //! [`PersistSchedule`]: lrp_model::spec::PersistSchedule
 
 pub mod codec;
-pub mod flight;
 pub mod load;
 pub mod metrics;
 pub mod server;
 pub mod shard;
 
 pub use codec::{Request, Response, WireError, MAX_FRAME};
-pub use flight::{FlightEvent, FlightRecorder};
 pub use load::{probe, run_load, Client, LoadSpec, LoadSummary};
 pub use server::{route, Bind, Server, ServerConfig, ServerReport};
 pub use shard::{

@@ -9,10 +9,20 @@
 //! * `serve-interval` — per-shard time series from a
 //!   [`GaugeSeries`](lrp_obs::GaugeSeries): queue-depth high-water and
 //!   enqueue/shed/complete/batch counter deltas per wall-clock window.
+//!
+//! It also renders the crash dump a restarting shard writes
+//! ([`flight_dump_jsonl`]).
 
-use crate::shard::ShardCounters;
-use lrp_obs::metrics::{hist_json, stats_json, METRICS_VERSION};
+use crate::shard::{CrashOutcome, ShardCounters, ShardReq};
+use lrp_obs::metrics::{hist_json, stats_json};
+use lrp_obs::span::{span_json, SpanLog};
 use lrp_obs::{CritSegKind, CritSummary, GaugeSample, Hist, Json, Stats};
+
+/// Version of the `serve-header` and `serve-metrics` layouts; bump on
+/// breaking changes. Kept apart from the simulator stream's
+/// [`METRICS_VERSION`](lrp_obs::metrics::METRICS_VERSION) so each
+/// layout versions independently.
+pub const SERVE_METRICS_VERSION: u64 = 2;
 
 /// Names for the four [`lrp_obs::GAUGE_COUNTERS`] slots the serving
 /// layer uses, in slot order.
@@ -41,7 +51,7 @@ pub fn header_json(
 ) -> Json {
     Json::obj([
         ("record", Json::Str("serve-header".into())),
-        ("version", Json::U64(METRICS_VERSION)),
+        ("version", Json::U64(SERVE_METRICS_VERSION)),
         ("shards", Json::U64(shards as u64)),
         ("structure", Json::Str(structure.into())),
         ("mechanism", Json::Str(mechanism.into())),
@@ -111,10 +121,6 @@ pub struct ShardTelemetry {
     pub spans: u64,
     /// Spans evicted or refused by the bounded span log.
     pub span_dropped: u64,
-    /// Flight-recorder events currently retained.
-    pub flight_events: u64,
-    /// Flight-recorder events evicted by the bounded ring.
-    pub flight_dropped: u64,
 }
 
 /// The compact per-shard critical-path digest inside the
@@ -170,8 +176,6 @@ pub fn metrics_shard_json(
             Json::obj([
                 ("spans", Json::U64(telem.spans)),
                 ("span_dropped", Json::U64(telem.span_dropped)),
-                ("flight_events", Json::U64(telem.flight_events)),
-                ("flight_dropped", Json::U64(telem.flight_dropped)),
             ]),
         ),
         ("critpath", crit_totals_json(crit)),
@@ -184,7 +188,7 @@ pub fn metrics_shard_json(
 pub fn metrics_snapshot_json(uptime_ms: u64, shards: Vec<Json>, totals: Json) -> Json {
     Json::obj([
         ("record", Json::Str("serve-metrics".into())),
-        ("version", Json::U64(METRICS_VERSION)),
+        ("version", Json::U64(SERVE_METRICS_VERSION)),
         ("uptime_ms", Json::U64(uptime_ms)),
         ("shards", Json::Arr(shards)),
         ("totals", totals),
@@ -229,9 +233,9 @@ pub fn interval_json(shard: usize, s: &GaugeSample) -> Json {
     ])
 }
 
-/// A [`CrashOutcome`](crate::shard::CrashOutcome) as the JSON document
-/// returned in the `Crash` admin reply.
-pub fn crash_json(shard: usize, o: &crate::shard::CrashOutcome) -> Json {
+/// A [`CrashOutcome`] as the JSON document returned in the `Crash`
+/// admin reply.
+pub fn crash_json(shard: usize, o: &CrashOutcome) -> Json {
     Json::obj([
         ("record", Json::Str("serve-crash".into())),
         ("shard", Json::U64(shard as u64)),
@@ -252,6 +256,53 @@ pub fn crash_json(shard: usize, o: &crate::shard::CrashOutcome) -> Json {
         ("stamps", Json::U64(o.stamps)),
         ("torn_stamps", Json::U64(o.torn_stamps)),
     ])
+}
+
+/// A shard's crash dump as JSONL: a `flight-dump` header; the `crash`
+/// line (when, in ms since server start, the outcome, and the in-flight
+/// ops that were answered `Crashed`); then every span the shard's log
+/// retains, oldest first — the recorded chains, crashed acks included,
+/// that explain each reply.
+pub fn flight_dump_jsonl(
+    shard: usize,
+    crash_no: u64,
+    t_ms: u64,
+    o: &CrashOutcome,
+    inflight: &[ShardReq],
+    spans: &SpanLog,
+) -> String {
+    let header = Json::obj([
+        ("record", Json::Str("flight-dump".into())),
+        ("shard", Json::U64(shard as u64)),
+        ("crash", Json::U64(crash_no)),
+        ("spans", Json::U64(spans.len() as u64)),
+        ("dropped", Json::U64(spans.dropped())),
+    ]);
+    let ops = inflight.iter().map(|r| {
+        Json::obj([
+            ("id", Json::U64(r.rid)),
+            ("kind", Json::U64(r.op.code() as u64)),
+            ("key", Json::U64(r.op.key())),
+        ])
+    });
+    let crash = Json::obj([
+        ("event", Json::Str("crash".into())),
+        ("t_ms", Json::U64(t_ms)),
+        ("batch", Json::U64(o.batch)),
+        ("crash_stamp", Json::U64(o.crash_stamp.unwrap_or(0))),
+        ("recovered", Json::Bool(o.consistent)),
+        ("lost", Json::U64(o.lost_acked.len() as u64)),
+        ("inflight", Json::Arr(ops.collect())),
+    ]);
+    let mut out = String::new();
+    for line in [header, crash]
+        .into_iter()
+        .chain(spans.iter().map(span_json))
+    {
+        out.push_str(&line.to_compact());
+        out.push('\n');
+    }
+    out
 }
 
 #[cfg(test)]

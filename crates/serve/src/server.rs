@@ -14,9 +14,8 @@
 //! the same connection.
 
 use crate::codec::{decode_request, encode_response, read_frame, write_frame, Request, Response};
-use crate::flight::{FlightEvent, FlightRecorder};
 use crate::metrics::{
-    counters_json, crash_json, header_json, interval_json, metrics_shard_json,
+    counters_json, crash_json, flight_dump_jsonl, header_json, interval_json, metrics_shard_json,
     metrics_snapshot_json, shard_json, DetectStats, ShardTelemetry, SLOT_BATCHES, SLOT_COMPLETED,
     SLOT_ENQUEUED, SLOT_SHED,
 };
@@ -58,21 +57,20 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// Width of the `serve-interval` metrics windows (milliseconds).
     pub metrics_every_ms: u64,
-    /// Request-span tracing: `Some(cap)` retains up to `cap` spans per
-    /// shard in a drop-oldest log (exported as a Chrome trace through
-    /// [`ServerReport::chrome_trace`]); `None` disables tracing.
-    pub spans: Option<usize>,
-    /// Flight-recorder ring capacity per shard (events; `0` disables
-    /// retention but still counts drops).
-    pub flight: usize,
-    /// Directory flight-recorder rings are dumped to (JSONL, one file
-    /// per shard, appended per crash) when a shard crash-restarts.
+    /// Spans each shard's drop-oldest request log retains (`0` keeps
+    /// none but still counts). Every answered request records its span
+    /// chain there; the log feeds [`ServerReport::chrome_trace`] and the
+    /// crash dump.
+    pub spans: usize,
+    /// Directory a crash-restarting shard appends its crash dump to
+    /// (`flight-shard-<i>.jsonl`: header, `crash` line, then the span
+    /// log), so every `Crashed` reply can be explained afterwards.
     pub flight_dir: Option<std::path::PathBuf>,
 }
 
 impl ServerConfig {
     /// Defaults: 2 shards on an ephemeral loopback port, batches of 16
-    /// closed after 5 ms, 64-deep queues.
+    /// closed after 5 ms, 64-deep queues, 65,536 spans per shard.
     pub fn new(shard: ShardConfig) -> ServerConfig {
         ServerConfig {
             bind: Bind::Tcp("127.0.0.1:0".into()),
@@ -82,8 +80,7 @@ impl ServerConfig {
             batch_wait_ms: 5,
             queue_depth: 64,
             metrics_every_ms: 250,
-            spans: None,
-            flight: 256,
+            spans: 65536,
             flight_dir: None,
         }
     }
@@ -193,37 +190,34 @@ impl Replier {
 
 // -- shared state -----------------------------------------------------
 
-/// Per-request telemetry carried with the op through the queue. The
-/// timestamps (µs since server start) are always stamped — the ack
-/// latency histograms need them — while `root` is non-zero only when
-/// span tracing is on.
+/// Per-request telemetry carried with the op through the queue
+/// (µs since server start): the span chain and the ack-latency
+/// histograms are built from it.
 #[derive(Clone, Copy, Default)]
 struct SpanCtx {
-    /// Root span id (0 = tracing off).
-    root: u64,
     /// Frame received.
     t0_us: u64,
     /// Request decoded and routed.
     t1_us: u64,
     /// Admitted to the shard queue.
     t_enq_us: u64,
-    /// Queue depth observed at admission.
+    /// Queue depth observed at admission (or rejection).
     depth: u32,
     /// Payload bytes.
     bytes: u32,
 }
 
+/// A routed get/put/del awaiting its reply.
+struct Pending {
+    op: KvOp,
+    id: u64,
+    reply: Replier,
+    ctx: SpanCtx,
+}
+
 enum Work {
-    Op {
-        op: KvOp,
-        id: u64,
-        reply: Replier,
-        ctx: SpanCtx,
-    },
-    Crash {
-        id: u64,
-        reply: Replier,
-    },
+    Op(Pending),
+    Crash { id: u64, reply: Replier },
 }
 
 struct ShardQueue {
@@ -241,8 +235,6 @@ struct Snapshot {
     ack_hist: Hist,
     /// Wire-to-ack latency of durably-acked requests only (µs).
     dur_ack_hist: Hist,
-    flight_events: u64,
-    flight_dropped: u64,
     /// Merged durability critical-path digest (empty without a
     /// critpath-tracing recorder).
     crit: lrp_obs::CritSummary,
@@ -271,8 +263,8 @@ struct Shared {
     resolves: Vec<Mutex<ResolveStats>>,
     /// Milliseconds the shard's most recent batch took (retry hints).
     batch_ms: Vec<AtomicU64>,
-    /// Per-shard span logs; `None` = tracing off.
-    spans: Option<Vec<Mutex<SpanLog>>>,
+    /// Per-shard request span logs.
+    spans: Vec<Mutex<SpanLog>>,
     shutdown: AtomicBool,
     epoch: Instant,
     /// The live dial target for self-pokes (set after bind).
@@ -344,9 +336,8 @@ impl ServerReport {
         self.recovery_failures
     }
 
-    /// Every request span retained at shutdown (empty when tracing was
-    /// off). Feed to [`lrp_obs::span::audit_chains`] or
-    /// [`ServerReport::chrome_trace`].
+    /// Every request span retained at shutdown. Feed to
+    /// [`lrp_obs::span::audit_chains`] or [`ServerReport::chrome_trace`].
     pub fn spans(&self) -> &[Span] {
         &self.spans
     }
@@ -421,9 +412,9 @@ impl Server {
                 .map(|_| Mutex::new(ResolveStats::default()))
                 .collect(),
             batch_ms: (0..shards).map(|_| AtomicU64::new(1)).collect(),
-            spans: cfg
-                .spans
-                .map(|cap| (0..shards).map(|_| Mutex::new(SpanLog::new(cap))).collect()),
+            spans: (0..shards)
+                .map(|_| Mutex::new(SpanLog::new(cfg.spans)))
+                .collect(),
             shutdown: AtomicBool::new(false),
             epoch: Instant::now(),
             poke_addr: Mutex::new(addr),
@@ -515,19 +506,13 @@ impl Server {
                 interval_lines.push(interval_json(i, s));
             }
         }
-        let (spans, span_dropped) = match &self.shared.spans {
-            Some(logs) => {
-                let mut all = Vec::new();
-                let mut dropped = 0;
-                for log in logs {
-                    let mut log = log.lock().unwrap();
-                    dropped += log.dropped();
-                    all.extend(log.drain());
-                }
-                (all, dropped)
-            }
-            None => (Vec::new(), 0),
-        };
+        let mut spans = Vec::new();
+        let mut span_dropped = 0;
+        for log in &self.shared.spans {
+            let mut log = log.lock().unwrap();
+            span_dropped += log.dropped();
+            spans.extend(log.drain());
+        }
         ServerReport {
             header,
             shard_lines,
@@ -625,15 +610,11 @@ fn reader_loop(mut conn: Conn, reply: Replier, shared: &Arc<Shared>) {
             }
             Request::Crash { id, shard } => {
                 if (shard as usize) < shared.cfg.shards {
-                    enqueue(
-                        shared,
-                        shard as usize,
-                        Work::Crash {
-                            id,
-                            reply: reply.clone(),
-                        },
-                        /*admit_always=*/ true,
-                    );
+                    let work = Work::Crash {
+                        id,
+                        reply: reply.clone(),
+                    };
+                    let _ = enqueue(shared, shard as usize, work, /*admit_always=*/ true);
                 } else {
                     reply.send(&Response::Error {
                         id,
@@ -690,123 +671,135 @@ fn reader_loop(mut conn: Conn, reply: Replier, shared: &Arc<Shared>) {
                     _ => KvOp::Del(key),
                 };
                 let shard = route(key, shared.cfg.shards);
-                let root = match &shared.spans {
-                    Some(logs) => logs[shard].lock().unwrap().alloc(),
-                    None => 0,
-                };
                 let ctx = SpanCtx {
-                    root,
                     t0_us,
                     t1_us: shared.now_us(),
                     t_enq_us: 0,
                     depth: 0,
                     bytes: payload.len() as u32,
                 };
-                let admitted = enqueue(
-                    shared,
-                    shard,
-                    Work::Op {
-                        op,
-                        id,
-                        reply: reply.clone(),
-                        ctx,
-                    },
-                    false,
-                );
-                if !admitted {
+                let work = Work::Op(Pending {
+                    op,
+                    id,
+                    reply: reply.clone(),
+                    ctx,
+                });
+                if let Err(Work::Op(mut p)) = enqueue(shared, shard, work, false) {
                     let qlen = shared.queues[shard].q.lock().unwrap().len();
                     let per_batch = shared.batch_ms[shard].load(Ordering::Relaxed).max(1);
                     let backlog_batches = (qlen / shared.cfg.batch_max.max(1)) as u64 + 1;
-                    let t_a0 = shared.now_us();
-                    reply.send(&Response::Overloaded {
+                    p.ctx.depth = qlen as u32;
+                    let resp = Response::Overloaded {
                         id,
                         retry_after_ms: (backlog_batches * per_batch).min(u32::MAX as u64) as u32,
                         queue_depth: qlen as u32,
-                    });
-                    if let Some(logs) = &shared.spans {
-                        let times = ShedTimes {
-                            op,
-                            id,
-                            depth: qlen as u32,
-                            t_a0,
-                            t_a1: shared.now_us(),
-                        };
-                        record_shed_chain(
-                            &mut logs[shard].lock().unwrap(),
-                            &ctx,
-                            shard as u32,
-                            times,
-                        );
-                    }
+                    };
+                    answer(shared, shard, &p, &resp, End::Shed);
                 }
             }
         }
     }
 }
 
-/// The wire op kind a span records (0 get, 1 put, 2 del).
-fn op_code(op: KvOp) -> u8 {
-    match op {
-        KvOp::Get(_) => 0,
-        KvOp::Put(_) => 1,
-        KvOp::Del(_) => 2,
-    }
+/// One executed batch's timeline (µs since server start), shared by
+/// the span chains of every request it answers.
+struct BatchWindow {
+    batch: u64,
+    size: u32,
+    /// Batch formation: first op available → batch closed.
+    open_us: u64,
+    close_us: u64,
+    /// `Shard::execute` start, its simulator/stamping boundary, and end.
+    exec_us: u64,
+    persist_us: u64,
+    done_us: u64,
+    final_stamp: u64,
 }
 
-struct ShedTimes {
-    op: KvOp,
-    id: u64,
-    depth: u32,
-    t_a0: u64,
-    t_a1: u64,
+/// How a request ended; picks its span chain's shape.
+enum End<'a> {
+    /// Refused by admission control: root + wire + queue(shed) + ack.
+    Shed,
+    /// In flight when its shard crashed (the batch closed at
+    /// `close_us`): root + wire + queue + ack(crashed).
+    Crashed { close_us: u64 },
+    /// Executed in a committed batch: root + wire + queue + batch +
+    /// execute + persist + ack, the ack carrying the persist stamp that
+    /// justified a durable reply.
+    Committed {
+        win: &'a BatchWindow,
+        durable: bool,
+        stamp: u64,
+    },
 }
 
-/// Records the span chain of a load-shed request: admission rejected
-/// it, so the chain is root + wire + queue(shed) + non-durable ack.
-fn record_shed_chain(log: &mut SpanLog, ctx: &SpanCtx, track: u32, t: ShedTimes) {
+/// Answers a request: writes `resp`, then records the request's span
+/// chain in its shard's log (allocating the root id there). Every
+/// get/put/del reply — shed, crashed or committed — goes through here.
+/// Returns the wire-to-ack latency in microseconds.
+fn answer(shared: &Shared, shard: usize, p: &Pending, resp: &Response, end: End<'_>) -> u64 {
+    let t_a0 = shared.now_us();
+    p.reply.send(resp);
+    let t_a1 = shared.now_us();
+    let c = &p.ctx;
+    let track = shard as u32;
+    let mut log = shared.spans[shard].lock().unwrap();
+    let root = log.alloc();
     log.record(Span {
-        id: ctx.root,
+        id: root,
         parent: 0,
-        req: t.id,
+        req: p.id,
         track,
-        start_us: ctx.t0_us,
-        end_us: t.t_a1,
-        phase: SpanPhase::Request { op: op_code(t.op) },
+        start_us: c.t0_us,
+        end_us: t_a1,
+        phase: SpanPhase::Request { op: p.op.code() },
     });
-    log.record(Span {
-        id: 0,
-        parent: ctx.root,
-        req: t.id,
-        track,
-        start_us: ctx.t0_us,
-        end_us: ctx.t1_us,
-        phase: SpanPhase::Wire { bytes: ctx.bytes },
-    });
-    log.record(Span {
-        id: 0,
-        parent: ctx.root,
-        req: t.id,
-        track,
-        start_us: ctx.t1_us,
-        end_us: t.t_a0,
-        phase: SpanPhase::Queue {
-            depth: t.depth,
-            shed: true,
-        },
-    });
-    log.record(Span {
-        id: 0,
-        parent: ctx.root,
-        req: t.id,
-        track,
-        start_us: t.t_a0,
-        end_us: t.t_a1,
-        phase: SpanPhase::Ack {
-            durable: false,
-            persist_stamp: 0,
-            crashed: false,
-        },
-    });
+    let mut child = |start_us: u64, end_us: u64, phase: SpanPhase| {
+        log.record(Span {
+            id: 0,
+            parent: root,
+            req: p.id,
+            track,
+            start_us,
+            end_us,
+            phase,
+        })
+    };
+    child(c.t0_us, c.t1_us, SpanPhase::Wire { bytes: c.bytes });
+    // A shed request queued from routing until its rejection was
+    // answered; an admitted one from admission until its batch closed.
+    let (queue_start, queue_end, shed) = match end {
+        End::Shed => (c.t1_us, t_a0, true),
+        End::Crashed { close_us } => (c.t_enq_us, close_us, false),
+        End::Committed { win, .. } => (c.t_enq_us, win.close_us, false),
+    };
+    let queue_end = queue_end.max(queue_start);
+    let depth = c.depth;
+    child(queue_start, queue_end, SpanPhase::Queue { depth, shed });
+    let (durable, persist_stamp, crashed) = match end {
+        End::Shed => (false, 0, false),
+        End::Crashed { .. } => (false, 0, true),
+        End::Committed {
+            win,
+            durable,
+            stamp,
+        } => {
+            let (batch, size, final_stamp) = (win.batch, win.size, win.final_stamp);
+            let batch_start = win.open_us.max(c.t_enq_us);
+            child(batch_start, queue_end, SpanPhase::Batch { batch, size });
+            child(win.exec_us, win.persist_us, SpanPhase::Execute { batch });
+            let persist = SpanPhase::Persist { batch, final_stamp };
+            child(win.persist_us, win.done_us, persist);
+            (durable, stamp, false)
+        }
+    };
+    let ack = SpanPhase::Ack {
+        durable,
+        persist_stamp,
+        crashed,
+    };
+    child(t_a0, t_a1, ack);
+    t_a1.saturating_sub(c.t0_us)
 }
 
 /// The live `serve-metrics` snapshot (the `Metrics` admin reply).
@@ -818,7 +811,6 @@ fn metrics_reply(shared: &Arc<Shared>) -> Json {
     let mut total_durable = 0u64;
     let mut total_obs_dropped = 0u64;
     let mut total_span_dropped = 0u64;
-    let mut total_flight_dropped = 0u64;
     for i in 0..shared.cfg.shards {
         let snap = shared.snapshots[i].lock().unwrap().clone();
         let queue_depth = shared.queues[i].q.lock().unwrap().len() as u64;
@@ -831,18 +823,12 @@ fn metrics_reply(shared: &Arc<Shared>) -> Json {
                 g.total(SLOT_BATCHES),
             ]
         };
-        let (spans, span_dropped) = match &shared.spans {
-            Some(logs) => {
-                let log = logs[i].lock().unwrap();
-                (log.len() as u64, log.dropped())
+        let telem = {
+            let log = shared.spans[i].lock().unwrap();
+            ShardTelemetry {
+                spans: log.len() as u64,
+                span_dropped: log.dropped(),
             }
-            None => (0, 0),
-        };
-        let telem = ShardTelemetry {
-            spans,
-            span_dropped,
-            flight_events: snap.flight_events,
-            flight_dropped: snap.flight_dropped,
         };
         let detect = {
             let rs = shared.resolves[i].lock().unwrap();
@@ -864,8 +850,7 @@ fn metrics_reply(shared: &Arc<Shared>) -> Json {
         total_shed += totals[SLOT_SHED];
         total_durable += snap.counters.acked_durable;
         total_obs_dropped += snap.counters.obs_dropped;
-        total_span_dropped += span_dropped;
-        total_flight_dropped += snap.flight_dropped;
+        total_span_dropped += telem.span_dropped;
         shard_docs.push(metrics_shard_json(
             i,
             &snap.counters,
@@ -892,24 +877,23 @@ fn metrics_reply(shared: &Arc<Shared>) -> Json {
         ("throughput_rps", Json::F64(throughput)),
         ("obs_dropped", Json::U64(total_obs_dropped)),
         ("span_dropped", Json::U64(total_span_dropped)),
-        ("flight_dropped", Json::U64(total_flight_dropped)),
     ]);
     metrics_snapshot_json(uptime_ms, shard_docs, totals)
 }
 
-/// Admits `work` to shard `i`'s queue. Returns false (and bumps the
+/// Admits `work` to shard `i`'s queue. Hands it back (and bumps the
 /// shed counter) when admission control rejects it.
-fn enqueue(shared: &Arc<Shared>, i: usize, mut work: Work, admit_always: bool) -> bool {
+fn enqueue(shared: &Arc<Shared>, i: usize, mut work: Work, admit_always: bool) -> Result<(), Work> {
     let now = shared.now_ms();
     let mut q = shared.queues[i].q.lock().unwrap();
     if !admit_always && q.len() >= shared.cfg.queue_depth {
         drop(q);
         shared.gauges[i].lock().unwrap().bump(now, SLOT_SHED, 1);
-        return false;
+        return Err(work);
     }
-    if let Work::Op { ctx, .. } = &mut work {
-        ctx.t_enq_us = shared.now_us();
-        ctx.depth = q.len() as u32;
+    if let Work::Op(p) = &mut work {
+        p.ctx.t_enq_us = shared.now_us();
+        p.ctx.depth = q.len() as u32;
     }
     q.push_back(work);
     let depth = q.len() as u64;
@@ -918,7 +902,7 @@ fn enqueue(shared: &Arc<Shared>, i: usize, mut work: Work, admit_always: bool) -
     let mut g = shared.gauges[i].lock().unwrap();
     g.bump(now, SLOT_ENQUEUED, 1);
     g.note(now, depth);
-    true
+    Ok(())
 }
 
 fn worker_loop(i: usize, shared: &Arc<Shared>) -> ShardFinal {
@@ -927,11 +911,9 @@ fn worker_loop(i: usize, shared: &Arc<Shared>) -> ShardFinal {
         .seed
         .wrapping_add((i as u64 + 1).wrapping_mul(0xD1B5_4A32_D192_ED03));
     let mut shard = Shard::new(cfg);
-    let mut flight = FlightRecorder::new(shared.cfg.flight);
     let mut ack_hist = Hist::new();
     let mut dur_ack_hist = Hist::new();
-    let track = i as u32;
-    publish(shared, i, &shard, &ack_hist, &dur_ack_hist, &flight);
+    publish(shared, i, &shard, &ack_hist, &dur_ack_hist);
 
     loop {
         let (batch, t_open_us, t_close_us) = collect_batch(shared, i);
@@ -945,97 +927,45 @@ fn worker_loop(i: usize, shared: &Arc<Shared>) -> ShardFinal {
         }
         let started = Instant::now();
         let mut answered = 0u64;
-        let mut new_spans: Vec<Span> = Vec::new();
-        let mut pending: Vec<(KvOp, u64, Replier, SpanCtx)> = Vec::new();
+        let mut pending: Vec<Pending> = Vec::new();
         for work in batch {
             match work {
-                Work::Op { op, id, reply, ctx } => pending.push((op, id, reply, ctx)),
+                Work::Op(p) => pending.push(p),
                 Work::Crash { id, reply } => {
                     // Everything already drained for this batch is "in
                     // flight" at the crash: unacked, answered `Crashed`.
-                    let ops: Vec<ShardReq> = pending
-                        .iter()
-                        .map(|(op, id, _, _)| ShardReq::new(*op, *id))
-                        .collect();
+                    let ops: Vec<ShardReq> =
+                        pending.iter().map(|p| ShardReq::new(p.op, p.id)).collect();
                     let outcome = shard.crash(&ops);
                     // Republish before any `Crashed` reply leaves: a
                     // client that reacts to the crash with `Resolve`
                     // must see the post-restart resolver, not the
                     // previous batch's.
-                    publish(shared, i, &shard, &ack_hist, &dur_ack_hist, &flight);
-                    flight.push(FlightEvent::Crash {
-                        t_ms: shared.now_ms(),
-                        batch: outcome.batch,
-                        crash_stamp: outcome.crash_stamp.unwrap_or(0),
-                        recovered: outcome.consistent,
-                        lost: outcome.lost_acked.len() as u32,
-                        inflight: pending
-                            .iter()
-                            .map(|(op, rid, _, _)| (*rid, op_code(*op), op.key()))
-                            .collect(),
-                    });
-                    if let Some(dir) = &shared.cfg.flight_dir {
-                        let _ = flight.dump(dir, i, shard.counters().crashes);
-                    }
-                    for (op, rid, r, ctx) in pending.drain(..) {
-                        let t_a0 = shared.now_us();
-                        r.send(&Response::Crashed {
-                            id: rid,
+                    publish(shared, i, &shard, &ack_hist, &dur_ack_hist);
+                    for p in pending.drain(..) {
+                        let resp = Response::Crashed {
+                            id: p.id,
                             shard: i as u32,
                             batch: outcome.batch,
-                        });
-                        let t_a1 = shared.now_us();
-                        ack_hist.record(t_a1.saturating_sub(ctx.t0_us));
-                        if ctx.root != 0 {
-                            // In-flight chain: wire + queue, then an
-                            // unacked `Crashed` terminator (no batch/
-                            // execute/persist — the batch never
-                            // committed for this op).
-                            new_spans.push(Span {
-                                id: ctx.root,
-                                parent: 0,
-                                req: rid,
-                                track,
-                                start_us: ctx.t0_us,
-                                end_us: t_a1,
-                                phase: SpanPhase::Request { op: op_code(op) },
-                            });
-                            new_spans.push(Span {
-                                id: 0,
-                                parent: ctx.root,
-                                req: rid,
-                                track,
-                                start_us: ctx.t0_us,
-                                end_us: ctx.t1_us,
-                                phase: SpanPhase::Wire { bytes: ctx.bytes },
-                            });
-                            new_spans.push(Span {
-                                id: 0,
-                                parent: ctx.root,
-                                req: rid,
-                                track,
-                                start_us: ctx.t_enq_us,
-                                end_us: t_close_us.max(ctx.t_enq_us),
-                                phase: SpanPhase::Queue {
-                                    depth: ctx.depth,
-                                    shed: false,
-                                },
-                            });
-                            new_spans.push(Span {
-                                id: 0,
-                                parent: ctx.root,
-                                req: rid,
-                                track,
-                                start_us: t_a0,
-                                end_us: t_a1,
-                                phase: SpanPhase::Ack {
-                                    durable: false,
-                                    persist_stamp: 0,
-                                    crashed: true,
-                                },
-                            });
-                        }
+                        };
+                        let end = End::Crashed {
+                            close_us: t_close_us,
+                        };
+                        ack_hist.record(answer(shared, i, &p, &resp, end));
                         answered += 1;
+                    }
+                    // The dump follows the crashed chains, so it
+                    // explains every `Crashed` reply just sent.
+                    if let Some(dir) = &shared.cfg.flight_dir {
+                        let dump = flight_dump_jsonl(
+                            i,
+                            shard.counters().crashes,
+                            shared.now_ms(),
+                            &outcome,
+                            &ops,
+                            &shared.spans[i].lock().unwrap(),
+                        );
+                        let _ = append_dump(dir, i, &dump);
                     }
                     reply.send(&Response::Report {
                         id,
@@ -1046,41 +976,38 @@ fn worker_loop(i: usize, shared: &Arc<Shared>) -> ShardFinal {
             }
         }
         if !pending.is_empty() {
-            let ops: Vec<ShardReq> = pending
-                .iter()
-                .map(|(op, id, _, _)| ShardReq::new(*op, *id))
-                .collect();
-            flight.push(FlightEvent::BatchStart {
-                t_ms: shared.now_ms(),
-                batch: shard.batches(),
-                size: ops.len() as u32,
-            });
-            let ex0_us = shared.now_us();
+            let ops: Vec<ShardReq> = pending.iter().map(|p| ShardReq::new(p.op, p.id)).collect();
+            let exec_us = shared.now_us();
             let results = shard.execute(&ops);
-            let ex1_us = shared.now_us();
+            let done_us = shared.now_us();
             // Republish before acks leave: a durable ack promises its
             // stamp is committed, so a follow-up `Resolve` must already
             // see it.
-            publish(shared, i, &shard, &ack_hist, &dur_ack_hist, &flight);
+            publish(shared, i, &shard, &ack_hist, &dur_ack_hist);
             let breakdown = shard.last_breakdown();
             // Split the execute window at the simulator/stamping
             // boundary the shard measured.
-            let exec_end_us = (ex0_us + breakdown.sim_us).min(ex1_us);
-            let batch_no = results.first().map(|r| r.batch).unwrap_or(0);
-            let size = ops.len() as u32;
-            let mut durable_n = 0u32;
-            let mut nondurable_n = 0u32;
-            for ((op, id, reply, ctx), res) in pending.into_iter().zip(results) {
-                let resp = match op {
+            let win = BatchWindow {
+                batch: results[0].batch,
+                size: ops.len() as u32,
+                open_us: t_open_us,
+                close_us: t_close_us,
+                exec_us,
+                persist_us: (exec_us + breakdown.sim_us).min(done_us),
+                done_us,
+                final_stamp: breakdown.final_stamp,
+            };
+            for (p, res) in pending.iter().zip(results) {
+                let resp = match p.op {
                     KvOp::Get(_) => Response::Value {
-                        id,
+                        id: p.id,
                         present: res.applied,
                         durable: res.durable,
                         batch: res.batch,
                         seq: res.seq,
                     },
                     KvOp::Put(_) | KvOp::Del(_) => Response::Done {
-                        id,
+                        id: p.id,
                         applied: res.applied,
                         durable: res.durable,
                         batch: res.batch,
@@ -1088,128 +1015,22 @@ fn worker_loop(i: usize, shared: &Arc<Shared>) -> ShardFinal {
                         persist_cycles: res.persist_cycles,
                     },
                 };
-                let t_a0 = shared.now_us();
-                reply.send(&resp);
-                let t_a1 = shared.now_us();
+                let end = End::Committed {
+                    win: &win,
+                    durable: res.durable,
+                    stamp: res.persist_cycles,
+                };
+                let lat = answer(shared, i, p, &resp, end);
                 answered += 1;
-                let lat = t_a1.saturating_sub(ctx.t0_us);
                 ack_hist.record(lat);
                 if res.durable {
                     dur_ack_hist.record(lat);
-                    durable_n += 1;
-                } else {
-                    nondurable_n += 1;
-                }
-                flight.push(FlightEvent::Request {
-                    t_ms: shared.now_ms(),
-                    batch: res.batch,
-                    id,
-                    kind: op_code(op),
-                    key: op.key(),
-                    durable: res.durable,
-                    stamp: res.persist_cycles,
-                });
-                if ctx.root != 0 {
-                    // The full wire→queue→batch→execute→persist→ack
-                    // chain; the ack carries the persist stamp that
-                    // justified a durable reply.
-                    new_spans.push(Span {
-                        id: ctx.root,
-                        parent: 0,
-                        req: id,
-                        track,
-                        start_us: ctx.t0_us,
-                        end_us: t_a1,
-                        phase: SpanPhase::Request { op: op_code(op) },
-                    });
-                    new_spans.push(Span {
-                        id: 0,
-                        parent: ctx.root,
-                        req: id,
-                        track,
-                        start_us: ctx.t0_us,
-                        end_us: ctx.t1_us,
-                        phase: SpanPhase::Wire { bytes: ctx.bytes },
-                    });
-                    new_spans.push(Span {
-                        id: 0,
-                        parent: ctx.root,
-                        req: id,
-                        track,
-                        start_us: ctx.t_enq_us,
-                        end_us: t_close_us.max(ctx.t_enq_us),
-                        phase: SpanPhase::Queue {
-                            depth: ctx.depth,
-                            shed: false,
-                        },
-                    });
-                    new_spans.push(Span {
-                        id: 0,
-                        parent: ctx.root,
-                        req: id,
-                        track,
-                        start_us: t_open_us.max(ctx.t_enq_us),
-                        end_us: t_close_us.max(ctx.t_enq_us),
-                        phase: SpanPhase::Batch {
-                            batch: res.batch,
-                            size,
-                        },
-                    });
-                    new_spans.push(Span {
-                        id: 0,
-                        parent: ctx.root,
-                        req: id,
-                        track,
-                        start_us: ex0_us,
-                        end_us: exec_end_us,
-                        phase: SpanPhase::Execute { batch: res.batch },
-                    });
-                    new_spans.push(Span {
-                        id: 0,
-                        parent: ctx.root,
-                        req: id,
-                        track,
-                        start_us: exec_end_us,
-                        end_us: ex1_us,
-                        phase: SpanPhase::Persist {
-                            batch: res.batch,
-                            final_stamp: breakdown.final_stamp,
-                        },
-                    });
-                    new_spans.push(Span {
-                        id: 0,
-                        parent: ctx.root,
-                        req: id,
-                        track,
-                        start_us: t_a0,
-                        end_us: t_a1,
-                        phase: SpanPhase::Ack {
-                            durable: res.durable,
-                            persist_stamp: res.persist_cycles,
-                            crashed: false,
-                        },
-                    });
-                }
-            }
-            flight.push(FlightEvent::Persist {
-                t_ms: shared.now_ms(),
-                batch: batch_no,
-                final_stamp: breakdown.final_stamp,
-                durable: durable_n,
-                nondurable: nondurable_n,
-            });
-        }
-        if !new_spans.is_empty() {
-            if let Some(logs) = &shared.spans {
-                let mut log = logs[i].lock().unwrap();
-                for s in new_spans {
-                    log.record(s);
                 }
             }
         }
         let elapsed = (started.elapsed().as_millis() as u64).max(1);
         shared.batch_ms[i].store(elapsed, Ordering::Relaxed);
-        publish(shared, i, &shard, &ack_hist, &dur_ack_hist, &flight);
+        publish(shared, i, &shard, &ack_hist, &dur_ack_hist);
         let now = shared.now_ms();
         let depth = shared.queues[i].q.lock().unwrap().len() as u64;
         let mut g = shared.gauges[i].lock().unwrap();
@@ -1230,22 +1051,24 @@ fn worker_loop(i: usize, shared: &Arc<Shared>) -> ShardFinal {
     }
 }
 
-fn publish(
-    shared: &Arc<Shared>,
-    i: usize,
-    shard: &Shard,
-    ack_hist: &Hist,
-    dur_ack_hist: &Hist,
-    flight: &FlightRecorder,
-) {
+/// Appends one crash dump to `<dir>/flight-shard-<shard>.jsonl`
+/// (successive crashes append).
+fn append_dump(dir: &std::path::Path, shard: usize, dump: &str) -> io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    let mut f = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(dir.join(format!("flight-shard-{shard}.jsonl")))?;
+    io::Write::write_all(&mut f, dump.as_bytes())
+}
+
+fn publish(shared: &Arc<Shared>, i: usize, shard: &Shard, ack_hist: &Hist, dur_ack_hist: &Hist) {
     let (slot_occupied, slot_capacity) = shard.slot_occupancy();
     *shared.snapshots[i].lock().unwrap() = Snapshot {
         counters: shard.counters(),
         committed: shard.committed().len() as u64,
         ack_hist: ack_hist.clone(),
         dur_ack_hist: dur_ack_hist.clone(),
-        flight_events: flight.len() as u64,
-        flight_dropped: flight.dropped(),
         crit: shard.crit.clone(),
         resolver: shard.resolver(),
         slot_occupied,

@@ -88,6 +88,16 @@ impl KvOp {
     pub fn is_mutation(self) -> bool {
         !matches!(self, KvOp::Get(_))
     }
+
+    /// The wire op kind spans and crash dumps record (0 get, 1 put,
+    /// 2 del).
+    pub fn code(self) -> u8 {
+        match self {
+            KvOp::Get(_) => 0,
+            KvOp::Put(_) => 1,
+            KvOp::Del(_) => 2,
+        }
+    }
 }
 
 /// One request as the shard executes it: the op plus the wire request
@@ -206,7 +216,7 @@ pub struct KvResult {
 }
 
 /// Outcome of a mid-batch crash and null-recovery restart.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CrashOutcome {
     /// Batch number the crash interrupted.
     pub batch: u64,
@@ -263,7 +273,10 @@ pub struct ShardCounters {
     pub obs_dropped: u64,
     /// Torn detectable-operation stamps that appeared in the durable
     /// image, counted by the commit or crash restart that first saw
-    /// them. A release-ordering discipline keeps this at zero.
+    /// them. Expected whenever slots are re-stamped: even under a
+    /// release-ordering discipline a re-stamped slot's plain payload may
+    /// persist before its release-stamped rid, so a cut can hold the old
+    /// rid over the new payload. A torn slot is never resolved `Done`.
     pub slot_torn: u64,
     /// Compactions taken (fresh images rebuilt from the validated key
     /// set once the warm heap reached [`COMPACT_FACTOR`] times the last
@@ -1328,7 +1341,61 @@ mod tests {
         }
         assert!(durable_muts > 0, "no durable mutation to check");
         assert!(occ >= durable_muts, "occupancy covers durable stamps");
-        assert_eq!(s.counters().slot_torn, 0, "LRP never tears a stamp");
+        assert_eq!(
+            s.counters().slot_torn,
+            0,
+            "no slot was reused, so none tore"
+        );
+    }
+
+    /// Re-stamping a client's slots across batches tears records at
+    /// commit cuts under LRP: a re-stamped slot's plain payload can
+    /// persist before its release-stamped rid, leaving the old rid over
+    /// the new payload. The tear is counted, never resolved, and costs
+    /// no durable ack the ring still covers.
+    #[test]
+    fn restamped_slots_tear_at_commit_cuts_without_losing_recent_acks() {
+        let mut s = shard(19);
+        let ring = SlotSpec::default().ring;
+        let mut acked: Vec<(ShardReq, KvResult)> = Vec::new();
+        let mut seq = 0u64;
+        for b in 0..40u64 {
+            let ops: Vec<ShardReq> = (0..16)
+                .map(|i| {
+                    seq += 1;
+                    let key = 1 + (b * 16 + i) * 7 % 128;
+                    let op = if i % 2 == 0 {
+                        KvOp::Put(key)
+                    } else {
+                        KvOp::Del(key)
+                    };
+                    ShardReq::new(op, (1 << 48) | seq)
+                })
+                .collect();
+            let results = s.execute(&ops);
+            acked.extend(ops.into_iter().zip(results));
+        }
+        assert!(seq > 4 * ring, "the run wraps the client's ring");
+        assert!(
+            s.counters().slot_torn > 0,
+            "no torn record appeared at a commit cut"
+        );
+        // Every durable ack among the client's last `ring` requests owns
+        // its slot still, so it resolves `Done` with its outcome.
+        let recent = &acked[acked.len() - ring as usize..];
+        let mut durable = 0;
+        for (req, r) in recent.iter().filter(|(_, r)| r.durable) {
+            durable += 1;
+            match s.resolve(req.rid) {
+                ResolvedStatus::Done { applied, key, .. } => {
+                    assert_eq!((applied, key), (r.applied, req.op.key()));
+                }
+                ResolvedStatus::NotStarted => {
+                    panic!("durable ack {:#x} in the ring lost its stamp", req.rid)
+                }
+            }
+        }
+        assert!(durable > 0, "no recent durable ack to check");
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! The observability contract over a live loopback server: traced runs
-//! produce well-formed span chains whose durable acks carry their
-//! persist stamps, the `Metrics` admin request returns a live snapshot
-//! (including ring-drop accounting), tracing changes nothing about the
-//! served state, and crash-restarts dump an explanatory flight-recorder
-//! ring.
+//! The observability contract over a live loopback server: the
+//! always-on span log holds well-formed chains whose durable acks carry
+//! their persist stamps, the `Metrics` admin request returns a live
+//! snapshot (including ring-drop accounting), the span log changes
+//! nothing about the served state, and crash-restarts dump a record
+//! whose spans explain every `Crashed` reply.
 
 use lrp_lfds::{KeyDist, Structure};
 use lrp_obs::span::audit_chains;
@@ -33,9 +33,8 @@ fn tcp_bind(server: &Server) -> Bind {
 
 #[test]
 fn traced_run_yields_complete_stamped_chains_and_a_valid_chrome_trace() {
-    let mut cfg = small_server(2, 61);
-    cfg.spans = Some(65536);
-    let server = Server::start(cfg).unwrap();
+    // The default span capacity: every request is traced.
+    let server = Server::start(small_server(2, 61)).unwrap();
     let bind = tcp_bind(&server);
 
     let mut spec = LoadSpec::new(bind);
@@ -99,8 +98,8 @@ fn traced_run_yields_complete_stamped_chains_and_a_valid_chrome_trace() {
 
 /// Runs the same deterministic sequential workload and returns the
 /// `shards` section of the Stats reply (counters + committed keys),
-/// which must not depend on whether tracing is on.
-fn stats_after_fixed_workload(spans: Option<usize>) -> String {
+/// which must not depend on the span log's capacity.
+fn stats_after_fixed_workload(spans: usize) -> String {
     let mut cfg = small_server(2, 71);
     cfg.spans = spans;
     let server = Server::start(cfg).unwrap();
@@ -126,8 +125,9 @@ fn stats_after_fixed_workload(spans: Option<usize>) -> String {
 
 #[test]
 fn tracing_leaves_the_served_state_byte_identical() {
-    let untraced = stats_after_fixed_workload(None);
-    let traced = stats_after_fixed_workload(Some(4096));
+    let untraced = stats_after_fixed_workload(0);
+    let default_cap = ServerConfig::new(ShardConfig::new(Structure::HashMap)).spans;
+    let traced = stats_after_fixed_workload(default_cap);
     assert_eq!(
         untraced, traced,
         "span tracing changed shard counters or committed state"
@@ -139,8 +139,7 @@ fn metrics_snapshot_reports_live_telemetry_and_ring_drops() {
     let mut cfg = small_server(2, 83);
     // Tiny rings everywhere so the snapshot proves drop accounting:
     // a 4-span log and a 1-event obs ring both overflow immediately.
-    cfg.spans = Some(4);
-    cfg.flight = 8;
+    cfg.spans = 4;
     cfg.shard.recorder = Some(RecorderConfig {
         ring_capacity: 1,
         sample_every: 0,
@@ -258,6 +257,34 @@ fn crash_restart_dumps_a_flight_record_naming_inflight_ops() {
             .any(|op| op.get("id").and_then(Json::as_u64) == Some(100)),
         "in-flight list names request ids: {crash_line:?}"
     );
+    // The dump's spans explain each `Crashed` reply: every in-flight id
+    // has a crashed ack span.
+    for op in inflight {
+        let id = op.get("id").and_then(Json::as_u64).unwrap();
+        assert!(
+            lines.iter().any(|l| {
+                l.get("event").and_then(Json::as_str) == Some("ack")
+                    && l.get("req").and_then(Json::as_u64) == Some(id)
+                    && l.get("crashed").and_then(Json::as_bool) == Some(true)
+            }),
+            "no crashed ack span for in-flight request {id}:\n{text}"
+        );
+    }
+
+    // A second crash appends a second dump to the same file.
+    c.send(&Request::Crash { id: 201, shard: 0 }).unwrap();
+    assert!(matches!(
+        c.recv().unwrap(),
+        Response::Report { id: 201, .. }
+    ));
+    let text = std::fs::read_to_string(&path).unwrap();
+    let crash_nos: Vec<u64> = text
+        .lines()
+        .map(|l| Json::parse(l).unwrap())
+        .filter(|l| l.get("record").and_then(Json::as_str) == Some("flight-dump"))
+        .map(|l| l.get("crash").unwrap().as_u64().unwrap())
+        .collect();
+    assert_eq!(crash_nos, [1, 2], "one appended dump per crash");
 
     server.shutdown();
     server.join();

@@ -158,8 +158,6 @@ pub struct SimConfig {
     pub nvm_ctrls: usize,
     /// NVM service interval (queue bandwidth), cycles per request.
     pub nvm_service: u64,
-    /// Override for NVM latency; `None` uses the mode's Table-1 value.
-    pub nvm_latency_override: Option<u64>,
     /// Persist-buffer entries per core: flushes concurrently in flight
     /// from one L1 to the NVM controllers.
     pub flush_mshrs: usize,
@@ -173,8 +171,6 @@ pub struct SimConfig {
     pub bb: BbConfig,
     /// Safety valve: abort if the event loop exceeds this many cycles.
     pub max_cycles: u64,
-    /// Debug: eprintln all protocol activity touching this line.
-    pub debug_line: Option<u64>,
 }
 
 impl Default for SimConfig {
@@ -193,14 +189,12 @@ impl Default for SimConfig {
             noc_data_extra: 8,
             nvm_ctrls: 4,
             nvm_service: 16,
-            nvm_latency_override: None,
             flush_mshrs: 8,
             store_buffer: 16,
             compute_gap: 4,
             lrp: LrpConfig::default(),
             bb: BbConfig::default(),
             max_cycles: 4_000_000_000,
-            debug_line: None,
         }
     }
 }
@@ -222,10 +216,10 @@ impl SimConfig {
 
     /// The effective NVM read/persist latency in cycles.
     pub fn nvm_latency(&self) -> u64 {
-        self.nvm_latency_override.unwrap_or(match self.nvm_mode {
+        match self.nvm_mode {
             NvmMode::Cached => 120,
             NvmMode::Uncached => 350,
-        })
+        }
     }
 
     /// Number of L1 sets.
@@ -289,15 +283,6 @@ mod tests {
         assert_eq!(c.l1_sets(), 64);
         assert_eq!(c.nvm_latency(), 120);
         assert_eq!(c.nvm_mode(NvmMode::Uncached).nvm_latency(), 350);
-    }
-
-    #[test]
-    fn override_wins_over_mode() {
-        let c = SimConfig {
-            nvm_latency_override: Some(42),
-            ..SimConfig::default()
-        };
-        assert_eq!(c.nvm_latency(), 42);
     }
 
     #[test]

@@ -1098,10 +1098,6 @@ impl Sim {
                 std::mem::take(&mut t.background_after),
             )
         };
-        self.dbg(
-            line,
-            &format_args!("l1[{c}] commit store ev={ev} kind={kind:?}"),
-        );
         // The line may have been downgraded while a flush ran (we defer
         // forwards for the head task's line, but a different task could
         // have lost it... re-acquire if so).
@@ -1434,10 +1430,6 @@ impl Sim {
     }
 
     fn record_persist(&mut self, line: LineAddr, covered: Vec<EventId>) {
-        self.dbg(
-            line,
-            &format_args!("persist stamp={} covered={covered:?}", self.flush_seq),
-        );
         let stamp = self.flush_seq;
         self.flush_seq += 1;
         for &e in &covered {
@@ -1458,7 +1450,6 @@ impl Sim {
     // -- L1 message handling ----------------------------------------------
 
     fn l1_msg(&mut self, c: usize, line: LineAddr, msg: Msg) {
-        self.dbg(line, &format_args!("l1[{c}] <- {msg:?}"));
         match msg {
             Msg::Data { state } => self.l1_fill(c, line, state),
             Msg::FwdGetS { requester } => self.l1_fwd(c, line, requester, true),
@@ -1789,14 +1780,7 @@ impl Sim {
 
     // -- directory ---------------------------------------------------------
 
-    fn dbg(&self, line: LineAddr, what: &std::fmt::Arguments<'_>) {
-        if self.cfg.debug_line == Some(line) {
-            eprintln!("[{}] line {:#x}: {}", self.now, line, what);
-        }
-    }
-
     fn dir_msg(&mut self, line: LineAddr, msg: Msg) {
-        self.dbg(line, &format_args!("dir <- {msg:?}"));
         let di = self.dir_id(line);
         let entry = &mut self.dir[di];
         let busy = entry.busy.is_some();

@@ -2,9 +2,9 @@
 //!
 //! The simulator golden suite pins *what the machine did*; this suite
 //! pins *how the obs layer reports it*: the JSONL metrics stream and the
-//! Chrome trace of one tiny instrumented run, plus the flight-recorder
-//! dump and the span Chrome trace over hand-built inputs that overflow
-//! their bounded rings (so drop counts are part of the fixture). Each
+//! Chrome trace of one tiny instrumented run, plus the serving layer's
+//! crash dump and the span Chrome trace over hand-built span logs that
+//! overflow their bounds (so drop counts are part of the fixture). Each
 //! rendering must match its committed fixture under `tests/golden/`
 //! byte-for-byte.
 //!
@@ -16,7 +16,7 @@
 
 use lrp_repro::lfds::{Structure, WorkloadSpec};
 use lrp_repro::obs::{chrome, metrics, span, RecorderConfig, Span, SpanLog, SpanPhase};
-use lrp_repro::serve::{FlightEvent, FlightRecorder};
+use lrp_repro::serve::{metrics as serve_metrics, CrashOutcome, KvOp, ShardReq};
 use lrp_repro::sim::{Mechanism, Sim, SimConfig};
 use std::path::PathBuf;
 
@@ -94,42 +94,82 @@ fn small_event_ring_exports_match_fixture() {
     );
 }
 
+/// Records one request chain: a root over `[t0, t0 + 10 × phases]`
+/// and each phase as a 10 µs child, in order.
+fn record_chain(log: &mut SpanLog, req: u64, op: u8, t0: u64, phases: &[SpanPhase]) {
+    let root = log.alloc();
+    let end = t0 + 10 * phases.len() as u64;
+    let span = |id, parent, start_us, end_us, phase| Span {
+        id,
+        parent,
+        req,
+        track: 1,
+        start_us,
+        end_us,
+        phase,
+    };
+    log.record(span(root, 0, t0, end, SpanPhase::Request { op }));
+    for (k, &phase) in phases.iter().enumerate() {
+        let start = t0 + 10 * k as u64;
+        log.record(span(0, root, start, start + 10, phase));
+    }
+}
+
 #[test]
 fn flight_dump_matches_fixture() {
-    let mut r = FlightRecorder::new(4);
-    for batch in 0..3 {
-        r.push(FlightEvent::BatchStart {
-            t_ms: 10 * batch,
-            batch,
-            size: 2,
-        });
-        r.push(FlightEvent::Request {
-            t_ms: 10 * batch + 1,
-            batch,
-            id: 100 + batch,
-            kind: 1,
-            key: 7 * batch,
-            durable: batch % 2 == 0,
-            stamp: 1000 + batch,
-        });
-        r.push(FlightEvent::Persist {
-            t_ms: 10 * batch + 2,
-            batch,
-            final_stamp: 1000 + batch,
-            durable: 1,
-            nondurable: 1,
-        });
+    // One committed chain, then two chains crashed in flight, through a
+    // 10-span log: the committed chain's head is evicted.
+    let mut log = SpanLog::new(10);
+    let queue = SpanPhase::Queue {
+        depth: 1,
+        shed: false,
+    };
+    record_chain(
+        &mut log,
+        100,
+        1,
+        0,
+        &[
+            SpanPhase::Wire { bytes: 17 },
+            queue,
+            SpanPhase::Batch { batch: 2, size: 1 },
+            SpanPhase::Execute { batch: 2 },
+            SpanPhase::Persist {
+                batch: 2,
+                final_stamp: 1002,
+            },
+            SpanPhase::Ack {
+                durable: true,
+                persist_stamp: 1002,
+                crashed: false,
+            },
+        ],
+    );
+    let crashed = SpanPhase::Ack {
+        durable: false,
+        persist_stamp: 0,
+        crashed: true,
+    };
+    let inflight = [
+        ShardReq::new(KvOp::Put(5), 200),
+        ShardReq::new(KvOp::Del(9), 201),
+    ];
+    for (i, r) in inflight.iter().enumerate() {
+        let t0 = 100 + 10 * i as u64;
+        let wire = SpanPhase::Wire { bytes: 17 };
+        record_chain(&mut log, r.rid, r.op.code(), t0, &[wire, queue, crashed]);
     }
-    r.push(FlightEvent::Crash {
-        t_ms: 40,
+    assert_eq!(log.dropped(), 5, "the fixture must exercise eviction");
+    let outcome = CrashOutcome {
         batch: 3,
-        crash_stamp: 1002,
-        recovered: true,
-        lost: 0,
-        inflight: vec![(200, 1, 5), (201, 2, 9)],
-    });
-    assert_eq!(r.dropped(), 6, "the fixture must exercise eviction");
-    check("obs_flight_dump.jsonl", &r.to_jsonl(1, 2));
+        crash_stamp: Some(1002),
+        consistent: true,
+        ..CrashOutcome::default()
+    };
+    check(
+        "obs_flight_dump.jsonl",
+        &serve_metrics::flight_dump_jsonl(1, 2, 40, &outcome, &inflight, &log),
+    );
 }
 
 #[test]
