@@ -16,6 +16,7 @@
 //! ```
 
 use lrp_repro::lfds::{Structure, WorkloadSpec};
+use lrp_repro::model::codec;
 use lrp_repro::sim::{Mechanism, Sim, SimConfig};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -206,6 +207,51 @@ fn golden_paper_shaped_fixtures_match_byte_for_byte() {
         }
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// The paper tier runs 64 simulated cores, but the fixtures above stop
+/// at 16 threads. This pins the executor's 64-thread interleaving
+/// itself: the trace's event count, plus the length and FNV-1a hash of
+/// its canonical text (`codec::to_text`), which covers every event,
+/// marker, site label and the initial image.
+fn render_trace64() -> String {
+    let trace = WorkloadSpec::new(Structure::Bst)
+        .initial_size(4096)
+        .threads(64)
+        .ops_per_thread(8)
+        .seed(7)
+        .build_trace();
+    let text = codec::to_text(&trace);
+    let hash = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    format!(
+        "trace64 bstree threads=64 events={} text_bytes={} fnv1a64={hash:#018x}\n",
+        trace.events.len(),
+        text.len()
+    )
+}
+
+#[test]
+fn golden_trace64_interleaving_matches() {
+    let got = render_trace64();
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/trace64_bstree.txt");
+    if std::env::var_os("GOLDEN_UPDATE").is_some() {
+        std::fs::write(&path, &got).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing fixture {} ({e}); run with GOLDEN_UPDATE=1 to create",
+            path.display()
+        )
+    });
+    assert_eq!(
+        got,
+        want,
+        "64-thread trace diverged from {}",
+        path.display()
+    );
 }
 
 /// The same cell rendered twice in-process is bit-identical: the
