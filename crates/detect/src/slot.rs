@@ -354,13 +354,19 @@ mod tests {
 
     #[test]
     fn stamp_emits_payload_then_release_on_the_rid_word() {
-        let mut c = DirectCtx::new(1, 1);
         let spec = SlotSpec::default();
-        let base = c.alloc(spec.words());
-        c.start_recording();
         let r = rec(2, 9, 77);
-        stamp(&mut c, base, &spec, &r);
-        let events = c.rec.take().unwrap().into_events();
+        let trace = lrp_exec::run(
+            &lrp_exec::ExecConfig::new(1),
+            |_| {},
+            vec![Box::new(move |c| {
+                let base = c.alloc(spec.words());
+                stamp(c, base, &spec, &r);
+            })],
+        );
+        let events = trace.events;
+        // Worker 0's arena is the first in the heap.
+        let base = lrp_exec::ctx::HEAP_BASE;
         assert_eq!(events.len(), 3);
         assert!(events[..2]
             .iter()

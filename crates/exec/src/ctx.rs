@@ -19,7 +19,7 @@ pub const HEAP_BASE: Addr = 0x1000_0000;
 pub const ARENA_BYTES: Addr = 1 << 26;
 
 /// Per-thread bump allocators.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Arenas {
     next: Vec<Addr>,
 }
@@ -34,13 +34,16 @@ impl Arenas {
         }
     }
 
-    /// Allocates `words` 8-byte words from arena `idx`.
+    /// Allocates `words` 8-byte words from arena `idx`. Every arena but
+    /// the last is capped at [`ARENA_BYTES`]; the last one (the setup
+    /// arena, see [`DirectCtx::new`]) has nothing above it and grows
+    /// without bound, so pre-population is not limited to 64 MiB.
     pub fn alloc(&mut self, idx: usize, words: usize) -> Addr {
         let base = self.next[idx];
         let bytes = words as Addr * 8;
         let limit = HEAP_BASE + (idx as Addr + 1) * ARENA_BYTES;
         assert!(
-            base + bytes <= limit,
+            idx + 1 == self.next.len() || base + bytes <= limit,
             "arena {idx} exhausted ({} bytes in use)",
             base - (HEAP_BASE + idx as Addr * ARENA_BYTES)
         );
@@ -197,9 +200,8 @@ impl Recorder {
     }
 
     /// Registers a raw label (op prefix or phase suffix) and returns
-    /// its id for the `_id` site setters. Idempotent; allocates only
-    /// the first time a label is seen.
-    pub fn register_label(&mut self, label: &str) -> u16 {
+    /// its id. Idempotent; allocates only the first time a label is seen.
+    fn register_label(&mut self, label: &str) -> u16 {
         if let Some(&id) = self.label_ids.get(label) {
             return id;
         }
@@ -221,27 +223,17 @@ impl Recorder {
     /// Sets `tid`'s site prefix (`structure/operation`), clearing the phase.
     pub fn site_op(&mut self, tid: ThreadId, label: &str) {
         let id = self.register_label(label);
-        self.site_op_id(tid, id);
+        let s = self.site_mut(tid);
+        s.prefix = id + 1;
+        s.phase = 0;
+        s.cached = SITE_UNCACHED;
     }
 
     /// Sets `tid`'s phase suffix within the current site prefix.
     pub fn site_phase(&mut self, tid: ThreadId, phase: &str) {
         let id = self.register_label(phase);
-        self.site_phase_id(tid, id);
-    }
-
-    /// [`Recorder::site_op`] by pre-registered label id.
-    pub fn site_op_id(&mut self, tid: ThreadId, label: u16) {
         let s = self.site_mut(tid);
-        s.prefix = label + 1;
-        s.phase = 0;
-        s.cached = SITE_UNCACHED;
-    }
-
-    /// [`Recorder::site_phase`] by pre-registered label id.
-    pub fn site_phase_id(&mut self, tid: ThreadId, phase: u16) {
-        let s = self.site_mut(tid);
-        s.phase = phase + 1;
+        s.phase = id + 1;
         s.cached = SITE_UNCACHED;
     }
 
@@ -412,8 +404,6 @@ pub struct DirectCtx {
     pub arenas: Arenas,
     /// Named root addresses registered by setup code.
     pub roots: Vec<(String, Addr)>,
-    /// Optional recorder (when setup itself must appear in the trace).
-    pub rec: Option<Recorder>,
     tid: ThreadId,
     rng: Xorshift64,
 }
@@ -427,7 +417,6 @@ impl DirectCtx {
             mem: SharedMem::new(),
             arenas: Arenas::new(workers as usize + 1),
             roots: Vec::new(),
-            rec: None,
             tid: workers,
             rng: Xorshift64::new(seed ^ 0xC0FF_EE00),
         }
@@ -437,11 +426,6 @@ impl DirectCtx {
     pub fn set_root(&mut self, name: &str, addr: Addr) {
         self.roots.push((name.to_string(), addr));
     }
-
-    /// Starts recording events (used when setup must be traced).
-    pub fn start_recording(&mut self) {
-        self.rec = Some(Recorder::new());
-    }
 }
 
 impl PmemCtx for DirectCtx {
@@ -449,27 +433,16 @@ impl PmemCtx for DirectCtx {
         self.tid
     }
 
-    fn read_annot(&mut self, addr: Addr, annot: Annot) -> u64 {
-        let v = self.mem.read(addr);
-        if let Some(rec) = &mut self.rec {
-            rec.read(self.tid, addr, annot, v);
-        }
-        v
+    fn read_annot(&mut self, addr: Addr, _annot: Annot) -> u64 {
+        self.mem.read(addr)
     }
 
-    fn write_annot(&mut self, addr: Addr, val: u64, annot: Annot) {
+    fn write_annot(&mut self, addr: Addr, val: u64, _annot: Annot) {
         self.mem.write(addr, val);
-        if let Some(rec) = &mut self.rec {
-            rec.write(self.tid, addr, annot, val);
-        }
     }
 
-    fn cas_annot(&mut self, addr: Addr, old: u64, new: u64, annot: Annot) -> (bool, u64) {
-        let (ok, observed) = self.mem.cas(addr, old, new);
-        if let Some(rec) = &mut self.rec {
-            rec.cas(self.tid, addr, annot, ok, observed, new);
-        }
-        (ok, observed)
+    fn cas_annot(&mut self, addr: Addr, old: u64, new: u64, _annot: Annot) -> (bool, u64) {
+        self.mem.cas(addr, old, new)
     }
 
     fn alloc(&mut self, words: usize) -> Addr {
@@ -481,29 +454,9 @@ impl PmemCtx for DirectCtx {
         self.rng.next_u64()
     }
 
-    fn op_begin(&mut self, op: OpKind) {
-        if let Some(rec) = &mut self.rec {
-            rec.begin(self.tid, op);
-        }
-    }
+    fn op_begin(&mut self, _op: OpKind) {}
 
-    fn op_end(&mut self, result: u64) {
-        if let Some(rec) = &mut self.rec {
-            rec.end(self.tid, result);
-        }
-    }
-
-    fn site_op(&mut self, label: &str) {
-        if let Some(rec) = &mut self.rec {
-            rec.site_op(self.tid, label);
-        }
-    }
-
-    fn site_phase(&mut self, phase: &str) {
-        if let Some(rec) = &mut self.rec {
-            rec.site_phase(self.tid, phase);
-        }
-    }
+    fn op_end(&mut self, _result: u64) {}
 }
 
 #[cfg(test)]
@@ -522,10 +475,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exhausted")]
+    #[should_panic(expected = "arena 0 exhausted")]
     fn arena_overflow_panics() {
-        let mut a = Arenas::new(1);
+        let mut a = Arenas::new(2);
         a.alloc(0, (ARENA_BYTES / 8) as usize + 1);
+    }
+
+    #[test]
+    fn last_arena_grows_past_arena_bytes() {
+        let mut a = Arenas::new(3);
+        let words = (ARENA_BYTES / 8) as usize;
+        let x = a.alloc(2, words + 1);
+        let y = a.alloc(2, 4);
+        assert_eq!(x, HEAP_BASE + 2 * ARENA_BYTES);
+        assert_eq!(y, x + ARENA_BYTES + 8, "bump continues past the cap");
+        assert_eq!(a.used_words(), words as u64 + 5);
+        // The capped arenas still refuse the same request.
+        for idx in 0..2 {
+            let r = std::panic::catch_unwind(|| Arenas::new(3).alloc(idx, words + 1));
+            assert!(r.is_err(), "arena {idx} must stay capped");
+        }
     }
 
     #[test]
@@ -554,21 +523,6 @@ mod tests {
         assert_eq!(c.read(p), 10);
         assert_eq!(c.cas_acq_rel(p, 10, 11), (true, 10));
         assert_eq!(c.cas_acq_rel(p, 10, 12), (false, 11));
-    }
-
-    #[test]
-    fn direct_ctx_records_when_asked() {
-        let mut c = DirectCtx::new(1, 1);
-        c.start_recording();
-        c.op_begin(OpKind::Setup);
-        c.write(0x1000, 1);
-        c.read(0x1000);
-        c.op_end(1);
-        let rec = c.rec.take().unwrap();
-        assert_eq!(rec.events.len(), 2);
-        assert_eq!(rec.events[1].rf, Some(0));
-        assert_eq!(rec.markers.len(), 1);
-        assert_eq!(rec.markers[0].op, OpKind::Setup);
     }
 
     #[test]

@@ -1,18 +1,25 @@
 //! The lockstep scheduler and the gated thread context.
 //!
-//! Worker bodies run on real OS threads but park before every memory
-//! access; the scheduler (running on the caller's thread) gathers one
-//! pending access per live worker, picks the next to perform according to
-//! the policy, applies it to the functional memory, records the event,
-//! and wakes the worker with the result. Scheduling decisions depend only
-//! on the seed and recorded history, so the produced trace is a
-//! deterministic function of `(config, setup, bodies)`.
+//! Worker bodies run on real OS threads, but only one of them runs at a
+//! time: the one holding the *turn*. All scheduler state (functional
+//! memory, arenas, [`Recorder`], policy RNG, round-robin cursor and the
+//! set of parked threads) sits behind one mutex, and each worker waits
+//! on its own condition variable. A worker that reaches a memory access
+//! parks itself and picks the next holder (unstarted threads first, in
+//! tid order, then the [`SchedPolicy`] over the parked threads). If that
+//! is another thread it wakes only that one and waits; it performs its
+//! own access when the turn comes back to it. Allocations, op markers
+//! and site labels act on the state directly, since the holder is the
+//! only thread running. A worker that exits, normally or by panicking,
+//! passes the turn on. Scheduling decisions depend only on the seed and
+//! recorded history, so the produced trace is a deterministic function
+//! of `(config, setup, bodies)`.
 
 use crate::ctx::{Arenas, DirectCtx, PmemCtx, Recorder};
 use crate::mem::SharedMem;
 use crate::rng::Xorshift64;
-use lrp_model::{Addr, Annot, FxHashMap, OpKind, ThreadId, Trace};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use lrp_model::{Addr, Annot, OpKind, ThreadId, Trace};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// How the scheduler chooses among parked threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,11 +40,6 @@ pub struct ExecConfig {
     pub sched: SchedPolicy,
     /// Seed for per-thread RNGs (skip-list levels etc.).
     pub seed: u64,
-    /// If true, the setup closure's accesses are recorded as trace events
-    /// (issued by the extra thread id `threads`); otherwise setup only
-    /// produces the initial durable memory image, matching the paper's
-    /// convention that statistics start after pre-population (§6.1).
-    pub record_setup: bool,
 }
 
 impl ExecConfig {
@@ -47,7 +49,6 @@ impl ExecConfig {
             threads,
             sched: SchedPolicy::Random(1),
             seed: 1,
-            record_setup: false,
         }
     }
 
@@ -62,74 +63,112 @@ impl ExecConfig {
         self.seed = s;
         self
     }
-
-    /// Enables recording of the setup phase.
-    pub fn record_setup(mut self, yes: bool) -> Self {
-        self.record_setup = yes;
-        self
-    }
 }
 
 /// A worker body: runs once with a gated context.
 pub type ThreadBody = Box<dyn FnOnce(&mut GateCtx) + Send>;
 
-#[derive(Debug)]
-enum Req {
-    Read(Addr, Annot),
-    Write(Addr, u64, Annot),
-    Cas(Addr, u64, u64, Annot),
-    Alloc(usize),
-    OpBegin(OpKind),
-    OpEnd(u64),
-    /// First use of a site label on this thread: ships the string once;
-    /// the scheduler appends the recorder's label id to the thread's
-    /// label table. The `bool` selects op-prefix (`true`) vs phase.
-    SiteNew(String, bool),
-    /// Repeat use: an index into this thread's label table. Steady-state
-    /// site changes ship 4 bytes instead of a heap-allocated `String`.
-    SiteOp(u32),
-    SitePhase(u32),
-    Done,
+/// Everything the turn holder may touch.
+struct State {
+    mem: SharedMem,
+    arenas: Arenas,
+    rec: Recorder,
+    policy_rng: Option<Xorshift64>,
+    cursor: usize,
+    /// Threads waiting at an access, in ascending tid order.
+    parked: Vec<usize>,
+    /// Threads `0..started` have been handed the turn at least once.
+    started: usize,
+    threads: usize,
+    /// The thread that may run.
+    turn: usize,
 }
 
-#[derive(Debug)]
-enum Resp {
-    Val(u64),
-    Addr(Addr),
-    Cas(bool, u64),
+impl State {
+    /// The next holder of the turn, removed from the parked set:
+    /// unstarted threads first in tid order, then the policy's choice
+    /// among the parked ones. `None` once every thread has exited.
+    fn next_holder(&mut self) -> Option<usize> {
+        if self.started < self.threads {
+            self.started += 1;
+            return Some(self.started - 1);
+        }
+        if self.parked.is_empty() {
+            return None;
+        }
+        let i = match &mut self.policy_rng {
+            Some(rng) => rng.below(self.parked.len() as u64) as usize,
+            None => {
+                // Round-robin: first parked at or after the cursor.
+                let i = self
+                    .parked
+                    .iter()
+                    .position(|&t| t >= self.cursor)
+                    .unwrap_or(0);
+                self.cursor = self.parked[i] + 1;
+                i
+            }
+        };
+        Some(self.parked.remove(i))
+    }
 }
 
-/// The gated per-thread context handed to worker bodies.
+/// The state shared by one run's workers: the mutex and one condition
+/// variable per worker, so a hand-off wakes exactly the next holder.
+struct Gate {
+    state: Mutex<State>,
+    turns: Vec<Condvar>,
+}
+
+impl Gate {
+    /// Locks the state. A worker that panicked while holding the lock
+    /// poisons it; the others carry on with the state as it was left.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Hands the turn to the next holder, if any thread is left.
+    fn pass(&self, s: &mut State) {
+        if let Some(next) = s.next_holder() {
+            s.turn = next;
+            self.turns[next].notify_one();
+        }
+    }
+
+    /// Blocks until `me` holds the turn.
+    fn wait<'a>(&self, s: MutexGuard<'a, State>, me: usize) -> MutexGuard<'a, State> {
+        self.turns[me]
+            .wait_while(s, |s| s.turn != me)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The gated per-thread context handed to worker bodies. Dropping it
+/// (when the body returns or unwinds) passes the turn on.
 pub struct GateCtx {
     tid: ThreadId,
-    tx: Sender<Req>,
-    rx: Receiver<Resp>,
+    gate: Arc<Gate>,
     rng: Xorshift64,
-    /// Local site-label interning: label → index into this thread's
-    /// scheduler-side label table. A label is shipped as a `String`
-    /// only the first time; after that site changes are integer sends.
-    labels: FxHashMap<String, u32>,
 }
 
 impl GateCtx {
-    fn roundtrip(&mut self, req: Req) -> Resp {
-        self.tx.send(req).expect("scheduler hung up");
-        self.rx.recv().expect("scheduler hung up")
+    /// Parks at an access until this thread is picked, then applies
+    /// `f` to the state.
+    fn access<R>(&mut self, f: impl FnOnce(&mut State, ThreadId) -> R) -> R {
+        let me = self.tid as usize;
+        let mut s = self.gate.lock();
+        let at = s.parked.partition_point(|&t| t < me);
+        s.parked.insert(at, me);
+        self.gate.pass(&mut s);
+        let mut s = self.gate.wait(s, me);
+        f(&mut s, self.tid)
     }
+}
 
-    /// Local index for `label`, registering it with the scheduler on
-    /// first use. `is_op` tags the registration so the scheduler can
-    /// apply it immediately (a registration is also a site change).
-    fn label_index(&mut self, label: &str, is_op: bool) -> Option<u32> {
-        if let Some(&i) = self.labels.get(label) {
-            return Some(i);
-        }
-        let i = self.labels.len() as u32;
-        self.labels.insert(label.to_string(), i);
-        self.tx
-            .send(Req::SiteNew(label.to_string(), is_op))
-            .expect("scheduler hung up");
-        None
+impl Drop for GateCtx {
+    fn drop(&mut self) {
+        let mut s = self.gate.lock();
+        self.gate.pass(&mut s);
     }
 }
 
@@ -139,31 +178,30 @@ impl PmemCtx for GateCtx {
     }
 
     fn read_annot(&mut self, addr: Addr, annot: Annot) -> u64 {
-        match self.roundtrip(Req::Read(addr, annot)) {
-            Resp::Val(v) => v,
-            r => unreachable!("bad response {r:?}"),
-        }
+        self.access(|s, tid| {
+            let v = s.mem.read(addr);
+            s.rec.read(tid, addr, annot, v);
+            v
+        })
     }
 
     fn write_annot(&mut self, addr: Addr, val: u64, annot: Annot) {
-        match self.roundtrip(Req::Write(addr, val, annot)) {
-            Resp::Val(_) => {}
-            r => unreachable!("bad response {r:?}"),
-        }
+        self.access(|s, tid| {
+            s.mem.write(addr, val);
+            s.rec.write(tid, addr, annot, val);
+        })
     }
 
     fn cas_annot(&mut self, addr: Addr, old: u64, new: u64, annot: Annot) -> (bool, u64) {
-        match self.roundtrip(Req::Cas(addr, old, new, annot)) {
-            Resp::Cas(ok, observed) => (ok, observed),
-            r => unreachable!("bad response {r:?}"),
-        }
+        self.access(|s, tid| {
+            let (ok, observed) = s.mem.cas(addr, old, new);
+            s.rec.cas(tid, addr, annot, ok, observed, new);
+            (ok, observed)
+        })
     }
 
     fn alloc(&mut self, words: usize) -> Addr {
-        match self.roundtrip(Req::Alloc(words)) {
-            Resp::Addr(a) => a,
-            r => unreachable!("bad response {r:?}"),
-        }
+        self.gate.lock().arenas.alloc(self.tid as usize, words)
     }
 
     fn rand(&mut self) -> u64 {
@@ -171,23 +209,19 @@ impl PmemCtx for GateCtx {
     }
 
     fn op_begin(&mut self, op: OpKind) {
-        self.tx.send(Req::OpBegin(op)).expect("scheduler hung up");
+        self.gate.lock().rec.begin(self.tid, op);
     }
 
     fn op_end(&mut self, result: u64) {
-        self.tx.send(Req::OpEnd(result)).expect("scheduler hung up");
+        self.gate.lock().rec.end(self.tid, result);
     }
 
     fn site_op(&mut self, label: &str) {
-        if let Some(i) = self.label_index(label, true) {
-            self.tx.send(Req::SiteOp(i)).expect("scheduler hung up");
-        }
+        self.gate.lock().rec.site_op(self.tid, label);
     }
 
     fn site_phase(&mut self, phase: &str) {
-        if let Some(i) = self.label_index(phase, false) {
-            self.tx.send(Req::SitePhase(i)).expect("scheduler hung up");
-        }
+        self.gate.lock().rec.site_phase(self.tid, phase);
     }
 }
 
@@ -195,30 +229,20 @@ impl PmemCtx for GateCtx {
 /// runs the worker `bodies` under lockstep scheduling, returning the
 /// recorded trace.
 ///
-/// Panics in worker bodies are propagated after the remaining workers
-/// finish or park.
+/// A panic in a worker body is re-raised here after the remaining
+/// workers finish.
 pub fn run(cfg: &ExecConfig, setup: impl FnOnce(&mut DirectCtx), bodies: Vec<ThreadBody>) -> Trace {
     let mut direct = DirectCtx::new(cfg.threads, cfg.seed);
-    if cfg.record_setup {
-        direct.start_recording();
-    }
     setup(&mut direct);
     let DirectCtx {
         mut mem,
         mut arenas,
         roots,
-        rec,
         ..
     } = direct;
-    // A recorded setup is part of the trace, as the extra thread;
-    // otherwise it is the trace's initial image.
-    let (rec, initial_mem) = match rec {
-        Some(rec) => (rec, Vec::new()),
-        None => (Recorder::new(), mem.snapshot()),
-    };
-    let mut trace = schedule(cfg, &mut mem, &mut arenas, roots, rec, bodies);
+    let initial_mem = mem.snapshot();
+    let mut trace = run_on(cfg, &mut mem, &mut arenas, &roots, bodies);
     trace.initial_mem = initial_mem;
-    trace.nthreads += u16::from(cfg.record_setup);
     trace
 }
 
@@ -230,26 +254,11 @@ pub fn run(cfg: &ExecConfig, setup: impl FnOnce(&mut DirectCtx), bodies: Vec<Thr
 ///
 /// The returned trace's `initial_mem` is empty: which words the trace
 /// starts from (and treats as durable) is the caller's statement.
-/// `cfg.record_setup` is ignored — there is no setup phase.
 pub fn run_on(
     cfg: &ExecConfig,
     mem: &mut SharedMem,
     arenas: &mut Arenas,
     roots: &[(String, Addr)],
-    bodies: Vec<ThreadBody>,
-) -> Trace {
-    schedule(cfg, mem, arenas, roots.to_vec(), Recorder::new(), bodies)
-}
-
-/// The one scheduler loop behind [`run`] and [`run_on`]: spawns the
-/// workers, interleaves their accesses on `mem`, and assembles the
-/// trace from `rec` (which may already hold recorded setup events).
-fn schedule(
-    cfg: &ExecConfig,
-    mem: &mut SharedMem,
-    arenas: &mut Arenas,
-    roots: Vec<(String, Addr)>,
-    rec: Recorder,
     bodies: Vec<ThreadBody>,
 ) -> Trace {
     let n = bodies.len();
@@ -259,44 +268,46 @@ fn schedule(
         n, cfg.threads
     );
 
-    let mut sched = Scheduler {
-        mem,
-        arenas,
-        rec,
-        policy_rng: match cfg.sched {
-            SchedPolicy::Random(s) => Some(Xorshift64::new(s)),
-            SchedPolicy::RoundRobin => None,
-        },
-        cursor: 0,
-        labels: vec![Vec::new(); n],
-    };
+    // The workers own the memory and arenas while they run; both go
+    // back to the caller afterwards, also when a worker panicked.
+    let gate = Arc::new(Gate {
+        state: Mutex::new(State {
+            mem: std::mem::take(mem),
+            arenas: std::mem::take(arenas),
+            rec: Recorder::new(),
+            policy_rng: match cfg.sched {
+                SchedPolicy::Random(s) => Some(Xorshift64::new(s)),
+                SchedPolicy::RoundRobin => None,
+            },
+            cursor: 0,
+            parked: Vec::with_capacity(n),
+            // Thread 0 starts holding the turn.
+            started: n.min(1),
+            threads: n,
+            turn: 0,
+        }),
+        turns: (0..n).map(|_| Condvar::new()).collect(),
+    });
 
-    let mut req_rxs = Vec::with_capacity(n);
-    let mut resp_txs = Vec::with_capacity(n);
-    let mut handles = Vec::with_capacity(n);
-    for (i, body) in bodies.into_iter().enumerate() {
-        let (req_tx, req_rx) = channel();
-        let (resp_tx, resp_rx) = channel();
-        req_rxs.push(req_rx);
-        resp_txs.push(resp_tx);
-        let mut ctx = GateCtx {
-            tid: i as ThreadId,
-            tx: req_tx,
-            rx: resp_rx,
-            rng: Xorshift64::new(
-                cfg.seed
-                    .wrapping_mul(0x9E37_79B9)
-                    .wrapping_add(i as u64 + 1),
-            ),
-            labels: FxHashMap::default(),
-        };
-        handles.push(std::thread::spawn(move || {
-            body(&mut ctx);
-            let _ = ctx.tx.send(Req::Done);
-        }));
-    }
-
-    sched.run_loop(n, &req_rxs, &resp_txs);
+    let handles: Vec<_> = bodies
+        .into_iter()
+        .enumerate()
+        .map(|(i, body)| {
+            let mut ctx = GateCtx {
+                tid: i as ThreadId,
+                gate: Arc::clone(&gate),
+                rng: Xorshift64::new(
+                    cfg.seed
+                        .wrapping_mul(0x9E37_79B9)
+                        .wrapping_add(i as u64 + 1),
+                ),
+            };
+            std::thread::spawn(move || {
+                drop(ctx.gate.wait(ctx.gate.lock(), i));
+                body(&mut ctx);
+            })
+        })
+        .collect();
 
     let mut panic_payload = None;
     for h in handles {
@@ -304,131 +315,28 @@ fn schedule(
             panic_payload = Some(p);
         }
     }
+    let state = Arc::into_inner(gate)
+        .expect("every worker has exited")
+        .state
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    *mem = state.mem;
+    *arenas = state.arenas;
     if let Some(p) = panic_payload {
         std::panic::resume_unwind(p);
     }
 
-    let heap_range = sched.arenas.used_range();
-    let (events, markers, site_names, event_sites) = sched.rec.into_trace_parts();
+    let heap_range = arenas.used_range();
+    let (events, markers, site_names, event_sites) = state.rec.into_trace_parts();
     Trace {
         nthreads: cfg.threads,
         events,
         initial_mem: Vec::new(),
         markers,
-        roots,
+        roots: roots.to_vec(),
         heap_range,
         site_names,
         event_sites,
-    }
-}
-
-struct Scheduler<'a> {
-    mem: &'a mut SharedMem,
-    arenas: &'a mut Arenas,
-    rec: Recorder,
-    policy_rng: Option<Xorshift64>,
-    cursor: usize,
-    /// Per-thread label tables: worker-local label index → recorder
-    /// label id (built up by `Req::SiteNew`, consulted by the integer
-    /// site messages).
-    labels: Vec<Vec<u16>>,
-}
-
-impl Scheduler<'_> {
-    /// Gathers from thread `t` until it parks at an access or finishes.
-    /// Returns the parked access, or `None` if the thread is done.
-    fn gather(&mut self, t: usize, rx: &Receiver<Req>, tx: &Sender<Resp>) -> Option<Req> {
-        loop {
-            match rx.recv() {
-                Ok(req @ (Req::Read(..) | Req::Write(..) | Req::Cas(..))) => return Some(req),
-                Ok(Req::Alloc(words)) => {
-                    let a = self.arenas.alloc(t, words);
-                    let _ = tx.send(Resp::Addr(a));
-                }
-                Ok(Req::OpBegin(op)) => self.rec.begin(t as ThreadId, op),
-                Ok(Req::OpEnd(r)) => self.rec.end(t as ThreadId, r),
-                Ok(Req::SiteNew(label, is_op)) => {
-                    let id = self.rec.register_label(&label);
-                    self.labels[t].push(id);
-                    if is_op {
-                        self.rec.site_op_id(t as ThreadId, id);
-                    } else {
-                        self.rec.site_phase_id(t as ThreadId, id);
-                    }
-                }
-                Ok(Req::SiteOp(i)) => {
-                    let id = self.labels[t][i as usize];
-                    self.rec.site_op_id(t as ThreadId, id);
-                }
-                Ok(Req::SitePhase(i)) => {
-                    let id = self.labels[t][i as usize];
-                    self.rec.site_phase_id(t as ThreadId, id);
-                }
-                Ok(Req::Done) | Err(_) => return None,
-            }
-        }
-    }
-
-    fn apply(&mut self, t: usize, req: Req, tx: &Sender<Resp>) {
-        let tid = t as ThreadId;
-        match req {
-            Req::Read(addr, annot) => {
-                let v = self.mem.read(addr);
-                self.rec.read(tid, addr, annot, v);
-                let _ = tx.send(Resp::Val(v));
-            }
-            Req::Write(addr, val, annot) => {
-                self.mem.write(addr, val);
-                self.rec.write(tid, addr, annot, val);
-                let _ = tx.send(Resp::Val(0));
-            }
-            Req::Cas(addr, old, new, annot) => {
-                let (ok, observed) = self.mem.cas(addr, old, new);
-                self.rec.cas(tid, addr, annot, ok, observed, new);
-                let _ = tx.send(Resp::Cas(ok, observed));
-            }
-            _ => unreachable!("apply called with a non-access request"),
-        }
-    }
-
-    fn pick(&mut self, runnable: &[usize]) -> usize {
-        match &mut self.policy_rng {
-            Some(rng) => runnable[rng.below(runnable.len() as u64) as usize],
-            None => {
-                // Round-robin: first runnable at or after the cursor.
-                let t = *runnable
-                    .iter()
-                    .find(|&&t| t >= self.cursor)
-                    .unwrap_or(&runnable[0]);
-                self.cursor = t + 1;
-                t
-            }
-        }
-    }
-
-    fn run_loop(&mut self, n: usize, req_rxs: &[Receiver<Req>], resp_txs: &[Sender<Resp>]) {
-        let mut parked: Vec<Option<Req>> = (0..n).map(|_| None).collect();
-        let mut alive = vec![true; n];
-        let mut need_gather = vec![true; n];
-        loop {
-            for t in 0..n {
-                if alive[t] && need_gather[t] {
-                    match self.gather(t, &req_rxs[t], &resp_txs[t]) {
-                        Some(req) => parked[t] = Some(req),
-                        None => alive[t] = false,
-                    }
-                    need_gather[t] = false;
-                }
-            }
-            let runnable: Vec<usize> = (0..n).filter(|&t| parked[t].is_some()).collect();
-            if runnable.is_empty() {
-                break;
-            }
-            let t = self.pick(&runnable);
-            let req = parked[t].take().expect("picked thread is parked");
-            self.apply(t, req, &resp_txs[t]);
-            need_gather[t] = true;
-        }
     }
 }
 
@@ -496,23 +404,6 @@ mod tests {
         assert_eq!(t.initial_mem, vec![(0x1000, 42)]);
         assert_eq!(t.roots, vec![("head".to_string(), 0x1000)]);
         assert_eq!(t.events.len(), 1);
-    }
-
-    #[test]
-    fn recorded_setup_appears_as_events() {
-        let cfg = ExecConfig::new(1).record_setup(true);
-        let t = run(
-            &cfg,
-            |s| s.write(0x1000, 42),
-            vec![Box::new(|c: &mut GateCtx| {
-                assert_eq!(c.read(0x1000), 42);
-            })],
-        );
-        t.validate().unwrap();
-        assert!(t.initial_mem.is_empty());
-        assert_eq!(t.events.len(), 2);
-        assert_eq!(t.events[0].tid, 1, "setup runs as the extra thread id");
-        assert_eq!(t.nthreads, 2);
     }
 
     #[test]
@@ -661,6 +552,39 @@ mod tests {
                 }),
                 Box::new(|_c: &mut GateCtx| panic!("worker exploded")),
             ],
+        );
+    }
+
+    #[test]
+    fn panic_inside_a_gated_call_reaches_the_caller() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let finished = std::sync::Arc::new(AtomicUsize::new(0));
+        let mut bodies: Vec<ThreadBody> = vec![Box::new(|c: &mut GateCtx| {
+            c.write(0x1000, 1);
+            // Panics inside the gated call, holding the state lock.
+            c.alloc((crate::ctx::ARENA_BYTES / 8) as usize + 1);
+        })];
+        for t in 1..3u64 {
+            let finished = finished.clone();
+            bodies.push(Box::new(move |c: &mut GateCtx| {
+                for j in 0..20 {
+                    c.write(0x2000 * t + 8 * j, j);
+                }
+                finished.fetch_add(1, Ordering::SeqCst);
+            }));
+        }
+        let cfg = ExecConfig::new(3).policy(SchedPolicy::RoundRobin);
+        let err =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&cfg, |_| {}, bodies)))
+                .expect_err("the worker's panic is re-raised");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert!(msg.starts_with("arena 0 exhausted"), "{msg}");
+        assert_eq!(
+            finished.load(Ordering::SeqCst),
+            2,
+            "the others ran to the end"
         );
     }
 }

@@ -3,15 +3,17 @@
 //! The paper's methodology (§6.3) instruments x86 binaries with Pin and
 //! feeds the resulting memory-event stream into a timing simulator. This
 //! crate plays Pin's role: data-structure code written against the
-//! [`PmemCtx`] trait runs on real OS threads, but every memory access is
-//! *gated* by a central scheduler that owns the functional memory, grants
-//! one access at a time, and records the global interleaving as an
-//! [`lrp_model::Trace`]. Because the scheduler's choices are a pure
-//! function of the seed and the recorded history, executions are fully
-//! deterministic and reproducible.
+//! [`PmemCtx`] trait runs on real OS threads, but only the thread that
+//! holds a single *turn* runs. Every memory access is a scheduling point:
+//! the worker parks, picks the next holder by a seeded policy, hands the
+//! turn straight to that thread (waking no other), and performs its own
+//! access on the shared functional memory once the turn comes back. The
+//! global interleaving is recorded as an [`lrp_model::Trace`]. Because
+//! each choice is a pure function of the seed and the recorded history,
+//! executions are fully deterministic and reproducible.
 //!
 //! [`run`] builds the functional memory from a setup closure for one
-//! trace; [`run_on`] runs the same scheduler on a caller-owned memory and
+//! trace; [`run_on`] runs the same workers on a caller-owned memory and
 //! [`Arenas`], so a long-lived owner can execute run after run on one
 //! warm heap.
 //!

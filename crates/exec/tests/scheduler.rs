@@ -1,7 +1,7 @@
 //! Scheduler-behavior tests for the lockstep executor.
 
 use lrp_exec::{run, ExecConfig, GateCtx, PmemCtx, SchedPolicy, ThreadBody};
-use lrp_model::{EventKind, OpKind};
+use lrp_model::EventKind;
 
 /// Under round-robin with identical per-thread programs, events must
 /// interleave strictly t0, t1, t2, t0, t1, t2, ...
@@ -78,35 +78,6 @@ fn spinning_reader_eventually_observes_writer() {
         );
         t.validate().unwrap();
     }
-}
-
-/// Recorded setup produces Setup markers attributable to the extra
-/// thread id.
-#[test]
-fn recorded_setup_markers() {
-    let cfg = ExecConfig::new(1).record_setup(true);
-    let t = run(
-        &cfg,
-        |s| {
-            s.op_begin(OpKind::Setup);
-            s.write(0x100, 1);
-            s.write(0x108, 2);
-            s.op_end(1);
-        },
-        vec![Box::new(|c: &mut GateCtx| {
-            c.read(0x100);
-        })],
-    );
-    t.validate().unwrap();
-    let setup_markers: Vec<_> = t
-        .markers
-        .iter()
-        .filter(|m| matches!(m.op, OpKind::Setup))
-        .collect();
-    assert_eq!(setup_markers.len(), 1);
-    assert_eq!(setup_markers[0].tid, 1);
-    assert_eq!(setup_markers[0].first_event, 0);
-    assert_eq!(setup_markers[0].end_event, 2);
 }
 
 /// CAS failure values observed through the gate match the memory state.

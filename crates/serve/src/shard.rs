@@ -616,13 +616,8 @@ impl Shard {
         // and each thread issues its share in order.
         let nthreads = self.cfg.sim_threads as usize;
         let mut cursor = vec![0usize; nthreads];
-        let markers: Vec<_> = trace
-            .markers
-            .iter()
-            .filter(|m| m.op != OpKind::Setup)
-            .collect();
         let mut order: Vec<(usize, u32, bool, u64)> = Vec::with_capacity(ops.len());
-        for m in &markers {
+        for m in &trace.markers {
             let tid = m.tid as usize;
             let batch_idx = tid + cursor[tid] * nthreads;
             cursor[tid] += 1;
@@ -670,7 +665,7 @@ impl Shard {
         for (seq, &i) in ranked.iter().enumerate() {
             let (batch_idx, _, durable, persisted_at) = order[i];
             results[batch_idx] = KvResult {
-                applied: markers[i].result == 1,
+                applied: trace.markers[i].result == 1,
                 durable,
                 batch,
                 seq: seq as u64,
