@@ -15,7 +15,7 @@
 //! ```
 
 use lrp_repro::lfds::{Structure, WorkloadSpec};
-use lrp_repro::obs::{chrome, metrics, span, RecorderConfig, Span, SpanLog, SpanPhase};
+use lrp_repro::obs::{blame, chrome, metrics, span, RecorderConfig, Span, SpanLog, SpanPhase};
 use lrp_repro::serve::{metrics as serve_metrics, CrashOutcome, KvOp, ShardReq};
 use lrp_repro::sim::{Mechanism, Sim, SimConfig};
 use std::path::PathBuf;
@@ -92,6 +92,47 @@ fn small_event_ring_exports_match_fixture() {
         "obs_chrome_queue_lrp_ring32.json",
         &format!("{header}\n{}", chrome::export(&obs)),
     );
+}
+
+/// The blame table of a paper-shaped replay, past its sketch capacity.
+/// The BST trace of `golden_trace64_interleaving_matches` (4,096
+/// entries, 64 threads × 8 ops, seed 7) replays under each mechanism
+/// with a summaries-only recorder; per mechanism the fixture holds the
+/// sketch's eviction count and the length and FNV-1a-64 of the compact
+/// `blame_json` export, which covers every exact cell and every
+/// surviving heavy-hitter weight and error bound.
+#[test]
+fn blame_sketch_eviction_matches_fixture() {
+    let trace = WorkloadSpec::new(Structure::Bst)
+        .initial_size(4096)
+        .threads(64)
+        .ops_per_thread(8)
+        .seed(7)
+        .build_trace();
+    let mut out = String::new();
+    for mech in Mechanism::ALL {
+        let obs = Sim::new(SimConfig::new(mech), &trace)
+            .with_recorder(RecorderConfig::summaries_only())
+            .run()
+            .obs
+            .expect("recorder attached");
+        let evictions = obs.blame.sketch.evictions();
+        assert!(
+            evictions > 0,
+            "{}: the fixture must exercise eviction",
+            mech.name()
+        );
+        let text = blame::blame_json(&obs.blame).to_compact();
+        let hash = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        out.push_str(&format!(
+            "blame64 bstree/{} sketch_evictions={evictions} json_bytes={} fnv1a64={hash:#018x}\n",
+            mech.name(),
+            text.len()
+        ));
+    }
+    check("obs_blame_trace64_bstree.txt", &out);
 }
 
 /// Records one request chain: a root over `[t0, t0 + 10 × phases]`
