@@ -19,6 +19,7 @@ use lrp_bench::alloc_count::CountingAlloc;
 use lrp_bench::cli::{die, gate_command, write_out, Cli};
 use lrp_bench::crashfuzz::{self, CrashFuzzSpec};
 use lrp_bench::host::{self, HostSpec};
+use lrp_bench::out;
 use lrp_bench::serve_bench::{self, ServeBenchSpec};
 use lrp_lfds::{KeyDist, Structure};
 use lrp_sim::{Mechanism, NvmMode};
@@ -148,7 +149,7 @@ fn main() {
                     cell.ops_per_sec()
                 );
             });
-            print!("{}", host::render_report(&report));
+            out!("{}", host::render_report(&report));
             if let Some(out) = &json_out {
                 write_out(out, &host::report_json(&report).to_pretty());
                 eprintln!("wrote host report to {out}");
@@ -207,7 +208,7 @@ fn main() {
                 &serve_bench::SWEEP_BATCHES,
                 serve_bench::SWEEP_SAMPLES,
             );
-            print!("{}", serve_bench::render_report(&report));
+            out!("{}", serve_bench::render_report(&report));
             if let Some(out) = &json_out {
                 write_out(out, &serve_bench::report_json(&report).to_pretty());
                 eprintln!("wrote serve report to {out}");
@@ -269,7 +270,7 @@ fn main() {
                     cell.violations
                 );
             });
-            print!("{}", crashfuzz::render_report(&report));
+            out!("{}", crashfuzz::render_report(&report));
             if let Some(out) = &json_out {
                 write_out(out, &crashfuzz::report_json(&spec, &report).to_pretty());
                 eprintln!("wrote crash-fuzz report to {out}");

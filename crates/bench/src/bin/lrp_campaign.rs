@@ -20,6 +20,7 @@
 //! cells a run would execute, without executing anything.
 
 use lrp_bench::cli::{die, report_unhealthy, Cli};
+use lrp_bench::{out, outln};
 use lrp_campaign::{render_table, run_to_files, write_bench_json, CampaignConfig, MatrixSpec};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -101,14 +102,14 @@ fn main() {
     let cmd = cli.positionals(1, 1).remove(0);
     match cmd.as_str() {
         "matrix" => {
-            println!("{}", matrix.describe());
-            println!(
+            outln!("{}", matrix.describe());
+            outln!(
                 "fingerprint {} — {} cells:",
                 matrix.fingerprint(),
                 matrix.len()
             );
             for cell in matrix.cells() {
-                println!("{:>5}  {}", cell.index, cell.id());
+                outln!("{:>5}  {}", cell.index, cell.id());
             }
         }
         "run" => {
@@ -135,7 +136,7 @@ fn main() {
                     out.display()
                 );
             }
-            print!("{}", render_table(&matrix, &outcome.summary));
+            out!("{}", render_table(&matrix, &outcome.summary));
             let unhealthy = report_unhealthy(&outcome.records);
             if !no_bench {
                 write_bench_json(&bench, &matrix, &outcome.summary)

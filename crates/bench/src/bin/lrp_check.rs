@@ -17,6 +17,7 @@
 //! violations are reported as counts, never as failures.
 
 use lrp_bench::cli::{write_out, Cli};
+use lrp_bench::outln;
 use lrp_check::{cross_validate, enumerate_check, generator_preds, mutate_reorder, CheckBound};
 use lrp_check::{cross_validate_schedule, CrossReport};
 use lrp_lfds::Structure;
@@ -85,7 +86,7 @@ fn main() {
 
     let mut cells: Vec<Json> = Vec::new();
     let fail = |cx: &Counterexample, cx_out: &Option<String>| -> ! {
-        println!("{cx}");
+        outln!("{cx}");
         if let Some(path) = cx_out {
             write_out(path, &format!("{cx}\n"));
             eprintln!("wrote counterexample to {path}");
@@ -259,5 +260,5 @@ fn report(
         write_out(out, &j.to_pretty());
         eprintln!("wrote report to {out}");
     }
-    println!("{command}: {ncells} cells ok");
+    outln!("{command}: {ncells} cells ok");
 }

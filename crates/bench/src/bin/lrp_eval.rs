@@ -15,6 +15,7 @@
 
 use lrp_bench::cli::{report_run, report_unhealthy, Cli};
 use lrp_bench::figures::{Figure, Figures, Shape};
+use lrp_bench::{out, outln};
 use lrp_campaign::{build_trace, CampaignConfig};
 use lrp_lfds::Structure;
 use lrp_obs::RecorderConfig;
@@ -109,7 +110,7 @@ fn main() {
         ", lower is better"
     };
     for figure in figures {
-        print!("{}", figs.render(figure, legend));
+        out!("{}", figs.render(figure, legend));
     }
     if report_unhealthy(&figs.records) {
         std::process::exit(3);
@@ -117,23 +118,24 @@ fn main() {
 }
 
 fn table1() {
-    println!("== Table 1: simulator configuration ==");
-    println!("{}", SimConfig::new(Mechanism::Lrp).table1());
-    println!();
+    outln!("== Table 1: simulator configuration ==");
+    outln!("{}", SimConfig::new(Mechanism::Lrp).table1());
+    outln!();
 }
 
 fn fig1() {
-    println!("== Figure 1: ARP cannot recover a log-free linked-list insert ==");
+    outln!("== Figure 1: ARP cannot recover a log-free linked-list insert ==");
     let f = lrp_recovery::counterexample::figure1();
-    println!(
+    outln!(
         "ARP (adversarial, ARP-rule-legal persist order): {}/{} crash points UNRECOVERABLE",
-        f.arp_failures, f.arp_points
+        f.arp_failures,
+        f.arp_points
     );
-    println!(
+    outln!(
         "LRP (simulated hardware run):                    0/{} crash points unrecoverable",
         f.lrp_points
     );
-    println!();
+    outln!();
 }
 
 /// Figure 2 micro-demonstration: cross-epoch writes to one line conflict
@@ -148,15 +150,15 @@ fn fig2() {
         b.write_rel(0, 0x2000, i);
     }
     let t = b.build();
-    println!("== Figure 2: one-sided barriers eliminate conflicts ==");
-    println!("cross-epoch same-line write micro-loop (64 iterations):");
+    outln!("== Figure 2: one-sided barriers eliminate conflicts ==");
+    outln!("cross-epoch same-line write micro-loop (64 iterations):");
     for (name, m) in [("BB ", Mechanism::Bb), ("LRP", Mechanism::Lrp)] {
         let s = Sim::new(SimConfig::new(m), &t).run().stats;
         let crit = s.flushes.get(&FlushClass::Critical).copied().unwrap_or(0);
-        println!(
+        outln!(
             "  {name}: {crit} critical-path flushes, {} cycles",
             s.cycles
         );
     }
-    println!();
+    outln!();
 }

@@ -16,6 +16,7 @@
 //! violation — the signal CI gates on.
 
 use lrp_bench::cli::{die, write_out, Cli};
+use lrp_bench::outln;
 use lrp_lfds::KeyDist;
 use lrp_serve::{probe, run_load, Bind, LoadSpec};
 
@@ -100,7 +101,7 @@ fn main() {
         }
         match probe(&target, what) {
             Ok(json) => {
-                println!("{json}");
+                outln!("{json}");
                 return;
             }
             Err(e) => die(format!("probe failed: {e}")),
@@ -124,7 +125,7 @@ fn main() {
 
     let summary = run_load(&spec).unwrap_or_else(|e| die(format!("load failed: {e}")));
     let doc = summary.to_json().to_pretty();
-    println!("{doc}");
+    outln!("{doc}");
     if let Some(path) = &json_out {
         write_out(path, &doc);
         eprintln!("wrote load summary to {path}");

@@ -21,6 +21,7 @@
 //! out-of-tolerance regressions.
 
 use lrp_bench::cli::{gate_command, write_out, Cli};
+use lrp_bench::out;
 use lrp_bench::profile::{self, GateTolerances, ProfileSpec};
 use lrp_lfds::Structure;
 use lrp_sim::{Mechanism, NvmMode};
@@ -103,7 +104,7 @@ fn main() {
         "run" => {
             let spec = spec_for(&mech, &cli);
             let run = profile::run(&spec);
-            print!("{}", profile::render_run(&spec, &run, top));
+            out!("{}", profile::render_run(&spec, &run, top));
             if let Some(out) = &folded_out {
                 write_out(out, &run.blame.folded());
                 eprintln!("wrote folded stacks to {out}");
@@ -113,12 +114,12 @@ fn main() {
             let spec_a = spec_for(&a, &cli);
             let spec_b = spec_for(&b, &cli);
             let (_, _, rows) = profile::run_diff(&spec_a, &spec_b);
-            print!("{}", profile::render_diff(&spec_a, &spec_b, &rows, top));
+            out!("{}", profile::render_diff(&spec_a, &spec_b, &rows, top));
         }
         "critpath" => {
             let spec = spec_for(&mech, &cli);
             let run = profile::run(&spec);
-            print!("{}", profile::render_critpath(&spec, &run, top));
+            out!("{}", profile::render_critpath(&spec, &run, top));
             if let Some(out) = &folded_out {
                 write_out(out, &run.crit.folded_stacks());
                 eprintln!("wrote folded chains to {out}");
@@ -137,7 +138,7 @@ fn main() {
             let spec_b = spec_for(&b, &cli);
             let (run_a, run_b) = (profile::run(&spec_a), profile::run(&spec_b));
             let rows = profile::crit_diff(&run_a.crit, &run_b.crit);
-            print!("{}", profile::render_crit_diff(&spec_a, &spec_b, &rows));
+            out!("{}", profile::render_crit_diff(&spec_a, &spec_b, &rows));
             let bad = run_a.crit.audit.total_violations() + run_b.crit.audit.total_violations();
             if bad > 0 {
                 eprintln!("critpath conservation violated: {bad} check(s)");

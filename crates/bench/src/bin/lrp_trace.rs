@@ -15,6 +15,7 @@
 //! be diffed, versioned, and shipped as regression inputs.
 
 use lrp_bench::cli::{die, read_text, report_run, write_out, Cli};
+use lrp_bench::{out, outln};
 use lrp_lfds::{Structure, WorkloadSpec};
 use lrp_model::{codec, Census, Trace};
 use lrp_obs::RecorderConfig;
@@ -112,23 +113,23 @@ fn gen(
                 trace.markers.len()
             );
         }
-        None => print!("{text}"),
+        None => out!("{text}"),
     }
 }
 
 fn info(path: &str) {
     let trace = load(path);
     match trace.validate() {
-        Ok(()) => println!("trace: well-formed"),
-        Err(e) => println!("trace: INVALID ({e})"),
+        Ok(()) => outln!("trace: well-formed"),
+        Err(e) => outln!("trace: INVALID ({e})"),
     }
-    println!("{}", Census::of(&trace));
+    outln!("{}", Census::of(&trace));
     if !trace.roots.is_empty() {
-        print!("roots:");
+        out!("roots:");
         for (name, a) in &trace.roots {
-            print!(" {name}={a:#x}");
+            out!(" {name}={a:#x}");
         }
-        println!();
+        outln!();
     }
 }
 
@@ -191,7 +192,7 @@ fn check(path: &str) {
             }
             _ => "n/a".to_string(),
         };
-        println!(
+        outln!(
             "{:<4} cycles={:<10} flushes={:<6} RP={:<10} recovery={}",
             m.name(),
             r.stats.cycles,

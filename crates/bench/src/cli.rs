@@ -12,8 +12,11 @@
 //! call [`Cli::positionals`] — anything left that still looks like a
 //! flag is an error.
 //!
-//! The module also holds the bodies the binaries share: JSON file
-//! I/O that exits 1 on failure ([`load_json`], [`write_out`]), the gate
+//! The module also holds the bodies the binaries share: stdout writes
+//! that end the process quietly once the reader has gone
+//! ([`write_stdout`], behind the [`out!`](crate::out) and
+//! [`outln!`](crate::outln) macros), JSON file I/O that exits 1 on
+//! failure ([`load_json`], [`write_out`]), the gate
 //! subcommand ([`gate_command`]), the instrumented-run report
 //! ([`report_run`]) and the unhealthy-cell report
 //! ([`report_unhealthy`]).
@@ -23,7 +26,41 @@ use lrp_campaign::CellRecord;
 use lrp_obs::{chrome, metrics, AuditCounter, CritSegKind, Json};
 use lrp_sim::{Mechanism, RunResult, SimConfig};
 use std::fmt::Display;
+use std::io::Write as _;
 use std::str::FromStr;
+
+/// Writes to stdout. `print!` panics when the reader has gone (as in
+/// `lrp-trace info t.trace | head`); this ends the process quietly
+/// with status 0 instead, the way a pipeline's producer should. Any
+/// other write error exits 1 with a message.
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`write_stdout`].
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::cli::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// An argument list being destructively matched against known flags.
 pub struct Cli {
@@ -46,7 +83,7 @@ impl Cli {
             args,
         };
         if cli.args.iter().any(|a| a == "--help" || a == "-h") {
-            println!("{}", cli.usage);
+            outln!("{}", cli.usage);
             std::process::exit(0);
         }
         cli
@@ -192,8 +229,8 @@ pub fn gate_command(
         write_out(out, &doc(&verdict).to_pretty());
         eprintln!("wrote {what} verdict to {out}");
     }
-    print!("{}", preamble(&base, &cur));
-    print!("{}", render_gate(&verdict));
+    out!("{}", preamble(&base, &cur));
+    out!("{}", render_gate(&verdict));
     if !verdict.pass() {
         std::process::exit(1);
     }
@@ -230,10 +267,10 @@ pub fn report_run(
     trace_out: Option<&str>,
     metrics_out: Option<&str>,
 ) -> i32 {
-    print!("{}", lrp_sim::report::render(title, r));
+    out!("{}", lrp_sim::report::render(title, r));
     let Some(obs) = r.obs.as_ref() else { return 0 };
-    println!("-- observability --");
-    println!(
+    outln!("-- observability --");
+    outln!(
         "events captured        {:>12} (dropped {})",
         obs.events.len(),
         obs.dropped
@@ -242,13 +279,13 @@ pub fn report_run(
     if deduped > 0 {
         eprintln!("  ({deduped} further drop warnings deduplicated)");
     }
-    println!("sample intervals       {:>12}", obs.intervals.len());
-    println!("ret high water         {:>12}", obs.ret_high_water);
+    outln!("sample intervals       {:>12}", obs.intervals.len());
+    outln!("ret high water         {:>12}", obs.ret_high_water);
     for (name, hist) in metrics::hist_rows(obs) {
         if hist.is_empty() {
-            println!("  {name:<20} (no samples)");
+            outln!("  {name:<20} (no samples)");
         } else {
-            println!(
+            outln!(
                 "  {:<20} n={} mean={:.1} p50={} p99={} max={}",
                 name,
                 hist.count,
@@ -261,17 +298,18 @@ pub fn report_run(
     }
     let print_audit = |rows: &[(&str, AuditCounter)]| {
         for (name, c) in rows {
-            println!(
+            outln!(
                 "  {name:<20} checks={:<8} violations={}",
-                c.checks, c.violations
+                c.checks,
+                c.violations
             );
         }
     };
-    println!("-- invariant audit (I1-I4) --");
+    outln!("-- invariant audit (I1-I4) --");
     print_audit(&obs.audit.rows());
     let crit = &obs.crit;
-    println!("-- durability critical path --");
-    println!(
+    outln!("-- durability critical path --");
+    outln!(
         "  paths traced         {:>12} ({} cycles, longest {})",
         crit.paths(),
         crit.total_cycles(),
@@ -281,7 +319,7 @@ pub fn report_run(
     for kind in CritSegKind::ALL {
         let k = kind.idx();
         if crit.seg_counts[k] > 0 {
-            println!(
+            outln!(
                 "  {:<20} n={:<6} cycles={:<10} share={:.1}%",
                 kind.name(),
                 crit.seg_counts[k],
