@@ -22,7 +22,7 @@
 //! a re-stamped slot's new plain payload persist *before* its new rid,
 //! so a cut can hold the old rid over the new payload.
 
-use lrp_exec::PmemCtx;
+use lrp_exec::{DirectCtx, PmemCtx};
 use lrp_lfds::MemImage;
 use lrp_model::{Addr, Trace};
 
@@ -225,17 +225,17 @@ impl SlotTable {
 /// is the whole trick — it persist-orders the payload *and* every
 /// program-order-earlier write of the operation body before the stamp,
 /// so a recovered stamp certifies the outcome it encodes.
-pub fn stamp<C: PmemCtx>(c: &mut C, base: Addr, spec: &SlotSpec, rec: &SlotRecord) {
+pub async fn stamp<C: PmemCtx>(c: &mut C, base: Addr, spec: &SlotSpec, rec: &SlotRecord) {
     let a = spec.record_addr(base, spec.index_for(rec.rid));
-    c.write(a + 8, rec.key);
-    c.write(a + 16, rec.meta());
-    c.write_rel(a, rec.rid);
+    c.write(a + 8, rec.key).await;
+    c.write(a + 16, rec.meta()).await;
+    c.write_rel(a, rec.rid).await;
 }
 
 /// Re-writes a table's committed records while a fresh image is built
 /// (those writes are the image's contents, durable by construction).
 /// Empty slots are left unwritten and read back as poison.
-pub fn write_table_setup<C: PmemCtx>(c: &mut C, base: Addr, table: &SlotTable) {
+pub fn write_table_setup(c: &mut DirectCtx, base: Addr, table: &SlotTable) {
     let spec = table.spec;
     for rec in table.iter() {
         let a = spec.record_addr(base, spec.index_for(rec.rid));
@@ -294,7 +294,6 @@ pub fn read_table(image: &MemImage, base: Addr, spec: SlotSpec) -> TableScan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lrp_exec::DirectCtx;
     use lrp_model::{Annot, EventKind};
 
     fn rid(client: u64, seq: u64) -> u64 {
@@ -359,9 +358,9 @@ mod tests {
         let trace = lrp_exec::run(
             &lrp_exec::ExecConfig::new(1),
             |_| {},
-            vec![Box::new(move |c| {
+            vec![lrp_exec::body(move |mut c| async move {
                 let base = c.alloc(spec.words());
-                stamp(c, base, &spec, &r);
+                stamp(&mut c, base, &spec, &r).await;
             })],
         );
         let events = trace.events;

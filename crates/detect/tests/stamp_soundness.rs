@@ -8,10 +8,11 @@
 //! operation.
 
 use lrp_detect::{stamp, SlotKind, SlotRecord, SlotSpec};
-use lrp_exec::{run, ExecConfig, PmemCtx, SchedPolicy, ThreadBody};
+use lrp_exec::{body, run, DirectCtx, ExecConfig, PmemCtx, SchedPolicy, ThreadBody};
 use lrp_model::{Addr, EventKind, Trace};
 use lrp_sim::{Mechanism, Sim, SimConfig};
-use std::sync::{Arc, OnceLock};
+use std::cell::OnceCell;
+use std::rc::Rc;
 
 fn rid(client: u64, seq: u64) -> u64 {
     (client << 48) | seq
@@ -20,9 +21,9 @@ fn rid(client: u64, seq: u64) -> u64 {
 /// Two workers, each writing a private "effect" word then stamping a
 /// slot record, several times over.
 fn build(seed: u64, spec: SlotSpec) -> Trace {
-    let shared: Arc<OnceLock<(Addr, Addr)>> = Arc::new(OnceLock::new());
-    let setup_shared = shared.clone();
-    let setup = move |s: &mut lrp_exec::DirectCtx| {
+    let shared: Rc<OnceCell<(Addr, Addr)>> = Rc::default();
+    let setup_shared = Rc::clone(&shared);
+    let setup = move |s: &mut DirectCtx| {
         let base = s.alloc(spec.words());
         let data = s.alloc(16);
         s.set_root("det_base", base);
@@ -30,15 +31,15 @@ fn build(seed: u64, spec: SlotSpec) -> Trace {
     };
     let bodies: Vec<ThreadBody> = (0..2u64)
         .map(|t| {
-            let shared = shared.clone();
-            Box::new(move |c: &mut lrp_exec::GateCtx| {
+            let shared = Rc::clone(&shared);
+            body(move |mut c| async move {
                 let (base, data) = *shared.get().expect("setup ran");
                 for seq in 0..4 {
                     // The "operation": a plain effect write...
-                    c.write(data + t * 8, 100 * t + seq);
+                    c.write(data + t * 8, 100 * t + seq).await;
                     // ...then its detectable checkpoint.
                     stamp(
-                        c,
+                        &mut c,
                         base,
                         &spec,
                         &SlotRecord {
@@ -48,9 +49,10 @@ fn build(seed: u64, spec: SlotSpec) -> Trace {
                             applied: true,
                             batch: 0,
                         },
-                    );
+                    )
+                    .await;
                 }
-            }) as ThreadBody
+            })
         })
         .collect();
     let cfg = ExecConfig::new(2)

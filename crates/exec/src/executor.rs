@@ -1,16 +1,16 @@
-//! The lockstep scheduler and the gated thread context.
+//! The cooperative scheduler and the gated thread context.
 //!
-//! Worker bodies run on real OS threads, but only one of them runs at a
-//! time: the one holding the *turn*. All scheduler state (functional
-//! memory, arenas, [`Recorder`], policy RNG, round-robin cursor and the
-//! set of parked threads) sits behind one mutex, and each worker waits
-//! on its own condition variable. A worker that reaches a memory access
-//! parks itself and picks the next holder (unstarted threads first, in
-//! tid order, then the [`SchedPolicy`] over the parked threads). If that
-//! is another thread it wakes only that one and waits; it performs its
-//! own access when the turn comes back to it. Allocations, op markers
-//! and site labels act on the state directly, since the holder is the
-//! only thread running. A worker that exits, normally or by panicking,
+//! Every worker body is a future, and all of them run on the caller's
+//! thread, one at a time: the run loop polls only the worker holding the
+//! *turn*. All scheduler state (functional memory, arenas, [`Recorder`],
+//! policy RNG, round-robin cursor and the set of parked workers) sits in
+//! one `RefCell` the workers share. A worker that reaches a memory
+//! access parks itself and yields (its future returns `Pending`); the
+//! run loop then picks the next holder (unstarted workers first, in tid
+//! order, then the [`SchedPolicy`] over the parked ones) and polls it. A
+//! parked worker performs its own access when it is polled again.
+//! Allocations, op markers and site labels act on the state directly
+//! and never yield. A worker that finishes, normally or by panicking,
 //! passes the turn on. Scheduling decisions depend only on the seed and
 //! recorded history, so the produced trace is a deterministic function
 //! of `(config, setup, bodies)`.
@@ -19,7 +19,12 @@ use crate::ctx::{Arenas, DirectCtx, PmemCtx, Recorder};
 use crate::mem::SharedMem;
 use crate::rng::Xorshift64;
 use lrp_model::{Addr, Annot, OpKind, ThreadId, Trace};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::cell::RefCell;
+use std::future::{poll_fn, Future};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 
 /// How the scheduler chooses among parked threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,8 +70,28 @@ impl ExecConfig {
     }
 }
 
-/// A worker body: runs once with a gated context.
-pub type ThreadBody = Box<dyn FnOnce(&mut GateCtx) + Send>;
+/// A running worker: the future a [`ThreadBody`] returned.
+type Worker = Pin<Box<dyn Future<Output = ()>>>;
+
+/// A worker body: given its gated context, returns the future that runs
+/// the worker. Build one with [`body`].
+pub type ThreadBody = Box<dyn FnOnce(GateCtx) -> Worker>;
+
+/// Boxes an `async` worker body that owns its [`GateCtx`]:
+///
+/// ```
+/// # use lrp_exec::{body, PmemCtx, ThreadBody};
+/// let w: ThreadBody = body(|mut c| async move {
+///     c.write_rel(0x1000, 1).await;
+/// });
+/// ```
+pub fn body<F, Fut>(f: F) -> ThreadBody
+where
+    F: FnOnce(GateCtx) -> Fut + 'static,
+    Fut: Future<Output = ()> + 'static,
+{
+    Box::new(move |ctx| Box::pin(f(ctx)))
+}
 
 /// Everything the turn holder may touch.
 struct State {
@@ -80,8 +105,6 @@ struct State {
     /// Threads `0..started` have been handed the turn at least once.
     started: usize,
     threads: usize,
-    /// The thread that may run.
-    turn: usize,
 }
 
 impl State {
@@ -113,62 +136,35 @@ impl State {
     }
 }
 
-/// The state shared by one run's workers: the mutex and one condition
-/// variable per worker, so a hand-off wakes exactly the next holder.
-struct Gate {
-    state: Mutex<State>,
-    turns: Vec<Condvar>,
-}
-
-impl Gate {
-    /// Locks the state. A worker that panicked while holding the lock
-    /// poisons it; the others carry on with the state as it was left.
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Hands the turn to the next holder, if any thread is left.
-    fn pass(&self, s: &mut State) {
-        if let Some(next) = s.next_holder() {
-            s.turn = next;
-            self.turns[next].notify_one();
-        }
-    }
-
-    /// Blocks until `me` holds the turn.
-    fn wait<'a>(&self, s: MutexGuard<'a, State>, me: usize) -> MutexGuard<'a, State> {
-        self.turns[me]
-            .wait_while(s, |s| s.turn != me)
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// The gated per-thread context handed to worker bodies. Dropping it
-/// (when the body returns or unwinds) passes the turn on.
+/// The gated per-thread context a worker body owns.
 pub struct GateCtx {
     tid: ThreadId,
-    gate: Arc<Gate>,
+    state: Rc<RefCell<State>>,
     rng: Xorshift64,
 }
 
 impl GateCtx {
-    /// Parks at an access until this thread is picked, then applies
-    /// `f` to the state.
-    fn access<R>(&mut self, f: impl FnOnce(&mut State, ThreadId) -> R) -> R {
-        let me = self.tid as usize;
-        let mut s = self.gate.lock();
-        let at = s.parked.partition_point(|&t| t < me);
-        s.parked.insert(at, me);
-        self.gate.pass(&mut s);
-        let mut s = self.gate.wait(s, me);
-        f(&mut s, self.tid)
-    }
-}
-
-impl Drop for GateCtx {
-    fn drop(&mut self) {
-        let mut s = self.gate.lock();
-        self.gate.pass(&mut s);
+    /// Parks at an access until the run loop picks this thread again,
+    /// then applies `f` to the state.
+    async fn access<R>(&mut self, f: impl FnOnce(&mut State, ThreadId) -> R) -> R {
+        {
+            let me = self.tid as usize;
+            let mut s = self.state.borrow_mut();
+            let at = s.parked.partition_point(|&t| t < me);
+            s.parked.insert(at, me);
+        }
+        // Yield once: the run loop polls this worker again when it is
+        // picked.
+        let mut picked = false;
+        poll_fn(|_| {
+            if std::mem::replace(&mut picked, true) {
+                Poll::Ready(())
+            } else {
+                Poll::Pending
+            }
+        })
+        .await;
+        f(&mut self.state.borrow_mut(), self.tid)
     }
 }
 
@@ -177,31 +173,37 @@ impl PmemCtx for GateCtx {
         self.tid
     }
 
-    fn read_annot(&mut self, addr: Addr, annot: Annot) -> u64 {
+    async fn read_annot(&mut self, addr: Addr, annot: Annot) -> u64 {
         self.access(|s, tid| {
             let v = s.mem.read(addr);
             s.rec.read(tid, addr, annot, v);
             v
         })
+        .await
     }
 
-    fn write_annot(&mut self, addr: Addr, val: u64, annot: Annot) {
+    async fn write_annot(&mut self, addr: Addr, val: u64, annot: Annot) {
         self.access(|s, tid| {
             s.mem.write(addr, val);
             s.rec.write(tid, addr, annot, val);
         })
+        .await
     }
 
-    fn cas_annot(&mut self, addr: Addr, old: u64, new: u64, annot: Annot) -> (bool, u64) {
+    async fn cas_annot(&mut self, addr: Addr, old: u64, new: u64, annot: Annot) -> (bool, u64) {
         self.access(|s, tid| {
             let (ok, observed) = s.mem.cas(addr, old, new);
             s.rec.cas(tid, addr, annot, ok, observed, new);
             (ok, observed)
         })
+        .await
     }
 
     fn alloc(&mut self, words: usize) -> Addr {
-        self.gate.lock().arenas.alloc(self.tid as usize, words)
+        self.state
+            .borrow_mut()
+            .arenas
+            .alloc(self.tid as usize, words)
     }
 
     fn rand(&mut self) -> u64 {
@@ -209,19 +211,19 @@ impl PmemCtx for GateCtx {
     }
 
     fn op_begin(&mut self, op: OpKind) {
-        self.gate.lock().rec.begin(self.tid, op);
+        self.state.borrow_mut().rec.begin(self.tid, op);
     }
 
     fn op_end(&mut self, result: u64) {
-        self.gate.lock().rec.end(self.tid, result);
+        self.state.borrow_mut().rec.end(self.tid, result);
     }
 
     fn site_op(&mut self, label: &str) {
-        self.gate.lock().rec.site_op(self.tid, label);
+        self.state.borrow_mut().rec.site_op(self.tid, label);
     }
 
     fn site_phase(&mut self, phase: &str) {
-        self.gate.lock().rec.site_phase(self.tid, phase);
+        self.state.borrow_mut().rec.site_phase(self.tid, phase);
     }
 }
 
@@ -254,6 +256,9 @@ pub fn run(cfg: &ExecConfig, setup: impl FnOnce(&mut DirectCtx), bodies: Vec<Thr
 ///
 /// The returned trace's `initial_mem` is empty: which words the trace
 /// starts from (and treats as durable) is the caller's statement.
+///
+/// A panic in a worker body is re-raised here after the remaining
+/// workers finish and the memory and arenas are back with the caller.
 pub fn run_on(
     cfg: &ExecConfig,
     mem: &mut SharedMem,
@@ -270,61 +275,68 @@ pub fn run_on(
 
     // The workers own the memory and arenas while they run; both go
     // back to the caller afterwards, also when a worker panicked.
-    let gate = Arc::new(Gate {
-        state: Mutex::new(State {
-            mem: std::mem::take(mem),
-            arenas: std::mem::take(arenas),
-            rec: Recorder::new(),
-            policy_rng: match cfg.sched {
-                SchedPolicy::Random(s) => Some(Xorshift64::new(s)),
-                SchedPolicy::RoundRobin => None,
-            },
-            cursor: 0,
-            parked: Vec::with_capacity(n),
-            // Thread 0 starts holding the turn.
-            started: n.min(1),
-            threads: n,
-            turn: 0,
-        }),
-        turns: (0..n).map(|_| Condvar::new()).collect(),
-    });
-
-    let handles: Vec<_> = bodies
+    let state = Rc::new(RefCell::new(State {
+        mem: std::mem::take(mem),
+        arenas: std::mem::take(arenas),
+        rec: Recorder::new(),
+        policy_rng: match cfg.sched {
+            SchedPolicy::Random(s) => Some(Xorshift64::new(s)),
+            SchedPolicy::RoundRobin => None,
+        },
+        cursor: 0,
+        parked: Vec::with_capacity(n),
+        started: 0,
+        threads: n,
+    }));
+    let mut workers: Vec<Option<Worker>> = bodies
         .into_iter()
         .enumerate()
         .map(|(i, body)| {
-            let mut ctx = GateCtx {
+            Some(body(GateCtx {
                 tid: i as ThreadId,
-                gate: Arc::clone(&gate),
+                state: Rc::clone(&state),
                 rng: Xorshift64::new(
                     cfg.seed
                         .wrapping_mul(0x9E37_79B9)
                         .wrapping_add(i as u64 + 1),
                 ),
-            };
-            std::thread::spawn(move || {
-                drop(ctx.gate.wait(ctx.gate.lock(), i));
-                body(&mut ctx);
-            })
+            }))
         })
         .collect();
 
+    // The turn: poll the holder until it parks at an access (`Pending`)
+    // or finishes, then pick the next holder.
+    let mut cx = Context::from_waker(Waker::noop());
     let mut panic_payload = None;
-    for h in handles {
-        if let Err(p) = h.join() {
-            panic_payload = Some(p);
+    loop {
+        let next = state.borrow_mut().next_holder();
+        let Some(t) = next else { break };
+        let worker = workers[t]
+            .as_mut()
+            .expect("only a live worker holds the turn");
+        match catch_unwind(AssertUnwindSafe(|| worker.as_mut().poll(&mut cx))) {
+            Ok(Poll::Pending) => {}
+            Ok(Poll::Ready(())) => workers[t] = None,
+            Err(p) => {
+                workers[t] = None;
+                panic_payload.get_or_insert(p);
+            }
         }
     }
-    let state = Arc::into_inner(gate)
-        .expect("every worker has exited")
-        .state
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
+    let stranded = workers.iter().filter(|w| w.is_some()).count();
+    drop(workers);
+    let state = Rc::into_inner(state)
+        .expect("no worker kept its context")
+        .into_inner();
     *mem = state.mem;
     *arenas = state.arenas;
     if let Some(p) = panic_payload {
-        std::panic::resume_unwind(p);
+        resume_unwind(p);
     }
+    assert_eq!(
+        stranded, 0,
+        "a worker yielded outside a gated access and was never resumed"
+    );
 
     let heap_range = arenas.used_range();
     let (events, markers, site_names, event_sites) = state.rec.into_trace_parts();
@@ -345,6 +357,7 @@ mod tests {
     use super::*;
     use crate::ctx::Arenas;
     use lrp_model::EventKind;
+    use std::cell::Cell;
 
     fn message_passing(policy: SchedPolicy) -> Trace {
         let cfg = ExecConfig::new(2).policy(policy);
@@ -352,13 +365,13 @@ mod tests {
             &cfg,
             |s| s.write(0x1000, 0),
             vec![
-                Box::new(|c: &mut GateCtx| {
-                    c.write(0x2000, 7);
-                    c.write_rel(0x1000, 1);
+                body(|mut c| async move {
+                    c.write(0x2000, 7).await;
+                    c.write_rel(0x1000, 1).await;
                 }),
-                Box::new(|c: &mut GateCtx| {
-                    while c.read_acq(0x1000) == 0 {}
-                    assert_eq!(c.read(0x2000), 7);
+                body(|mut c| async move {
+                    while c.read_acq(0x1000).await == 0 {}
+                    assert_eq!(c.read(0x2000).await, 7);
                 }),
             ],
         )
@@ -396,8 +409,8 @@ mod tests {
                 s.write(0x1000, 42);
                 s.set_root("head", 0x1000);
             },
-            vec![Box::new(|c: &mut GateCtx| {
-                assert_eq!(c.read(0x1000), 42);
+            vec![body(|mut c| async move {
+                assert_eq!(c.read(0x1000).await, 42);
             })],
         );
         t.validate().unwrap();
@@ -414,9 +427,9 @@ mod tests {
             |s| s.write(0x1000, 0),
             (0..4)
                 .map(|i| {
-                    Box::new(move |c: &mut GateCtx| {
-                        c.cas_acq_rel(0x1000, 0, i + 1);
-                    }) as ThreadBody
+                    body(move |mut c| async move {
+                        c.cas_acq_rel(0x1000, 0, i + 1).await;
+                    })
                 })
                 .collect(),
         );
@@ -437,13 +450,13 @@ mod tests {
             |_| {},
             (0..2)
                 .map(|_| {
-                    Box::new(|c: &mut GateCtx| {
+                    body(|mut c| async move {
                         c.op_begin(OpKind::Insert(1, 2));
                         let p = c.alloc(2);
-                        c.write(p, 1);
-                        c.write(p + 8, 2);
+                        c.write(p, 1).await;
+                        c.write(p + 8, 2).await;
                         c.op_end(1);
-                    }) as ThreadBody
+                    })
                 })
                 .collect(),
         );
@@ -463,16 +476,16 @@ mod tests {
         let mut arenas = Arenas::new(2);
         let roots = vec![("cell".to_string(), 0x1000)];
         mem.write(0x1000, 1);
-        let body = || {
-            vec![Box::new(|c: &mut GateCtx| {
-                let v = c.read(0x1000);
+        let bodies = || {
+            vec![body(|mut c| async move {
+                let v = c.read(0x1000).await;
                 let p = c.alloc(1);
-                c.write(p, v);
-                c.write(0x1000, v + 1);
-            }) as ThreadBody]
+                c.write(p, v).await;
+                c.write(0x1000, v + 1).await;
+            })]
         };
-        let mut a = run_on(&cfg, &mut mem, &mut arenas, &roots, body());
-        let b = run_on(&cfg, &mut mem, &mut arenas, &roots, body());
+        let mut a = run_on(&cfg, &mut mem, &mut arenas, &roots, bodies());
+        let b = run_on(&cfg, &mut mem, &mut arenas, &roots, bodies());
         assert!(a.initial_mem.is_empty(), "the caller states initial_mem");
         a.initial_mem = vec![(0x1000, 1)];
         a.validate().unwrap();
@@ -487,31 +500,21 @@ mod tests {
 
     #[test]
     fn per_thread_rand_is_deterministic() {
-        let cfg = ExecConfig::new(1).seed(9);
-        let vals = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let v2 = vals.clone();
-        run(
-            &cfg,
-            |_| {},
-            vec![Box::new(move |c: &mut GateCtx| {
-                let mut g = v2.lock().unwrap();
-                g.push(c.rand());
-                g.push(c.rand());
-            })],
-        );
-        let first = vals.lock().unwrap().clone();
-        let vals2 = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let v3 = vals2.clone();
-        run(
-            &ExecConfig::new(1).seed(9),
-            |_| {},
-            vec![Box::new(move |c: &mut GateCtx| {
-                let mut g = v3.lock().unwrap();
-                g.push(c.rand());
-                g.push(c.rand());
-            })],
-        );
-        assert_eq!(first, *vals2.lock().unwrap());
+        let draws = || {
+            let vals = Rc::new(RefCell::new(Vec::new()));
+            let v = Rc::clone(&vals);
+            run(
+                &ExecConfig::new(1).seed(9),
+                |_| {},
+                vec![body(move |mut c| async move {
+                    v.borrow_mut().extend([c.rand(), c.rand()]);
+                })],
+            );
+            Rc::into_inner(vals).unwrap().into_inner()
+        };
+        let first = draws();
+        assert_eq!(first.len(), 2);
+        assert_eq!(first, draws());
     }
 
     #[test]
@@ -520,14 +523,14 @@ mod tests {
         let t = run(
             &cfg,
             |_| {},
-            vec![Box::new(|c: &mut GateCtx| {
-                c.write(0x1000, 1); // before any label: unknown
+            vec![body(|mut c| async move {
+                c.write(0x1000, 1).await; // before any label: unknown
                 c.site_op("queue/enqueue");
-                c.write(0x1008, 2);
+                c.write(0x1008, 2).await;
                 c.site_phase("link-next");
-                c.write(0x1010, 3);
+                c.write(0x1010, 3).await;
                 c.site_op("queue/dequeue"); // new op clears the phase
-                c.write(0x1018, 4);
+                c.write(0x1018, 4).await;
             })],
         );
         t.validate().unwrap();
@@ -547,44 +550,75 @@ mod tests {
             &cfg,
             |_| {},
             vec![
-                Box::new(|c: &mut GateCtx| {
-                    c.write(0x1000, 1);
+                body(|mut c| async move {
+                    c.write(0x1000, 1).await;
                 }),
-                Box::new(|_c: &mut GateCtx| panic!("worker exploded")),
+                body(|_c| async move { panic!("worker exploded") }),
             ],
         );
     }
 
     #[test]
+    #[should_panic(expected = "yielded outside a gated access")]
+    fn a_worker_awaiting_a_foreign_future_is_reported() {
+        run(
+            &ExecConfig::new(1),
+            |_| {},
+            vec![body(|_c| std::future::pending())],
+        );
+    }
+
+    #[test]
     fn panic_inside_a_gated_call_reaches_the_caller() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let finished = std::sync::Arc::new(AtomicUsize::new(0));
-        let mut bodies: Vec<ThreadBody> = vec![Box::new(|c: &mut GateCtx| {
-            c.write(0x1000, 1);
-            // Panics inside the gated call, holding the state lock.
+        let finished = Rc::new(Cell::new(0));
+        let mut bodies: Vec<ThreadBody> = vec![body(|mut c| async move {
+            c.write(0x1000, 1).await;
+            // Panics inside the gated call, holding the state borrow.
             c.alloc((crate::ctx::ARENA_BYTES / 8) as usize + 1);
         })];
         for t in 1..3u64 {
-            let finished = finished.clone();
-            bodies.push(Box::new(move |c: &mut GateCtx| {
+            let finished = Rc::clone(&finished);
+            bodies.push(body(move |mut c| async move {
                 for j in 0..20 {
-                    c.write(0x2000 * t + 8 * j, j);
+                    c.write(0x2000 * t + 8 * j, j).await;
                 }
-                finished.fetch_add(1, Ordering::SeqCst);
+                finished.set(finished.get() + 1);
             }));
         }
         let cfg = ExecConfig::new(3).policy(SchedPolicy::RoundRobin);
-        let err =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&cfg, |_| {}, bodies)))
-                .expect_err("the worker's panic is re-raised");
+        let err = catch_unwind(AssertUnwindSafe(|| run(&cfg, |_| {}, bodies)))
+            .expect_err("the worker's panic is re-raised");
         let msg = err
             .downcast_ref::<String>()
             .expect("a formatted panic message");
         assert!(msg.starts_with("arena 0 exhausted"), "{msg}");
-        assert_eq!(
-            finished.load(Ordering::SeqCst),
-            2,
-            "the others ran to the end"
-        );
+        assert_eq!(finished.get(), 2, "the others ran to the end");
+    }
+
+    #[test]
+    fn memory_and_arenas_come_back_after_a_panic() {
+        let cfg = ExecConfig::new(2).policy(SchedPolicy::RoundRobin);
+        let mut mem = SharedMem::new();
+        let mut arenas = Arenas::new(3);
+        mem.write(0x1000, 1);
+        let bodies = vec![
+            body(|mut c| async move {
+                let p = c.alloc(2);
+                c.write(p, 7).await;
+                panic!("worker exploded");
+            }),
+            body(|mut c| async move {
+                c.write(0x1000, 2).await;
+            }),
+        ];
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            run_on(&cfg, &mut mem, &mut arenas, &[], bodies)
+        }));
+        assert!(err.is_err(), "the panic is re-raised");
+        // Both workers' writes and worker 0's allocation stay with the
+        // caller.
+        assert_eq!(mem.read(0x1000), 2);
+        assert_eq!(mem.read(crate::ctx::HEAP_BASE), 7);
+        assert_eq!(arenas.used_words(), 2);
     }
 }

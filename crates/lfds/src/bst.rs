@@ -18,7 +18,7 @@
 //! keeps `S`'s left subtree non-empty forever.
 
 use crate::ptr::{addr, marked, pack, tagged, with_tag};
-use lrp_exec::PmemCtx;
+use lrp_exec::{block_on, DirectCtx, PmemCtx};
 use lrp_model::Addr;
 
 /// Byte offset of the key word.
@@ -58,32 +58,32 @@ pub struct Bst {
     pub s: Addr,
 }
 
-fn new_leaf<C: PmemCtx>(ctx: &mut C, key: u64, value: u64) -> Addr {
+async fn new_leaf<C: PmemCtx>(ctx: &mut C, key: u64, value: u64) -> Addr {
     let n = ctx.alloc(NODE_WORDS);
-    ctx.write(n + KEY, key);
-    ctx.write(n + VAL, value);
-    ctx.write(n + LEFT, 0);
-    ctx.write(n + RIGHT, 0);
+    ctx.write(n + KEY, key).await;
+    ctx.write(n + VAL, value).await;
+    ctx.write(n + LEFT, 0).await;
+    ctx.write(n + RIGHT, 0).await;
     n
 }
 
-fn new_internal<C: PmemCtx>(ctx: &mut C, key: u64, left: Addr, right: Addr) -> Addr {
+async fn new_internal<C: PmemCtx>(ctx: &mut C, key: u64, left: Addr, right: Addr) -> Addr {
     let n = ctx.alloc(NODE_WORDS);
-    ctx.write(n + KEY, key);
-    ctx.write(n + VAL, 0);
-    ctx.write(n + LEFT, left);
-    ctx.write(n + RIGHT, right);
+    ctx.write(n + KEY, key).await;
+    ctx.write(n + VAL, 0).await;
+    ctx.write(n + LEFT, left).await;
+    ctx.write(n + RIGHT, right).await;
     n
 }
 
 impl Bst {
     /// Builds the sentinel skeleton.
-    pub fn new<C: PmemCtx>(ctx: &mut C) -> Self {
-        let l_inf1 = new_leaf(ctx, INF1, 0);
-        let l_inf2a = new_leaf(ctx, INF2, 0);
-        let l_inf2b = new_leaf(ctx, INF2, 0);
-        let s = new_internal(ctx, INF1, l_inf1, l_inf2a);
-        let r = new_internal(ctx, INF2, s, l_inf2b);
+    pub fn new(ctx: &mut DirectCtx) -> Self {
+        let l_inf1 = block_on(new_leaf(ctx, INF1, 0));
+        let l_inf2a = block_on(new_leaf(ctx, INF2, 0));
+        let l_inf2b = block_on(new_leaf(ctx, INF2, 0));
+        let s = block_on(new_internal(ctx, INF1, l_inf1, l_inf2a));
+        let r = block_on(new_internal(ctx, INF2, s, l_inf2b));
         Bst { r, s }
     }
 
@@ -95,14 +95,14 @@ impl Bst {
         }
     }
 
-    fn seek<C: PmemCtx>(&self, ctx: &mut C, key: u64) -> Seek {
+    async fn seek<C: PmemCtx>(&self, ctx: &mut C, key: u64) -> Seek {
         let mut ancestor = self.r;
         let mut successor = self.s;
         let mut parent = self.s;
-        let mut parent_field = ctx.read_acq(self.s + LEFT);
+        let mut parent_field = ctx.read_acq(self.s + LEFT).await;
         let mut leaf = addr(parent_field);
-        let mut leaf_key = ctx.read(leaf + KEY);
-        let mut current_field = ctx.read_acq(leaf + Self::child_off(key, leaf_key));
+        let mut leaf_key = ctx.read(leaf + KEY).await;
+        let mut current_field = ctx.read_acq(leaf + Self::child_off(key, leaf_key)).await;
         let mut current = addr(current_field);
         while current != 0 {
             if !tagged(parent_field) {
@@ -112,8 +112,8 @@ impl Bst {
             parent = leaf;
             parent_field = current_field;
             leaf = current;
-            leaf_key = ctx.read(leaf + KEY);
-            current_field = ctx.read_acq(leaf + Self::child_off(key, leaf_key));
+            leaf_key = ctx.read(leaf + KEY).await;
+            current_field = ctx.read_acq(leaf + Self::child_off(key, leaf_key)).await;
             current = addr(current_field);
         }
         Seek {
@@ -128,15 +128,15 @@ impl Bst {
 
     /// Finishes (or helps finish) the removal of a flagged leaf around
     /// `key`'s search path. Returns true if the splice CAS succeeded.
-    fn cleanup<C: PmemCtx>(&self, ctx: &mut C, key: u64, sk: &Seek) -> bool {
+    async fn cleanup<C: PmemCtx>(&self, ctx: &mut C, key: u64, sk: &Seek) -> bool {
         let parent = sk.parent;
-        let pkey = ctx.read(parent + KEY);
+        let pkey = ctx.read(parent + KEY).await;
         let (child_off, other_off) = if key < pkey {
             (LEFT, RIGHT)
         } else {
             (RIGHT, LEFT)
         };
-        let child_val = ctx.read_acq(parent + child_off);
+        let child_val = ctx.read_acq(parent + child_off).await;
         // If the key-side edge is not flagged, we got here through the
         // tagged sibling edge of someone else's delete: the survivor to
         // splice up is the key-side child itself.
@@ -147,95 +147,100 @@ impl Bst {
         };
         // Freeze the sibling edge.
         loop {
-            let sv = ctx.read_acq(parent + sib_off);
+            let sv = ctx.read_acq(parent + sib_off).await;
             if tagged(sv) {
                 break;
             }
-            if ctx.cas_rel(parent + sib_off, sv, with_tag(sv)).0 {
+            if ctx.cas_rel(parent + sib_off, sv, with_tag(sv)).await.0 {
                 break;
             }
         }
-        let sv = ctx.read_acq(parent + sib_off);
+        let sv = ctx.read_acq(parent + sib_off).await;
         // Splice the sibling up over the whole parent subtree, preserving
         // its flag (a concurrent delete of the sibling leaf survives the
         // move) and clearing the tag.
-        let akey = ctx.read(sk.ancestor + KEY);
+        let akey = ctx.read(sk.ancestor + KEY).await;
         let succ_off = Self::child_off(key, akey);
         ctx.cas_rel(
             sk.ancestor + succ_off,
             pack(sk.successor, false, false),
             pack(addr(sv), marked(sv), false),
         )
+        .await
         .0
     }
 
     /// Inserts `(key, value)`; false if present. `key` must be `< INF1`.
-    pub fn insert<C: PmemCtx>(&self, ctx: &mut C, key: u64, value: u64) -> bool {
+    pub async fn insert<C: PmemCtx>(&self, ctx: &mut C, key: u64, value: u64) -> bool {
         debug_assert!(key < INF1);
         loop {
-            let sk = self.seek(ctx, key);
+            let sk = self.seek(ctx, key).await;
             if sk.leaf_key == key {
                 return false;
             }
-            let pkey = ctx.read(sk.parent + KEY);
+            let pkey = ctx.read(sk.parent + KEY).await;
             let child_off = Self::child_off(key, pkey);
             // Prepare the new leaf and its routing internal node.
-            let leaf = new_leaf(ctx, key, value);
+            let leaf = new_leaf(ctx, key, value).await;
             let (l, rgt, ikey) = if key < sk.leaf_key {
                 (leaf, sk.leaf, sk.leaf_key)
             } else {
                 (sk.leaf, leaf, key)
             };
-            let internal = new_internal(ctx, ikey, l, rgt);
-            let (ok, cur) = ctx.cas_rel(
-                sk.parent + child_off,
-                pack(sk.leaf, false, false),
-                pack(internal, false, false),
-            );
+            let internal = new_internal(ctx, ikey, l, rgt).await;
+            let (ok, cur) = ctx
+                .cas_rel(
+                    sk.parent + child_off,
+                    pack(sk.leaf, false, false),
+                    pack(internal, false, false),
+                )
+                .await;
             if ok {
                 return true;
             }
             // Help an in-progress delete blocking this edge.
             if addr(cur) == sk.leaf && (marked(cur) || tagged(cur)) {
-                self.cleanup(ctx, key, &sk);
+                self.cleanup(ctx, key, &sk).await;
             }
         }
     }
 
     /// Deletes `key`; false if absent.
-    pub fn delete<C: PmemCtx>(&self, ctx: &mut C, key: u64) -> bool {
+    pub async fn delete<C: PmemCtx>(&self, ctx: &mut C, key: u64) -> bool {
         debug_assert!(key < INF1);
         let mut injected = false;
         let mut target = 0;
         loop {
-            let sk = self.seek(ctx, key);
+            let sk = self.seek(ctx, key).await;
             if !injected {
                 if sk.leaf_key != key {
                     return false;
                 }
-                let pkey = ctx.read(sk.parent + KEY);
+                let pkey = ctx.read(sk.parent + KEY).await;
                 let child_off = Self::child_off(key, pkey);
-                let (ok, cur) = ctx.cas_rel(
-                    sk.parent + child_off,
-                    pack(sk.leaf, false, false),
-                    pack(sk.leaf, true, false),
-                );
+                let (ok, cur) = ctx
+                    .cas_rel(
+                        sk.parent + child_off,
+                        pack(sk.leaf, false, false),
+                        pack(sk.leaf, true, false),
+                    )
+                    .await;
                 if ok {
                     // Injection succeeded — the delete is now linearized.
                     injected = true;
                     target = sk.leaf;
-                    if self.cleanup(ctx, key, &sk) {
+                    if self.cleanup(ctx, key, &sk).await {
                         return true;
                     }
                 } else if addr(cur) == sk.leaf && (marked(cur) || tagged(cur)) {
-                    self.cleanup(ctx, key, &sk);
+                    self.cleanup(ctx, key, &sk).await;
                 }
             } else {
                 if sk.leaf != target {
                     // A helper finished the physical removal.
                     return true;
                 }
-                if self.cleanup(ctx, key, &sk) {
+                if self.cleanup(ctx, key, &sk).await {
                     return true;
                 }
             }
@@ -243,8 +248,8 @@ impl Bst {
     }
 
     /// Membership test (read-only seek).
-    pub fn contains<C: PmemCtx>(&self, ctx: &mut C, key: u64) -> bool {
-        let sk = self.seek(ctx, key);
+    pub async fn contains<C: PmemCtx>(&self, ctx: &mut C, key: u64) -> bool {
+        let sk = self.seek(ctx, key).await;
         sk.leaf_key == key
     }
 
@@ -253,31 +258,31 @@ impl Bst {
     /// pending: any later operation whose search crosses the edge splices
     /// it out. Only a settled answer stays true until `key` is next
     /// mutated.
-    pub fn lookup<C: PmemCtx>(&self, ctx: &mut C, key: u64) -> (bool, bool) {
-        let sk = self.seek(ctx, key);
+    pub async fn lookup<C: PmemCtx>(&self, ctx: &mut C, key: u64) -> (bool, bool) {
+        let sk = self.seek(ctx, key).await;
         (sk.leaf_key == key, !marked(sk.leaf_edge))
     }
 
     /// Pre-populates with sorted `keys` by building a balanced external
     /// tree directly under `S.left`, preserving the `∞₁` sentinel leaf.
-    pub fn populate<C: PmemCtx>(&self, ctx: &mut C, keys: &[u64]) {
+    pub fn populate(&self, ctx: &mut DirectCtx, keys: &[u64]) {
         debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys must be sorted");
         if keys.is_empty() {
             return;
         }
-        fn build<C: PmemCtx>(ctx: &mut C, keys: &[u64]) -> Addr {
+        fn build(ctx: &mut DirectCtx, keys: &[u64]) -> Addr {
             if keys.len() == 1 {
-                new_leaf(ctx, keys[0], keys[0])
+                block_on(new_leaf(ctx, keys[0], keys[0]))
             } else {
                 let mid = keys.len() / 2;
                 let l = build(ctx, &keys[..mid]);
                 let r = build(ctx, &keys[mid..]);
-                new_internal(ctx, keys[mid], l, r)
+                block_on(new_internal(ctx, keys[mid], l, r))
             }
         }
         let subtree = build(ctx, keys);
         let old_inf1_leaf = addr(ctx.read(self.s + LEFT));
-        let top = new_internal(ctx, INF1, subtree, old_inf1_leaf);
+        let top = block_on(new_internal(ctx, INF1, subtree, old_inf1_leaf));
         ctx.write(self.s + LEFT, top);
     }
 }
@@ -285,7 +290,7 @@ impl Bst {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lrp_exec::{run, DirectCtx, ExecConfig, GateCtx, SchedPolicy, ThreadBody};
+    use lrp_exec::{body, run, ExecConfig, SchedPolicy};
 
     fn fresh() -> (DirectCtx, Bst) {
         let mut c = DirectCtx::new(1, 7);
@@ -296,40 +301,40 @@ mod tests {
     #[test]
     fn empty_tree_contains_nothing() {
         let (mut c, b) = fresh();
-        assert!(!b.contains(&mut c, 1));
-        assert!(!b.delete(&mut c, 1));
+        assert!(!block_on(b.contains(&mut c, 1)));
+        assert!(!block_on(b.delete(&mut c, 1)));
     }
 
     #[test]
     fn insert_contains_delete() {
         let (mut c, b) = fresh();
         for k in [5, 2, 8, 1, 9, 3] {
-            assert!(b.insert(&mut c, k, k * 10), "insert {k}");
+            assert!(block_on(b.insert(&mut c, k, k * 10)), "insert {k}");
         }
         for k in [5, 2, 8, 1, 9, 3] {
-            assert!(b.contains(&mut c, k), "contains {k}");
+            assert!(block_on(b.contains(&mut c, k)), "contains {k}");
         }
-        assert!(!b.contains(&mut c, 4));
-        assert!(!b.insert(&mut c, 5, 0));
-        assert!(b.delete(&mut c, 5));
-        assert!(!b.contains(&mut c, 5));
-        assert!(!b.delete(&mut c, 5));
-        assert!(b.insert(&mut c, 5, 1), "reinsert after delete");
+        assert!(!block_on(b.contains(&mut c, 4)));
+        assert!(!block_on(b.insert(&mut c, 5, 0)));
+        assert!(block_on(b.delete(&mut c, 5)));
+        assert!(!block_on(b.contains(&mut c, 5)));
+        assert!(!block_on(b.delete(&mut c, 5)));
+        assert!(block_on(b.insert(&mut c, 5, 1)), "reinsert after delete");
     }
 
     #[test]
     fn delete_root_key_repeatedly() {
         let (mut c, b) = fresh();
         for k in 1..=10 {
-            b.insert(&mut c, k, k);
+            block_on(b.insert(&mut c, k, k));
         }
         for k in 1..=10 {
-            assert!(b.delete(&mut c, k), "delete {k}");
-            assert!(!b.contains(&mut c, k));
+            assert!(block_on(b.delete(&mut c, k)), "delete {k}");
+            assert!(!block_on(b.contains(&mut c, k)));
         }
         // Tree drained to sentinels; still usable.
-        assert!(b.insert(&mut c, 42, 42));
-        assert!(b.contains(&mut c, 42));
+        assert!(block_on(b.insert(&mut c, 42, 42)));
+        assert!(block_on(b.contains(&mut c, 42)));
     }
 
     #[test]
@@ -338,12 +343,12 @@ mod tests {
         let keys: Vec<u64> = (1..=31).collect();
         b.populate(&mut c, &keys);
         for k in 1..=31 {
-            assert!(b.contains(&mut c, k), "missing {k}");
-            assert!(!b.insert(&mut c, k, 0));
+            assert!(block_on(b.contains(&mut c, k)), "missing {k}");
+            assert!(!block_on(b.insert(&mut c, k, 0)));
         }
-        assert!(b.delete(&mut c, 16));
-        assert!(!b.contains(&mut c, 16));
-        assert!(b.insert(&mut c, 100, 1));
+        assert!(block_on(b.delete(&mut c, 16)));
+        assert!(!block_on(b.contains(&mut c, 16)));
+        assert!(block_on(b.insert(&mut c, 100, 1)));
     }
 
     #[test]
@@ -354,9 +359,9 @@ mod tests {
         for _ in 0..2000 {
             let k = rng.below(48) + 1;
             match rng.below(3) {
-                0 => assert_eq!(b.insert(&mut c, k, k), model.insert(k)),
-                1 => assert_eq!(b.delete(&mut c, k), model.remove(&k)),
-                _ => assert_eq!(b.contains(&mut c, k), model.contains(&k)),
+                0 => assert_eq!(block_on(b.insert(&mut c, k, k)), model.insert(k)),
+                1 => assert_eq!(block_on(b.delete(&mut c, k)), model.remove(&k)),
+                _ => assert_eq!(block_on(b.contains(&mut c, k)), model.contains(&k)),
             }
         }
         assert!(!model.is_empty());
@@ -378,7 +383,7 @@ mod tests {
             },
             (0..4u64)
                 .map(|t| {
-                    Box::new(move |c: &mut GateCtx| {
+                    body(move |mut c| async move {
                         // Recompute the sentinel addresses: setup's arena
                         // is deterministic (first two allocations after
                         // three leaves are S then R).
@@ -393,12 +398,12 @@ mod tests {
                         for _ in 0..30 {
                             let k = rng.below(50) + 1;
                             if rng.below(2) == 0 {
-                                b.insert(c, k, k);
+                                b.insert(&mut c, k, k).await;
                             } else {
-                                b.delete(c, k);
+                                b.delete(&mut c, k).await;
                             }
                         }
-                    }) as ThreadBody
+                    })
                 })
                 .collect(),
         );

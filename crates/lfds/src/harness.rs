@@ -6,9 +6,10 @@
 //! structure is pre-populated before statistics (events) are collected.
 
 use crate::{bst::Bst, hashmap::HashMap, list::LinkedList, queue::Queue, skiplist::SkipList};
-use lrp_exec::{run, ExecConfig, PmemCtx, SchedPolicy, ThreadBody, Xorshift64};
+use lrp_exec::{body, run, DirectCtx, ExecConfig, PmemCtx, SchedPolicy, ThreadBody, Xorshift64};
 use lrp_model::{OpKind, ThreadId, Trace};
-use std::sync::{Arc, OnceLock};
+use std::cell::OnceCell;
+use std::rc::Rc;
 
 /// The five LFD workloads of §6.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -358,10 +359,10 @@ impl WorkloadSpec {
         let keys = self.initial_keys();
         let nbuckets = self.effective_nbuckets();
         let range = self.effective_key_range();
-        let handle: Arc<OnceLock<Handle>> = Arc::new(OnceLock::new());
+        let handle: Rc<OnceCell<Handle>> = Rc::default();
 
-        let setup_handle = handle.clone();
-        let setup = move |s: &mut lrp_exec::DirectCtx| {
+        let setup_handle = Rc::clone(&handle);
+        let setup = move |s: &mut DirectCtx| {
             let h = match structure {
                 Structure::LinkedList => {
                     let l = LinkedList::new(s);
@@ -402,12 +403,12 @@ impl WorkloadSpec {
 
         let bodies: Vec<ThreadBody> = (0..self.threads)
             .map(|t| {
-                let handle = handle.clone();
+                let handle = Rc::clone(&handle);
                 let ops = self.ops_per_thread;
                 let read_pct = self.read_pct;
                 let seed = self.seed;
                 let sampler = self.key_dist.sampler(range);
-                Box::new(move |c: &mut lrp_exec::GateCtx| {
+                body(move |mut c| async move {
                     let h = *handle.get().expect("setup ran before workers");
                     let mut rng =
                         Xorshift64::new(seed.wrapping_mul(0x5851_F42D).wrapping_add(t as u64 + 1));
@@ -415,69 +416,24 @@ impl WorkloadSpec {
                         let key = sampler.draw(&mut rng);
                         let is_read = rng.below(100) < read_pct as u64;
                         let is_insert = rng.below(2) == 0;
-                        let op = SetOp::pick(is_read, is_insert);
-                        match h {
-                            Handle::List(l) => {
-                                drive_set(
-                                    c,
-                                    "linkedlist",
-                                    key,
-                                    op,
-                                    |c, k| l.contains(c, k),
-                                    |c, k| l.insert(c, k, k),
-                                    |c, k| l.delete(c, k),
-                                );
+                        if let Handle::Queue(q) = h {
+                            if is_insert {
+                                let v = (t as u64 + 1) * 1_000_000 + i as u64;
+                                c.op_begin(OpKind::Enqueue(v));
+                                c.site_op("queue/enqueue");
+                                q.enqueue(&mut c, v).await;
+                                c.op_end(1);
+                            } else {
+                                c.op_begin(OpKind::Dequeue);
+                                c.site_op("queue/dequeue");
+                                let r = q.dequeue(&mut c).await;
+                                c.op_end(r.map(|v| v + 1).unwrap_or(0));
                             }
-                            Handle::Map(m) => {
-                                drive_set(
-                                    c,
-                                    "hashmap",
-                                    key,
-                                    op,
-                                    |c, k| m.contains(c, k),
-                                    |c, k| m.insert(c, k, k),
-                                    |c, k| m.delete(c, k),
-                                );
-                            }
-                            Handle::Bst(b) => {
-                                drive_set(
-                                    c,
-                                    "bstree",
-                                    key,
-                                    op,
-                                    |c, k| b.contains(c, k),
-                                    |c, k| b.insert(c, k, k),
-                                    |c, k| b.delete(c, k),
-                                );
-                            }
-                            Handle::Skip(sl) => {
-                                drive_set(
-                                    c,
-                                    "skiplist",
-                                    key,
-                                    op,
-                                    |c, k| sl.contains(c, k),
-                                    |c, k| sl.insert(c, k, k),
-                                    |c, k| sl.delete(c, k),
-                                );
-                            }
-                            Handle::Queue(q) => {
-                                if is_insert {
-                                    let v = (t as u64 + 1) * 1_000_000 + i as u64;
-                                    c.op_begin(OpKind::Enqueue(v));
-                                    c.site_op("queue/enqueue");
-                                    q.enqueue(c, v);
-                                    c.op_end(1);
-                                } else {
-                                    c.op_begin(OpKind::Dequeue);
-                                    c.site_op("queue/dequeue");
-                                    let r = q.dequeue(c);
-                                    c.op_end(r.map(|v| v + 1).unwrap_or(0));
-                                }
-                            }
+                        } else {
+                            drive_set(&mut c, h, key, SetOp::pick(is_read, is_insert)).await;
                         }
                     }
-                }) as ThreadBody
+                })
             })
             .collect();
 
@@ -510,52 +466,47 @@ impl SetOp {
 
 /// Static `structure/operation` site labels, so the per-op hot loop
 /// never formats a label string.
-fn set_labels(structure: &str) -> [&'static str; 3] {
-    match structure {
-        "linkedlist" => [
+fn set_labels(h: Handle) -> [&'static str; 3] {
+    match h {
+        Handle::List(_) => [
             "linkedlist/contains",
             "linkedlist/insert",
             "linkedlist/delete",
         ],
-        "hashmap" => ["hashmap/contains", "hashmap/insert", "hashmap/delete"],
-        "bstree" => ["bstree/contains", "bstree/insert", "bstree/delete"],
-        "skiplist" => ["skiplist/contains", "skiplist/insert", "skiplist/delete"],
-        _ => ["set/contains", "set/insert", "set/delete"],
+        Handle::Map(_) => ["hashmap/contains", "hashmap/insert", "hashmap/delete"],
+        Handle::Bst(_) => ["bstree/contains", "bstree/insert", "bstree/delete"],
+        Handle::Skip(_) => ["skiplist/contains", "skiplist/insert", "skiplist/delete"],
+        Handle::Queue(_) => unreachable!("the queue is not a set"),
     }
 }
 
-/// Issues one set-structure operation with markers and an
+/// Issues one set-structure operation on `h` with markers and an
 /// `structure/operation` [`OpSite`](lrp_model::Trace::site_names) label.
-fn drive_set<C: PmemCtx>(
-    c: &mut C,
-    structure: &str,
-    key: u64,
-    op: SetOp,
-    contains: impl Fn(&mut C, u64) -> bool,
-    insert: impl Fn(&mut C, u64) -> bool,
-    delete: impl Fn(&mut C, u64) -> bool,
-) {
-    let labels = set_labels(structure);
-    match op {
-        SetOp::Contains => {
-            c.op_begin(OpKind::Contains(key));
-            c.site_op(labels[0]);
-            let r = contains(c, key);
-            c.op_end(r as u64);
-        }
-        SetOp::Insert => {
-            c.op_begin(OpKind::Insert(key, key));
-            c.site_op(labels[1]);
-            let r = insert(c, key);
-            c.op_end(r as u64);
-        }
-        SetOp::Delete => {
-            c.op_begin(OpKind::Delete(key));
-            c.site_op(labels[2]);
-            let r = delete(c, key);
-            c.op_end(r as u64);
-        }
-    }
+async fn drive_set<C: PmemCtx>(c: &mut C, h: Handle, key: u64, op: SetOp) {
+    let labels = set_labels(h);
+    let (marker, label) = match op {
+        SetOp::Contains => (OpKind::Contains(key), labels[0]),
+        SetOp::Insert => (OpKind::Insert(key, key), labels[1]),
+        SetOp::Delete => (OpKind::Delete(key), labels[2]),
+    };
+    c.op_begin(marker);
+    c.site_op(label);
+    let r = match (h, op) {
+        (Handle::List(l), SetOp::Contains) => l.contains(c, key).await,
+        (Handle::List(l), SetOp::Insert) => l.insert(c, key, key).await,
+        (Handle::List(l), SetOp::Delete) => l.delete(c, key).await,
+        (Handle::Map(m), SetOp::Contains) => m.contains(c, key).await,
+        (Handle::Map(m), SetOp::Insert) => m.insert(c, key, key).await,
+        (Handle::Map(m), SetOp::Delete) => m.delete(c, key).await,
+        (Handle::Bst(b), SetOp::Contains) => b.contains(c, key).await,
+        (Handle::Bst(b), SetOp::Insert) => b.insert(c, key, key).await,
+        (Handle::Bst(b), SetOp::Delete) => b.delete(c, key).await,
+        (Handle::Skip(sl), SetOp::Contains) => sl.contains(c, key).await,
+        (Handle::Skip(sl), SetOp::Insert) => sl.insert(c, key, key).await,
+        (Handle::Skip(sl), SetOp::Delete) => sl.delete(c, key).await,
+        (Handle::Queue(_), _) => unreachable!("the queue is not a set"),
+    };
+    c.op_end(r as u64);
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! count is fixed at construction, as in SynchroBench.
 
 use crate::list;
-use lrp_exec::PmemCtx;
+use lrp_exec::{DirectCtx, PmemCtx};
 use lrp_model::Addr;
 
 /// Lock-free hash map handle.
@@ -19,7 +19,7 @@ pub struct HashMap {
 
 impl HashMap {
     /// Allocates `nbuckets` empty buckets.
-    pub fn new<C: PmemCtx>(ctx: &mut C, nbuckets: u64) -> Self {
+    pub fn new(ctx: &mut DirectCtx, nbuckets: u64) -> Self {
         assert!(nbuckets > 0);
         let buckets = ctx.alloc(nbuckets as usize);
         for i in 0..nbuckets {
@@ -35,23 +35,23 @@ impl HashMap {
     }
 
     /// Inserts `(key, value)`; false if present.
-    pub fn insert<C: PmemCtx>(&self, ctx: &mut C, key: u64, value: u64) -> bool {
-        list::insert(ctx, self.bucket_loc(key), key, value)
+    pub async fn insert<C: PmemCtx>(&self, ctx: &mut C, key: u64, value: u64) -> bool {
+        list::insert(ctx, self.bucket_loc(key), key, value).await
     }
 
     /// Deletes `key`; false if absent.
-    pub fn delete<C: PmemCtx>(&self, ctx: &mut C, key: u64) -> bool {
-        list::delete(ctx, self.bucket_loc(key), key)
+    pub async fn delete<C: PmemCtx>(&self, ctx: &mut C, key: u64) -> bool {
+        list::delete(ctx, self.bucket_loc(key), key).await
     }
 
     /// Membership test.
-    pub fn contains<C: PmemCtx>(&self, ctx: &mut C, key: u64) -> bool {
-        list::contains(ctx, self.bucket_loc(key), key)
+    pub async fn contains<C: PmemCtx>(&self, ctx: &mut C, key: u64) -> bool {
+        list::contains(ctx, self.bucket_loc(key), key).await
     }
 
     /// Pre-populates with `keys` (need not be sorted) by building each
     /// bucket chain directly.
-    pub fn populate<C: PmemCtx>(&self, ctx: &mut C, keys: &[u64]) {
+    pub fn populate(&self, ctx: &mut DirectCtx, keys: &[u64]) {
         let mut per_bucket: Vec<Vec<u64>> = vec![Vec::new(); self.nbuckets as usize];
         for &k in keys {
             let loc = self.bucket_loc(k);
@@ -68,7 +68,7 @@ impl HashMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lrp_exec::DirectCtx;
+    use lrp_exec::block_on;
 
     fn fresh(nbuckets: u64) -> (DirectCtx, HashMap) {
         let mut c = DirectCtx::new(1, 7);
@@ -80,32 +80,32 @@ mod tests {
     fn insert_contains_delete() {
         let (mut c, h) = fresh(4);
         for k in 1..=20 {
-            assert!(h.insert(&mut c, k, k * 10));
+            assert!(block_on(h.insert(&mut c, k, k * 10)));
         }
         for k in 1..=20 {
-            assert!(h.contains(&mut c, k));
+            assert!(block_on(h.contains(&mut c, k)));
         }
-        assert!(!h.contains(&mut c, 21));
-        assert!(h.delete(&mut c, 7));
-        assert!(!h.contains(&mut c, 7));
-        assert!(!h.delete(&mut c, 7));
+        assert!(!block_on(h.contains(&mut c, 21)));
+        assert!(block_on(h.delete(&mut c, 7)));
+        assert!(!block_on(h.contains(&mut c, 7)));
+        assert!(!block_on(h.delete(&mut c, 7)));
     }
 
     #[test]
     fn duplicate_insert_rejected_across_buckets() {
         let (mut c, h) = fresh(2);
-        assert!(h.insert(&mut c, 9, 1));
-        assert!(!h.insert(&mut c, 9, 2));
+        assert!(block_on(h.insert(&mut c, 9, 1)));
+        assert!(!block_on(h.insert(&mut c, 9, 2)));
     }
 
     #[test]
     fn single_bucket_degenerates_to_list() {
         let (mut c, h) = fresh(1);
         for k in [5, 1, 3] {
-            h.insert(&mut c, k, k);
+            block_on(h.insert(&mut c, k, k));
         }
         for k in [1, 3, 5] {
-            assert!(h.contains(&mut c, k));
+            assert!(block_on(h.contains(&mut c, k)));
         }
     }
 
@@ -115,11 +115,11 @@ mod tests {
         let keys: Vec<u64> = (1..=50).collect();
         h.populate(&mut c, &keys);
         for k in 1..=50 {
-            assert!(h.contains(&mut c, k), "missing {k}");
-            assert!(!h.insert(&mut c, k, 0));
+            assert!(block_on(h.contains(&mut c, k)), "missing {k}");
+            assert!(!block_on(h.insert(&mut c, k, 0)));
         }
-        assert!(h.delete(&mut c, 25));
-        assert!(!h.contains(&mut c, 25));
+        assert!(block_on(h.delete(&mut c, 25)));
+        assert!(!block_on(h.contains(&mut c, 25)));
     }
 
     #[test]
@@ -130,9 +130,9 @@ mod tests {
         for _ in 0..1000 {
             let k = rng.below(64) + 1;
             match rng.below(3) {
-                0 => assert_eq!(h.insert(&mut c, k, k), model.insert(k)),
-                1 => assert_eq!(h.delete(&mut c, k), model.remove(&k)),
-                _ => assert_eq!(h.contains(&mut c, k), model.contains(&k)),
+                0 => assert_eq!(block_on(h.insert(&mut c, k, k)), model.insert(k)),
+                1 => assert_eq!(block_on(h.delete(&mut c, k)), model.remove(&k)),
+                _ => assert_eq!(block_on(h.contains(&mut c, k)), model.contains(&k)),
             }
         }
     }

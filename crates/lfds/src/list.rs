@@ -13,7 +13,7 @@
 //! persist before the linking CAS does.
 
 use crate::ptr::{addr, marked, with_mark};
-use lrp_exec::PmemCtx;
+use lrp_exec::{DirectCtx, PmemCtx};
 use lrp_model::Addr;
 
 /// Byte offset of the key word.
@@ -35,25 +35,25 @@ struct Found {
 /// Searches the list rooted at the pointer word `head_loc` for the first
 /// node with key `>= key`, unlinking marked nodes along the way
 /// (Michael's helping variant of Harris's algorithm).
-fn search<C: PmemCtx>(ctx: &mut C, head_loc: Addr, key: u64) -> Found {
+async fn search<C: PmemCtx>(ctx: &mut C, head_loc: Addr, key: u64) -> Found {
     'retry: loop {
         let mut prev_loc = head_loc;
-        let mut curr = addr(ctx.read_acq(prev_loc));
+        let mut curr = addr(ctx.read_acq(prev_loc).await);
         loop {
             if curr == 0 {
                 return Found { prev_loc, curr: 0 };
             }
-            let succ_raw = ctx.read_acq(curr + NEXT);
+            let succ_raw = ctx.read_acq(curr + NEXT).await;
             if marked(succ_raw) {
                 // Help unlink the logically deleted node.
-                let (ok, _) = ctx.cas_rel(prev_loc, curr, addr(succ_raw));
+                let (ok, _) = ctx.cas_rel(prev_loc, curr, addr(succ_raw)).await;
                 if !ok {
                     continue 'retry;
                 }
                 curr = addr(succ_raw);
                 continue;
             }
-            let ckey = ctx.read(curr + KEY);
+            let ckey = ctx.read(curr + KEY).await;
             if ckey >= key {
                 return Found { prev_loc, curr };
             }
@@ -65,52 +65,56 @@ fn search<C: PmemCtx>(ctx: &mut C, head_loc: Addr, key: u64) -> Found {
 
 /// Inserts `(key, value)` into the list at `head_loc`; returns false if
 /// the key is already present.
-pub fn insert<C: PmemCtx>(ctx: &mut C, head_loc: Addr, key: u64, value: u64) -> bool {
+pub async fn insert<C: PmemCtx>(ctx: &mut C, head_loc: Addr, key: u64, value: u64) -> bool {
     loop {
-        let f = search(ctx, head_loc, key);
-        if f.curr != 0 && ctx.read(f.curr + KEY) == key {
+        let f = search(ctx, head_loc, key).await;
+        if f.curr != 0 && ctx.read(f.curr + KEY).await == key {
             return false;
         }
         // Prepare the node privately (W1 of Figure 1)...
         let node = ctx.alloc(NODE_WORDS);
-        ctx.write(node + KEY, key);
-        ctx.write(node + VAL, value);
-        ctx.write(node + NEXT, f.curr);
+        ctx.write(node + KEY, key).await;
+        ctx.write(node + VAL, value).await;
+        ctx.write(node + NEXT, f.curr).await;
         // ...and publish it with one CAS (the release of Figure 1).
-        if ctx.cas_rel(f.prev_loc, f.curr, node).0 {
+        if ctx.cas_rel(f.prev_loc, f.curr, node).await.0 {
             return true;
         }
     }
 }
 
 /// Deletes `key` from the list at `head_loc`; returns false if absent.
-pub fn delete<C: PmemCtx>(ctx: &mut C, head_loc: Addr, key: u64) -> bool {
+pub async fn delete<C: PmemCtx>(ctx: &mut C, head_loc: Addr, key: u64) -> bool {
     loop {
-        let f = search(ctx, head_loc, key);
-        if f.curr == 0 || ctx.read(f.curr + KEY) != key {
+        let f = search(ctx, head_loc, key).await;
+        if f.curr == 0 || ctx.read(f.curr + KEY).await != key {
             return false;
         }
-        let succ_raw = ctx.read_acq(f.curr + NEXT);
+        let succ_raw = ctx.read_acq(f.curr + NEXT).await;
         if marked(succ_raw) {
             // Another deleter won; the next search will help unlink.
             continue;
         }
         // Logical deletion: mark the next pointer.
-        if !ctx.cas_rel(f.curr + NEXT, succ_raw, with_mark(succ_raw)).0 {
+        if !ctx
+            .cas_rel(f.curr + NEXT, succ_raw, with_mark(succ_raw))
+            .await
+            .0
+        {
             continue;
         }
         // Best-effort physical unlink.
-        let _ = ctx.cas_rel(f.prev_loc, f.curr, addr(succ_raw));
+        let _ = ctx.cas_rel(f.prev_loc, f.curr, addr(succ_raw)).await;
         return true;
     }
 }
 
 /// Membership test (wait-free traversal, no helping).
-pub fn contains<C: PmemCtx>(ctx: &mut C, head_loc: Addr, key: u64) -> bool {
-    let mut curr = addr(ctx.read_acq(head_loc));
+pub async fn contains<C: PmemCtx>(ctx: &mut C, head_loc: Addr, key: u64) -> bool {
+    let mut curr = addr(ctx.read_acq(head_loc).await);
     while curr != 0 {
-        let ckey = ctx.read(curr + KEY);
-        let succ_raw = ctx.read_acq(curr + NEXT);
+        let ckey = ctx.read(curr + KEY).await;
+        let succ_raw = ctx.read_acq(curr + NEXT).await;
         if ckey >= key {
             return ckey == key && !marked(succ_raw);
         }
@@ -122,7 +126,7 @@ pub fn contains<C: PmemCtx>(ctx: &mut C, head_loc: Addr, key: u64) -> bool {
 /// Directly builds a sorted chain of nodes for `keys` (ascending) at
 /// `head_loc`. Pre-population shortcut for setup phases (§6.1 collects
 /// statistics only after the structure reaches its initial size).
-pub fn populate<C: PmemCtx>(ctx: &mut C, head_loc: Addr, keys: &[u64]) {
+pub fn populate(ctx: &mut DirectCtx, head_loc: Addr, keys: &[u64]) {
     debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys must be sorted");
     let mut next = 0u64;
     for &key in keys.iter().rev() {
@@ -144,29 +148,29 @@ pub struct LinkedList {
 
 impl LinkedList {
     /// Allocates the head word (initially empty list).
-    pub fn new<C: PmemCtx>(ctx: &mut C) -> Self {
+    pub fn new(ctx: &mut DirectCtx) -> Self {
         let head_loc = ctx.alloc(1);
         ctx.write(head_loc, 0);
         LinkedList { head_loc }
     }
 
     /// Inserts `(key, value)`; false if present.
-    pub fn insert<C: PmemCtx>(&self, ctx: &mut C, key: u64, value: u64) -> bool {
-        insert(ctx, self.head_loc, key, value)
+    pub async fn insert<C: PmemCtx>(&self, ctx: &mut C, key: u64, value: u64) -> bool {
+        insert(ctx, self.head_loc, key, value).await
     }
 
     /// Deletes `key`; false if absent.
-    pub fn delete<C: PmemCtx>(&self, ctx: &mut C, key: u64) -> bool {
-        delete(ctx, self.head_loc, key)
+    pub async fn delete<C: PmemCtx>(&self, ctx: &mut C, key: u64) -> bool {
+        delete(ctx, self.head_loc, key).await
     }
 
     /// Membership test.
-    pub fn contains<C: PmemCtx>(&self, ctx: &mut C, key: u64) -> bool {
-        contains(ctx, self.head_loc, key)
+    pub async fn contains<C: PmemCtx>(&self, ctx: &mut C, key: u64) -> bool {
+        contains(ctx, self.head_loc, key).await
     }
 
     /// Pre-populates with sorted `keys`.
-    pub fn populate<C: PmemCtx>(&self, ctx: &mut C, keys: &[u64]) {
+    pub fn populate(&self, ctx: &mut DirectCtx, keys: &[u64]) {
         populate(ctx, self.head_loc, keys)
     }
 }
@@ -174,7 +178,7 @@ impl LinkedList {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lrp_exec::{run, DirectCtx, ExecConfig, GateCtx, SchedPolicy, ThreadBody};
+    use lrp_exec::{block_on, body, run, ExecConfig, SchedPolicy};
 
     fn fresh() -> (DirectCtx, LinkedList) {
         let mut c = DirectCtx::new(1, 7);
@@ -185,57 +189,57 @@ mod tests {
     #[test]
     fn insert_then_contains() {
         let (mut c, l) = fresh();
-        assert!(l.insert(&mut c, 5, 50));
-        assert!(l.insert(&mut c, 3, 30));
-        assert!(l.insert(&mut c, 9, 90));
-        assert!(l.contains(&mut c, 5));
-        assert!(l.contains(&mut c, 3));
-        assert!(l.contains(&mut c, 9));
-        assert!(!l.contains(&mut c, 4));
+        assert!(block_on(l.insert(&mut c, 5, 50)));
+        assert!(block_on(l.insert(&mut c, 3, 30)));
+        assert!(block_on(l.insert(&mut c, 9, 90)));
+        assert!(block_on(l.contains(&mut c, 5)));
+        assert!(block_on(l.contains(&mut c, 3)));
+        assert!(block_on(l.contains(&mut c, 9)));
+        assert!(!block_on(l.contains(&mut c, 4)));
     }
 
     #[test]
     fn duplicate_insert_fails() {
         let (mut c, l) = fresh();
-        assert!(l.insert(&mut c, 5, 50));
-        assert!(!l.insert(&mut c, 5, 51));
+        assert!(block_on(l.insert(&mut c, 5, 50)));
+        assert!(!block_on(l.insert(&mut c, 5, 51)));
     }
 
     #[test]
     fn delete_removes() {
         let (mut c, l) = fresh();
         for k in [2, 4, 6] {
-            l.insert(&mut c, k, k);
+            block_on(l.insert(&mut c, k, k));
         }
-        assert!(l.delete(&mut c, 4));
-        assert!(!l.contains(&mut c, 4));
-        assert!(l.contains(&mut c, 2));
-        assert!(l.contains(&mut c, 6));
-        assert!(!l.delete(&mut c, 4));
-        assert!(l.insert(&mut c, 4, 44), "reinsert after delete");
+        assert!(block_on(l.delete(&mut c, 4)));
+        assert!(!block_on(l.contains(&mut c, 4)));
+        assert!(block_on(l.contains(&mut c, 2)));
+        assert!(block_on(l.contains(&mut c, 6)));
+        assert!(!block_on(l.delete(&mut c, 4)));
+        assert!(block_on(l.insert(&mut c, 4, 44)), "reinsert after delete");
     }
 
     #[test]
     fn delete_absent_fails() {
         let (mut c, l) = fresh();
-        assert!(!l.delete(&mut c, 1));
-        l.insert(&mut c, 2, 2);
-        assert!(!l.delete(&mut c, 1));
-        assert!(!l.delete(&mut c, 3));
+        assert!(!block_on(l.delete(&mut c, 1)));
+        block_on(l.insert(&mut c, 2, 2));
+        assert!(!block_on(l.delete(&mut c, 1)));
+        assert!(!block_on(l.delete(&mut c, 3)));
     }
 
     #[test]
     fn populate_matches_inserts() {
         let (mut c, l) = fresh();
         l.populate(&mut c, &[1, 5, 9]);
-        assert!(l.contains(&mut c, 1));
-        assert!(l.contains(&mut c, 5));
-        assert!(l.contains(&mut c, 9));
-        assert!(!l.contains(&mut c, 7));
-        assert!(!l.insert(&mut c, 5, 55));
-        assert!(l.insert(&mut c, 7, 77));
-        assert!(l.delete(&mut c, 1));
-        assert!(!l.contains(&mut c, 1));
+        assert!(block_on(l.contains(&mut c, 1)));
+        assert!(block_on(l.contains(&mut c, 5)));
+        assert!(block_on(l.contains(&mut c, 9)));
+        assert!(!block_on(l.contains(&mut c, 7)));
+        assert!(!block_on(l.insert(&mut c, 5, 55)));
+        assert!(block_on(l.insert(&mut c, 7, 77)));
+        assert!(block_on(l.delete(&mut c, 1)));
+        assert!(!block_on(l.contains(&mut c, 1)));
     }
 
     #[test]
@@ -246,9 +250,9 @@ mod tests {
         for _ in 0..500 {
             let k = rng.below(32) + 1;
             match rng.below(3) {
-                0 => assert_eq!(l.insert(&mut c, k, k), model.insert(k)),
-                1 => assert_eq!(l.delete(&mut c, k), model.remove(&k)),
-                _ => assert_eq!(l.contains(&mut c, k), model.contains(&k)),
+                0 => assert_eq!(block_on(l.insert(&mut c, k, k)), model.insert(k)),
+                1 => assert_eq!(block_on(l.delete(&mut c, k)), model.remove(&k)),
+                _ => assert_eq!(block_on(l.contains(&mut c, k)), model.contains(&k)),
             }
         }
     }
@@ -268,12 +272,12 @@ mod tests {
             },
             (0..4u64)
                 .map(|t| {
-                    Box::new(move |c: &mut GateCtx| {
+                    body(move |mut c| async move {
                         let head = 0x1000_0000 + 4 * lrp_exec::ctx::ARENA_BYTES;
                         for i in 0..8 {
-                            insert(c, head, t * 100 + i, i);
+                            insert(&mut c, head, t * 100 + i, i).await;
                         }
-                    }) as ThreadBody
+                    })
                 })
                 .collect(),
         );
@@ -309,18 +313,18 @@ mod tests {
             },
             (0..4u64)
                 .map(|t| {
-                    Box::new(move |c: &mut GateCtx| {
+                    body(move |mut c| async move {
                         let head = 0x1000_0000 + 4 * lrp_exec::ctx::ARENA_BYTES;
                         let mut rng = lrp_exec::Xorshift64::new(t + 100);
                         for _ in 0..25 {
                             let k = rng.below(10) + 1;
                             if rng.below(2) == 0 {
-                                insert(c, head, k, k);
+                                insert(&mut c, head, k, k).await;
                             } else {
-                                delete(c, head, k);
+                                delete(&mut c, head, k).await;
                             }
                         }
-                    }) as ThreadBody
+                    })
                 })
                 .collect(),
         );

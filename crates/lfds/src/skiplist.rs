@@ -9,7 +9,7 @@
 //! plus no dangling upper-level pointers.
 
 use crate::ptr::{addr, marked, with_mark};
-use lrp_exec::PmemCtx;
+use lrp_exec::{DirectCtx, PmemCtx};
 use lrp_model::Addr;
 
 /// Byte offset of the key word.
@@ -48,7 +48,7 @@ fn random_level<C: PmemCtx>(ctx: &mut C) -> usize {
 
 impl SkipList {
     /// Allocates the head sentinel (empty list).
-    pub fn new<C: PmemCtx>(ctx: &mut C) -> Self {
+    pub fn new(ctx: &mut DirectCtx) -> Self {
         let head = ctx.alloc(3 + MAX_LEVEL);
         ctx.write(head + KEY, 0);
         ctx.write(head + VAL, 0);
@@ -62,7 +62,7 @@ impl SkipList {
     /// Finds the insertion window for `key` at every level, helping
     /// unlink marked nodes. Returns true if an unmarked node with `key`
     /// sits at level 0.
-    fn find<C: PmemCtx>(
+    async fn find<C: PmemCtx>(
         &self,
         ctx: &mut C,
         key: u64,
@@ -72,27 +72,31 @@ impl SkipList {
         'retry: loop {
             let mut pred = self.head;
             for lvl in (0..MAX_LEVEL).rev() {
-                let mut curr = addr(ctx.read_acq(pred + next_off(lvl)));
+                let mut curr = addr(ctx.read_acq(pred + next_off(lvl)).await);
                 loop {
                     if curr == 0 {
                         break;
                     }
-                    let mut succ_raw = ctx.read_acq(curr + next_off(lvl));
+                    let mut succ_raw = ctx.read_acq(curr + next_off(lvl)).await;
                     while marked(succ_raw) {
                         // Help unlink at this level.
-                        if !ctx.cas_rel(pred + next_off(lvl), curr, addr(succ_raw)).0 {
+                        if !ctx
+                            .cas_rel(pred + next_off(lvl), curr, addr(succ_raw))
+                            .await
+                            .0
+                        {
                             continue 'retry;
                         }
                         curr = addr(succ_raw);
                         if curr == 0 {
                             break;
                         }
-                        succ_raw = ctx.read_acq(curr + next_off(lvl));
+                        succ_raw = ctx.read_acq(curr + next_off(lvl)).await;
                     }
                     if curr == 0 {
                         break;
                     }
-                    if ctx.read(curr + KEY) < key {
+                    if ctx.read(curr + KEY).await < key {
                         pred = curr;
                         curr = addr(succ_raw);
                     } else {
@@ -103,50 +107,56 @@ impl SkipList {
                 succs[lvl] = curr;
             }
             let c = succs[0];
-            return c != 0 && ctx.read(c + KEY) == key;
+            return c != 0 && ctx.read(c + KEY).await == key;
         }
     }
 
     /// Inserts `(key, value)`; false if present. `key` must be `>= 1`.
-    pub fn insert<C: PmemCtx>(&self, ctx: &mut C, key: u64, value: u64) -> bool {
+    pub async fn insert<C: PmemCtx>(&self, ctx: &mut C, key: u64, value: u64) -> bool {
         debug_assert!(key >= 1);
         let top = random_level(ctx);
         let mut preds = [0; MAX_LEVEL];
         let mut succs = [0; MAX_LEVEL];
         loop {
-            if self.find(ctx, key, &mut preds, &mut succs) {
+            if self.find(ctx, key, &mut preds, &mut succs).await {
                 return false;
             }
             // Build the tower privately.
             let node = ctx.alloc(3 + top);
-            ctx.write(node + KEY, key);
-            ctx.write(node + VAL, value);
-            ctx.write(node + TOP, top as u64);
+            ctx.write(node + KEY, key).await;
+            ctx.write(node + VAL, value).await;
+            ctx.write(node + TOP, top as u64).await;
             for (l, &succ) in succs.iter().enumerate().take(top) {
-                ctx.write(node + next_off(l), succ);
+                ctx.write(node + next_off(l), succ).await;
             }
             // Linearize: link at level 0.
-            if !ctx.cas_rel(preds[0] + next_off(0), succs[0], node).0 {
+            if !ctx.cas_rel(preds[0] + next_off(0), succs[0], node).await.0 {
                 continue;
             }
             // Link the upper levels (best effort; abandoning on a
             // concurrent delete of this very node).
             for lvl in 1..top {
                 loop {
-                    if ctx.cas_rel(preds[lvl] + next_off(lvl), succs[lvl], node).0 {
+                    if ctx
+                        .cas_rel(preds[lvl] + next_off(lvl), succs[lvl], node)
+                        .await
+                        .0
+                    {
                         break;
                     }
-                    self.find(ctx, key, &mut preds, &mut succs);
+                    self.find(ctx, key, &mut preds, &mut succs).await;
                     if succs[0] != node {
                         // The node was deleted while we were linking.
                         return true;
                     }
                     // Repoint our tower level at the new successor.
-                    let old = ctx.read_acq(node + next_off(lvl));
+                    let old = ctx.read_acq(node + next_off(lvl)).await;
                     if marked(old) {
                         return true;
                     }
-                    if old != succs[lvl] && !ctx.cas_rel(node + next_off(lvl), old, succs[lvl]).0 {
+                    if old != succs[lvl]
+                        && !ctx.cas_rel(node + next_off(lvl), old, succs[lvl]).await.0
+                    {
                         return true;
                     }
                 }
@@ -156,48 +166,56 @@ impl SkipList {
     }
 
     /// Deletes `key`; false if absent.
-    pub fn delete<C: PmemCtx>(&self, ctx: &mut C, key: u64) -> bool {
+    pub async fn delete<C: PmemCtx>(&self, ctx: &mut C, key: u64) -> bool {
         let mut preds = [0; MAX_LEVEL];
         let mut succs = [0; MAX_LEVEL];
-        if !self.find(ctx, key, &mut preds, &mut succs) {
+        if !self.find(ctx, key, &mut preds, &mut succs).await {
             return false;
         }
         let victim = succs[0];
-        let top = ctx.read(victim + TOP) as usize;
+        let top = ctx.read(victim + TOP).await as usize;
         // Mark the upper levels top-down.
         for lvl in (1..top).rev() {
             loop {
-                let raw = ctx.read_acq(victim + next_off(lvl));
+                let raw = ctx.read_acq(victim + next_off(lvl)).await;
                 if marked(raw) {
                     break;
                 }
-                if ctx.cas_rel(victim + next_off(lvl), raw, with_mark(raw)).0 {
+                if ctx
+                    .cas_rel(victim + next_off(lvl), raw, with_mark(raw))
+                    .await
+                    .0
+                {
                     break;
                 }
             }
         }
         // Marking level 0 is the linearization point.
         loop {
-            let raw = ctx.read_acq(victim + next_off(0));
+            let raw = ctx.read_acq(victim + next_off(0)).await;
             if marked(raw) {
                 return false; // another deleter linearized first
             }
-            if ctx.cas_rel(victim + next_off(0), raw, with_mark(raw)).0 {
+            if ctx
+                .cas_rel(victim + next_off(0), raw, with_mark(raw))
+                .await
+                .0
+            {
                 // Physically unlink via a helping find.
-                self.find(ctx, key, &mut preds, &mut succs);
+                self.find(ctx, key, &mut preds, &mut succs).await;
                 return true;
             }
         }
     }
 
     /// Membership test (no helping writes).
-    pub fn contains<C: PmemCtx>(&self, ctx: &mut C, key: u64) -> bool {
+    pub async fn contains<C: PmemCtx>(&self, ctx: &mut C, key: u64) -> bool {
         let mut pred = self.head;
         for lvl in (0..MAX_LEVEL).rev() {
-            let mut curr = addr(ctx.read_acq(pred + next_off(lvl)));
+            let mut curr = addr(ctx.read_acq(pred + next_off(lvl)).await);
             while curr != 0 {
-                let k = ctx.read(curr + KEY);
-                let raw = ctx.read_acq(curr + next_off(lvl));
+                let k = ctx.read(curr + KEY).await;
+                let raw = ctx.read_acq(curr + next_off(lvl)).await;
                 if k < key {
                     pred = curr;
                     curr = addr(raw);
@@ -214,7 +232,7 @@ impl SkipList {
 
     /// Pre-populates with sorted `keys`, drawing tower heights from the
     /// context RNG (same distribution as live inserts).
-    pub fn populate<C: PmemCtx>(&self, ctx: &mut C, keys: &[u64]) {
+    pub fn populate(&self, ctx: &mut DirectCtx, keys: &[u64]) {
         debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys must be sorted");
         let mut tails: [Addr; MAX_LEVEL] = [self.head; MAX_LEVEL];
         for &key in keys {
@@ -235,7 +253,7 @@ impl SkipList {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lrp_exec::DirectCtx;
+    use lrp_exec::block_on;
 
     fn fresh() -> (DirectCtx, SkipList) {
         let mut c = DirectCtx::new(1, 7);
@@ -247,24 +265,24 @@ mod tests {
     fn insert_contains_delete() {
         let (mut c, s) = fresh();
         for k in [5, 1, 9, 3, 7] {
-            assert!(s.insert(&mut c, k, k * 2));
+            assert!(block_on(s.insert(&mut c, k, k * 2)));
         }
         for k in [1, 3, 5, 7, 9] {
-            assert!(s.contains(&mut c, k));
+            assert!(block_on(s.contains(&mut c, k)));
         }
-        assert!(!s.contains(&mut c, 4));
-        assert!(!s.insert(&mut c, 5, 0));
-        assert!(s.delete(&mut c, 5));
-        assert!(!s.contains(&mut c, 5));
-        assert!(!s.delete(&mut c, 5));
-        assert!(s.insert(&mut c, 5, 1));
+        assert!(!block_on(s.contains(&mut c, 4)));
+        assert!(!block_on(s.insert(&mut c, 5, 0)));
+        assert!(block_on(s.delete(&mut c, 5)));
+        assert!(!block_on(s.contains(&mut c, 5)));
+        assert!(!block_on(s.delete(&mut c, 5)));
+        assert!(block_on(s.insert(&mut c, 5, 1)));
     }
 
     #[test]
     fn towers_have_varied_heights() {
         let (mut c, s) = fresh();
         for k in 1..=200 {
-            s.insert(&mut c, k, k);
+            block_on(s.insert(&mut c, k, k));
         }
         // With 200 geometric draws, some tower should exceed level 3.
         let mut tall = false;
@@ -275,7 +293,7 @@ mod tests {
         let _ = curr;
         assert!(tall, "upper levels should be populated");
         for k in 1..=200 {
-            assert!(s.contains(&mut c, k));
+            assert!(block_on(s.contains(&mut c, k)));
         }
     }
 
@@ -285,13 +303,13 @@ mod tests {
         let keys: Vec<u64> = (1..=100).collect();
         s.populate(&mut c, &keys);
         for k in 1..=100 {
-            assert!(s.contains(&mut c, k), "missing {k}");
-            assert!(!s.insert(&mut c, k, 0));
+            assert!(block_on(s.contains(&mut c, k)), "missing {k}");
+            assert!(!block_on(s.insert(&mut c, k, 0)));
         }
-        assert!(s.delete(&mut c, 50));
-        assert!(!s.contains(&mut c, 50));
-        assert!(s.insert(&mut c, 101, 1));
-        assert!(s.contains(&mut c, 101));
+        assert!(block_on(s.delete(&mut c, 50)));
+        assert!(!block_on(s.contains(&mut c, 50)));
+        assert!(block_on(s.insert(&mut c, 101, 1)));
+        assert!(block_on(s.contains(&mut c, 101)));
     }
 
     #[test]
@@ -302,9 +320,21 @@ mod tests {
         for _ in 0..2000 {
             let k = rng.below(48) + 1;
             match rng.below(3) {
-                0 => assert_eq!(s.insert(&mut c, k, k), model.insert(k), "insert {k}"),
-                1 => assert_eq!(s.delete(&mut c, k), model.remove(&k), "delete {k}"),
-                _ => assert_eq!(s.contains(&mut c, k), model.contains(&k), "contains {k}"),
+                0 => assert_eq!(
+                    block_on(s.insert(&mut c, k, k)),
+                    model.insert(k),
+                    "insert {k}"
+                ),
+                1 => assert_eq!(
+                    block_on(s.delete(&mut c, k)),
+                    model.remove(&k),
+                    "delete {k}"
+                ),
+                _ => assert_eq!(
+                    block_on(s.contains(&mut c, k)),
+                    model.contains(&k),
+                    "contains {k}"
+                ),
             }
         }
     }

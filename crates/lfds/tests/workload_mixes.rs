@@ -1,6 +1,6 @@
 //! Workload-mix and harness-option tests for the five LFDs.
 
-use lrp_exec::{DirectCtx, Xorshift64};
+use lrp_exec::{block_on, DirectCtx, Xorshift64};
 use lrp_lfds::bst::Bst;
 use lrp_lfds::hashmap::HashMap;
 use lrp_lfds::list::LinkedList;
@@ -102,24 +102,24 @@ fn set_structures_agree_on_random_histories() {
     for _ in 0..800 {
         let k = rng.below(64) + 1;
         if rng.below(2) == 0 {
-            let a = list.insert(&mut c, k, k);
-            let b = map.insert(&mut c, k, k);
-            let d = bst.insert(&mut c, k, k);
-            let e = skip.insert(&mut c, k, k);
+            let a = block_on(list.insert(&mut c, k, k));
+            let b = block_on(map.insert(&mut c, k, k));
+            let d = block_on(bst.insert(&mut c, k, k));
+            let e = block_on(skip.insert(&mut c, k, k));
             assert!(a == b && b == d && d == e, "insert {k} disagrees");
         } else {
-            let a = list.delete(&mut c, k);
-            let b = map.delete(&mut c, k);
-            let d = bst.delete(&mut c, k);
-            let e = skip.delete(&mut c, k);
+            let a = block_on(list.delete(&mut c, k));
+            let b = block_on(map.delete(&mut c, k));
+            let d = block_on(bst.delete(&mut c, k));
+            let e = block_on(skip.delete(&mut c, k));
             assert!(a == b && b == d && d == e, "delete {k} disagrees");
         }
     }
     for k in 1..=64 {
-        let a = list.contains(&mut c, k);
-        assert_eq!(a, map.contains(&mut c, k), "contains {k}");
-        assert_eq!(a, bst.contains(&mut c, k), "contains {k}");
-        assert_eq!(a, skip.contains(&mut c, k), "contains {k}");
+        let a = block_on(list.contains(&mut c, k));
+        assert_eq!(a, block_on(map.contains(&mut c, k)), "contains {k}");
+        assert_eq!(a, block_on(bst.contains(&mut c, k)), "contains {k}");
+        assert_eq!(a, block_on(skip.contains(&mut c, k)), "contains {k}");
     }
 }
 
@@ -133,17 +133,17 @@ fn queue_churn_preserves_fifo() {
     let mut next = 1u64;
     for _ in 0..1000 {
         if rng.below(2) == 0 {
-            q.enqueue(&mut c, next);
+            block_on(q.enqueue(&mut c, next));
             expected.push_back(next);
             next += 1;
         } else {
-            assert_eq!(q.dequeue(&mut c), expected.pop_front());
+            assert_eq!(block_on(q.dequeue(&mut c)), expected.pop_front());
         }
     }
     while let Some(v) = expected.pop_front() {
-        assert_eq!(q.dequeue(&mut c), Some(v));
+        assert_eq!(block_on(q.dequeue(&mut c)), Some(v));
     }
-    assert_eq!(q.dequeue(&mut c), None);
+    assert_eq!(block_on(q.dequeue(&mut c)), None);
 }
 
 #[test]

@@ -19,7 +19,7 @@
 use crate::check::check_null_recovery;
 use crate::crash::CrashPlan;
 use lrp_baselines::arp::{arp_schedule, ArpOrder};
-use lrp_exec::{run, ExecConfig, PmemCtx, SchedPolicy};
+use lrp_exec::{body, run, ExecConfig, PmemCtx, SchedPolicy};
 use lrp_lfds::list::LinkedList;
 use lrp_lfds::Structure;
 use lrp_model::spec::{check_arp, check_rp};
@@ -177,17 +177,17 @@ pub fn figure1() -> Figure1 {
             s.set_root("head", l.head_loc);
         },
         vec![
-            Box::new(|c: &mut lrp_exec::GateCtx| {
+            body(|mut c| async move {
                 let head = lrp_exec::ctx::HEAP_BASE + 2 * lrp_exec::ctx::ARENA_BYTES;
-                lrp_lfds::list::insert(c, head, 20, 2020); // A1
+                lrp_lfds::list::insert(&mut c, head, 20, 2020).await; // A1
             }),
-            Box::new(|c: &mut lrp_exec::GateCtx| {
+            body(|mut c| async move {
                 let head = lrp_exec::ctx::HEAP_BASE + 2 * lrp_exec::ctx::ARENA_BYTES;
                 // Give T0 a head start so T1 observes A1 (B2 of Fig. 1c).
                 for _ in 0..8 {
-                    c.read(head);
+                    c.read(head).await;
                 }
-                lrp_lfds::list::insert(c, head, 30, 3030); // B2
+                lrp_lfds::list::insert(&mut c, head, 30, 3030).await; // B2
             }),
         ],
     );

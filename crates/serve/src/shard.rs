@@ -44,8 +44,8 @@ use lrp_detect::{
     stamp, write_table_setup, ResolvedStatus, Resolver, SlotKind, SlotRecord, SlotSpec, SlotTable,
     ROOT_BASE, ROOT_CLIENTS, ROOT_RING,
 };
-use lrp_exec::{run_on, Arenas, DirectCtx, ExecConfig, PmemCtx, SchedPolicy, SharedMem};
-use lrp_exec::{ThreadBody, Xorshift64};
+use lrp_exec::{block_on, body, run_on, Arenas, DirectCtx, ExecConfig, PmemCtx, SchedPolicy};
+use lrp_exec::{SharedMem, ThreadBody, Xorshift64};
 use lrp_lfds::bst::Bst;
 use lrp_lfds::hashmap::HashMap as LfdHashMap;
 use lrp_lfds::list::LinkedList;
@@ -703,11 +703,11 @@ impl Shard {
                     .filter(|(i, _)| (i % nthreads as usize) as ThreadId == t)
                     .map(|(_, req)| req)
                     .collect();
-                Box::new(move |c: &mut lrp_exec::GateCtx| {
+                body(move |mut c| async move {
                     for req in mine {
-                        issue(c, h, det, batch, req);
+                        issue(&mut c, h, det, batch, req).await;
                     }
-                }) as ThreadBody
+                })
             })
             .collect();
         let cfg = ExecConfig::new(nthreads)
@@ -1010,12 +1010,14 @@ impl Handle {
     /// flagged leaf); every other answer is settled.
     fn lookup(self, img: &MemImage, key: u64) -> (bool, bool) {
         let c = &mut ImageCtx(img);
-        match self {
-            Handle::List(l) => (l.contains(c, key), true),
-            Handle::Map(m) => (m.contains(c, key), true),
-            Handle::Bst(b) => b.lookup(c, key),
-            Handle::Skip(sl) => (sl.contains(c, key), true),
-        }
+        block_on(async {
+            match self {
+                Handle::List(l) => (l.contains(c, key).await, true),
+                Handle::Map(m) => (m.contains(c, key).await, true),
+                Handle::Bst(b) => b.lookup(c, key).await,
+                Handle::Skip(sl) => (sl.contains(c, key).await, true),
+            }
+        })
     }
 
     /// The keys of `keys` whose removal is pending in `img`.
@@ -1039,15 +1041,15 @@ impl PmemCtx for ImageCtx<'_> {
         0
     }
 
-    fn read_annot(&mut self, addr: Addr, _annot: Annot) -> u64 {
+    async fn read_annot(&mut self, addr: Addr, _annot: Annot) -> u64 {
         self.0.read(addr)
     }
 
-    fn write_annot(&mut self, addr: Addr, _val: u64, _annot: Annot) {
+    async fn write_annot(&mut self, addr: Addr, _val: u64, _annot: Annot) {
         unreachable!("durable-image lookups only read (write at {addr:#x})")
     }
 
-    fn cas_annot(&mut self, addr: Addr, _old: u64, _new: u64, _annot: Annot) -> (bool, u64) {
+    async fn cas_annot(&mut self, addr: Addr, _old: u64, _new: u64, _annot: Annot) -> (bool, u64) {
         unreachable!("durable-image lookups only read (cas at {addr:#x})")
     }
 
@@ -1068,7 +1070,7 @@ impl PmemCtx for ImageCtx<'_> {
 /// its `op_end`: the record is part of the op's event range, so the
 /// durable-ack computation covers the stamp, and the phase label makes
 /// its cost attributable in critical-path breakdowns.
-fn stamp_slot<C: PmemCtx>(
+async fn stamp_slot<C: PmemCtx>(
     c: &mut C,
     det: Option<(Addr, SlotSpec)>,
     batch: u64,
@@ -1093,10 +1095,11 @@ fn stamp_slot<C: PmemCtx>(
             applied,
             batch,
         },
-    );
+    )
+    .await;
 }
 
-fn issue<C: PmemCtx>(
+async fn issue<C: PmemCtx>(
     c: &mut C,
     h: Handle,
     det: Option<(Addr, SlotSpec)>,
@@ -1119,10 +1122,10 @@ fn issue<C: PmemCtx>(
             c.op_begin(OpKind::Contains(k));
             c.site_op(get_site);
             let r = match h {
-                Handle::List(l) => l.contains(c, k),
-                Handle::Map(m) => m.contains(c, k),
-                Handle::Bst(b) => b.contains(c, k),
-                Handle::Skip(sl) => sl.contains(c, k),
+                Handle::List(l) => l.contains(c, k).await,
+                Handle::Map(m) => m.contains(c, k).await,
+                Handle::Bst(b) => b.contains(c, k).await,
+                Handle::Skip(sl) => sl.contains(c, k).await,
             };
             c.op_end(r as u64);
         }
@@ -1130,24 +1133,24 @@ fn issue<C: PmemCtx>(
             c.op_begin(OpKind::Insert(k, k));
             c.site_op(put_site);
             let r = match h {
-                Handle::List(l) => l.insert(c, k, k),
-                Handle::Map(m) => m.insert(c, k, k),
-                Handle::Bst(b) => b.insert(c, k, k),
-                Handle::Skip(sl) => sl.insert(c, k, k),
+                Handle::List(l) => l.insert(c, k, k).await,
+                Handle::Map(m) => m.insert(c, k, k).await,
+                Handle::Bst(b) => b.insert(c, k, k).await,
+                Handle::Skip(sl) => sl.insert(c, k, k).await,
             };
-            stamp_slot(c, det, batch, req.rid, k, SlotKind::Put, r);
+            stamp_slot(c, det, batch, req.rid, k, SlotKind::Put, r).await;
             c.op_end(r as u64);
         }
         KvOp::Del(k) => {
             c.op_begin(OpKind::Delete(k));
             c.site_op(del_site);
             let r = match h {
-                Handle::List(l) => l.delete(c, k),
-                Handle::Map(m) => m.delete(c, k),
-                Handle::Bst(b) => b.delete(c, k),
-                Handle::Skip(sl) => sl.delete(c, k),
+                Handle::List(l) => l.delete(c, k).await,
+                Handle::Map(m) => m.delete(c, k).await,
+                Handle::Bst(b) => b.delete(c, k).await,
+                Handle::Skip(sl) => sl.delete(c, k).await,
             };
-            stamp_slot(c, det, batch, req.rid, k, SlotKind::Del, r);
+            stamp_slot(c, det, batch, req.rid, k, SlotKind::Del, r).await;
             c.op_end(r as u64);
         }
     }
