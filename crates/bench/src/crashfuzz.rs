@@ -214,7 +214,7 @@ fn run_trial(
     let mut shard = Shard::new(cfg);
     let mut rng = Xorshift64::new(seed ^ 0xF0_22ED);
     let sampler = dist.sampler(spec.key_range);
-    let sound = mech.discipline().orders_release_stamps();
+    let sound = mech.discipline().guarantees_dl();
 
     // Warm traffic: committed batches whose durable acks we must still
     // be able to account for after the crash. Each batch gets its own

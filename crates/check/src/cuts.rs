@@ -199,8 +199,8 @@ pub fn enumerate_cuts(
 mod tests {
     use super::*;
     use crate::order::persist_preds;
-    use lrp_core::PersistDiscipline;
     use lrp_model::litmus::LitmusBuilder;
+    use lrp_model::spec::PersistDiscipline;
 
     /// Two independent plain writes plus one same-address overwrite.
     fn small() -> (Trace, EventId, EventId, EventId) {

@@ -6,7 +6,7 @@
 //! crate answers it in two bounded, exhaustive modes:
 //!
 //! 1. **Enumerate** ([`enumerate_check`]). A persistency discipline
-//!    ([`lrp_core::PersistDiscipline`]) induces a partial persist order
+//!    ([`lrp_model::spec::PersistDiscipline`]) induces a partial persist order
 //!    over the writes of an execution; a crash may durably retain any
 //!    *admissible cut* — a set of writes that is per-location
 //!    prefix-shaped (a cache line holds one value) and downward closed
@@ -20,9 +20,11 @@
 //! 2. **Cross-validate** ([`cross_validate`]). The simulator records a
 //!    [`lrp_model::spec::PersistSchedule`] — actual flush stamps — for
 //!    every run. The checker replays those stamps: the schedule must
-//!    respect every generator edge of the mechanism's promised
-//!    discipline (so each crash point realizes an admissible cut), and
-//!    every realized cut must recover and linearize. This closes the
+//!    respect the mechanism's promised discipline, judged by the one
+//!    streaming persist-order check
+//!    ([`lrp_model::spec::check_persist_order`], so each crash point
+//!    realizes an admissible cut), and every realized cut must recover
+//!    and linearize. This closes the
 //!    loop between the paper's hardware model (`lrp-core`,
 //!    `lrp-baselines`), its formal persist-order spec (`lrp-model`),
 //!    and its recovery claim (`lrp-recovery`).

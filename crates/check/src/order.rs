@@ -1,17 +1,22 @@
-//! Persist-order generator edges per discipline.
+//! Persist-order generator edges per discipline: the lattice definition.
 //!
 //! Every discipline is represented by a set of generator edges
-//! `(p, w)`: write `p` must persist no later than write `w`. Two facts
-//! make generators sufficient everywhere downstream:
+//! `(p, w)`: write `p` must persist no later than write `w`. A *cut* is
+//! admissible iff it is downward closed under the generator edges
+//! (closure under generators implies closure under their transitive
+//! closure), so these edges are what the cut enumerator, the minimizer
+//! and [`crate::mutate_reorder`] walk.
 //!
-//! * a persist *schedule* respects the discipline iff it respects every
-//!   generator edge (stamp comparison composes transitively),
-//! * a *cut* is admissible iff it is downward closed under the
-//!   generator edges (closure under generators implies closure under
-//!   their transitive closure).
+//! Schedules are not judged here: [`lrp_model::spec::check_persist_order`]
+//! does that in one streaming pass, with no trace-size cap. A schedule
+//! passes it, with every location's coherence chain stamp-monotone,
+//! exactly when it respects every edge of this table
+//! (`tests/arbiter.rs`). The table is built on a dense happens-before
+//! closure and so refuses traces above
+//! [`HbClosure::MAX_EVENTS`](lrp_model::hb::HbClosure::MAX_EVENTS).
 
-use lrp_core::PersistDiscipline;
 use lrp_model::hb::{HbClosure, TooLarge};
+use lrp_model::spec::PersistDiscipline;
 use lrp_model::{Addr, EventId, Trace};
 use std::collections::HashMap;
 

@@ -3,7 +3,7 @@
 //! * [`cross_validate`] — the simulator-as-subject mode: run a bounded
 //!   harness workload through `lrp-sim` under one mechanism, then (a)
 //!   assert the recorded persist stamps respect the mechanism's
-//!   discipline (every generator edge, so every crash cut the stamps
+//!   discipline ([`check_persist_order`], so every crash cut the stamps
 //!   realize is admissible), and (b) assert every realized crash cut is
 //!   durably linearizable after null recovery.
 //! * [`enumerate_check`] — the discipline-as-subject mode: no simulator
@@ -20,9 +20,10 @@
 use crate::cuts::{enumerate_cuts, EnumStats, WriteChains};
 use crate::dl::{check_dl, decisive_events, DecisiveEvent, DlViolation};
 use crate::order::{edge_list, persist_preds};
-use lrp_core::PersistDiscipline;
 use lrp_lfds::{validate_image, Recovered, Structure, ValidationError, WorkloadSpec};
-use lrp_model::spec::{check_stamp_edges, PersistSchedule};
+use lrp_model::spec::{
+    check_persist_order, earliest_late_pred, PersistDiscipline, PersistSchedule,
+};
 use lrp_model::{EventId, Trace};
 use lrp_recovery::{Counterexample, CrashPlan};
 use lrp_sim::{Mechanism, Sim, SimConfig};
@@ -76,7 +77,7 @@ pub struct CrossReport {
     /// Crash points examined (every distinct flush stamp plus the
     /// pre-persist state).
     pub crash_points: usize,
-    /// Generator edges the schedule was checked against.
+    /// Generator edges in the discipline's cut lattice for this trace.
     pub edges: usize,
     /// DL violations observed but waived because the discipline makes
     /// no guarantee (NOP). Always zero for guaranteed disciplines.
@@ -269,7 +270,7 @@ impl<'a> Checker<'a> {
 }
 
 /// Cross-validates a recorded persist schedule against `discipline`:
-/// every generator edge must be stamp-respected, and every crash cut
+/// the schedule must pass [`check_persist_order`], and every crash cut
 /// the stamps realize must pass null recovery + durable linearizability.
 /// Violations are waived (counted, not failed) when the discipline
 /// guarantees nothing.
@@ -282,39 +283,39 @@ pub fn cross_validate_schedule(
 ) -> Result<CrossReport, Box<Counterexample>> {
     let ck = Checker::new(structure, discipline, trace, title)?;
 
-    // (a) Admissibility of the schedule itself. A single violated
-    // generator edge is already a minimal counterexample.
-    let edges = edge_list(&ck.preds);
-    let nedges = edges.len();
-    if discipline != PersistDiscipline::Unconstrained {
-        if let Some((p, w)) = check_stamp_edges(sched, edges) {
-            let stamp = |e: EventId| match sched.stamp(e) {
-                Some(s) => format!("stamp {s}"),
-                None => "never persisted".to_string(),
-            };
-            let mut cx = Counterexample::new(
-                title,
+    // (a) Admissibility of the schedule itself. The first violated
+    // write and its earliest late predecessor are one required persist
+    // pair: already a minimal counterexample.
+    if let Err(v) = check_persist_order(trace, sched, discipline) {
+        let w = v[0].second;
+        let p = earliest_late_pred(trace, sched, discipline, w)
+            .expect("a violation has a late predecessor");
+        let stamp = |e: EventId| match sched.stamp(e) {
+            Some(s) => format!("stamp {s}"),
+            None => "never persisted".to_string(),
+        };
+        let mut cx = Counterexample::new(
+            title,
+            format!(
+                "inadmissible schedule: e{w} persisted ({}) before its \
+                 required predecessor e{p} ({})",
+                stamp(w),
+                stamp(p)
+            ),
+        )
+        .context("structure", structure.name())
+        .context("discipline", discipline.name());
+        cx.cut = [p, w]
+            .iter()
+            .map(|&e| {
                 format!(
-                    "inadmissible schedule: e{w} persisted ({}) before its \
-                     required predecessor e{p} ({})",
-                    stamp(w),
-                    stamp(p)
-                ),
-            )
-            .context("structure", structure.name())
-            .context("discipline", discipline.name());
-            cx.cut = [p, w]
-                .iter()
-                .map(|&e| {
-                    format!(
-                        "{}  ({})",
-                        Counterexample::render_event(&trace.events[e as usize]),
-                        stamp(e)
-                    )
-                })
-                .collect();
-            return Err(Box::new(cx));
-        }
+                    "{}  ({})",
+                    Counterexample::render_event(&trace.events[e as usize]),
+                    stamp(e)
+                )
+            })
+            .collect();
+        return Err(Box::new(cx));
     }
 
     // (b) Every realized crash cut recovers and linearizes.
@@ -354,7 +355,7 @@ pub fn cross_validate_schedule(
     }
     Ok(CrossReport {
         crash_points,
-        edges: nedges,
+        edges: ck.preds.iter().map(Vec::len).sum(),
         waived,
     })
 }

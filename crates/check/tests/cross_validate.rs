@@ -8,8 +8,8 @@ use lrp_check::{
     cross_validate, cross_validate_schedule, enumerate_check, generator_preds, mutate_reorder,
     CheckBound,
 };
-use lrp_core::PersistDiscipline;
 use lrp_lfds::Structure;
+use lrp_model::spec::PersistDiscipline;
 use lrp_sim::{Mechanism, Sim, SimConfig};
 
 #[test]

@@ -31,14 +31,12 @@
 //! The timing substrate (`lrp-sim`) and the baseline mechanisms
 //! (`lrp-baselines`) both build on the vocabulary defined here.
 
-pub mod discipline;
 pub mod engine;
 pub mod epoch;
 pub mod lrp;
 pub mod mech;
 pub mod ret;
 
-pub use discipline::PersistDiscipline;
 pub use lrp::{Lrp, LrpConfig};
 pub use mech::{
     DowngradeAction, EngineRun, EvictAction, L1View, LineMeta, PersistMech, StoreAction, StoreKind,

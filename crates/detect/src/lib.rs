@@ -13,7 +13,7 @@
 //! The stamp is written payload-first with the request-id word last via
 //! a *release* store. Under any discipline that persist-orders
 //! program-order-earlier writes before a release
-//! ([`PersistDiscipline::orders_release_stamps`](lrp_core)), a stamp
+//! ([`PersistDiscipline::guarantees_dl`](lrp_model::spec::PersistDiscipline::guarantees_dl)), a stamp
 //! recovered from a crash image therefore proves three things at once:
 //!
 //! 1. the record's own payload words are not torn,

@@ -1,6 +1,6 @@
 //! The stamp's soundness claim, checked against a *recorded* persist
 //! schedule: under a discipline with
-//! [`orders_release_stamps`](lrp_core::PersistDiscipline), whenever the
+//! [`guarantees_dl`](lrp_model::spec::PersistDiscipline::guarantees_dl), whenever the
 //! rid word of a slot record carries a persist stamp, the record's
 //! payload words and every program-order-earlier write of the same
 //! thread (the operation "effect") carry stamps no later — so any
@@ -68,7 +68,7 @@ fn stamp_durable_implies_payload_and_effect_durable() {
         ring: 8,
     };
     for mech in [Mechanism::Lrp, Mechanism::Sb, Mechanism::Bb, Mechanism::Dpo] {
-        assert!(mech.discipline().orders_release_stamps(), "{mech}");
+        assert!(mech.discipline().guarantees_dl(), "{mech}");
         for seed in 1..6 {
             let trace = build(seed, spec);
             let sched = Sim::new(SimConfig::new(mech), &trace).run().schedule;

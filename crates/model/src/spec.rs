@@ -7,10 +7,14 @@
 //! rode the same cache-line flush); `None` means the write never became
 //! durable before the end of the execution.
 //!
-//! [`check_rp`] verifies **Release Persistency** (§4.1 of the paper) by
-//! checking exactly its generator rules; because a schedule is a total
-//! order, the generator rules imply the transitive closure, so no
-//! happens-before closure is required and the check streams in O(n).
+//! [`check_persist_order`] is the one admissibility check: it judges a
+//! schedule against a [`PersistDiscipline`] — the persist order a
+//! mechanism promises — in a single O(n) streaming recurrence. Because a
+//! schedule is a total order, checking each rule edge implies the
+//! transitive closure, so no happens-before closure is built and the
+//! check runs at any trace size. [`check_rp`] is its
+//! [`ReleaseOrder`](PersistDiscipline::ReleaseOrder) call: **Release
+//! Persistency** (§4.1 of the paper).
 //!
 //! [`check_arp`] verifies only the weaker **ARP rule** (§3.1):
 //! `W po→ Rel sw→ Acq po→ W' ⇒ W p→ W'` — notably, it does *not* require
@@ -19,12 +23,95 @@
 //!
 //! [`check_cut_closure`] verifies the Izraelevitz–Scott criterion used
 //! for null recovery: every stamp-prefix of the schedule is a
-//! *consistent cut* of happens-before.
+//! *consistent cut* of happens-before. It is the closure-based reference
+//! the streaming check is tested against.
 
 use crate::event::Trace;
 use crate::hb::HbClosure;
 use crate::types::{EventId, ThreadId};
 use std::collections::HashSet;
+
+/// The persist-ordering promise of a mechanism: the partial order its
+/// writes reach NVM in.
+///
+/// A *crash cut* — the set of writes durable at a crash — is
+/// **admissible** for a mechanism iff it is downward closed under that
+/// order (and, always, per-location prefix-closed: a cache line holds
+/// one value, so a location's durable value is some prefix of its
+/// coherence-ordered write sequence). A schedule respects the order iff
+/// [`check_persist_order`] accepts it.
+///
+/// The four disciplines, weakest to strongest:
+///
+/// * [`Unconstrained`](PersistDiscipline::Unconstrained) — NOP: lines
+///   reach NVM only on incidental evictions, in no promised order. Any
+///   per-location prefix combination is admissible, and durable
+///   linearizability is **not** guaranteed.
+/// * [`ReleaseOrder`](PersistDiscipline::ReleaseOrder) — LRP (§4.1's
+///   expanded RP rules): persists follow the release/acquire one-sided
+///   barriers, same-address program order, and synchronizes-with edges —
+///   exactly [`HbClosure::compute_persist`].
+/// * [`EpochOrder`](PersistDiscipline::EpochOrder) — SB and BB: release
+///   order plus intra-thread epoch barriers (every write up to and
+///   including a release persists no later than any later write of the
+///   thread).
+/// * [`StoreOrder`](PersistDiscipline::StoreOrder) — DPO: release order
+///   plus full per-thread store order (each thread's writes persist in
+///   program order).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum PersistDiscipline {
+    /// No ordering promise (NOP).
+    Unconstrained,
+    /// Per-thread store order plus release order (DPO).
+    StoreOrder,
+    /// Release-delimited epoch order plus release order (SB, BB).
+    EpochOrder,
+    /// The expanded RP rules of §4.1 (LRP).
+    ReleaseOrder,
+}
+
+impl PersistDiscipline {
+    /// All disciplines, weakest ordering first.
+    pub const ALL: [PersistDiscipline; 4] = [
+        PersistDiscipline::Unconstrained,
+        PersistDiscipline::ReleaseOrder,
+        PersistDiscipline::EpochOrder,
+        PersistDiscipline::StoreOrder,
+    ];
+
+    /// Stable name for reports and flags.
+    pub fn name(self) -> &'static str {
+        match self {
+            PersistDiscipline::Unconstrained => "unconstrained",
+            PersistDiscipline::StoreOrder => "store-order",
+            PersistDiscipline::EpochOrder => "epoch-order",
+            PersistDiscipline::ReleaseOrder => "release-order",
+        }
+    }
+
+    /// Whether admissible cuts of this discipline are guaranteed to be
+    /// durably linearizable for the paper's log-free structures. NOP
+    /// promises nothing: checkers *report* its violations instead of
+    /// failing on them.
+    ///
+    /// Every discipline that does guarantee it persists a *release*
+    /// store no earlier than the stores before it in program order. That
+    /// is the soundness condition for detectable-operation stamps
+    /// (`lrp-detect`): a slot record is written payload-first with the
+    /// request-id word last via a release store, so a recovered stamp
+    /// proves the whole record — and, via the same release edge, the
+    /// operation effect it checkpoints — reached NVM. Under NOP a
+    /// recovered stamp is only a hint.
+    pub fn guarantees_dl(self) -> bool {
+        !matches!(self, PersistDiscipline::Unconstrained)
+    }
+}
+
+impl std::fmt::Display for PersistDiscipline {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
 
 /// Assignment of persist stamps to write events.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,7 +192,7 @@ fn ext(s: Option<u64>) -> Ext {
     }
 }
 
-/// Which RP rule a violation falls under.
+/// Which persist-order rule a violation falls under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RpRule {
     /// `W po→ Rel ⇒ W p→ Rel` (release one-sided barrier, §4.1).
@@ -114,6 +201,10 @@ pub enum RpRule {
     AcquireBarrier,
     /// `W1 po→ W2` same address `⇒ W1 p→ W2`.
     SameAddr,
+    /// `W po→ Rel po→ W' ⇒ W p→ W'` (epoch barrier, `EpochOrder` only).
+    EpochBarrier,
+    /// `W po→ W' ⇒ W p→ W'` (store order, `StoreOrder` only).
+    StoreOrder,
 }
 
 /// A persist-order violation: `first` was required to persist no later
@@ -140,16 +231,9 @@ impl std::fmt::Display for Violation {
 
 const MAX_REPORTED: usize = 16;
 
-/// Checks the Release Persistency rules of §4.1 against a schedule.
-///
-/// Implements the paper's *expanded* rules (the ones a microarchitecture
-/// can enforce) as a single streaming recurrence: for every event, the
-/// maximum persist stamp over its persist-order predecessors is
-/// propagated through the rule edges — prior acquires (acquire one-sided
-/// barrier), prior writes at a release (release one-sided barrier), the
-/// previous write to the same address, and the release an acquire reads
-/// from (synchronizes-with). A write whose own stamp is smaller than the
-/// propagated bound is a violation.
+/// Checks the Release Persistency rules of §4.1 against a schedule: the
+/// [`ReleaseOrder`](PersistDiscipline::ReleaseOrder) call of
+/// [`check_persist_order`].
 ///
 /// Note the deliberate fidelity point: the paper's succinct statement
 /// ("any two writes in happens-before persist in that order") is
@@ -162,27 +246,128 @@ const MAX_REPORTED: usize = 16;
 ///
 /// Returns the first few violations (capped) on failure.
 pub fn check_rp(trace: &Trace, sched: &PersistSchedule) -> Result<(), Vec<Violation>> {
+    check_persist_order(trace, sched, PersistDiscipline::ReleaseOrder)
+}
+
+/// Checks that a schedule respects discipline `d`'s persist order.
+///
+/// One streaming pass over the rule edges: the release and acquire
+/// one-sided barriers, same-thread same-address order and
+/// synchronizes-with for every constrained discipline, plus epoch
+/// barriers for `EpochOrder` and full per-thread store order for
+/// `StoreOrder`. A write whose own stamp is smaller than the largest
+/// stamp among its persist-order predecessors is a violation; each
+/// violation names the predecessor that set that bound and the rule of
+/// the edge it came in through. `Unconstrained` accepts every schedule.
+/// Cross-thread same-address order (coherence) is not checked here: it
+/// is the per-location prefix rule of a crash cut, not part of any
+/// discipline's promise.
+///
+/// Returns the first few violations (capped) on failure.
+pub fn check_persist_order(
+    trace: &Trace,
+    sched: &PersistSchedule,
+    d: PersistDiscipline,
+) -> Result<(), Vec<Violation>> {
     assert_eq!(
         sched.len(),
         trace.events.len(),
         "schedule/trace size mismatch"
     );
-    let nt = trace.nthreads as usize;
-    let n = trace.events.len();
     let mut viol = Vec::new();
-    // folded[e]: max stamp over ({e} if write) ∪ persist-predecessors(e).
-    let mut folded: Vec<Option<(Ext, EventId, RpRule)>> = vec![None; n];
-    // Per-thread aggregates over folded values.
-    let mut all_w: Vec<Option<(Ext, EventId, RpRule)>> = vec![None; nt];
-    let mut acqs: Vec<Option<(Ext, EventId, RpRule)>> = vec![None; nt];
+    propagate(
+        trace,
+        d,
+        |e| ext(sched.stamp(e)),
+        |w, s, bound| {
+            if let (Some((b, src, rule)), Ext::Fin(_)) = (bound, s) {
+                if b > s {
+                    viol.push(Violation {
+                        first: src,
+                        second: w,
+                        rule,
+                    });
+                }
+            }
+            viol.len() < MAX_REPORTED
+        },
+    );
+    if viol.is_empty() {
+        Ok(())
+    } else {
+        Err(viol)
+    }
+}
+
+/// The lowest-numbered persist-order predecessor of write `w` under `d`
+/// that persisted later than `w`, or never: the canonical pair to report
+/// for a violation at `w` (a violation itself names the predecessor with
+/// the largest stamp). `None` if no predecessor is late.
+pub fn earliest_late_pred(
+    trace: &Trace,
+    sched: &PersistSchedule,
+    d: PersistDiscipline,
+    w: EventId,
+) -> Option<EventId> {
+    let s = ext(sched.stamp(w));
+    // Keyed so that the largest key over a predecessor set is the
+    // lowest-numbered late write; on-time writes key to the floor.
+    let key = |p: EventId| {
+        if ext(sched.stamp(p)) > s {
+            Ext::Fin(u64::MAX - p as u64)
+        } else {
+            Ext::Fin(0)
+        }
+    };
+    let mut late = None;
+    propagate(trace, d, key, |e, _, bound| {
+        if e == w {
+            late = bound.filter(|&(k, ..)| k > Ext::Fin(0)).map(|(_, p, _)| p);
+        }
+        e != w
+    });
+    late
+}
+
+/// A fold value: the largest key seen, the write it belongs to, and the
+/// rule of the edge it last came in through.
+type Fold = Option<(Ext, EventId, RpRule)>;
+
+/// The one persist-order recurrence. For each write effect, in trace
+/// order, calls `visit(w, key(w), bound)` where `bound` is the largest
+/// `key` over `w`'s persist-order predecessors under `d`; stops when
+/// `visit` returns false. Because the trace is a total order, folding
+/// each rule edge once yields the transitive closure, so the walk is
+/// O(n) and builds no happens-before closure.
+///
+/// The edges, per event: prior acquires of the thread (acquire one-sided
+/// barrier), prior writes of the thread at a release (release one-sided
+/// barrier), the thread's previous write to the same address, and the
+/// release an acquire reads from (synchronizes-with). `EpochOrder` also
+/// bounds every write by the thread's writes up to and including its
+/// last release, and `StoreOrder` by all earlier writes of the thread.
+/// `Unconstrained` has no edges: nothing is visited.
+fn propagate(
+    trace: &Trace,
+    d: PersistDiscipline,
+    key: impl Fn(EventId) -> Ext,
+    mut visit: impl FnMut(EventId, Ext, Fold) -> bool,
+) {
+    if d == PersistDiscipline::Unconstrained {
+        return;
+    }
+    let nt = trace.nthreads as usize;
+    // folded[e]: max key over ({e} if write) ∪ persist-predecessors(e).
+    let mut folded: Vec<Fold> = vec![None; trace.events.len()];
+    // Per-thread aggregates over folded values: every write so far, every
+    // acquire so far, and (EpochOrder) every write up to the last release.
+    let mut all_w: Vec<Fold> = vec![None; nt];
+    let mut acqs: Vec<Fold> = vec![None; nt];
+    let mut epoch: Vec<Fold> = vec![None; nt];
     let mut last_w: std::collections::HashMap<(ThreadId, u64), (Ext, EventId, RpRule)> =
         std::collections::HashMap::new();
 
-    fn join(
-        b: &mut Option<(Ext, EventId, RpRule)>,
-        other: Option<(Ext, EventId, RpRule)>,
-        rule: Option<RpRule>,
-    ) {
+    fn join(b: &mut Fold, other: Fold, rule: Option<RpRule>) {
         if let Some((e2, src, r2)) = other {
             let r = rule.unwrap_or(r2);
             match b {
@@ -194,8 +379,7 @@ pub fn check_rp(trace: &Trace, sched: &PersistSchedule) -> Result<(), Vec<Violat
 
     for e in &trace.events {
         let t = e.tid as usize;
-        let s = ext(sched.stamp(e.id));
-        let mut bound: Option<(Ext, EventId, RpRule)> = None;
+        let mut bound: Fold = None;
         // Acquire one-sided barrier: every earlier acquire of this thread
         // bounds everything after it.
         join(&mut bound, acqs[t], Some(RpRule::AcquireBarrier));
@@ -221,39 +405,36 @@ pub fn check_rp(trace: &Trace, sched: &PersistSchedule) -> Result<(), Vec<Violat
                 }
             }
         }
-        // The check: a persisted write may not beat its bound.
+        // The discipline's own intra-thread edges.
         if e.is_write_effect() {
-            if let (Some((b, src, rule)), Ext::Fin(_)) = (bound, s) {
-                if b > s {
-                    viol.push(Violation {
-                        first: src,
-                        second: e.id,
-                        rule,
-                    });
-                    if viol.len() >= MAX_REPORTED {
-                        break;
-                    }
+            match d {
+                PersistDiscipline::EpochOrder => {
+                    join(&mut bound, epoch[t], Some(RpRule::EpochBarrier))
                 }
+                PersistDiscipline::StoreOrder => {
+                    join(&mut bound, all_w[t], Some(RpRule::StoreOrder))
+                }
+                PersistDiscipline::ReleaseOrder | PersistDiscipline::Unconstrained => {}
             }
         }
-        // Fold the event's own stamp (writes only) and update aggregates.
         let mut f = bound;
         if e.is_write_effect() {
-            join(&mut f, Some((s, e.id, RpRule::SameAddr)), None);
+            let k = key(e.id);
+            if !visit(e.id, k, bound) {
+                return;
+            }
+            // Fold the write's own key and update the aggregates.
+            join(&mut f, Some((k, e.id, RpRule::SameAddr)), None);
+            join(&mut all_w[t], f, None);
+            last_w.insert((e.tid, e.addr), f.expect("write folds its own key"));
+            if e.is_release() {
+                epoch[t] = all_w[t];
+            }
         }
         folded[e.id as usize] = f;
-        if e.is_write_effect() {
-            join(&mut all_w[t], f, None);
-            last_w.insert((e.tid, e.addr), f.expect("write folds its own stamp"));
-        }
         if e.is_acquire() {
             join(&mut acqs[t], f, Some(RpRule::AcquireBarrier));
         }
-    }
-    if viol.is_empty() {
-        Ok(())
-    } else {
-        Err(viol)
     }
 }
 
@@ -329,114 +510,6 @@ pub fn check_arp(trace: &Trace, sched: &PersistSchedule) -> Result<(), Vec<Viola
     }
 }
 
-/// Checks the *intra-thread full persist barrier* semantics that the
-/// strict and buffered barriers (SB/BB, §6.2) enforce by surrounding
-/// every release with barriers: for each thread, every write that
-/// precedes a release in program order persists no later than the
-/// release, and the release persists no later than any write that
-/// follows it. This is strictly stronger than RP — Figure 2's point is
-/// precisely that RP does **not** require it, so LRP schedules may fail
-/// this check while satisfying [`check_rp`].
-pub fn check_epoch_full_barrier(
-    trace: &Trace,
-    sched: &PersistSchedule,
-) -> Result<(), Vec<Violation>> {
-    assert_eq!(
-        sched.len(),
-        trace.events.len(),
-        "schedule/trace size mismatch"
-    );
-    let nt = trace.nthreads as usize;
-    let mut viol = Vec::new();
-    // Per thread: max stamp over earlier segments (lower bound for later
-    // writes) and the running max of the current segment. Same-address
-    // program order also holds under any epoch model (writes to one
-    // line coalesce or persist in order).
-    let mut seg_lb: Vec<Option<(Ext, EventId)>> = vec![None; nt];
-    let mut cur_max: Vec<Option<(Ext, EventId)>> = vec![None; nt];
-    let mut last_w: std::collections::HashMap<(ThreadId, u64), EventId> =
-        std::collections::HashMap::new();
-    for e in &trace.events {
-        if !e.is_write_effect() {
-            continue;
-        }
-        let t = e.tid as usize;
-        let s = ext(sched.stamp(e.id));
-        if let (Some((b, src)), Ext::Fin(_)) = (seg_lb[t], s) {
-            if b > s {
-                viol.push(Violation {
-                    first: src,
-                    second: e.id,
-                    rule: RpRule::ReleaseBarrier,
-                });
-                if viol.len() >= MAX_REPORTED {
-                    break;
-                }
-            }
-        }
-        if let Some(&p) = last_w.get(&(e.tid, e.addr)) {
-            if let Ext::Fin(_) = s {
-                if ext(sched.stamp(p)) > s {
-                    viol.push(Violation {
-                        first: p,
-                        second: e.id,
-                        rule: RpRule::SameAddr,
-                    });
-                    if viol.len() >= MAX_REPORTED {
-                        break;
-                    }
-                }
-            }
-        }
-        last_w.insert((e.tid, e.addr), e.id);
-        if e.is_release() {
-            // The barrier sits *before* the release: every earlier write
-            // of the segment must persist no later than the release
-            // itself.
-            if let (Some((m, src)), Ext::Fin(_)) = (cur_max[t], s) {
-                if m > s {
-                    viol.push(Violation {
-                        first: src,
-                        second: e.id,
-                        rule: RpRule::ReleaseBarrier,
-                    });
-                    if viol.len() >= MAX_REPORTED {
-                        break;
-                    }
-                }
-            }
-        }
-        match cur_max[t] {
-            Some((m, _)) if m >= s => {}
-            _ => cur_max[t] = Some((s, e.id)),
-        }
-        if e.is_release() {
-            // Barrier after the release: everything so far lower-bounds
-            // the next segment.
-            seg_lb[t] = cur_max[t];
-        }
-    }
-    if viol.is_empty() {
-        Ok(())
-    } else {
-        Err(viol)
-    }
-}
-
-/// Checks stamp monotonicity along explicit persist-order `edges`:
-/// returns the first `(first, second)` pair with `stamp(first) >
-/// stamp(second)` (unpersisted = +∞) — i.e. `second` became durable
-/// while `first`, which the order requires to persist no later, had
-/// not. `None` means every edge is respected.
-pub fn check_stamp_edges(
-    sched: &PersistSchedule,
-    edges: impl IntoIterator<Item = (EventId, EventId)>,
-) -> Option<(EventId, EventId)> {
-    edges
-        .into_iter()
-        .find(|&(a, b)| ext(sched.stamp(a)) > ext(sched.stamp(b)))
-}
-
 /// A consistent-cut violation: `present` is durable while its
 /// happens-before predecessor `missing` is not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -445,26 +518,6 @@ pub struct CutViolation {
     pub present: EventId,
     /// Its non-durable hb-predecessor write.
     pub missing: EventId,
-}
-
-/// Checks that `cut` (a set of durable writes) is a consistent cut: it is
-/// closed under happens-before predecessors among writes.
-pub fn check_consistent_cut(
-    trace: &Trace,
-    hb: &HbClosure,
-    cut: &HashSet<EventId>,
-) -> Result<(), CutViolation> {
-    for &w in cut {
-        for p in hb.preds_of(w) {
-            if trace.events[p as usize].is_write_effect() && !cut.contains(&p) {
-                return Err(CutViolation {
-                    present: w,
-                    missing: p,
-                });
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Checks that *every* stamp-prefix of the schedule is a consistent cut,
@@ -638,18 +691,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_cut_checking() {
-        let (t, w1, rel, _acq, w4) = fig1();
-        let hb = HbClosure::compute(&t).unwrap();
-        let ok: HashSet<EventId> = [w1, rel].into_iter().collect();
-        check_consistent_cut(&t, &hb, &ok).unwrap();
-        let bad: HashSet<EventId> = [rel].into_iter().collect();
-        assert!(check_consistent_cut(&t, &hb, &bad).is_err());
-        let bad2: HashSet<EventId> = [w4].into_iter().collect();
-        assert!(check_consistent_cut(&t, &hb, &bad2).is_err());
-    }
-
-    #[test]
     fn cut_at_selects_by_stamp() {
         let (t, w1, rel, _acq, w4) = fig1();
         let sched = PersistSchedule::from_order(t.events.len(), &[w1, rel, w4]);
@@ -659,47 +700,84 @@ mod tests {
         assert_eq!(sched.distinct_stamps(), vec![0, 1, 2]);
     }
 
-    #[test]
-    fn full_barrier_is_stricter_than_rp() {
-        // Figure 2b: WA; Rel; WB — RP lets WB persist before WA, the
-        // full barrier does not.
+    /// T0: WA; Rel; WB — Figure 2b's shape.
+    fn wa_rel_wb() -> (Trace, EventId, EventId, EventId) {
         let mut b = LitmusBuilder::new(1);
         let wa = b.write(0, 0x10, 1);
         let rel = b.write_rel(0, 0x80, 2);
         let wb = b.write(0, 0x100, 3);
-        let t = b.build();
+        (b.build(), wa, rel, wb)
+    }
+
+    #[test]
+    fn epoch_order_is_stricter_than_rp() {
+        // Figure 2b: RP lets WB persist before WA, the epoch barrier
+        // does not.
+        let (t, wa, rel, wb) = wa_rel_wb();
         let reordered = PersistSchedule::from_order(t.events.len(), &[wb, wa, rel]);
         check_rp(&t, &reordered).unwrap();
-        let v = check_epoch_full_barrier(&t, &reordered).unwrap_err();
+        let v = check_persist_order(&t, &reordered, PersistDiscipline::EpochOrder).unwrap_err();
         assert_eq!(v[0].second, wb);
+        assert_eq!(v[0].rule, RpRule::EpochBarrier);
         let strict = PersistSchedule::from_order(t.events.len(), &[wa, rel, wb]);
-        check_epoch_full_barrier(&t, &strict).unwrap();
+        check_persist_order(&t, &strict, PersistDiscipline::EpochOrder).unwrap();
     }
 
     #[test]
-    fn full_barrier_requires_release_before_later_writes() {
+    fn epoch_order_requires_release_before_later_writes() {
+        // Release never persisted but a later write did.
+        let (t, wa, _rel, wb) = wa_rel_wb();
+        let sched = PersistSchedule::from_order(t.events.len(), &[wa, wb]);
+        check_rp(&t, &sched).unwrap();
+        assert!(check_persist_order(&t, &sched, PersistDiscipline::EpochOrder).is_err());
+    }
+
+    #[test]
+    fn store_order_chains_plain_writes_within_an_epoch() {
+        // WA; WB with no release between them: only store order cares.
         let mut b = LitmusBuilder::new(1);
         let wa = b.write(0, 0x10, 1);
-        let rel = b.write_rel(0, 0x80, 2);
-        let wb = b.write(0, 0x100, 3);
+        let wb = b.write(0, 0x100, 2);
         let t = b.build();
-        // Release never persisted but a later write did.
-        let sched = PersistSchedule::from_order(t.events.len(), &[wa, wb]);
-        assert!(check_epoch_full_barrier(&t, &sched).is_err());
-        let _ = rel;
+        let sched = PersistSchedule::from_order(t.events.len(), &[wb, wa]);
+        check_persist_order(&t, &sched, PersistDiscipline::EpochOrder).unwrap();
+        let v = check_persist_order(&t, &sched, PersistDiscipline::StoreOrder).unwrap_err();
+        assert_eq!(
+            (v[0].first, v[0].second, v[0].rule),
+            (wa, wb, RpRule::StoreOrder)
+        );
     }
 
     #[test]
-    fn rp_implies_every_prefix_is_consistent() {
-        // Property glue: a schedule passing check_rp has only consistent
-        // stamp-prefixes (checked exhaustively on this small trace).
-        let (t, w1, rel, _acq, w4) = fig1();
-        let hb = HbClosure::compute(&t).unwrap();
-        let sched = PersistSchedule::from_order(t.events.len(), &[w1, rel, _acq, w4]);
-        check_rp(&t, &sched).unwrap();
-        for s in sched.distinct_stamps() {
-            let cut = sched.cut_at(&t, s);
-            check_consistent_cut(&t, &hb, &cut).unwrap();
+    fn unconstrained_accepts_every_schedule() {
+        let (t, wa, rel, wb) = wa_rel_wb();
+        let sched = PersistSchedule::from_order(t.events.len(), &[rel, wb, wa]);
+        for d in PersistDiscipline::ALL {
+            let verdict = check_persist_order(&t, &sched, d);
+            assert_eq!(
+                verdict.is_ok(),
+                d == PersistDiscipline::Unconstrained,
+                "{d}"
+            );
+        }
+    }
+
+    #[test]
+    fn names_are_stable_and_distinct() {
+        let mut names: Vec<&str> = PersistDiscipline::ALL.iter().map(|d| d.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), 4);
+    }
+
+    #[test]
+    fn only_unconstrained_waives_dl() {
+        for d in PersistDiscipline::ALL {
+            assert_eq!(
+                d.guarantees_dl(),
+                d != PersistDiscipline::Unconstrained,
+                "{d}"
+            );
         }
     }
 }

@@ -1,18 +1,18 @@
 //! Exhaustive specification cross-checks on tiny executions: for every
-//! permutation of the writes of a small trace, the streaming RP checker,
-//! the closure-based consistent-cut criterion, and the ARP rule must
-//! relate exactly as the theory says:
+//! permutation of the writes of a small trace, the streaming
+//! persist-order check under each discipline, the closure-based
+//! consistent-cut criterion, and the ARP rule must relate exactly as the
+//! theory says:
 //!
-//! * `check_rp` ⟺ `check_cut_closure` (total orders),
-//! * `check_rp` ⟹ `check_arp` (RP is strictly stronger),
-//! * `check_epoch_full_barrier` ⟹ `check_rp` restricted to
-//!   intra-thread rules... (verified as: full-barrier-valid orders are
-//!   never rejected by RP's intra-thread rules on single-thread traces).
+//! * `StoreOrder` ⟹ `EpochOrder` ⟹ `ReleaseOrder` (each discipline
+//!   adds edges to the one after it),
+//! * `ReleaseOrder` (`check_rp`) ⟺ `check_cut_closure` (total orders),
+//! * `check_rp` ⟹ `check_arp` (RP is strictly stronger).
 
 use lrp_model::hb::HbClosure;
 use lrp_model::litmus::LitmusBuilder;
 use lrp_model::spec::{
-    check_arp, check_cut_closure, check_epoch_full_barrier, check_rp, PersistSchedule,
+    check_arp, check_cut_closure, check_persist_order, check_rp, PersistDiscipline, PersistSchedule,
 };
 use lrp_model::{Annot, EventId, Trace};
 
@@ -40,15 +40,27 @@ fn writes_of(t: &Trace) -> Vec<EventId> {
         .collect()
 }
 
-/// Checks all three relationships over every write permutation of `t`.
+/// Checks all the relationships over every write permutation of `t`.
 fn exhaust(name: &str, t: &Trace) {
     let hb = HbClosure::compute_persist(t).unwrap();
     let writes = writes_of(t);
     assert!(writes.len() <= 6, "{name}: too many writes to enumerate");
-    let mut rp_ok_count = 0;
+    let (mut rp_ok_count, mut store_ok_count) = (0, 0);
     for perm in permutations(&writes) {
         let sched = PersistSchedule::from_order(t.events.len(), &perm);
+        let ok = |d| check_persist_order(t, &sched, d).is_ok();
+        let store = ok(PersistDiscipline::StoreOrder);
+        store_ok_count += store as usize;
+        let epoch = ok(PersistDiscipline::EpochOrder);
         let rp = check_rp(t, &sched).is_ok();
+        assert!(
+            !store || epoch,
+            "{name}: store order admits, epoch order rejects {perm:?}"
+        );
+        assert!(
+            !epoch || rp,
+            "{name}: epoch order admits, RP rejects {perm:?}"
+        );
         let cut = check_cut_closure(t, &hb, &sched).is_ok();
         assert_eq!(rp, cut, "{name}: rp/cut disagree on {perm:?}");
         if rp {
@@ -58,14 +70,12 @@ fn exhaust(name: &str, t: &Trace) {
                 "{name}: RP-valid order rejected by the weaker ARP rule: {perm:?}"
             );
         }
-        if check_epoch_full_barrier(t, &sched).is_ok() && t.nthreads == 1 {
-            assert!(
-                rp,
-                "{name}: full-barrier-valid order rejected by RP: {perm:?}"
-            );
-        }
     }
     assert!(rp_ok_count > 0, "{name}: no valid persist order at all?");
+    assert!(
+        store_ok_count > 0,
+        "{name}: not even program order is store order?"
+    );
 }
 
 #[test]

@@ -547,7 +547,7 @@ impl Shard {
     /// True when the configured mechanism's persist discipline backs
     /// the stamp's promise (stamp durable ⇒ payload + effect durable).
     fn stamps_sound(&self) -> bool {
-        self.cfg.mechanism.discipline().orders_release_stamps()
+        self.cfg.mechanism.discipline().guarantees_dl()
     }
 
     /// Re-derives the slot table and resolver from the durable image.

@@ -28,7 +28,7 @@ fn from_scratch(
         Ok(Recovered::Set(k)) => k,
         other => panic!("durable image rejected: {other:?}"),
     };
-    let sound = mech.discipline().orders_release_stamps();
+    let sound = mech.discipline().guarantees_dl();
     let res = rebuild_resolution(s.roots(), &snap, sound).expect("detection is on");
     (keys, res.resolver)
 }

@@ -51,10 +51,11 @@ impl Mechanism {
     }
 
     /// The persist-ordering discipline this mechanism promises, i.e. the
-    /// partial order its crash cuts must be downward closed under. This
-    /// is what `lrp-check` verifies the recorded schedules against.
-    pub fn discipline(self) -> lrp_core::PersistDiscipline {
-        use lrp_core::PersistDiscipline as D;
+    /// partial order its crash cuts must be downward closed under.
+    /// `lrp_model::spec::check_persist_order` judges recorded schedules
+    /// against it.
+    pub fn discipline(self) -> lrp_model::spec::PersistDiscipline {
+        use lrp_model::spec::PersistDiscipline as D;
         match self {
             // NOP persists only on incidental evictions — no promise.
             Mechanism::Nop => D::Unconstrained,

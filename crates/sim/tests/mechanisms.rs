@@ -4,7 +4,7 @@
 
 use lrp_lfds::{Structure, WorkloadSpec};
 use lrp_model::litmus::LitmusBuilder;
-use lrp_model::spec::{check_epoch_full_barrier, check_rp};
+use lrp_model::spec::{check_persist_order, check_rp, PersistDiscipline};
 use lrp_model::Trace;
 use lrp_sim::{Mechanism, Sim, SimConfig};
 
@@ -30,7 +30,7 @@ fn lrp_exploits_rp_relaxation_sb_bb_do_not() {
     for m in [Mechanism::Sb, Mechanism::Bb] {
         let r = run(&t, m);
         check_rp(&t, &r.schedule).unwrap();
-        check_epoch_full_barrier(&t, &r.schedule)
+        check_persist_order(&t, &r.schedule, m.discipline())
             .unwrap_or_else(|v| panic!("{m} must respect the full barrier: {v:?}"));
     }
     let r = run(&t, Mechanism::Lrp);
@@ -45,7 +45,7 @@ fn lrp_exploits_rp_relaxation_sb_bb_do_not() {
         r.schedule.stamp(0).is_none(),
         "A stays lazily buffered in the L1"
     );
-    assert!(check_epoch_full_barrier(&t, &r.schedule).is_err());
+    assert!(check_persist_order(&t, &r.schedule, PersistDiscipline::EpochOrder).is_err());
 }
 
 /// Regression: a forward must never overtake an in-flight exclusive
@@ -177,8 +177,8 @@ fn dpo_handles_litmus_relay() {
     let t = b.build();
     let r = run(&t, Mechanism::Dpo);
     check_rp(&t, &r.schedule).unwrap();
-    // Full barrier holds too: the FIFO never reorders a thread's writes.
-    check_epoch_full_barrier(&t, &r.schedule).unwrap();
+    // Store order holds too: the FIFO never reorders a thread's writes.
+    check_persist_order(&t, &r.schedule, Mechanism::Dpo.discipline()).unwrap();
 }
 
 #[test]
