@@ -122,11 +122,10 @@ fn main() {
                             Ok(r) => {
                                 eprintln!(
                                     "  {:<10} {:<4} seed {seed}: {} crash points, \
-                                     {} edges, {} waived",
+                                     {} waived",
                                     s.name(),
                                     m.name(),
                                     r.crash_points,
-                                    r.edges,
                                     r.waived
                                 );
                                 cells.push(cell_json(*s, *m, seed, &r));
@@ -232,7 +231,6 @@ fn cell_json(s: Structure, m: Mechanism, seed: u64, r: &CrossReport) -> Json {
         ("discipline", Json::Str(m.discipline().name().to_string())),
         ("seed", Json::U64(seed)),
         ("crash_points", Json::U64(r.crash_points as u64)),
-        ("edges", Json::U64(r.edges as u64)),
         ("waived", Json::U64(r.waived as u64)),
     ])
 }

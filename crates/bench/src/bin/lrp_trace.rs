@@ -5,7 +5,7 @@
 //!                 [--seed N] [--out FILE]
 //! lrp-trace info   <FILE>    # census + validation
 //! lrp-trace check  <FILE>    # replay under every mechanism, verify RP
-//!                            # and null recovery
+//!                            # and null recovery; exit 3 on a finding
 //! lrp-trace report <FILE> [mech] [--trace-out FILE] [--metrics-out FILE]
 //!                  [--sample-every N]   # full stat dump of one replay;
 //!                                       # exit 3 on I1-I4/C1-C2 violations
@@ -40,7 +40,12 @@ const USAGE: &str = "usage:\n  \
     0  success\n  \
     1  file read/write/parse error\n  \
     2  usage error (unknown flag or command, missing or invalid value)\n  \
-    3  report: invariant violations observed (I1-I4, critpath C1-C2)";
+    3  report: invariant violations observed (I1-I4, critpath C1-C2);\n     \
+       check: an RP violation or a null-recovery failure";
+
+/// Seed of the crash points `check` samples: fixed, so a trace file
+/// always gets the same verdict.
+const CHECK_CRASH_SEED: u64 = 1;
 
 fn load(path: &str) -> Trace {
     codec::from_text(&read_text(path)).unwrap_or_else(|e| die(format!("cannot parse {path}: {e}")))
@@ -171,6 +176,7 @@ fn check(path: &str) {
     let trace = load(path);
     trace.validate().expect("trace is well-formed");
     let structure = Structure::infer_from_roots(trace.roots.iter().map(|(name, _)| name.as_str()));
+    let mut found = false;
     for m in Mechanism::ALL {
         let r = Sim::new(SimConfig::new(m), &trace).run();
         let rp = if m == Mechanism::Nop {
@@ -178,15 +184,23 @@ fn check(path: &str) {
         } else {
             match lrp_model::spec::check_rp(&trace, &r.schedule) {
                 Ok(()) => "ok".to_string(),
-                Err(v) => format!("VIOLATED ({} findings)", v.len()),
+                Err(v) => {
+                    found = true;
+                    format!("VIOLATED ({} findings)", v.len())
+                }
             }
         };
         let recovery = match (structure, m) {
             (Some(s), Mechanism::Lrp | Mechanism::Sb | Mechanism::Bb) => {
-                let rep = check_null_recovery(s, &trace, &r.schedule, &CrashPlan::Sampled(32));
+                let plan = CrashPlan::Random {
+                    samples: 32,
+                    seed: CHECK_CRASH_SEED,
+                };
+                let rep = check_null_recovery(s, &trace, &r.schedule, &plan);
                 if rep.all_recovered() {
                     format!("{} crash points ok", rep.crash_points)
                 } else {
+                    found = true;
                     format!("{} FAILURES", rep.failures.len())
                 }
             }
@@ -200,5 +214,8 @@ fn check(path: &str) {
             rp,
             recovery
         );
+    }
+    if found {
+        std::process::exit(3);
     }
 }

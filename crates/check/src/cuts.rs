@@ -107,15 +107,16 @@ impl WriteChains {
     }
 
     /// The cut realized by `sched` at crash stamp `stamp` (durable =
-    /// stamp `<= stamp`). Returns `Err(w)` if the durable set is not
-    /// prefix-shaped at `w`'s location — i.e. `w` is durable while an
-    /// earlier write to the same location is not, which no cache-line
-    /// substrate can produce.
+    /// stamp `<= stamp`). Returns `Err((w, p))` when no cache line can
+    /// leave the durable set: `w` is durable while `p`, an earlier write
+    /// to the same location, is not durable or persisted after `w`.
+    /// Where this is `Ok`, the cut's [`image`](Self::image) is the crash
+    /// image `lrp_recovery::PersistWalk` builds at `stamp`.
     pub fn realized(
         &self,
         sched: &PersistSchedule,
         stamp: Option<u64>,
-    ) -> Result<Vec<usize>, EventId> {
+    ) -> Result<Vec<usize>, (EventId, EventId)> {
         let durable = |w: EventId| match (sched.stamp(w), stamp) {
             (Some(s), Some(cut)) => s <= cut,
             _ => false,
@@ -124,10 +125,13 @@ impl WriteChains {
         for (l, chain) in self.chains.iter().enumerate() {
             let mut k = 0;
             while k < chain.len() && durable(chain[k]) {
+                if k > 0 && sched.stamp(chain[k]) < sched.stamp(chain[k - 1]) {
+                    return Err((chain[k], chain[k - 1]));
+                }
                 k += 1;
             }
             if let Some(&w) = chain[k..].iter().find(|&&w| durable(w)) {
-                return Err(w);
+                return Err((w, chain[k]));
             }
             cut[l] = k;
         }
@@ -291,6 +295,13 @@ mod tests {
         // A hole: w3 durable while w1 (same location, earlier) is not.
         let mut holey = PersistSchedule::new(t.events.len());
         holey.set(w3, 0);
-        assert_eq!(chains.realized(&holey, Some(0)), Err(w3));
+        assert_eq!(chains.realized(&holey, Some(0)), Err((w3, w1)));
+        // Both durable, but w3 persisted before w1: the line would end
+        // up holding w1's value, which no prefix of its chain leaves.
+        let mut reordered = PersistSchedule::new(t.events.len());
+        reordered.set(w1, 1);
+        reordered.set(w3, 0);
+        assert_eq!(chains.realized(&reordered, Some(0)), Err((w3, w1)));
+        assert_eq!(chains.realized(&reordered, Some(1)), Err((w3, w1)));
     }
 }

@@ -372,6 +372,61 @@ mod tests {
     }
 
     #[test]
+    fn states_the_history_cannot_explain_are_rejected() {
+        // Phantom and lost keys, phantom, duplicate and out-of-FIFO
+        // queue values: no subsequence of the operations replays to
+        // any of them, even with every decisive write durable.
+        let bound = |s| {
+            WorkloadSpec::new(s)
+                .initial_size(8)
+                .threads(2)
+                .ops_per_thread(4)
+                .seed(3)
+                .build_trace()
+        };
+        let rejects = |s: Structure, t: &Trace, bad: Recovered| {
+            let d = decisive_events(s, t).unwrap();
+            let initial = initial_of(s, t);
+            assert!(
+                check_dl(t, &d, &|_| true, &initial, &bad).is_err(),
+                "{s}: {} explained",
+                bad.render()
+            );
+        };
+        let t = bound(Structure::LinkedList);
+        let initial = initial_of(Structure::LinkedList, &t).keys().clone();
+        let mut phantom = initial.clone();
+        phantom.insert(999_999);
+        rejects(Structure::LinkedList, &t, Recovered::Set(phantom));
+        let deleted: BTreeSet<u64> = t
+            .markers
+            .iter()
+            .filter_map(|m| match m.op {
+                OpKind::Delete(k) if m.result == 1 => Some(k),
+                _ => None,
+            })
+            .collect();
+        let victim = *initial
+            .iter()
+            .find(|k| !deleted.contains(k))
+            .expect("an initial key nobody deletes");
+        let mut lost = initial;
+        lost.remove(&victim);
+        rejects(Structure::LinkedList, &t, Recovered::Set(lost));
+
+        let t = bound(Structure::Queue);
+        let Recovered::Queue(q) = initial_of(Structure::Queue, &t) else {
+            panic!("a queue recovers a sequence")
+        };
+        let twice = [&q[..1], &q[..]].concat();
+        let mut swapped = q.clone();
+        swapped.swap(0, 1);
+        for bad in [vec![123_456_789], twice, swapped] {
+            rejects(Structure::Queue, &t, Recovered::Queue(bad));
+        }
+    }
+
+    #[test]
     fn precondition_violations_are_detected() {
         let mut s = Recovered::Set(BTreeSet::from([5]));
         assert!(apply(&mut s, OpKind::Insert(5, 5), 1).is_err());

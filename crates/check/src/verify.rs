@@ -15,12 +15,18 @@
 //!
 //! Failures are minimized (greedily shrinking the cut while it still
 //! fails) and rendered through the workspace's shared
-//! [`lrp_recovery::Counterexample`] formatter.
+//! [`lrp_recovery::Counterexample`] formatter. Steps (a) and (b) need
+//! no generator-edge table, so cross-validation runs on traces of any
+//! size; the table (capped at
+//! [`HbClosure::MAX_EVENTS`](lrp_model::hb::HbClosure::MAX_EVENTS)) is
+//! built only to walk a lattice or to shrink a failing cut, and a
+//! failing cut of a larger trace is reported as realized, unminimized.
 
 use crate::cuts::{enumerate_cuts, EnumStats, WriteChains};
 use crate::dl::{check_dl, decisive_events, DecisiveEvent, DlViolation};
 use crate::order::{edge_list, persist_preds};
 use lrp_lfds::{validate_image, Recovered, Structure, ValidationError, WorkloadSpec};
+use lrp_model::hb::TooLarge;
 use lrp_model::spec::{
     check_persist_order, earliest_late_pred, PersistDiscipline, PersistSchedule,
 };
@@ -77,8 +83,6 @@ pub struct CrossReport {
     /// Crash points examined (every distinct flush stamp plus the
     /// pre-persist state).
     pub crash_points: usize,
-    /// Generator edges in the discipline's cut lattice for this trace.
-    pub edges: usize,
     /// DL violations observed but waived because the discipline makes
     /// no guarantee (NOP). Always zero for guaranteed disciplines.
     pub waived: usize,
@@ -111,10 +115,28 @@ struct Checker<'a> {
     discipline: PersistDiscipline,
     trace: &'a Trace,
     chains: WriteChains,
-    preds: Vec<Vec<EventId>>,
-    succs: Vec<Vec<EventId>>,
     decisive: Vec<DecisiveEvent>,
     initial: Recovered,
+}
+
+/// The discipline's generator edges in both directions: what the
+/// lattice walk and the minimizer need, and nothing else does.
+struct Edges {
+    preds: Vec<Vec<EventId>>,
+    succs: Vec<Vec<EventId>>,
+}
+
+impl Edges {
+    fn new(trace: &Trace, discipline: PersistDiscipline) -> Result<Self, TooLarge> {
+        let preds = persist_preds(trace, discipline)?;
+        let mut succs: Vec<Vec<EventId>> = vec![Vec::new(); trace.events.len()];
+        for (w, ps) in preds.iter().enumerate() {
+            for &p in ps {
+                succs[p as usize].push(w as EventId);
+            }
+        }
+        Ok(Edges { preds, succs })
+    }
 }
 
 impl<'a> Checker<'a> {
@@ -131,14 +153,6 @@ impl<'a> Checker<'a> {
                     .context("discipline", discipline.name()),
             )
         };
-        let preds = persist_preds(trace, discipline)
-            .map_err(|e| internal(format!("trace exceeds the hb-closure budget: {e:?}")))?;
-        let mut succs: Vec<Vec<EventId>> = vec![Vec::new(); trace.events.len()];
-        for (w, ps) in preds.iter().enumerate() {
-            for &p in ps {
-                succs[p as usize].push(w as EventId);
-            }
-        }
         let decisive = decisive_events(structure, trace)
             .map_err(|e| internal(format!("decisive-event attribution failed: {e}")))?;
         let initial = validate_image(
@@ -152,8 +166,6 @@ impl<'a> Checker<'a> {
             discipline,
             trace,
             chains: WriteChains::new(trace),
-            preds,
-            succs,
             decisive,
             initial,
         })
@@ -184,7 +196,7 @@ impl<'a> Checker<'a> {
     /// the cut stays admissible) while the failure persists. Candidates
     /// are tried in descending event-id order, so the result is
     /// deterministic. Returns the minimized cut and its failure.
-    fn minimize(&self, mut cut: Vec<usize>) -> (Vec<usize>, CutFailure) {
+    fn minimize(&self, edges: &Edges, mut cut: Vec<usize>) -> (Vec<usize>, CutFailure) {
         loop {
             let mut shrunk = false;
             // Maximal included writes, newest first.
@@ -192,7 +204,7 @@ impl<'a> Checker<'a> {
                 .filter(|&l| cut[l] > 0)
                 .map(|l| (self.chains.chain(l)[cut[l] - 1], l))
                 .filter(|&(w, _)| {
-                    !self.succs[w as usize]
+                    !edges.succs[w as usize]
                         .iter()
                         .any(|&x| self.chains.includes(&cut, x))
                 })
@@ -329,33 +341,46 @@ pub fn cross_validate_schedule(
         };
         let cut = match ck.chains.realized(sched, stamp) {
             Ok(c) => c,
-            Err(w) => {
+            Err((w, p)) => {
+                let failure = match (sched.stamp(w), sched.stamp(p)) {
+                    (Some(sw), Some(sp)) if stamp.is_some_and(|c| sp <= c) => format!(
+                        "durable set is no cache line's history: e{w} persisted \
+                         (stamp {sw}) before the earlier same-line write e{p} (stamp {sp})"
+                    ),
+                    _ => format!(
+                        "durable set is not per-location prefix-shaped: e{w} is \
+                         durable while an earlier same-line write is not"
+                    ),
+                };
                 return Err(Box::new(
-                    Counterexample::new(
-                        title,
-                        format!(
-                            "durable set is not per-location prefix-shaped: e{w} is \
-                             durable while an earlier same-line write is not"
-                        ),
-                    )
-                    .context("structure", structure.name())
-                    .context("discipline", discipline.name())
-                    .context("crash", crash),
-                ))
+                    Counterexample::new(title, failure)
+                        .context("structure", structure.name())
+                        .context("discipline", discipline.name())
+                        .context("crash", crash),
+                ));
             }
         };
-        if ck.cut_failure(&cut).is_some() {
+        if let Some(f) = ck.cut_failure(&cut) {
             if !discipline.guarantees_dl() {
                 waived += 1;
                 continue;
             }
-            let (cut, f) = ck.minimize(cut);
-            return Err(ck.render(title, &crash, Some(sched), &cut, &f));
+            return Err(match Edges::new(trace, discipline) {
+                Ok(edges) => {
+                    let (cut, f) = ck.minimize(&edges, cut);
+                    ck.render(title, &crash, Some(sched), &cut, &f)
+                }
+                Err(e) => {
+                    let mut cx = ck.render(title, &crash, Some(sched), &cut, &f);
+                    cx.context
+                        .push(("minimized".to_string(), format!("no ({e})")));
+                    cx
+                }
+            });
         }
     }
     Ok(CrossReport {
         crash_points,
-        edges: ck.preds.iter().map(Vec::len).sum(),
         waived,
     })
 }
@@ -437,6 +462,16 @@ pub fn enumerate_check(
         structure.name(),
         bound.seed
     );
+    let edges = Edges::new(&trace, discipline).map_err(|e| {
+        Box::new(
+            Counterexample::new(
+                &title,
+                format!("trace exceeds the hb-closure budget: {e:?}"),
+            )
+            .context("structure", structure.name())
+            .context("discipline", discipline.name()),
+        )
+    })?;
     let ck = Checker::new(structure, discipline, &trace, &title)?;
 
     // Cuts realizing the same durable overlay AND the same included
@@ -445,7 +480,7 @@ pub fn enumerate_check(
     let mut seen: HashSet<CutKey> = HashSet::new();
     let mut waived = 0usize;
     let mut first_failure: Option<(Vec<usize>, CutFailure)> = None;
-    let stats = enumerate_cuts(&ck.chains, &ck.preds, bound.max_states, &mut |cut| {
+    let stats = enumerate_cuts(&ck.chains, &edges.preds, bound.max_states, &mut |cut| {
         let key = (
             ck.chains.overlay(&trace, cut),
             ck.decisive
@@ -468,7 +503,7 @@ pub fn enumerate_check(
         true
     });
     if let Some((cut, _)) = first_failure {
-        let (cut, f) = ck.minimize(cut);
+        let (cut, f) = ck.minimize(&edges, cut);
         return Err(ck.render(&title, "enumerated cut", None, &cut, &f));
     }
     Ok(EnumReport {
@@ -560,9 +595,10 @@ mod tests {
             "min",
         )
         .unwrap();
+        let edges = Edges::new(&trace, PersistDiscipline::Unconstrained).unwrap();
         // Find any failing cut by walking the unconstrained lattice.
         let mut bad: Option<Vec<usize>> = None;
-        enumerate_cuts(&ck.chains, &ck.preds, 50_000, &mut |cut| {
+        enumerate_cuts(&ck.chains, &edges.preds, 50_000, &mut |cut| {
             if ck.cut_failure(cut).is_some() {
                 bad = Some(cut.to_vec());
                 return false;
@@ -570,8 +606,8 @@ mod tests {
             true
         });
         let bad = bad.expect("the NOP lattice contains a failing cut");
-        let (min1, f1) = ck.minimize(bad.clone());
-        let (min2, _) = ck.minimize(bad.clone());
+        let (min1, f1) = ck.minimize(&edges, bad.clone());
+        let (min2, _) = ck.minimize(&edges, bad.clone());
         assert_eq!(min1, min2, "minimization is deterministic");
         assert!(
             min1.iter().sum::<usize>() <= bad.iter().sum::<usize>(),

@@ -2,12 +2,18 @@
 //! the generator-edge table (`persist_preds`) is the lattice definition
 //! the enumerator walks. These tests hold the two to the same verdict
 //! wherever the edge table fits, and run the engine where it does not.
+//! Likewise the forward persist walk is the one builder of a
+//! schedule's crash images: it is held to a from-scratch rebuild at
+//! every stamp, and to the lattice's `WriteChains::image` wherever the
+//! stamps realize a cut.
 
+use lrp_baselines::arp::{arp_schedule, ArpOrder};
 use lrp_check::{edge_list, mutate_reorder, persist_preds, CheckBound, WriteChains};
-use lrp_lfds::Structure;
+use lrp_lfds::{MemImage, Structure};
 use lrp_model::hb::HbClosure;
 use lrp_model::spec::{check_persist_order, PersistDiscipline, PersistSchedule};
-use lrp_model::{EventId, Trace};
+use lrp_model::{Addr, EventId, Trace};
+use lrp_recovery::{CrashPlan, PersistWalk};
 use lrp_sim::{Mechanism, Sim, SimConfig};
 
 const CONSTRAINED: [PersistDiscipline; 3] = [
@@ -103,4 +109,99 @@ fn engine_judges_a_trace_the_edge_table_cannot_hold() {
         check_persist_order(&trace, &sched, m.discipline())
             .unwrap_or_else(|v| panic!("{m} breaks {}: {v:?}", m.discipline()));
     }
+}
+
+/// The reference crash image, rebuilt from scratch: the initial image
+/// overwritten by every write with stamp `<= stamp`, in (stamp, event
+/// id) order.
+fn rebuilt(trace: &Trace, sched: &PersistSchedule, stamp: Option<u64>) -> Vec<(Addr, u64)> {
+    let mut img = MemImage::new(trace.initial_mem.iter().copied());
+    if let Some(cut) = stamp {
+        let mut persisted: Vec<(u64, EventId)> = trace
+            .events
+            .iter()
+            .filter(|e| e.is_write_effect())
+            .filter_map(|e| sched.stamp(e.id).map(|s| (s, e.id)))
+            .filter(|&(s, _)| s <= cut)
+            .collect();
+        persisted.sort_unstable();
+        for (_, id) in persisted {
+            let e = &trace.events[id as usize];
+            img.write(e.addr, e.wval);
+        }
+    }
+    img.as_mem().snapshot()
+}
+
+/// Walks every exhaustive stamp of `sched` with one image, holding it
+/// to [`rebuilt`] at each and to `WriteChains::image` wherever the
+/// stamps realize a cut. Returns how many realized cuts were compared.
+fn walk_agrees(trace: &Trace, sched: &PersistSchedule, cell: &str) -> usize {
+    let chains = WriteChains::new(trace);
+    let mut walk = PersistWalk::new(trace, sched);
+    let mut img = MemImage::new(trace.initial_mem.iter().copied());
+    let mut realized = 0;
+    for stamp in CrashPlan::Exhaustive.stamps(sched) {
+        if let Some(cut) = stamp {
+            walk.advance(cut, &mut img);
+        }
+        let walked = img.as_mem().snapshot();
+        assert_eq!(
+            walked,
+            rebuilt(trace, sched, stamp),
+            "{cell} at {stamp:?}: walk vs rebuild"
+        );
+        if let Ok(cut) = chains.realized(sched, stamp) {
+            assert_eq!(
+                walked,
+                chains.image(trace, &cut).as_mem().snapshot(),
+                "{cell} at {stamp:?}: walk vs realized cut"
+            );
+            realized += 1;
+        }
+    }
+    realized
+}
+
+#[test]
+fn one_walk_builds_every_crash_image_of_a_schedule() {
+    let bound = CheckBound {
+        threads: 3,
+        ops_per_thread: 10,
+        initial_size: 24,
+        seed: 21,
+        ..CheckBound::default()
+    };
+    let (mut cells, mut realized, mut mutated) = (0, 0, 0);
+    for s in Structure::ALL {
+        let trace = bound.build_trace(s);
+        let preds = persist_preds(&trace, PersistDiscipline::ReleaseOrder)
+            .expect("small bounds fit the closure");
+        let mut scheds = vec![(
+            "arp-release-first".to_string(),
+            arp_schedule(&trace, ArpOrder::ReleaseFirst),
+        )];
+        for m in Mechanism::EXTENDED {
+            let sched = Sim::new(SimConfig::new(m), &trace).run().schedule;
+            // One persist pair swapped across an edge: stamps out of
+            // event order, and possibly a durable set no line produces.
+            if let Some((m2, _)) = mutate_reorder(&sched, &preds) {
+                scheds.push((format!("{} mutated", m.name()), m2));
+                mutated += 1;
+            }
+            scheds.push((m.name().to_string(), sched));
+        }
+        for (name, sched) in &scheds {
+            realized += walk_agrees(&trace, sched, &format!("{name}/{}", s.name()));
+            cells += 1;
+        }
+    }
+    assert!(
+        mutated >= Structure::ALL.len(),
+        "{mutated} mutated schedules"
+    );
+    assert!(
+        realized > cells,
+        "{realized} realized cuts over {cells} schedules"
+    );
 }

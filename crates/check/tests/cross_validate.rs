@@ -9,34 +9,85 @@ use lrp_check::{
     CheckBound,
 };
 use lrp_lfds::Structure;
+use lrp_model::hb::HbClosure;
 use lrp_model::spec::PersistDiscipline;
 use lrp_sim::{Mechanism, Sim, SimConfig};
 
 #[test]
 fn all_mechanisms_cross_validate_on_all_structures() {
-    let bound = CheckBound::default();
+    let small = CheckBound::default();
+    let mut cells: Vec<(Structure, Mechanism, CheckBound)> = Structure::ALL
+        .into_iter()
+        .flat_map(|s| Mechanism::EXTENDED.map(|m| (s, m, small)))
+        .collect();
+    // Wider runs, where durable linearizability at every realized cut
+    // also rules out phantom keys, keys lost without a delete, and
+    // duplicate or out-of-FIFO queue values.
+    let wide = CheckBound {
+        threads: 4,
+        ops_per_thread: 12,
+        initial_size: 20,
+        seed: 63,
+        ..small
+    };
     for s in Structure::ALL {
-        for m in Mechanism::EXTENDED {
-            let r = cross_validate(s, m, &bound)
-                .unwrap_or_else(|cx| panic!("{}/{}:\n{cx}", m.name(), s.name()));
-            assert_eq!(
-                r.waived,
-                0,
-                "{}/{}: even NOP's realized cuts recover here (it never \
-                 flushes, so only the trivial pre-persist cut exists)",
-                m.name(),
-                s.name()
+        cells.extend([(s, Mechanism::Lrp, wide), (s, Mechanism::Sb, wide)]);
+    }
+    let skiplist = CheckBound {
+        threads: 2,
+        ops_per_thread: 10,
+        initial_size: 16,
+        seed: 65,
+        ..small
+    };
+    cells.push((Structure::SkipList, Mechanism::Sb, skiplist));
+    for (s, m, bound) in cells {
+        let cell = format!(
+            "{}/{} {}x{}x{} s{}",
+            m.name(),
+            s.name(),
+            bound.threads,
+            bound.ops_per_thread,
+            bound.initial_size,
+            bound.seed
+        );
+        let r = cross_validate(s, m, &bound).unwrap_or_else(|cx| panic!("{cell}:\n{cx}"));
+        assert_eq!(
+            r.waived, 0,
+            "{cell}: even NOP's realized cuts recover here (it never \
+             flushes, so only the trivial pre-persist cut exists)"
+        );
+        if m != Mechanism::Nop {
+            assert!(
+                r.crash_points > 1,
+                "{cell}: the schedule must realize non-trivial crash points"
             );
-            if m != Mechanism::Nop {
-                assert!(
-                    r.crash_points > 1,
-                    "{}/{}: the schedule must realize non-trivial crash points",
-                    m.name(),
-                    s.name()
-                );
-            }
         }
     }
+}
+
+#[test]
+fn cross_validation_needs_no_edge_table() {
+    // Above the hb-closure cap the epoch-order edge table cannot be
+    // built, yet steps (a) and (b) need none. A small queue keeps each
+    // of the ~2,500 realized cuts cheap to validate.
+    let bound = CheckBound {
+        threads: 8,
+        ops_per_thread: 160,
+        initial_size: 8,
+        seed: 1,
+        ..CheckBound::default()
+    };
+    let trace = bound.build_trace(Structure::Queue);
+    assert!(
+        trace.events.len() > HbClosure::MAX_EVENTS,
+        "{} events fit the closure",
+        trace.events.len()
+    );
+    let r =
+        cross_validate(Structure::Queue, Mechanism::Sb, &bound).unwrap_or_else(|cx| panic!("{cx}"));
+    assert!(r.crash_points > 1000, "{} crash points", r.crash_points);
+    assert_eq!(r.waived, 0);
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Null-recovery checking over crash points.
 
-use crate::crash::{nvm_at, CrashPlan};
-use lrp_lfds::{validate_image, Structure, ValidationError};
+use crate::crash::{CrashPlan, PersistWalk};
+use lrp_lfds::{validate_image, MemImage, Structure, ValidationError};
 use lrp_model::spec::PersistSchedule;
 use lrp_model::Trace;
 
@@ -38,7 +38,9 @@ impl std::fmt::Display for RecoveryReport {
 }
 
 /// Reconstructs the durable state at each crash point of `plan` and runs
-/// the structural validator of `structure` on it.
+/// the structural validator of `structure` on it. One image, cloned from
+/// the trace's initial image, is advanced through the plan's ascending
+/// stamps by a single [`PersistWalk`].
 pub fn check_null_recovery(
     structure: Structure,
     trace: &Trace,
@@ -46,11 +48,15 @@ pub fn check_null_recovery(
     plan: &CrashPlan,
 ) -> RecoveryReport {
     let stamps = plan.stamps(sched);
+    let mut walk = PersistWalk::new(trace, sched);
+    let mut img = MemImage::new(trace.initial_mem.iter().copied());
     let mut failures = Vec::new();
-    for stamp in &stamps {
-        let img = nvm_at(trace, sched, *stamp);
+    for &stamp in &stamps {
+        if let Some(cut) = stamp {
+            walk.advance(cut, &mut img);
+        }
         if let Err(e) = validate_image(structure, &trace.roots, &img) {
-            failures.push((*stamp, e));
+            failures.push((stamp, e));
         }
     }
     RecoveryReport {

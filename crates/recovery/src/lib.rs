@@ -12,24 +12,29 @@
 //!
 //! The core pieces:
 //!
-//! * [`crash::nvm_at`] reconstructs the durable memory image for a crash
-//!   immediately after a given flush stamp,
+//! * [`crash::PersistWalk`] builds every crash image of a schedule: it
+//!   sorts the persisted writes once and applies them to one image as
+//!   the crash stamp rises ([`crash::nvm_at`] is its one-point form, and
+//!   a serving shard commits a batch with it),
 //! * [`crash::CrashPlan`] enumerates (or samples) interesting crash
 //!   points,
 //! * [`check::check_null_recovery`] walks every chosen crash state
 //!   through the structure's validator,
+//! * [`restart`] rebuilds a shard's durable image and slot-table
+//!   resolver after a simulated crash,
 //! * [`counterexample`] packages the paper's Figure 1 demonstration.
+//!
+//! Whether a recovered state is explained by the operations the program
+//! ran is durable linearizability, which `lrp-check` judges.
 
 pub mod check;
 pub mod counterexample;
 pub mod crash;
-pub mod history;
 pub mod restart;
 
 pub use check::{check_null_recovery, RecoveryReport};
 pub use counterexample::Counterexample;
-pub use crash::{apply_persisted, nvm_at, CrashPlan};
-pub use history::{history_consistent, HistoryViolation};
+pub use crash::{nvm_at, CrashPlan, PersistWalk};
 pub use restart::{
     crash_restart, crash_restart_random, random_crash_stamp, rebuild_resolution, RestartResolution,
     ShardRestart,

@@ -21,8 +21,8 @@
 //!    tail — those requests are answered `durable: false`, which clients
 //!    treat as retryable.
 //! 4. The batch **commits as a delta**: its writes persisted by the
-//!    final stamp are applied to `D` with the same rule
-//!    [`lrp_recovery::nvm_at`] uses ([`lrp_recovery::apply_persisted`]),
+//!    final stamp are applied to `D` by the same forward walk that
+//!    builds every crash image ([`lrp_recovery::PersistWalk`]),
 //!    and every word the batch wrote is reset in the functional memory
 //!    to `D`'s value. The committed key set is updated by lookups on `D`
 //!    for the keys the batch mutated (plus the few BST keys whose
@@ -54,7 +54,7 @@ use lrp_lfds::{validate_image, MemImage, Recovered, Structure};
 use lrp_model::spec::PersistSchedule;
 use lrp_model::{line_of, Addr, Annot, OpKind, ThreadId, Trace, LINE_BYTES, WORD_BYTES};
 use lrp_obs::{CritSummary, Hist, ObsReport, RecorderConfig, Stats};
-use lrp_recovery::{apply_persisted, crash_restart_random, rebuild_resolution};
+use lrp_recovery::{crash_restart_random, rebuild_resolution, PersistWalk};
 use lrp_sim::{Mechanism, NvmMode, Sim, SimConfig};
 use std::collections::BTreeSet;
 
@@ -782,7 +782,7 @@ impl Shard {
         let structure = self.cfg.structure;
         if !self.cfg.mechanism.discipline().guarantees_dl() {
             let mut next = self.heap.durable.clone();
-            apply_persisted(trace, sched, cut, &mut next);
+            PersistWalk::new(trace, sched).advance(cut, &mut next);
             return match recovered_set(structure, &self.heap.roots, &next) {
                 Some(keys) => {
                     self.heap.durable = next;
@@ -792,7 +792,7 @@ impl Shard {
                 None => false,
             };
         }
-        apply_persisted(trace, sched, cut, &mut self.heap.durable);
+        PersistWalk::new(trace, sched).advance(cut, &mut self.heap.durable);
         let touched: BTreeSet<u64> = ops
             .iter()
             .filter(|o| o.op.is_mutation())

@@ -23,7 +23,11 @@ fn full_matrix_rp_and_recovery() {
         for m in [Mechanism::Lrp, Mechanism::Sb, Mechanism::Bb] {
             let r = Sim::new(SimConfig::new(m), &t).run();
             check_rp(&t, &r.schedule).unwrap_or_else(|v| panic!("{s}/{m}: {v:?}"));
-            let report = check_null_recovery(s, &t, &r.schedule, &CrashPlan::Sampled(16));
+            let plan = CrashPlan::Random {
+                samples: 16,
+                seed: 31,
+            };
+            let report = check_null_recovery(s, &t, &r.schedule, &plan);
             assert!(report.all_recovered(), "{s}/{m}: {report}");
         }
     }
