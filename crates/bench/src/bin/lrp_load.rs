@@ -27,7 +27,7 @@ const USAGE: &str = "usage:\n  \
     [--read-pct N] [--qps N] [--seed N] [--shed-retries N]\n           \
     [--crash-at N] [--crash-shard N]\n           \
     [--no-verify] [--shutdown] [--json-out FILE]\n  \
-    lrp-load (--addr HOST:PORT | --uds PATH) --probe stats|metrics|ping\n\n\
+    lrp-load (--addr HOST:PORT | --uds PATH) --probe metrics|ping\n\n\
     defaults:\n  \
     --conns 4      --requests 2000   --window 16   --dist uniform\n  \
     --theta 0.99   --key-range 256   --read-pct 20 --seed 1\n  \
@@ -40,9 +40,9 @@ const USAGE: &str = "usage:\n  \
     connection's last request if fewer arrive; off by default\n  \
     --no-verify    skip the read-back verification phase\n  \
     --shutdown     send Shutdown when done (stops lrp-serve)\n  \
-    --probe WHAT   no load: send one admin request (stats = lifetime\n                 \
-    counters, metrics = live telemetry snapshot, ping) and\n                 \
-    print the reply JSON to stdout\n\n\
+    --probe WHAT   no load: send one admin request (metrics = live\n                 \
+    telemetry snapshot with each shard's lifetime counters,\n                 \
+    ping) and print the reply JSON to stdout\n\n\
     exit codes:\n  \
     0  load completed, durability contract held\n  \
     1  I/O error (dial or transport failure, json-out write)\n  \
@@ -96,8 +96,8 @@ fn main() {
     }
 
     if let Some(what) = &probe_what {
-        if !matches!(what.as_str(), "stats" | "metrics" | "ping") {
-            cli.fail(format!("unknown probe {what:?} (want stats|metrics|ping)"));
+        if !matches!(what.as_str(), "metrics" | "ping") {
+            cli.fail(format!("unknown probe {what:?} (want metrics|ping)"));
         }
         match probe(&target, what) {
             Ok(json) => {

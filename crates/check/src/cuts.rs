@@ -53,11 +53,6 @@ impl WriteChains {
         self.addrs.len()
     }
 
-    /// Total number of writes across all chains.
-    pub fn nwrites(&self) -> usize {
-        self.chains.iter().map(Vec::len).sum()
-    }
-
     /// The write chain of location index `l`, in coherence order.
     pub fn chain(&self, l: usize) -> &[EventId] {
         &self.chains[l]

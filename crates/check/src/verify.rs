@@ -432,8 +432,8 @@ pub fn mutate_reorder(
 }
 
 /// Builds the generator-edge table for `trace` under `discipline` —
-/// the companion to [`mutate_reorder`] for callers that do not hold a
-/// [`Checker`].
+/// the companion to [`mutate_reorder`] for callers that do not hold
+/// the checker's own edge table.
 pub fn generator_preds(
     trace: &Trace,
     discipline: PersistDiscipline,

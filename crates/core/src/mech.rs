@@ -29,18 +29,12 @@ pub struct LineMeta {
 /// The mechanism's window into its L1: line metadata only — the
 /// mechanism never sees data or addresses beyond line granularity.
 pub trait L1View {
-    /// Metadata of every line with `nvm_dirty` set.
-    fn nvm_dirty_lines(&self) -> Vec<(LineAddr, LineMeta)>;
-    /// Visits every line with `nvm_dirty` set, in the same order
-    /// [`L1View::nvm_dirty_lines`] would report them, without
-    /// materializing a `Vec`. Engine planning uses this path; substrates
-    /// that index their dirty set (the simulator's L1) override it to
-    /// skip clean lines entirely.
-    fn for_each_nvm_dirty(&self, f: &mut dyn FnMut(LineAddr, LineMeta)) {
-        for (line, meta) in self.nvm_dirty_lines() {
-            f(line, meta);
-        }
-    }
+    /// Visits every line with `nvm_dirty` set, in the substrate's
+    /// line order, without materializing a collection. Engine planning
+    /// walks the dirty set through this one method; substrates that
+    /// index their dirty set (the simulator's L1) skip clean lines
+    /// entirely.
+    fn for_each_nvm_dirty(&self, f: &mut dyn FnMut(LineAddr, LineMeta));
     /// Metadata of one resident line (default if not resident).
     fn meta(&self, line: LineAddr) -> LineMeta;
     /// Overwrites one line's metadata.
@@ -247,12 +241,10 @@ pub mod mock {
     }
 
     impl L1View for MockL1 {
-        fn nvm_dirty_lines(&self) -> Vec<(LineAddr, LineMeta)> {
-            self.lines
-                .iter()
-                .filter(|(_, m)| m.nvm_dirty)
-                .map(|(&l, &m)| (l, m))
-                .collect()
+        fn for_each_nvm_dirty(&self, f: &mut dyn FnMut(LineAddr, LineMeta)) {
+            for (&line, &meta) in self.lines.iter().filter(|(_, m)| m.nvm_dirty) {
+                f(line, meta);
+            }
         }
 
         fn meta(&self, line: LineAddr) -> LineMeta {
@@ -302,6 +294,9 @@ mod tests {
         );
         assert_eq!(l1.meta(5).min_epoch, 3);
         assert_eq!(l1.meta(6), LineMeta::default());
-        assert_eq!(l1.nvm_dirty_lines().len(), 1);
+        l1.set_meta(7, LineMeta::default());
+        let mut seen = Vec::new();
+        l1.for_each_nvm_dirty(&mut |line, meta| seen.push((line, meta.min_epoch)));
+        assert_eq!(seen, vec![(5, 3)], "only the nvm-dirty line is visited");
     }
 }

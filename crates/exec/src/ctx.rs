@@ -4,9 +4,7 @@
 
 use crate::mem::SharedMem;
 use crate::rng::Xorshift64;
-use lrp_model::{
-    Addr, Annot, Arena, Event, EventId, EventKind, FxHashMap, OpKind, OpMarker, ThreadId,
-};
+use lrp_model::{Addr, Annot, Event, EventId, EventKind, FxHashMap, OpKind, OpMarker, ThreadId};
 use std::future::Future;
 use std::pin::pin;
 use std::task::{Context, Poll, Waker};
@@ -168,7 +166,7 @@ const SITE_UNCACHED: u16 = u16::MAX;
 /// held as ids into the recorder's raw-label table: `prefix`/`phase`
 /// are `label id + 1` (0 = unset), `cached` is the composed site id or
 /// [`SITE_UNCACHED`]. No strings — a site change is two integer
-/// stores, and stamping an event is one branch plus an arena push.
+/// stores, and stamping an event is one branch plus a `Vec` push.
 #[derive(Debug, Default, Clone, Copy)]
 struct TidSite {
     prefix: u16,
@@ -178,22 +176,22 @@ struct TidSite {
 
 /// Records events and operation markers while an execution runs.
 ///
-/// Storage is allocation-free per event in steady state: events and
-/// site stamps go to chunked [`Arena`]s (one allocation per 4096
-/// entries, no realloc copies), per-thread state lives in
-/// tid-indexed vectors, the reads-from index is an `FxHashMap`, and
-/// site labels are interned once — repeating a label or phase costs
-/// a hash of its bytes and two integer stores, never an allocation.
+/// Events and their site stamps are pushed onto plain `Vec`s, which
+/// move into the finished [`Trace`](lrp_model::Trace) as they are, with
+/// no copy. Per-thread state lives in tid-indexed vectors, the
+/// reads-from index is an `FxHashMap`, and site labels are interned
+/// once — repeating a label or phase costs a hash of its bytes and two
+/// integer stores, never an allocation.
 #[derive(Debug, Default)]
 pub struct Recorder {
     /// Recorded events in interleaving order.
-    pub events: Arena<Event>,
+    pub events: Vec<Event>,
     /// Completed operation markers.
     pub markers: Vec<OpMarker>,
     /// Interned site labels; index 0 is `"unknown"` once any label exists.
     pub site_names: Vec<String>,
     /// Per-event site index, parallel to [`Recorder::events`].
-    pub event_sites: Arena<u16>,
+    pub event_sites: Vec<u16>,
     open: Vec<Option<(OpKind, EventId)>>,
     last_writer: FxHashMap<Addr, EventId>,
     site_ids: FxHashMap<String, u16>,
@@ -402,21 +400,10 @@ impl Recorder {
         }
     }
 
-    /// Consumes the recorder into the flat trace pieces: events, op
-    /// markers, interned site names, per-event site ids. The arenas
-    /// flatten with one exact allocation each.
+    /// Consumes the recorder into the trace pieces: events, op
+    /// markers, interned site names, per-event site ids.
     pub fn into_trace_parts(self) -> (Vec<Event>, Vec<OpMarker>, Vec<String>, Vec<u16>) {
-        (
-            self.events.into_vec(),
-            self.markers,
-            self.site_names,
-            self.event_sites.into_vec(),
-        )
-    }
-
-    /// Consumes the recorder, returning just the recorded events.
-    pub fn into_events(self) -> Vec<Event> {
-        self.events.into_vec()
+        (self.events, self.markers, self.site_names, self.event_sites)
     }
 }
 

@@ -39,11 +39,6 @@ impl Xorshift64 {
         // irrelevant for scheduling and level draws.
         ((self.next_u64() as u128 * bound as u128) >> 64) as u64
     }
-
-    /// Bernoulli draw with probability `num/den`.
-    pub fn chance(&mut self, num: u64, den: u64) -> bool {
-        self.below(den) < num
-    }
 }
 
 #[cfg(test)]

@@ -129,7 +129,7 @@ pub struct Trace {
     pub roots: Vec<(String, Addr)>,
     /// `[lo, hi)` byte range covered by the trace's heap allocator.
     pub heap_range: (Addr, Addr),
-    /// Interned [`OpSite`] labels (`structure/operation[/phase]`); index 0
+    /// Interned `OpSite` labels (`structure/operation[/phase]`); index 0
     /// is always the catch-all `"unknown"` when any labels exist.
     pub site_names: Vec<String>,
     /// Per-event site index into [`Trace::site_names`], parallel to
@@ -189,15 +189,6 @@ impl Trace {
         v
     }
 
-    /// Looks up the initial value of `addr` ([`Trace::POISON`] if absent).
-    pub fn initial_value(&self, addr: Addr) -> u64 {
-        self.initial_mem
-            .iter()
-            .find(|(a, _)| *a == addr)
-            .map(|(_, v)| *v)
-            .unwrap_or(Trace::POISON)
-    }
-
     /// The memory contents after the whole trace has executed (initial
     /// image plus every write, in interleaving order).
     pub fn final_mem(&self) -> std::collections::HashMap<Addr, u64> {
@@ -247,11 +238,6 @@ impl Trace {
             }
         }
         Ok(())
-    }
-
-    /// Number of write effects in the trace.
-    pub fn write_count(&self) -> usize {
-        self.events.iter().filter(|e| e.is_write_effect()).count()
     }
 
     /// The site index of event `id` (0 — "unknown" — when the trace

@@ -69,7 +69,7 @@ impl HbClosure {
         Self::compute_inner(trace, Self::MAX_EVENTS, false)
     }
 
-    /// Computes the *persist-order* closure: identical to [`compute`]
+    /// Computes the *persist-order* closure: identical to [`Self::compute`]
     /// except that same-address program order contributes edges only
     /// from the previous **write** (the paper's expanded RP rule of
     /// §4.1), not from reads. Full RC happens-before is strictly larger

@@ -7,14 +7,18 @@
 //! that happens-before order. This crate provides:
 //!
 //! * the shared event vocabulary ([`Event`], [`Annot`], [`Trace`]) used by
-//!   every other crate in the workspace,
+//!   every other crate in the workspace; a trace's events and per-event
+//!   site ids are plain `Vec`s, moved in whole from the executor's
+//!   recorder,
 //! * an **exact** happens-before closure ([`hb::HbClosure`]) implementing
 //!   the RC axioms of §2.1 (one-sided release/acquire barriers,
 //!   same-address program order, synchronizes-with, RMW atomicity),
 //! * streaming **persist-order checkers** ([`spec`]) for Release
 //!   Persistency (§4.1) and the weaker ARP rule (§3.1), plus the
 //!   consistent-cut criterion used for null recovery,
-//! * a [`litmus`] builder for hand-written litmus executions.
+//! * a [`litmus`] builder for hand-written litmus executions,
+//! * a line-oriented trace [`codec`], the trace [`Census`], and the
+//!   [`FxHashMap`] hasher the hot paths key by line, page and event id.
 //!
 //! # Example
 //!
@@ -38,7 +42,6 @@
 //! assert!(check_rp(&trace, &sched).is_err());
 //! ```
 
-pub mod arena;
 pub mod census;
 pub mod codec;
 pub mod event;
@@ -48,7 +51,6 @@ pub mod litmus;
 pub mod spec;
 pub mod types;
 
-pub use arena::Arena;
 pub use census::Census;
 pub use event::{Event, EventKind, OpKind, OpMarker, Trace};
 pub use fxmap::{FxHashMap, FxHashSet, FxHasher};

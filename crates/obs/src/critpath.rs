@@ -393,12 +393,6 @@ impl CritPath {
         self.summary.consume(&edges[..n], latency, ordered);
     }
 
-    /// Chains still open (committed releases whose persist has not
-    /// stamped) — bounded by the machine's in-flight persist window.
-    pub fn open_chains(&self) -> usize {
-        self.open.len()
-    }
-
     /// Finalises the run: performs the C2 wall-bound check against
     /// `wall` (end-of-run cycle count) and yields the summary. Chains
     /// still open never retired and are dropped, matching the

@@ -47,11 +47,6 @@ pub enum Request {
         /// Client-assigned id echoed in the reply.
         id: u64,
     },
-    /// Server counters snapshot as a JSON string reply.
-    Stats {
-        /// Client-assigned id echoed in the reply.
-        id: u64,
-    },
     /// Admin: kill shard `shard` at its next batch and restart it from
     /// its NVM image (null recovery).
     Crash {
@@ -67,9 +62,9 @@ pub enum Request {
     },
     /// Live telemetry snapshot as a JSON string reply: per-shard
     /// throughput, queue depth, shed count, durable-ack latency
-    /// histograms, and telemetry drop counters. Unlike
-    /// [`Request::Stats`] (lifetime counters only), this is the
-    /// machine-readable scrape endpoint for `lrp-load --probe` and CI.
+    /// histograms, telemetry drop counters, and each shard's lifetime
+    /// counters and committed keys. The one machine-readable scrape
+    /// endpoint, for `lrp-load --probe` and CI.
     Metrics {
         /// Client-assigned id echoed in the reply.
         id: u64,
@@ -148,7 +143,7 @@ pub enum Response {
         /// Echo of the request id.
         id: u64,
     },
-    /// JSON payload reply ([`Request::Stats`], [`Request::Crash`]).
+    /// JSON payload reply ([`Request::Metrics`], [`Request::Crash`]).
     Report {
         /// Echo of the request id.
         id: u64,
@@ -278,7 +273,8 @@ const OP_GET: u8 = 0x01;
 const OP_PUT: u8 = 0x02;
 const OP_DEL: u8 = 0x03;
 const OP_PING: u8 = 0x04;
-const OP_STATS: u8 = 0x05;
+// 0x05 is retired (a counters-only scrape, folded into `OP_METRICS`).
+// Do not reuse it: an old client's frame must stay a `BadOpcode`.
 const OP_CRASH: u8 = 0x06;
 const OP_SHUTDOWN: u8 = 0x07;
 const OP_METRICS: u8 = 0x08;
@@ -317,10 +313,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             out.push(OP_PING);
             out.extend_from_slice(&id.to_le_bytes());
         }
-        Request::Stats { id } => {
-            out.push(OP_STATS);
-            out.extend_from_slice(&id.to_le_bytes());
-        }
         Request::Crash { id, shard } => {
             out.push(OP_CRASH);
             out.extend_from_slice(&id.to_le_bytes());
@@ -354,7 +346,6 @@ pub fn decode_request(buf: &[u8]) -> Result<Request, WireError> {
         OP_PUT => Ok(Request::Put { id, key: r.u64()? }),
         OP_DEL => Ok(Request::Del { id, key: r.u64()? }),
         OP_PING => Ok(Request::Ping { id }),
-        OP_STATS => Ok(Request::Stats { id }),
         OP_CRASH => Ok(Request::Crash {
             id,
             shard: r.u32()?,
@@ -518,7 +509,6 @@ pub fn request_id(req: &Request) -> u64 {
         | Request::Put { id, .. }
         | Request::Del { id, .. }
         | Request::Ping { id }
-        | Request::Stats { id }
         | Request::Crash { id, .. }
         | Request::Shutdown { id }
         | Request::Metrics { id }

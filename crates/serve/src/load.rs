@@ -33,26 +33,19 @@
 use crate::codec::{
     decode_response, encode_request, read_frame, response_id, write_frame, Request, Response,
 };
-use crate::server::Bind;
+use crate::server::{Bind, Conn};
 use lrp_exec::Xorshift64;
 use lrp_lfds::KeyDist;
 use lrp_obs::{Hist, Json};
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A client connection (TCP or Unix-domain).
 pub struct Client {
-    stream: ClientStream,
-}
-
-enum ClientStream {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Uds(std::os::unix::net::UnixStream),
+    stream: Conn,
 }
 
 impl Client {
@@ -60,38 +53,21 @@ impl Client {
     /// one write of a complete request, so Nagle's algorithm could only
     /// hold it back for the peer's delayed ACK.
     pub fn dial(bind: &Bind) -> io::Result<Client> {
-        let stream = match bind {
-            Bind::Tcp(addr) => {
-                let s = TcpStream::connect(addr)?;
-                s.set_nodelay(true)?;
-                ClientStream::Tcp(s)
-            }
-            #[cfg(unix)]
-            Bind::Uds(path) => ClientStream::Uds(std::os::unix::net::UnixStream::connect(path)?),
-        };
-        Ok(Client { stream })
+        Ok(Client {
+            stream: Conn::dial(bind)?,
+        })
     }
 
     /// Sends one request frame.
     pub fn send(&mut self, req: &Request) -> io::Result<()> {
-        let payload = encode_request(req);
-        match &mut self.stream {
-            ClientStream::Tcp(s) => write_frame(s, &payload),
-            #[cfg(unix)]
-            ClientStream::Uds(s) => write_frame(s, &payload),
-        }
+        write_frame(&mut self.stream, &encode_request(req))
     }
 
     /// Reads the next response frame (replies may arrive out of request
     /// order across shards).
     pub fn recv(&mut self) -> io::Result<Response> {
-        let payload = match &mut self.stream {
-            ClientStream::Tcp(s) => read_frame(s)?,
-            #[cfg(unix)]
-            ClientStream::Uds(s) => read_frame(s)?,
-        };
-        let payload =
-            payload.ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"))?;
+        let payload = read_frame(&mut self.stream)?
+            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"))?;
         decode_response(&payload).map_err(io::Error::from)
     }
 
@@ -99,35 +75,6 @@ impl Client {
     pub fn call(&mut self, req: &Request) -> io::Result<Response> {
         self.send(req)?;
         self.recv()
-    }
-}
-
-// Dummy impls so Client can be stored behind trait objects if needed.
-impl Read for Client {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match &mut self.stream {
-            ClientStream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            ClientStream::Uds(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Client {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match &mut self.stream {
-            ClientStream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            ClientStream::Uds(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match &mut self.stream {
-            ClientStream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            ClientStream::Uds(s) => s.flush(),
-        }
     }
 }
 
@@ -366,19 +313,18 @@ struct ConnTally {
     dur_hist: Hist,
 }
 
-/// One-shot admin probe: dials, sends a single `Stats`, `Metrics`, or
-/// `Ping` request, and returns the reply document (compact JSON). The
+/// One-shot admin probe: dials, sends a single `Metrics` or `Ping`
+/// request, and returns the reply document (compact JSON). The
 /// scrape path `lrp-load --probe` and CI use against a live server.
 pub fn probe(target: &Bind, what: &str) -> io::Result<String> {
     let mut c = Client::dial(target)?;
     let req = match what {
-        "stats" => Request::Stats { id: 1 },
         "metrics" => Request::Metrics { id: 1 },
         "ping" => Request::Ping { id: 1 },
         other => {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                format!("unknown probe {other:?} (want stats|metrics|ping)"),
+                format!("unknown probe {other:?} (want metrics|ping)"),
             ))
         }
     };
@@ -897,9 +843,9 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let client = Client::dial(&Bind::Tcp(addr)).unwrap();
         match &client.stream {
-            ClientStream::Tcp(s) => assert!(s.nodelay().unwrap(), "Nagle still on"),
+            Conn::Tcp(s) => assert!(s.nodelay().unwrap(), "Nagle still on"),
             #[cfg(unix)]
-            ClientStream::Uds(_) => unreachable!("dialed over TCP"),
+            Conn::Uds(_) => unreachable!("dialed over TCP"),
         }
     }
 }

@@ -64,7 +64,7 @@ pub fn header_json(
 }
 
 /// Counters as a JSON object (shared by `serve-shard` lines and the
-/// `Stats` admin reply).
+/// `Metrics` admin reply).
 pub fn counters_json(c: &ShardCounters) -> Json {
     Json::obj([
         ("requests", Json::U64(c.requests)),

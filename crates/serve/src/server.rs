@@ -15,7 +15,7 @@
 
 use crate::codec::{decode_request, encode_response, read_frame, write_frame, Request, Response};
 use crate::metrics::{
-    counters_json, crash_json, flight_dump_jsonl, header_json, interval_json, metrics_shard_json,
+    crash_json, flight_dump_jsonl, header_json, interval_json, metrics_shard_json,
     metrics_snapshot_json, shard_json, DetectStats, ShardTelemetry, SLOT_BATCHES, SLOT_COMPLETED,
     SLOT_ENQUEUED, SLOT_SHED,
 };
@@ -94,13 +94,32 @@ pub fn route(key: u64, shards: usize) -> usize {
 
 // -- connections ------------------------------------------------------
 
-enum Conn {
+/// One stream socket, TCP or Unix-domain: the server side of an
+/// accepted connection and the client side of [`crate::Client`]. TCP
+/// sockets always carry `TCP_NODELAY` (see [`crate::codec::write_frame`]:
+/// a frame is one write of a complete request or reply, and the batcher
+/// already coalesces, so Nagle would only add a delayed-ACK wait).
+pub(crate) enum Conn {
     Tcp(TcpStream),
     #[cfg(unix)]
     Uds(std::os::unix::net::UnixStream),
 }
 
 impl Conn {
+    /// Connects to a listening server.
+    pub(crate) fn dial(bind: &Bind) -> io::Result<Conn> {
+        match bind {
+            Bind::Tcp(addr) => Conn::tcp(TcpStream::connect(addr)?),
+            #[cfg(unix)]
+            Bind::Uds(path) => Ok(Conn::Uds(std::os::unix::net::UnixStream::connect(path)?)),
+        }
+    }
+
+    fn tcp(s: TcpStream) -> io::Result<Conn> {
+        s.set_nodelay(true)?;
+        Ok(Conn::Tcp(s))
+    }
+
     fn try_clone(&self) -> io::Result<Conn> {
         match self {
             Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
@@ -157,17 +176,10 @@ enum Listener {
 }
 
 impl Listener {
-    /// Accepts one connection; TCP sockets get `TCP_NODELAY` (see
-    /// [`crate::codec::write_frame`]: a reply is one write, and the
-    /// batcher already coalesces, so Nagle would only add a delayed-ACK
-    /// wait per reply).
+    /// Accepts one connection.
     fn accept(&self) -> io::Result<Conn> {
         match self {
-            Listener::Tcp(l) => {
-                let (s, _) = l.accept()?;
-                s.set_nodelay(true)?;
-                Ok(Conn::Tcp(s))
-            }
+            Listener::Tcp(l) => Conn::tcp(l.accept()?.0),
             #[cfg(unix)]
             Listener::Uds(l) => l.accept().map(|(s, _)| Conn::Uds(s)),
         }
@@ -225,7 +237,7 @@ struct ShardQueue {
     cv: Condvar,
 }
 
-/// Snapshot a reader can serve in a `Stats`/`Metrics` reply without
+/// Snapshot a reader can serve in a `Metrics` reply without
 /// touching the worker-owned shard.
 #[derive(Clone, Default)]
 struct Snapshot {
@@ -575,26 +587,6 @@ fn reader_loop(mut conn: Conn, reply: Replier, shared: &Arc<Shared>) {
         };
         match req {
             Request::Ping { id } => reply.send(&Response::Pong { id }),
-            Request::Stats { id } => {
-                let mut shards = Vec::with_capacity(shared.cfg.shards);
-                for (i, snap) in shared.snapshots.iter().enumerate() {
-                    let s = snap.lock().unwrap().clone();
-                    shards.push(Json::obj([
-                        ("shard", Json::U64(i as u64)),
-                        ("counters", counters_json(&s.counters)),
-                        ("committed_keys", Json::U64(s.committed)),
-                    ]));
-                }
-                let doc = Json::obj([
-                    ("record", Json::Str("serve-stats".into())),
-                    ("uptime_ms", Json::U64(shared.now_ms())),
-                    ("shards", Json::Arr(shards)),
-                ]);
-                reply.send(&Response::Report {
-                    id,
-                    json: doc.to_compact(),
-                });
-            }
             Request::Metrics { id } => {
                 reply.send(&Response::Report {
                     id,

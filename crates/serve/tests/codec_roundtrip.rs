@@ -17,7 +17,6 @@ fn all_requests() -> Vec<Request> {
         },
         Request::Del { id: 3, key: 0 },
         Request::Ping { id: 4 },
-        Request::Stats { id: 5 },
         Request::Crash { id: 6, shard: 3 },
         Request::Shutdown { id: u64::MAX },
         Request::Metrics { id: 8 },
@@ -59,7 +58,7 @@ fn all_responses() -> Vec<Response> {
         Response::Pong { id: 5 },
         Response::Report {
             id: 6,
-            json: r#"{"record":"serve-stats","shards":[]}"#.into(),
+            json: r#"{"record":"serve-metrics","shards":[]}"#.into(),
         },
         Response::ShuttingDown { id: 7 },
         Response::Error {
@@ -179,7 +178,8 @@ fn oversized_length_prefix_is_rejected_without_allocating() {
 
 #[test]
 fn unknown_opcodes_are_rejected_on_both_sides() {
-    for op in [0x00u8, 0x0a, 0x40, 0x7f, 0x8a, 0xff] {
+    // 0x05 is the retired counters-only scrape.
+    for op in [0x00u8, 0x05, 0x0a, 0x40, 0x7f, 0x8a, 0xff] {
         let mut payload = vec![op];
         payload.extend_from_slice(&7u64.to_le_bytes());
         payload.extend_from_slice(&9u64.to_le_bytes());

@@ -109,14 +109,21 @@ fn basic_ops_round_trip_over_tcp() {
         other => panic!("unexpected get reply {other:?}"),
     }
 
-    // Stats is a parseable JSON report covering every shard.
-    match c.call(&Request::Stats { id: 6 }).unwrap() {
+    // Metrics is a parseable JSON report covering every shard, with
+    // each shard's lifetime counters and committed keys.
+    match c.call(&Request::Metrics { id: 6 }).unwrap() {
         Response::Report { id: 6, json } => {
             let doc = lrp_obs::Json::parse(&json).unwrap();
-            assert_eq!(doc.get("record").unwrap().as_str(), Some("serve-stats"));
-            assert_eq!(doc.get("shards").unwrap().as_arr().unwrap().len(), 2);
+            assert_eq!(doc.get("record").unwrap().as_str(), Some("serve-metrics"));
+            assert!(doc.get("uptime_ms").unwrap().as_u64().is_some());
+            let shards = doc.get("shards").unwrap().as_arr().unwrap();
+            assert_eq!(shards.len(), 2);
+            for s in shards {
+                assert!(s.get("counters").unwrap().get("requests").is_some());
+                assert!(s.get("committed_keys").unwrap().as_u64().is_some());
+            }
         }
-        other => panic!("unexpected stats reply {other:?}"),
+        other => panic!("unexpected metrics reply {other:?}"),
     }
 
     // Unroutable admin request gets a typed error.

@@ -97,7 +97,7 @@ fn traced_run_yields_complete_stamped_chains_and_a_valid_chrome_trace() {
 }
 
 /// Runs the same deterministic sequential workload and returns the
-/// `shards` section of the Stats reply (counters + committed keys),
+/// per-shard counters and committed keys of the Metrics reply,
 /// which must not depend on the span log's capacity.
 fn stats_after_fixed_workload(spans: usize) -> String {
     let mut cfg = small_server(2, 71);
@@ -113,14 +113,23 @@ fn stats_after_fixed_workload(spans: usize) -> String {
         };
         c.call(&req).unwrap();
     }
-    let json = match c.call(&Request::Stats { id: 900 }).unwrap() {
+    let json = match c.call(&Request::Metrics { id: 900 }).unwrap() {
         Response::Report { json, .. } => json,
-        other => panic!("unexpected stats reply {other:?}"),
+        other => panic!("unexpected metrics reply {other:?}"),
     };
     server.shutdown();
     server.join();
     let doc = Json::parse(&json).unwrap();
-    doc.get("shards").unwrap().to_compact()
+    let shards = doc.get("shards").unwrap().as_arr().unwrap();
+    assert_eq!(shards.len(), 2);
+    shards
+        .iter()
+        .map(|s| {
+            let counters = s.get("counters").unwrap().to_compact();
+            let committed = s.get("committed_keys").unwrap().to_compact();
+            format!("{counters} {committed}\n")
+        })
+        .collect()
 }
 
 #[test]

@@ -56,7 +56,7 @@ const EMPTY_TAG: LineAddr = LineAddr::MAX;
 /// Lookups are served by a flat `sets * ways` tag table (one
 /// contiguous, mostly-host-cache-resident array) that mirrors the
 /// residence order of `sets`: `tags[s * ways + w] ==
-/// sets[s][w].line` for occupied ways, [`EMPTY_TAG`] past the end.
+/// sets[s][w].line` for occupied ways, `EMPTY_TAG` past the end.
 /// The full `L1Line` structs are only touched once the way is known.
 #[derive(Debug)]
 pub struct L1Cache {
@@ -342,13 +342,6 @@ impl L1Cache {
 pub struct L1ViewAdapter<'a>(pub &'a mut L1Cache);
 
 impl L1View for L1ViewAdapter<'_> {
-    fn nvm_dirty_lines(&self) -> Vec<(LineAddr, LineMeta)> {
-        let mut v = Vec::new();
-        self.0
-            .for_each_nvm_dirty(&mut |line, meta| v.push((line, meta)));
-        v
-    }
-
     fn for_each_nvm_dirty(&self, f: &mut dyn FnMut(LineAddr, LineMeta)) {
         self.0.for_each_nvm_dirty(f);
     }
@@ -423,11 +416,17 @@ mod tests {
         c.set_line_meta(1, dirty_meta());
         let mut view = L1ViewAdapter(&mut c);
         use lrp_core::mech::L1View as _;
-        assert_eq!(view.nvm_dirty_lines().len(), 1);
+        let dirty = |view: &L1ViewAdapter| {
+            let mut v = Vec::new();
+            view.for_each_nvm_dirty(&mut |line, _| v.push(line));
+            v
+        };
+        assert_eq!(dirty(&view), vec![1]);
         let mut m = view.meta(2);
         m.nvm_dirty = true;
         view.set_meta(2, m);
-        assert_eq!(view.nvm_dirty_lines().len(), 2);
+        // Set order: line 2 lives in set 0, line 1 in set 1.
+        assert_eq!(dirty(&view), vec![2, 1]);
     }
 
     #[test]

@@ -3,23 +3,24 @@
 //! The run loop used to pair a `BinaryHeap<Reverse<(time, seq, id)>>`
 //! with a `HashMap<id, Ev>` — every event paid a heap sift plus a hash
 //! insert and remove. The wheel stores payloads inline in time-indexed
-//! slots: a push is a `Vec` push into `slots[time % capacity]`, a pop
-//! scans an occupancy bitmap for the next non-empty slot.
+//! slots: a push is a `Vec` push into `slots[time % capacity]`, and
+//! [`EventWheel::pop_batch`] scans an occupancy bitmap for the next
+//! non-empty slot and hands the whole slot back.
 //!
 //! # Ordering invariant
 //!
-//! Pops are in ascending `(time, seq)` order, identical to the heap.
-//! The argument: every in-wheel entry satisfies
-//! `cur <= time < cur + capacity` (`cur` = time of the last pop), so a
-//! slot can only ever hold entries of **one** time value — two times
+//! Batches come out in ascending `(time, seq)` order, identical to the
+//! heap. The argument: every in-wheel entry satisfies
+//! `cur <= time < cur + capacity` (`cur` = time of the last batch), so
+//! a slot can only ever hold entries of **one** time value — two times
 //! sharing a slot would differ by a multiple of `capacity`, which the
 //! window forbids. Circular slot distance from `cur` therefore equals
 //! time distance, and a bitmap scan finds the minimum-time slot.
-//! Within a slot, entries are popped by minimum `seq` (migration from
-//! the overflow list can break insertion order, so order is selected,
-//! not assumed). Entries beyond the window — NVM completions behind a
-//! long queue — wait in an unordered overflow list and migrate into
-//! the wheel when the window reaches them.
+//! A drained slot is sorted by `seq` (migration from the overflow
+//! list can break insertion order, so order is imposed, not assumed).
+//! Entries beyond the window — NVM completions behind a long queue —
+//! wait in an unordered overflow list and migrate into the wheel when
+//! the window reaches them.
 
 /// Slot count. Must be a power of two. Deliberately small: the slot
 /// array has to stay host-cache-resident, and nearly all traffic
@@ -41,7 +42,7 @@ pub struct EventWheel<T> {
     /// Entries with `time >= cur + CAPACITY`, unordered.
     overflow: Vec<(u64, u64, T)>,
     overflow_min: u64,
-    /// Time of the last pop; no live entry is earlier.
+    /// Time of the last batch; no live entry is earlier.
     cur: u64,
     len: usize,
 }
@@ -75,7 +76,7 @@ impl<T> EventWheel<T> {
         self.len == 0
     }
 
-    /// Queues an entry. `time` must not precede the last popped time,
+    /// Queues an entry. `time` must not precede the last batch's time,
     /// and `(time, seq)` pairs are assumed unique (the machine's global
     /// schedule counter guarantees both).
     pub fn push(&mut self, time: u64, seq: u64, payload: T) {
@@ -132,17 +133,15 @@ impl<T> EventWheel<T> {
     /// that time. Because a slot holds entries of exactly one time
     /// value (see the ordering invariant above), the batch is the
     /// whole slot vector: the drain is one bitmap probe plus a buffer
-    /// swap, where `k` calls to [`pop`](Self::pop) would re-probe the
-    /// bitmap and linear-scan the shrinking slot `k` times. The swap
-    /// also recycles `out`'s capacity into the emptied slot, so a
-    /// run-loop reusing one scratch buffer allocates nothing in
-    /// steady state.
+    /// swap. The swap also recycles `out`'s capacity into the emptied
+    /// slot, so a run-loop reusing one scratch buffer allocates
+    /// nothing in steady state.
     ///
     /// Entries pushed *while the caller processes the batch* land at
     /// the same or a later time with strictly larger `seq`s, so
     /// `pop_batch`-then-process yields the exact `(time, seq)` global
-    /// order of repeated `pop` (a same-time straggler is simply
-    /// returned by the next call).
+    /// order of a heap (a same-time straggler is simply returned by
+    /// the next call).
     pub fn pop_batch(&mut self, out: &mut Vec<(u64, u64, T)>) -> Option<u64> {
         out.clear();
         if self.len == 0 {
@@ -150,20 +149,17 @@ impl<T> EventWheel<T> {
         }
         loop {
             let slot = self.next_occupied(self.cur as usize % CAPACITY);
-            if !self.overflow.is_empty() {
-                match slot.map(|s| self.slots[s][0].0) {
-                    Some(t) if self.overflow_min <= t => {
-                        self.cur = self.overflow_min;
-                        self.migrate_overflow();
-                        continue;
-                    }
-                    Some(_) => {}
-                    None => {
-                        self.cur = self.overflow_min;
-                        self.migrate_overflow();
-                        continue;
-                    }
-                }
+            // All in-wheel entries share one time per slot; peek it. If
+            // the overflow holds an earlier entry — or one that ties on
+            // time and must compete on seq — advance the window to it
+            // and migrate. (Safe: nothing live is earlier than
+            // `overflow_min`.)
+            if !self.overflow.is_empty()
+                && slot.is_none_or(|s| self.overflow_min <= self.slots[s][0].0)
+            {
+                self.cur = self.overflow_min;
+                self.migrate_overflow();
+                continue;
             }
             let Some(s) = slot else {
                 unreachable!("len > 0 but no entries found")
@@ -180,53 +176,6 @@ impl<T> EventWheel<T> {
             return Some(t);
         }
     }
-
-    /// Removes and returns the earliest `(time, seq, payload)` entry.
-    pub fn pop(&mut self) -> Option<(u64, u64, T)> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            let slot = self.next_occupied(self.cur as usize % CAPACITY);
-            if !self.overflow.is_empty() {
-                // All in-wheel entries share one time per slot; peek it.
-                match slot.map(|s| self.slots[s][0].0) {
-                    Some(t) if self.overflow_min <= t => {
-                        // The overflow holds the earliest entry — or one
-                        // that ties on time and must compete on seq.
-                        // Advance the window to it and migrate. (Safe:
-                        // nothing live is earlier than overflow_min <= t.)
-                        self.cur = self.overflow_min;
-                        self.migrate_overflow();
-                        continue;
-                    }
-                    Some(_) => {}
-                    None => {
-                        self.cur = self.overflow_min;
-                        self.migrate_overflow();
-                        continue;
-                    }
-                }
-            }
-            let Some(s) = slot else {
-                unreachable!("len > 0 but no entries found")
-            };
-            let entries = &mut self.slots[s];
-            let mut best = 0;
-            for i in 1..entries.len() {
-                if entries[i].1 < entries[best].1 {
-                    best = i;
-                }
-            }
-            let entry = entries.swap_remove(best);
-            if entries.is_empty() {
-                self.occupied[s / 64] &= !(1 << (s % 64));
-            }
-            self.cur = entry.0;
-            self.len -= 1;
-            return Some(entry);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -241,6 +190,19 @@ mod tests {
         *state
     }
 
+    /// Drains the wheel batch by batch, checking that each batch holds
+    /// one timestamp (the returned one) and is never empty.
+    fn drain_batches<T: Clone>(w: &mut EventWheel<T>) -> Vec<Vec<(u64, u64, T)>> {
+        let mut out = Vec::new();
+        let mut batch = Vec::new();
+        while let Some(t) = w.pop_batch(&mut batch) {
+            assert!(!batch.is_empty(), "a drained batch is never empty");
+            assert!(batch.iter().all(|e| e.0 == t), "batch mixes timestamps");
+            out.push(batch.clone());
+        }
+        out
+    }
+
     #[test]
     fn pops_in_time_then_seq_order() {
         let mut w = EventWheel::new();
@@ -248,16 +210,20 @@ mod tests {
         w.push(5, 1, "a");
         w.push(3, 3, "c");
         w.push(9, 0, "d");
-        let order: Vec<_> = std::iter::from_fn(|| w.pop()).collect();
         assert_eq!(
-            order,
-            vec![(3, 3, "c"), (5, 1, "a"), (5, 2, "b"), (9, 0, "d")]
+            drain_batches(&mut w),
+            vec![
+                vec![(3, 3, "c")],
+                vec![(5, 1, "a"), (5, 2, "b")],
+                vec![(9, 0, "d")]
+            ]
         );
     }
 
     #[test]
     fn far_events_overflow_and_come_back_ordered() {
         let mut w = EventWheel::new();
+        let mut batch = Vec::new();
         w.push(0, 0, 0u64);
         // Far beyond the window — multiple wrap distances.
         for (i, t) in [CAPACITY as u64 * 3 + 5, CAPACITY as u64 + 1, 40_000]
@@ -266,14 +232,20 @@ mod tests {
         {
             w.push(t, i as u64 + 1, t);
         }
-        assert_eq!(w.pop().unwrap().0, 0);
-        assert_eq!(w.pop().unwrap().0, CAPACITY as u64 + 1);
-        // Push near events after the window advanced.
+        assert_eq!(w.pop_batch(&mut batch), Some(0));
+        assert_eq!(w.pop_batch(&mut batch), Some(CAPACITY as u64 + 1));
+        // Push near events after the window advanced; a same-time entry
+        // behind an overflow entry competes on seq.
         w.push(CAPACITY as u64 + 2, 10, 999);
-        assert_eq!(w.pop().unwrap().2, 999);
-        assert_eq!(w.pop().unwrap().0, CAPACITY as u64 * 3 + 5);
-        assert_eq!(w.pop().unwrap().0, 40_000);
-        assert!(w.pop().is_none());
+        w.push(CAPACITY as u64 * 3 + 5, 0, 7);
+        assert_eq!(w.pop_batch(&mut batch), Some(CAPACITY as u64 + 2));
+        assert_eq!(batch, vec![(CAPACITY as u64 + 2, 10, 999)]);
+        assert_eq!(w.pop_batch(&mut batch), Some(CAPACITY as u64 * 3 + 5));
+        let t = CAPACITY as u64 * 3 + 5;
+        assert_eq!(batch, vec![(t, 0, 7), (t, 1, t)]);
+        assert_eq!(w.pop_batch(&mut batch), Some(40_000));
+        assert_eq!(w.pop_batch(&mut batch), None);
+        assert!(batch.is_empty());
     }
 
     #[test]
@@ -283,12 +255,12 @@ mod tests {
         let mut rng = 0x1234_5678_9abc_def0u64;
         let mut wheel = EventWheel::new();
         let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        let mut batch = Vec::new();
         let mut now = 0u64;
         let mut seq = 0u64;
-        let mut pending = 0usize;
         for _ in 0..50_000 {
             let r = xorshift(&mut rng);
-            let do_push = pending == 0 || !r.is_multiple_of(3);
+            let do_push = wheel.is_empty() || !r.is_multiple_of(3);
             if do_push {
                 // Mix of short delays, same-cycle events, and rare far
                 // NVM-queue completions.
@@ -301,26 +273,27 @@ mod tests {
                 seq += 1;
                 wheel.push(now + delay, seq, (now + delay, seq));
                 heap.push(Reverse((now + delay, seq)));
-                pending += 1;
             } else {
-                let (t, s, payload) = wheel.pop().expect("wheel has entries");
-                let Reverse(expect) = heap.pop().expect("heap has entries");
-                assert_eq!((t, s), expect, "pop order diverged from heap");
-                assert_eq!(payload, expect, "payload follows its key");
-                now = t;
-                pending -= 1;
+                now = wheel.pop_batch(&mut batch).expect("wheel has entries");
+                for &(t, s, payload) in &batch {
+                    let Reverse(expect) = heap.pop().expect("heap has entries");
+                    assert_eq!((t, s), expect, "pop order diverged from heap");
+                    assert_eq!(payload, expect, "payload follows its key");
+                }
             }
         }
-        while let Some((t, s, _)) = wheel.pop() {
-            let Reverse(expect) = heap.pop().unwrap();
-            assert_eq!((t, s), expect);
+        for b in drain_batches(&mut wheel) {
+            for (t, s, _) in b {
+                let Reverse(expect) = heap.pop().unwrap();
+                assert_eq!((t, s), expect);
+            }
         }
         assert!(heap.is_empty());
         assert!(wheel.is_empty());
     }
 
     #[test]
-    fn batch_drain_matches_pop_order() {
+    fn bursty_batches_match_binary_heap() {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
         let mut rng = 0xfeed_beef_0bad_cafeu64;
@@ -357,8 +330,8 @@ mod tests {
                 now = t;
             }
         }
-        while wheel.pop_batch(&mut scratch).is_some() {
-            for &(bt, bs, _) in &scratch {
+        for b in drain_batches(&mut wheel) {
+            for (bt, bs, _) in b {
                 let Reverse(expect) = heap.pop().unwrap();
                 assert_eq!((bt, bs), expect);
             }
@@ -371,13 +344,15 @@ mod tests {
     #[test]
     fn len_tracks_pushes_and_pops() {
         let mut w = EventWheel::new();
+        let mut batch = Vec::new();
         assert!(w.is_empty());
         w.push(1, 1, ());
+        w.push(1, 3, ());
         w.push(CAPACITY as u64 * 2, 2, ());
-        assert_eq!(w.len(), 2);
-        w.pop();
+        assert_eq!(w.len(), 3);
+        w.pop_batch(&mut batch);
         assert_eq!(w.len(), 1);
-        w.pop();
+        w.pop_batch(&mut batch);
         assert!(w.is_empty());
     }
 }

@@ -750,7 +750,7 @@ impl Sim {
         // the loop allocates nothing in steady state. Same-time events
         // scheduled while a batch is in flight carry larger seqs, so
         // the next `pop_batch` returns the same timestamp again and
-        // the global (time, seq) order is exactly `pop`'s.
+        // the global (time, seq) order is exactly a heap's.
         let mut batch: Vec<(u64, u64, PackedEv)> = Vec::new();
         while let Some(t) = self.evq.pop_batch(&mut batch) {
             assert!(
