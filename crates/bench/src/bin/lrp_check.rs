@@ -50,7 +50,8 @@ const USAGE: &str = "usage:\n  \
     exit codes:\n  \
     0  every cell admissible and durably linearizable\n  \
     1  file write error, or a --mutate-reorder mutation went undetected\n  \
-    2  usage error (unknown flag or command, missing or invalid value)\n  \
+    2  usage error (unknown flag or command, missing or invalid value,\n     \
+    --threads outside 1..=64 or --ops 0)\n  \
     3  violation found (counterexample on stdout, and --cx-out if given)";
 
 fn main() {
@@ -78,6 +79,7 @@ fn main() {
     if let Some(v) = cli.opt_parse("max-states") {
         bound.max_states = v;
     }
+    cli.check_workload(&[bound.threads], bound.ops_per_thread);
     let mutate = cli.flag("mutate-reorder");
     let json_out: Option<String> = cli.opt("json-out");
     let cx_out: Option<String> = cli.opt("cx-out");

@@ -1,67 +1,75 @@
-//! `lrp-profile` — the persist-blame profiler.
+//! `lrp-profile` — the single-run profiler and the campaign perf gate.
 //!
 //! ```text
 //! lrp-profile run  --structure queue --mech lrp --ret-capacity 4
+//! lrp-profile run  saved.trace --mech bb --chains-out chains.folded
 //! lrp-profile diff --structure queue --a lrp --b bb
-//! lrp-profile critpath --structure queue --mech lrp
-//! lrp-profile critpath-diff --structure queue --a lrp --b bb
 //! lrp-profile gate --baseline baselines/BENCH_baseline.json \
 //!                  --current BENCH_campaign.json --ops-only
 //! ```
 //!
-//! `run` replays one workload with blame attribution and prints the
-//! per-`(site, cause)` tables; `--folded-out` additionally writes
-//! folded stacks (`site;kind;cause cycles`) for flame-graph tools.
-//! `diff` profiles the same workload under two mechanisms and ranks
-//! the attribution deltas. `critpath` traces the durability critical
-//! path and prints the per-segment latency breakdown (`--folded-out`
-//! writes folded chain shapes); `critpath-diff` compares two
-//! mechanisms' segment shares. `gate` compares two
-//! `BENCH_campaign.json` summaries and fails (exit 1) on
-//! out-of-tolerance regressions.
+//! `run` replays one workload with the recorder attached and prints
+//! everything it measured: the stat dump, the observability histograms,
+//! the I1–I4 audit, the durability critical path and the persist-blame
+//! tables. Its exports are folded blame stacks (`--folded-out`, `site;
+//! kind;cause cycles` for flame-graph tools), folded critical-path
+//! chains (`--chains-out`), a Chrome trace (`--trace-out`) and JSONL
+//! metrics (`--metrics-out`). `diff` replays one workload under two
+//! mechanisms and ranks the blame deltas and the critical-path share
+//! shifts. The workload is a saved trace file or one generated from
+//! `--structure` and the workload flags. `run` and `diff` exit 3 on any
+//! I1–I4 or C1–C2 violation. `gate` compares two `BENCH_campaign.json`
+//! summaries and fails (exit 1) on out-of-tolerance regressions.
 
-use lrp_bench::cli::{gate_command, write_out, Cli};
+use lrp_bench::cli::{gate_command, load_replayable, write_out, Cli};
 use lrp_bench::out;
-use lrp_bench::profile::{self, GateTolerances, ProfileSpec};
+use lrp_bench::profile::{self, GateTolerances};
+use lrp_campaign::{build_trace, CellSpec};
 use lrp_lfds::Structure;
-use lrp_sim::{Mechanism, NvmMode};
+use lrp_obs::{chrome, metrics, ObsReport};
+use lrp_sim::{Mechanism, NvmMode, RunResult};
 
 const USAGE: &str = "usage:\n  \
-    lrp-profile run  --structure <linkedlist|hashmap|bstree|skiplist|queue>\n                   \
-    [--mech M] [--mode cached|uncached] [--threads N] [--ops N]\n                   \
-    [--size N] [--seed N] [--ret-capacity N] [--top N] [--folded-out FILE]\n  \
-    lrp-profile diff --structure <name> [--a MECH] [--b MECH]\n                   \
-    [--mode M] [--threads N] [--ops N] [--size N] [--seed N]\n                   \
-    [--ret-capacity N] [--top N]\n  \
-    lrp-profile critpath --structure <name> [--mech M] [--mode M]\n                   \
+    lrp-profile run  [FILE] [--structure S] [--mech M] [--mode cached|uncached]\n                   \
+    [--threads N] [--ops N] [--size N] [--seed N] [--ret-capacity N]\n                   \
+    [--top N] [--folded-out FILE] [--chains-out FILE]\n                   \
+    [--trace-out FILE] [--metrics-out FILE] [--sample-every N]\n  \
+    lrp-profile diff [FILE] [--structure S] [--a MECH] [--b MECH] [--mode M]\n                   \
     [--threads N] [--ops N] [--size N] [--seed N]\n                   \
-    [--ret-capacity N] [--top N] [--folded-out FILE]\n  \
-    lrp-profile critpath-diff --structure <name> [--a MECH] [--b MECH]\n                   \
-    [--mode M] [--threads N] [--ops N] [--size N] [--seed N]\n                   \
-    [--ret-capacity N]\n  \
+    [--ret-capacity N] [--top N]\n  \
     lrp-profile gate --baseline FILE --current FILE [--tol-ops F]\n                   \
     [--tol-stall F] [--tol-latency F] [--ops-only] [--json-out FILE]\n\n\
+    workload: a saved trace FILE (lrp-trace gen), or one generated from\n  \
+    --structure <linkedlist|hashmap|bstree|skiplist|queue> and the\n  \
+    --threads/--ops/--size/--seed flags (--threads 1 to 64, one per core)\n\n\
     defaults:\n  \
     --mech lrp   --mode cached   --threads 4   --ops 25   --size 64   --seed 1\n  \
     --a lrp      --b bb          --top 20\n  \
-    --tol-ops 0.20     maximum fractional ops/cycle drop\n  \
-    --tol-stall 0.05   maximum absolute stall-share increase\n  \
-    --tol-latency 0.50 maximum fractional latency p50/p99 increase\n  \
-    --ops-only         gate on ops/cycle only (the CI posture)\n  \
-    --ret-capacity N   override the RET size (watermark pinned to N)\n\n\
+    --ret-capacity N     override the RET size (watermark pinned to N)\n  \
+    --folded-out FILE    write folded blame stacks (site;kind;cause cycles)\n  \
+    --chains-out FILE    write folded critical-path chains\n  \
+    --trace-out FILE     write a Chrome trace-event JSON timeline\n  \
+    --metrics-out FILE   write JSONL metrics (stats, histograms, blame, audit)\n  \
+    --sample-every N     record time-series samples every N cycles (0 = off)\n  \
+    --tol-ops 0.20       maximum fractional ops/cycle drop\n  \
+    --tol-stall 0.05     maximum absolute stall-share increase\n  \
+    --tol-latency 0.50   maximum fractional latency p50/p99 increase\n  \
+    --ops-only           gate on ops/cycle only (the CI posture)\n\n\
     exit codes:\n  \
     0  success (gate: every check within tolerance)\n  \
-    1  gate regression detected, or a file read/write/parse error\n  \
-    2  usage error (unknown flag or command, missing or invalid value)\n  \
-    3  critpath conservation violation (C1/C2 audit failed)";
+    1  gate regression detected, a file read/write/parse error, or a trace\n     \
+    FILE the simulator cannot replay (malformed, or more threads than cores)\n  \
+    2  usage error (unknown flag or command, missing or invalid value,\n     \
+    --threads outside 1..=64 or --ops 0)\n  \
+    3  run/diff: invariant violations observed (I1-I4, critpath C1-C2)";
 
 fn main() {
     let mut cli = Cli::from_env(USAGE);
     let structure: Option<Structure> = cli.opt_parse("structure");
-    let mech = cli.opt("mech").unwrap_or_else(|| "lrp".to_string());
-    let a = cli.opt("a").unwrap_or_else(|| "lrp".to_string());
-    let b = cli.opt("b").unwrap_or_else(|| "bb".to_string());
-    let mode_name = cli.opt("mode").unwrap_or_else(|| "cached".to_string());
+    let mech = cli.opt_parse("mech").unwrap_or(Mechanism::Lrp);
+    let a = cli.opt_parse("a").unwrap_or(Mechanism::Lrp);
+    let b = cli.opt_parse("b").unwrap_or(Mechanism::Bb);
+    let mode = cli.opt_parse("mode").unwrap_or(NvmMode::Cached);
     let threads = cli.opt_parse("threads").unwrap_or(4u16);
     let ops = cli.opt_parse("ops").unwrap_or(25usize);
     let size = cli.opt_parse("size").unwrap_or(64usize);
@@ -69,6 +77,10 @@ fn main() {
     let ret_capacity: Option<usize> = cli.opt_parse("ret-capacity");
     let top = cli.opt_parse("top").unwrap_or(20usize);
     let folded_out: Option<String> = cli.opt("folded-out");
+    let chains_out: Option<String> = cli.opt("chains-out");
+    let trace_out: Option<String> = cli.opt("trace-out");
+    let metrics_out: Option<String> = cli.opt("metrics-out");
+    let sample_every = cli.opt_parse("sample-every").unwrap_or(0u64);
     let baseline: Option<String> = cli.opt("baseline");
     let current: Option<String> = cli.opt("current");
     let tol = GateTolerances {
@@ -78,74 +90,13 @@ fn main() {
         ops_only: cli.flag("ops-only"),
     };
     let json_out: Option<String> = cli.opt("json-out");
-    let pos = cli.positionals(1, 1);
-
-    let mode = NvmMode::from_name(&mode_name)
-        .unwrap_or_else(|| cli.fail(format!("unknown NVM mode {mode_name:?}")));
-    let spec_for = |mech_name: &str, cli: &Cli| -> ProfileSpec {
-        let Some(structure) = structure else {
-            cli.fail("this command needs --structure")
-        };
-        let mechanism = Mechanism::from_name(mech_name)
-            .unwrap_or_else(|| cli.fail(format!("unknown mechanism {mech_name:?}")));
-        ProfileSpec {
-            structure,
-            mechanism,
-            mode,
-            threads,
-            ops_per_thread: ops,
-            initial_size: size,
-            seed,
-            ret_capacity,
+    let pos = cli.positionals(1, 2);
+    let cmd = pos[0].as_str();
+    if cmd == "gate" {
+        if pos.len() > 1 {
+            cli.fail("gate takes no trace file");
         }
-    };
-
-    match pos[0].as_str() {
-        "run" => {
-            let spec = spec_for(&mech, &cli);
-            let run = profile::run(&spec);
-            out!("{}", profile::render_run(&spec, &run, top));
-            if let Some(out) = &folded_out {
-                write_out(out, &run.blame.folded());
-                eprintln!("wrote folded stacks to {out}");
-            }
-        }
-        "diff" => {
-            let spec_a = spec_for(&a, &cli);
-            let spec_b = spec_for(&b, &cli);
-            let (_, _, rows) = profile::run_diff(&spec_a, &spec_b);
-            out!("{}", profile::render_diff(&spec_a, &spec_b, &rows, top));
-        }
-        "critpath" => {
-            let spec = spec_for(&mech, &cli);
-            let run = profile::run(&spec);
-            out!("{}", profile::render_critpath(&spec, &run, top));
-            if let Some(out) = &folded_out {
-                write_out(out, &run.crit.folded_stacks());
-                eprintln!("wrote folded chains to {out}");
-            }
-            if run.crit.audit.total_violations() > 0 {
-                eprintln!(
-                    "critpath conservation violated: {} of {} checks",
-                    run.crit.audit.total_violations(),
-                    run.crit.audit.total_checks()
-                );
-                std::process::exit(3);
-            }
-        }
-        "critpath-diff" => {
-            let spec_a = spec_for(&a, &cli);
-            let spec_b = spec_for(&b, &cli);
-            let (run_a, run_b) = (profile::run(&spec_a), profile::run(&spec_b));
-            let rows = profile::crit_diff(&run_a.crit, &run_b.crit);
-            out!("{}", profile::render_crit_diff(&spec_a, &spec_b, &rows));
-            let bad = run_a.crit.audit.total_violations() + run_b.crit.audit.total_violations();
-            if bad > 0 {
-                eprintln!("critpath conservation violated: {bad} check(s)");
-                std::process::exit(3);
-            }
-        }
-        "gate" => gate_command(
+        return gate_command(
             &cli,
             "gate",
             (baseline.as_deref(), current.as_deref()),
@@ -153,7 +104,89 @@ fn main() {
             |base, cur| profile::gate(base, cur, &tol),
             |v| profile::verdict_json(v, &tol),
             |_, _| String::new(),
-        ),
-        other => cli.fail(format!("unknown command {other:?}")),
+        );
+    }
+    if cmd != "run" && cmd != "diff" {
+        cli.fail(format!("unknown command {cmd:?}"));
+    }
+
+    // The workload: a saved trace, or a campaign cell's generated one.
+    let (trace, cell) = match (pos.get(1), structure) {
+        (Some(path), None) => (load_replayable(path), None),
+        (None, Some(structure)) => {
+            cli.check_workload(&[threads], ops);
+            let cell = CellSpec {
+                index: 0,
+                structure,
+                mechanism: mech,
+                mode,
+                threads,
+                seed,
+                initial_size: size,
+                ops_per_thread: ops,
+                crash_samples: 0,
+            };
+            (build_trace(&cell), Some(cell))
+        }
+        (Some(_), Some(_)) => {
+            cli.fail(format!("{cmd} takes a trace FILE or --structure, not both"))
+        }
+        (None, None) => cli.fail(format!("{cmd} needs a trace FILE or --structure")),
+    };
+    let id = |mechanism: Mechanism| match &cell {
+        Some(cell) => CellSpec {
+            mechanism,
+            ..cell.clone()
+        }
+        .id(),
+        None => format!("{}/{}/{}", pos[1], mechanism.name(), mode.name()),
+    };
+    let replay = |mechanism: Mechanism| {
+        let cfg = profile::sim_config(mechanism, mode, ret_capacity);
+        profile::run(&trace, cfg, sample_every)
+    };
+
+    if cmd == "diff" {
+        let (ra, rb) = (replay(a), replay(b));
+        out!("{}", profile::render_diff(&id(a), &ra, &id(b), &rb, top));
+        exit_on_violations(&[&ra, &rb]);
+        return;
+    }
+    let r = replay(mech);
+    let obs = profile::obs(&r);
+    let deduped = metrics::warn_ring_drops("event", obs.dropped);
+    if deduped > 0 {
+        eprintln!("  ({deduped} further drop warnings deduplicated)");
+    }
+    out!("{}", profile::render_report(&id(mech), &r, top));
+    export(&trace_out, "Chrome trace", || chrome::export(obs));
+    export(&metrics_out, "JSONL metrics", || {
+        metrics::export_jsonl(obs, &r.stats)
+    });
+    export(&folded_out, "folded stacks", || obs.blame.folded());
+    export(&chains_out, "folded chains", || obs.crit.folded_stacks());
+    exit_on_violations(&[&r]);
+}
+
+/// Writes `text()` to `path` when one was given.
+fn export(path: &Option<String>, what: &str, text: impl FnOnce() -> String) {
+    if let Some(path) = path {
+        write_out(path, &text());
+        eprintln!("wrote {what} to {path}");
+    }
+}
+
+/// Exits 3 with one warning when any run broke an I1–I4 invariant or
+/// critical-path C1–C2 conservation.
+fn exit_on_violations(runs: &[&RunResult]) {
+    let total = |f: fn(&ObsReport) -> u64| runs.iter().map(|r| f(profile::obs(r))).sum::<u64>();
+    let audit = total(|o| o.audit.total_violations());
+    let crit = total(|o| o.crit.audit.total_violations());
+    if audit + crit > 0 {
+        eprintln!(
+            "WARNING: {} invariant violations observed ({audit} I1-I4, {crit} critpath C1-C2)",
+            audit + crit
+        );
+        std::process::exit(3);
     }
 }

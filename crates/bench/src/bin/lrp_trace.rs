@@ -6,19 +6,16 @@
 //! lrp-trace info   <FILE>    # census + validation
 //! lrp-trace check  <FILE>    # replay under every mechanism, verify RP
 //!                            # and null recovery; exit 3 on a finding
-//! lrp-trace report <FILE> [mech] [--trace-out FILE] [--metrics-out FILE]
-//!                  [--sample-every N]   # full stat dump of one replay;
-//!                                       # exit 3 on I1-I4/C1-C2 violations
 //! ```
 //!
 //! Traces use the plain-text format of `lrp_model::codec`, so they can
 //! be diffed, versioned, and shipped as regression inputs.
+//! `lrp-profile run FILE` profiles one instrumented replay of a trace.
 
-use lrp_bench::cli::{die, read_text, report_run, write_out, Cli};
+use lrp_bench::cli::{load_replayable, load_trace, write_out, Cli};
 use lrp_bench::{out, outln};
 use lrp_lfds::{Structure, WorkloadSpec};
-use lrp_model::{codec, Census, Trace};
-use lrp_obs::RecorderConfig;
+use lrp_model::{codec, Census};
 use lrp_recovery::{check_null_recovery, CrashPlan};
 use lrp_sim::{Mechanism, Sim, SimConfig};
 
@@ -26,30 +23,20 @@ const USAGE: &str = "usage:\n  \
     lrp-trace gen --structure <linkedlist|hashmap|bstree|skiplist|queue> \
     [--size N] [--threads N] [--ops N] [--seed N] [--out FILE]\n  \
     lrp-trace info <FILE>\n  \
-    lrp-trace check <FILE>\n  \
-    lrp-trace report <FILE> [mech] [--trace-out FILE] [--metrics-out FILE] \
-    [--sample-every N]\n\n\
+    lrp-trace check <FILE>\n\n\
     defaults:\n  \
     --size 64   --threads 4   --ops 25   --seed 1\n  \
-    --out FILE           write the generated trace there instead of stdout\n  \
-    report mech          lrp (one of nop|sb|bb|lrp|dpo)\n  \
-    --trace-out FILE     write a Chrome trace-event JSON timeline\n  \
-    --metrics-out FILE   write JSONL metrics (stats, histograms, blame, audit)\n  \
-    --sample-every N     record time-series samples every N cycles (0 = off)\n\n\
+    --out FILE           write the generated trace there instead of stdout\n\n\
     exit codes:\n  \
     0  success\n  \
-    1  file read/write/parse error\n  \
+    1  file read/write/parse error, or check: a trace the simulator cannot\n     \
+       replay (malformed, or more threads than the machine has cores)\n  \
     2  usage error (unknown flag or command, missing or invalid value)\n  \
-    3  report: invariant violations observed (I1-I4, critpath C1-C2);\n     \
-       check: an RP violation or a null-recovery failure";
+    3  check: an RP violation or a null-recovery failure";
 
 /// Seed of the crash points `check` samples: fixed, so a trace file
 /// always gets the same verdict.
 const CHECK_CRASH_SEED: u64 = 1;
-
-fn load(path: &str) -> Trace {
-    codec::from_text(&read_text(path)).unwrap_or_else(|e| die(format!("cannot parse {path}: {e}")))
-}
 
 fn main() {
     let mut cli = Cli::from_env(USAGE);
@@ -59,12 +46,7 @@ fn main() {
     let ops = cli.opt_parse("ops").unwrap_or(25usize);
     let seed = cli.opt_parse("seed").unwrap_or(1u64);
     let out: Option<String> = cli.opt("out");
-    let obs = ObsOut {
-        trace_out: cli.opt("trace-out"),
-        metrics_out: cli.opt("metrics-out"),
-        sample_every: cli.opt_parse("sample-every").unwrap_or(0),
-    };
-    let pos = cli.positionals(1, 3);
+    let pos = cli.positionals(1, 2);
     match pos[0].as_str() {
         "gen" => {
             let Some(structure) = structure else {
@@ -79,15 +61,6 @@ fn main() {
         "check" => match pos.get(1) {
             Some(path) => check(path),
             None => cli.fail("check needs a trace file"),
-        },
-        "report" => match pos.get(1) {
-            Some(path) => report(
-                &cli,
-                path,
-                pos.get(2).map(String::as_str).unwrap_or("lrp"),
-                &obs,
-            ),
-            None => cli.fail("report needs a trace file"),
         },
         other => cli.fail(format!("unknown command {other:?}")),
     }
@@ -123,7 +96,7 @@ fn gen(
 }
 
 fn info(path: &str) {
-    let trace = load(path);
+    let trace = load_trace(path);
     match trace.validate() {
         Ok(()) => outln!("trace: well-formed"),
         Err(e) => outln!("trace: INVALID ({e})"),
@@ -138,43 +111,8 @@ fn info(path: &str) {
     }
 }
 
-/// Observability export options shared by the report subcommand.
-struct ObsOut {
-    trace_out: Option<String>,
-    metrics_out: Option<String>,
-    sample_every: u64,
-}
-
-impl ObsOut {
-    fn wanted(&self) -> bool {
-        self.trace_out.is_some() || self.metrics_out.is_some() || self.sample_every > 0
-    }
-}
-
-fn report(cli: &Cli, path: &str, mech: &str, obs: &ObsOut) {
-    let trace = load(path);
-    let Some(m) = Mechanism::EXTENDED.into_iter().find(|m| m.name() == mech) else {
-        cli.fail(format!("unknown mechanism {mech:?}"))
-    };
-    let mut sim = Sim::new(SimConfig::new(m), &trace);
-    if obs.wanted() {
-        sim = sim.with_recorder(RecorderConfig {
-            sample_every: obs.sample_every,
-            ..RecorderConfig::default()
-        });
-    }
-    let code = report_run(
-        &format!("{path} under {mech}"),
-        &sim.run(),
-        obs.trace_out.as_deref(),
-        obs.metrics_out.as_deref(),
-    );
-    std::process::exit(code);
-}
-
 fn check(path: &str) {
-    let trace = load(path);
-    trace.validate().expect("trace is well-formed");
+    let trace = load_replayable(path);
     let structure = Structure::infer_from_roots(trace.roots.iter().map(|(name, _)| name.as_str()));
     let mut found = false;
     for m in Mechanism::ALL {

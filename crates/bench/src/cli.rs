@@ -16,15 +16,16 @@
 //! that end the process quietly once the reader has gone
 //! ([`write_stdout`], behind the [`out!`](crate::out) and
 //! [`outln!`](crate::outln) macros), JSON file I/O that exits 1 on
-//! failure ([`load_json`], [`write_out`]), the gate
-//! subcommand ([`gate_command`]), the instrumented-run report
-//! ([`report_run`]) and the unhealthy-cell report
-//! ([`report_unhealthy`]).
+//! failure ([`load_json`], [`write_out`]), trace-file loading that
+//! exits 1 on a trace the simulator cannot replay
+//! ([`load_replayable`]), the gate subcommand ([`gate_command`]) and the
+//! unhealthy-cell report ([`report_unhealthy`]).
 
 use crate::gate::{render_gate, GateVerdict};
 use lrp_campaign::CellRecord;
-use lrp_obs::{chrome, metrics, AuditCounter, CritSegKind, Json};
-use lrp_sim::{Mechanism, RunResult, SimConfig};
+use lrp_model::{codec, Trace};
+use lrp_obs::Json;
+use lrp_sim::{Mechanism, SimConfig};
 use std::fmt::Display;
 use std::io::Write as _;
 use std::str::FromStr;
@@ -156,7 +157,7 @@ impl Cli {
     /// Exits 2 unless every `threads` count fits the simulated machine
     /// (one worker per core) and `ops_per_thread` is at least 1.
     pub fn check_workload(&self, threads: &[u16], ops_per_thread: usize) {
-        let cores = SimConfig::new(Mechanism::Lrp).mesh_dim.pow(2);
+        let cores = machine_cores();
         if let Some(t) = threads.iter().find(|&&t| t == 0 || t as usize > cores) {
             self.fail(format!(
                 "--threads {t} is outside 1..={cores}, one per core"
@@ -185,6 +186,12 @@ impl Cli {
     }
 }
 
+/// Cores of the simulated machine: the most worker threads a trace may
+/// have (one per core).
+fn machine_cores() -> usize {
+    SimConfig::new(Mechanism::Lrp).mesh_dim.pow(2)
+}
+
 /// Prints `msg` to stderr and exits 1 (I/O, parse or run failure).
 pub fn die(msg: impl Display) -> ! {
     eprintln!("{msg}");
@@ -194,6 +201,30 @@ pub fn die(msg: impl Display) -> ! {
 /// Reads a text file; exits 1 with a message on failure.
 pub fn read_text(path: &str) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| die(format!("cannot read {path}: {e}")))
+}
+
+/// Reads and parses a trace file in the `lrp_model::codec` text format;
+/// exits 1 with a message on failure.
+pub fn load_trace(path: &str) -> Trace {
+    codec::from_text(&read_text(path)).unwrap_or_else(|e| die(format!("cannot parse {path}: {e}")))
+}
+
+/// [`load_trace`], then exits 1 with a one-line message unless the
+/// simulator can replay the trace: it must be well-formed and have no
+/// more threads than the machine has cores.
+pub fn load_replayable(path: &str) -> Trace {
+    let trace = load_trace(path);
+    if let Err(e) = trace.validate() {
+        die(format!("cannot replay {path}: {e}"));
+    }
+    let cores = machine_cores();
+    if trace.nthreads as usize > cores {
+        die(format!(
+            "cannot replay {path}: {} threads, but the machine has {cores} cores",
+            trace.nthreads
+        ));
+    }
+    trace
 }
 
 /// Reads and parses a JSON document; exits 1 with a message on failure.
@@ -253,97 +284,4 @@ pub fn report_unhealthy(records: &[CellRecord]) -> bool {
         }
     }
     unhealthy
-}
-
-/// Reports one simulator run: the stat dump, then — when a recorder was
-/// attached — the observability section (event ring, histograms, I1–I4
-/// audit, durability critical path), one warning if the event ring
-/// dropped, and the requested Chrome trace / JSONL metrics exports.
-/// Returns the exit status: 3 when any I1–I4 or C1–C2 violation was
-/// observed, else 0.
-pub fn report_run(
-    title: &str,
-    r: &RunResult,
-    trace_out: Option<&str>,
-    metrics_out: Option<&str>,
-) -> i32 {
-    out!("{}", lrp_sim::report::render(title, r));
-    let Some(obs) = r.obs.as_ref() else { return 0 };
-    outln!("-- observability --");
-    outln!(
-        "events captured        {:>12} (dropped {})",
-        obs.events.len(),
-        obs.dropped
-    );
-    let deduped = metrics::warn_ring_drops("event", obs.dropped);
-    if deduped > 0 {
-        eprintln!("  ({deduped} further drop warnings deduplicated)");
-    }
-    outln!("sample intervals       {:>12}", obs.intervals.len());
-    outln!("ret high water         {:>12}", obs.ret_high_water);
-    for (name, hist) in metrics::hist_rows(obs) {
-        if hist.is_empty() {
-            outln!("  {name:<20} (no samples)");
-        } else {
-            outln!(
-                "  {:<20} n={} mean={:.1} p50={} p99={} max={}",
-                name,
-                hist.count,
-                hist.mean(),
-                hist.percentile(0.5),
-                hist.percentile(0.99),
-                hist.max()
-            );
-        }
-    }
-    let print_audit = |rows: &[(&str, AuditCounter)]| {
-        for (name, c) in rows {
-            outln!(
-                "  {name:<20} checks={:<8} violations={}",
-                c.checks,
-                c.violations
-            );
-        }
-    };
-    outln!("-- invariant audit (I1-I4) --");
-    print_audit(&obs.audit.rows());
-    let crit = &obs.crit;
-    outln!("-- durability critical path --");
-    outln!(
-        "  paths traced         {:>12} ({} cycles, longest {})",
-        crit.paths(),
-        crit.total_cycles(),
-        crit.max_path
-    );
-    let shares = crit.shares();
-    for kind in CritSegKind::ALL {
-        let k = kind.idx();
-        if crit.seg_counts[k] > 0 {
-            outln!(
-                "  {:<20} n={:<6} cycles={:<10} share={:.1}%",
-                kind.name(),
-                crit.seg_counts[k],
-                crit.seg_cycles[k],
-                shares[k] * 100.0
-            );
-        }
-    }
-    print_audit(&crit.audit.rows());
-    if let Some(path) = trace_out {
-        write_out(path, &chrome::export(obs));
-        eprintln!("wrote Chrome trace to {path}");
-    }
-    if let Some(path) = metrics_out {
-        write_out(path, &metrics::export_jsonl(obs, &r.stats));
-        eprintln!("wrote JSONL metrics to {path}");
-    }
-    let (audit, crit) = (obs.audit.total_violations(), crit.audit.total_violations());
-    if audit + crit == 0 {
-        return 0;
-    }
-    eprintln!(
-        "WARNING: {} invariant violations observed ({audit} I1-I4, {crit} critpath C1-C2)",
-        audit + crit
-    );
-    3
 }

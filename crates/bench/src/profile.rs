@@ -1,128 +1,116 @@
-//! The persist-blame profiler behind the `lrp-profile` binary.
+//! The single-run profiler behind the `lrp-profile` binary.
 //!
-//! Three entry points, all built on `lrp_obs::blame`:
+//! Two views of instrumented replays ([`run`]) of one workload trace,
+//! and the campaign gate:
 //!
-//! * [`run`] — replay one workload under one mechanism with the
-//!   summaries-only recorder attached and return its [`BlameTable`]
-//!   (per-site stall/persist attribution) plus the run's `Stats`;
-//! * [`diff`](run_diff) — the same workload under two mechanisms,
-//!   ranked by per-`(site, cause)` attribution delta. This is the
-//!   LRP-vs-baseline view: RET-full drains show up under LRP sites,
-//!   full-barrier drains under BB/SB sites;
+//! * [`render_report`] — everything one run reports: the simulator's
+//!   stat dump, the observability histograms, the I1–I4 audit, the
+//!   durability critical path ([`render_critpath`]) and the blame
+//!   tables ([`render_blame`]);
+//! * [`render_diff`] — the same trace under two mechanisms, as the
+//!   per-`(site, cause)` blame delta and the critical-path segment share
+//!   shift. This is the LRP-vs-baseline view: RET-full drains show up
+//!   under LRP sites, full-barrier drains under BB/SB sites;
 //! * [`gate`] — a perf-regression gate over two `BENCH_campaign.json`
 //!   summaries, comparing ops/cycle, stall-cycle shares, and latency
 //!   p50/p99 per `(structure, mode, threads, mechanism)` key against
 //!   per-metric tolerances.
 
-use crate::figures::Shape;
 use crate::gate::{paired, Bound, GateVerdict, Rows};
-use lrp_lfds::{Structure, WorkloadSpec};
-use lrp_obs::blame::{diff, BlameDelta};
-use lrp_obs::{BlameTable, CritSegKind, CritSummary, Json, RecorderConfig, Stats};
-use lrp_sim::{Mechanism, NvmMode, Sim, SimConfig};
+use lrp_model::Trace;
+use lrp_obs::blame::diff;
+use lrp_obs::{metrics, BlameTable, CritSegKind, CritSummary, Json, ObsReport, RecorderConfig};
+use lrp_sim::{Mechanism, NvmMode, RunResult, Sim, SimConfig, Stats};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
-/// One profiled workload replay.
-#[derive(Debug, Clone)]
-pub struct ProfileSpec {
-    /// The data structure under test.
-    pub structure: Structure,
-    /// The persistency mechanism.
-    pub mechanism: Mechanism,
-    /// NVM mode (cached / uncached).
-    pub mode: NvmMode,
-    /// Worker threads.
-    pub threads: u16,
-    /// Operations per worker.
-    pub ops_per_thread: usize,
-    /// Initial structure population.
-    pub initial_size: usize,
-    /// Workload seed.
-    pub seed: u64,
-    /// RET capacity override. Shrinking the RET (with the watermark
-    /// pinned to the capacity, which disables proactive drains) forces
-    /// the stall-on-full-table path, making RET pressure visible on
-    /// small workloads.
-    pub ret_capacity: Option<usize>,
-}
-
-impl ProfileSpec {
-    /// A profile of `structure` under `mechanism` with the `lrp-trace
-    /// gen` workload defaults (4 threads, 25 ops/thread, 64 entries).
-    pub fn new(structure: Structure, mechanism: Mechanism) -> ProfileSpec {
-        ProfileSpec {
-            structure,
-            mechanism,
-            mode: NvmMode::Cached,
-            threads: 4,
-            ops_per_thread: 25,
-            initial_size: 64,
-            seed: 1,
-            ret_capacity: None,
-        }
-    }
-
-    /// `structure/mechanism/mode/tN/sN` identifier for report headers.
-    pub fn id(&self) -> String {
-        format!(
-            "{}/{}/{}/t{}/s{}",
-            self.structure.name(),
-            self.mechanism.name(),
-            self.mode.name(),
-            self.threads,
-            self.seed
-        )
-    }
-}
-
-/// What [`run`] produced.
-#[derive(Debug, Clone)]
-pub struct ProfileRun {
-    /// Simulator statistics.
-    pub stats: Stats,
-    /// Per-`(site, cause)` attribution. Computed online, so it is
-    /// exact regardless of event-ring state; the only bounded part is
-    /// the per-line sketch, whose eviction count [`render_run`] prints.
-    pub blame: BlameTable,
-    /// Durability critical-path digest (per-segment cycles, folded
-    /// chains, C1/C2 conservation counters).
-    pub crit: CritSummary,
-}
-
-/// Replays `spec` with blame attribution and returns the profile.
-pub fn run(spec: &ProfileSpec) -> ProfileRun {
-    let trace = WorkloadSpec::new(spec.structure)
-        .initial_size(spec.initial_size)
-        .threads(spec.threads)
-        .ops_per_thread(spec.ops_per_thread)
-        .seed(spec.seed)
-        .build_trace();
-    let mut cfg = SimConfig::new(spec.mechanism).nvm_mode(spec.mode);
-    if let Some(cap) = spec.ret_capacity {
+/// The simulator configuration of a profile: `mechanism` in `mode`,
+/// with the RET shrunk to `ret_capacity` when given. Pinning the
+/// watermark to the capacity disables proactive drains, which forces
+/// the stall-on-full-table path and makes RET pressure visible on small
+/// workloads.
+pub fn sim_config(mechanism: Mechanism, mode: NvmMode, ret_capacity: Option<usize>) -> SimConfig {
+    let mut cfg = SimConfig::new(mechanism).nvm_mode(mode);
+    if let Some(cap) = ret_capacity {
         cfg.lrp.ret_capacity = cap;
         cfg.lrp.ret_watermark = cap;
     }
-    let result = Sim::new(cfg, &trace)
-        .with_recorder(RecorderConfig::summaries_only())
-        .run();
-    let obs = result.obs.expect("recorder was attached");
-    ProfileRun {
-        stats: result.stats,
-        blame: obs.blame,
-        crit: obs.crit,
+    cfg
+}
+
+/// Replays `trace` under `cfg` with the default recorder (event ring
+/// on) sampling every `sample_every` cycles (0 = no time series). Blame,
+/// audits and critical paths are computed online, so they are exact
+/// whatever the ring dropped.
+pub fn run(trace: &Trace, cfg: SimConfig, sample_every: u64) -> RunResult {
+    let rec = RecorderConfig {
+        sample_every,
+        ..RecorderConfig::default()
+    };
+    Sim::new(cfg, trace).with_recorder(rec).run()
+}
+
+/// The recorder report of a run [`run`] returned.
+pub fn obs(r: &RunResult) -> &ObsReport {
+    r.obs.as_ref().expect("profiles attach a recorder")
+}
+
+/// Renders everything one profiled run reports, each section under a
+/// `-- name --` header: the stat dump, the observability summary
+/// (event ring, histograms), the I1–I4 audit, the durability critical
+/// path and the blame tables. `id` names the run.
+pub fn render_report(id: &str, r: &RunResult, top: usize) -> String {
+    let obs = obs(r);
+    let mut out = lrp_sim::report::render(id, r);
+    out.push_str("-- observability --\n");
+    let _ = writeln!(
+        out,
+        "events captured        {:>12} (dropped {})",
+        obs.events.len(),
+        obs.dropped
+    );
+    let _ = writeln!(out, "sample intervals       {:>12}", obs.intervals.len());
+    let _ = writeln!(out, "ret high water         {:>12}", obs.ret_high_water);
+    for (name, hist) in metrics::hist_rows(obs) {
+        if hist.is_empty() {
+            let _ = writeln!(out, "  {name:<20} (no samples)");
+        } else {
+            let _ = writeln!(
+                out,
+                "  {:<20} n={} mean={:.1} p50={} p99={} max={}",
+                name,
+                hist.count,
+                hist.mean(),
+                hist.percentile(0.5),
+                hist.percentile(0.99),
+                hist.max()
+            );
+        }
     }
+    out.push_str("-- invariant audit (I1-I4) --\n");
+    for (name, c) in obs.audit.rows() {
+        let _ = writeln!(
+            out,
+            "  {name:<20} checks={:<8} violations={}",
+            c.checks, c.violations
+        );
+    }
+    out.push_str("-- durability critical path --\n");
+    out.push_str(&render_critpath(id, &obs.crit, top));
+    out.push_str("-- persist blame --\n");
+    out.push_str(&render_blame(id, &r.stats, &obs.blame, top));
+    out
 }
 
 /// Renders one run's critical-path attribution: the per-segment table
 /// (*which causal wait* the release-to-persist cycles were spent on),
 /// the folded chain shapes, and the C1/C2 conservation verdict.
-pub fn render_critpath(spec: &ProfileSpec, run: &ProfileRun, top: usize) -> String {
-    let c = &run.crit;
+pub fn render_critpath(id: &str, c: &CritSummary, top: usize) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "critical path {}: {} persists traced, {} cycles release-to-persist \
          (p50 {}, p99 {}, max {})\n",
-        spec.id(),
+        id,
         c.paths(),
         c.total_cycles(),
         c.path.percentile(0.5),
@@ -233,58 +221,29 @@ pub fn crit_diff(a: &CritSummary, b: &CritSummary) -> Vec<CritDeltaRow> {
     rows
 }
 
-/// Renders a differential critical-path profile.
-pub fn render_crit_diff(a: &ProfileSpec, b: &ProfileSpec, rows: &[CritDeltaRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "differential critical path: A = {} vs B = {} (share in percentage points)\n",
-        a.id(),
-        b.id()
-    ));
-    out.push_str(&format!(
-        "{:<16} {:>12} {:>8} {:>12} {:>8} {:>8}\n",
-        "segment", "A cycles", "A share", "B cycles", "B share", "delta"
-    ));
-    for r in rows.iter().filter(|r| r.a_cycles > 0 || r.b_cycles > 0) {
-        out.push_str(&format!(
-            "{:<16} {:>12} {:>7.1}% {:>12} {:>7.1}% {:>+7.1}pp\n",
-            r.kind.name(),
-            r.a_cycles,
-            r.a_share * 100.0,
-            r.b_cycles,
-            r.b_share * 100.0,
-            r.share_delta() * 100.0,
-        ));
-    }
-    out
-}
-
 /// Renders one run's blame tables: exact `(site, cause)` totals plus
-/// the per-line heavy hitters from the space-saving sketch.
-pub fn render_run(spec: &ProfileSpec, run: &ProfileRun, top: usize) -> String {
+/// the per-line heavy hitters from the space-saving sketch. The
+/// `(site, cause)` totals are exact whatever the recorder dropped; the
+/// sketch is the one bounded part, and its eviction count is printed.
+pub fn render_blame(id: &str, stats: &Stats, blame: &BlameTable, top: usize) -> String {
     let mut out = String::new();
-    let ops_per_cycle = if run.stats.cycles > 0 {
-        run.stats.ops as f64 / run.stats.cycles as f64
+    let ops_per_cycle = if stats.cycles > 0 {
+        stats.ops as f64 / stats.cycles as f64
     } else {
         0.0
     };
     out.push_str(&format!(
         "profile {}: {} cycles, {} ops ({ops_per_cycle:.6} ops/cycle), {} cycles charged\n",
-        spec.id(),
-        run.stats.cycles,
-        run.stats.ops,
-        run.blame.total_cycles()
+        id,
+        stats.cycles,
+        stats.ops,
+        blame.total_cycles()
     ));
     out.push_str(&format!(
         "\nblame by (site, cause), top {top} by charged cycles:\n{:<40} {:<6} {:<14} {:>8} {:>12}\n",
         "site", "kind", "cause", "count", "cycles"
     ));
-    let mut rows: Vec<_> = run
-        .blame
-        .exact
-        .iter()
-        .filter(|(_, c)| c.cycles > 0)
-        .collect();
+    let mut rows: Vec<_> = blame.exact.iter().filter(|(_, c)| c.cycles > 0).collect();
     rows.sort_by(|a, b| b.1.cycles.cmp(&a.1.cycles).then_with(|| a.0.cmp(b.0)));
     for ((site, cause), cell) in rows.into_iter().take(top) {
         out.push_str(&format!(
@@ -298,9 +257,9 @@ pub fn render_run(spec: &ProfileSpec, run: &ProfileRun, top: usize) -> String {
     }
     out.push_str(&format!(
         "\nper-line heavy hitters (sketch: {} keys, {} evictions{}):\n{:<40} {:<14} {:>10} {:>12} {:>8}\n",
-        run.blame.sketch.len(),
-        run.blame.sketch.evictions(),
-        if run.blame.sketch.evictions() == 0 {
+        blame.sketch.len(),
+        blame.sketch.evictions(),
+        if blame.sketch.evictions() == 0 {
             "; weights exact"
         } else {
             "; weights are upper bounds"
@@ -311,7 +270,7 @@ pub fn render_run(spec: &ProfileSpec, run: &ProfileRun, top: usize) -> String {
         "cycles",
         "±err"
     ));
-    for (key, cell) in run.blame.sketch.top(top) {
+    for (key, cell) in blame.sketch.top(top) {
         out.push_str(&format!(
             "{:<40} {:<14} {:>#10x} {:>12} {:>8}\n",
             key.site,
@@ -324,28 +283,25 @@ pub fn render_run(spec: &ProfileSpec, run: &ProfileRun, top: usize) -> String {
     out
 }
 
-/// Profiles the same workload under two mechanisms and returns both
-/// runs plus their blame delta, largest attribution shift first.
-pub fn run_diff(a: &ProfileSpec, b: &ProfileSpec) -> (ProfileRun, ProfileRun, Vec<BlameDelta>) {
-    let ra = run(a);
-    let rb = run(b);
-    let rows = diff(&ra.blame, &rb.blame);
-    (ra, rb, rows)
-}
-
-/// Renders a differential profile.
-pub fn render_diff(a: &ProfileSpec, b: &ProfileSpec, rows: &[BlameDelta], top: usize) -> String {
+/// Renders a differential profile of two runs of one trace: the blame
+/// delta per `(site, cause)`, largest attribution shift first (the top
+/// `top` nonzero rows), then the critical-path share shift per segment
+/// kind ([`crit_diff`]).
+pub fn render_diff(a_id: &str, a: &RunResult, b_id: &str, b: &RunResult, top: usize) -> String {
+    let (a, b) = (obs(a), obs(b));
     let mut out = String::new();
     out.push_str(&format!(
-        "differential blame: A = {} vs B = {} (delta = A - B cycles)\n",
-        a.id(),
-        b.id()
+        "differential blame: A = {a_id} vs B = {b_id} (delta = A - B cycles)\n"
     ));
     out.push_str(&format!(
         "{:<40} {:<6} {:<14} {:>12} {:>12} {:>13}\n",
         "site", "kind", "cause", "A cycles", "B cycles", "delta"
     ));
-    for row in rows.iter().filter(|r| r.delta() != 0).take(top) {
+    for row in diff(&a.blame, &b.blame)
+        .iter()
+        .filter(|r| r.delta() != 0)
+        .take(top)
+    {
         out.push_str(&format!(
             "{:<40} {:<6} {:<14} {:>12} {:>12} {:>+13}\n",
             row.site,
@@ -354,6 +310,27 @@ pub fn render_diff(a: &ProfileSpec, b: &ProfileSpec, rows: &[BlameDelta], top: u
             row.a_cycles,
             row.b_cycles,
             row.delta()
+        ));
+    }
+    out.push_str(&format!(
+        "\ndifferential critical path: A = {a_id} vs B = {b_id} (share in percentage points)\n"
+    ));
+    out.push_str(&format!(
+        "{:<16} {:>12} {:>8} {:>12} {:>8} {:>8}\n",
+        "segment", "A cycles", "A share", "B cycles", "B share", "delta"
+    ));
+    for r in crit_diff(&a.crit, &b.crit)
+        .iter()
+        .filter(|r| r.a_cycles > 0 || r.b_cycles > 0)
+    {
+        out.push_str(&format!(
+            "{:<16} {:>12} {:>7.1}% {:>12} {:>7.1}% {:>+7.1}pp\n",
+            r.kind.name(),
+            r.a_cycles,
+            r.a_share * 100.0,
+            r.b_cycles,
+            r.b_share * 100.0,
+            r.share_delta() * 100.0,
         ));
     }
     out
@@ -517,44 +494,67 @@ pub fn verdict_json(v: &GateVerdict, tol: &GateTolerances) -> Json {
     crate::gate::verdict_json("gate", header, v)
 }
 
-/// The quick-scale profile specs used by docs and tests: the cell of
-/// `structure` under `mechanism` at the `lrp-eval --quick` shape.
-pub fn quick_spec(structure: Structure, mechanism: Mechanism) -> ProfileSpec {
-    let cell = Shape::new(true).cell(structure, mechanism, NvmMode::Cached);
-    ProfileSpec {
-        structure,
-        mechanism,
-        mode: cell.mode,
-        threads: cell.threads,
-        ops_per_thread: cell.ops_per_thread,
-        initial_size: cell.initial_size,
-        seed: cell.seed,
-        ret_capacity: None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::Shape;
     use crate::gate::render_gate;
-    use lrp_campaign::{run_campaign, summarize, summary_json, CampaignConfig, MatrixSpec};
+    use lrp_campaign::{
+        build_trace, run_campaign, summarize, summary_json, CampaignConfig, CellSpec, MatrixSpec,
+    };
+    use lrp_lfds::Structure;
     use lrp_obs::blame::BlameCause;
+
+    /// The queue cell under `mechanism` at the `lrp-eval --quick` shape.
+    fn quick_queue(mechanism: Mechanism) -> CellSpec {
+        Shape::new(true).cell(Structure::Queue, mechanism, NvmMode::Cached)
+    }
+
+    /// Profiles `cell` with the RET override, returning its id and run.
+    fn profiled(cell: &CellSpec, ret_capacity: Option<usize>) -> (String, RunResult) {
+        let cfg = sim_config(cell.mechanism, cell.mode, ret_capacity);
+        (cell.id(), run(&build_trace(cell), cfg, 0))
+    }
 
     #[test]
     fn profiled_run_attributes_cycles_to_labeled_sites() {
-        let run = run(&quick_spec(Structure::Queue, Mechanism::Lrp));
-        assert!(!run.blame.is_empty());
+        let (id, r) = profiled(&quick_queue(Mechanism::Lrp), None);
+        let blame = &obs(&r).blame;
+        assert!(!blame.is_empty());
         assert!(
-            run.blame
+            blame
                 .exact
                 .keys()
                 .any(|(site, _)| site.starts_with("queue/")),
             "queue sites must be labeled: {:?}",
-            run.blame.exact.keys().collect::<Vec<_>>()
+            blame.exact.keys().collect::<Vec<_>>()
         );
-        let rendered = render_run(&quick_spec(Structure::Queue, Mechanism::Lrp), &run, 10);
+        let rendered = render_blame(&id, &r.stats, blame, 10);
         assert!(rendered.contains("queue/"));
         assert!(rendered.contains("ops/cycle"));
+    }
+
+    #[test]
+    fn report_renders_every_section_in_order() {
+        let (id, r) = profiled(&quick_queue(Mechanism::Lrp), None);
+        let rendered = render_report(&id, &r, 10);
+        let at = |section: &str| {
+            rendered
+                .find(section)
+                .unwrap_or_else(|| panic!("missing {section}:\n{rendered}"))
+        };
+        let order = [
+            "==== run report: queue/lrp/cached/t4/s42 ====",
+            "-- observability --",
+            "-- invariant audit (I1-I4) --",
+            "-- durability critical path --",
+            "critical path queue/lrp/cached/t4/s42:",
+            "-- persist blame --",
+            "profile queue/lrp/cached/t4/s42:",
+        ];
+        for pair in order.windows(2) {
+            assert!(at(pair[0]) < at(pair[1]), "{pair:?} out of order");
+        }
     }
 
     #[test]
@@ -562,40 +562,42 @@ mod tests {
         // Shrink the RET (watermark = capacity disables proactive
         // drains) so LRP's stall-on-full-table path fires even on the
         // quick workload.
-        let mut a = quick_spec(Structure::Queue, Mechanism::Lrp);
-        a.ret_capacity = Some(2);
-        let b = quick_spec(Structure::Queue, Mechanism::Bb);
-        let (ra, rb, rows) = run_diff(&a, &b);
-        assert!(!rows.is_empty(), "differential blame table is non-empty");
+        let (a_id, ra) = profiled(&quick_queue(Mechanism::Lrp), Some(2));
+        let (b_id, rb) = profiled(&quick_queue(Mechanism::Bb), None);
+        let (oa, ob) = (obs(&ra), obs(&rb));
         assert!(
-            ra.blame
+            !diff(&oa.blame, &ob.blame).is_empty(),
+            "differential blame table is non-empty"
+        );
+        assert!(
+            oa.blame
                 .exact
                 .iter()
                 .any(|((site, cause), cell)| *cause == BlameCause::RetFull
                     && site.starts_with("queue/")
                     && cell.cycles > 0),
             "LRP must charge RET-full stalls to queue sites: {:?}",
-            ra.blame.exact
+            oa.blame.exact
         );
         assert!(
-            rb.blame
+            ob.blame
                 .exact
                 .iter()
                 .any(|((site, cause), cell)| *cause == BlameCause::BarrierDrain
                     && site.starts_with("queue/")
                     && cell.cycles > 0),
             "BB must charge full-barrier drains to queue sites: {:?}",
-            rb.blame.exact
+            ob.blame.exact
         );
-        assert_eq!(rb.blame.cycles_for_cause(BlameCause::RetFull), 0);
-        let rendered = render_diff(&a, &b, &rows, 20);
+        assert_eq!(ob.blame.cycles_for_cause(BlameCause::RetFull), 0);
+        let rendered = render_diff(&a_id, &ra, &b_id, &rb, 20);
         assert!(rendered.contains("ret_full") || rendered.contains("barrier_drain"));
     }
 
     #[test]
     fn folded_export_is_loadable_and_site_labeled() {
-        let run = run(&quick_spec(Structure::Queue, Mechanism::Lrp));
-        let folded = run.blame.folded();
+        let (_, r) = profiled(&quick_queue(Mechanism::Lrp), None);
+        let folded = obs(&r).blame.folded();
         assert!(folded.lines().count() > 0);
         assert!(folded.contains("queue/"));
         for line in folded.lines() {
@@ -710,27 +712,21 @@ mod tests {
     #[test]
     fn attribution_does_not_change_simulated_timing() {
         // The profiler's recorder must be timing-invisible: the same
-        // spec with and without the recorder yields identical stats.
-        let spec = quick_spec(Structure::Queue, Mechanism::Lrp);
-        let trace = WorkloadSpec::new(spec.structure)
-            .initial_size(spec.initial_size)
-            .threads(spec.threads)
-            .ops_per_thread(spec.ops_per_thread)
-            .seed(spec.seed)
-            .build_trace();
-        let cfg = SimConfig::new(spec.mechanism).nvm_mode(spec.mode);
-        let plain = Sim::new(cfg.clone(), &trace).run();
-        let profiled = run(&spec);
+        // cell with and without the recorder yields identical stats.
+        let cell = quick_queue(Mechanism::Lrp);
+        let cfg = sim_config(cell.mechanism, cell.mode, None);
+        let plain = Sim::new(cfg, &build_trace(&cell)).run();
+        let (_, profiled) = profiled(&cell, None);
         assert_eq!(plain.stats, profiled.stats);
     }
 
     #[test]
     fn critpath_render_reports_segments_and_clean_conservation() {
-        let spec = quick_spec(Structure::Queue, Mechanism::Lrp);
-        let r = run(&spec);
-        assert!(!r.crit.is_empty(), "LRP quick run must trace releases");
-        assert_eq!(r.crit.audit.total_violations(), 0);
-        let rendered = render_critpath(&spec, &r, 10);
+        let (id, r) = profiled(&quick_queue(Mechanism::Lrp), None);
+        let crit = &obs(&r).crit;
+        assert!(!crit.is_empty(), "LRP quick run must trace releases");
+        assert_eq!(crit.audit.total_violations(), 0);
+        let rendered = render_critpath(&id, crit, 10);
         assert!(rendered.contains("nvm_queue"), "{rendered}");
         assert!(rendered.contains("conservation"), "{rendered}");
         assert!(!rendered.contains("CONSERVATION VIOLATIONS"), "{rendered}");
@@ -738,17 +734,17 @@ mod tests {
 
     #[test]
     fn critpath_diff_orders_by_share_shift_and_shows_mechanism_signatures() {
-        let a = quick_spec(Structure::Queue, Mechanism::Lrp);
-        let b = quick_spec(Structure::Queue, Mechanism::Bb);
-        let (ra, rb) = (run(&a), run(&b));
+        let (a_id, ra) = profiled(&quick_queue(Mechanism::Lrp), None);
+        let (b_id, rb) = profiled(&quick_queue(Mechanism::Bb), None);
+        let (ca, cb) = (&obs(&ra).crit, &obs(&rb).crit);
         // BB drains the store buffer at every release boundary; LRP
         // defers, so barrier_drain cycles belong to B only.
         assert_eq!(
-            ra.crit.seg_cycles[CritSegKind::BarrierDrain.idx()],
+            ca.seg_cycles[CritSegKind::BarrierDrain.idx()],
             0,
             "LRP issues no full-barrier drains"
         );
-        let rows = crit_diff(&ra.crit, &rb.crit);
+        let rows = crit_diff(ca, cb);
         assert_eq!(rows.len(), CritSegKind::ALL.len());
         for pair in rows.windows(2) {
             assert!(
@@ -756,7 +752,7 @@ mod tests {
                 "rows sorted by |share shift|"
             );
         }
-        let rendered = render_crit_diff(&a, &b, &rows);
+        let rendered = render_diff(&a_id, &ra, &b_id, &rb, 20);
         assert!(
             rendered.contains("differential critical path"),
             "{rendered}"

@@ -27,18 +27,7 @@ fn assert_documents(bin: &str, flags: &[&str]) {
 fn lrp_eval_help_documents_every_flag() {
     assert_documents(
         env!("CARGO_BIN_EXE_lrp-eval"),
-        &[
-            "quick",
-            "threads",
-            "ops",
-            "seed",
-            "structure",
-            "mech",
-            "mode",
-            "trace-out",
-            "metrics-out",
-            "sample-every",
-        ],
+        &["quick", "threads", "ops", "seed"],
     );
 }
 
@@ -46,17 +35,7 @@ fn lrp_eval_help_documents_every_flag() {
 fn lrp_trace_help_documents_every_flag() {
     assert_documents(
         env!("CARGO_BIN_EXE_lrp-trace"),
-        &[
-            "structure",
-            "size",
-            "threads",
-            "ops",
-            "seed",
-            "out",
-            "trace-out",
-            "metrics-out",
-            "sample-every",
-        ],
+        &["structure", "size", "threads", "ops", "seed", "out"],
     );
 }
 
@@ -77,6 +56,10 @@ fn lrp_profile_help_documents_every_flag() {
             "ret-capacity",
             "top",
             "folded-out",
+            "chains-out",
+            "trace-out",
+            "metrics-out",
+            "sample-every",
             "baseline",
             "current",
             "tol-ops",
@@ -136,27 +119,31 @@ fn lrp_bench_help_documents_the_serve_commands() {
 }
 
 #[test]
-fn lrp_profile_help_documents_the_critpath_commands() {
+fn lrp_profile_help_documents_run_diff_and_the_violation_exit() {
     let help = help_output(env!("CARGO_BIN_EXE_lrp-profile"));
-    for cmd in ["critpath", "critpath-diff"] {
+    for cmd in ["run", "diff", "gate"] {
         assert!(
             help.contains(&format!("lrp-profile {cmd}")),
             "lrp-profile --help mentions the {cmd} command:\n{help}"
         );
     }
+    for gone in ["critpath-diff", "lrp-profile critpath"] {
+        assert!(!help.contains(gone), "{gone} is gone:\n{help}");
+    }
     assert!(
-        help.contains("3  critpath conservation violation"),
+        help.contains("3  run/diff: invariant violations observed (I1-I4, critpath C1-C2)"),
         "lrp-profile --help documents exit 3:\n{help}"
     );
 }
 
 #[test]
-fn lrp_trace_help_documents_the_report_violation_exit() {
+fn lrp_trace_help_documents_the_check_violation_exit() {
     let help = help_output(env!("CARGO_BIN_EXE_lrp-trace"));
     assert!(
-        help.contains("3  report: invariant violations observed"),
+        help.contains("3  check: an RP violation or a null-recovery failure"),
         "lrp-trace --help documents exit 3:\n{help}"
     );
+    assert!(!help.contains("report"), "report is gone:\n{help}");
 }
 
 #[test]
@@ -304,21 +291,53 @@ fn unknown_flags_exit_2_with_usage() {
 fn workloads_the_simulator_cannot_replay_exit_2() {
     let eval = env!("CARGO_BIN_EXE_lrp-eval");
     let campaign = env!("CARGO_BIN_EXE_lrp-campaign");
+    let profile = env!("CARGO_BIN_EXE_lrp-profile");
+    let check = env!("CARGO_BIN_EXE_lrp-check");
     // A campaign that wrongly runs must not write into the source tree.
     let tmp = std::env::temp_dir().join(format!("lrp-cli-workload-{}", std::process::id()));
     let (out, bench) = (tmp.with_extension("jsonl"), tmp.with_extension("json"));
-    let cases: [(&str, &[&str], &str); 7] = [
+    let cases: [(&str, &[&str], &str); 13] = [
         (eval, &["fig5", "--quick", "--threads", "0"], "--threads"),
         (eval, &["fig5", "--quick", "--threads", "65"], "--threads"),
         (eval, &["fig5", "--quick", "--ops", "0"], "--ops"),
-        (
-            eval,
-            &["--structure", "queue", "--threads", "65"],
-            "--threads",
-        ),
         (campaign, &["--threads", "0"], "--threads"),
         (campaign, &["--threads", "2,65"], "--threads"),
         (campaign, &["--ops", "0"], "--ops"),
+        (
+            profile,
+            &["run", "--structure", "queue", "--threads", "65"],
+            "--threads",
+        ),
+        (
+            profile,
+            &["run", "--structure", "queue", "--threads", "0"],
+            "--threads",
+        ),
+        (
+            profile,
+            &["run", "--structure", "queue", "--ops", "0"],
+            "--ops",
+        ),
+        (
+            profile,
+            &["diff", "--structure", "queue", "--threads", "65"],
+            "--threads",
+        ),
+        (
+            check,
+            &["--structures", "queue", "--mechs", "lrp", "--threads", "65"],
+            "--threads",
+        ),
+        (
+            check,
+            &["--structures", "queue", "--mechs", "lrp", "--threads", "0"],
+            "--threads",
+        ),
+        (
+            check,
+            &["--structures", "queue", "--mechs", "lrp", "--ops", "0"],
+            "--ops",
+        ),
     ];
     for (bin, args, flag) in cases {
         let mut cmd = Command::new(bin);
@@ -327,6 +346,8 @@ fn workloads_the_simulator_cannot_replay_exit_2() {
                 .arg(&out)
                 .arg("--bench")
                 .arg(&bench);
+        } else if bin == check {
+            cmd.arg("cross-validate");
         }
         let run = cmd.args(args).output().expect("binary runs");
         let err = String::from_utf8_lossy(&run.stderr);

@@ -1,6 +1,7 @@
 //! Exit-code contract of `lrp-trace check`: 0 when every mechanism
 //! keeps RP and recovers at every sampled crash point, 3 when any
-//! mechanism breaks RP or fails null recovery.
+//! mechanism breaks RP or fails null recovery, 1 on a trace the
+//! simulator cannot replay.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -58,5 +59,50 @@ fn check_exits_zero_on_a_clean_trace_and_three_on_a_finding() {
     let text = String::from_utf8_lossy(&bad.stdout);
     assert_eq!(bad.status.code(), Some(3), "{text}");
     assert!(text.contains("RP=VIOLATED"), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Requires `lrp-trace check` and `lrp-profile run` to reject `trace`
+/// before replay: exit 1, one stderr line containing `why`, no panic.
+fn assert_rejected(trace: &Path, why: &str) {
+    for (bin, cmd) in [
+        (env!("CARGO_BIN_EXE_lrp-trace"), "check"),
+        (env!("CARGO_BIN_EXE_lrp-profile"), "run"),
+    ] {
+        let out = Command::new(bin)
+            .arg(cmd)
+            .arg(trace)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {err}");
+        assert!(!err.contains("panicked"), "{cmd}: {err}");
+        assert!(err.contains(why), "{cmd}: {err}");
+        assert_eq!(err.lines().count(), 1, "{cmd}: one-line error: {err}");
+    }
+}
+
+#[test]
+fn traces_the_simulator_cannot_replay_exit_1_before_replay() {
+    let dir = std::env::temp_dir().join(format!("lrp-trace-unreplayable-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // `gen` allows any thread count; the simulated machine has 64 cores.
+    gen_and_check(
+        &dir,
+        "t65.trace",
+        &["--structure", "queue", "--threads", "65", "--ops", "2"],
+    );
+    assert_rejected(&dir.join("t65.trace"), "65 threads");
+    // A trace that parses but fails validation: a 2-thread trace whose
+    // header claims one thread.
+    gen_and_check(
+        &dir,
+        "t2.trace",
+        &["--structure", "queue", "--threads", "2", "--ops", "2"],
+    );
+    let text = std::fs::read_to_string(dir.join("t2.trace")).unwrap();
+    let bad = dir.join("t2-as-1.trace");
+    std::fs::write(&bad, text.replacen("\nthreads 2\n", "\nthreads 1\n", 1)).unwrap();
+    assert_rejected(&bad, "out-of-range thread id");
     std::fs::remove_dir_all(&dir).ok();
 }
