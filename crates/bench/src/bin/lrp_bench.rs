@@ -1,23 +1,25 @@
-//! `lrp-bench` — host-side throughput benchmark and regression gate.
+//! `lrp-bench` — the host-side benchmarks and the one regression gate.
 //!
 //! ```text
 //! lrp-bench host --smoke --json-out BENCH_host.json
 //! lrp-bench gate --baseline baselines/BENCH_host.json \
-//!                --current BENCH_host.json --max-regression 2.0
+//!                --current BENCH_host.json
 //! ```
 //!
 //! `host` replays a (structure × mechanism) matrix through the full
 //! timing simulator and reports per-cell host throughput (simulated
-//! cycles/sec, harness ops/sec, allocations/op); `gate` compares two
-//! `BENCH_host.json` reports and fails (exit 1) when any cell's
-//! ops/sec regressed by more than the allowed factor. `serve` boots an
+//! cycles/sec, harness ops/sec, allocations/op). `serve` boots an
 //! in-process `lrp-serve` and measures end-to-end service throughput,
 //! durable-ack latency, shed rate and crash-recovery time
-//! (`BENCH_serve.json`); `serve-gate` compares two of those.
+//! (`BENCH_serve.json`). `gate` compares two reports of one type and
+//! one workload — campaign summaries, host reports or service reports —
+//! with each type's fixed bounds, and fails (exit 1) on a regression,
+//! on a comparison of no key, or on reports it cannot compare.
 
 use lrp_bench::alloc_count::CountingAlloc;
-use lrp_bench::cli::{die, gate_command, write_out, Cli};
+use lrp_bench::cli::{die, load_json, write_out, Cli};
 use lrp_bench::crashfuzz::{self, CrashFuzzSpec};
+use lrp_bench::gate::{gate, render_gate, verdict_json};
 use lrp_bench::host::{self, HostSpec};
 use lrp_bench::out;
 use lrp_bench::serve_bench::{self, ServeBenchSpec};
@@ -33,12 +35,9 @@ const USAGE: &str = "usage:\n  \
     lrp-bench host [--smoke] [--paper] [--jobs N] [--structures a,b,..]\n                 \
     [--mechs a,b,..] [--mode cached|uncached] [--threads N]\n                 \
     [--ops N] [--size N] [--seed N] [--samples N] [--json-out FILE]\n  \
-    lrp-bench gate --baseline FILE --current FILE\n                 \
-    [--max-regression F] [--json-out FILE]\n  \
+    lrp-bench gate --baseline FILE --current FILE [--json-out FILE]\n  \
     lrp-bench serve [--shards N] [--conns N] [--requests N] [--window N]\n                 \
     [--key-range N] [--read-pct N] [--seed N] [--json-out FILE]\n  \
-    lrp-bench serve-gate --baseline FILE --current FILE\n                 \
-    [--max-regression F] [--json-out FILE]\n  \
     lrp-bench crash-fuzz [--smoke] [--trials N] [--mechs a,b,..]\n                 \
     [--dists uniform,zipfian] [--structures S] [--key-range N]\n                 \
     [--batch N] [--warm N] [--seed N] [--json-out FILE]\n\n\
@@ -54,10 +53,17 @@ const USAGE: &str = "usage:\n  \
     --structures LIST  comma-separated subset (linkedlist,hashmap,bstree,\n                     \
     skiplist,queue)\n  \
     --mechs LIST       comma-separated subset (nop,sb,bb,lrp)\n  \
-    --json-out FILE    write the report (host/serve) or verdict (gates)\n  \
-    --max-regression F gate: fail a cell when current ops/sec falls below\n                     \
-    baseline/F (default 2.0; serve-gate default 3.0 --\n                     \
-    loopback service numbers are noisier than sim replays)\n  \
+    --json-out FILE    write the report (host/serve/crash-fuzz) or the\n                     \
+    gate verdict\n  \
+    gate judges two reports of one type and workload, read from the\n  \
+    baseline's type field:\n    \
+    campaign     fail a key whose ops/cycle fell over 20%\n                 \
+    (stall shares and latency percentiles shown)\n    \
+    host-bench   fail a cell whose ops/sec fell over 2x\n                 \
+    (allocations/op shown)\n    \
+    serve-bench  fail a cell whose ops/sec fell or durable p99 rose over\n                 \
+    3x, or whose shed rate rose over 0.25; fail a keyspace\n                 \
+    sweep whose largest keyspace is over 2x the smallest\n  \
     serve runs three cells against an in-process server: uniform, zipfian,\n  \
     zipfian with a mid-run crash-restart (client-observed recovery time);\n  \
     then times Shard::execute on 256..65536-key shards\n                 \
@@ -68,9 +74,12 @@ const USAGE: &str = "usage:\n  \
     (default: lrp,sb x uniform,zipfian x 50 trials = 200 crashes;\n                 \
     --smoke runs 5 trials per cell; --trials N sets trials per cell)\n\n\
     exit codes:\n  \
-    0  success (gates: no cell regressed beyond the allowed factor)\n  \
-    1  gate regression detected, or a file read/write/parse error\n  \
-    2  usage error (unknown flag or command, missing or invalid value)\n  \
+    0  success (gate: at least one key compared, none regressed)\n  \
+    1  gate: a regression, no key in both reports, or reports of\n     \
+    different types or workloads; or a file read/write/parse error\n  \
+    2  usage error (unknown flag or command, missing or invalid value,\n     \
+    host --threads outside 1..=64 or --ops 0, crash-fuzz\n     \
+    --structures queue)\n  \
     4  crash-fuzz found an exactly-once violation";
 
 fn main() {
@@ -94,7 +103,6 @@ fn main() {
     let read_pct: Option<u8> = cli.opt_parse("read-pct");
     let baseline: Option<String> = cli.opt("baseline");
     let current: Option<String> = cli.opt("current");
-    let max_regression: Option<f64> = cli.opt_parse("max-regression");
     let trials: Option<u64> = cli.opt_parse("trials");
     let dists: Option<Vec<KeyDist>> = cli.opt_list("dists");
     let batch: Option<usize> = cli.opt_parse("batch");
@@ -141,6 +149,7 @@ fn main() {
     match pos[0].as_str() {
         "host" => {
             let spec = host_spec();
+            cli.check_workload(&[spec.threads], spec.ops_per_thread);
             let report = host::run_host_jobs(&spec, jobs, |cell| {
                 eprintln!(
                     "  {:<24} {:>10.3} ms  ({:.0} ops/s)",
@@ -156,16 +165,18 @@ fn main() {
             }
         }
         "gate" => {
-            let k = max_regression.unwrap_or(2.0);
-            gate_command(
-                &cli,
-                "gate",
-                (baseline.as_deref(), current.as_deref()),
-                json_out.as_deref(),
-                |base, cur| host::gate_host(base, cur, k),
-                |v| host::gate_json(v, k),
-                |base, cur| host::render_gate_deltas(base, cur).unwrap_or_default(),
-            )
+            let (Some(base), Some(cur)) = (&baseline, &current) else {
+                cli.fail("gate needs --baseline and --current")
+            };
+            let verdict = gate(&load_json(base), &load_json(cur)).unwrap_or_else(|e| die(e));
+            if let Some(out) = &json_out {
+                write_out(out, &verdict_json(&verdict).to_pretty());
+                eprintln!("wrote gate verdict to {out}");
+            }
+            out!("{}", render_gate(&verdict));
+            if !verdict.pass() {
+                std::process::exit(1);
+            }
         }
         "serve" => {
             let mut spec = ServeBenchSpec::smoke();
@@ -214,18 +225,6 @@ fn main() {
                 eprintln!("wrote serve report to {out}");
             }
         }
-        "serve-gate" => {
-            let k = max_regression.unwrap_or(3.0);
-            gate_command(
-                &cli,
-                "serve-gate",
-                (baseline.as_deref(), current.as_deref()),
-                json_out.as_deref(),
-                |base, cur| serve_bench::gate_serve(base, cur, k),
-                |v| serve_bench::gate_json(v, k),
-                |_, _| String::new(),
-            )
-        }
         "crash-fuzz" => {
             let mut spec = if smoke {
                 CrashFuzzSpec::smoke()
@@ -234,6 +233,9 @@ fn main() {
             };
             if let Some(v) = fuzz_structures {
                 match v.as_slice() {
+                    [Structure::Queue] => cli.fail(
+                        "crash-fuzz drives the KV service; --structures queue is not servable",
+                    ),
                     [s] => spec.structure = *s,
                     _ => cli.fail("crash-fuzz takes exactly one --structures entry"),
                 }

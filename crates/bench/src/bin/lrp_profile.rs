@@ -1,11 +1,9 @@
-//! `lrp-profile` — the single-run profiler and the campaign perf gate.
+//! `lrp-profile` — the single-run profiler.
 //!
 //! ```text
 //! lrp-profile run  --structure queue --mech lrp --ret-capacity 4
 //! lrp-profile run  saved.trace --mech bb --chains-out chains.folded
 //! lrp-profile diff --structure queue --a lrp --b bb
-//! lrp-profile gate --baseline baselines/BENCH_baseline.json \
-//!                  --current BENCH_campaign.json --ops-only
 //! ```
 //!
 //! `run` replays one workload with the recorder attached and prints
@@ -18,12 +16,11 @@
 //! mechanisms and ranks the blame deltas and the critical-path share
 //! shifts. The workload is a saved trace file or one generated from
 //! `--structure` and the workload flags. `run` and `diff` exit 3 on any
-//! I1–I4 or C1–C2 violation. `gate` compares two `BENCH_campaign.json`
-//! summaries and fails (exit 1) on out-of-tolerance regressions.
+//! I1–I4 or C1–C2 violation.
 
-use lrp_bench::cli::{gate_command, load_replayable, write_out, Cli};
+use lrp_bench::cli::{load_replayable, write_out, Cli};
 use lrp_bench::out;
-use lrp_bench::profile::{self, GateTolerances};
+use lrp_bench::profile;
 use lrp_campaign::{build_trace, CellSpec};
 use lrp_lfds::Structure;
 use lrp_obs::{chrome, metrics, ObsReport};
@@ -36,9 +33,7 @@ const USAGE: &str = "usage:\n  \
     [--trace-out FILE] [--metrics-out FILE] [--sample-every N]\n  \
     lrp-profile diff [FILE] [--structure S] [--a MECH] [--b MECH] [--mode M]\n                   \
     [--threads N] [--ops N] [--size N] [--seed N]\n                   \
-    [--ret-capacity N] [--top N]\n  \
-    lrp-profile gate --baseline FILE --current FILE [--tol-ops F]\n                   \
-    [--tol-stall F] [--tol-latency F] [--ops-only] [--json-out FILE]\n\n\
+    [--ret-capacity N] [--top N]\n\n\
     workload: a saved trace FILE (lrp-trace gen), or one generated from\n  \
     --structure <linkedlist|hashmap|bstree|skiplist|queue> and the\n  \
     --threads/--ops/--size/--seed flags (--threads 1 to 64, one per core)\n\n\
@@ -50,15 +45,11 @@ const USAGE: &str = "usage:\n  \
     --chains-out FILE    write folded critical-path chains\n  \
     --trace-out FILE     write a Chrome trace-event JSON timeline\n  \
     --metrics-out FILE   write JSONL metrics (stats, histograms, blame, audit)\n  \
-    --sample-every N     record time-series samples every N cycles (0 = off)\n  \
-    --tol-ops 0.20       maximum fractional ops/cycle drop\n  \
-    --tol-stall 0.05     maximum absolute stall-share increase\n  \
-    --tol-latency 0.50   maximum fractional latency p50/p99 increase\n  \
-    --ops-only           gate on ops/cycle only (the CI posture)\n\n\
+    --sample-every N     record time-series samples every N cycles (0 = off)\n\n\
     exit codes:\n  \
-    0  success (gate: every check within tolerance)\n  \
-    1  gate regression detected, a file read/write/parse error, or a trace\n     \
-    FILE the simulator cannot replay (malformed, or more threads than cores)\n  \
+    0  success\n  \
+    1  a file read/write/parse error, or a trace FILE the simulator\n     \
+    cannot replay (malformed, or more threads than cores)\n  \
     2  usage error (unknown flag or command, missing or invalid value,\n     \
     --threads outside 1..=64 or --ops 0)\n  \
     3  run/diff: invariant violations observed (I1-I4, critpath C1-C2)";
@@ -81,31 +72,8 @@ fn main() {
     let trace_out: Option<String> = cli.opt("trace-out");
     let metrics_out: Option<String> = cli.opt("metrics-out");
     let sample_every = cli.opt_parse("sample-every").unwrap_or(0u64);
-    let baseline: Option<String> = cli.opt("baseline");
-    let current: Option<String> = cli.opt("current");
-    let tol = GateTolerances {
-        ops_frac: cli.opt_parse("tol-ops").unwrap_or(0.20),
-        stall_share: cli.opt_parse("tol-stall").unwrap_or(0.05),
-        latency_frac: cli.opt_parse("tol-latency").unwrap_or(0.50),
-        ops_only: cli.flag("ops-only"),
-    };
-    let json_out: Option<String> = cli.opt("json-out");
     let pos = cli.positionals(1, 2);
     let cmd = pos[0].as_str();
-    if cmd == "gate" {
-        if pos.len() > 1 {
-            cli.fail("gate takes no trace file");
-        }
-        return gate_command(
-            &cli,
-            "gate",
-            (baseline.as_deref(), current.as_deref()),
-            json_out.as_deref(),
-            |base, cur| profile::gate(base, cur, &tol),
-            |v| profile::verdict_json(v, &tol),
-            |_, _| String::new(),
-        );
-    }
     if cmd != "run" && cmd != "diff" {
         cli.fail(format!("unknown command {cmd:?}"));
     }

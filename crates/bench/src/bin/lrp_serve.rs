@@ -54,7 +54,8 @@ const USAGE: &str = "usage:\n  \
     exit codes:\n  \
     0  clean shutdown, durability contract held\n  \
     1  I/O error (bind, port-file, or metrics-out write)\n  \
-    2  usage error (unknown flag, missing or invalid value)\n  \
+    2  usage error (unknown flag, missing or invalid value,\n     \
+    --sim-threads outside 2..=64)\n  \
     4  durability violation: a durably-acked write was lost across a\n       \
     crash-restart, or a null-recovery validation failed";
 
@@ -101,6 +102,7 @@ fn main() {
     if sim_threads < 2 {
         cli.fail("--sim-threads must be at least 2 (single-threaded batches rarely persist under lazy mechanisms)");
     }
+    cli.check_threads("sim-threads", &[sim_threads]);
     let uds_path = uds.clone();
     let bind = match (uds, bind_addr) {
         (Some(_), Some(_)) => cli.fail("--bind and --uds are mutually exclusive"),

@@ -18,10 +18,9 @@
 //! [`outln!`](crate::outln) macros), JSON file I/O that exits 1 on
 //! failure ([`load_json`], [`write_out`]), trace-file loading that
 //! exits 1 on a trace the simulator cannot replay
-//! ([`load_replayable`]), the gate subcommand ([`gate_command`]) and the
-//! unhealthy-cell report ([`report_unhealthy`]).
+//! ([`load_replayable`]) and the unhealthy-cell report
+//! ([`report_unhealthy`]).
 
-use crate::gate::{render_gate, GateVerdict};
 use lrp_campaign::CellRecord;
 use lrp_model::{codec, Trace};
 use lrp_obs::Json;
@@ -157,14 +156,18 @@ impl Cli {
     /// Exits 2 unless every `threads` count fits the simulated machine
     /// (one worker per core) and `ops_per_thread` is at least 1.
     pub fn check_workload(&self, threads: &[u16], ops_per_thread: usize) {
-        let cores = machine_cores();
-        if let Some(t) = threads.iter().find(|&&t| t == 0 || t as usize > cores) {
-            self.fail(format!(
-                "--threads {t} is outside 1..={cores}, one per core"
-            ));
-        }
+        self.check_threads("threads", threads);
         if ops_per_thread == 0 {
             self.fail("--ops must be at least 1");
+        }
+    }
+
+    /// Exits 2 unless every count given by `--flag` is between 1 and the
+    /// simulated machine's cores (one worker per core).
+    pub fn check_threads(&self, flag: &str, threads: &[u16]) {
+        let cores = machine_cores();
+        if let Some(t) = threads.iter().find(|&&t| t == 0 || t as usize > cores) {
+            self.fail(format!("--{flag} {t} is outside 1..={cores}, one per core"));
         }
     }
 
@@ -235,36 +238,6 @@ pub fn load_json(path: &str) -> Json {
 /// Writes `text` to `path`; exits 1 with a message on failure.
 pub fn write_out(path: &str, text: &str) {
     std::fs::write(path, text).unwrap_or_else(|e| die(format!("cannot write {path}: {e}")));
-}
-
-/// The body of every gate subcommand: reads the `--baseline` and
-/// `--current` documents, gates them, writes the verdict's `doc` to
-/// `json_out`, prints `preamble`'s output and the verdict, and exits 1
-/// on a regression or a bad document. `what` names the verdict in
-/// progress messages.
-pub fn gate_command(
-    cli: &Cli,
-    what: &str,
-    paths: (Option<&str>, Option<&str>),
-    json_out: Option<&str>,
-    gate: impl FnOnce(&Json, &Json) -> Result<GateVerdict, String>,
-    doc: impl FnOnce(&GateVerdict) -> Json,
-    preamble: impl FnOnce(&Json, &Json) -> String,
-) {
-    let (Some(base_path), Some(cur_path)) = paths else {
-        cli.fail(format!("{what} needs --baseline and --current"))
-    };
-    let (base, cur) = (load_json(base_path), load_json(cur_path));
-    let verdict = gate(&base, &cur).unwrap_or_else(|e| die(e));
-    if let Some(out) = json_out {
-        write_out(out, &doc(&verdict).to_pretty());
-        eprintln!("wrote {what} verdict to {out}");
-    }
-    out!("{}", preamble(&base, &cur));
-    out!("{}", render_gate(&verdict));
-    if !verdict.pass() {
-        std::process::exit(1);
-    }
 }
 
 /// Prints each failed, timed-out or RP/recovery-unhealthy cell of a

@@ -14,12 +14,11 @@
 //! * `allocs_per_op` — heap allocations per harness op, when the
 //!   counting allocator from [`crate::alloc_count`] is installed.
 //!
-//! [`gate_host`] compares two reports and fails any cell whose
-//! ops/sec dropped by more than the allowed factor — the CI regression
-//! gate of the hot-path overhaul, built on [`crate::gate`].
+//! [`crate::gate`] compares two reports and fails any cell whose
+//! ops/sec dropped by more than a factor of two.
 
 use crate::alloc_count;
-use crate::gate::{check_factor, paired, Bound, GateVerdict, Rows};
+use crate::gate::{paired, Bound, GateVerdict, Rows};
 use lrp_lfds::{Structure, WorkloadSpec};
 use lrp_model::Trace;
 use lrp_obs::Json;
@@ -370,39 +369,36 @@ pub fn render_report(r: &HostReport) -> String {
     out
 }
 
-fn host_err(msg: impl Into<String>) -> String {
-    format!("bad host-bench report: {}", msg.into())
-}
+/// Host ops/sec may fall at most by this factor: CI runners are noisy
+/// and heterogeneous.
+const OPS_PER_SEC: Bound = Bound::FactorFloor(2.0);
+/// Allocations per op are shown, not gated.
+const ALLOCS_PER_OP: Bound = Bound::Info(0.0);
 
 /// One cell's comparable metrics pulled out of a `BENCH_host.json`
 /// document.
 struct CellRow {
     ops_per_sec: f64,
-    wall_ms_min: f64,
     allocs_per_op: Option<f64>,
 }
 
 /// Extracts the per-cell metric rows, keyed `structure/mechanism`, from
 /// a `BENCH_host.json` document.
 fn extract(doc: &Json) -> Result<Rows<CellRow>, String> {
-    if doc.get("type").and_then(Json::as_str) != Some("host-bench") {
-        return Err(host_err("missing type: \"host-bench\""));
-    }
     let cells = doc
         .get("cells")
         .and_then(Json::as_arr)
-        .ok_or_else(|| host_err("missing cells array"))?;
+        .ok_or("missing cells array")?;
     let mut out = Vec::new();
     for c in cells {
-        let structure = c.field_str("structure").map_err(host_err)?;
-        let mechanism = c.field_str("mechanism").map_err(host_err)?;
+        let structure = c.field_str("structure")?;
+        let mechanism = c.field_str("mechanism")?;
         let ops = c
             .get("ops_per_sec")
             .and_then(Json::as_f64)
-            .ok_or_else(|| host_err("cell without ops_per_sec"))?;
+            .ok_or("cell without ops_per_sec")?;
         let row = CellRow {
             ops_per_sec: ops,
-            wall_ms_min: c.get("wall_ms_min").and_then(Json::as_f64).unwrap_or(0.0),
             allocs_per_op: c.get("allocs_per_op").and_then(Json::as_f64),
         };
         out.push((format!("{structure}/{mechanism}"), row));
@@ -410,81 +406,28 @@ fn extract(doc: &Json) -> Result<Rows<CellRow>, String> {
     Ok(out)
 }
 
-/// Renders the per-cell wall-clock and allocations-per-op movement of
-/// `current` against `baseline` as an aligned table — the human view
-/// beside the machine-readable gate verdict. Only keys present in both
-/// reports appear (the gate ignores one-sided cells too).
-pub fn render_gate_deltas(baseline: &Json, current: &Json) -> Result<String, String> {
-    let base = extract(baseline)?;
-    let cur = extract(current)?;
-    let mut out = format!(
-        "{:<24} {:>10} {:>10} {:>8} {:>10} {:>10} {:>8}\n",
-        "cell", "base ms", "cur ms", "wall", "base a/op", "cur a/op", "allocs",
-    );
-    let mut compared = 0;
-    for (key, b, c) in paired(&base, &cur) {
-        compared += 1;
-        let (bw, cw) = (b.wall_ms_min, c.wall_ms_min);
-        let wall_delta = if bw > 0.0 {
-            format!("{:+.0}%", (cw / bw - 1.0) * 100.0)
-        } else {
-            "-".to_string()
-        };
-        let (ba, ca, alloc_delta) = match (b.allocs_per_op, c.allocs_per_op) {
-            (Some(ba), Some(ca)) if ba > 0.0 => (
-                format!("{ba:.1}"),
-                format!("{ca:.1}"),
-                format!("{:+.0}%", (ca / ba - 1.0) * 100.0),
-            ),
-            (Some(ba), Some(ca)) => (format!("{ba:.1}"), format!("{ca:.1}"), "-".to_string()),
-            (b, c) => (
-                b.map(|a| format!("{a:.1}")).unwrap_or_else(|| "-".into()),
-                c.map(|a| format!("{a:.1}")).unwrap_or_else(|| "-".into()),
-                "-".to_string(),
-            ),
-        };
-        out.push_str(&format!(
-            "{:<24} {:>10.3} {:>10.3} {:>8} {:>10} {:>10} {:>8}\n",
-            key, bw, cw, wall_delta, ba, ca, alloc_delta,
-        ));
-    }
-    out.push_str(&format!("({compared} cells compared)\n"));
-    Ok(out)
-}
-
-/// Gates `current` against `baseline`: a cell fails when its ops/sec
-/// dropped below `baseline / max_regression` (2.0 = tolerate anything
-/// better than a 2x slowdown — CI runners are noisy and heterogeneous).
-pub fn gate_host(
-    baseline: &Json,
-    current: &Json,
-    max_regression: f64,
-) -> Result<GateVerdict, String> {
-    check_factor(max_regression)?;
+/// Compares two `BENCH_host.json` reports ([`crate::gate::gate`] checks
+/// their type and workload first): a cell fails when its ops/sec fell
+/// below [`OPS_PER_SEC`]; its allocations per op are shown beside it.
+pub(crate) fn gate_host(baseline: &Json, current: &Json) -> Result<GateVerdict, String> {
     let (base, cur) = (extract(baseline)?, extract(current)?);
-    let bound = Bound::FactorFloor(max_regression);
     let mut v = GateVerdict::default();
     for (key, b, c) in paired(&base, &cur) {
         v.compared += 1;
         v.checks
-            .push(bound.check(key, "ops_per_sec", b.ops_per_sec, c.ops_per_sec));
+            .push(OPS_PER_SEC.check(key, "ops_per_sec", b.ops_per_sec, c.ops_per_sec));
+        if let (Some(ba), Some(ca)) = (b.allocs_per_op, c.allocs_per_op) {
+            v.checks
+                .push(ALLOCS_PER_OP.check(key, "allocs_per_op", ba, ca));
+        }
     }
     Ok(v)
-}
-
-/// Serializes a host gate verdict.
-pub fn gate_json(v: &GateVerdict, max_regression: f64) -> Json {
-    let header = vec![
-        ("compared_keys", Json::U64(v.compared as u64)),
-        ("max_regression", Json::F64(max_regression)),
-    ];
-    crate::gate::verdict_json("host-gate", header, v)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gate::render_gate;
+    use crate::gate::{gate, render_gate};
 
     fn tiny_spec() -> HostSpec {
         HostSpec {
@@ -511,15 +454,15 @@ mod tests {
         let rows = extract(&doc).unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].0, "queue/nop");
-        assert!(rows
-            .iter()
-            .all(|(_, r)| r.ops_per_sec > 0.0 && r.wall_ms_min > 0.0));
+        assert!(rows.iter().all(|(_, r)| r.ops_per_sec > 0.0));
         let rendered = render_report(&report);
         assert!(rendered.contains("queue/lrp"));
-        let deltas = render_gate_deltas(&doc, &doc).unwrap();
+        let gated = render_gate(&gate(&doc, &doc).unwrap());
         assert!(
-            deltas.contains("queue/nop") && deltas.contains("+0%"),
-            "{deltas}"
+            gated.lines().any(|l| l.starts_with("queue/nop")
+                && l.contains("ops_per_sec")
+                && l.contains("+0.0%")),
+            "{gated}"
         );
     }
 
@@ -527,7 +470,7 @@ mod tests {
     fn host_gate_passes_self_and_fails_2x_regression() {
         let report = run_host(&tiny_spec(), |_| {});
         let doc = report_json(&report);
-        let v = gate_host(&doc, &doc, 2.0).unwrap();
+        let v = gate(&doc, &doc).unwrap();
         assert!(v.pass(), "{}", render_gate(&v));
         assert_eq!(v.compared, 2);
 
@@ -536,12 +479,30 @@ mod tests {
         for c in &mut slow.cells {
             c.wall_ms_min *= 4.0;
         }
-        let v = gate_host(&doc, &report_json(&slow), 2.0).unwrap();
+        let v = gate(&doc, &report_json(&slow)).unwrap();
         assert!(!v.pass());
         assert!(v.failures().iter().all(|c| c.metric == "ops_per_sec"));
+    }
 
-        // ...and passes a permissive 8x gate.
-        assert!(gate_host(&doc, &report_json(&slow), 8.0).unwrap().pass());
+    #[test]
+    fn host_gate_shows_allocs_per_op_without_gating_it() {
+        let mut report = run_host(&tiny_spec(), |_| {});
+        for c in &mut report.cells {
+            c.allocs_per_op = Some(1.0);
+        }
+        let doc = report_json(&report);
+        for c in &mut report.cells {
+            c.allocs_per_op = Some(100.0);
+        }
+        let v = gate(&doc, &report_json(&report)).unwrap();
+        assert!(v.pass(), "{}", render_gate(&v));
+        let allocs: Vec<_> = v
+            .checks
+            .iter()
+            .filter(|c| c.metric == "allocs_per_op")
+            .collect();
+        assert_eq!(allocs.len(), 2);
+        assert!(render_gate(&v).contains("+9900.0%"));
     }
 
     #[test]
@@ -562,16 +523,18 @@ mod tests {
     #[test]
     fn host_gate_rejects_junk_documents() {
         let junk = Json::obj([("type", Json::Str("campaign".to_string()))]);
-        assert!(gate_host(&junk, &junk, 2.0).is_err());
-        let empty = Json::obj([
+        assert!(gate(&junk, &junk).is_err());
+        let cell_without_ops = Json::obj([
             ("type", Json::Str("host-bench".to_string())),
-            ("cells", Json::Arr(Vec::new())),
+            (
+                "cells",
+                Json::Arr(vec![Json::obj([
+                    ("structure", Json::Str("queue".to_string())),
+                    ("mechanism", Json::Str("lrp".to_string())),
+                ])]),
+            ),
         ]);
-        assert!(gate_host(&empty, &empty, 2.0).unwrap().pass());
-        assert!(
-            gate_host(&empty, &empty, 0.5).is_err(),
-            "factor < 1 rejected"
-        );
+        assert!(gate(&cell_without_ops, &cell_without_ops).is_err());
     }
 
     #[test]

@@ -6,13 +6,12 @@
 //! `lrp-campaign` cells, run once over shared traces; the `lrp-eval`
 //! binary prints them as paper-style text tables. The `lrp-campaign`
 //! binary drives the `lrp-campaign` crate's parallel evaluation-campaign
-//! runner. All binaries share [`cli`]: the flag parser, file I/O, the
-//! gate subcommand body and the instrumented-run report. Every
-//! regression gate runs on the one [`gate`] engine. The `lrp-profile`
-//! binary wraps [`profile`], the persist-blame profiler: per-site
-//! attribution of stall cycles and persist latency, LRP-vs-baseline
-//! differentials, folded-stacks flame-graph export, and the
-//! perf-regression gate over `BENCH_campaign.json` summaries.
+//! runner. All binaries share [`cli`]: the flag parser, file I/O and
+//! the unhealthy-cell report. `lrp-bench gate`, the one regression
+//! gate, judges campaign, host and service reports with [`gate`]. The
+//! `lrp-profile` binary wraps [`profile`], the persist-blame profiler:
+//! per-site attribution of stall cycles and persist latency,
+//! LRP-vs-baseline differentials and folded-stacks flame-graph export.
 //!
 //! Full-size figure generation is about a minute of CPU;
 //! `--quick` keeps CI at seconds.

@@ -1,7 +1,6 @@
 //! The single-run profiler behind the `lrp-profile` binary.
 //!
-//! Two views of instrumented replays ([`run`]) of one workload trace,
-//! and the campaign gate:
+//! Two views of instrumented replays ([`run`]) of one workload trace:
 //!
 //! * [`render_report`] — everything one run reports: the simulator's
 //!   stat dump, the observability histograms, the I1–I4 audit, the
@@ -10,18 +9,12 @@
 //! * [`render_diff`] — the same trace under two mechanisms, as the
 //!   per-`(site, cause)` blame delta and the critical-path segment share
 //!   shift. This is the LRP-vs-baseline view: RET-full drains show up
-//!   under LRP sites, full-barrier drains under BB/SB sites;
-//! * [`gate`] — a perf-regression gate over two `BENCH_campaign.json`
-//!   summaries, comparing ops/cycle, stall-cycle shares, and latency
-//!   p50/p99 per `(structure, mode, threads, mechanism)` key against
-//!   per-metric tolerances.
+//!   under LRP sites, full-barrier drains under BB/SB sites.
 
-use crate::gate::{paired, Bound, GateVerdict, Rows};
 use lrp_model::Trace;
 use lrp_obs::blame::diff;
-use lrp_obs::{metrics, BlameTable, CritSegKind, CritSummary, Json, ObsReport, RecorderConfig};
+use lrp_obs::{metrics, BlameTable, CritSegKind, CritSummary, ObsReport, RecorderConfig};
 use lrp_sim::{Mechanism, NvmMode, RunResult, Sim, SimConfig, Stats};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// The simulator configuration of a profile: `mechanism` in `mode`,
@@ -336,172 +329,11 @@ pub fn render_diff(a_id: &str, a: &RunResult, b_id: &str, b: &RunResult, top: us
     out
 }
 
-/// Per-metric regression tolerances for [`gate`].
-#[derive(Debug, Clone)]
-pub struct GateTolerances {
-    /// Maximum fractional ops/cycle drop (0.20 = fail below 80% of
-    /// baseline throughput).
-    pub ops_frac: f64,
-    /// Maximum absolute increase of any stall cause's share of total
-    /// cycles (0.05 = fail when a cause grows by more than 5 points).
-    pub stall_share: f64,
-    /// Maximum fractional increase of latency p50/p99 (0.50 = fail
-    /// above 150% of baseline).
-    pub latency_frac: f64,
-    /// When set, only ops/cycle is gated (stall shares and latency
-    /// percentiles are reported as informational checks that always
-    /// pass). This is the CI posture: fail the build on throughput
-    /// regressions only.
-    pub ops_only: bool,
-}
-
-impl Default for GateTolerances {
-    fn default() -> Self {
-        GateTolerances {
-            ops_frac: 0.20,
-            stall_share: 0.05,
-            latency_frac: 0.50,
-            ops_only: false,
-        }
-    }
-}
-
-fn summary_err(msg: impl Into<String>) -> String {
-    format!("bad campaign summary: {}", msg.into())
-}
-
-/// The metrics the gate extracts per matrix key.
-#[derive(Debug, Clone, Default)]
-struct KeyMetrics {
-    ops_per_cycle: Option<f64>,
-    /// `(cause name, stall cycles / total cycles)`.
-    stall_shares: Vec<(String, f64)>,
-    /// `(hist/percentile label, cycles)`.
-    latencies: Vec<(String, f64)>,
-}
-
-/// Extracts gate metrics from a `BENCH_campaign.json` document, keyed
-/// by `structure/mode/tN/mechanism` in key order (skipping keys with no
-/// ok cells).
-fn extract(doc: &Json) -> Result<Rows<KeyMetrics>, String> {
-    if doc.get("type").and_then(Json::as_str) != Some("campaign") {
-        return Err(summary_err("missing type: \"campaign\""));
-    }
-    let groups = doc
-        .get("groups")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| summary_err("missing groups array"))?;
-    let mut keys = BTreeMap::new();
-    for g in groups {
-        let structure = g.field_str("structure").map_err(summary_err)?;
-        let mode = g.field_str("mode").map_err(summary_err)?;
-        let threads = g.field_u64("threads").map_err(summary_err)?;
-        let mechs = g
-            .get("mechanisms")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| summary_err("group without mechanisms"))?;
-        for m in mechs {
-            if m.get("ok").and_then(Json::as_u64).unwrap_or(0) == 0 {
-                continue;
-            }
-            let mech = m.field_str("mechanism").map_err(summary_err)?;
-            let key = format!("{structure}/{mode}/t{threads}/{mech}");
-            let mut metrics = KeyMetrics::default();
-            if let Some(stats) = m.get("merged_stats") {
-                let cycles = stats.get("cycles").and_then(Json::as_f64).unwrap_or(0.0);
-                let ops = stats.get("ops").and_then(Json::as_f64).unwrap_or(0.0);
-                if cycles > 0.0 {
-                    metrics.ops_per_cycle = Some(ops / cycles);
-                    if let Some(Json::Obj(stalls)) = stats.get("stalls") {
-                        for (cause, v) in stalls {
-                            let share = v.as_f64().unwrap_or(0.0) / cycles;
-                            metrics.stall_shares.push((cause.clone(), share));
-                        }
-                    }
-                }
-            }
-            if let Some(hists) = m.get("hists") {
-                for name in ["flush_to_ack", "release_to_persist"] {
-                    let Some(h) = hists.get(name) else { continue };
-                    let h = lrp_obs::metrics::parse_hist(h).map_err(summary_err)?;
-                    if h.is_empty() {
-                        continue;
-                    }
-                    for (label, p) in [("p50", 0.5), ("p99", 0.99)] {
-                        metrics
-                            .latencies
-                            .push((format!("{name}/{label}"), h.percentile(p) as f64));
-                    }
-                }
-            }
-            keys.insert(key, metrics);
-        }
-    }
-    Ok(keys.into_iter().collect())
-}
-
-/// Compares two campaign summaries. Stall shares missing from the
-/// current summary count as zero; under `ops_only` everything but
-/// ops/cycle is informational.
-pub fn gate(baseline: &Json, current: &Json, tol: &GateTolerances) -> Result<GateVerdict, String> {
-    let (base, cur) = (extract(baseline)?, extract(current)?);
-    let ops = Bound::FracFloor(tol.ops_frac);
-    let (stall, latency) = if tol.ops_only {
-        (Bound::Info(tol.stall_share), Bound::Info(tol.latency_frac))
-    } else {
-        (
-            Bound::Slack(tol.stall_share),
-            Bound::FracCeil(tol.latency_frac),
-        )
-    };
-    let mut v = GateVerdict::default();
-    for (key, b, c) in paired(&base, &cur) {
-        v.compared += 1;
-        if let (Some(b_opc), Some(c_opc)) = (b.ops_per_cycle, c.ops_per_cycle) {
-            v.checks.push(ops.check(key, "ops_per_cycle", b_opc, c_opc));
-        }
-        for (cause, b_share) in &b.stall_shares {
-            let c_share = c
-                .stall_shares
-                .iter()
-                .find(|(name, _)| name == cause)
-                .map_or(0.0, |&(_, s)| s);
-            let metric = format!("stall_share/{cause}");
-            v.checks.push(stall.check(key, &metric, *b_share, c_share));
-        }
-        for (label, b_lat) in &b.latencies {
-            let Some(&(_, c_lat)) = c.latencies.iter().find(|(l, _)| l == label) else {
-                continue;
-            };
-            v.checks.push(latency.check(key, label, *b_lat, c_lat));
-        }
-    }
-    Ok(v)
-}
-
-/// The gate verdict as a machine-readable JSON document.
-pub fn verdict_json(v: &GateVerdict, tol: &GateTolerances) -> Json {
-    let tolerances = Json::obj([
-        ("ops_frac", Json::F64(tol.ops_frac)),
-        ("stall_share", Json::F64(tol.stall_share)),
-        ("latency_frac", Json::F64(tol.latency_frac)),
-        ("ops_only", Json::Bool(tol.ops_only)),
-    ]);
-    let header = vec![
-        ("compared_keys", Json::U64(v.compared as u64)),
-        ("tolerances", tolerances),
-    ];
-    crate::gate::verdict_json("gate", header, v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::figures::Shape;
-    use crate::gate::render_gate;
-    use lrp_campaign::{
-        build_trace, run_campaign, summarize, summary_json, CampaignConfig, CellSpec, MatrixSpec,
-    };
+    use lrp_campaign::{build_trace, CellSpec};
     use lrp_lfds::Structure;
     use lrp_obs::blame::BlameCause;
 
@@ -605,108 +437,6 @@ mod tests {
             assert_eq!(stack.split(';').count(), 3, "bad folded line {line:?}");
             count.parse::<u64>().unwrap();
         }
-    }
-
-    fn smoke_summary() -> Json {
-        let matrix = MatrixSpec::smoke();
-        let records = run_campaign(
-            matrix.cells(),
-            &CampaignConfig {
-                workers: 1,
-                ..CampaignConfig::default()
-            },
-            |_| {},
-        );
-        summary_json(&matrix, &summarize(&matrix, &records))
-    }
-
-    /// Multiplies every `merged_stats.cycles` by `num/den`, which moves
-    /// ops/cycle by the inverse factor.
-    fn scale_merged_cycles(doc: &mut Json, num: u64, den: u64) {
-        match doc {
-            Json::Obj(pairs) => {
-                for (k, v) in pairs.iter_mut() {
-                    if k == "merged_stats" {
-                        if let Json::Obj(stats) = v {
-                            for (sk, sv) in stats.iter_mut() {
-                                if sk == "cycles" {
-                                    if let Json::U64(n) = sv {
-                                        *sv = Json::U64(*n * num / den);
-                                    }
-                                }
-                            }
-                        }
-                    } else {
-                        scale_merged_cycles(v, num, den);
-                    }
-                }
-            }
-            Json::Arr(items) => {
-                for item in items.iter_mut() {
-                    scale_merged_cycles(item, num, den);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    #[test]
-    fn gate_passes_baseline_against_itself_and_fails_a_25pct_regression() {
-        let baseline = smoke_summary();
-        let tol = GateTolerances::default();
-
-        let self_check = gate(&baseline, &baseline, &tol).unwrap();
-        assert!(self_check.pass(), "{}", render_gate(&self_check));
-        assert!(self_check.compared > 0);
-
-        // 4/3 more cycles for the same ops => ops/cycle drops 25%,
-        // beyond the default 20% tolerance.
-        let mut current = baseline.clone();
-        scale_merged_cycles(&mut current, 4, 3);
-        let v = gate(&baseline, &current, &tol).unwrap();
-        assert!(!v.pass());
-        assert!(
-            v.failures().iter().all(|c| c.metric == "ops_per_cycle"),
-            "only throughput regressed: {}",
-            render_gate(&v)
-        );
-
-        // The same regression with ops-only gating still fails.
-        let ops_only = GateTolerances {
-            ops_only: true,
-            ..GateTolerances::default()
-        };
-        assert!(!gate(&baseline, &current, &ops_only).unwrap().pass());
-
-        // A tolerance looser than the regression passes.
-        let loose = GateTolerances {
-            ops_frac: 0.30,
-            ..GateTolerances::default()
-        };
-        assert!(gate(&baseline, &current, &loose).unwrap().pass());
-    }
-
-    #[test]
-    fn gate_verdict_json_is_machine_readable() {
-        let baseline = smoke_summary();
-        let tol = GateTolerances::default();
-        let v = gate(&baseline, &baseline, &tol).unwrap();
-        let doc = Json::parse(&verdict_json(&v, &tol).to_pretty()).unwrap();
-        assert_eq!(doc.get("type").and_then(Json::as_str), Some("gate"));
-        assert_eq!(doc.get("pass").and_then(Json::as_bool), Some(true));
-        assert!(doc.get("checks").and_then(Json::as_arr).is_some());
-        assert_eq!(
-            doc.get("tolerances")
-                .and_then(|t| t.get("ops_frac"))
-                .and_then(Json::as_f64),
-            Some(0.20)
-        );
-    }
-
-    #[test]
-    fn gate_rejects_non_campaign_documents() {
-        let junk = Json::obj([("type", Json::Str("gate".to_string()))]);
-        assert!(gate(&junk, &junk, &GateTolerances::default()).is_err());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! End-to-end service benchmark (`lrp-bench serve` / `serve-gate`).
+//! End-to-end service benchmark (`lrp-bench serve`).
 //!
 //! Boots an in-process [`lrp_serve::Server`] on a loopback port and
 //! drives it with [`lrp_serve::run_load`] across three cells:
@@ -18,14 +18,13 @@
 //! host noise reaches every row alike. A shard commits each batch as a
 //! delta, so the per-batch cost must not grow with the keyspace.
 //!
-//! [`report_json`] emits the `BENCH_serve.json` document and
-//! [`gate_serve`] compares two documents for CI, reusing the
-//! rule-table engine of [`crate::gate`]. Wall-clock service
-//! numbers are far noisier than the simulator's host benches (thread
-//! scheduling, loopback TCP), so the default regression factor is
+//! [`report_json`] emits the `BENCH_serve.json` document, which
+//! [`crate::gate`] compares for CI. Wall-clock service numbers are far
+//! noisier than the simulator's host benches (thread scheduling,
+//! loopback TCP), so the regression factor ([`SERVE_FACTOR`]) is
 //! generous and the shed-rate check is an absolute-delta bound.
 
-use crate::gate::{check_factor, paired, Bound, GateCheck, GateVerdict, Rows};
+use crate::gate::{paired, Bound, GateCheck, GateVerdict, Rows};
 use lrp_exec::Xorshift64;
 use lrp_lfds::{KeyDist, Structure};
 use lrp_obs::Json;
@@ -396,10 +395,6 @@ pub fn render_report(r: &ServeReport) -> String {
     out
 }
 
-fn serve_err(msg: impl Into<String>) -> String {
-    format!("bad serve-bench report: {}", msg.into())
-}
-
 struct CellMetrics {
     ops_per_sec: f64,
     dur_p99_us: f64,
@@ -421,9 +416,7 @@ fn extract_sweep(doc: &Json) -> Result<Vec<(u64, u64, f64)>, String> {
                 field("execute_p50_us"),
             ) {
                 (Some(k), Some(b), Some(p50)) => Ok((k as u64, b as u64, p50)),
-                _ => Err(serve_err(
-                    "sweep row without initial_keys/batch/execute_p50_us",
-                )),
+                _ => Err("sweep row without initial_keys/batch/execute_p50_us".to_string()),
             }
         })
         .collect()
@@ -432,21 +425,18 @@ fn extract_sweep(doc: &Json) -> Result<Vec<(u64, u64, f64)>, String> {
 /// Per-cell gate rows keyed by cell name. A missing p99 or shed rate
 /// reads as zero.
 fn extract(doc: &Json) -> Result<Rows<CellMetrics>, String> {
-    if doc.get("type").and_then(Json::as_str) != Some("serve-bench") {
-        return Err(serve_err("missing type: \"serve-bench\""));
-    }
     let cells = doc
         .get("cells")
         .and_then(Json::as_arr)
-        .ok_or_else(|| serve_err("missing cells array"))?;
+        .ok_or("missing cells array")?;
     let mut out = Vec::new();
     for c in cells {
-        let name = c.field_str("name").map_err(serve_err)?.to_string();
+        let name = c.field_str("name")?.to_string();
         let row = CellMetrics {
             ops_per_sec: c
                 .get("ops_per_sec")
                 .and_then(Json::as_f64)
-                .ok_or_else(|| serve_err("cell without ops_per_sec"))?,
+                .ok_or("cell without ops_per_sec")?,
             dur_p99_us: c
                 .get("dur_lat_p99_us")
                 .and_then(Json::as_f64)
@@ -458,6 +448,10 @@ fn extract(doc: &Json) -> Result<Rows<CellMetrics>, String> {
     Ok(out)
 }
 
+/// Service ops/sec may fall, and durable-ack p99 rise, at most by this
+/// factor.
+pub const SERVE_FACTOR: f64 = 3.0;
+
 /// Shed rate may drift this much (absolute) before the gate fails:
 /// admission control depends on host scheduling, so relative bounds are
 /// meaningless near zero.
@@ -468,26 +462,21 @@ pub const SHED_RATE_SLACK: f64 = 0.25;
 /// smallest's (65,536 against 256 keys in the smoke shape).
 pub const MAX_SWEEP_GROWTH: f64 = 2.0;
 
-/// Gates `current` against `baseline`. Per cell present in both
-/// reports: ops/sec may not drop below `baseline / max_regression`,
-/// durable-ack p99 may not grow beyond `baseline * max_regression`
+/// Compares two `BENCH_serve.json` reports ([`crate::gate::gate`]
+/// checks their type and workload first). Per cell present in both
+/// reports: ops/sec may not drop below `baseline / SERVE_FACTOR`,
+/// durable-ack p99 may not grow beyond `baseline * SERVE_FACTOR`
 /// (skipped when the baseline recorded none), and shed rate may not
 /// rise by more than [`SHED_RATE_SLACK`] absolute. The current report's
 /// keyspace sweep is bounded by [`MAX_SWEEP_GROWTH`]. Cells present in
 /// only one report are ignored, so growing the matrix never fails the
 /// gate by itself.
-pub fn gate_serve(
-    baseline: &Json,
-    current: &Json,
-    max_regression: f64,
-) -> Result<GateVerdict, String> {
-    check_factor(max_regression)?;
+pub(crate) fn gate_serve(baseline: &Json, current: &Json) -> Result<GateVerdict, String> {
     let base = extract(baseline)?;
     let cur = extract(current)?;
-    let (ops, p99) = (
-        Bound::FactorFloor(max_regression),
-        Bound::FactorCeil(max_regression),
-    );
+    let ops = Bound::FactorFloor(SERVE_FACTOR);
+    let p99 = Bound::FactorCeil(SERVE_FACTOR);
+    let shed = Bound::Slack(SHED_RATE_SLACK);
     let mut v = GateVerdict::default();
     for (key, b, c) in paired(&base, &cur) {
         v.compared += 1;
@@ -497,7 +486,6 @@ pub fn gate_serve(
             v.checks
                 .push(p99.check(key, "dur_lat_p99_us", b.dur_p99_us, c.dur_p99_us));
         }
-        let shed = Bound::Slack(SHED_RATE_SLACK);
         v.checks
             .push(shed.check(key, "shed_rate", b.shed_rate, c.shed_rate));
     }
@@ -530,18 +518,10 @@ fn sweep_checks(rows: &[(u64, u64, f64)]) -> Vec<GateCheck> {
         .collect()
 }
 
-/// Serializes a gate verdict as the `serve-gate` document.
-pub fn gate_json(v: &GateVerdict, max_regression: f64) -> Json {
-    let header = vec![
-        ("compared_cells", Json::U64(v.compared as u64)),
-        ("max_regression", Json::F64(max_regression)),
-    ];
-    crate::gate::verdict_json("serve-gate", header, v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{gate, render_gate};
 
     fn synthetic_report(ops: f64, p99: f64, shed: f64) -> Json {
         let cell = |name: &str| {
@@ -561,19 +541,19 @@ mod tests {
     #[test]
     fn serve_gate_passes_self_and_fails_regressions() {
         let base = synthetic_report(5000.0, 800.0, 0.01);
-        let v = gate_serve(&base, &base, 3.0).unwrap();
+        let v = gate(&base, &base).unwrap();
         assert!(v.pass());
         assert_eq!(v.compared, 2);
 
         // Throughput collapsed 10x: fails the 3x gate.
         let slow = synthetic_report(500.0, 800.0, 0.01);
-        let v = gate_serve(&base, &slow, 3.0).unwrap();
+        let v = gate(&base, &slow).unwrap();
         assert!(!v.pass());
         assert!(v.failures().iter().all(|c| c.metric == "ops_per_sec"));
 
         // Shed rate jumped past the absolute slack.
         let shedding = synthetic_report(5000.0, 800.0, 0.4);
-        assert!(!gate_serve(&base, &shedding, 3.0).unwrap().pass());
+        assert!(!gate(&base, &shedding).unwrap().pass());
     }
 
     fn with_sweep(mut doc: Json, rows: &[(u64, u64, f64)]) -> Json {
@@ -606,8 +586,8 @@ mod tests {
                 (65536, 16, 7400.0),
             ],
         );
-        let v = gate_serve(&base, &flat, 3.0).unwrap();
-        assert!(v.pass(), "{}", crate::gate::render_gate(&v));
+        let v = gate(&base, &flat).unwrap();
+        assert!(v.pass(), "{}", render_gate(&v));
         assert_eq!(
             v.checks
                 .iter()
@@ -619,20 +599,17 @@ mod tests {
         // Per-batch cost growing with the keyspace fails, at the batch
         // size where it grows.
         let growing = with_sweep(base.clone(), &[(256, 1, 900.0), (65536, 1, 5600.0)]);
-        let v = gate_serve(&base, &growing, 3.0).unwrap();
+        let v = gate(&base, &growing).unwrap();
         let failed: Vec<&str> = v.failures().iter().map(|c| c.key.as_str()).collect();
         assert_eq!(failed, ["sweep/batch1/65536v256"]);
         // A report without a sweep (or with one keyspace) is not gated.
         let single = with_sweep(base.clone(), &[(256, 1, 900.0)]);
-        assert!(gate_serve(&base, &single, 3.0).unwrap().pass());
+        assert!(gate(&base, &single).unwrap().pass());
         let mut junk = base.clone();
         if let Json::Obj(fields) = &mut junk {
             fields.push(("shard_sweep".to_string(), Json::Arr(vec![Json::U64(1)])));
         }
-        assert!(
-            gate_serve(&base, &junk, 3.0).is_err(),
-            "malformed sweep row"
-        );
+        assert!(gate(&base, &junk).is_err(), "malformed sweep row");
     }
 
     #[test]
@@ -654,11 +631,10 @@ mod tests {
     }
 
     #[test]
-    fn serve_gate_rejects_junk_and_bad_factors() {
+    fn serve_gate_rejects_junk_documents() {
         let junk = Json::obj([("type", Json::Str("host-bench".to_string()))]);
         let good = synthetic_report(100.0, 10.0, 0.0);
-        assert!(gate_serve(&junk, &good, 3.0).is_err());
-        assert!(gate_serve(&good, &good, 0.5).is_err());
+        assert!(gate(&junk, &good).is_err());
     }
 
     #[test]
@@ -678,7 +654,7 @@ mod tests {
                 }
             }
         }
-        let v = gate_serve(&base, &cur, 3.0).unwrap();
+        let v = gate(&base, &cur).unwrap();
         assert!(v.pass());
         assert_eq!(v.compared, 2);
     }

@@ -1,7 +1,8 @@
 //! The `--help` contract of every workspace binary: exit 0, usage on
 //! stdout, and every flag the binary actually extracts is documented.
 
-use std::process::Command;
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn help_output(bin: &str) -> String {
     let out = Command::new(bin)
@@ -60,13 +61,6 @@ fn lrp_profile_help_documents_every_flag() {
             "trace-out",
             "metrics-out",
             "sample-every",
-            "baseline",
-            "current",
-            "tol-ops",
-            "tol-stall",
-            "tol-latency",
-            "ops-only",
-            "json-out",
         ],
     );
 }
@@ -77,6 +71,8 @@ fn lrp_bench_help_documents_every_flag() {
         env!("CARGO_BIN_EXE_lrp-bench"),
         &[
             "smoke",
+            "paper",
+            "jobs",
             "structures",
             "mechs",
             "mode",
@@ -88,7 +84,6 @@ fn lrp_bench_help_documents_every_flag() {
             "json-out",
             "baseline",
             "current",
-            "max-regression",
             "shards",
             "conns",
             "requests",
@@ -106,11 +101,14 @@ fn lrp_bench_help_documents_every_flag() {
 #[test]
 fn lrp_bench_help_documents_the_serve_commands() {
     let help = help_output(env!("CARGO_BIN_EXE_lrp-bench"));
-    for cmd in ["serve", "serve-gate", "crash-fuzz"] {
+    for cmd in ["gate", "serve", "crash-fuzz"] {
         assert!(
             help.contains(&format!("lrp-bench {cmd}")),
             "lrp-bench --help mentions the {cmd} command:\n{help}"
         );
+    }
+    for gone in ["serve-gate", "--max-regression"] {
+        assert!(!help.contains(gone), "{gone} is gone:\n{help}");
     }
     assert!(
         help.contains("4  crash-fuzz found an exactly-once violation"),
@@ -121,13 +119,19 @@ fn lrp_bench_help_documents_the_serve_commands() {
 #[test]
 fn lrp_profile_help_documents_run_diff_and_the_violation_exit() {
     let help = help_output(env!("CARGO_BIN_EXE_lrp-profile"));
-    for cmd in ["run", "diff", "gate"] {
+    for cmd in ["run", "diff"] {
         assert!(
             help.contains(&format!("lrp-profile {cmd}")),
             "lrp-profile --help mentions the {cmd} command:\n{help}"
         );
     }
-    for gone in ["critpath-diff", "lrp-profile critpath"] {
+    for gone in [
+        "critpath-diff",
+        "lrp-profile critpath",
+        "lrp-profile gate",
+        "--tol-",
+        "--ops-only",
+    ] {
         assert!(!help.contains(gone), "{gone} is gone:\n{help}");
     }
     assert!(
@@ -287,16 +291,34 @@ fn unknown_flags_exit_2_with_usage() {
     }
 }
 
+/// Runs `cmd` to its exit, or kills it after `secs`: a server that
+/// wrongly accepts its flags listens until it is killed.
+fn output_within(cmd: &mut Command, secs: u64) -> Output {
+    let mut child = cmd
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let deadline = Instant::now() + Duration::from_secs(secs);
+    while child.try_wait().expect("child waits").is_none() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let _ = child.kill();
+    child.wait_with_output().expect("child output")
+}
+
 #[test]
 fn workloads_the_simulator_cannot_replay_exit_2() {
     let eval = env!("CARGO_BIN_EXE_lrp-eval");
     let campaign = env!("CARGO_BIN_EXE_lrp-campaign");
     let profile = env!("CARGO_BIN_EXE_lrp-profile");
     let check = env!("CARGO_BIN_EXE_lrp-check");
+    let bench = env!("CARGO_BIN_EXE_lrp-bench");
+    let serve = env!("CARGO_BIN_EXE_lrp-serve");
     // A campaign that wrongly runs must not write into the source tree.
     let tmp = std::env::temp_dir().join(format!("lrp-cli-workload-{}", std::process::id()));
-    let (out, bench) = (tmp.with_extension("jsonl"), tmp.with_extension("json"));
-    let cases: [(&str, &[&str], &str); 13] = [
+    let (out, summary) = (tmp.with_extension("jsonl"), tmp.with_extension("json"));
+    let cases: [(&str, &[&str], &str); 18] = [
         (eval, &["fig5", "--quick", "--threads", "0"], "--threads"),
         (eval, &["fig5", "--quick", "--threads", "65"], "--threads"),
         (eval, &["fig5", "--quick", "--ops", "0"], "--ops"),
@@ -338,6 +360,15 @@ fn workloads_the_simulator_cannot_replay_exit_2() {
             &["--structures", "queue", "--mechs", "lrp", "--ops", "0"],
             "--ops",
         ),
+        (bench, &["host", "--smoke", "--threads", "65"], "--threads"),
+        (bench, &["host", "--smoke", "--threads", "0"], "--threads"),
+        (bench, &["host", "--smoke", "--ops", "0"], "--ops"),
+        (
+            bench,
+            &["crash-fuzz", "--smoke", "--structures", "queue"],
+            "--structures",
+        ),
+        (serve, &["--sim-threads", "65"], "--sim-threads"),
     ];
     for (bin, args, flag) in cases {
         let mut cmd = Command::new(bin);
@@ -345,11 +376,11 @@ fn workloads_the_simulator_cannot_replay_exit_2() {
             cmd.args(["run", "--smoke", "--quiet", "--out"])
                 .arg(&out)
                 .arg("--bench")
-                .arg(&bench);
+                .arg(&summary);
         } else if bin == check {
             cmd.arg("cross-validate");
         }
-        let run = cmd.args(args).output().expect("binary runs");
+        let run = output_within(cmd.args(args), 30);
         let err = String::from_utf8_lossy(&run.stderr);
         assert_eq!(run.status.code(), Some(2), "{bin} {args:?}: {err}");
         assert!(
@@ -358,7 +389,7 @@ fn workloads_the_simulator_cannot_replay_exit_2() {
         );
     }
     let _ = std::fs::remove_file(&out);
-    let _ = std::fs::remove_file(&bench);
+    let _ = std::fs::remove_file(&summary);
 }
 
 #[test]

@@ -1,9 +1,8 @@
 //! End-to-end `lrp-bench serve` path: a tiny three-cell run produces a
-//! parseable `BENCH_serve.json` that self-passes the serve gate, and
-//! the gate catches synthetic regressions.
+//! parseable `BENCH_serve.json` that self-passes the regression gate.
 
-use lrp_bench::gate::render_gate;
-use lrp_bench::serve_bench::{gate_serve, report_json, run_serve_bench, ServeBenchSpec};
+use lrp_bench::gate::{gate, render_gate};
+use lrp_bench::serve_bench::{report_json, run_serve_bench, ServeBenchSpec};
 use lrp_obs::Json;
 
 fn tiny_spec() -> ServeBenchSpec {
@@ -49,7 +48,8 @@ fn serve_bench_runs_all_cells_and_self_passes_the_gate() {
     let doc = Json::parse(&report_json(&report).to_pretty()).unwrap();
     assert_eq!(doc.get("type").unwrap().as_str(), Some("serve-bench"));
     assert_eq!(doc.get("cells").unwrap().as_arr().unwrap().len(), 3);
-    let v = gate_serve(&doc, &doc, 3.0).unwrap();
+    let v = gate(&doc, &doc).unwrap();
     assert!(v.pass(), "{}", render_gate(&v));
     assert_eq!(v.compared, 3);
+    assert_eq!(v.report, "serve-bench");
 }
