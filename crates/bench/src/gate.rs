@@ -312,7 +312,7 @@ pub fn verdict_json(v: &GateVerdict) -> Json {
 /// baseline, current, change, outcome), then the verdict line.
 pub fn render_gate(v: &GateVerdict) -> String {
     let mut out = format!(
-        "{:<28} {:<26} {:>16} {:>16} {:>9}  check\n",
+        "{:<28} {:<34} {:>16} {:>16} {:>9}  check\n",
         "key", "metric", "baseline", "current", "change"
     );
     for c in &v.checks {
@@ -327,7 +327,7 @@ pub fn render_gate(v: &GateVerdict) -> String {
             (_, false) => "FAIL",
         };
         out.push_str(&format!(
-            "{:<28} {:<26} {:>16.6} {:>16.6} {:>9}  {outcome}\n",
+            "{:<28} {:<34} {:>16.6} {:>16.6} {:>9}  {outcome}\n",
             c.key, c.metric, c.baseline, c.current, change
         ));
     }

@@ -494,7 +494,10 @@ pub(crate) fn gate_serve(baseline: &Json, current: &Json) -> Result<GateVerdict,
 }
 
 /// Per batch size: the largest keyspace's p50 against the smallest's,
-/// bounded by [`MAX_SWEEP_GROWTH`].
+/// bounded by [`MAX_SWEEP_GROWTH`]. Both numbers come from the current
+/// report (the baseline's sweep is not read), so a check's `baseline`
+/// field holds the smallest keyspace's p50 and its metric says so:
+/// `execute_p50_us(current,SMALL->LARGE)`.
 fn sweep_checks(rows: &[(u64, u64, f64)]) -> Vec<GateCheck> {
     let mut batches: Vec<u64> = rows.iter().map(|r| r.1).collect();
     batches.sort_unstable();
@@ -509,7 +512,7 @@ fn sweep_checks(rows: &[(u64, u64, f64)]) -> Vec<GateCheck> {
             (large.0 > small.0).then(|| {
                 bound.check(
                     &format!("sweep/batch{b}/{}v{}", large.0, small.0),
-                    "execute_p50_us",
+                    &format!("execute_p50_us(current,{}->{})", small.0, large.0),
                     small.2,
                     large.2,
                 )
@@ -602,6 +605,27 @@ mod tests {
         let v = gate(&base, &growing).unwrap();
         let failed: Vec<&str> = v.failures().iter().map(|c| c.key.as_str()).collect();
         assert_eq!(failed, ["sweep/batch1/65536v256"]);
+        // The row is labelled as growth within the current report: its
+        // "baseline" column is the current smallest keyspace's p50, not
+        // a number from the baseline report (whose sweep differs here).
+        let base_swept = with_sweep(base.clone(), &[(256, 1, 10.0), (65536, 1, 11.0)]);
+        let v = gate(&base_swept, &flat).unwrap();
+        let rendered = render_gate(&v);
+        let row = rendered
+            .lines()
+            .find(|l| l.starts_with("sweep/batch1/"))
+            .unwrap_or_else(|| panic!("no batch-1 sweep row in\n{rendered}"));
+        assert_eq!(
+            row.split_whitespace().collect::<Vec<_>>(),
+            [
+                "sweep/batch1/65536v256",
+                "execute_p50_us(current,256->65536)",
+                "900.000000",
+                "1700.000000",
+                "+88.9%",
+                "PASS"
+            ]
+        );
         // A report without a sweep (or with one keyspace) is not gated.
         let single = with_sweep(base.clone(), &[(256, 1, 900.0)]);
         assert!(gate(&base, &single).unwrap().pass());

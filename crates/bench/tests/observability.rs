@@ -276,6 +276,50 @@ fn lrp_profile_run_prints_every_section_and_writes_all_four_exports() {
 }
 
 #[test]
+fn lrp_profile_run_of_a_saved_trace_blames_its_op_sites() {
+    let dir = std::env::temp_dir().join(format!("lrp-profile-sites-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("q.trace").to_string_lossy().into_owned();
+    run_bin(
+        env!("CARGO_BIN_EXE_lrp-trace"),
+        &[
+            "gen",
+            "--structure",
+            "queue",
+            "--ops",
+            "6",
+            "--threads",
+            "2",
+            "--out",
+            &trace,
+        ],
+        0,
+    );
+    let stdout = run_bin(
+        env!("CARGO_BIN_EXE_lrp-profile"),
+        &["run", &trace, "--mech", "lrp"],
+        0,
+    );
+    // The rows of the (site, cause) table: the saved file carried the
+    // queue's `OpSite` labels, so no cycle is charged to `unknown`.
+    let rows: Vec<&str> = stdout
+        .lines()
+        .skip_while(|l| !l.starts_with("blame by (site, cause)"))
+        .skip(2)
+        .take_while(|l| !l.trim().is_empty())
+        .collect();
+    assert!(!rows.is_empty(), "{stdout}");
+    assert!(rows.iter().all(|r| r.starts_with("queue/")), "{stdout}");
+    for op in ["queue/enqueue/", "queue/dequeue/"] {
+        assert!(
+            rows.iter().any(|r| r.starts_with(op)),
+            "no {op} row:\n{stdout}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn lrp_profile_run_exits_3_on_an_invariant_violation() {
     // The smallest known run whose I1 audit fails: LRP's same-thread
     // release-order violation, open in ROADMAP.md. Once that is fixed

@@ -401,8 +401,13 @@ impl Recorder {
     }
 
     /// Consumes the recorder into the trace pieces: events, op
-    /// markers, interned site names, per-event site ids.
-    pub fn into_trace_parts(self) -> (Vec<Event>, Vec<OpMarker>, Vec<String>, Vec<u16>) {
+    /// markers, interned site names, per-event site ids. The event and
+    /// site buffers give back their growth slack (a trace lives on long
+    /// after recording); a shrinking reallocation keeps the buffer in
+    /// place rather than copying it.
+    pub fn into_trace_parts(mut self) -> (Vec<Event>, Vec<OpMarker>, Vec<String>, Vec<u16>) {
+        self.events.shrink_to_fit();
+        self.event_sites.shrink_to_fit();
         (self.events, self.markers, self.site_names, self.event_sites)
     }
 }

@@ -543,6 +543,23 @@ mod tests {
     }
 
     #[test]
+    fn trace_buffers_keep_no_growth_slack() {
+        let t = run(
+            &ExecConfig::new(1),
+            |_| {},
+            vec![body(|mut c| async move {
+                c.site_op("q/op");
+                for i in 0..5 {
+                    c.write(0x1000 + 8 * i, i).await;
+                }
+            })],
+        );
+        assert_eq!(t.events.len(), 5);
+        assert_eq!(t.events.capacity(), t.events.len());
+        assert_eq!(t.event_sites.capacity(), t.event_sites.len());
+    }
+
+    #[test]
     #[should_panic(expected = "worker exploded")]
     fn worker_panics_propagate() {
         let cfg = ExecConfig::new(2);

@@ -33,6 +33,29 @@ impl Page {
     fn is_written(&self, slot: usize) -> bool {
         self.written[slot / 64] >> (slot % 64) & 1 == 1
     }
+
+    /// Stores `val` at `slot`; true if the slot was unwritten before.
+    #[inline]
+    fn set(&mut self, slot: usize, val: u64) -> bool {
+        let fresh = !self.is_written(slot);
+        self.written[slot / 64] |= 1 << (slot % 64);
+        self.words[slot] = val;
+        fresh
+    }
+}
+
+/// The page `page` of a directory, created (and entered into the
+/// sorted id list) on first use.
+fn page_entry<'a>(
+    pages: &'a mut FxHashMap<u64, Box<Page>>,
+    sorted_ids: &mut Vec<u64>,
+    page: u64,
+) -> &'a mut Page {
+    pages.entry(page).or_insert_with(|| {
+        let at = sorted_ids.binary_search(&page).unwrap_err();
+        sorted_ids.insert(at, page);
+        Page::new()
+    })
 }
 
 /// The functional memory owned by the scheduler. Words that were never
@@ -56,11 +79,23 @@ impl SharedMem {
         SharedMem::default()
     }
 
-    /// A memory pre-loaded from an image.
-    pub fn from_image(image: &[(Addr, u64)]) -> Self {
+    /// A memory pre-loaded from `(addr, value)` pairs (a later pair for
+    /// one address wins). A run of words on one page is written through
+    /// one page lookup, so address-sorted input costs a lookup per page
+    /// rather than per word.
+    pub fn from_words(words: impl IntoIterator<Item = (Addr, u64)>) -> Self {
         let mut m = SharedMem::new();
-        for &(a, x) in image {
-            m.write(a, x);
+        let mut words = words.into_iter().peekable();
+        while let Some((a, v)) = words.next() {
+            debug_assert_eq!(a % 8, 0, "unaligned word access at {a:#x}");
+            let (page, slot) = SharedMem::split(a);
+            let p = page_entry(&mut m.pages, &mut m.sorted_ids, page);
+            let mut fresh = usize::from(p.set(slot, v));
+            while let Some((a, v)) = words.next_if(|&(a, _)| SharedMem::split(a).0 == page) {
+                debug_assert_eq!(a % 8, 0, "unaligned word access at {a:#x}");
+                fresh += usize::from(p.set(SharedMem::split(a).1, v));
+            }
+            m.written += fresh;
         }
         m
     }
@@ -84,16 +119,9 @@ impl SharedMem {
     pub fn write(&mut self, addr: Addr, val: u64) {
         debug_assert_eq!(addr % 8, 0, "unaligned word access at {addr:#x}");
         let (page, slot) = SharedMem::split(addr);
-        let p = self.pages.entry(page).or_insert_with(|| {
-            let at = self.sorted_ids.binary_search(&page).unwrap_err();
-            self.sorted_ids.insert(at, page);
-            Page::new()
-        });
-        if !p.is_written(slot) {
-            p.written[slot / 64] |= 1 << (slot % 64);
+        if page_entry(&mut self.pages, &mut self.sorted_ids, page).set(slot, val) {
             self.written += 1;
         }
-        p.words[slot] = val;
     }
 
     /// The word at `addr`, or `None` if it was never written.
@@ -238,8 +266,8 @@ mod tests {
 
     #[test]
     fn copy_word_mirrors_values_and_absence() {
-        let src = SharedMem::from_image(&[(0x10, 5)]);
-        let mut m = SharedMem::from_image(&[(0x10, 1), (0x18, 2)]);
+        let src = SharedMem::from_words([(0x10, 5)]);
+        let mut m = SharedMem::from_words([(0x10, 1), (0x18, 2)]);
         m.copy_word(&src, 0x10);
         m.copy_word(&src, 0x18);
         m.copy_word(&src, 0x4000); // absent in both: stays absent
@@ -251,9 +279,28 @@ mod tests {
     }
 
     #[test]
-    fn from_image_round_trips() {
-        let m = SharedMem::from_image(&[(0x10, 5)]);
-        assert_eq!(m.read(0x10), 5);
-        assert_eq!(m.len(), 1);
+    fn from_words_matches_word_by_word_writes() {
+        let page = PAGE_WORDS as u64 * 8;
+        // Sorted runs across pages, then an out-of-order revisit and a
+        // repeated address: the later pair wins, as with `write`.
+        let words = [
+            (0x10, 1),
+            (0x18, 2),
+            (page + 8, 3),
+            (3 * page, 4),
+            (0x18, 5),
+            (page + 8, 6),
+            (page, 0),
+        ];
+        let bulk = SharedMem::from_words(words);
+        let mut one = SharedMem::new();
+        for (a, v) in words {
+            one.write(a, v);
+        }
+        assert_eq!(bulk.snapshot(), one.snapshot());
+        assert_eq!(bulk.len(), one.len());
+        assert_eq!(bulk.len(), 5);
+        assert_eq!(bulk.read(0x18), 5);
+        assert_eq!(bulk.read(0x20), Trace::POISON);
     }
 }

@@ -338,7 +338,7 @@ impl WorkloadSpec {
     }
 
     /// Draws `initial_size` distinct keys from `[1, key_range]`, sorted.
-    fn initial_keys(&self) -> Vec<u64> {
+    pub(crate) fn initial_keys(&self) -> Vec<u64> {
         let range = self.effective_key_range();
         assert!(
             self.initial_size as u64 <= range,

@@ -28,13 +28,12 @@ pub struct MemImage {
 
 impl MemImage {
     /// Builds an image from `(addr, value)` pairs (a later pair for the
-    /// same address wins).
+    /// same address wins). Address-sorted input, such as
+    /// [`Trace::initial_mem`], fills one page at a time.
     pub fn new(words: impl IntoIterator<Item = (Addr, u64)>) -> Self {
-        let mut img = MemImage::default();
-        for (a, v) in words {
-            img.write(a, v);
+        MemImage {
+            mem: SharedMem::from_words(words),
         }
-        img
     }
 
     /// Reads a word ([`Trace::POISON`] if never persisted). A misaligned
@@ -152,13 +151,13 @@ fn root(roots: &[(String, Addr)], name: &'static str) -> Result<Addr, Validation
 }
 
 /// Validates one Harris-list chain starting at the pointer word
-/// `head_loc`; returns the unmarked keys in order.
+/// `head_loc`; appends its unmarked keys, in order, to `out`.
 fn validate_chain(
     img: &MemImage,
     head_loc: Addr,
     check_key: &dyn Fn(u64) -> Result<(), ValidationError>,
-) -> Result<Vec<u64>, ValidationError> {
-    let mut out = Vec::new();
+    out: &mut Vec<u64>,
+) -> Result<(), ValidationError> {
     let head_raw = img.read(head_loc);
     if poison(head_raw) {
         return Err(ValidationError::Garbage {
@@ -209,13 +208,23 @@ fn validate_chain(
         }
         cur = addr(next_raw);
     }
-    Ok(out)
+    Ok(())
+}
+
+/// The key set of a structure walk: the walk collects keys into a
+/// `Vec`, and the set is built in one step (sort, then bulk build)
+/// rather than by one tree insert per key.
+fn key_set(mut keys: Vec<u64>) -> Recovered {
+    // Sorted input makes the set's own (stable) sort a single pass.
+    keys.sort_unstable();
+    Recovered::Set(keys.into_iter().collect())
 }
 
 fn validate_list(img: &MemImage, roots: &[(String, Addr)]) -> Result<Recovered, ValidationError> {
     let head = root(roots, "head")?;
-    let keys = validate_chain(img, head, &|_| Ok(()))?;
-    Ok(Recovered::Set(keys.into_iter().collect()))
+    let mut keys = Vec::new();
+    validate_chain(img, head, &|_| Ok(()), &mut keys)?;
+    Ok(key_set(keys))
 }
 
 fn validate_hashmap(
@@ -225,10 +234,10 @@ fn validate_hashmap(
     let buckets = root(roots, "buckets")?;
     let nbuckets = root(roots, "nbuckets")?;
     let map = crate::hashmap::HashMap { buckets, nbuckets };
-    let mut all = BTreeSet::new();
+    let mut all = Vec::new();
     for i in 0..nbuckets {
         let loc = buckets + 8 * i;
-        let keys = validate_chain(img, loc, &|k| {
+        let check_key = |k: u64| {
             // Every key must hash to the bucket it sits in.
             let h = k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
             if h % map.nbuckets == i {
@@ -238,15 +247,15 @@ fn validate_hashmap(
                     "key {k} found in bucket {i} but hashes elsewhere"
                 )))
             }
-        })?;
-        all.extend(keys);
+        };
+        validate_chain(img, loc, &check_key, &mut all)?;
     }
-    Ok(Recovered::Set(all))
+    Ok(key_set(all))
 }
 
 fn validate_bst(img: &MemImage, roots: &[(String, Addr)]) -> Result<Recovered, ValidationError> {
     let r = root(roots, "bst_r")?;
-    let mut out = BTreeSet::new();
+    let mut out = Vec::new();
     // Explicit stack: (node, lo inclusive, hi inclusive).
     let mut stack = vec![(r, 0u64, u64::MAX)];
     let mut steps = 0;
@@ -287,7 +296,7 @@ fn validate_bst(img: &MemImage, roots: &[(String, Addr)]) -> Result<Recovered, V
                     });
                 }
                 if key < bst::INF1 {
-                    out.insert(key);
+                    out.push(key);
                 }
             }
             (0, _) | (_, 0) => {
@@ -303,7 +312,7 @@ fn validate_bst(img: &MemImage, roots: &[(String, Addr)]) -> Result<Recovered, V
             }
         }
     }
-    Ok(Recovered::Set(out))
+    Ok(key_set(out))
 }
 
 fn validate_skiplist(
@@ -312,7 +321,7 @@ fn validate_skiplist(
 ) -> Result<Recovered, ValidationError> {
     let head = root(roots, "sl_head")?;
     // Level 0 is the ground truth.
-    let mut present = BTreeSet::new();
+    let mut present = Vec::new();
     let mut cur = {
         let raw = img.read(head + skiplist::next_off(0));
         if poison(raw) {
@@ -358,7 +367,7 @@ fn validate_skiplist(
             });
         }
         if !marked(raw0) {
-            present.insert(key);
+            present.push(key);
         }
         cur = addr(raw0);
     }
@@ -391,7 +400,7 @@ fn validate_skiplist(
             cur = addr(raw);
         }
     }
-    Ok(Recovered::Set(present))
+    Ok(key_set(present))
 }
 
 fn validate_queue(img: &MemImage, roots: &[(String, Addr)]) -> Result<Recovered, ValidationError> {
@@ -466,6 +475,7 @@ pub fn validate_image(
 mod tests {
     use super::*;
     use crate::harness::WorkloadSpec;
+    use lrp_model::OpKind;
 
     fn image_of(trace: &Trace) -> MemImage {
         MemImage::new(trace.final_mem())
@@ -489,6 +499,58 @@ mod tests {
             match r {
                 Recovered::Set(keys) => assert!(!keys.is_empty(), "{s:?} should retain keys"),
                 Recovered::Queue(_) => {}
+            }
+        }
+    }
+
+    /// The contents the operation history implies, sorted: the initial
+    /// keys plus successful inserts minus successful deletes; for the
+    /// queue, the initial values plus enqueues minus dequeues.
+    fn history_contents(spec: &WorkloadSpec, trace: &Trace) -> Vec<u64> {
+        let mut count: std::collections::BTreeMap<u64, i64> = Default::default();
+        let start = match spec.structure {
+            Structure::Queue => (1..=spec.initial_keys().len() as u64).collect(),
+            _ => spec.initial_keys(),
+        };
+        for k in start {
+            *count.entry(k).or_default() += 1;
+        }
+        for m in &trace.markers {
+            let (k, d) = match (m.op, m.result) {
+                (OpKind::Insert(k, _), 1) | (OpKind::Enqueue(k), _) => (k, 1),
+                (OpKind::Delete(k), 1) => (k, -1),
+                (OpKind::Dequeue, r) if r > 0 => (r - 1, -1),
+                _ => continue,
+            };
+            *count.entry(k).or_default() += d;
+        }
+        assert!(count.values().all(|&c| c == 0 || c == 1), "{count:?}");
+        count
+            .into_iter()
+            .filter(|&(_, c)| c == 1)
+            .map(|(k, _)| k)
+            .collect()
+    }
+
+    #[test]
+    fn recovered_contents_equal_the_final_image_keys() {
+        for s in Structure::ALL {
+            for seed in 1..=3 {
+                let spec = WorkloadSpec::new(s)
+                    .initial_size(200)
+                    .threads(4)
+                    .ops_per_thread(40)
+                    .seed(seed);
+                let trace = spec.build_trace();
+                let got: Vec<u64> = match validate_image(s, &trace.roots, &image_of(&trace)) {
+                    Ok(Recovered::Set(keys)) => keys.into_iter().collect(),
+                    Ok(Recovered::Queue(mut values)) => {
+                        values.sort_unstable();
+                        values
+                    }
+                    Err(e) => panic!("{s:?} seed {seed}: {e}"),
+                };
+                assert_eq!(got, history_contents(&spec, &trace), "{s:?} seed {seed}");
             }
         }
     }

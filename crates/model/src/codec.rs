@@ -3,6 +3,13 @@
 //! A deliberately simple line-oriented format (no external serialization
 //! dependencies) used to cache generated traces between the executor and
 //! the benchmark harness, and to ship small repro traces in tests.
+//!
+//! One record per line: `threads`, `heap`, `root NAME ADDR`, `site NAME`
+//! (the `OpSite` table, in index order), `init ADDR VAL` (ascending
+//! addresses, each at most once), one `e` line per event, then `m`
+//! markers. An event line ends with its site index when the trace
+//! carries provenance; a file without `site` lines or event site
+//! indices decodes with every event's site `unknown`.
 
 use crate::event::{Event, EventKind, OpKind, OpMarker, Trace};
 use crate::types::Annot;
@@ -52,12 +59,15 @@ pub fn to_text(t: &Trace) -> String {
     for (name, a) in &t.roots {
         let _ = writeln!(s, "root {name} {a}");
     }
+    for name in &t.site_names {
+        let _ = writeln!(s, "site {name}");
+    }
     for (a, v) in &t.initial_mem {
         let _ = writeln!(s, "init {a} {v}");
     }
     for e in &t.events {
         let rf = e.rf.map(|x| x.to_string()).unwrap_or_else(|| "-".into());
-        let _ = writeln!(
+        let _ = write!(
             s,
             "e {} {} {} {} {} {} {}",
             e.tid,
@@ -68,6 +78,12 @@ pub fn to_text(t: &Trace) -> String {
             e.wval,
             rf
         );
+        match t.event_sites.get(e.id as usize) {
+            Some(site) => {
+                let _ = writeln!(s, " {site}");
+            }
+            None => s.push('\n'),
+        }
     }
     for m in &t.markers {
         let op = match m.op {
@@ -101,7 +117,10 @@ fn num(f: &mut std::str::SplitWhitespace<'_>, ln: usize, what: &str) -> Result<u
         .map_err(|_| err(ln, format!("bad {what}")))
 }
 
-/// Parses a trace from the text format produced by [`to_text`].
+/// Parses a trace from the text format produced by [`to_text`]. Rejects
+/// an `init` line whose address is not above the previous one's, an
+/// event site index outside the `site` table, and a file where only
+/// some events carry a site index.
 pub fn from_text(input: &str) -> Result<Trace, ParseError> {
     let mut lines = input.lines().enumerate();
     let (ln, header) = lines.next().ok_or_else(|| err(1, "empty input"))?;
@@ -132,9 +151,23 @@ pub fn from_text(input: &str) -> Result<Trace, ParseError> {
                     .map_err(|_| err(ln, "bad root addr"))?;
                 t.roots.push((name, a));
             }
+            "site" => {
+                // The rest of the line: a label may hold spaces.
+                let name = line
+                    .split_once(char::is_whitespace)
+                    .map(|(_, rest)| rest.trim())
+                    .ok_or_else(|| err(ln, "missing site name"))?;
+                if t.site_names.len() > u16::MAX as usize {
+                    return Err(err(ln, "more than 65536 sites"));
+                }
+                t.site_names.push(name.to_string());
+            }
             "init" => {
                 let a = num(&mut f, ln, "init addr")?;
                 let v = num(&mut f, ln, "init val")?;
+                if t.initial_mem.last().is_some_and(|&(last, _)| a <= last) {
+                    return Err(err(ln, "init address out of order or duplicated"));
+                }
                 t.initial_mem.push((a, v));
             }
             "e" => {
@@ -161,6 +194,22 @@ pub fn from_text(input: &str) -> Result<Trace, ParseError> {
                     Some(x) => Some(x.parse().map_err(|_| err(ln, "bad rf"))?),
                     None => return Err(err(ln, "missing rf")),
                 };
+                match f.next() {
+                    Some(x) => {
+                        let site: u16 = x.parse().map_err(|_| err(ln, "bad site index"))?;
+                        if site as usize >= t.site_names.len() {
+                            return Err(err(ln, "site index outside the site table"));
+                        }
+                        if t.event_sites.len() != t.events.len() {
+                            return Err(err(ln, "site index after events without one"));
+                        }
+                        t.event_sites.push(site);
+                    }
+                    None if !t.event_sites.is_empty() => {
+                        return Err(err(ln, "missing site index"));
+                    }
+                    None => {}
+                }
                 t.events.push(Event {
                     id: t.events.len() as u32,
                     tid,
@@ -229,18 +278,73 @@ mod tests {
         t
     }
 
+    fn labeled() -> Trace {
+        let mut t = sample();
+        t.site_names = vec!["unknown".into(), "queue/enqueue".into(), "q/deq two".into()];
+        t.event_sites = vec![1, 1, 2, 0];
+        t
+    }
+
     #[test]
     fn round_trip_preserves_everything() {
-        let t = sample();
-        let s = to_text(&t);
+        for t in [sample(), labeled()] {
+            let s = to_text(&t);
+            let u = from_text(&s).unwrap();
+            assert_eq!(t.nthreads, u.nthreads);
+            assert_eq!(t.events, u.events);
+            assert_eq!(t.initial_mem, u.initial_mem);
+            assert_eq!(t.markers, u.markers);
+            assert_eq!(t.roots, u.roots);
+            assert_eq!(t.heap_range, u.heap_range);
+            assert_eq!(t.site_names, u.site_names);
+            assert_eq!(t.event_sites, u.event_sites);
+            assert_eq!(to_text(&u), s);
+            u.validate().unwrap();
+        }
+    }
+
+    #[test]
+    fn files_without_sites_decode_as_unknown() {
+        let s = to_text(&sample());
+        assert!(!s.contains("site"), "{s}");
         let u = from_text(&s).unwrap();
-        assert_eq!(t.nthreads, u.nthreads);
-        assert_eq!(t.events, u.events);
-        assert_eq!(t.initial_mem, u.initial_mem);
-        assert_eq!(t.markers, u.markers);
-        assert_eq!(t.roots, u.roots);
-        assert_eq!(t.heap_range, u.heap_range);
-        u.validate().unwrap();
+        assert!(u.site_names.is_empty() && u.event_sites.is_empty());
+        assert_eq!(u.site_name_of(0), "unknown");
+    }
+
+    #[test]
+    fn rejects_bad_site_indices() {
+        let s = to_text(&labeled());
+        let lines: Vec<&str> = s.lines().collect();
+        let edit = |at: usize, line: String| {
+            let mut v: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+            v[at] = line;
+            v.join("\n")
+        };
+        let strip = |l: &str| l.rsplit_once(' ').unwrap().0.to_string();
+        // An index outside the table.
+        let first = lines.iter().position(|l| l.starts_with("e ")).unwrap();
+        let e = from_text(&edit(first, format!("{} 3", strip(lines[first])))).unwrap_err();
+        assert_eq!(e.line, first + 1);
+        // One event without an index among events with one.
+        let last = lines.iter().rposition(|l| l.starts_with("e ")).unwrap();
+        let e = from_text(&edit(last, strip(lines[last]))).unwrap_err();
+        assert_eq!(e.line, last + 1);
+        // The first event without one, a later event with one.
+        let e = from_text(&edit(first, strip(lines[first]))).unwrap_err();
+        assert_eq!(e.line, first + 2);
+    }
+
+    #[test]
+    fn rejects_unsorted_or_duplicated_init_lines() {
+        let ok = "lrp-trace v1\nthreads 1\ninit 8 1\ninit 16 2\n";
+        assert_eq!(from_text(ok).unwrap().initial_mem, vec![(8, 1), (16, 2)]);
+        for bad in [
+            "lrp-trace v1\nthreads 1\ninit 16 2\ninit 8 1\n",
+            "lrp-trace v1\nthreads 1\ninit 8 1\ninit 8 2\n",
+        ] {
+            assert_eq!(from_text(bad).unwrap_err().line, 4, "{bad}");
+        }
     }
 
     #[test]

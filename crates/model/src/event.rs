@@ -6,7 +6,8 @@
 //! events of one concurrent execution, with ordering annotations and
 //! reads-from edges — the same information the paper extracts with Pin.
 
-use crate::types::{Addr, Annot, EventId, ThreadId};
+use crate::fxmap::FxHashMap;
+use crate::types::{line_base, line_of, Addr, Annot, EventId, LineAddr, ThreadId};
 
 /// The kind of a memory event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -122,6 +123,12 @@ pub struct Trace {
     pub events: Vec<Event>,
     /// Memory image (word address → value) at the start of the trace;
     /// words absent from the image read as [`Trace::POISON`].
+    ///
+    /// Invariant: sorted by address, with no address twice. Consumers
+    /// search the sorted image for the words and lines a trace touches
+    /// instead of indexing all of it, so a trace costs in proportion to
+    /// its events, not to the pre-populated structure.
+    /// [`Trace::validate`] rejects an image that breaks the order.
     pub initial_mem: Vec<(Addr, u64)>,
     /// Operation boundaries in issue order.
     pub markers: Vec<OpMarker>,
@@ -150,6 +157,9 @@ pub enum TraceError {
     /// A read's value does not match the most recent write (or initial
     /// image) at that address in the interleaving.
     BadReadValue(EventId),
+    /// `initial_mem[i]`'s address is not above `initial_mem[i - 1]`'s:
+    /// the image is out of address order or names a word twice.
+    UnsortedImage(usize),
 }
 
 impl std::fmt::Display for TraceError {
@@ -159,6 +169,10 @@ impl std::fmt::Display for TraceError {
             TraceError::BadThread(e) => write!(f, "event {e} has out-of-range thread id"),
             TraceError::BadRf(e) => write!(f, "event {e} has ill-formed reads-from edge"),
             TraceError::BadReadValue(e) => write!(f, "event {e} read a stale value"),
+            TraceError::UnsortedImage(i) => write!(
+                f,
+                "initial image entry {i} is out of address order or a duplicate"
+            ),
         }
     }
 }
@@ -202,14 +216,43 @@ impl Trace {
         m
     }
 
-    /// Checks internal consistency: ids are positional, reads-from edges
-    /// are well formed, and every read observes the latest write before it
-    /// in the interleaving (the read-value axiom of §2.1 holds for the
-    /// recorded total order).
+    /// The initial image's value of the word at `addr`, if it holds one.
+    fn initial_value(&self, addr: Addr) -> Option<u64> {
+        match self.initial_mem.get(seek(&self.initial_mem, addr)) {
+            Some(&(a, v)) if a == addr => Some(v),
+            _ => None,
+        }
+    }
+
+    /// True if the initial image holds any word of `line`.
+    pub fn initial_holds_line(&self, line: LineAddr) -> bool {
+        let i = seek(&self.initial_mem, line_base(line));
+        self.initial_mem
+            .get(i)
+            .is_some_and(|&(a, _)| line_of(a) == line)
+    }
+
+    /// The first index of `initial_mem` whose address is not above its
+    /// predecessor's, or `None` when the image keeps its invariant.
+    pub fn image_disorder(&self) -> Option<usize> {
+        self.initial_mem
+            .windows(2)
+            .position(|w| w[0].0 >= w[1].0)
+            .map(|i| i + 1)
+    }
+
+    /// Checks internal consistency: the initial image is address-sorted
+    /// without duplicates, ids are positional, reads-from edges are well
+    /// formed, and every read observes the latest write before it in the
+    /// interleaving (the read-value axiom of §2.1 holds for the recorded
+    /// total order). Apart from one scan of the image's addresses, the
+    /// cost follows the events: a read of the initial image looks its
+    /// word up in the sorted image.
     pub fn validate(&self) -> Result<(), TraceError> {
-        let mut last_write: std::collections::HashMap<Addr, (EventId, u64)> =
-            std::collections::HashMap::new();
-        let init: std::collections::HashMap<Addr, u64> = self.initial_mem.iter().copied().collect();
+        if let Some(i) = self.image_disorder() {
+            return Err(TraceError::UnsortedImage(i));
+        }
+        let mut last_write: FxHashMap<Addr, (EventId, u64)> = FxHashMap::default();
         for (i, e) in self.events.iter().enumerate() {
             if e.id as usize != i {
                 return Err(TraceError::BadId(e.id));
@@ -225,7 +268,7 @@ impl Trace {
                         }
                     }
                     (None, None) => {
-                        let expect = init.get(&e.addr).copied().unwrap_or(Trace::POISON);
+                        let expect = self.initial_value(e.addr).unwrap_or(Trace::POISON);
                         if e.rval != expect {
                             return Err(TraceError::BadReadValue(e.id));
                         }
@@ -253,6 +296,53 @@ impl Trace {
             .map(String::as_str)
             .unwrap_or("unknown")
     }
+}
+
+/// The index of the first entry of the address-sorted `image` whose
+/// address is not below `addr` (`image.len()` if none).
+///
+/// The search starts where `addr` would sit if the image's addresses
+/// were evenly spread, then gallops toward it: heap images are nearly
+/// dense, so a lookup touches one or two cache lines where a plain
+/// binary search over a multi-megabyte image misses on every probe.
+/// An uneven image costs at most twice a binary search.
+fn seek(image: &[(Addr, u64)], addr: Addr) -> usize {
+    let (Some(&(first, _)), Some(&(last, _))) = (image.first(), image.last()) else {
+        return 0;
+    };
+    if addr <= first {
+        return 0;
+    }
+    if addr > last {
+        return image.len();
+    }
+    // first < addr <= last, so the guess lies in [0, len - 1].
+    let span = (last - first) as u128;
+    let guess = ((addr - first) as u128 * (image.len() - 1) as u128 / span) as usize;
+    if image[guess].0 < addr {
+        return guess + 1 + gallop(&image[guess + 1..], addr);
+    }
+    // Every entry from `hi` on is at or above `addr`.
+    let (mut hi, mut step) = (guess, 1);
+    while step <= hi && image[hi - step].0 >= addr {
+        hi -= step;
+        step *= 2;
+    }
+    let lo = hi.saturating_sub(step);
+    lo + image[lo..hi].partition_point(|&(a, _)| a < addr)
+}
+
+/// [`seek`]'s forward half: an exponential search from the front of
+/// `image`, then a binary search in the bracket found.
+fn gallop(image: &[(Addr, u64)], addr: Addr) -> usize {
+    // Every entry before `lo` is below `addr`.
+    let (mut lo, mut step) = (0, 1);
+    while lo + step < image.len() && image[lo + step - 1].0 < addr {
+        lo += step;
+        step *= 2;
+    }
+    let hi = (lo + step).min(image.len());
+    lo + image[lo..hi].partition_point(|&(a, _)| a < addr)
 }
 
 #[cfg(test)]
@@ -312,6 +402,81 @@ mod tests {
         let mut t = b.build();
         t.events[0].rval = 5; // initial image is empty => POISON expected
         assert!(matches!(t.validate(), Err(TraceError::BadReadValue(0))));
+    }
+
+    #[test]
+    fn validate_rejects_unsorted_or_duplicated_image() {
+        let mut b = LitmusBuilder::new(1);
+        b.init(0x10, 1);
+        b.init(0x20, 2);
+        b.init(0x30, 3);
+        b.read(0, 0x20);
+        let good = b.build();
+        good.validate().unwrap();
+        assert_eq!(good.image_disorder(), None);
+
+        let mut swapped = good.clone();
+        swapped.initial_mem.swap(1, 2);
+        assert_eq!(swapped.validate(), Err(TraceError::UnsortedImage(2)));
+
+        let mut twice = good.clone();
+        twice.initial_mem[2].0 = 0x20;
+        assert_eq!(twice.validate(), Err(TraceError::UnsortedImage(2)));
+    }
+
+    #[test]
+    fn image_lookups_search_the_sorted_image() {
+        let mut b = LitmusBuilder::new(1);
+        b.init(0x48, 5);
+        b.init(0x100, 6);
+        let t = b.build();
+        assert_eq!(t.initial_value(0x48), Some(5));
+        assert_eq!(t.initial_value(0x100), Some(6));
+        assert_eq!(t.initial_value(0x40), None);
+        assert_eq!(t.initial_value(0x108), None);
+        // 0x48 is on line 1; 0x100 starts line 4.
+        assert!(t.initial_holds_line(1));
+        assert!(t.initial_holds_line(4));
+        assert!(!t.initial_holds_line(0));
+        assert!(!t.initial_holds_line(2));
+        assert!(!t.initial_holds_line(5));
+        // Even, clustered and single-entry images: every lookup equals
+        // a linear scan's answer, through both the guess and the gallop.
+        let even: Vec<(Addr, u64)> = (1..=9).map(|a| (a * 16, a)).collect();
+        let clustered: Vec<(Addr, u64)> = [8, 16, 24, 32, 40, 48, 4096, 1 << 20, 1 << 30]
+            .iter()
+            .map(|&a| (a, 0))
+            .collect();
+        for img in [&even[..], &clustered[..], &even[..1], &[]] {
+            let probes = img
+                .iter()
+                .flat_map(|&(a, _)| [a.saturating_sub(1), a, a + 1]);
+            for addr in probes.chain([0, 200, u64::MAX]) {
+                let want = img
+                    .iter()
+                    .position(|&(a, _)| a >= addr)
+                    .unwrap_or(img.len());
+                assert_eq!(seek(img, addr), want, "addr {addr} in {img:?}");
+                assert_eq!(gallop(img, addr), want, "addr {addr} in {img:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn validate_checks_reads_of_the_initial_image() {
+        let mut b = LitmusBuilder::new(1);
+        b.init(0x10, 1);
+        b.init(0x20, 2);
+        b.read(0, 0x20);
+        b.read(0, 0x30); // outside the image: POISON
+        b.read(0, 0x10);
+        let good = b.build();
+        good.validate().unwrap();
+        for (ev, rval) in [(0, 1), (1, 0), (2, 2)] {
+            let mut t = good.clone();
+            t.events[ev].rval = rval;
+            assert_eq!(t.validate(), Err(TraceError::BadReadValue(ev as EventId)));
+        }
     }
 
     #[test]

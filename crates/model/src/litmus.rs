@@ -128,8 +128,18 @@ impl LitmusBuilder {
         id
     }
 
-    /// Finalizes the trace.
-    pub fn build(self) -> Trace {
+    /// Finalizes the trace. The initial image comes out sorted by
+    /// address, as [`Trace::initial_mem`] requires; of two
+    /// [`init`](LitmusBuilder::init)s of one address, the later wins.
+    pub fn build(mut self) -> Trace {
+        self.initial.sort_by_key(|&(a, _)| a);
+        self.initial.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = later.1;
+            }
+            same
+        });
         Trace {
             nthreads: self.nthreads,
             events: self.events,
@@ -146,6 +156,21 @@ impl LitmusBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn build_sorts_the_image_and_the_later_init_wins() {
+        let mut b = LitmusBuilder::new(1);
+        b.init(0x30, 3);
+        b.init(0x10, 1);
+        b.init(0x30, 4);
+        b.init(0x20, 2);
+        b.init(0x30, 5);
+        b.read(0, 0x30);
+        let t = b.build();
+        assert_eq!(t.initial_mem, vec![(0x10, 1), (0x20, 2), (0x30, 5)]);
+        t.validate().unwrap();
+        assert_eq!(t.events[0].rval, 5);
+    }
 
     #[test]
     fn builder_traces_validate() {

@@ -426,8 +426,9 @@ pub struct RunResult {
 // The machine
 // ---------------------------------------------------------------------
 
-/// The simulated machine, constructed from a config and a trace.
-pub struct Sim {
+/// The simulated machine, constructed from a config and a trace it
+/// borrows for the run.
+pub struct Sim<'t> {
     cfg: SimConfig,
     now: u64,
     seq: u64,
@@ -441,7 +442,8 @@ pub struct Sim {
     cores: Vec<Core>,
     l1s: Vec<L1>,
     /// Directory lines, indexed densely; `dir_ids` interns line
-    /// addresses on first touch.
+    /// addresses on first touch, so the directory holds only the lines
+    /// the run touches.
     dir: Vec<DirLine>,
     dir_ids: FxHashMap<LineAddr, u32>,
     nvms: Vec<Nvm>,
@@ -466,15 +468,19 @@ pub struct Sim {
     /// Event/metric/audit collection; `None` keeps every hook to a
     /// single branch.
     recorder: Option<Recorder>,
-    /// Interned `OpSite` labels carried over from the trace.
-    site_names: Vec<String>,
-    /// Per-event site index, parallel to the trace's event ids.
-    event_sites: Vec<u16>,
+    /// The replayed trace: its initial image (first-touch LLC
+    /// residency) and its `OpSite` labels.
+    trace: &'t Trace,
 }
 
-impl Sim {
+impl<'t> Sim<'t> {
     /// Builds a machine replaying `trace` under `cfg`.
-    pub fn new(cfg: SimConfig, trace: &Trace) -> Self {
+    pub fn new(cfg: SimConfig, trace: &'t Trace) -> Self {
+        debug_assert_eq!(
+            trace.image_disorder(),
+            None,
+            "initial_mem must be address-sorted without duplicates"
+        );
         let ncores = trace.nthreads as usize;
         assert!(
             ncores <= cfg.mesh_dim * cfg.mesh_dim,
@@ -549,17 +555,8 @@ impl Sim {
             persist_log: Vec::new(),
             stats: Stats::default(),
             recorder: None,
-            site_names: trace.site_names.clone(),
-            event_sites: trace.event_sites.clone(),
+            trace,
         };
-        // Lines of the initial durable image start both in NVM and in
-        // the LLC: the paper collects statistics only after the
-        // structure is populated and warm (§6.1), so the working set is
-        // LLC-resident at measurement start.
-        for &(a, _) in &trace.initial_mem {
-            let di = sim.dir_id(lrp_model::line_of(a));
-            sim.dir[di].in_llc = true;
-        }
         for c in 0..ncores {
             sim.schedule(0, Ev::CoreStep(c));
         }
@@ -567,12 +564,23 @@ impl Sim {
     }
 
     /// Dense directory index of a line, interned on first touch.
+    ///
+    /// Lines of the initial durable image start both in NVM and in the
+    /// LLC: the paper collects statistics only after the structure is
+    /// populated and warm (§6.1), so the working set is LLC-resident at
+    /// measurement start. Nothing clears `in_llc`, so setting it when a
+    /// line is first interned equals setting it for every image line up
+    /// front, and costs one search of the sorted image per touched line
+    /// instead of a pass over the whole image.
     fn dir_id(&mut self, line: LineAddr) -> usize {
         if let Some(&i) = self.dir_ids.get(&line) {
             return i as usize;
         }
         let i = self.dir.len();
-        self.dir.push(DirLine::default());
+        self.dir.push(DirLine {
+            in_llc: self.trace.initial_holds_line(line),
+            ..DirLine::default()
+        });
         self.dir_ids.insert(line, i as u32);
         i
     }
@@ -584,17 +592,12 @@ impl Sim {
             l1.mech.obs_enable();
         }
         let mut r = Recorder::new(cfg, self.l1s.len() as u32);
-        r.set_site_names(self.site_names.clone());
+        r.set_site_names(self.trace.site_names.clone());
         if let Some(l1) = self.l1s.first() {
             r.set_crit_drain_kind(l1.mech.crit_drain_kind());
         }
         self.recorder = Some(r);
         self
-    }
-
-    /// The `OpSite` label index of a trace event (0 = unknown).
-    fn site_of(&self, ev: EventId) -> u16 {
-        self.event_sites.get(ev as usize).copied().unwrap_or(0)
     }
 
     /// Drains mechanism-internal events from core `c` into the recorder,
@@ -1155,8 +1158,8 @@ impl Sim {
             }
             let site = covered
                 .first()
-                .map(|&e| self.site_of(e))
-                .unwrap_or_else(|| self.site_of(ev));
+                .map(|&e| self.trace.site_of(e))
+                .unwrap_or_else(|| self.trace.site_of(ev));
             let t = self.cores[c].store_q.front_mut().unwrap();
             t.phase = StorePhase::WaitAck;
             self.note_mech_drain(c);
@@ -1222,7 +1225,7 @@ impl Sim {
                     self.l1s[c].inflight_inc(line);
                     let site = covered
                         .first()
-                        .map(|&e| self.site_of(e))
+                        .map(|&e| self.trace.site_of(e))
                         .unwrap_or(self.cores[c].cur_site);
                     descs.push(FlushDesc {
                         line,
