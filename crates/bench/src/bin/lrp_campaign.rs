@@ -3,12 +3,13 @@
 //! and roll the results up into machine-readable reports.
 //!
 //! ```text
-//! lrp-campaign run [--smoke] [--workers N] [--timeout-secs N] [--resume]
-//!                  [--structures a,b] [--mechanisms a,b] [--modes a,b]
-//!                  [--threads a,b] [--seeds a,b] [--size N] [--ops N]
-//!                  [--crash-samples N] [--out FILE] [--bench FILE]
-//!                  [--no-bench] [--inject-panic CELL] [--quiet]
-//! lrp-campaign matrix [--smoke] [...same matrix flags]
+//! lrp-campaign run [--smoke|--paper] [--workers N] [--timeout-secs N]
+//!                  [--resume] [--structures a,b] [--mechs a,b]
+//!                  [--modes a,b] [--threads a,b] [--seeds a,b] [--size N]
+//!                  [--ops N] [--crash-samples N] [--out FILE]
+//!                  [--bench FILE] [--no-bench] [--inject-panic CELL]
+//!                  [--quiet]
+//! lrp-campaign matrix [--smoke|--paper] [...same matrix flags]
 //! ```
 //!
 //! `run` streams one JSONL line per completed cell to `--out` (default
@@ -21,72 +22,38 @@
 
 use lrp_bench::cli::{die, report_unhealthy, Cli};
 use lrp_bench::{out, outln};
-use lrp_campaign::{render_table, run_to_files, write_bench_json, CampaignConfig, MatrixSpec};
+use lrp_campaign::{render_table, run_to_files, write_bench_json, CampaignConfig};
 use std::path::PathBuf;
 use std::time::Duration;
 
 const USAGE: &str = "usage:\n  \
     lrp-campaign run [--smoke|--paper] [--workers N] [--timeout-secs N]\n                   \
-    [--resume] [--structures a,b] [--mechanisms a,b] [--modes a,b]\n                   \
+    [--resume] [--structures a,b] [--mechs a,b] [--modes a,b]\n                   \
     [--threads a,b] [--seeds a,b] [--size N] [--ops N]\n                   \
     [--crash-samples N] [--out FILE] [--bench FILE]\n                   \
     [--no-bench] [--inject-panic CELL] [--quiet]\n  \
     lrp-campaign matrix [--smoke|--paper] [...matrix flags]\n\n\
     axes: structures linkedlist,hashmap,bstree,skiplist,queue\n          \
-    mechanisms nop,sb,bb,lrp · modes cached,uncached\n\n\
+    mechs nop,sb,bb,lrp,dpo · modes cached,uncached\n\n\
     --paper runs the paper-scale tier: 64K-entry structures on the full\n    \
     64-core mesh (hashmap,bstree,skiplist x all four mechanisms)";
 
-fn matrix_from(cli: &mut Cli) -> MatrixSpec {
-    let mut m = match (cli.flag("paper"), cli.flag("smoke")) {
-        (true, true) => cli.fail("--paper and --smoke are mutually exclusive"),
-        (true, false) => MatrixSpec::paper(),
-        (false, true) => MatrixSpec::smoke(),
-        (false, false) => MatrixSpec::default_campaign(),
-    };
-    if let Some(v) = cli.opt_list("structures") {
-        m.structures = v;
-    }
-    if let Some(v) = cli.opt_list("mechanisms") {
-        m.mechanisms = v;
-    }
-    if let Some(v) = cli.opt_list("modes") {
-        m.modes = v;
-    }
-    if let Some(v) = cli.opt_list("threads") {
-        m.threads = v;
-    }
-    if let Some(v) = cli.opt_list("seeds") {
-        m.seeds = v;
-    }
-    if let Some(v) = cli.opt_parse("size") {
-        m.initial_size = v;
-    }
-    if let Some(v) = cli.opt_parse("ops") {
-        m.ops_per_thread = v;
-    }
-    if let Some(v) = cli.opt_parse("crash-samples") {
-        m.crash_samples = v;
-    }
-    cli.check_workload(&m.threads, m.ops_per_thread);
-    m
-}
-
 fn main() {
     let mut cli = Cli::from_env(USAGE);
-    let matrix = matrix_from(&mut cli);
+    let tier = cli.tier();
+    let mut matrix = cli.matrix(tier);
+    if let Some(v) = cli.opt_parse("crash-samples") {
+        matrix.crash_samples = v;
+    }
 
-    let mut cfg = CampaignConfig::default();
-    if let Some(w) = cli.opt_parse::<usize>("workers") {
-        if w == 0 {
-            cli.fail("--workers must be at least 1");
-        }
-        cfg.workers = w;
-    }
-    if let Some(t) = cli.opt_parse::<u64>("timeout-secs") {
-        cfg.timeout = Duration::from_secs(t);
-    }
-    cfg.inject_panic = cli.opt("inject-panic");
+    let default = CampaignConfig::default();
+    let cfg = CampaignConfig {
+        workers: cli.workers(default.workers),
+        timeout: cli
+            .opt_parse("timeout-secs")
+            .map_or(default.timeout, Duration::from_secs),
+        inject_panic: cli.opt("inject-panic"),
+    };
     let resume = cli.flag("resume");
     let quiet = cli.flag("quiet");
     let out: PathBuf = cli

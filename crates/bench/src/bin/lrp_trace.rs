@@ -14,10 +14,11 @@
 
 use lrp_bench::cli::{load_replayable, load_trace, write_out, Cli};
 use lrp_bench::{out, outln};
-use lrp_lfds::{Structure, WorkloadSpec};
+use lrp_campaign::{build_trace, CellSpec};
+use lrp_lfds::Structure;
 use lrp_model::{codec, Census};
 use lrp_recovery::{check_null_recovery, CrashPlan};
-use lrp_sim::{Mechanism, Sim, SimConfig};
+use lrp_sim::{Mechanism, NvmMode, Sim, SimConfig};
 
 const USAGE: &str = "usage:\n  \
     lrp-trace gen --structure <linkedlist|hashmap|bstree|skiplist|queue> \
@@ -26,12 +27,16 @@ const USAGE: &str = "usage:\n  \
     lrp-trace check <FILE>\n\n\
     defaults:\n  \
     --size 64   --threads 4   --ops 25   --seed 1\n  \
+    --threads N          worker threads, at least 1 (more than the\n                       \
+    machine's 64 cores builds a trace check cannot replay)\n  \
+    --ops N              operations per worker thread, at least 1\n  \
     --out FILE           write the generated trace there instead of stdout\n\n\
     exit codes:\n  \
     0  success\n  \
     1  file read/write/parse error, or check: a trace the simulator cannot\n     \
        replay (malformed, or more threads than the machine has cores)\n  \
-    2  usage error (unknown flag or command, missing or invalid value)\n  \
+    2  usage error (unknown flag or command, missing or invalid value,\n     \
+       gen --threads 0 or --ops 0)\n  \
     3  check: an RP violation or a null-recovery failure";
 
 /// Seed of the crash points `check` samples: fixed, so a trace file
@@ -52,7 +57,23 @@ fn main() {
             let Some(structure) = structure else {
                 cli.fail("gen needs --structure")
             };
-            gen(structure, size, threads, ops, seed, out);
+            if threads == 0 {
+                cli.fail("--threads must be at least 1");
+            }
+            cli.check_ops(ops);
+            // Only the workload fields of the cell shape its trace.
+            let cell = CellSpec {
+                index: 0,
+                structure,
+                mechanism: Mechanism::Lrp,
+                mode: NvmMode::Cached,
+                threads,
+                seed,
+                initial_size: size,
+                ops_per_thread: ops,
+                crash_samples: 0,
+            };
+            gen(&cell, out);
         }
         "info" => match pos.get(1) {
             Some(path) => info(path),
@@ -66,21 +87,8 @@ fn main() {
     }
 }
 
-fn gen(
-    structure: Structure,
-    size: usize,
-    threads: u16,
-    ops: usize,
-    seed: u64,
-    out: Option<String>,
-) {
-    let trace = WorkloadSpec::new(structure)
-        .initial_size(size)
-        .threads(threads)
-        .ops_per_thread(ops)
-        .seed(seed)
-        .build_trace();
-    trace.validate().expect("generated trace is well-formed");
+fn gen(cell: &CellSpec, out: Option<String>) {
+    let trace = build_trace(cell);
     let text = codec::to_text(&trace);
     match out {
         Some(path) => {

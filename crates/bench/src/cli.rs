@@ -12,6 +12,11 @@
 //! call [`Cli::positionals`] — anything left that still looks like a
 //! flag is an error.
 //!
+//! The three matrix commands (`lrp-campaign`, `lrp-bench host`,
+//! `lrp-check`) read one [`MatrixSpec`] through one set of axis flags,
+//! [`Cli::matrix`], each over its own default matrix; `--smoke` and
+//! `--paper` pick a preset tier ([`Cli::tier`]).
+//!
 //! The module also holds the bodies the binaries share: stdout writes
 //! that end the process quietly once the reader has gone
 //! ([`write_stdout`], behind the [`out!`](crate::out) and
@@ -21,7 +26,7 @@
 //! ([`load_replayable`]) and the unhealthy-cell report
 //! ([`report_unhealthy`]).
 
-use lrp_campaign::CellRecord;
+use lrp_campaign::{CellRecord, MatrixSpec};
 use lrp_model::{codec, Trace};
 use lrp_obs::Json;
 use lrp_sim::{Mechanism, SimConfig};
@@ -153,10 +158,75 @@ impl Cli {
         Some(out)
     }
 
+    /// The preset matrix `--smoke` or `--paper` selects (mutually
+    /// exclusive), else the default campaign.
+    pub fn tier(&mut self) -> MatrixSpec {
+        match (self.flag("paper"), self.flag("smoke")) {
+            (true, true) => self.fail("--paper and --smoke are mutually exclusive"),
+            (true, false) => MatrixSpec::paper(),
+            (false, true) => MatrixSpec::smoke(),
+            (false, false) => MatrixSpec::default_campaign(),
+        }
+    }
+
+    /// `default` with the axes the matrix flags give replaced:
+    /// `--structures --mechs --modes --threads --seeds` (comma-separated
+    /// lists), `--size N` and `--ops N`. Exits 2 unless the simulator
+    /// can replay every cell's workload.
+    pub fn matrix(&mut self, default: MatrixSpec) -> MatrixSpec {
+        let mut m = default;
+        if let Some(v) = self.opt_list("structures") {
+            m.structures = v;
+        }
+        if let Some(v) = self.opt_list("mechs") {
+            m.mechanisms = v;
+        }
+        if let Some(v) = self.opt_list("modes") {
+            m.modes = v;
+        }
+        if let Some(v) = self.opt_list("threads") {
+            m.threads = v;
+        }
+        if let Some(v) = self.opt_list("seeds") {
+            m.seeds = v;
+        }
+        if let Some(v) = self.opt_parse("size") {
+            m.initial_size = v;
+        }
+        if let Some(v) = self.opt_parse("ops") {
+            m.ops_per_thread = v;
+        }
+        self.check_workload(&m.threads, m.ops_per_thread);
+        m
+    }
+
+    /// `--workers N`, at least 1, else `default`.
+    pub fn workers(&mut self, default: usize) -> usize {
+        match self.opt_parse("workers") {
+            Some(0) => self.fail("--workers must be at least 1"),
+            Some(w) => w,
+            None => default,
+        }
+    }
+
+    /// Extracts the command word that must lead the arguments
+    /// (`lrp-bench host …`), so each command parses only its own flags.
+    pub fn command(&mut self) -> String {
+        match self.args.first() {
+            Some(a) if !a.starts_with('-') => self.args.remove(0),
+            _ => self.fail("expected a command"),
+        }
+    }
+
     /// Exits 2 unless every `threads` count fits the simulated machine
     /// (one worker per core) and `ops_per_thread` is at least 1.
     pub fn check_workload(&self, threads: &[u16], ops_per_thread: usize) {
         self.check_threads("threads", threads);
+        self.check_ops(ops_per_thread);
+    }
+
+    /// Exits 2 unless `ops_per_thread` is at least 1.
+    pub fn check_ops(&self, ops_per_thread: usize) {
         if ops_per_thread == 0 {
             self.fail("--ops must be at least 1");
         }

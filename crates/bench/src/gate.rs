@@ -116,6 +116,16 @@ pub fn paired<'a, R>(
     })
 }
 
+/// The fields of a report's `matrix` object (campaign and host reports)
+/// that make two reports one workload. The other axes are in the keys:
+/// a report over other structures, mechanisms, modes or thread counts
+/// shares no key with the baseline and compares nothing.
+const MATRIX_WORKLOAD: &[&str] = &[
+    "matrix.initial_size",
+    "matrix.ops_per_thread",
+    "matrix.seeds",
+];
+
 /// Judges `current` against `baseline`, two reports of one type and
 /// one workload. Errs (one line) on a report type the gate does not
 /// know, on reports of different types, on reports whose workload
@@ -126,18 +136,8 @@ pub fn gate(baseline: &Json, current: &Json) -> Result<GateVerdict, String> {
     let report = doc_type(baseline).unwrap_or_default();
     // The fields that make two reports one workload; dotted paths.
     let (workload, judge): (&[&str], Judge) = match report.as_str() {
-        "campaign" => (
-            &[
-                "matrix.initial_size",
-                "matrix.ops_per_thread",
-                "matrix.seeds",
-            ],
-            gate_campaign,
-        ),
-        "host-bench" => (
-            &["mode", "threads", "ops_per_thread", "initial_size", "seed"],
-            host::gate_host,
-        ),
+        "campaign" => (MATRIX_WORKLOAD, gate_campaign),
+        "host-bench" => (MATRIX_WORKLOAD, host::gate_host),
         "serve-bench" => (
             &[
                 "shards",
@@ -522,10 +522,17 @@ mod tests {
 
     #[test]
     fn gate_refuses_reports_of_different_types_or_workloads() {
-        let host = |threads: u64| {
+        let host = |initial_size: u64| {
             Json::obj([
                 ("type", Json::Str("host-bench".to_string())),
-                ("threads", Json::U64(threads)),
+                (
+                    "matrix",
+                    Json::obj([
+                        ("initial_size", Json::U64(initial_size)),
+                        ("ops_per_thread", Json::U64(10)),
+                        ("seeds", Json::Arr(vec![Json::U64(1)])),
+                    ]),
+                ),
                 ("cells", Json::Arr(Vec::new())),
             ])
         };
@@ -535,9 +542,12 @@ mod tests {
             err.contains("serve-bench") && err.contains("host-bench"),
             "{err}"
         );
-        for (b, c) in [(2, 64), (64, 2)] {
+        for (b, c) in [(32, 65536), (65536, 32)] {
             let err = gate(&host(b), &host(c)).unwrap_err();
-            assert!(err.contains("threads") && !err.contains('\n'), "{err}");
+            assert!(
+                err.contains("matrix.initial_size") && !err.contains('\n'),
+                "{err}"
+            );
         }
         // A workload field missing from one side differs too.
         let bare = Json::obj([

@@ -3,9 +3,9 @@
 //! Every subsystem in the workspace — campaign sweeps, the blame
 //! profiler, the serve shard loop — ultimately spends its wall-clock
 //! inside the discrete-event machine, so *simulated cycles per host
-//! second* is the scaling metric that matters. This module replays a
-//! (structure × mechanism) matrix with [`sample_ms`] timing each cell,
-//! and reports per-cell:
+//! second* is the scaling metric that matters. This module replays the
+//! cells of a campaign [`MatrixSpec`] with [`sample_ms`] timing each
+//! cell, and reports per-cell (keyed by [`CellSpec::id`]):
 //!
 //! * `sim_cycles` / `ops` — deterministic workload size (simulated),
 //! * `wall_ms_min` / `wall_ms_median` — host wall time per replay,
@@ -19,10 +19,9 @@
 
 use crate::alloc_count;
 use crate::gate::{paired, Bound, GateVerdict, Rows};
-use lrp_lfds::{Structure, WorkloadSpec};
-use lrp_model::Trace;
+use lrp_campaign::{build_trace, run_parallel, CellSpec, MatrixSpec};
 use lrp_obs::Json;
-use lrp_sim::{Mechanism, NvmMode, Sim, SimConfig};
+use lrp_sim::{Sim, SimConfig};
 use std::time::Instant;
 
 /// Times `samples` runs of `f` (after one untimed warmup) and returns
@@ -40,101 +39,14 @@ pub fn sample_ms<R>(samples: usize, mut f: impl FnMut() -> R) -> Vec<f64> {
     out
 }
 
-/// The benchmark matrix and workload shape.
-#[derive(Debug, Clone)]
-pub struct HostSpec {
-    /// Tier name recorded in the report (`quick`, `smoke`, `paper`).
-    pub tier: &'static str,
-    /// Structures axis.
-    pub structures: Vec<Structure>,
-    /// Mechanisms axis.
-    pub mechanisms: Vec<Mechanism>,
-    /// NVM mode (one per report; the axis that matters is host-side).
-    pub mode: NvmMode,
-    /// Worker threads in the simulated workload.
-    pub threads: u16,
-    /// Operations per worker.
-    pub ops_per_thread: usize,
-    /// Initial structure population.
-    pub initial_size: usize,
-    /// Workload seed.
-    pub seed: u64,
-    /// Timed replays per cell (plus one untimed warmup).
-    pub samples: usize,
-}
+/// Timed replays per cell (plus one untimed warmup) by default.
+pub const SAMPLES: usize = 3;
 
-impl HostSpec {
-    /// The default matrix: all five LFDs × the paper's four mechanisms
-    /// at a workload size that keeps the full matrix under a minute.
-    pub fn quick() -> HostSpec {
-        HostSpec {
-            tier: "quick",
-            structures: Structure::ALL.to_vec(),
-            mechanisms: Mechanism::ALL.to_vec(),
-            mode: NvmMode::Cached,
-            threads: 4,
-            ops_per_thread: 64,
-            initial_size: 128,
-            seed: 1,
-            samples: 5,
-        }
-    }
-
-    /// The CI smoke matrix: the shape of the smoke campaign (hashmap
-    /// under NOP + LRP), seconds end-to-end.
-    pub fn smoke() -> HostSpec {
-        HostSpec {
-            tier: "smoke",
-            structures: vec![Structure::HashMap],
-            mechanisms: vec![Mechanism::Nop, Mechanism::Lrp],
-            threads: 2,
-            ops_per_thread: 32,
-            initial_size: 32,
-            samples: 3,
-            ..HostSpec::quick()
-        }
-    }
-
-    /// The paper tier: the evaluation's SynchroBench scale — 64K
-    /// initial entries on 64 simulated cores (the machine's full mesh)
-    /// — for the structures the paper runs at that size. The O(n)
-    /// linked list and the two-ended queue are excluded: at 64K
-    /// entries a single traversal exceeds the whole quick-tier
-    /// workload, and the paper sizes them separately.
-    pub fn paper() -> HostSpec {
-        HostSpec {
-            tier: "paper",
-            structures: vec![Structure::HashMap, Structure::Bst, Structure::SkipList],
-            mechanisms: Mechanism::ALL.to_vec(),
-            threads: 64,
-            ops_per_thread: 64,
-            initial_size: 64 * 1024,
-            samples: 3,
-            ..HostSpec::quick()
-        }
-    }
-
-    /// The CI slice of the paper tier: one structure × LRP + SB at the
-    /// full 64K-entry / 64-core scale, few samples — proves the
-    /// paper-scale path completes inside a CI wall budget.
-    pub fn paper_smoke() -> HostSpec {
-        HostSpec {
-            tier: "paper-smoke",
-            structures: vec![Structure::HashMap],
-            mechanisms: vec![Mechanism::Lrp, Mechanism::Sb],
-            samples: 2,
-            ..HostSpec::paper()
-        }
-    }
-}
-
-/// One timed (structure, mechanism) cell.
+/// One timed matrix cell.
 #[derive(Debug, Clone)]
 pub struct HostCell {
-    /// The structure under test.
-    pub structure: Structure,
-    /// The persistency mechanism.
-    pub mechanism: Mechanism,
+    /// The cell replayed.
+    pub spec: CellSpec,
     /// Simulated cycles of one replay (deterministic).
     pub sim_cycles: u64,
     /// Harness ops of one replay (deterministic).
@@ -149,11 +61,6 @@ pub struct HostCell {
 }
 
 impl HostCell {
-    /// `structure/mechanism` report key.
-    pub fn key(&self) -> String {
-        format!("{}/{}", self.structure.name(), self.mechanism.name())
-    }
-
     /// Simulated cycles advanced per host second (min-time estimator).
     pub fn sim_cycles_per_sec(&self) -> f64 {
         if self.wall_ms_min > 0.0 {
@@ -176,8 +83,10 @@ impl HostCell {
 /// The whole benchmark run.
 #[derive(Debug, Clone)]
 pub struct HostReport {
-    /// Workload shape, echoed for reproducibility.
-    pub spec: HostSpec,
+    /// The matrix replayed, echoed for reproducibility.
+    pub matrix: MatrixSpec,
+    /// Timed replays per cell.
+    pub samples: usize,
     /// One entry per matrix cell, in matrix order.
     pub cells: Vec<HostCell>,
 }
@@ -200,65 +109,61 @@ impl HostReport {
     }
 }
 
-/// Runs the benchmark matrix serially. Trace generation is excluded
-/// from the timed region: the benchmark measures the simulator, not
-/// the workload generator.
-pub fn run_host(spec: &HostSpec, progress: impl FnMut(&HostCell)) -> HostReport {
-    run_host_jobs(spec, 1, progress)
-}
-
-/// Runs the benchmark matrix with the untimed phases fanned out over
-/// `jobs` work-stealing workers (the campaign scheduler's discipline,
-/// via [`lrp_campaign::run_parallel`]):
+/// Times `samples` replays of every cell of `matrix`, with the untimed
+/// phases fanned out over `workers` work-stealing workers (the campaign
+/// scheduler's discipline, via [`run_parallel`]):
 ///
-/// 1. **Traces** — one workload trace per structure, in parallel.
+/// 1. **Traces** — one trace per distinct [`CellSpec::workload`], in
+///    parallel; the cells that differ only in mechanism or NVM mode
+///    share it. Trace generation is never timed: the benchmark measures
+///    the simulator, not the workload generator.
 /// 2. **Probes** — one untimed replay per cell for the deterministic
 ///    columns (`sim_cycles`, `ops`), in parallel.
 /// 3. **Timing** — allocation counting and the timed samples run
 ///    strictly serially, in matrix order, after every worker has
 ///    retired: each cell is pinned solo on the machine, so wall-clock
-///    numbers are directly comparable to a `--jobs 1` run.
+///    numbers are directly comparable to a `--workers 1` run.
 ///
-/// Every reported number is byte-identical to [`run_host`]'s — the
-/// simulator is deterministic and the phases that parallelize are the
-/// untimed ones — only the end-to-end wall clock of the benchmark
-/// itself shrinks.
-pub fn run_host_jobs(
-    spec: &HostSpec,
-    jobs: usize,
+/// Every deterministic column is the same for any worker count; only
+/// the end-to-end wall clock of the benchmark itself shrinks.
+pub fn run_host(
+    matrix: &MatrixSpec,
+    samples: usize,
+    workers: usize,
     mut progress: impl FnMut(&HostCell),
 ) -> HostReport {
-    let jobs = jobs.max(1);
-    let traces: Vec<Trace> = lrp_campaign::run_parallel(
-        spec.structures.clone(),
-        jobs,
-        |s| {
-            WorkloadSpec::new(s)
-                .initial_size(spec.initial_size)
-                .threads(spec.threads)
-                .ops_per_thread(spec.ops_per_thread)
-                .seed(spec.seed)
-                .build_trace()
-        },
-        |_| (),
-    );
-    let pairs: Vec<(usize, Mechanism)> = (0..spec.structures.len())
-        .flat_map(|si| spec.mechanisms.iter().map(move |&m| (si, m)))
+    let specs = matrix.cells();
+    // Each cell's slot in `firsts`, the first cell of every workload.
+    let mut firsts: Vec<&CellSpec> = Vec::new();
+    let slots: Vec<usize> = specs
+        .iter()
+        .map(|c| {
+            let w = c.workload();
+            firsts
+                .iter()
+                .position(|f| f.workload() == w)
+                .unwrap_or_else(|| {
+                    firsts.push(c);
+                    firsts.len() - 1
+                })
+        })
         .collect();
-    let probes: Vec<(u64, u64)> = lrp_campaign::run_parallel(
-        pairs.clone(),
-        jobs,
-        |(si, mechanism)| {
-            let cfg = SimConfig::new(mechanism).nvm_mode(spec.mode);
-            let r = Sim::new(cfg, &traces[si]).run();
+    let workers = workers.max(1);
+    let traces = run_parallel(firsts, workers, build_trace, |_| ());
+    let config = |c: &CellSpec| SimConfig::new(c.mechanism).nvm_mode(c.mode);
+    let probes: Vec<(u64, u64)> = run_parallel(
+        specs.iter().zip(&slots).collect(),
+        workers,
+        |(c, &slot)| {
+            let r = Sim::new(config(c), &traces[slot]).run();
             (r.stats.cycles, r.stats.ops)
         },
         |_| (),
     );
-    let mut cells = Vec::with_capacity(pairs.len());
-    for (&(si, mechanism), &(sim_cycles, ops)) in pairs.iter().zip(&probes) {
-        let trace = &traces[si];
-        let cfg = SimConfig::new(mechanism).nvm_mode(spec.mode);
+    let mut cells = Vec::with_capacity(specs.len());
+    for ((spec, &slot), (sim_cycles, ops)) in specs.into_iter().zip(&slots).zip(probes) {
+        let trace = &traces[slot];
+        let cfg = config(&spec);
         let allocs_per_op = alloc_count::installed().then(|| {
             let before = alloc_count::allocations();
             let r = Sim::new(cfg.clone(), trace).run();
@@ -270,21 +175,21 @@ pub fn run_host_jobs(
                 0.0
             }
         });
-        let samples = sample_ms(spec.samples, || Sim::new(cfg.clone(), trace).run());
+        let wall = sample_ms(samples, || Sim::new(cfg.clone(), trace).run());
         let cell = HostCell {
-            structure: spec.structures[si],
-            mechanism,
+            spec,
             sim_cycles,
             ops,
-            wall_ms_min: samples[0],
-            wall_ms_median: samples[samples.len() / 2],
+            wall_ms_min: wall[0],
+            wall_ms_median: wall[wall.len() / 2],
             allocs_per_op,
         };
         progress(&cell);
         cells.push(cell);
     }
     HostReport {
-        spec: spec.clone(),
+        matrix: matrix.clone(),
+        samples,
         cells,
     }
 }
@@ -296,8 +201,7 @@ pub fn report_json(r: &HostReport) -> Json {
         .iter()
         .map(|c| {
             let mut fields = vec![
-                ("structure", Json::Str(c.structure.name().to_string())),
-                ("mechanism", Json::Str(c.mechanism.name().to_string())),
+                ("id", Json::Str(c.spec.id())),
                 ("sim_cycles", Json::U64(c.sim_cycles)),
                 ("ops", Json::U64(c.ops)),
                 ("wall_ms_min", Json::F64(c.wall_ms_min)),
@@ -313,13 +217,8 @@ pub fn report_json(r: &HostReport) -> Json {
         .collect();
     Json::obj([
         ("type", Json::Str("host-bench".to_string())),
-        ("tier", Json::Str(r.spec.tier.to_string())),
-        ("mode", Json::Str(r.spec.mode.name().to_string())),
-        ("threads", Json::U64(r.spec.threads as u64)),
-        ("ops_per_thread", Json::U64(r.spec.ops_per_thread as u64)),
-        ("initial_size", Json::U64(r.spec.initial_size as u64)),
-        ("seed", Json::U64(r.spec.seed)),
-        ("samples", Json::U64(r.spec.samples as u64)),
+        ("matrix", r.matrix.to_json()),
+        ("samples", Json::U64(r.samples as u64)),
         ("total_wall_ms", Json::F64(r.total_wall_ms())),
         (
             "total_sim_cycles_per_sec",
@@ -333,12 +232,10 @@ pub fn report_json(r: &HostReport) -> Json {
 pub fn render_report(r: &HostReport) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "host throughput (mode={}, t{}, {} ops/thread, {} samples/cell)\n\
-         {:<24} {:>12} {:>8} {:>10} {:>16} {:>12} {:>10}\n",
-        r.spec.mode.name(),
-        r.spec.threads,
-        r.spec.ops_per_thread,
-        r.spec.samples,
+        "host throughput, {} samples/cell: {}\n\
+         {:<30} {:>12} {:>8} {:>10} {:>16} {:>12} {:>10}\n",
+        r.samples,
+        r.matrix.describe(),
         "cell",
         "sim cycles",
         "ops",
@@ -349,8 +246,8 @@ pub fn render_report(r: &HostReport) -> String {
     ));
     for c in &r.cells {
         out.push_str(&format!(
-            "{:<24} {:>12} {:>8} {:>10.3} {:>16.0} {:>12.0} {:>10}\n",
-            c.key(),
+            "{:<30} {:>12} {:>8} {:>10.3} {:>16.0} {:>12.0} {:>10}\n",
+            c.spec.id(),
             c.sim_cycles,
             c.ops,
             c.wall_ms_min,
@@ -382,8 +279,8 @@ struct CellRow {
     allocs_per_op: Option<f64>,
 }
 
-/// Extracts the per-cell metric rows, keyed `structure/mechanism`, from
-/// a `BENCH_host.json` document.
+/// Extracts the per-cell metric rows, keyed by cell id, from a
+/// `BENCH_host.json` document.
 fn extract(doc: &Json) -> Result<Rows<CellRow>, String> {
     let cells = doc
         .get("cells")
@@ -391,8 +288,7 @@ fn extract(doc: &Json) -> Result<Rows<CellRow>, String> {
         .ok_or("missing cells array")?;
     let mut out = Vec::new();
     for c in cells {
-        let structure = c.field_str("structure")?;
-        let mechanism = c.field_str("mechanism")?;
+        let id = c.field_str("id")?;
         let ops = c
             .get("ops_per_sec")
             .and_then(Json::as_f64)
@@ -401,7 +297,7 @@ fn extract(doc: &Json) -> Result<Rows<CellRow>, String> {
             ops_per_sec: ops,
             allocs_per_op: c.get("allocs_per_op").and_then(Json::as_f64),
         };
-        out.push((format!("{structure}/{mechanism}"), row));
+        out.push((id.to_string(), row));
     }
     Ok(out)
 }
@@ -428,47 +324,57 @@ pub(crate) fn gate_host(baseline: &Json, current: &Json) -> Result<GateVerdict, 
 mod tests {
     use super::*;
     use crate::gate::{gate, render_gate};
+    use lrp_lfds::Structure;
+    use lrp_sim::{Mechanism, NvmMode};
 
-    fn tiny_spec() -> HostSpec {
-        HostSpec {
+    fn tiny_matrix() -> MatrixSpec {
+        MatrixSpec {
             structures: vec![Structure::Queue],
             mechanisms: vec![Mechanism::Nop, Mechanism::Lrp],
-            threads: 2,
-            ops_per_thread: 8,
+            modes: vec![NvmMode::Cached],
+            threads: vec![2],
+            seeds: vec![1],
             initial_size: 16,
-            samples: 1,
-            ..HostSpec::quick()
+            ops_per_thread: 8,
+            crash_samples: 0,
         }
+    }
+
+    /// One timed sample per cell of the tiny matrix, serially.
+    fn tiny_run() -> HostReport {
+        run_host(&tiny_matrix(), 1, 1, |_| {})
     }
 
     #[test]
     fn host_report_round_trips_through_json() {
-        let report = run_host(&tiny_spec(), |_| {});
+        let report = tiny_run();
         assert_eq!(report.cells.len(), 2);
         for c in &report.cells {
             assert!(c.sim_cycles > 0 && c.ops > 0);
             assert!(c.sim_cycles_per_sec() > 0.0);
         }
         let doc = Json::parse(&report_json(&report).to_pretty()).unwrap();
-        assert_eq!(doc.get("tier").and_then(Json::as_str), Some("quick"));
+        assert_eq!(doc.get("matrix"), Some(&tiny_matrix().to_json()));
         let rows = extract(&doc).unwrap();
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].0, "queue/nop");
+        assert_eq!(rows[0].0, "queue/nop/cached/t2/s1");
         assert!(rows.iter().all(|(_, r)| r.ops_per_sec > 0.0));
         let rendered = render_report(&report);
-        assert!(rendered.contains("queue/lrp"));
+        assert!(rendered.contains("queue/lrp/cached/t2/s1"));
         let gated = render_gate(&gate(&doc, &doc).unwrap());
         assert!(
-            gated.lines().any(|l| l.starts_with("queue/nop")
-                && l.contains("ops_per_sec")
-                && l.contains("+0.0%")),
+            gated
+                .lines()
+                .any(|l| l.starts_with("queue/nop/cached/t2/s1")
+                    && l.contains("ops_per_sec")
+                    && l.contains("+0.0%")),
             "{gated}"
         );
     }
 
     #[test]
     fn host_gate_passes_self_and_fails_2x_regression() {
-        let report = run_host(&tiny_spec(), |_| {});
+        let report = tiny_run();
         let doc = report_json(&report);
         let v = gate(&doc, &doc).unwrap();
         assert!(v.pass(), "{}", render_gate(&v));
@@ -486,7 +392,7 @@ mod tests {
 
     #[test]
     fn host_gate_shows_allocs_per_op_without_gating_it() {
-        let mut report = run_host(&tiny_spec(), |_| {});
+        let mut report = tiny_run();
         for c in &mut report.cells {
             c.allocs_per_op = Some(1.0);
         }
@@ -506,15 +412,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_jobs_match_serial_deterministic_columns() {
+    fn parallel_workers_match_serial_deterministic_columns() {
         // The simulator is deterministic and only untimed phases fan
-        // out, so every non-wall column is identical across job counts.
-        let spec = tiny_spec();
-        let serial = run_host(&spec, |_| {});
-        let parallel = run_host_jobs(&spec, 4, |_| {});
+        // out, so every non-wall column is identical across worker
+        // counts.
+        let serial = tiny_run();
+        let parallel = run_host(&tiny_matrix(), 1, 4, |_| {});
         assert_eq!(serial.cells.len(), parallel.cells.len());
         for (s, p) in serial.cells.iter().zip(&parallel.cells) {
-            assert_eq!(s.key(), p.key());
+            assert_eq!(s.spec.id(), p.spec.id());
             assert_eq!(s.sim_cycles, p.sim_cycles);
             assert_eq!(s.ops, p.ops);
         }
@@ -528,10 +434,10 @@ mod tests {
             ("type", Json::Str("host-bench".to_string())),
             (
                 "cells",
-                Json::Arr(vec![Json::obj([
-                    ("structure", Json::Str("queue".to_string())),
-                    ("mechanism", Json::Str("lrp".to_string())),
-                ])]),
+                Json::Arr(vec![Json::obj([(
+                    "id",
+                    Json::Str("queue/lrp/cached/t2/s1".to_string()),
+                )])]),
             ),
         ]);
         assert!(gate(&cell_without_ops, &cell_without_ops).is_err());
@@ -541,8 +447,7 @@ mod tests {
     fn simulated_outcomes_are_wall_clock_invariant() {
         // The deterministic columns (sim_cycles, ops) must not vary
         // across runs even though wall time does.
-        let a = run_host(&tiny_spec(), |_| {});
-        let b = run_host(&tiny_spec(), |_| {});
+        let (a, b) = (tiny_run(), tiny_run());
         for (ca, cb) in a.cells.iter().zip(&b.cells) {
             assert_eq!(ca.sim_cycles, cb.sim_cycles);
             assert_eq!(ca.ops, cb.ops);

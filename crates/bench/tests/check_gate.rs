@@ -17,7 +17,7 @@ fn clean_cell_exits_zero_with_a_report() {
             "--mechs",
             "lrp",
             "--seeds",
-            "1",
+            "3",
             "--json-out",
         ])
         .arg(&json)
@@ -50,8 +50,6 @@ fn mutation_is_caught_with_exit_three_and_a_counterexample() {
             "1",
             "--ops",
             "8",
-            "--seed",
-            "1",
             "--mutate-reorder",
             "--cx-out",
         ])

@@ -72,11 +72,12 @@ fn lrp_bench_help_documents_every_flag() {
         &[
             "smoke",
             "paper",
-            "jobs",
+            "workers",
             "structures",
             "mechs",
-            "mode",
+            "modes",
             "threads",
+            "seeds",
             "ops",
             "size",
             "seed",
@@ -217,10 +218,10 @@ fn lrp_check_help_documents_every_flag() {
         &[
             "structures",
             "mechs",
+            "modes",
             "threads",
             "ops",
             "size",
-            "seed",
             "seeds",
             "max-states",
             "mutate-reorder",
@@ -310,6 +311,7 @@ fn output_within(cmd: &mut Command, secs: u64) -> Output {
 #[test]
 fn workloads_the_simulator_cannot_replay_exit_2() {
     let eval = env!("CARGO_BIN_EXE_lrp-eval");
+    let trace = env!("CARGO_BIN_EXE_lrp-trace");
     let campaign = env!("CARGO_BIN_EXE_lrp-campaign");
     let profile = env!("CARGO_BIN_EXE_lrp-profile");
     let check = env!("CARGO_BIN_EXE_lrp-check");
@@ -318,7 +320,7 @@ fn workloads_the_simulator_cannot_replay_exit_2() {
     // A campaign that wrongly runs must not write into the source tree.
     let tmp = std::env::temp_dir().join(format!("lrp-cli-workload-{}", std::process::id()));
     let (out, summary) = (tmp.with_extension("jsonl"), tmp.with_extension("json"));
-    let cases: [(&str, &[&str], &str); 18] = [
+    let cases: [(&str, &[&str], &str); 20] = [
         (eval, &["fig5", "--quick", "--threads", "0"], "--threads"),
         (eval, &["fig5", "--quick", "--threads", "65"], "--threads"),
         (eval, &["fig5", "--quick", "--ops", "0"], "--ops"),
@@ -369,6 +371,17 @@ fn workloads_the_simulator_cannot_replay_exit_2() {
             "--structures",
         ),
         (serve, &["--sim-threads", "65"], "--sim-threads"),
+        // An empty workload; more threads than cores stay legal for gen.
+        (
+            trace,
+            &["gen", "--structure", "queue", "--threads", "0"],
+            "--threads",
+        ),
+        (
+            trace,
+            &["gen", "--structure", "queue", "--ops", "0"],
+            "--ops",
+        ),
     ];
     for (bin, args, flag) in cases {
         let mut cmd = Command::new(bin);

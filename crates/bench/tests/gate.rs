@@ -104,3 +104,33 @@ fn reports_of_different_types_are_refused() {
         "{err}"
     );
 }
+
+#[test]
+fn an_old_schema_host_report_is_refused() {
+    // The host report before it carried the campaign's matrix object:
+    // its workload fields were top-level and its cells keyed
+    // structure/mechanism.
+    let dir = std::env::temp_dir().join(format!("lrp-gate-old-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let old = dir.join("BENCH_host_old.json");
+    std::fs::write(
+        &old,
+        r#"{"type": "host-bench", "tier": "smoke", "mode": "cached", "threads": 2,
+            "ops_per_thread": 32, "initial_size": 32, "seed": 1, "samples": 3,
+            "cells": [{"structure": "hashmap", "mechanism": "lrp", "ops_per_sec": 1.0}]}"#,
+    )
+    .unwrap();
+    let new = repo_file("baselines/BENCH_host.json");
+    for (baseline, current) in [(&old, &new), (&new, &old)] {
+        let out = gate(baseline, current);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{err}");
+        assert!(out.stdout.is_empty(), "no verdict is printed");
+        assert_eq!(err.lines().count(), 1, "{err}");
+        assert!(
+            err.contains("different workloads") && err.contains("matrix."),
+            "{err}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -4,6 +4,7 @@
 //! manifests, and aggregate reports all agree.
 
 use lrp_lfds::Structure;
+use lrp_obs::Json;
 use lrp_sim::{Mechanism, NvmMode};
 
 /// What a cell's trace is generated from: structure, initial size,
@@ -134,6 +135,26 @@ impl MatrixSpec {
         }
     }
 
+    /// The model checker's bound (`lrp-check`): every structure under
+    /// every mechanism, DPO included, at 2 threads × 4 ops over 8
+    /// entries, seeds 3 and 4. Large enough that every mechanism but
+    /// NOP (which never flushes) records several distinct persist
+    /// stamps, small enough that the whole cut lattice fits the
+    /// enumerator's state budget. The checker visits every crash point,
+    /// so `crash_samples` is unused.
+    pub fn check() -> Self {
+        MatrixSpec {
+            structures: Structure::ALL.to_vec(),
+            mechanisms: Mechanism::EXTENDED.to_vec(),
+            modes: vec![NvmMode::Cached],
+            threads: vec![2],
+            seeds: vec![3, 4],
+            initial_size: 8,
+            ops_per_thread: 4,
+            crash_samples: 0,
+        }
+    }
+
     /// Effective initial size for `s` (per-structure default when
     /// `initial_size` is 0: the O(n) linked list stays small).
     pub fn size_for(&self, s: Structure) -> usize {
@@ -204,6 +225,45 @@ impl MatrixSpec {
             self.ops_per_thread,
             self.crash_samples,
         )
+    }
+
+    /// The `matrix` object of every report over a matrix
+    /// (`BENCH_campaign.json`, `BENCH_host.json`, `lrp-check
+    /// --json-out`): the axes and the workload shape.
+    pub fn to_json(&self) -> Json {
+        let names = |items: Vec<&str>| {
+            Json::Arr(
+                items
+                    .into_iter()
+                    .map(|n| Json::Str(n.to_string()))
+                    .collect(),
+            )
+        };
+        Json::obj([
+            (
+                "structures",
+                names(self.structures.iter().map(|s| s.name()).collect()),
+            ),
+            (
+                "mechanisms",
+                names(self.mechanisms.iter().map(|m| m.name()).collect()),
+            ),
+            (
+                "modes",
+                names(self.modes.iter().map(|m| m.name()).collect()),
+            ),
+            (
+                "threads",
+                Json::Arr(self.threads.iter().map(|&t| Json::U64(t as u64)).collect()),
+            ),
+            (
+                "seeds",
+                Json::Arr(self.seeds.iter().map(|&s| Json::U64(s)).collect()),
+            ),
+            ("initial_size", Json::U64(self.initial_size as u64)),
+            ("ops_per_thread", Json::U64(self.ops_per_thread as u64)),
+            ("crash_samples", Json::U64(self.crash_samples as u64)),
+        ])
     }
 
     /// FNV-1a fingerprint of the canonical description; a resume refuses

@@ -289,56 +289,6 @@ pub fn load_manifest(path: &Path, matrix: &MatrixSpec) -> io::Result<Vec<CellRec
 /// wall-clock data: its bytes depend only on the matrix and the cell
 /// outcomes.
 pub fn summary_json(matrix: &MatrixSpec, summary: &CampaignSummary) -> Json {
-    let matrix_doc = Json::obj([
-        (
-            "structures",
-            Json::Arr(
-                matrix
-                    .structures
-                    .iter()
-                    .map(|s| Json::Str(s.name().to_string()))
-                    .collect(),
-            ),
-        ),
-        (
-            "mechanisms",
-            Json::Arr(
-                matrix
-                    .mechanisms
-                    .iter()
-                    .map(|m| Json::Str(m.name().to_string()))
-                    .collect(),
-            ),
-        ),
-        (
-            "modes",
-            Json::Arr(
-                matrix
-                    .modes
-                    .iter()
-                    .map(|m| Json::Str(m.name().to_string()))
-                    .collect(),
-            ),
-        ),
-        (
-            "threads",
-            Json::Arr(
-                matrix
-                    .threads
-                    .iter()
-                    .map(|&t| Json::U64(t as u64))
-                    .collect(),
-            ),
-        ),
-        (
-            "seeds",
-            Json::Arr(matrix.seeds.iter().map(|&s| Json::U64(s)).collect()),
-        ),
-        ("initial_size", Json::U64(matrix.initial_size as u64)),
-        ("ops_per_thread", Json::U64(matrix.ops_per_thread as u64)),
-        ("crash_samples", Json::U64(matrix.crash_samples as u64)),
-    ]);
-
     let groups = summary
         .groups
         .iter()
@@ -421,7 +371,7 @@ pub fn summary_json(matrix: &MatrixSpec, summary: &CampaignSummary) -> Json {
         ("type", Json::Str("campaign".to_string())),
         ("format_version", Json::U64(FORMAT_VERSION)),
         ("fingerprint", Json::Str(matrix.fingerprint())),
-        ("matrix", matrix_doc),
+        ("matrix", matrix.to_json()),
         (
             "cells",
             Json::obj([

@@ -52,7 +52,7 @@ impl CampaignConfig {
 /// drains its own deque from the front and, when empty, steals from
 /// the back of a victim's — the same discipline [`run_campaign`] uses
 /// for campaign cells, exposed generically so other fan-outs (the
-/// host benchmark's `--jobs`, trace pre-building) reuse it. `each`
+/// host benchmark's `--workers`, trace pre-building) reuse it. `each`
 /// runs on the caller's thread once per completed item in completion
 /// order (for streaming persistence or progress lines). With
 /// `workers <= 1` everything runs serially on the caller's thread and

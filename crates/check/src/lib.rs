@@ -46,5 +46,5 @@ pub use dl::{check_dl, decisive_events, DecisiveEvent, DlViolation};
 pub use order::{edge_list, persist_preds};
 pub use verify::{
     cross_validate, cross_validate_schedule, enumerate_check, generator_preds, mutate_reorder,
-    CheckBound, CrossReport, EnumReport,
+    CrossReport, EnumReport, MAX_STATES,
 };

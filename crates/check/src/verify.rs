@@ -1,7 +1,8 @@
 //! The two checker entry points.
 //!
-//! * [`cross_validate`] — the simulator-as-subject mode: run a bounded
-//!   harness workload through `lrp-sim` under one mechanism, then (a)
+//! * [`cross_validate`] — the simulator-as-subject mode: replay a
+//!   workload trace through `lrp-sim` under one mechanism and NVM mode,
+//!   then (a)
 //!   assert the recorded persist stamps respect the mechanism's
 //!   discipline ([`check_persist_order`], so every crash cut the stamps
 //!   realize is admissible), and (b) assert every realized crash cut is
@@ -25,57 +26,20 @@
 use crate::cuts::{enumerate_cuts, EnumStats, WriteChains};
 use crate::dl::{check_dl, decisive_events, DecisiveEvent, DlViolation};
 use crate::order::{edge_list, persist_preds};
-use lrp_lfds::{validate_image, Recovered, Structure, ValidationError, WorkloadSpec};
+use lrp_lfds::{validate_image, Recovered, Structure, ValidationError};
 use lrp_model::hb::TooLarge;
 use lrp_model::spec::{
     check_persist_order, earliest_late_pred, PersistDiscipline, PersistSchedule,
 };
 use lrp_model::{EventId, Trace};
 use lrp_recovery::{Counterexample, CrashPlan};
-use lrp_sim::{Mechanism, Sim, SimConfig};
+use lrp_sim::{Mechanism, NvmMode, Sim, SimConfig};
 use std::collections::HashSet;
 
-/// Workload and search bounds for one checker run.
-#[derive(Debug, Clone, Copy)]
-pub struct CheckBound {
-    /// Worker threads in the generated workload.
-    pub threads: u16,
-    /// Operations per worker thread.
-    pub ops_per_thread: usize,
-    /// Keys pre-inserted before recording starts.
-    pub initial_size: usize,
-    /// Workload seed.
-    pub seed: u64,
-    /// Budget for the cut-lattice walk (distinct memoized states).
-    pub max_states: usize,
-}
-
-impl Default for CheckBound {
-    fn default() -> Self {
-        // Large enough that every mechanism (except NOP, which never
-        // flushes) records several distinct persist stamps, small
-        // enough that the full cut lattice fits the state budget.
-        CheckBound {
-            threads: 2,
-            ops_per_thread: 4,
-            initial_size: 8,
-            seed: 3,
-            max_states: 20_000,
-        }
-    }
-}
-
-impl CheckBound {
-    /// Builds the bounded harness trace this bound describes.
-    pub fn build_trace(&self, structure: Structure) -> Trace {
-        WorkloadSpec::new(structure)
-            .initial_size(self.initial_size)
-            .threads(self.threads)
-            .ops_per_thread(self.ops_per_thread)
-            .seed(self.seed)
-            .build_trace()
-    }
-}
+/// The default state budget of the [`enumerate_check`] lattice walk
+/// (distinct memoized states): every cut lattice of `lrp-check`'s
+/// default bound fits it.
+pub const MAX_STATES: usize = 20_000;
 
 /// Outcome of one successful [`cross_validate`] run.
 #[derive(Debug, Clone, Copy)]
@@ -385,28 +349,23 @@ pub fn cross_validate_schedule(
     })
 }
 
-/// Runs the bounded workload for `structure` through the simulator
-/// under `mechanism` and cross-validates the recorded schedule against
-/// the mechanism's promised discipline.
+/// Replays `trace`, a workload of `structure`, under `mechanism` with
+/// NVM in `mode`, and cross-validates the recorded schedule against the
+/// mechanism's promised discipline. `title` heads a counterexample.
 pub fn cross_validate(
     structure: Structure,
     mechanism: Mechanism,
-    bound: &CheckBound,
+    mode: NvmMode,
+    trace: &Trace,
+    title: &str,
 ) -> Result<CrossReport, Box<Counterexample>> {
-    let trace = bound.build_trace(structure);
-    let run = Sim::new(SimConfig::new(mechanism), &trace).run();
-    let title = format!(
-        "{}/{} seed {}",
-        mechanism.name(),
-        structure.name(),
-        bound.seed
-    );
+    let run = Sim::new(SimConfig::new(mechanism).nvm_mode(mode), trace).run();
     cross_validate_schedule(
         structure,
         mechanism.discipline(),
-        &trace,
+        trace,
         &run.schedule,
-        &title,
+        title,
     )
 }
 
@@ -446,33 +405,27 @@ pub fn generator_preds(
     })
 }
 
-/// Walks every admissible cut of `discipline`'s lattice for the bounded
-/// workload and checks null recovery + durable linearizability on each
+/// Walks every admissible cut of `discipline`'s lattice over `trace`,
+/// a workload of `structure`, visiting at most `max_states` distinct
+/// states, and checks null recovery + durable linearizability on each
 /// distinct durable state. No simulator run is involved — this checks
-/// the *discipline*, not a particular schedule.
+/// the *discipline*, not a particular schedule. `title` heads a
+/// counterexample.
 pub fn enumerate_check(
     structure: Structure,
     discipline: PersistDiscipline,
-    bound: &CheckBound,
+    trace: &Trace,
+    max_states: usize,
+    title: &str,
 ) -> Result<EnumReport, Box<Counterexample>> {
-    let trace = bound.build_trace(structure);
-    let title = format!(
-        "{}/{} seed {}",
-        discipline.name(),
-        structure.name(),
-        bound.seed
-    );
-    let edges = Edges::new(&trace, discipline).map_err(|e| {
+    let edges = Edges::new(trace, discipline).map_err(|e| {
         Box::new(
-            Counterexample::new(
-                &title,
-                format!("trace exceeds the hb-closure budget: {e:?}"),
-            )
-            .context("structure", structure.name())
-            .context("discipline", discipline.name()),
+            Counterexample::new(title, format!("trace exceeds the hb-closure budget: {e:?}"))
+                .context("structure", structure.name())
+                .context("discipline", discipline.name()),
         )
     })?;
-    let ck = Checker::new(structure, discipline, &trace, &title)?;
+    let ck = Checker::new(structure, discipline, trace, title)?;
 
     // Cuts realizing the same durable overlay AND the same included
     // decisive events are equivalent for both checks; deduplicate.
@@ -480,9 +433,9 @@ pub fn enumerate_check(
     let mut seen: HashSet<CutKey> = HashSet::new();
     let mut waived = 0usize;
     let mut first_failure: Option<(Vec<usize>, CutFailure)> = None;
-    let stats = enumerate_cuts(&ck.chains, &edges.preds, bound.max_states, &mut |cut| {
+    let stats = enumerate_cuts(&ck.chains, &edges.preds, max_states, &mut |cut| {
         let key = (
-            ck.chains.overlay(&trace, cut),
+            ck.chains.overlay(trace, cut),
             ck.decisive
                 .iter()
                 .map(|d| d.event)
@@ -504,7 +457,7 @@ pub fn enumerate_check(
     });
     if let Some((cut, _)) = first_failure {
         let (cut, f) = ck.minimize(&edges, cut);
-        return Err(ck.render(&title, "enumerated cut", None, &cut, &f));
+        return Err(ck.render(title, "enumerated cut", None, &cut, &f));
     }
     Ok(EnumReport {
         stats,
@@ -516,15 +469,35 @@ pub fn enumerate_check(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lrp_campaign::{build_trace, MatrixSpec};
 
-    fn quick() -> CheckBound {
-        CheckBound::default()
+    /// The linked-list trace at the checker's bound, with
+    /// `ops_per_thread` ops per thread and `seed`.
+    fn list_trace(ops_per_thread: usize, seed: u64) -> Trace {
+        let matrix = MatrixSpec {
+            structures: vec![Structure::LinkedList],
+            seeds: vec![seed],
+            ops_per_thread,
+            ..MatrixSpec::check()
+        };
+        build_trace(&matrix.cells()[0])
+    }
+
+    /// The linked-list trace at the checker's bound and first seed.
+    fn quick() -> Trace {
+        list_trace(4, 3)
     }
 
     #[test]
     fn lrp_schedule_cross_validates_on_a_list() {
-        let r = cross_validate(Structure::LinkedList, Mechanism::Lrp, &quick())
-            .unwrap_or_else(|cx| panic!("{cx}"));
+        let r = cross_validate(
+            Structure::LinkedList,
+            Mechanism::Lrp,
+            NvmMode::Cached,
+            &quick(),
+            "list",
+        )
+        .unwrap_or_else(|cx| panic!("{cx}"));
         assert!(r.crash_points > 1);
         assert_eq!(r.waived, 0);
     }
@@ -533,12 +506,7 @@ mod tests {
     fn mutated_schedule_is_rejected_with_a_counterexample() {
         // A longer run gives many distinct stamps, guaranteeing some
         // generator edge crosses two of them.
-        let bound = CheckBound {
-            ops_per_thread: 8,
-            seed: 1,
-            ..quick()
-        };
-        let trace = bound.build_trace(Structure::LinkedList);
+        let trace = list_trace(8, 1);
         let run = Sim::new(SimConfig::new(Mechanism::Lrp), &trace).run();
         let preds = generator_preds(&trace, PersistDiscipline::ReleaseOrder).unwrap();
         let (mutated, (p, w)) =
@@ -560,11 +528,13 @@ mod tests {
 
     #[test]
     fn enumerate_finds_nop_violations_but_no_lrp_ones() {
-        let bound = quick();
+        let trace = quick();
         let lrp = enumerate_check(
             Structure::LinkedList,
             PersistDiscipline::ReleaseOrder,
-            &bound,
+            &trace,
+            MAX_STATES,
+            "lrp",
         )
         .unwrap_or_else(|cx| panic!("{cx}"));
         assert_eq!(lrp.waived, 0);
@@ -572,7 +542,9 @@ mod tests {
         let nop = enumerate_check(
             Structure::LinkedList,
             PersistDiscipline::Unconstrained,
-            &bound,
+            &trace,
+            MAX_STATES,
+            "nop",
         )
         .unwrap_or_else(|cx| panic!("{cx}"));
         assert!(
@@ -586,8 +558,7 @@ mod tests {
 
     #[test]
     fn minimizer_produces_a_small_deterministic_counterexample() {
-        let bound = quick();
-        let trace = bound.build_trace(Structure::LinkedList);
+        let trace = quick();
         let ck = Checker::new(
             Structure::LinkedList,
             PersistDiscipline::Unconstrained,

@@ -8,7 +8,8 @@
 //! stamps realize a cut.
 
 use lrp_baselines::arp::{arp_schedule, ArpOrder};
-use lrp_check::{edge_list, mutate_reorder, persist_preds, CheckBound, WriteChains};
+use lrp_campaign::{build_trace, MatrixSpec};
+use lrp_check::{edge_list, mutate_reorder, persist_preds, WriteChains};
 use lrp_lfds::{MemImage, Structure};
 use lrp_model::hb::HbClosure;
 use lrp_model::spec::{check_persist_order, PersistDiscipline, PersistSchedule};
@@ -21,6 +22,20 @@ const CONSTRAINED: [PersistDiscipline; 3] = [
     PersistDiscipline::EpochOrder,
     PersistDiscipline::ReleaseOrder,
 ];
+
+/// The checker-bound matrix over every structure at `threads` ×
+/// `ops_per_thread` over `initial_size` entries and `seed`; one
+/// mechanism, so one cell per structure's workload.
+fn bound(threads: u16, ops_per_thread: usize, initial_size: usize, seed: u64) -> MatrixSpec {
+    MatrixSpec {
+        mechanisms: vec![Mechanism::Lrp],
+        threads: vec![threads],
+        ops_per_thread,
+        initial_size,
+        seeds: vec![seed],
+        ..MatrixSpec::check()
+    }
+}
 
 /// A stamp with "never persisted" ordered after every flush.
 fn at(sched: &PersistSchedule, e: EventId) -> u64 {
@@ -43,15 +58,8 @@ fn engine_and_edge_table_agree_and_every_mechanism_keeps_its_promise() {
     let bounds = [(2, 4, 8, 1), (2, 4, 8, 2), (3, 8, 16, 1), (4, 16, 64, 1)];
     let mut verdicts = [0usize; 2];
     for (threads, ops_per_thread, initial_size, seed) in bounds {
-        let bound = CheckBound {
-            threads,
-            ops_per_thread,
-            initial_size,
-            seed,
-            ..CheckBound::default()
-        };
-        for s in Structure::ALL {
-            let trace = bound.build_trace(s);
+        for cell in bound(threads, ops_per_thread, initial_size, seed).cells() {
+            let (s, trace) = (cell.structure, build_trace(&cell));
             let tables: Vec<_> = CONSTRAINED
                 .iter()
                 .map(|&d| persist_preds(&trace, d).expect("small bounds fit the closure"))
@@ -90,14 +98,11 @@ fn engine_and_edge_table_agree_and_every_mechanism_keeps_its_promise() {
 
 #[test]
 fn engine_judges_a_trace_the_edge_table_cannot_hold() {
-    let bound = CheckBound {
-        threads: 16,
-        ops_per_thread: 64,
-        initial_size: 4096,
-        seed: 1,
-        ..CheckBound::default()
+    let matrix = MatrixSpec {
+        structures: vec![Structure::Bst],
+        ..bound(16, 64, 4096, 1)
     };
-    let trace = bound.build_trace(Structure::Bst);
+    let trace = build_trace(&matrix.cells()[0]);
     assert!(
         trace.events.len() > HbClosure::MAX_EVENTS,
         "{} events fit the closure",
@@ -165,16 +170,9 @@ fn walk_agrees(trace: &Trace, sched: &PersistSchedule, cell: &str) -> usize {
 
 #[test]
 fn one_walk_builds_every_crash_image_of_a_schedule() {
-    let bound = CheckBound {
-        threads: 3,
-        ops_per_thread: 10,
-        initial_size: 24,
-        seed: 21,
-        ..CheckBound::default()
-    };
     let (mut cells, mut realized, mut mutated) = (0, 0, 0);
-    for s in Structure::ALL {
-        let trace = bound.build_trace(s);
+    for cell in bound(3, 10, 24, 21).cells() {
+        let (s, trace) = (cell.structure, build_trace(&cell));
         let preds = persist_preds(&trace, PersistDiscipline::ReleaseOrder)
             .expect("small bounds fit the closure");
         let mut scheds = vec![(

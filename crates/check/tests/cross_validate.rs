@@ -4,54 +4,61 @@
 //! crash cut those stamps realize is durably linearizable after null
 //! recovery.
 
+use lrp_campaign::{build_trace, CellSpec, MatrixSpec};
 use lrp_check::{
     cross_validate, cross_validate_schedule, enumerate_check, generator_preds, mutate_reorder,
-    CheckBound,
+    MAX_STATES,
 };
 use lrp_lfds::Structure;
 use lrp_model::hb::HbClosure;
 use lrp_model::spec::PersistDiscipline;
-use lrp_sim::{Mechanism, Sim, SimConfig};
+use lrp_sim::{Mechanism, NvmMode, Sim, SimConfig};
+
+/// The one cell of `matrix` (every axis of length one).
+fn only(matrix: MatrixSpec) -> CellSpec {
+    let mut cells = matrix.cells();
+    assert_eq!(cells.len(), 1, "{}", matrix.describe());
+    cells.remove(0)
+}
 
 #[test]
 fn all_mechanisms_cross_validate_on_all_structures() {
-    let small = CheckBound::default();
-    let mut cells: Vec<(Structure, Mechanism, CheckBound)> = Structure::ALL
-        .into_iter()
-        .flat_map(|s| Mechanism::EXTENDED.map(|m| (s, m, small)))
-        .collect();
+    // The checker's bound at its first seed, on cached and uncached NVM.
+    let small = MatrixSpec {
+        modes: NvmMode::ALL.to_vec(),
+        seeds: vec![3],
+        ..MatrixSpec::check()
+    };
     // Wider runs, where durable linearizability at every realized cut
     // also rules out phantom keys, keys lost without a delete, and
     // duplicate or out-of-FIFO queue values.
-    let wide = CheckBound {
-        threads: 4,
+    let wide = MatrixSpec {
+        mechanisms: vec![Mechanism::Lrp, Mechanism::Sb],
+        threads: vec![4],
         ops_per_thread: 12,
         initial_size: 20,
-        seed: 63,
-        ..small
+        seeds: vec![63],
+        ..MatrixSpec::check()
     };
-    for s in Structure::ALL {
-        cells.extend([(s, Mechanism::Lrp, wide), (s, Mechanism::Sb, wide)]);
-    }
-    let skiplist = CheckBound {
-        threads: 2,
+    let skiplist = MatrixSpec {
+        structures: vec![Structure::SkipList],
+        mechanisms: vec![Mechanism::Sb],
         ops_per_thread: 10,
         initial_size: 16,
-        seed: 65,
-        ..small
+        seeds: vec![65],
+        ..MatrixSpec::check()
     };
-    cells.push((Structure::SkipList, Mechanism::Sb, skiplist));
-    for (s, m, bound) in cells {
+    for spec in [small, wide, skiplist].iter().flat_map(MatrixSpec::cells) {
         let cell = format!(
-            "{}/{} {}x{}x{} s{}",
-            m.name(),
-            s.name(),
-            bound.threads,
-            bound.ops_per_thread,
-            bound.initial_size,
-            bound.seed
+            "{} ({} entries, {} ops)",
+            spec.id(),
+            spec.initial_size,
+            spec.ops_per_thread
         );
-        let r = cross_validate(s, m, &bound).unwrap_or_else(|cx| panic!("{cell}:\n{cx}"));
+        let trace = build_trace(&spec);
+        let m = spec.mechanism;
+        let r = cross_validate(spec.structure, m, spec.mode, &trace, &cell)
+            .unwrap_or_else(|cx| panic!("{cell}:\n{cx}"));
         assert_eq!(
             r.waived, 0,
             "{cell}: even NOP's realized cuts recover here (it never \
@@ -71,21 +78,22 @@ fn cross_validation_needs_no_edge_table() {
     // Above the hb-closure cap the epoch-order edge table cannot be
     // built, yet steps (a) and (b) need none. A small queue keeps each
     // of the ~2,500 realized cuts cheap to validate.
-    let bound = CheckBound {
-        threads: 8,
+    let cell = only(MatrixSpec {
+        structures: vec![Structure::Queue],
+        mechanisms: vec![Mechanism::Sb],
+        threads: vec![8],
         ops_per_thread: 160,
-        initial_size: 8,
-        seed: 1,
-        ..CheckBound::default()
-    };
-    let trace = bound.build_trace(Structure::Queue);
+        seeds: vec![1],
+        ..MatrixSpec::check()
+    });
+    let trace = build_trace(&cell);
     assert!(
         trace.events.len() > HbClosure::MAX_EVENTS,
         "{} events fit the closure",
         trace.events.len()
     );
-    let r =
-        cross_validate(Structure::Queue, Mechanism::Sb, &bound).unwrap_or_else(|cx| panic!("{cx}"));
+    let r = cross_validate(cell.structure, cell.mechanism, cell.mode, &trace, "queue")
+        .unwrap_or_else(|cx| panic!("{cx}"));
     assert!(r.crash_points > 1000, "{} crash points", r.crash_points);
     assert_eq!(r.waived, 0);
 }
@@ -96,13 +104,14 @@ fn every_structure_rejects_a_reordered_persist_pair() {
     // across a release-order generator edge of a real LRP schedule and
     // require the checker to reject it with a counterexample naming
     // the edge.
-    let bound = CheckBound {
+    let matrix = MatrixSpec {
+        mechanisms: vec![Mechanism::Lrp],
         ops_per_thread: 8,
-        seed: 1,
-        ..CheckBound::default()
+        seeds: vec![1],
+        ..MatrixSpec::check()
     };
-    for s in Structure::ALL {
-        let trace = bound.build_trace(s);
+    for cell in matrix.cells() {
+        let (s, trace) = (cell.structure, build_trace(&cell));
         let run = Sim::new(SimConfig::new(Mechanism::Lrp), &trace).run();
         let preds = generator_preds(&trace, PersistDiscipline::ReleaseOrder).unwrap();
         let Some((mutated, (p, w))) = mutate_reorder(&run.schedule, &preds) else {
@@ -139,11 +148,18 @@ fn enumerated_lattices_separate_nop_from_the_guaranteed_disciplines() {
     // The paper's claim at lattice level: on the same workload, the
     // unconstrained (NOP) lattice contains unrecoverable cuts while
     // every cut of the guaranteed disciplines recovers and linearizes.
-    let bound = CheckBound::default();
+    let trace = build_trace(&only(MatrixSpec {
+        structures: vec![Structure::LinkedList],
+        mechanisms: vec![Mechanism::Nop],
+        seeds: vec![3],
+        ..MatrixSpec::check()
+    }));
     let nop = enumerate_check(
         Structure::LinkedList,
         PersistDiscipline::Unconstrained,
-        &bound,
+        &trace,
+        MAX_STATES,
+        "nop",
     )
     .unwrap_or_else(|cx| panic!("{cx}"));
     assert!(nop.waived > 0, "NOP must expose unrecoverable cuts");
@@ -152,7 +168,7 @@ fn enumerated_lattices_separate_nop_from_the_guaranteed_disciplines() {
         PersistDiscipline::EpochOrder,
         PersistDiscipline::ReleaseOrder,
     ] {
-        let r = enumerate_check(Structure::LinkedList, d, &bound)
+        let r = enumerate_check(Structure::LinkedList, d, &trace, MAX_STATES, d.name())
             .unwrap_or_else(|cx| panic!("{d}:\n{cx}"));
         assert_eq!(r.waived, 0);
         assert!(
