@@ -21,14 +21,14 @@
 
 use lrp_bench::cli::{write_out, Cli};
 use lrp_bench::outln;
-use lrp_campaign::{build_trace, CellSpec, MatrixSpec};
-use lrp_check::{
-    cross_validate, cross_validate_schedule, enumerate_check, generator_preds, mutate_reorder,
-    MAX_STATES,
-};
+use lrp_campaign::{build_trace, workload_slots, CellSpec, MatrixSpec, Workload};
+use lrp_check::{generator_preds, mutate_reorder, setup_failure, Checker, EnumReport, MAX_STATES};
+use lrp_model::spec::PersistDiscipline;
+use lrp_model::Trace;
 use lrp_obs::Json;
 use lrp_recovery::Counterexample;
 use lrp_sim::{Sim, SimConfig};
+use std::collections::HashMap;
 
 const USAGE: &str = "usage:\n  \
     lrp-check cross-validate [--structures a,b] [--mechs a,b] [--modes a,b]\n                 \
@@ -96,11 +96,40 @@ fn main() {
             eprintln!("FATAL: no cell produced a reorderable persist pair");
             std::process::exit(1);
         }
-        "cross-validate" => {
-            for cell in matrix.cells() {
-                let (id, trace) = (cell.id(), build_trace(&cell));
-                let m = cell.mechanism;
-                match cross_validate(cell.structure, m, cell.mode, &trace, &id) {
+        "cross-validate" | "enumerate" => {
+            // A lattice walk depends on the workload and the discipline
+            // only: both modes, and SB and BB, share one.
+            let mut walks: HashMap<(Workload, PersistDiscipline), EnumReport> = HashMap::new();
+            for_each_cell(&matrix, |cell, checker| {
+                let (id, m, d) = (cell.id(), cell.mechanism, cell.mechanism.discipline());
+                let checker = checker.as_ref().unwrap_or_else(|what| {
+                    fail(&setup_failure(cell.structure, d, &id, what.clone()))
+                });
+                if command == "enumerate" {
+                    let r = *walks.entry((cell.workload(), d)).or_insert_with(|| {
+                        let walk = checker.enumerate(d, max_states, &id);
+                        walk.unwrap_or_else(|cx| fail(&cx))
+                    });
+                    let truncated = r.stats.truncated;
+                    eprintln!(
+                        "  {id:<30} {:<13} {} cuts, {} states checked, {} waived{}",
+                        d.name(),
+                        r.stats.states,
+                        r.checked,
+                        r.waived,
+                        if truncated { " (truncated)" } else { "" }
+                    );
+                    cells.push(Json::obj([
+                        ("id", Json::Str(id)),
+                        ("discipline", Json::Str(d.name().to_string())),
+                        ("cuts", Json::U64(r.stats.states as u64)),
+                        ("checked", Json::U64(r.checked as u64)),
+                        ("waived", Json::U64(r.waived as u64)),
+                        ("truncated", Json::Bool(truncated)),
+                    ]));
+                    return;
+                }
+                match checker.cross_validate(m, cell.mode, &id) {
                     Ok(r) => {
                         eprintln!(
                             "  {id:<30} {} crash points, {} waived",
@@ -108,42 +137,14 @@ fn main() {
                         );
                         cells.push(Json::obj([
                             ("id", Json::Str(id)),
-                            ("discipline", Json::Str(m.discipline().name().to_string())),
+                            ("discipline", Json::Str(d.name().to_string())),
                             ("crash_points", Json::U64(r.crash_points as u64)),
                             ("waived", Json::U64(r.waived as u64)),
                         ]));
                     }
                     Err(cx) => fail(&cx),
                 }
-            }
-        }
-        "enumerate" => {
-            for cell in matrix.cells() {
-                let (id, trace) = (cell.id(), build_trace(&cell));
-                let d = cell.mechanism.discipline();
-                match enumerate_check(cell.structure, d, &trace, max_states, &id) {
-                    Ok(r) => {
-                        let truncated = r.stats.truncated;
-                        eprintln!(
-                            "  {id:<30} {:<13} {} cuts, {} states checked, {} waived{}",
-                            d.name(),
-                            r.stats.states,
-                            r.checked,
-                            r.waived,
-                            if truncated { " (truncated)" } else { "" }
-                        );
-                        cells.push(Json::obj([
-                            ("id", Json::Str(id)),
-                            ("discipline", Json::Str(d.name().to_string())),
-                            ("cuts", Json::U64(r.stats.states as u64)),
-                            ("checked", Json::U64(r.checked as u64)),
-                            ("waived", Json::U64(r.waived as u64)),
-                            ("truncated", Json::Bool(truncated)),
-                        ]));
-                    }
-                    Err(cx) => fail(&cx),
-                }
-            }
+            });
         }
         other => cli.fail(format!("unknown command {other:?}")),
     }
@@ -160,6 +161,30 @@ fn main() {
         eprintln!("wrote report to {out}");
     }
     outln!("{command}: {ncells} cells ok");
+}
+
+/// Visits `matrix`'s cells in order, one structure at a time, passing
+/// each its workload's checker. A workload's trace and checker are
+/// built once, before its structure's first cell, as the campaign
+/// builds one trace per workload.
+fn for_each_cell(
+    matrix: &MatrixSpec,
+    mut visit: impl FnMut(&CellSpec, &Result<Checker<'_>, String>),
+) {
+    let cells = matrix.cells();
+    for &structure in &matrix.structures {
+        let cells: Vec<CellSpec> = cells
+            .iter()
+            .filter(|c| c.structure == structure)
+            .cloned()
+            .collect();
+        let (firsts, slots) = workload_slots(&cells);
+        let traces: Vec<Trace> = firsts.into_iter().map(build_trace).collect();
+        let checkers: Vec<_> = traces.iter().map(|t| Checker::new(structure, t)).collect();
+        for (cell, &slot) in cells.iter().zip(&slots) {
+            visit(cell, &checkers[slot]);
+        }
+    }
 }
 
 /// Outcome of one `--mutate-reorder` cell.
@@ -188,7 +213,10 @@ fn mutate_cell(cell: &CellSpec) -> MutationOutcome {
         return MutationOutcome::NotApplicable;
     };
     let title = format!("{} (mutated)", cell.id());
-    match cross_validate_schedule(cell.structure, d, &trace, &mutated, &title) {
+    let checked = Checker::new(cell.structure, &trace)
+        .map_err(|what| setup_failure(cell.structure, d, &title, what))
+        .and_then(|ck| ck.cross_validate_schedule(d, &mutated, &title));
+    match checked {
         Ok(_) => MutationOutcome::Missed,
         Err(cx) => MutationOutcome::Caught(cx),
     }

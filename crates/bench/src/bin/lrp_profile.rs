@@ -23,7 +23,7 @@ use lrp_bench::out;
 use lrp_bench::profile;
 use lrp_campaign::{build_trace, CellSpec};
 use lrp_lfds::Structure;
-use lrp_obs::{chrome, metrics, ObsReport};
+use lrp_obs::{chrome, metrics};
 use lrp_sim::{Mechanism, NvmMode, RunResult};
 
 const USAGE: &str = "usage:\n  \
@@ -131,8 +131,10 @@ fn main() {
     export(&metrics_out, "JSONL metrics", || {
         metrics::export_jsonl(obs, &r.stats)
     });
-    export(&folded_out, "folded stacks", || obs.blame.folded());
-    export(&chains_out, "folded chains", || obs.crit.folded_stacks());
+    export(&folded_out, "folded stacks", || obs.summary.blame.folded());
+    export(&chains_out, "folded chains", || {
+        obs.summary.crit.folded_stacks()
+    });
     exit_on_violations(&[&r]);
 }
 
@@ -147,9 +149,12 @@ fn export(path: &Option<String>, what: &str, text: impl FnOnce() -> String) {
 /// Exits 3 with one warning when any run broke an I1–I4 invariant or
 /// critical-path C1–C2 conservation.
 fn exit_on_violations(runs: &[&RunResult]) {
-    let total = |f: fn(&ObsReport) -> u64| runs.iter().map(|r| f(profile::obs(r))).sum::<u64>();
-    let audit = total(|o| o.audit.total_violations());
-    let crit = total(|o| o.crit.audit.total_violations());
+    let (mut audit, mut crit) = (0, 0);
+    for r in runs {
+        let summary = &profile::obs(r).summary;
+        audit += summary.audit.total_violations();
+        crit += summary.crit.audit.total_violations();
+    }
     if audit + crit > 0 {
         eprintln!(
             "WARNING: {} invariant violations observed ({audit} I1-I4, {crit} critpath C1-C2)",

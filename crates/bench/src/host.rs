@@ -19,7 +19,7 @@
 
 use crate::alloc_count;
 use crate::gate::{paired, Bound, GateVerdict, Rows};
-use lrp_campaign::{build_trace, run_parallel, CellSpec, MatrixSpec};
+use lrp_campaign::{build_trace, run_parallel, workload_slots, CellSpec, MatrixSpec};
 use lrp_obs::Json;
 use lrp_sim::{Sim, SimConfig};
 use std::time::Instant;
@@ -133,21 +133,7 @@ pub fn run_host(
     mut progress: impl FnMut(&HostCell),
 ) -> HostReport {
     let specs = matrix.cells();
-    // Each cell's slot in `firsts`, the first cell of every workload.
-    let mut firsts: Vec<&CellSpec> = Vec::new();
-    let slots: Vec<usize> = specs
-        .iter()
-        .map(|c| {
-            let w = c.workload();
-            firsts
-                .iter()
-                .position(|f| f.workload() == w)
-                .unwrap_or_else(|| {
-                    firsts.push(c);
-                    firsts.len() - 1
-                })
-        })
-        .collect();
+    let (firsts, slots) = workload_slots(&specs);
     let workers = workers.max(1);
     let traces = run_parallel(firsts, workers, build_trace, |_| ());
     let config = |c: &CellSpec| SimConfig::new(c.mechanism).nvm_mode(c.mode);

@@ -13,7 +13,7 @@
 
 use lrp_model::Trace;
 use lrp_obs::blame::diff;
-use lrp_obs::{metrics, BlameTable, CritSegKind, CritSummary, ObsReport, RecorderConfig};
+use lrp_obs::{BlameTable, CritSegKind, CritSummary, ObsReport, RecorderConfig};
 use lrp_sim::{Mechanism, NvmMode, RunResult, Sim, SimConfig, Stats};
 use std::fmt::Write as _;
 
@@ -64,7 +64,7 @@ pub fn render_report(id: &str, r: &RunResult, top: usize) -> String {
     );
     let _ = writeln!(out, "sample intervals       {:>12}", obs.intervals.len());
     let _ = writeln!(out, "ret high water         {:>12}", obs.ret_high_water);
-    for (name, hist) in metrics::hist_rows(obs) {
+    for (name, hist) in obs.summary.hist_rows() {
         if hist.is_empty() {
             let _ = writeln!(out, "  {name:<20} (no samples)");
         } else {
@@ -81,7 +81,7 @@ pub fn render_report(id: &str, r: &RunResult, top: usize) -> String {
         }
     }
     out.push_str("-- invariant audit (I1-I4) --\n");
-    for (name, c) in obs.audit.rows() {
+    for (name, c) in obs.summary.audit.rows() {
         let _ = writeln!(
             out,
             "  {name:<20} checks={:<8} violations={}",
@@ -89,9 +89,9 @@ pub fn render_report(id: &str, r: &RunResult, top: usize) -> String {
         );
     }
     out.push_str("-- durability critical path --\n");
-    out.push_str(&render_critpath(id, &obs.crit, top));
+    out.push_str(&render_critpath(id, &obs.summary.crit, top));
     out.push_str("-- persist blame --\n");
-    out.push_str(&render_blame(id, &r.stats, &obs.blame, top));
+    out.push_str(&render_blame(id, &r.stats, &obs.summary.blame, top));
     out
 }
 
@@ -281,7 +281,7 @@ pub fn render_blame(id: &str, stats: &Stats, blame: &BlameTable, top: usize) -> 
 /// `top` nonzero rows), then the critical-path share shift per segment
 /// kind ([`crit_diff`]).
 pub fn render_diff(a_id: &str, a: &RunResult, b_id: &str, b: &RunResult, top: usize) -> String {
-    let (a, b) = (obs(a), obs(b));
+    let (a, b) = (&obs(a).summary, &obs(b).summary);
     let mut out = String::new();
     out.push_str(&format!(
         "differential blame: A = {a_id} vs B = {b_id} (delta = A - B cycles)\n"
@@ -351,7 +351,7 @@ mod tests {
     #[test]
     fn profiled_run_attributes_cycles_to_labeled_sites() {
         let (id, r) = profiled(&quick_queue(Mechanism::Lrp), None);
-        let blame = &obs(&r).blame;
+        let blame = &obs(&r).summary.blame;
         assert!(!blame.is_empty());
         assert!(
             blame
@@ -396,7 +396,7 @@ mod tests {
         // quick workload.
         let (a_id, ra) = profiled(&quick_queue(Mechanism::Lrp), Some(2));
         let (b_id, rb) = profiled(&quick_queue(Mechanism::Bb), None);
-        let (oa, ob) = (obs(&ra), obs(&rb));
+        let (oa, ob) = (&obs(&ra).summary, &obs(&rb).summary);
         assert!(
             !diff(&oa.blame, &ob.blame).is_empty(),
             "differential blame table is non-empty"
@@ -429,7 +429,7 @@ mod tests {
     #[test]
     fn folded_export_is_loadable_and_site_labeled() {
         let (_, r) = profiled(&quick_queue(Mechanism::Lrp), None);
-        let folded = obs(&r).blame.folded();
+        let folded = obs(&r).summary.blame.folded();
         assert!(folded.lines().count() > 0);
         assert!(folded.contains("queue/"));
         for line in folded.lines() {
@@ -453,7 +453,7 @@ mod tests {
     #[test]
     fn critpath_render_reports_segments_and_clean_conservation() {
         let (id, r) = profiled(&quick_queue(Mechanism::Lrp), None);
-        let crit = &obs(&r).crit;
+        let crit = &obs(&r).summary.crit;
         assert!(!crit.is_empty(), "LRP quick run must trace releases");
         assert_eq!(crit.audit.total_violations(), 0);
         let rendered = render_critpath(&id, crit, 10);
@@ -466,7 +466,7 @@ mod tests {
     fn critpath_diff_orders_by_share_shift_and_shows_mechanism_signatures() {
         let (a_id, ra) = profiled(&quick_queue(Mechanism::Lrp), None);
         let (b_id, rb) = profiled(&quick_queue(Mechanism::Bb), None);
-        let (ca, cb) = (&obs(&ra).crit, &obs(&rb).crit);
+        let (ca, cb) = (&obs(&ra).summary.crit, &obs(&rb).summary.crit);
         // BB drains the store buffer at every release boundary; LRP
         // defers, so barrier_drain cycles belong to B only.
         assert_eq!(

@@ -99,11 +99,11 @@ fn lrp_upholds_invariants_on_every_structure() {
     for s in Structure::ALL {
         let (_, obs) = instrumented_run(s, Mechanism::Lrp, RecorderConfig::summaries_only());
         assert!(
-            obs.audit.total_checks() > 0,
+            obs.summary.audit.total_checks() > 0,
             "{}: audit sites never fired",
             s.name()
         );
-        for (name, c) in obs.audit.rows() {
+        for (name, c) in obs.summary.audit.rows() {
             assert_eq!(
                 c.violations,
                 0,
@@ -148,17 +148,22 @@ fn provenance_labels_flow_from_workload_to_blame_table() {
             s.name(),
             obs.site_names
         );
-        assert!(!obs.blame.is_empty(), "{}: blame table populated", s.name());
         assert!(
-            obs.blame
+            !obs.summary.blame.is_empty(),
+            "{}: blame table populated",
+            s.name()
+        );
+        assert!(
+            obs.summary
+                .blame
                 .exact
                 .iter()
                 .any(|((site, _), cell)| site.starts_with(&prefix) && cell.cycles > 0),
             "{}: cycles charged to labeled sites: {:?}",
             s.name(),
-            obs.blame.exact
+            obs.summary.blame.exact
         );
-        let folded = obs.blame.folded();
+        let folded = obs.summary.blame.folded();
         assert!(
             folded.contains(&prefix),
             "{}: folded export labeled",
@@ -182,7 +187,7 @@ fn blame_survives_ring_drops() {
         Mechanism::Lrp,
         RecorderConfig::summaries_only(),
     );
-    assert_eq!(dropped.blame, clean.blame);
+    assert_eq!(dropped.summary.blame, clean.summary.blame);
 }
 
 /// Runs `bin` with `args`, requiring exit status `code`; returns stdout.

@@ -12,7 +12,7 @@
 use crate::isolation::{CellOutcome, CellRecord};
 use crate::matrix::MatrixSpec;
 use lrp_lfds::Structure;
-use lrp_obs::{BlameTable, CritSummary, Hist};
+use lrp_obs::ObsSummary;
 use lrp_sim::{Mechanism, NvmMode, Stats};
 use std::collections::HashMap;
 
@@ -73,18 +73,8 @@ pub struct MechSummary {
     pub critical_fraction_mean: Option<f64>,
     /// All completed cells' counters merged.
     pub merged: Stats,
-    /// All completed cells' flush-to-ack latency histograms merged.
-    pub flush_to_ack: Hist,
-    /// All completed cells' release-to-persist latency histograms merged.
-    pub release_to_persist: Hist,
-    /// All completed cells' RET-residency histograms merged.
-    pub ret_residency: Hist,
-    /// All completed cells' blame tables merged.
-    pub blame: BlameTable,
-    /// All completed cells' critical-path digests merged.
-    pub crit: CritSummary,
-    /// Total I1–I4 audit violations (0 for a healthy mechanism).
-    pub audit_violations: u64,
+    /// All completed cells' observability summaries merged.
+    pub obs: ObsSummary,
     /// Total RP violations (0 for a healthy mechanism).
     pub rp_violations: u64,
     /// Total crash points examined by null-recovery checking.
@@ -236,12 +226,7 @@ fn summarize_mech(
         norm_ci95: None,
         critical_fraction_mean: None,
         merged: Stats::default(),
-        flush_to_ack: Hist::new(),
-        release_to_persist: Hist::new(),
-        ret_residency: Hist::new(),
-        blame: BlameTable::default(),
-        crit: CritSummary::default(),
-        audit_violations: 0,
+        obs: ObsSummary::default(),
         rp_violations: 0,
         recovery_points: 0,
         recovery_failures: 0,
@@ -258,12 +243,7 @@ fn summarize_mech(
                 s.ok += 1;
                 s.cycles_by_seed.push((seed, result.stats.cycles));
                 s.merged.merge(&result.stats);
-                s.flush_to_ack.merge(&result.flush_to_ack);
-                s.release_to_persist.merge(&result.release_to_persist);
-                s.ret_residency.merge(&result.ret_residency);
-                s.blame.merge(&result.blame);
-                s.crit.merge(&result.crit);
-                s.audit_violations += result.audit_violations;
+                s.obs.merge(&result.obs);
                 s.rp_violations += result.rp_violations;
                 s.recovery_points += result.recovery_points;
                 s.recovery_failures += result.recovery_failures;

@@ -7,7 +7,7 @@
 use crate::matrix::CellSpec;
 use lrp_lfds::WorkloadSpec;
 use lrp_model::Trace;
-use lrp_obs::{BlameTable, CritSummary, Hist, RecorderConfig};
+use lrp_obs::{ObsSummary, RecorderConfig};
 use lrp_recovery::{check_null_recovery, CrashPlan};
 use lrp_sim::{Mechanism, Sim, SimConfig, Stats};
 
@@ -31,22 +31,9 @@ pub struct CellResult {
     pub trace_events: u64,
     /// Completed data-structure operations in the trace.
     pub trace_ops: u64,
-    /// Flush issue → persist ack latency (cycles).
-    pub flush_to_ack: Hist,
-    /// Release commit → release persisted latency (cycles).
-    pub release_to_persist: Hist,
-    /// RET entry lifetime (cycles).
-    pub ret_residency: Hist,
-    /// Per-`OpSite` blame attribution of stall cycles and persist
-    /// latency.
-    pub blame: BlameTable,
-    /// I1–I4 audit observations performed.
-    pub audit_checks: u64,
-    /// I1–I4 audit observations where the invariant did not hold.
-    pub audit_violations: u64,
-    /// Durability critical-path digest (per-segment cycles, folded
-    /// chains, C1/C2 conservation counters).
-    pub crit: CritSummary,
+    /// The recorded replay's latency histograms, blame, critical path
+    /// and I1–I4 audit.
+    pub obs: ObsSummary,
 }
 
 impl CellResult {
@@ -75,10 +62,10 @@ pub fn replay_cell(spec: &CellSpec, trace: &Trace) -> CellResult {
     let cfg = SimConfig::new(spec.mechanism).nvm_mode(spec.mode);
     // Summaries-only recording: online histograms and audit counters,
     // no event ring and no time series, so cells stay cheap.
-    let run = Sim::new(cfg, trace)
+    let mut run = Sim::new(cfg, trace)
         .with_recorder(RecorderConfig::summaries_only())
         .run();
-    let obs = run.obs.as_ref().expect("recorder was attached");
+    let obs = run.obs.take().expect("recorder was attached").summary;
 
     let (rp_checked, rp_violations) = if spec.mechanism == Mechanism::Nop {
         (false, 0)
@@ -106,13 +93,7 @@ pub fn replay_cell(spec: &CellSpec, trace: &Trace) -> CellResult {
     };
 
     CellResult {
-        flush_to_ack: obs.flush_to_ack.clone(),
-        release_to_persist: obs.release_to_persist.clone(),
-        ret_residency: obs.ret_residency.clone(),
-        blame: obs.blame.clone(),
-        audit_checks: obs.audit.total_checks(),
-        audit_violations: obs.audit.total_violations(),
-        crit: obs.crit.clone(),
+        obs,
         stats: run.stats,
         rp_checked,
         rp_violations,
@@ -142,10 +123,8 @@ mod tests {
             assert!(r.trace_events > 0);
             // Critical-path conservation: one chain per traced release,
             // segments summing to the measured latency, inside wall time.
-            assert_eq!(r.crit.audit.total_violations(), 0, "{}", spec.id());
-            assert_eq!(r.crit.path.count, r.release_to_persist.count);
-            assert_eq!(r.crit.path.sum, r.release_to_persist.sum);
-            assert!(r.crit.max_path <= r.stats.cycles);
+            assert_eq!(r.obs.crit.audit.total_violations(), 0, "{}", spec.id());
+            assert!(r.obs.crit.max_path <= r.stats.cycles);
             if spec.mechanism == Mechanism::Nop {
                 assert!(!r.rp_checked && !r.recovery_checked);
             } else {

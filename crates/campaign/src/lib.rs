@@ -43,7 +43,7 @@ pub use aggregate::{summarize, CampaignSummary, GroupSummary, MechSummary, Overa
 pub use cell::{build_trace, replay_cell, CellResult};
 pub use isolation::{CellOutcome, CellRecord};
 pub use json::Json;
-pub use matrix::{CellSpec, MatrixSpec, Workload};
+pub use matrix::{workload_slots, CellSpec, MatrixSpec, Workload};
 pub use report::{
     render_table, run_to_files, summary_json, write_bench_json, CampaignOutcome, FORMAT_VERSION,
 };

@@ -36,6 +36,24 @@ pub struct CellSpec {
     pub crash_samples: usize,
 }
 
+/// The first cell of each distinct workload among `cells`, in order,
+/// and each cell's index into that list: what builds one trace per
+/// workload.
+pub fn workload_slots(cells: &[CellSpec]) -> (Vec<&CellSpec>, Vec<usize>) {
+    let mut firsts: Vec<&CellSpec> = Vec::new();
+    let slots = cells
+        .iter()
+        .map(|c| {
+            let slot = firsts.iter().position(|f| f.workload() == c.workload());
+            slot.unwrap_or_else(|| {
+                firsts.push(c);
+                firsts.len() - 1
+            })
+        })
+        .collect();
+    (firsts, slots)
+}
+
 impl CellSpec {
     /// Human- and machine-readable cell identifier, e.g.
     /// `hashmap/lrp/cached/t4/s1`.

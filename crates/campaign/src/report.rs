@@ -14,7 +14,10 @@
 //! [`fingerprint`](crate::matrix::MatrixSpec::fingerprint); resuming
 //! against a different matrix is refused. `Ok` cells are skipped on
 //! resume; `failed`/`timed_out` cells run again; when a cell appears
-//! more than once the last record wins.
+//! more than once the last record wins. An `ok` line carries the cell's
+//! whole [`ObsSummary`] — histograms, blame, critical path and one audit
+//! row per invariant — so a resumed summary is byte-identical; a line
+//! missing any of them is refused like any other malformed line.
 
 use crate::aggregate::{summarize, CampaignSummary};
 use crate::cell::CellResult;
@@ -23,10 +26,10 @@ use crate::json::Json;
 use crate::matrix::{CellSpec, MatrixSpec};
 use crate::scheduler::{run_campaign, CampaignConfig};
 use lrp_lfds::Structure;
-use lrp_obs::blame::{blame_json, parse_blame};
-use lrp_obs::critpath::{crit_json, parse_crit};
-use lrp_obs::metrics::{hist_json, stats_json};
-use lrp_obs::{BlameTable, CritSummary, Hist};
+use lrp_obs::blame::blame_json;
+use lrp_obs::critpath::crit_json;
+use lrp_obs::metrics::stats_json;
+use lrp_obs::ObsSummary;
 use lrp_sim::{Mechanism, NvmMode, Stats};
 use std::io::{self, Write as _};
 use std::path::Path;
@@ -78,7 +81,7 @@ fn parse_stats(doc: &Json) -> io::Result<Stats> {
 }
 
 fn result_json(r: &CellResult) -> Json {
-    Json::obj([
+    let mut pairs = vec![
         ("stats", stats_json(&r.stats)),
         ("rp_checked", Json::Bool(r.rp_checked)),
         ("rp_violations", Json::U64(r.rp_violations)),
@@ -87,61 +90,12 @@ fn result_json(r: &CellResult) -> Json {
         ("recovery_failures", Json::U64(r.recovery_failures)),
         ("trace_events", Json::U64(r.trace_events)),
         ("trace_ops", Json::U64(r.trace_ops)),
-        (
-            "hists",
-            Json::obj([
-                ("flush_to_ack", hist_json(&r.flush_to_ack)),
-                ("release_to_persist", hist_json(&r.release_to_persist)),
-                ("ret_residency", hist_json(&r.ret_residency)),
-            ]),
-        ),
-        ("blame", blame_json(&r.blame)),
-        ("critpath", crit_json(&r.crit)),
-        (
-            "audit",
-            Json::obj([
-                ("checks", Json::U64(r.audit_checks)),
-                ("violations", Json::U64(r.audit_violations)),
-            ]),
-        ),
-    ])
-}
-
-/// Parses the `critpath` key; pre-critpath manifests lack it entirely,
-/// which parses as an empty digest.
-fn field_crit(doc: &Json) -> io::Result<CritSummary> {
-    match doc.get("critpath") {
-        Some(c) => parse_crit(c).map_err(bad_data),
-        None => Ok(CritSummary::default()),
-    }
-}
-
-/// Parses the `blame` key; pre-profiler manifests lack it entirely,
-/// which parses as an empty table.
-fn field_blame(doc: &Json) -> io::Result<BlameTable> {
-    match doc.get("blame") {
-        Some(b) => parse_blame(b).map_err(bad_data),
-        None => Ok(BlameTable::default()),
-    }
-}
-
-/// Parses one named histogram under the `hists` key; pre-observability
-/// manifests lack it entirely, which parses as an empty histogram.
-fn field_hist(doc: &Json, name: &str) -> io::Result<Hist> {
-    match doc.get("hists").and_then(|h| h.get(name)) {
-        Some(h) => lrp_obs::metrics::parse_hist(h).map_err(bad_data),
-        None => Ok(Hist::new()),
-    }
+    ];
+    pairs.extend(r.obs.json_fields());
+    Json::obj(pairs)
 }
 
 fn parse_result(doc: &Json) -> io::Result<CellResult> {
-    let audit = doc.get("audit");
-    let audit_u64 = |key: &str| -> io::Result<u64> {
-        match audit {
-            Some(a) => field_u64(a, key),
-            None => Ok(0),
-        }
-    };
     Ok(CellResult {
         stats: parse_stats(
             doc.get("stats")
@@ -154,13 +108,7 @@ fn parse_result(doc: &Json) -> io::Result<CellResult> {
         recovery_failures: field_u64(doc, "recovery_failures")?,
         trace_events: field_u64(doc, "trace_events")?,
         trace_ops: field_u64(doc, "trace_ops")?,
-        flush_to_ack: field_hist(doc, "flush_to_ack")?,
-        release_to_persist: field_hist(doc, "release_to_persist")?,
-        ret_residency: field_hist(doc, "ret_residency")?,
-        blame: field_blame(doc)?,
-        crit: field_crit(doc)?,
-        audit_checks: audit_u64("checks")?,
-        audit_violations: audit_u64("violations")?,
+        obs: ObsSummary::parse(doc).map_err(bad_data)?,
     })
 }
 
@@ -324,20 +272,16 @@ pub fn summary_json(matrix: &MatrixSpec, summary: &CampaignSummary) -> Json {
                             opt_f64(m.critical_fraction_mean),
                         ),
                         ("rp_violations", Json::U64(m.rp_violations)),
-                        ("audit_violations", Json::U64(m.audit_violations)),
+                        (
+                            "audit_violations",
+                            Json::U64(m.obs.audit.total_violations()),
+                        ),
                         ("recovery_points", Json::U64(m.recovery_points)),
                         ("recovery_failures", Json::U64(m.recovery_failures)),
                         ("merged_stats", stats_json(&m.merged)),
-                        (
-                            "hists",
-                            Json::obj([
-                                ("flush_to_ack", hist_json(&m.flush_to_ack)),
-                                ("release_to_persist", hist_json(&m.release_to_persist)),
-                                ("ret_residency", hist_json(&m.ret_residency)),
-                            ]),
-                        ),
-                        ("blame", blame_json(&m.blame)),
-                        ("critpath", crit_json(&m.crit)),
+                        ("hists", m.obs.hists_json()),
+                        ("blame", blame_json(&m.obs.blame)),
+                        ("critpath", crit_json(&m.obs.crit)),
                     ])
                 })
                 .collect();
@@ -474,15 +418,16 @@ pub fn render_table(matrix: &MatrixSpec, summary: &CampaignSummary) -> String {
             if m.ok == 0 || m.mechanism == Mechanism::Nop {
                 continue;
             }
+            let [flush, release, ret] = m.obs.hist_rows().map(|(_, h)| fmt_hist(h));
             out.push_str(&format!(
                 "{:<12} {:<10} {:>3} {:<10} {:>22} {:>22} {:>22}\n",
                 g.structure.name(),
                 g.mode.name(),
                 g.threads,
                 m.mechanism.name(),
-                fmt_hist(&m.flush_to_ack),
-                fmt_hist(&m.release_to_persist),
-                fmt_hist(&m.ret_residency)
+                flush,
+                release,
+                ret
             ));
         }
     }
@@ -493,10 +438,11 @@ pub fn render_table(matrix: &MatrixSpec, summary: &CampaignSummary) -> String {
     ));
     for g in &summary.groups {
         for m in &g.mechs {
-            if m.ok == 0 || m.mechanism == Mechanism::Nop || m.blame.is_empty() {
+            if m.ok == 0 || m.mechanism == Mechanism::Nop || m.obs.blame.is_empty() {
                 continue;
             }
-            let mut rows: Vec<_> = m.blame.exact.iter().filter(|(_, c)| c.cycles > 0).collect();
+            let blame = &m.obs.blame.exact;
+            let mut rows: Vec<_> = blame.iter().filter(|(_, c)| c.cycles > 0).collect();
             rows.sort_by(|a, b| b.1.cycles.cmp(&a.1.cycles).then_with(|| a.0.cmp(b.0)));
             for ((site, cause), cell) in rows.into_iter().take(3) {
                 out.push_str(&format!(
@@ -626,14 +572,44 @@ mod tests {
     #[test]
     fn cell_lines_round_trip() {
         let matrix = MatrixSpec::smoke();
-        for record in run_campaign(matrix.cells(), &serial_cfg(), |_| {}) {
+        for mut record in run_campaign(matrix.cells(), &serial_cfg(), |_| {}) {
+            let CellOutcome::Ok(result) = &mut record.outcome else {
+                panic!("smoke cells complete");
+            };
+            // Uneven per-invariant counts: a line keeping only audit
+            // totals could not round-trip them.
+            result.obs.audit.i2.violations += 1;
+            result.obs.audit.i4.checks += 3;
             let line = cell_json(&record).to_compact();
             let back = parse_cell_line(&line).unwrap();
             // Serialized forms agree exactly (zero-valued map entries may
             // differ in-memory; the manifest bytes are the contract).
             assert_eq!(cell_json(&back).to_compact(), line);
             assert_eq!(back.spec, record.spec);
-            assert_eq!(back.outcome.kind(), "ok");
+            let (CellOutcome::Ok(want), CellOutcome::Ok(got)) = (&record.outcome, &back.outcome)
+            else {
+                panic!("an ok line parses as ok");
+            };
+            // The whole summary: histograms, blame, critical path, audit.
+            assert_eq!(got.obs, want.obs);
+        }
+    }
+
+    #[test]
+    fn a_result_missing_a_summary_field_is_refused() {
+        let record = run_campaign(MatrixSpec::smoke().cells(), &serial_cfg(), |_| {}).remove(1);
+        let doc = cell_json(&record);
+        for key in ["hists", "blame", "critpath", "audit"] {
+            let mut broken = doc.clone();
+            if let Json::Obj(pairs) = &mut broken {
+                for (k, v) in pairs.iter_mut() {
+                    if let (true, Json::Obj(fields)) = (k == "result", v) {
+                        fields.retain(|(f, _)| f != key);
+                    }
+                }
+            }
+            let err = parse_cell_line(&broken.to_compact()).unwrap_err();
+            assert!(err.to_string().contains(key), "{key}: {err}");
         }
     }
 

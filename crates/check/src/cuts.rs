@@ -75,7 +75,9 @@ impl WriteChains {
     }
 
     /// The durable memory image of `cut`: the initial image overwritten
-    /// by each location's last included write.
+    /// by each location's last included write. For lattice cuts and the
+    /// minimizer; a schedule's crash images come from
+    /// `lrp_recovery::PersistWalk`.
     pub fn image(&self, trace: &Trace, cut: &[usize]) -> MemImage {
         let mut img = MemImage::new(trace.initial_mem.iter().copied());
         for (l, &k) in cut.iter().enumerate() {

@@ -5,7 +5,7 @@
 //! point the machine may crash, does the durable state make sense?* This
 //! crate answers it in two bounded, exhaustive modes:
 //!
-//! 1. **Enumerate** ([`enumerate_check`]). A persistency discipline
+//! 1. **Enumerate** ([`Checker::enumerate`]). A persistency discipline
 //!    ([`lrp_model::spec::PersistDiscipline`]) induces a partial persist order
 //!    over the writes of an execution; a crash may durably retain any
 //!    *admissible cut* — a set of writes that is per-location
@@ -17,7 +17,7 @@
 //!    recovered abstract state must be explained by a linearization of
 //!    the operations whose decisive write is durable ([`dl`]).
 //!
-//! 2. **Cross-validate** ([`cross_validate`]). The simulator records a
+//! 2. **Cross-validate** ([`Checker::cross_validate`]). The simulator records a
 //!    [`lrp_model::spec::PersistSchedule`] — actual flush stamps — for
 //!    every run. The checker replays those stamps: the schedule must
 //!    respect the mechanism's promised discipline, judged by the one
@@ -45,6 +45,5 @@ pub use cuts::{enumerate_cuts, EnumStats, WriteChains};
 pub use dl::{check_dl, decisive_events, DecisiveEvent, DlViolation};
 pub use order::{edge_list, persist_preds};
 pub use verify::{
-    cross_validate, cross_validate_schedule, enumerate_check, generator_preds, mutate_reorder,
-    CrossReport, EnumReport, MAX_STATES,
+    generator_preds, mutate_reorder, setup_failure, Checker, CrossReport, EnumReport, MAX_STATES,
 };

@@ -1,16 +1,20 @@
-//! The two checker entry points.
+//! The two checker entry points, methods of a [`Checker`]: what judging
+//! a cut of one workload trace needs (write chains, decisive events,
+//! the recovered initial state), built once per trace and shared by
+//! every mechanism, NVM mode and discipline checked on it.
 //!
-//! * [`cross_validate`] — the simulator-as-subject mode: replay a
-//!   workload trace through `lrp-sim` under one mechanism and NVM mode,
-//!   then (a)
-//!   assert the recorded persist stamps respect the mechanism's
-//!   discipline ([`check_persist_order`], so every crash cut the stamps
-//!   realize is admissible), and (b) assert every realized crash cut is
-//!   durably linearizable after null recovery.
-//! * [`enumerate_check`] — the discipline-as-subject mode: no simulator
-//!   involved; walk *all* admissible cuts of the discipline's lattice
-//!   (budgeted, memoized) and check each. For disciplines that guarantee
-//!   durable linearizability a single bad cut is a failure; for the
+//! * [`Checker::cross_validate`] — the simulator-as-subject mode:
+//!   replay the trace through `lrp-sim` under one mechanism and NVM
+//!   mode, then (a) assert the recorded persist stamps respect the
+//!   mechanism's discipline ([`check_persist_order`], so every crash cut
+//!   the stamps realize is admissible), and (b) assert every realized
+//!   crash cut is durably linearizable after null recovery. One
+//!   [`PersistWalk`] builds the crash images, as everywhere else.
+//! * [`Checker::enumerate`] — the discipline-as-subject mode: no
+//!   simulator involved; walk *all* admissible cuts of the discipline's
+//!   lattice (budgeted, memoized) and check each, imaging every cut from
+//!   the write chains. For disciplines that guarantee durable
+//!   linearizability a single bad cut is a failure; for the
 //!   unconstrained (NOP) lattice violations are counted and reported —
 //!   that count being positive is the paper's motivation, not a bug.
 //!
@@ -26,22 +30,22 @@
 use crate::cuts::{enumerate_cuts, EnumStats, WriteChains};
 use crate::dl::{check_dl, decisive_events, DecisiveEvent, DlViolation};
 use crate::order::{edge_list, persist_preds};
-use lrp_lfds::{validate_image, Recovered, Structure, ValidationError};
+use lrp_lfds::{validate_image, MemImage, Recovered, Structure, ValidationError};
 use lrp_model::hb::TooLarge;
 use lrp_model::spec::{
     check_persist_order, earliest_late_pred, PersistDiscipline, PersistSchedule,
 };
 use lrp_model::{EventId, Trace};
-use lrp_recovery::{Counterexample, CrashPlan};
+use lrp_recovery::{Counterexample, CrashPlan, PersistWalk};
 use lrp_sim::{Mechanism, NvmMode, Sim, SimConfig};
 use std::collections::HashSet;
 
-/// The default state budget of the [`enumerate_check`] lattice walk
+/// The default state budget of the [`Checker::enumerate`] lattice walk
 /// (distinct memoized states): every cut lattice of `lrp-check`'s
 /// default bound fits it.
 pub const MAX_STATES: usize = 20_000;
 
-/// Outcome of one successful [`cross_validate`] run.
+/// Outcome of one successful [`Checker::cross_validate`] run.
 #[derive(Debug, Clone, Copy)]
 pub struct CrossReport {
     /// Crash points examined (every distinct flush stamp plus the
@@ -52,7 +56,7 @@ pub struct CrossReport {
     pub waived: usize,
 }
 
-/// Outcome of one successful [`enumerate_check`] run.
+/// Outcome of one successful [`Checker::enumerate`] run.
 #[derive(Debug, Clone, Copy)]
 pub struct EnumReport {
     /// Lattice-walk statistics (admissible cuts visited, truncation).
@@ -72,11 +76,12 @@ enum CutFailure {
     Dl(Box<DlViolation>),
 }
 
-/// Everything needed to judge a single cut, bundled so the minimizer
-/// and both entry points share one code path.
-struct Checker<'a> {
+/// What judging any cut of one workload trace needs, whatever the
+/// discipline: the per-location write chains, the decisive events and
+/// the recovered initial state. Build it once per trace; every
+/// mechanism, NVM mode and discipline checked on that trace shares it.
+pub struct Checker<'a> {
     structure: Structure,
-    discipline: PersistDiscipline,
     trace: &'a Trace,
     chains: WriteChains,
     decisive: Vec<DecisiveEvent>,
@@ -103,31 +108,35 @@ impl Edges {
     }
 }
 
+/// The counterexample for a trace [`Checker::new`] could not prepare:
+/// `what` is its error, reported against the cell `title` checks under
+/// `discipline`.
+pub fn setup_failure(
+    structure: Structure,
+    discipline: PersistDiscipline,
+    title: &str,
+    what: String,
+) -> Box<Counterexample> {
+    Box::new(
+        Counterexample::new(title, what)
+            .context("structure", structure.name())
+            .context("discipline", discipline.name()),
+    )
+}
+
 impl<'a> Checker<'a> {
-    fn new(
-        structure: Structure,
-        discipline: PersistDiscipline,
-        trace: &'a Trace,
-        title: &str,
-    ) -> Result<Self, Box<Counterexample>> {
-        let internal = |what: String| {
-            Box::new(
-                Counterexample::new(title, what)
-                    .context("structure", structure.name())
-                    .context("discipline", discipline.name()),
-            )
-        };
+    /// Prepares `trace`, a workload of `structure`, for checking.
+    pub fn new(structure: Structure, trace: &'a Trace) -> Result<Self, String> {
         let decisive = decisive_events(structure, trace)
-            .map_err(|e| internal(format!("decisive-event attribution failed: {e}")))?;
+            .map_err(|e| format!("decisive-event attribution failed: {e}"))?;
         let initial = validate_image(
             structure,
             &trace.roots,
-            &lrp_lfds::MemImage::new(trace.initial_mem.iter().copied()),
+            &MemImage::new(trace.initial_mem.iter().copied()),
         )
-        .map_err(|e| internal(format!("initial image invalid: {e}")))?;
+        .map_err(|e| format!("initial image invalid: {e}"))?;
         Ok(Checker {
             structure,
-            discipline,
             trace,
             chains: WriteChains::new(trace),
             decisive,
@@ -135,10 +144,10 @@ impl<'a> Checker<'a> {
         })
     }
 
-    /// Judges one cut: `None` = recovers and linearizes.
-    fn cut_failure(&self, cut: &[usize]) -> Option<CutFailure> {
-        let img = self.chains.image(self.trace, cut);
-        let recovered = match validate_image(self.structure, &self.trace.roots, &img) {
+    /// Judges one cut whose durable image is `img`: `None` = recovers
+    /// and linearizes.
+    fn judge(&self, cut: &[usize], img: &MemImage) -> Option<CutFailure> {
+        let recovered = match validate_image(self.structure, &self.trace.roots, img) {
             Ok(r) => r,
             Err(e) => return Some(CutFailure::Recovery(e)),
         };
@@ -153,6 +162,11 @@ impl<'a> Checker<'a> {
             Ok(_) => None,
             Err(v) => Some(CutFailure::Dl(v)),
         }
+    }
+
+    /// Judges one lattice cut, building its image from the write chains.
+    fn cut_failure(&self, cut: &[usize]) -> Option<CutFailure> {
+        self.judge(cut, &self.chains.image(self.trace, cut))
     }
 
     /// Greedily shrinks a failing cut: repeatedly un-include a maximal
@@ -196,6 +210,7 @@ impl<'a> Checker<'a> {
     fn render(
         &self,
         title: &str,
+        discipline: PersistDiscipline,
         crash: &str,
         sched: Option<&PersistSchedule>,
         cut: &[usize],
@@ -216,7 +231,7 @@ impl<'a> Checker<'a> {
             },
         )
         .context("structure", self.structure.name())
-        .context("discipline", self.discipline.name())
+        .context("discipline", discipline.name())
         .context("crash", crash);
         // The ops whose decisive event is durable — the linearization
         // candidates — in decisive order.
@@ -243,130 +258,187 @@ impl<'a> Checker<'a> {
         }
         Box::new(cx)
     }
-}
 
-/// Cross-validates a recorded persist schedule against `discipline`:
-/// the schedule must pass [`check_persist_order`], and every crash cut
-/// the stamps realize must pass null recovery + durable linearizability.
-/// Violations are waived (counted, not failed) when the discipline
-/// guarantees nothing.
-pub fn cross_validate_schedule(
-    structure: Structure,
-    discipline: PersistDiscipline,
-    trace: &Trace,
-    sched: &PersistSchedule,
-    title: &str,
-) -> Result<CrossReport, Box<Counterexample>> {
-    let ck = Checker::new(structure, discipline, trace, title)?;
-
-    // (a) Admissibility of the schedule itself. The first violated
-    // write and its earliest late predecessor are one required persist
-    // pair: already a minimal counterexample.
-    if let Err(v) = check_persist_order(trace, sched, discipline) {
-        let w = v[0].second;
-        let p = earliest_late_pred(trace, sched, discipline, w)
-            .expect("a violation has a late predecessor");
-        let stamp = |e: EventId| match sched.stamp(e) {
-            Some(s) => format!("stamp {s}"),
-            None => "never persisted".to_string(),
-        };
-        let mut cx = Counterexample::new(
-            title,
-            format!(
-                "inadmissible schedule: e{w} persisted ({}) before its \
-                 required predecessor e{p} ({})",
-                stamp(w),
-                stamp(p)
-            ),
-        )
-        .context("structure", structure.name())
-        .context("discipline", discipline.name());
-        cx.cut = [p, w]
-            .iter()
-            .map(|&e| {
+    /// Cross-validates a recorded persist schedule of the trace against
+    /// `discipline`: the schedule must pass [`check_persist_order`], and
+    /// every crash cut the stamps realize must pass null recovery +
+    /// durable linearizability. Violations are waived (counted, not
+    /// failed) when the discipline guarantees nothing. `title` heads a
+    /// counterexample.
+    pub fn cross_validate_schedule(
+        &self,
+        discipline: PersistDiscipline,
+        sched: &PersistSchedule,
+        title: &str,
+    ) -> Result<CrossReport, Box<Counterexample>> {
+        let (structure, trace) = (self.structure, self.trace);
+        // (a) Admissibility of the schedule itself. The first violated
+        // write and its earliest late predecessor are one required
+        // persist pair: already a minimal counterexample.
+        if let Err(v) = check_persist_order(trace, sched, discipline) {
+            let w = v[0].second;
+            let p = earliest_late_pred(trace, sched, discipline, w)
+                .expect("a violation has a late predecessor");
+            let stamp = |e: EventId| match sched.stamp(e) {
+                Some(s) => format!("stamp {s}"),
+                None => "never persisted".to_string(),
+            };
+            let mut cx = Counterexample::new(
+                title,
                 format!(
-                    "{}  ({})",
-                    Counterexample::render_event(&trace.events[e as usize]),
-                    stamp(e)
-                )
-            })
-            .collect();
-        return Err(Box::new(cx));
-    }
-
-    // (b) Every realized crash cut recovers and linearizes.
-    let mut waived = 0;
-    let stamps = CrashPlan::Exhaustive.stamps(sched);
-    let crash_points = stamps.len();
-    for stamp in stamps {
-        let crash = match stamp {
-            Some(s) => format!("after flush stamp {s}"),
-            None => "before anything persisted".to_string(),
-        };
-        let cut = match ck.chains.realized(sched, stamp) {
-            Ok(c) => c,
-            Err((w, p)) => {
-                let failure = match (sched.stamp(w), sched.stamp(p)) {
-                    (Some(sw), Some(sp)) if stamp.is_some_and(|c| sp <= c) => format!(
-                        "durable set is no cache line's history: e{w} persisted \
-                         (stamp {sw}) before the earlier same-line write e{p} (stamp {sp})"
-                    ),
-                    _ => format!(
-                        "durable set is not per-location prefix-shaped: e{w} is \
-                         durable while an earlier same-line write is not"
-                    ),
-                };
-                return Err(Box::new(
-                    Counterexample::new(title, failure)
-                        .context("structure", structure.name())
-                        .context("discipline", discipline.name())
-                        .context("crash", crash),
-                ));
-            }
-        };
-        if let Some(f) = ck.cut_failure(&cut) {
-            if !discipline.guarantees_dl() {
-                waived += 1;
-                continue;
-            }
-            return Err(match Edges::new(trace, discipline) {
-                Ok(edges) => {
-                    let (cut, f) = ck.minimize(&edges, cut);
-                    ck.render(title, &crash, Some(sched), &cut, &f)
-                }
-                Err(e) => {
-                    let mut cx = ck.render(title, &crash, Some(sched), &cut, &f);
-                    cx.context
-                        .push(("minimized".to_string(), format!("no ({e})")));
-                    cx
-                }
-            });
+                    "inadmissible schedule: e{w} persisted ({}) before its \
+                     required predecessor e{p} ({})",
+                    stamp(w),
+                    stamp(p)
+                ),
+            )
+            .context("structure", structure.name())
+            .context("discipline", discipline.name());
+            cx.cut = [p, w]
+                .iter()
+                .map(|&e| {
+                    format!(
+                        "{}  ({})",
+                        Counterexample::render_event(&trace.events[e as usize]),
+                        stamp(e)
+                    )
+                })
+                .collect();
+            return Err(Box::new(cx));
         }
-    }
-    Ok(CrossReport {
-        crash_points,
-        waived,
-    })
-}
 
-/// Replays `trace`, a workload of `structure`, under `mechanism` with
-/// NVM in `mode`, and cross-validates the recorded schedule against the
-/// mechanism's promised discipline. `title` heads a counterexample.
-pub fn cross_validate(
-    structure: Structure,
-    mechanism: Mechanism,
-    mode: NvmMode,
-    trace: &Trace,
-    title: &str,
-) -> Result<CrossReport, Box<Counterexample>> {
-    let run = Sim::new(SimConfig::new(mechanism).nvm_mode(mode), trace).run();
-    cross_validate_schedule(
-        structure,
-        mechanism.discipline(),
-        trace,
-        &run.schedule,
-        title,
-    )
+        // (b) Every realized crash cut recovers and linearizes. One
+        // forward walk builds the crash images; the realized cut says
+        // which writes are included.
+        let mut waived = 0;
+        let stamps = CrashPlan::Exhaustive.stamps(sched);
+        let crash_points = stamps.len();
+        let mut walk = PersistWalk::new(trace, sched);
+        let mut img = MemImage::new(trace.initial_mem.iter().copied());
+        for stamp in stamps {
+            let crash = match stamp {
+                Some(s) => format!("after flush stamp {s}"),
+                None => "before anything persisted".to_string(),
+            };
+            if let Some(s) = stamp {
+                walk.advance(s, &mut img);
+            }
+            let cut = match self.chains.realized(sched, stamp) {
+                Ok(c) => c,
+                Err((w, p)) => {
+                    let failure = match (sched.stamp(w), sched.stamp(p)) {
+                        (Some(sw), Some(sp)) if stamp.is_some_and(|c| sp <= c) => format!(
+                            "durable set is no cache line's history: e{w} persisted \
+                             (stamp {sw}) before the earlier same-line write e{p} (stamp {sp})"
+                        ),
+                        _ => format!(
+                            "durable set is not per-location prefix-shaped: e{w} is \
+                             durable while an earlier same-line write is not"
+                        ),
+                    };
+                    return Err(Box::new(
+                        Counterexample::new(title, failure)
+                            .context("structure", structure.name())
+                            .context("discipline", discipline.name())
+                            .context("crash", crash),
+                    ));
+                }
+            };
+            if let Some(f) = self.judge(&cut, &img) {
+                if !discipline.guarantees_dl() {
+                    waived += 1;
+                    continue;
+                }
+                return Err(match Edges::new(trace, discipline) {
+                    Ok(edges) => {
+                        let (cut, f) = self.minimize(&edges, cut);
+                        self.render(title, discipline, &crash, Some(sched), &cut, &f)
+                    }
+                    Err(e) => {
+                        let mut cx = self.render(title, discipline, &crash, Some(sched), &cut, &f);
+                        cx.context
+                            .push(("minimized".to_string(), format!("no ({e})")));
+                        cx
+                    }
+                });
+            }
+        }
+        Ok(CrossReport {
+            crash_points,
+            waived,
+        })
+    }
+
+    /// Replays the trace under `mechanism` with NVM in `mode` and
+    /// cross-validates the recorded schedule against the mechanism's
+    /// promised discipline.
+    pub fn cross_validate(
+        &self,
+        mechanism: Mechanism,
+        mode: NvmMode,
+        title: &str,
+    ) -> Result<CrossReport, Box<Counterexample>> {
+        let cfg = SimConfig::new(mechanism).nvm_mode(mode);
+        let run = Sim::new(cfg, self.trace).run();
+        self.cross_validate_schedule(mechanism.discipline(), &run.schedule, title)
+    }
+
+    /// Walks every admissible cut of `discipline`'s lattice over the
+    /// trace, visiting at most `max_states` distinct states, and checks
+    /// null recovery + durable linearizability on each distinct durable
+    /// state. No simulator run is involved — this checks the
+    /// *discipline*, not a particular schedule, so the result holds for
+    /// every mechanism and NVM mode promising it.
+    pub fn enumerate(
+        &self,
+        discipline: PersistDiscipline,
+        max_states: usize,
+        title: &str,
+    ) -> Result<EnumReport, Box<Counterexample>> {
+        let (structure, trace) = (self.structure, self.trace);
+        let edges = Edges::new(trace, discipline).map_err(|e| {
+            let what = format!("trace exceeds the hb-closure budget: {e:?}");
+            setup_failure(structure, discipline, title, what)
+        })?;
+
+        // Cuts realizing the same durable overlay AND the same included
+        // decisive events are equivalent for both checks; deduplicate.
+        type CutKey = (Vec<(lrp_model::Addr, u64)>, Vec<EventId>);
+        let mut seen: HashSet<CutKey> = HashSet::new();
+        let mut waived = 0usize;
+        let mut first_failure: Option<(Vec<usize>, CutFailure)> = None;
+        let stats = enumerate_cuts(&self.chains, &edges.preds, max_states, &mut |cut| {
+            let key = (
+                self.chains.overlay(trace, cut),
+                self.decisive
+                    .iter()
+                    .map(|d| d.event)
+                    .filter(|&e| self.chains.includes(cut, e))
+                    .collect(),
+            );
+            if !seen.insert(key) {
+                return true;
+            }
+            if let Some(f) = self.cut_failure(cut) {
+                if !discipline.guarantees_dl() {
+                    waived += 1;
+                    return true;
+                }
+                first_failure = Some((cut.to_vec(), f));
+                return false;
+            }
+            true
+        });
+        if let Some((cut, _)) = first_failure {
+            let (cut, f) = self.minimize(&edges, cut);
+            return Err(self.render(title, discipline, "enumerated cut", None, &cut, &f));
+        }
+        Ok(EnumReport {
+            stats,
+            checked: seen.len(),
+            waived,
+        })
+    }
 }
 
 /// Reorders one persist pair across a generator edge: finds the first
@@ -405,67 +477,6 @@ pub fn generator_preds(
     })
 }
 
-/// Walks every admissible cut of `discipline`'s lattice over `trace`,
-/// a workload of `structure`, visiting at most `max_states` distinct
-/// states, and checks null recovery + durable linearizability on each
-/// distinct durable state. No simulator run is involved — this checks
-/// the *discipline*, not a particular schedule. `title` heads a
-/// counterexample.
-pub fn enumerate_check(
-    structure: Structure,
-    discipline: PersistDiscipline,
-    trace: &Trace,
-    max_states: usize,
-    title: &str,
-) -> Result<EnumReport, Box<Counterexample>> {
-    let edges = Edges::new(trace, discipline).map_err(|e| {
-        Box::new(
-            Counterexample::new(title, format!("trace exceeds the hb-closure budget: {e:?}"))
-                .context("structure", structure.name())
-                .context("discipline", discipline.name()),
-        )
-    })?;
-    let ck = Checker::new(structure, discipline, trace, title)?;
-
-    // Cuts realizing the same durable overlay AND the same included
-    // decisive events are equivalent for both checks; deduplicate.
-    type CutKey = (Vec<(lrp_model::Addr, u64)>, Vec<EventId>);
-    let mut seen: HashSet<CutKey> = HashSet::new();
-    let mut waived = 0usize;
-    let mut first_failure: Option<(Vec<usize>, CutFailure)> = None;
-    let stats = enumerate_cuts(&ck.chains, &edges.preds, max_states, &mut |cut| {
-        let key = (
-            ck.chains.overlay(trace, cut),
-            ck.decisive
-                .iter()
-                .map(|d| d.event)
-                .filter(|&e| ck.chains.includes(cut, e))
-                .collect(),
-        );
-        if !seen.insert(key) {
-            return true;
-        }
-        if let Some(f) = ck.cut_failure(cut) {
-            if !discipline.guarantees_dl() {
-                waived += 1;
-                return true;
-            }
-            first_failure = Some((cut.to_vec(), f));
-            return false;
-        }
-        true
-    });
-    if let Some((cut, _)) = first_failure {
-        let (cut, f) = ck.minimize(&edges, cut);
-        return Err(ck.render(title, "enumerated cut", None, &cut, &f));
-    }
-    Ok(EnumReport {
-        stats,
-        checked: seen.len(),
-        waived,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,14 +501,11 @@ mod tests {
 
     #[test]
     fn lrp_schedule_cross_validates_on_a_list() {
-        let r = cross_validate(
-            Structure::LinkedList,
-            Mechanism::Lrp,
-            NvmMode::Cached,
-            &quick(),
-            "list",
-        )
-        .unwrap_or_else(|cx| panic!("{cx}"));
+        let trace = quick();
+        let r = Checker::new(Structure::LinkedList, &trace)
+            .unwrap()
+            .cross_validate(Mechanism::Lrp, NvmMode::Cached, "list")
+            .unwrap_or_else(|cx| panic!("{cx}"));
         assert!(r.crash_points > 1);
         assert_eq!(r.waived, 0);
     }
@@ -511,14 +519,10 @@ mod tests {
         let preds = generator_preds(&trace, PersistDiscipline::ReleaseOrder).unwrap();
         let (mutated, (p, w)) =
             mutate_reorder(&run.schedule, &preds).expect("a reorderable edge exists");
-        let cx = cross_validate_schedule(
-            Structure::LinkedList,
-            PersistDiscipline::ReleaseOrder,
-            &trace,
-            &mutated,
-            "mutation",
-        )
-        .expect_err("the mutation must be caught");
+        let cx = Checker::new(Structure::LinkedList, &trace)
+            .unwrap()
+            .cross_validate_schedule(PersistDiscipline::ReleaseOrder, &mutated, "mutation")
+            .expect_err("the mutation must be caught");
         let s = cx.to_string();
         assert!(
             s.contains(&format!("e{w} persisted")) && s.contains(&format!("e{p}")),
@@ -529,24 +533,15 @@ mod tests {
     #[test]
     fn enumerate_finds_nop_violations_but_no_lrp_ones() {
         let trace = quick();
-        let lrp = enumerate_check(
-            Structure::LinkedList,
-            PersistDiscipline::ReleaseOrder,
-            &trace,
-            MAX_STATES,
-            "lrp",
-        )
-        .unwrap_or_else(|cx| panic!("{cx}"));
+        let ck = Checker::new(Structure::LinkedList, &trace).unwrap();
+        let lrp = ck
+            .enumerate(PersistDiscipline::ReleaseOrder, MAX_STATES, "lrp")
+            .unwrap_or_else(|cx| panic!("{cx}"));
         assert_eq!(lrp.waived, 0);
         assert!(!lrp.stats.truncated);
-        let nop = enumerate_check(
-            Structure::LinkedList,
-            PersistDiscipline::Unconstrained,
-            &trace,
-            MAX_STATES,
-            "nop",
-        )
-        .unwrap_or_else(|cx| panic!("{cx}"));
+        let nop = ck
+            .enumerate(PersistDiscipline::Unconstrained, MAX_STATES, "nop")
+            .unwrap_or_else(|cx| panic!("{cx}"));
         assert!(
             nop.waived > 0,
             "the unconstrained lattice must contain unrecoverable cuts \
@@ -559,13 +554,7 @@ mod tests {
     #[test]
     fn minimizer_produces_a_small_deterministic_counterexample() {
         let trace = quick();
-        let ck = Checker::new(
-            Structure::LinkedList,
-            PersistDiscipline::Unconstrained,
-            &trace,
-            "min",
-        )
-        .unwrap();
+        let ck = Checker::new(Structure::LinkedList, &trace).unwrap();
         let edges = Edges::new(&trace, PersistDiscipline::Unconstrained).unwrap();
         // Find any failing cut by walking the unconstrained lattice.
         let mut bad: Option<Vec<usize>> = None;
@@ -584,7 +573,8 @@ mod tests {
             min1.iter().sum::<usize>() <= bad.iter().sum::<usize>(),
             "minimization never grows the cut"
         );
-        let cx = ck.render("min", "enumerated cut", None, &min1, &f1);
+        let d = PersistDiscipline::Unconstrained;
+        let cx = ck.render("min", d, "enumerated cut", None, &min1, &f1);
         let s = cx.to_string();
         assert!(s.starts_with("counterexample: min\n"));
         assert!(s.contains("  failure: "));

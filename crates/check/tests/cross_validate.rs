@@ -5,10 +5,7 @@
 //! recovery.
 
 use lrp_campaign::{build_trace, CellSpec, MatrixSpec};
-use lrp_check::{
-    cross_validate, cross_validate_schedule, enumerate_check, generator_preds, mutate_reorder,
-    MAX_STATES,
-};
+use lrp_check::{generator_preds, mutate_reorder, Checker, MAX_STATES};
 use lrp_lfds::Structure;
 use lrp_model::hb::HbClosure;
 use lrp_model::spec::PersistDiscipline;
@@ -57,7 +54,9 @@ fn all_mechanisms_cross_validate_on_all_structures() {
         );
         let trace = build_trace(&spec);
         let m = spec.mechanism;
-        let r = cross_validate(spec.structure, m, spec.mode, &trace, &cell)
+        let r = Checker::new(spec.structure, &trace)
+            .unwrap()
+            .cross_validate(m, spec.mode, &cell)
             .unwrap_or_else(|cx| panic!("{cell}:\n{cx}"));
         assert_eq!(
             r.waived, 0,
@@ -92,7 +91,9 @@ fn cross_validation_needs_no_edge_table() {
         "{} events fit the closure",
         trace.events.len()
     );
-    let r = cross_validate(cell.structure, cell.mechanism, cell.mode, &trace, "queue")
+    let r = Checker::new(cell.structure, &trace)
+        .unwrap()
+        .cross_validate(cell.mechanism, cell.mode, "queue")
         .unwrap_or_else(|cx| panic!("{cx}"));
     assert!(r.crash_points > 1000, "{} crash points", r.crash_points);
     assert_eq!(r.waived, 0);
@@ -117,14 +118,10 @@ fn every_structure_rejects_a_reordered_persist_pair() {
         let Some((mutated, (p, w))) = mutate_reorder(&run.schedule, &preds) else {
             panic!("{}: no reorderable persist pair in an 8-op run", s.name());
         };
-        let cx = cross_validate_schedule(
-            s,
-            PersistDiscipline::ReleaseOrder,
-            &trace,
-            &mutated,
-            "mutation",
-        )
-        .expect_err("a reordered persist pair must be rejected");
+        let ck = Checker::new(s, &trace).unwrap();
+        let cx = ck
+            .cross_validate_schedule(PersistDiscipline::ReleaseOrder, &mutated, "mutation")
+            .expect_err("a reordered persist pair must be rejected");
         let text = cx.to_string();
         assert!(
             text.contains(&format!("e{w}")) && text.contains(&format!("e{p}")),
@@ -132,14 +129,8 @@ fn every_structure_rejects_a_reordered_persist_pair() {
             s.name()
         );
         // The original, unmutated schedule still passes.
-        cross_validate_schedule(
-            s,
-            PersistDiscipline::ReleaseOrder,
-            &trace,
-            &run.schedule,
-            "original",
-        )
-        .unwrap_or_else(|cx| panic!("{}:\n{cx}", s.name()));
+        ck.cross_validate_schedule(PersistDiscipline::ReleaseOrder, &run.schedule, "original")
+            .unwrap_or_else(|cx| panic!("{}:\n{cx}", s.name()));
     }
 }
 
@@ -154,21 +145,18 @@ fn enumerated_lattices_separate_nop_from_the_guaranteed_disciplines() {
         seeds: vec![3],
         ..MatrixSpec::check()
     }));
-    let nop = enumerate_check(
-        Structure::LinkedList,
-        PersistDiscipline::Unconstrained,
-        &trace,
-        MAX_STATES,
-        "nop",
-    )
-    .unwrap_or_else(|cx| panic!("{cx}"));
+    let ck = Checker::new(Structure::LinkedList, &trace).unwrap();
+    let nop = ck
+        .enumerate(PersistDiscipline::Unconstrained, MAX_STATES, "nop")
+        .unwrap_or_else(|cx| panic!("{cx}"));
     assert!(nop.waived > 0, "NOP must expose unrecoverable cuts");
     for d in [
         PersistDiscipline::StoreOrder,
         PersistDiscipline::EpochOrder,
         PersistDiscipline::ReleaseOrder,
     ] {
-        let r = enumerate_check(Structure::LinkedList, d, &trace, MAX_STATES, d.name())
+        let r = ck
+            .enumerate(d, MAX_STATES, d.name())
             .unwrap_or_else(|cx| panic!("{d}:\n{cx}"));
         assert_eq!(r.waived, 0);
         assert!(

@@ -7,7 +7,7 @@
 //! realize has to pass null recovery + durable linearizability with
 //! the slot region present in the image.
 
-use lrp_check::cross_validate_schedule;
+use lrp_check::Checker;
 use lrp_serve::{KvOp, Shard, ShardConfig, ShardReq};
 use lrp_sim::Mechanism;
 
@@ -67,14 +67,10 @@ fn slot_stamped_batches_cross_validate_under_every_mechanism() {
         );
 
         let title = format!("slot-stamped {}/hashmap", mech.name());
-        let report = cross_validate_schedule(
-            lrp_lfds::Structure::HashMap,
-            mech.discipline(),
-            &trace,
-            &sched,
-            &title,
-        )
-        .unwrap_or_else(|cx| panic!("{title}:\n{cx}"));
+        let report = Checker::new(lrp_lfds::Structure::HashMap, &trace)
+            .unwrap()
+            .cross_validate_schedule(mech.discipline(), &sched, &title)
+            .unwrap_or_else(|cx| panic!("{title}:\n{cx}"));
         assert_eq!(report.waived, 0, "{title}: no waived cuts");
         assert!(
             report.crash_points > 1,
@@ -97,12 +93,8 @@ fn disabling_detection_removes_the_slot_phase_but_still_validates() {
         !trace.site_names.iter().any(|n| n.ends_with("/slot")),
         "detection disabled, yet the trace carries slot events"
     );
-    cross_validate_schedule(
-        lrp_lfds::Structure::HashMap,
-        Mechanism::Lrp.discipline(),
-        &trace,
-        &sched,
-        "no-detect lrp/hashmap",
-    )
-    .unwrap_or_else(|cx| panic!("{cx}"));
+    Checker::new(lrp_lfds::Structure::HashMap, &trace)
+        .unwrap()
+        .cross_validate_schedule(Mechanism::Lrp.discipline(), &sched, "no-detect lrp/hashmap")
+        .unwrap_or_else(|cx| panic!("{cx}"));
 }

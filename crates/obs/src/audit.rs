@@ -8,6 +8,8 @@
 //! behaviour from aggregate totals. Auditing never changes machine
 //! behaviour.
 
+use crate::json::Json;
+
 /// Checks performed / violations seen for one invariant.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AuditCounter {
@@ -23,6 +25,28 @@ impl AuditCounter {
         if !ok {
             self.violations += 1;
         }
+    }
+
+    /// Folds another counter's observations into this one.
+    pub fn merge(&mut self, other: AuditCounter) {
+        self.checks += other.checks;
+        self.violations += other.violations;
+    }
+
+    /// The `{"checks", "violations"}` encoding of every audit row.
+    pub fn to_json(self) -> Json {
+        Json::obj([
+            ("checks", Json::U64(self.checks)),
+            ("violations", Json::U64(self.violations)),
+        ])
+    }
+
+    /// Parses the [`to_json`](Self::to_json) encoding.
+    pub fn parse(doc: &Json) -> Result<AuditCounter, String> {
+        Ok(AuditCounter {
+            checks: doc.field_u64("checks")?,
+            violations: doc.field_u64("violations")?,
+        })
     }
 }
 
@@ -94,6 +118,36 @@ impl InvariantAudit {
             ("i3", self.i3),
             ("i4", self.i4),
         ]
+    }
+
+    fn counters_mut(&mut self) -> [&mut AuditCounter; 4] {
+        [&mut self.i1, &mut self.i2, &mut self.i3, &mut self.i4]
+    }
+
+    /// Folds another audit's observations into this one.
+    pub fn merge(&mut self, other: &InvariantAudit) {
+        for (mine, (_, theirs)) in self.counters_mut().into_iter().zip(other.rows()) {
+            mine.merge(theirs);
+        }
+    }
+
+    /// One `name: {"checks", "violations"}` pair per invariant, in
+    /// invariant order.
+    pub fn json_rows(&self) -> [(&'static str, Json); 4] {
+        self.rows().map(|(name, c)| (name, c.to_json()))
+    }
+
+    /// Parses an object holding the [`json_rows`](Self::json_rows).
+    pub fn parse(doc: &Json) -> Result<InvariantAudit, String> {
+        let mut audit = InvariantAudit::new();
+        let names = InvariantAudit::new().rows().map(|(name, _)| name);
+        for (slot, name) in audit.counters_mut().into_iter().zip(names) {
+            let row = doc
+                .get(name)
+                .ok_or_else(|| format!("missing audit row {name:?}"))?;
+            *slot = AuditCounter::parse(row)?;
+        }
+        Ok(audit)
     }
 }
 

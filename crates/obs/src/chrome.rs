@@ -238,7 +238,8 @@ mod tests {
     use crate::stats::{FlushClass, StallCause, Stats};
 
     fn sample_report() -> ObsReport {
-        let mut r = Recorder::new(RecorderConfig::default(), 2);
+        let cfg = RecorderConfig::default();
+        let mut r = Recorder::new(cfg, 2, Vec::new(), crate::CritSegKind::ReleaseOrder);
         r.stall_begin(10, 0, StallCause::LoadMiss);
         r.stall_end(40, 0, StallCause::LoadMiss, 30, None, false);
         r.flush_issue(50, 1, 0x40, FlushClass::Critical, 0, &[]);

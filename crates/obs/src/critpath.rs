@@ -21,9 +21,9 @@
 //! * **C2 (wall bound)** — the longest retired path can never exceed
 //!   the run's wall time.
 //!
-//! Edges are typed [`CritEdge`]s between [`EvRef`] endpoints so the
-//! chain vocabulary is explicit, but retirement consumes edges into the
-//! summary immediately — no edge log is ever retained.
+//! A retiring chain is at most two `(kind, cycles)` segments — commit
+//! to flush issue, issue to persist — consumed into the summary at
+//! once: no edge log is ever retained.
 
 use crate::audit::AuditCounter;
 use crate::event::Time;
@@ -77,30 +77,6 @@ impl CritSegKind {
     }
 }
 
-/// An endpoint of a causal edge: a milestone in one write's life.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvRef {
-    /// The release store left the store buffer into the L1.
-    ReleaseCommit(EventId),
-    /// The flush covering the write was handed to the NVM controllers.
-    FlushIssue(EventId),
-    /// The write's persist was stamped durable.
-    Persist(EventId),
-}
-
-/// One typed causal edge on a persist's critical path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CritEdge {
-    /// Where the wait began.
-    pub from: EvRef,
-    /// The milestone that ended it.
-    pub to: EvRef,
-    /// What the cycles were spent on.
-    pub kind: CritSegKind,
-    /// Length of the segment.
-    pub cycles: u64,
-}
-
 /// Conservation audit counters, in the I1–I4 [`AuditCounter`] style:
 /// observed at every chain retirement, never enforcing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -131,10 +107,8 @@ impl CritAudit {
 
     /// Folds another audit's counts into this one.
     pub fn merge(&mut self, other: &CritAudit) {
-        self.c1.checks += other.c1.checks;
-        self.c1.violations += other.c1.violations;
-        self.c2.checks += other.c2.checks;
-        self.c2.violations += other.c2.violations;
+        self.c1.merge(other.c1);
+        self.c2.merge(other.c2);
     }
 }
 
@@ -195,22 +169,22 @@ impl CritSummary {
         out
     }
 
-    /// Consumes one retired chain. `latency` is the independently
-    /// measured release-to-persist interval; `ordered` is whether the
-    /// chain's milestones were time-ordered.
-    fn consume(&mut self, edges: &[CritEdge], latency: u64, ordered: bool) {
+    /// Consumes one retired chain's `(kind, cycles)` segments.
+    /// `latency` is its commit-to-persist interval; `ordered` is whether
+    /// the chain's milestones were time-ordered.
+    fn consume(&mut self, segments: &[(CritSegKind, u64)], latency: u64, ordered: bool) {
         let mut sum = 0u64;
         let mut shape = String::new();
-        for e in edges {
-            let k = e.kind.idx();
-            self.seg_cycles[k] += e.cycles;
+        for &(kind, cycles) in segments {
+            let k = kind.idx();
+            self.seg_cycles[k] += cycles;
             self.seg_counts[k] += 1;
-            self.seg_hist[k].record(e.cycles);
-            sum += e.cycles;
+            self.seg_hist[k].record(cycles);
+            sum += cycles;
             if !shape.is_empty() {
                 shape.push(';');
             }
-            shape.push_str(e.kind.name());
+            shape.push_str(kind.name());
         }
         self.path.record(latency);
         self.max_path = self.max_path.max(latency);
@@ -284,7 +258,8 @@ struct OpenChain {
 
 /// The online engine: feeds on recorder hook calls, retires chains the
 /// moment their persist stamps, and never holds more state than the
-/// simulator holds unpersisted releases.
+/// simulator holds unpersisted releases. It is the run's only release
+/// clock: its `path` histogram is the release-to-persist latency.
 #[derive(Debug)]
 pub struct CritPath {
     open: HashMap<EventId, OpenChain>,
@@ -295,26 +270,15 @@ pub struct CritPath {
     summary: CritSummary,
 }
 
-impl Default for CritPath {
-    fn default() -> Self {
-        CritPath::new()
-    }
-}
-
 impl CritPath {
-    /// A fresh engine with the lazy-mechanism default drain kind.
-    pub fn new() -> CritPath {
+    /// A fresh engine classifying demand-free issue waits as
+    /// `drain_kind` (see `PersistMech::crit_drain_kind` in `lrp-core`).
+    pub fn new(drain_kind: CritSegKind) -> CritPath {
         CritPath {
             open: HashMap::new(),
-            drain_kind: CritSegKind::ReleaseOrder,
+            drain_kind,
             summary: CritSummary::default(),
         }
-    }
-
-    /// Installs the mechanism's drain classification (see
-    /// `PersistMech::crit_drain_kind` in `lrp-core`).
-    pub fn set_drain_kind(&mut self, kind: CritSegKind) {
-        self.drain_kind = kind;
     }
 
     /// The installed drain classification.
@@ -352,51 +316,33 @@ impl CritPath {
     pub fn persisted(&mut self, t: Time, covered: &[EventId]) {
         for ev in covered {
             if let Some(chain) = self.open.remove(ev) {
-                self.retire(*ev, chain, t);
+                self.retire(chain, t);
             }
         }
     }
 
-    fn retire(&mut self, ev: EventId, chain: OpenChain, t: Time) {
+    fn retire(&mut self, chain: OpenChain, t: Time) {
         let latency = t.saturating_sub(chain.commit);
-        let mut edges = [CritEdge {
-            from: EvRef::ReleaseCommit(ev),
-            to: EvRef::Persist(ev),
-            kind: CritSegKind::CoherenceXfer,
-            cycles: latency,
-        }; 2];
-        let (n, ordered) = match chain.issue {
+        let whole = [(CritSegKind::CoherenceXfer, latency)];
+        match chain.issue {
             Some((it, kind)) if chain.commit <= it && it <= t => {
-                edges[0] = CritEdge {
-                    from: EvRef::ReleaseCommit(ev),
-                    to: EvRef::FlushIssue(ev),
-                    kind,
-                    cycles: it - chain.commit,
-                };
-                edges[1] = CritEdge {
-                    from: EvRef::FlushIssue(ev),
-                    to: EvRef::Persist(ev),
-                    kind: CritSegKind::NvmQueue,
-                    cycles: t - it,
-                };
-                (2, t >= chain.commit)
+                let segments = [(kind, it - chain.commit), (CritSegKind::NvmQueue, t - it)];
+                self.summary.consume(&segments, latency, t >= chain.commit);
             }
             // No observed issue: the write reached NVM as a
             // directory-persisted write-back — the whole interval is the
             // coherence transfer that carried it there.
-            None => (1, t >= chain.commit),
+            None => self.summary.consume(&whole, latency, t >= chain.commit),
             // An issue stamp outside [commit, persist] is itself a C1
-            // ordering violation; fall back to the single-edge chain so
-            // conservation still describes the measured interval.
-            Some(_) => (1, false),
-        };
-        self.summary.consume(&edges[..n], latency, ordered);
+            // ordering violation; fall back to the single-segment chain
+            // so conservation still describes the measured interval.
+            Some(_) => self.summary.consume(&whole, latency, false),
+        }
     }
 
     /// Finalises the run: performs the C2 wall-bound check against
     /// `wall` (end-of-run cycle count) and yields the summary. Chains
-    /// still open never retired and are dropped, matching the
-    /// release-to-persist histogram's behaviour.
+    /// still open never persisted and are dropped.
     pub fn finish(mut self, wall: Time) -> CritSummary {
         self.summary.audit.c2.checks += 1;
         if self.summary.max_path > wall {
@@ -431,23 +377,17 @@ pub fn crit_json(c: &CritSummary) -> Json {
             ])
         })
         .collect();
-    let mut audit = Vec::with_capacity(3);
-    for (name, counter) in c.audit.rows() {
-        audit.push((
-            name.to_string(),
-            Json::obj([
-                ("checks", Json::U64(counter.checks)),
-                ("violations", Json::U64(counter.violations)),
-            ]),
-        ));
-    }
+    let audit = c
+        .audit
+        .rows()
+        .map(|(name, counter)| (name, counter.to_json()));
     Json::obj([
         ("paths", hist_json(&c.path)),
         ("max_path", Json::U64(c.max_path)),
         ("segments", Json::Obj(segments)),
         ("folded", Json::Arr(folded)),
         ("folded_dropped", Json::U64(c.folded_dropped)),
-        ("audit", Json::Obj(audit)),
+        ("audit", Json::obj(audit)),
     ])
 }
 
@@ -498,8 +438,7 @@ pub fn parse_crit(doc: &Json) -> Result<CritSummary, String> {
         let row = audit
             .get(name)
             .ok_or_else(|| format!("missing audit row {name:?}"))?;
-        counter.checks = row.field_u64("checks")?;
-        counter.violations = row.field_u64("violations")?;
+        *counter = AuditCounter::parse(row)?;
     }
     Ok(c)
 }
@@ -510,8 +449,7 @@ mod tests {
 
     #[test]
     fn two_segment_chain_conserves_latency() {
-        let mut cp = CritPath::new();
-        cp.set_drain_kind(CritSegKind::BarrierDrain);
+        let mut cp = CritPath::new(CritSegKind::BarrierDrain);
         cp.release_committed(100, 7);
         cp.flush_issued(160, CritSegKind::BarrierDrain, &[3, 7]);
         cp.persisted(250, &[7]);
@@ -530,7 +468,7 @@ mod tests {
 
     #[test]
     fn issueless_chain_is_one_coherence_segment() {
-        let mut cp = CritPath::new();
+        let mut cp = CritPath::new(CritSegKind::ReleaseOrder);
         cp.release_committed(40, 9);
         cp.persisted(100, &[9]);
         let s = cp.finish(200);
@@ -542,7 +480,7 @@ mod tests {
 
     #[test]
     fn only_the_first_issue_is_a_milestone() {
-        let mut cp = CritPath::new();
+        let mut cp = CritPath::new(CritSegKind::ReleaseOrder);
         cp.release_committed(10, 1);
         cp.flush_issued(30, CritSegKind::RetFull, &[1]);
         cp.flush_issued(70, CritSegKind::BarrierDrain, &[1]); // re-flush: ignored
@@ -556,7 +494,7 @@ mod tests {
 
     #[test]
     fn non_release_events_never_open_chains() {
-        let mut cp = CritPath::new();
+        let mut cp = CritPath::new(CritSegKind::ReleaseOrder);
         cp.flush_issued(10, CritSegKind::RetFull, &[5]);
         cp.persisted(50, &[5]);
         let s = cp.finish(100);
@@ -566,7 +504,7 @@ mod tests {
 
     #[test]
     fn wall_bound_violation_is_counted() {
-        let mut cp = CritPath::new();
+        let mut cp = CritPath::new(CritSegKind::ReleaseOrder);
         cp.release_committed(0, 2);
         cp.persisted(500, &[2]);
         let s = cp.finish(400); // wall shorter than the path: impossible
@@ -576,7 +514,7 @@ mod tests {
 
     #[test]
     fn out_of_order_issue_is_a_c1_violation_but_still_conserves() {
-        let mut cp = CritPath::new();
+        let mut cp = CritPath::new(CritSegKind::ReleaseOrder);
         cp.release_committed(100, 3);
         // A corrupted stream: the issue stamp predates the commit.
         cp.flush_issued(50, CritSegKind::NvmQueue, &[3]);
@@ -589,14 +527,14 @@ mod tests {
 
     #[test]
     fn merge_matches_serial_consumption() {
-        let mut a = CritPath::new();
+        let mut a = CritPath::new(CritSegKind::ReleaseOrder);
         a.release_committed(0, 1);
         a.flush_issued(10, CritSegKind::RetFull, &[1]);
         a.persisted(40, &[1]);
-        let mut b = CritPath::new();
+        let mut b = CritPath::new(CritSegKind::ReleaseOrder);
         b.release_committed(5, 2);
         b.persisted(90, &[2]);
-        let mut serial = CritPath::new();
+        let mut serial = CritPath::new(CritSegKind::ReleaseOrder);
         serial.release_committed(0, 1);
         serial.flush_issued(10, CritSegKind::RetFull, &[1]);
         serial.persisted(40, &[1]);
@@ -614,15 +552,10 @@ mod tests {
     fn folded_cap_drops_new_shapes_only() {
         let mut s = CritSummary::default();
         for i in 0..(FOLDED_CAP as u32 + 4) {
-            let edges = [CritEdge {
-                from: EvRef::ReleaseCommit(i),
-                to: EvRef::Persist(i),
-                kind: CritSegKind::ALL[(i % 5) as usize],
-                cycles: i as u64,
-            }];
+            let segments = [(CritSegKind::ALL[(i % 5) as usize], i as u64)];
             // Force distinct shapes by chaining distinct kind names:
             // 5 base shapes repeat, so drops require a synthetic map.
-            s.consume(&edges, i as u64, true);
+            s.consume(&segments, i as u64, true);
         }
         assert_eq!(s.folded.len(), 5); // only 5 distinct single-kind shapes
         assert_eq!(s.folded_dropped, 0);
@@ -630,31 +563,14 @@ mod tests {
         for i in 0..FOLDED_CAP as u64 {
             s.folded.entry(format!("synthetic{i}")).or_insert((1, 1));
         }
-        s.consume(
-            &[
-                CritEdge {
-                    from: EvRef::ReleaseCommit(0),
-                    to: EvRef::FlushIssue(0),
-                    kind: CritSegKind::RetFull,
-                    cycles: 1,
-                },
-                CritEdge {
-                    from: EvRef::FlushIssue(0),
-                    to: EvRef::Persist(0),
-                    kind: CritSegKind::RetFull,
-                    cycles: 1,
-                },
-            ],
-            2,
-            true,
-        );
+        let segments = [(CritSegKind::RetFull, 1), (CritSegKind::RetFull, 1)];
+        s.consume(&segments, 2, true);
         assert_eq!(s.folded_dropped, 1);
     }
 
     #[test]
     fn shares_sum_to_one_and_json_round_trips() {
-        let mut cp = CritPath::new();
-        cp.set_drain_kind(CritSegKind::BarrierDrain);
+        let mut cp = CritPath::new(CritSegKind::BarrierDrain);
         cp.release_committed(0, 1);
         cp.flush_issued(30, CritSegKind::BarrierDrain, &[1]);
         cp.persisted(100, &[1]);
@@ -673,7 +589,7 @@ mod tests {
 
     #[test]
     fn folded_stacks_renders_heaviest_first() {
-        let mut cp = CritPath::new();
+        let mut cp = CritPath::new(CritSegKind::ReleaseOrder);
         cp.release_committed(0, 1);
         cp.flush_issued(5, CritSegKind::RetFull, &[1]);
         cp.persisted(10, &[1]);

@@ -8,9 +8,12 @@
 //! runs). Everything is hand-rolled: the workspace builds fully offline
 //! with zero external dependencies.
 //!
-//! Four layers, all reached through one [`recorder::Recorder`] that the
-//! timing substrate threads through as an `Option` (disabled recording
-//! costs one branch per event site):
+//! The layers below are all reached through one [`recorder::Recorder`]
+//! that the timing substrate threads through as an `Option` (disabled
+//! recording costs one branch per event site). What a recorded replay
+//! yields for merging — latency histograms, blame, critical path and
+//! I1–I4 audit — is one [`summary::ObsSummary`], with one `merge` that
+//! campaign cells, rollups, serving shards and the profiler all use:
 //!
 //! * **Event tracing** ([`event`]) — a bounded drop-oldest
 //!   [`ring::Ring`] (the one ring every obs buffer uses) of typed
@@ -23,10 +26,14 @@
 //!   stalls by cause, NoC messages, RET occupancy high-water), plus
 //!   log2-bucket latency histograms (flush-to-ack, release-to-persist,
 //!   RET residency) that are computed online and therefore immune to
-//!   ring-buffer drops.
+//!   ring-buffer drops. Release-to-persist is the critical-path
+//!   engine's `path` histogram: that engine is the only release clock.
 //! * **Invariant audit** ([`audit`]) — counters that *observe* (never
 //!   enforce) invariants I1–I4 of §5.1 at the points where the machine
 //!   is supposed to uphold them, giving a cheap always-on sanity signal.
+//! * **Critical path** ([`critpath`]) — per-release causal chains from
+//!   store commit to persist, split into typed segments that must sum
+//!   to the chain's latency (C1) and stay inside the run (C2).
 //! * **Blame attribution** ([`blame`]) — streaming `(site, cause)` blame
 //!   tables charging stall cycles and persist latency to `OpSite` labels
 //!   (`structure/operation[/phase]`), with a space-saving top-K sketch
@@ -61,10 +68,11 @@ pub mod ring;
 pub mod series;
 pub mod span;
 pub mod stats;
+pub mod summary;
 
 pub use audit::{AuditCounter, InvariantAudit};
 pub use blame::{BlameCause, BlameCell, BlameDelta, BlameTable, LineKey, SpaceSaving};
-pub use critpath::{CritAudit, CritEdge, CritPath, CritSegKind, CritSummary, EvRef};
+pub use critpath::{CritAudit, CritPath, CritSegKind, CritSummary};
 pub use event::{EngineState, EventKind, MechEvent, TraceEvent};
 pub use hist::Hist;
 pub use json::Json;
@@ -73,3 +81,4 @@ pub use ring::Ring;
 pub use series::{GaugeSample, GaugeSeries, IntervalSample, GAUGE_COUNTERS};
 pub use span::{audit_chains, chrome_trace, ChainAudit, Span, SpanId, SpanLog, SpanPhase};
 pub use stats::{FlushClass, StallCause, Stats};
+pub use summary::ObsSummary;

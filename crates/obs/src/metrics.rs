@@ -7,6 +7,7 @@
 //! end-of-run [`Stats`] in exactly the encoding campaign manifests use
 //! — so campaign tooling can consume either source interchangeably.
 
+use crate::audit::InvariantAudit;
 use crate::hist::{Hist, BUCKETS};
 use crate::json::Json;
 use crate::recorder::ObsReport;
@@ -162,15 +163,6 @@ fn interval_json(s: &IntervalSample) -> Json {
     ])
 }
 
-/// The three latency histograms in their stable stream order.
-pub fn hist_rows(report: &ObsReport) -> [(&'static str, &Hist); 3] {
-    [
-        ("flush_to_ack", &report.flush_to_ack),
-        ("release_to_persist", &report.release_to_persist),
-        ("ret_residency", &report.ret_residency),
-    ]
-}
-
 /// One stderr warning per drained ring (never one per drop): prints
 /// nothing when `dropped` is zero, otherwise a single aggregate line
 /// naming the ring. Returns the number of per-drop warnings the single
@@ -188,21 +180,10 @@ pub fn warn_ring_drops(ring: &str, dropped: u64) -> u64 {
     dropped.saturating_sub(1)
 }
 
-fn audit_json(report: &ObsReport) -> Json {
+fn audit_json(audit: &InvariantAudit) -> Json {
     let mut pairs = vec![("type", Json::Str("audit".to_string()))];
-    for (name, c) in report.audit.rows() {
-        pairs.push((
-            name,
-            Json::obj([
-                ("checks", Json::U64(c.checks)),
-                ("violations", Json::U64(c.violations)),
-            ]),
-        ));
-    }
-    pairs.push((
-        "total_violations",
-        Json::U64(report.audit.total_violations()),
-    ));
+    pairs.extend(audit.json_rows());
+    pairs.push(("total_violations", Json::U64(audit.total_violations())));
     Json::obj(pairs)
 }
 
@@ -223,9 +204,10 @@ pub fn export_jsonl(report: &ObsReport, stats: &Stats) -> String {
         ),
         ("ret_high_water", Json::U64(report.ret_high_water as u64)),
     ]);
+    let summary = &report.summary;
     let mut lines = vec![header];
     lines.extend(report.intervals.iter().map(interval_json));
-    for (name, hist) in hist_rows(report) {
+    for (name, hist) in summary.hist_rows() {
         let mut doc = vec![
             ("type".to_string(), Json::Str("hist".to_string())),
             ("name".to_string(), Json::Str(name.to_string())),
@@ -235,14 +217,14 @@ pub fn export_jsonl(report: &ObsReport, stats: &Stats) -> String {
         }
         lines.push(Json::Obj(doc));
     }
-    lines.push(audit_json(report));
+    lines.push(audit_json(&summary.audit));
     lines.push(Json::obj([
         ("type", Json::Str("critpath".to_string())),
-        ("critpath", crate::critpath::crit_json(&report.crit)),
+        ("critpath", crate::critpath::crit_json(&summary.crit)),
     ]));
     lines.push(Json::obj([
         ("type", Json::Str("blame".to_string())),
-        ("blame", crate::blame::blame_json(&report.blame)),
+        ("blame", crate::blame::blame_json(&summary.blame)),
     ]));
     lines.push(Json::obj([
         ("type", Json::Str("aggregate".to_string())),
@@ -254,7 +236,13 @@ pub fn export_jsonl(report: &ObsReport, stats: &Stats) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::critpath::CritSegKind;
     use crate::recorder::{Recorder, RecorderConfig};
+
+    fn recorder(cfg: RecorderConfig, names: &[&str]) -> Recorder {
+        let names = names.iter().map(|n| n.to_string()).collect();
+        Recorder::new(cfg, 1, names, CritSegKind::ReleaseOrder)
+    }
 
     fn sample_stats() -> Stats {
         let mut s = Stats {
@@ -295,13 +283,11 @@ mod tests {
 
     #[test]
     fn stream_lines_all_parse_and_cover_all_types() {
-        let mut r = Recorder::new(
-            RecorderConfig {
-                ring_capacity: 16,
-                sample_every: 100,
-            },
-            2,
-        );
+        let cfg = RecorderConfig {
+            ring_capacity: 16,
+            sample_every: 100,
+        };
+        let mut r = Recorder::new(cfg, 2, Vec::new(), CritSegKind::ReleaseOrder);
         let stats = sample_stats();
         r.release_committed(5, 9);
         r.flush_issue(10, 0, 0x40, FlushClass::Critical, 0, &[9]);
@@ -325,7 +311,7 @@ mod tests {
 
     #[test]
     fn critpath_line_round_trips_through_the_stream() {
-        let mut r = Recorder::new(RecorderConfig::summaries_only(), 1);
+        let mut r = recorder(RecorderConfig::summaries_only(), &[]);
         r.release_committed(50, 7);
         r.flush_issue(80, 0, 0x40, FlushClass::Critical, 0, &[7]);
         r.persisted(200, &[7]);
@@ -337,7 +323,7 @@ mod tests {
             .expect("critpath line present");
         let doc = Json::parse(line).unwrap();
         let back = crate::critpath::parse_crit(doc.get("critpath").unwrap()).unwrap();
-        assert_eq!(back, report.crit);
+        assert_eq!(back, report.summary.crit);
     }
 
     #[test]
@@ -345,13 +331,11 @@ mod tests {
         assert_eq!(warn_ring_drops("obs", 0), 0); // silent: nothing dropped
         assert_eq!(warn_ring_drops("obs", 1), 0); // one warning for one drop
         assert_eq!(warn_ring_drops("obs", 17), 16); // 16 duplicates deduped
-        let mut r = Recorder::new(
-            RecorderConfig {
-                ring_capacity: 1,
-                sample_every: 0,
-            },
-            1,
-        );
+        let cfg = RecorderConfig {
+            ring_capacity: 1,
+            sample_every: 0,
+        };
+        let mut r = recorder(cfg, &[]);
         for t in 0..5 {
             r.stall_begin(t, 0, StallCause::LoadMiss);
         }
@@ -367,8 +351,10 @@ mod tests {
 
     #[test]
     fn blame_line_round_trips_through_the_stream() {
-        let mut r = Recorder::new(RecorderConfig::summaries_only(), 1);
-        r.set_site_names(vec!["unknown".into(), "queue/enqueue".into()]);
+        let mut r = recorder(
+            RecorderConfig::summaries_only(),
+            &["unknown", "queue/enqueue"],
+        );
         r.flush_issue(10, 0, 0x40, FlushClass::Critical, 1, &[]);
         r.flush_ack(130, 0, 0x40);
         let report = r.finish(1000, &Stats::default());
@@ -379,6 +365,6 @@ mod tests {
             .expect("blame line present");
         let doc = Json::parse(line).unwrap();
         let back = crate::blame::parse_blame(doc.get("blame").unwrap()).unwrap();
-        assert_eq!(back, report.blame);
+        assert_eq!(back, report.summary.blame);
     }
 }

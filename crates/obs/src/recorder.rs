@@ -4,19 +4,22 @@
 //!
 //! The recorder feeds three independent consumers from the same hook
 //! calls: the bounded event ring (export-only, may drop oldest), the
-//! online histograms and time-series sampler (never drop), and the
-//! invariant audit counters.
+//! online histograms, blame, critical path and time-series sampler
+//! (never drop), and the invariant audit counters. The release hooks
+//! feed only the critical-path engine, whose `path` histogram is the
+//! run's release-to-persist latency.
 
 use crate::audit::InvariantAudit;
 use crate::blame::{
     BlameCause, BlameCell, BlameTable, LineKey, SpaceSaving, DEFAULT_SKETCH_CAPACITY,
 };
-use crate::critpath::{CritPath, CritSegKind, CritSummary};
+use crate::critpath::{CritPath, CritSegKind};
 use crate::event::{EngineState, EventKind, MechEvent, Time, TraceEvent};
 use crate::hist::Hist;
 use crate::ring::Ring;
 use crate::series::{IntervalSample, Sampler};
 use crate::stats::{FlushClass, StallCause, Stats};
+use crate::summary::ObsSummary;
 use lrp_model::{EventId, LineAddr};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -65,23 +68,13 @@ pub struct ObsReport {
     pub dropped: u64,
     /// Completed time-series intervals.
     pub intervals: Vec<IntervalSample>,
-    /// Cycles from flush issue to persist ack.
-    pub flush_to_ack: Hist,
-    /// Cycles from a release's store commit to its write persisting.
-    pub release_to_persist: Hist,
-    /// Cycles a released line spent in the RET before its flush issued.
-    pub ret_residency: Hist,
-    /// I1–I4 observation counters.
-    pub audit: InvariantAudit,
     /// Highest RET occupancy observed on any core over the whole run.
     pub ret_high_water: u32,
-    /// Per-`(site, cause)` blame attribution with line heavy hitters.
-    pub blame: BlameTable,
     /// `OpSite` labels referenced by [`TraceEvent::site`] and the blame
     /// table (index 0 = unknown).
     pub site_names: Vec<String>,
-    /// Durability critical-path digest.
-    pub crit: CritSummary,
+    /// Histograms, blame, critical path and audit: what consumers merge.
+    pub summary: ObsSummary,
 }
 
 /// Outstanding flush issues awaiting their acks, oldest first.
@@ -104,9 +97,9 @@ struct SiteRanks {
 }
 
 impl SiteRanks {
-    /// Interns `site_names` plus `keep`, names that must keep a rank.
-    fn new(site_names: &[String], keep: &[String]) -> SiteRanks {
-        let mut names: Vec<String> = site_names.iter().chain(keep).cloned().collect();
+    /// Interns `site_names` and `"unknown"`.
+    fn new(site_names: &[String]) -> SiteRanks {
+        let mut names = site_names.to_vec();
         names.push("unknown".to_string());
         names.sort_unstable();
         names.dedup();
@@ -165,13 +158,10 @@ pub struct Recorder {
     ring: Ring<TraceEvent>,
     sampler: Option<Sampler>,
     flush_to_ack: Hist,
-    release_to_persist: Hist,
     ret_residency: Hist,
     /// FIFO of issue (time, site, class) per (core, line): acks match
     /// the oldest issue.
     open_flush: HashMap<(u32, LineAddr), FlushIssueFifo>,
-    /// Release store commit times awaiting their persist.
-    release_commit: HashMap<EventId, Time>,
     /// RET entry times per (core, line).
     ret_entered: HashMap<(u32, LineAddr), Time>,
     engine: Vec<EngineState>,
@@ -190,65 +180,47 @@ pub struct Recorder {
     /// A RET-full drain was observed on this core and not yet consumed
     /// by a store-side stall: the next store-drain stall is RET blame.
     ret_full_pending: Vec<bool>,
-    /// Durability critical-path engine.
+    /// Durability critical-path engine: the release-to-persist clock.
     crit: CritPath,
 }
 
 impl Recorder {
-    /// A recorder for a machine with `ncores` hardware threads.
-    pub fn new(cfg: RecorderConfig, ncores: u32) -> Recorder {
+    /// A recorder for a machine with `ncores` hardware threads replaying
+    /// a trace whose `OpSite` intern table is `site_names`, under a
+    /// mechanism whose demand-free flush-issue waits are `drain_kind`
+    /// (barrier mechanisms spend them draining epochs; lazy mechanisms
+    /// defer by design).
+    pub fn new(
+        cfg: RecorderConfig,
+        ncores: u32,
+        site_names: Vec<String>,
+        drain_kind: CritSegKind,
+    ) -> Recorder {
         Recorder {
             ncores,
             sample_every: cfg.sample_every,
             ring: Ring::new(cfg.ring_capacity),
             sampler: (cfg.sample_every > 0).then(|| Sampler::new(cfg.sample_every)),
             flush_to_ack: Hist::new(),
-            release_to_persist: Hist::new(),
             ret_residency: Hist::new(),
             open_flush: HashMap::new(),
-            release_commit: HashMap::new(),
             ret_entered: HashMap::new(),
             engine: vec![EngineState::Idle; ncores as usize],
             audit: InvariantAudit::new(),
             ret_high_water: 0,
             blame_exact: BTreeMap::new(),
             blame_sketch: SpaceSaving::new(DEFAULT_SKETCH_CAPACITY),
-            site_names: Vec::new(),
-            site_ranks: SiteRanks::new(&[], &[]),
+            site_ranks: SiteRanks::new(&site_names),
+            site_names,
             core_site: vec![0; ncores as usize],
             ret_full_pending: vec![false; ncores as usize],
-            crit: CritPath::new(),
+            crit: CritPath::new(drain_kind),
         }
-    }
-
-    /// Installs the trace's `OpSite` intern table, resolved when blame
-    /// charges and exports render labels.
-    pub fn set_site_names(&mut self, names: Vec<String>) {
-        // Blame already charged keeps the names it resolved to; ranks
-        // move with the names, so their order is kept.
-        let ranks = SiteRanks::new(&names, &self.site_ranks.names);
-        let old = &self.site_ranks;
-        let rerank = |rank: u32| ranks.rank(&old.names[rank as usize]);
-        self.blame_exact = std::mem::take(&mut self.blame_exact)
-            .into_iter()
-            .map(|((rank, cause), cell)| ((rerank(rank), cause), cell))
-            .collect();
-        let sketch = std::mem::replace(&mut self.blame_sketch, SpaceSaving::new(0));
-        self.blame_sketch = sketch.map_keys(|(rank, cause, line)| (rerank(rank), cause, line));
-        self.site_ranks = ranks;
-        self.site_names = names;
     }
 
     /// The substrate reports the site `core` is currently executing.
     pub fn set_core_site(&mut self, core: u32, site: u16) {
         self.core_site[core as usize] = site;
-    }
-
-    /// Installs the attached mechanism's classification for demand-free
-    /// flush-issue waits (barrier mechanisms spend them draining epochs;
-    /// lazy mechanisms defer by design).
-    pub fn set_crit_drain_kind(&mut self, kind: CritSegKind) {
-        self.crit.set_drain_kind(kind);
     }
 
     fn push(&mut self, t: Time, core: u32, kind: EventKind) {
@@ -359,21 +331,15 @@ impl Recorder {
         self.push_at_site(t, core, site, EventKind::FlushAck { line, latency });
     }
 
-    /// A release store committed (left the store buffer into the L1);
-    /// `ev` identifies the write for the release-to-persist histogram.
+    /// A release store committed (left the store buffer into the L1):
+    /// `ev`'s critical-path chain opens.
     pub fn release_committed(&mut self, t: Time, ev: EventId) {
-        self.release_commit.insert(ev, t);
         self.crit.release_committed(t, ev);
     }
 
-    /// Writes `covered` just persisted; releases among them complete
-    /// their release-to-persist measurement.
+    /// Writes `covered` just persisted; releases among them retire their
+    /// chains, recording their release-to-persist latency.
     pub fn persisted(&mut self, t: Time, covered: &[EventId]) {
-        for ev in covered {
-            if let Some(committed) = self.release_commit.remove(ev) {
-                self.release_to_persist.record(t.saturating_sub(committed));
-            }
-        }
         self.crit.persisted(t, covered);
     }
 
@@ -444,16 +410,17 @@ impl Recorder {
             dropped: self.ring.dropped(),
             events: self.ring.into_vec(),
             intervals: self.sampler.map(|s| s.intervals).unwrap_or_default(),
-            flush_to_ack: self.flush_to_ack,
-            release_to_persist: self.release_to_persist,
-            ret_residency: self.ret_residency,
-            audit: self.audit,
             ret_high_water: self.ret_high_water,
-            blame: self
-                .site_ranks
-                .blame_table(self.blame_exact, self.blame_sketch),
             site_names: self.site_names,
-            crit: self.crit.finish(now),
+            summary: ObsSummary {
+                flush_to_ack: self.flush_to_ack,
+                ret_residency: self.ret_residency,
+                blame: self
+                    .site_ranks
+                    .blame_table(self.blame_exact, self.blame_sketch),
+                crit: self.crit.finish(now),
+                audit: self.audit,
+            },
         }
     }
 }
@@ -462,28 +429,37 @@ impl Recorder {
 mod tests {
     use super::*;
 
+    /// A recorder over `names` under a lazy mechanism.
+    fn recorder(cfg: RecorderConfig, ncores: u32, names: &[&str]) -> Recorder {
+        let names = names.iter().map(|n| n.to_string()).collect();
+        Recorder::new(cfg, ncores, names, CritSegKind::ReleaseOrder)
+    }
+
     #[test]
     fn flush_latency_matches_issue_to_ack() {
-        let mut r = Recorder::new(RecorderConfig::default(), 2);
+        let mut r = recorder(RecorderConfig::default(), 2, &[]);
         r.flush_issue(100, 0, 0x40, FlushClass::Critical, 0, &[]);
         r.flush_issue(110, 0, 0x40, FlushClass::Background, 0, &[]);
         r.flush_ack(220, 0, 0x40); // matches the t=100 issue
         r.flush_ack(300, 0, 0x40); // matches the t=110 issue
         let report = r.finish(400, &Stats::default());
-        assert_eq!(report.flush_to_ack.count, 2);
-        assert_eq!(report.flush_to_ack.min(), 120);
-        assert_eq!(report.flush_to_ack.max(), 190);
+        assert_eq!(report.summary.flush_to_ack.count, 2);
+        assert_eq!(report.summary.flush_to_ack.min(), 120);
+        assert_eq!(report.summary.flush_to_ack.max(), 190);
     }
 
     #[test]
     fn flush_blame_charges_the_issuing_site() {
-        let mut r = Recorder::new(RecorderConfig::default(), 1);
-        r.set_site_names(vec!["unknown".into(), "queue/enqueue/link-next".into()]);
+        let mut r = recorder(
+            RecorderConfig::default(),
+            1,
+            &["unknown", "queue/enqueue/link-next"],
+        );
         r.flush_issue(100, 0, 0x40, FlushClass::Critical, 1, &[]);
         r.flush_ack(220, 0, 0x40);
         let report = r.finish(400, &Stats::default());
         assert_eq!(
-            report.blame.cycles_for(
+            report.summary.blame.cycles_for(
                 "queue/enqueue/link-next",
                 BlameCause::Flush(FlushClass::Critical)
             ),
@@ -493,8 +469,7 @@ mod tests {
 
     #[test]
     fn store_stall_after_ret_full_drain_is_ret_blame() {
-        let mut r = Recorder::new(RecorderConfig::default(), 1);
-        r.set_site_names(vec!["unknown".into(), "q/enq".into()]);
+        let mut r = recorder(RecorderConfig::default(), 1, &["unknown", "q/enq"]);
         r.set_core_site(0, 1);
         r.mech_events(
             10,
@@ -513,13 +488,23 @@ mod tests {
         // Non-store stalls keep their raw cause.
         r.stall_end(200, 0, StallCause::LoadMiss, 30, Some(0xC0), false);
         let report = r.finish(300, &Stats::default());
-        assert_eq!(report.blame.cycles_for("q/enq", BlameCause::RetFull), 80);
         assert_eq!(
-            report.blame.cycles_for("q/enq", BlameCause::BarrierDrain),
+            report
+                .summary
+                .blame
+                .cycles_for("q/enq", BlameCause::RetFull),
+            80
+        );
+        assert_eq!(
+            report
+                .summary
+                .blame
+                .cycles_for("q/enq", BlameCause::BarrierDrain),
             50
         );
         assert_eq!(
             report
+                .summary
                 .blame
                 .cycles_for("q/enq", BlameCause::Stall(StallCause::LoadMiss)),
             30
@@ -528,46 +513,34 @@ mod tests {
 
     #[test]
     fn rank_interned_blame_equals_charging_by_name() {
-        // Charges before any names resolve to "unknown". The first table
-        // is unsorted, duplicated, with "unknown" not at index 0; the
-        // second drops and adds names mid-run. Out-of-range sites charge
-        // "unknown".
-        let tables: [&[&str]; 3] = [
-            &[],
-            &["z/op", "unknown", "a/op", "z/op", "m/op/phase"],
-            &["unknown", "b/op", "z/op"],
-        ];
-        let mut r = Recorder::new(RecorderConfig::summaries_only(), 1);
+        // The table is unsorted, duplicated, with "unknown" not at index
+        // 0; sites past its end charge "unknown".
+        let names = ["z/op", "unknown", "a/op", "z/op", "m/op/phase"];
+        let mut r = recorder(RecorderConfig::summaries_only(), 1, &names);
         let mut want = BlameTable::default();
-        for (phase, names) in tables.iter().enumerate() {
-            if phase > 0 {
-                r.set_site_names(names.iter().map(|n| n.to_string()).collect());
-            }
-            for i in 0..2000u64 {
-                let site = (i % 7) as u16;
-                let line = (i * 2654435761 + phase as u64) % 900 * 64;
-                let cycles = i % 5;
-                r.set_core_site(0, site);
-                let (cause, mech_wait, blame) = if i % 3 == 0 {
-                    (StallCause::StoreDrain, true, BlameCause::BarrierDrain)
-                } else {
-                    let c = StallCause::LoadMiss;
-                    (c, false, BlameCause::Stall(c))
-                };
-                r.stall_end(i, 0, cause, cycles, Some(line), mech_wait);
-                let name = names.get(site as usize).copied().unwrap_or("unknown");
-                want.charge(name, blame, line, cycles);
-            }
+        for i in 0..2000u64 {
+            let site = (i % 7) as u16;
+            let line = (i * 2654435761) % 900 * 64;
+            let cycles = i % 5;
+            r.set_core_site(0, site);
+            let (cause, mech_wait, blame) = if i % 3 == 0 {
+                (StallCause::StoreDrain, true, BlameCause::BarrierDrain)
+            } else {
+                let c = StallCause::LoadMiss;
+                (c, false, BlameCause::Stall(c))
+            };
+            r.stall_end(i, 0, cause, cycles, Some(line), mech_wait);
+            let name = names.get(site as usize).copied().unwrap_or("unknown");
+            want.charge(name, blame, line, cycles);
         }
         let report = r.finish(5000, &Stats::default());
         assert!(want.sketch.evictions() > 0, "the stream must evict");
-        assert_eq!(report.blame, want);
+        assert_eq!(report.summary.blame, want);
     }
 
     #[test]
     fn events_carry_the_core_site() {
-        let mut r = Recorder::new(RecorderConfig::default(), 1);
-        r.set_site_names(vec!["unknown".into(), "hashmap/insert".into()]);
+        let mut r = recorder(RecorderConfig::default(), 1, &["unknown", "hashmap/insert"]);
         r.stall_begin(5, 0, StallCause::LoadMiss);
         r.set_core_site(0, 1);
         r.stall_begin(10, 0, StallCause::LoadMiss);
@@ -579,18 +552,18 @@ mod tests {
 
     #[test]
     fn release_to_persist_tracks_only_releases() {
-        let mut r = Recorder::new(RecorderConfig::default(), 1);
+        let mut r = recorder(RecorderConfig::default(), 1, &[]);
         r.release_committed(50, 7);
         r.persisted(170, &[3, 7, 9]); // 3 and 9 are plain writes
         r.persisted(400, &[7]); // already measured: ignored
         let report = r.finish(500, &Stats::default());
-        assert_eq!(report.release_to_persist.count, 1);
-        assert_eq!(report.release_to_persist.max(), 120);
+        assert_eq!(report.summary.crit.path.count, 1);
+        assert_eq!(report.summary.crit.path.max(), 120);
     }
 
     #[test]
     fn ret_residency_and_high_water() {
-        let mut r = Recorder::new(RecorderConfig::default(), 1);
+        let mut r = recorder(RecorderConfig::default(), 1, &[]);
         r.mech_events(
             10,
             0,
@@ -609,14 +582,14 @@ mod tests {
             }],
         );
         let report = r.finish(100, &Stats::default());
-        assert_eq!(report.ret_residency.count, 1);
-        assert_eq!(report.ret_residency.max(), 80);
+        assert_eq!(report.summary.ret_residency.count, 1);
+        assert_eq!(report.summary.ret_residency.max(), 80);
         assert_eq!(report.ret_high_water, 5);
     }
 
     #[test]
     fn engine_transitions_elide_duplicates() {
-        let mut r = Recorder::new(RecorderConfig::default(), 1);
+        let mut r = recorder(RecorderConfig::default(), 1, &[]);
         r.engine_state(10, 0, EngineState::Scan);
         r.engine_state(20, 0, EngineState::Scan);
         r.engine_state(30, 0, EngineState::Flush);
@@ -632,9 +605,12 @@ mod tests {
 
     #[test]
     fn critpath_classifies_sync_ret_and_drain_issues() {
-        use crate::critpath::CritSegKind;
-        let mut r = Recorder::new(RecorderConfig::default(), 1);
-        r.set_crit_drain_kind(CritSegKind::BarrierDrain);
+        let mut r = Recorder::new(
+            RecorderConfig::default(),
+            1,
+            Vec::new(),
+            CritSegKind::BarrierDrain,
+        );
         // Sync-class issue: the pre-issue wait is a coherence transfer.
         r.release_committed(0, 1);
         r.flush_issue(20, 0, 0x40, FlushClass::Sync, 0, &[1]);
@@ -658,29 +634,26 @@ mod tests {
         r.flush_issue(130, 0, 0xC0, FlushClass::Critical, 0, &[3]);
         r.persisted(200, &[3]);
         let report = r.finish(300, &Stats::default());
-        let crit = report.crit;
+        let crit = report.summary.crit;
         assert_eq!(crit.paths(), 3);
         assert_eq!(crit.seg_cycles[CritSegKind::CoherenceXfer.idx()], 20);
         assert_eq!(crit.seg_cycles[CritSegKind::RetFull.idx()], 10);
         assert_eq!(crit.seg_cycles[CritSegKind::BarrierDrain.idx()], 30);
         assert_eq!(crit.seg_cycles[CritSegKind::NvmQueue.idx()], 30 + 30 + 70);
         assert_eq!(crit.audit.total_violations(), 0);
-        // Conservation against the independent latency histogram.
-        assert_eq!(crit.path.sum, report.release_to_persist.sum);
-        assert_eq!(crit.path.count, report.release_to_persist.count);
     }
 
     #[test]
     fn summaries_only_keeps_no_events_but_all_metrics() {
-        let mut r = Recorder::new(RecorderConfig::summaries_only(), 1);
+        let mut r = recorder(RecorderConfig::summaries_only(), 1, &[]);
         r.flush_issue(0, 0, 0x40, FlushClass::Sync, 0, &[]);
         r.flush_ack(120, 0, 0x40);
         let report = r.finish(200, &Stats::default());
         assert!(report.events.is_empty());
-        assert_eq!(report.flush_to_ack.count, 1);
+        assert_eq!(report.summary.flush_to_ack.count, 1);
         assert!(report.intervals.is_empty());
         assert!(
-            !report.blame.is_empty(),
+            !report.summary.blame.is_empty(),
             "blame survives summaries-only mode"
         );
     }

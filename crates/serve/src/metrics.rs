@@ -16,7 +16,7 @@
 use crate::shard::{CrashOutcome, ShardCounters, ShardReq};
 use lrp_obs::metrics::{hist_json, stats_json};
 use lrp_obs::span::{span_json, SpanLog};
-use lrp_obs::{CritSegKind, CritSummary, GaugeSample, Hist, Json, Stats};
+use lrp_obs::{CritSegKind, CritSummary, GaugeSample, Hist, Json, ObsSummary, Stats};
 
 /// Version of the `serve-header` and `serve-metrics` layouts; bump on
 /// breaking changes. Kept apart from the simulator stream's
@@ -201,18 +201,17 @@ pub fn shard_json(
     counters: &ShardCounters,
     committed: u64,
     stats: &Stats,
-    hists: &[Hist; 3],
+    obs: &ObsSummary,
 ) -> Json {
-    Json::obj([
+    let mut pairs = vec![
         ("record", Json::Str("serve-shard".into())),
         ("shard", Json::U64(shard as u64)),
         ("counters", counters_json(counters)),
         ("committed_keys", Json::U64(committed)),
         ("stats", stats_json(stats)),
-        ("flush_to_ack", hist_json(&hists[0])),
-        ("release_to_persist", hist_json(&hists[1])),
-        ("ret_residency", hist_json(&hists[2])),
-    ])
+    ];
+    pairs.extend(obs.hist_rows().map(|(name, h)| (name, hist_json(h))));
+    Json::obj(pairs)
 }
 
 /// One `serve-interval` line: shard queue gauge + counter deltas over a

@@ -22,7 +22,7 @@ use crate::metrics::{
 use crate::shard::{KvOp, Shard, ShardConfig, ShardCounters, ShardReq};
 use lrp_detect::{ResolvedStatus, Resolver};
 use lrp_obs::span::{Span, SpanLog, SpanPhase};
-use lrp_obs::{GaugeSample, GaugeSeries, Hist, Json, Stats};
+use lrp_obs::{GaugeSample, GaugeSeries, Hist, Json, ObsSummary, Stats};
 use std::collections::VecDeque;
 use std::io;
 use std::net::{TcpListener, TcpStream};
@@ -247,9 +247,9 @@ struct Snapshot {
     ack_hist: Hist,
     /// Wire-to-ack latency of durably-acked requests only (µs).
     dur_ack_hist: Hist,
-    /// Merged durability critical-path digest (empty without a
-    /// critpath-tracing recorder).
-    crit: lrp_obs::CritSummary,
+    /// The shard's merged observability summary (empty without a
+    /// recorder).
+    obs: ObsSummary,
     /// The shard's committed resolver, republished after every batch
     /// commit and crash-restart. Readers answer `Resolve` from this, so
     /// a verdict only ever reflects durably-committed stamps.
@@ -319,7 +319,7 @@ struct ShardFinal {
     counters: ShardCounters,
     committed: u64,
     stats: Stats,
-    hists: [Hist; 3],
+    obs: ObsSummary,
     intervals: Vec<GaugeSample>,
 }
 
@@ -513,7 +513,7 @@ impl Server {
         for (i, f) in finals.iter().enumerate() {
             lost_acked += f.counters.lost_acked;
             recovery_failures += f.counters.recovery_failures;
-            shard_lines.push(shard_json(i, &f.counters, f.committed, &f.stats, &f.hists));
+            shard_lines.push(shard_json(i, &f.counters, f.committed, &f.stats, &f.obs));
             for s in &f.intervals {
                 interval_lines.push(interval_json(i, s));
             }
@@ -853,7 +853,7 @@ fn metrics_reply(shared: &Arc<Shared>) -> Json {
             &snap.ack_hist,
             &snap.dur_ack_hist,
             &telem,
-            &snap.crit,
+            &snap.obs.crit,
             &detect,
         ));
     }
@@ -1038,7 +1038,7 @@ fn worker_loop(i: usize, shared: &Arc<Shared>) -> ShardFinal {
         counters: shard.counters(),
         committed: shard.committed().len() as u64,
         stats: shard.stats.clone(),
-        hists: shard.hists.clone(),
+        obs: shard.obs.clone(),
         intervals: g.intervals.clone(),
     }
 }
@@ -1061,7 +1061,7 @@ fn publish(shared: &Arc<Shared>, i: usize, shard: &Shard, ack_hist: &Hist, dur_a
         committed: shard.committed().len() as u64,
         ack_hist: ack_hist.clone(),
         dur_ack_hist: dur_ack_hist.clone(),
-        crit: shard.crit.clone(),
+        obs: shard.obs.clone(),
         resolver: shard.resolver(),
         slot_occupied,
         slot_capacity,

@@ -53,7 +53,7 @@ use lrp_lfds::skiplist::SkipList;
 use lrp_lfds::{validate_image, MemImage, Recovered, Structure};
 use lrp_model::spec::PersistSchedule;
 use lrp_model::{line_of, Addr, Annot, OpKind, ThreadId, Trace, LINE_BYTES, WORD_BYTES};
-use lrp_obs::{CritSummary, Hist, ObsReport, RecorderConfig, Stats};
+use lrp_obs::{ObsReport, ObsSummary, RecorderConfig, Stats};
 use lrp_recovery::{crash_restart_random, rebuild_resolution, PersistWalk};
 use lrp_sim::{Mechanism, NvmMode, Sim, SimConfig};
 use std::collections::BTreeSet;
@@ -316,12 +316,9 @@ pub struct Shard {
     counters: ShardCounters,
     /// Aggregate simulator statistics over all batches.
     pub stats: Stats,
-    /// Merged observability histograms (flush-to-ack,
-    /// release-to-persist, RET residency) when a recorder is attached.
-    pub hists: [Hist; 3],
-    /// Merged durability critical-path digest across all batches (empty
-    /// unless a recorder is attached).
-    pub crit: CritSummary,
+    /// Observability summaries merged across all batches (empty unless
+    /// a recorder is attached).
+    pub obs: ObsSummary,
     last_breakdown: BatchBreakdown,
     /// Committed (durable) slot records, as last read from the durable
     /// image; `None` when detection is disabled.
@@ -461,8 +458,7 @@ impl Shard {
             batches: 0,
             counters: ShardCounters::default(),
             stats: Stats::default(),
-            hists: [Hist::new(), Hist::new(), Hist::new()],
-            crit: CritSummary::default(),
+            obs: ObsSummary::default(),
             last_breakdown: BatchBreakdown::default(),
             slots,
             resolver: Resolver::empty(),
@@ -566,10 +562,7 @@ impl Shard {
 
     fn absorb_obs(&mut self, obs: Option<&ObsReport>) {
         if let Some(report) = obs {
-            for (i, (_, h)) in lrp_obs::metrics::hist_rows(report).iter().enumerate() {
-                self.hists[i].merge(h);
-            }
-            self.crit.merge(&report.crit);
+            self.obs.merge(&report.summary);
             self.counters.obs_dropped += report.dropped;
         }
     }

@@ -32,7 +32,7 @@ use crate::stats::{FlushClass, StallCause, Stats};
 use lrp_core::mech::{EngineRun, PersistMech, StoreKind};
 use lrp_model::spec::PersistSchedule;
 use lrp_model::{EventId, EventKind, FxHashMap, LineAddr, Trace};
-use lrp_obs::{EngineState, ObsReport, Recorder, RecorderConfig};
+use lrp_obs::{CritSegKind, EngineState, ObsReport, Recorder, RecorderConfig};
 use std::collections::VecDeque;
 
 // ---------------------------------------------------------------------
@@ -591,12 +591,13 @@ impl<'t> Sim<'t> {
         for l1 in &mut self.l1s {
             l1.mech.obs_enable();
         }
-        let mut r = Recorder::new(cfg, self.l1s.len() as u32);
-        r.set_site_names(self.trace.site_names.clone());
-        if let Some(l1) = self.l1s.first() {
-            r.set_crit_drain_kind(l1.mech.crit_drain_kind());
-        }
-        self.recorder = Some(r);
+        let drain_kind = self.l1s.first().map(|l1| l1.mech.crit_drain_kind());
+        self.recorder = Some(Recorder::new(
+            cfg,
+            self.l1s.len() as u32,
+            self.trace.site_names.clone(),
+            drain_kind.unwrap_or(CritSegKind::ReleaseOrder),
+        ));
         self
     }
 

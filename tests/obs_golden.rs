@@ -116,13 +116,13 @@ fn blame_sketch_eviction_matches_fixture() {
             .run()
             .obs
             .expect("recorder attached");
-        let evictions = obs.blame.sketch.evictions();
+        let evictions = obs.summary.blame.sketch.evictions();
         assert!(
             evictions > 0,
             "{}: the fixture must exercise eviction",
             mech.name()
         );
-        let text = blame::blame_json(&obs.blame).to_compact();
+        let text = blame::blame_json(&obs.summary.blame).to_compact();
         let hash = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
         });
