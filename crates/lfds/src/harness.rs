@@ -5,7 +5,10 @@
 //! the initial size so the structure stays at its steady-state size. The
 //! structure is pre-populated before statistics (events) are collected.
 
-use crate::{bst::Bst, hashmap::HashMap, list::LinkedList, queue::Queue, skiplist::SkipList};
+use crate::handle::{
+    default_nbuckets, initial_keys, Handle, SetOp, ROOT_BST_R, ROOT_BUCKETS, ROOT_LIST_HEAD,
+    ROOT_QUEUE_ANCHOR, ROOT_SKIPLIST_HEAD,
+};
 use lrp_exec::{body, run, DirectCtx, ExecConfig, PmemCtx, SchedPolicy, ThreadBody, Xorshift64};
 use lrp_model::{OpKind, ThreadId, Trace};
 use std::cell::OnceCell;
@@ -53,14 +56,14 @@ impl Structure {
     }
 
     /// The distinguishing root-pointer name this structure registers in
-    /// its traces (see [`WorkloadSpec::build_trace`]).
+    /// its traces (see [`Handle::new`]).
     pub fn primary_root(self) -> &'static str {
         match self {
-            Structure::LinkedList => "head",
-            Structure::HashMap => "buckets",
-            Structure::Bst => "bst_r",
-            Structure::SkipList => "sl_head",
-            Structure::Queue => "q_anchor",
+            Structure::LinkedList => ROOT_LIST_HEAD,
+            Structure::HashMap => ROOT_BUCKETS,
+            Structure::Bst => ROOT_BST_R,
+            Structure::SkipList => ROOT_SKIPLIST_HEAD,
+            Structure::Queue => ROOT_QUEUE_ANCHOR,
         }
     }
 
@@ -219,15 +222,6 @@ impl Zipfian {
     }
 }
 
-#[derive(Clone, Copy)]
-enum Handle {
-    List(LinkedList),
-    Map(HashMap),
-    Bst(Bst),
-    Skip(SkipList),
-    Queue(Queue),
-}
-
 /// A complete workload description; [`WorkloadSpec::build_trace`] turns
 /// it into an execution trace deterministically.
 #[derive(Debug, Clone)]
@@ -333,23 +327,15 @@ impl WorkloadSpec {
         if self.nbuckets != 0 {
             self.nbuckets
         } else {
-            (self.initial_size as u64).max(4)
+            default_nbuckets(self.initial_size)
         }
     }
 
     /// Draws `initial_size` distinct keys from `[1, key_range]`, sorted.
     pub(crate) fn initial_keys(&self) -> Vec<u64> {
-        let range = self.effective_key_range();
-        assert!(
-            self.initial_size as u64 <= range,
-            "initial size exceeds key range"
-        );
-        let mut rng = Xorshift64::new(self.seed.wrapping_add(0xA11C));
-        let mut set = std::collections::BTreeSet::new();
-        while set.len() < self.initial_size {
-            set.insert(rng.below(range) + 1);
-        }
-        set.into_iter().collect()
+        initial_keys(self.seed, self.initial_size, self.effective_key_range())
+            .into_iter()
+            .collect()
     }
 
     /// Runs the workload under the lockstep executor and returns the
@@ -363,42 +349,7 @@ impl WorkloadSpec {
 
         let setup_handle = Rc::clone(&handle);
         let setup = move |s: &mut DirectCtx| {
-            let h = match structure {
-                Structure::LinkedList => {
-                    let l = LinkedList::new(s);
-                    l.populate(s, &keys);
-                    s.set_root("head", l.head_loc);
-                    Handle::List(l)
-                }
-                Structure::HashMap => {
-                    let m = HashMap::new(s, nbuckets);
-                    m.populate(s, &keys);
-                    s.set_root("buckets", m.buckets);
-                    s.set_root("nbuckets", m.nbuckets);
-                    Handle::Map(m)
-                }
-                Structure::Bst => {
-                    let b = Bst::new(s);
-                    b.populate(s, &keys);
-                    s.set_root("bst_r", b.r);
-                    s.set_root("bst_s", b.s);
-                    Handle::Bst(b)
-                }
-                Structure::SkipList => {
-                    let sl = SkipList::new(s);
-                    sl.populate(s, &keys);
-                    s.set_root("sl_head", sl.head);
-                    Handle::Skip(sl)
-                }
-                Structure::Queue => {
-                    let q = Queue::new(s);
-                    let values: Vec<u64> = (1..=keys.len() as u64).collect();
-                    q.populate(s, &values);
-                    s.set_root("q_anchor", q.anchor);
-                    Handle::Queue(q)
-                }
-            };
-            let _ = setup_handle.set(h);
+            let _ = setup_handle.set(Handle::new(s, structure, &keys, nbuckets));
         };
 
         let bodies: Vec<ThreadBody> = (0..self.threads)
@@ -430,7 +381,15 @@ impl WorkloadSpec {
                                 c.op_end(r.map(|v| v + 1).unwrap_or(0));
                             }
                         } else {
-                            drive_set(&mut c, h, key, SetOp::pick(is_read, is_insert)).await;
+                            let op = if is_read {
+                                SetOp::Contains
+                            } else if is_insert {
+                                SetOp::Insert
+                            } else {
+                                SetOp::Delete
+                            };
+                            let r = h.drive(&mut c, op, key).await;
+                            c.op_end(r as u64);
                         }
                     }
                 })
@@ -442,71 +401,6 @@ impl WorkloadSpec {
             .seed(self.seed);
         run(&cfg, setup, bodies)
     }
-}
-
-/// Which set-structure operation [`drive_set`] issues.
-#[derive(Clone, Copy)]
-enum SetOp {
-    Contains,
-    Insert,
-    Delete,
-}
-
-impl SetOp {
-    fn pick(is_read: bool, is_insert: bool) -> SetOp {
-        if is_read {
-            SetOp::Contains
-        } else if is_insert {
-            SetOp::Insert
-        } else {
-            SetOp::Delete
-        }
-    }
-}
-
-/// Static `structure/operation` site labels, so the per-op hot loop
-/// never formats a label string.
-fn set_labels(h: Handle) -> [&'static str; 3] {
-    match h {
-        Handle::List(_) => [
-            "linkedlist/contains",
-            "linkedlist/insert",
-            "linkedlist/delete",
-        ],
-        Handle::Map(_) => ["hashmap/contains", "hashmap/insert", "hashmap/delete"],
-        Handle::Bst(_) => ["bstree/contains", "bstree/insert", "bstree/delete"],
-        Handle::Skip(_) => ["skiplist/contains", "skiplist/insert", "skiplist/delete"],
-        Handle::Queue(_) => unreachable!("the queue is not a set"),
-    }
-}
-
-/// Issues one set-structure operation on `h` with markers and an
-/// `structure/operation` [`OpSite`](lrp_model::Trace::site_names) label.
-async fn drive_set<C: PmemCtx>(c: &mut C, h: Handle, key: u64, op: SetOp) {
-    let labels = set_labels(h);
-    let (marker, label) = match op {
-        SetOp::Contains => (OpKind::Contains(key), labels[0]),
-        SetOp::Insert => (OpKind::Insert(key, key), labels[1]),
-        SetOp::Delete => (OpKind::Delete(key), labels[2]),
-    };
-    c.op_begin(marker);
-    c.site_op(label);
-    let r = match (h, op) {
-        (Handle::List(l), SetOp::Contains) => l.contains(c, key).await,
-        (Handle::List(l), SetOp::Insert) => l.insert(c, key, key).await,
-        (Handle::List(l), SetOp::Delete) => l.delete(c, key).await,
-        (Handle::Map(m), SetOp::Contains) => m.contains(c, key).await,
-        (Handle::Map(m), SetOp::Insert) => m.insert(c, key, key).await,
-        (Handle::Map(m), SetOp::Delete) => m.delete(c, key).await,
-        (Handle::Bst(b), SetOp::Contains) => b.contains(c, key).await,
-        (Handle::Bst(b), SetOp::Insert) => b.insert(c, key, key).await,
-        (Handle::Bst(b), SetOp::Delete) => b.delete(c, key).await,
-        (Handle::Skip(sl), SetOp::Contains) => sl.contains(c, key).await,
-        (Handle::Skip(sl), SetOp::Insert) => sl.insert(c, key, key).await,
-        (Handle::Skip(sl), SetOp::Delete) => sl.delete(c, key).await,
-        (Handle::Queue(_), _) => unreachable!("the queue is not a set"),
-    };
-    c.op_end(r as u64);
 }
 
 #[cfg(test)]

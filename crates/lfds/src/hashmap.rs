@@ -28,10 +28,16 @@ impl HashMap {
         HashMap { buckets, nbuckets }
     }
 
-    /// Fibonacci-hash bucket index for `key`.
-    fn bucket_loc(&self, key: u64) -> Addr {
+    /// Fibonacci-hash bucket index for `key` (recovery checks every key
+    /// sits in this bucket).
+    pub(crate) fn bucket(&self, key: u64) -> u64 {
         let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        self.buckets + 8 * (h % self.nbuckets)
+        h % self.nbuckets
+    }
+
+    /// Address of `key`'s bucket pointer word.
+    fn bucket_loc(&self, key: u64) -> Addr {
+        self.buckets + 8 * self.bucket(key)
     }
 
     /// Inserts `(key, value)`; false if present.
@@ -54,8 +60,7 @@ impl HashMap {
     pub fn populate(&self, ctx: &mut DirectCtx, keys: &[u64]) {
         let mut per_bucket: Vec<Vec<u64>> = vec![Vec::new(); self.nbuckets as usize];
         for &k in keys {
-            let loc = self.bucket_loc(k);
-            per_bucket[((loc - self.buckets) / 8) as usize].push(k);
+            per_bucket[self.bucket(k) as usize].push(k);
         }
         for (i, bucket) in per_bucket.iter_mut().enumerate() {
             bucket.sort_unstable();

@@ -18,12 +18,15 @@
 //! are acquire-release, shared pointer loads are acquires, and
 //! initialization of private nodes is plain.
 //!
-//! [`harness`] generates SynchroBench-style workloads (1:1 insert:delete,
-//! 100% updates by default) and [`validate`] checks structural integrity
-//! of a memory image — the null-recovery check used after simulated
-//! crashes.
+//! [`handle`] is the one owner of a populated structure: it creates,
+//! pre-populates and roots it, issues its labelled operations and looks
+//! keys up in a durable image. [`harness`] generates SynchroBench-style
+//! workloads (1:1 insert:delete, 100% updates by default) over it, and
+//! [`validate`] checks structural integrity of a memory image — the
+//! null-recovery check used after simulated crashes.
 
 pub mod bst;
+pub mod handle;
 pub mod harness;
 pub mod hashmap;
 pub mod list;
@@ -32,5 +35,6 @@ pub mod queue;
 pub mod skiplist;
 pub mod validate;
 
+pub use handle::{Handle, SetOp};
 pub use harness::{KeyDist, KeySampler, Structure, WorkloadSpec, Zipfian};
 pub use validate::{validate_image, MemImage, Recovered, ValidationError};

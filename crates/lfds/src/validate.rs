@@ -10,10 +10,13 @@
 //! Unwritten NVM words read as [`Trace::POISON`], so "garbage" is
 //! detectable deterministically.
 
+use crate::handle::{
+    ROOT_BST_R, ROOT_BUCKETS, ROOT_LIST_HEAD, ROOT_NBUCKETS, ROOT_QUEUE_ANCHOR, ROOT_SKIPLIST_HEAD,
+};
 use crate::ptr::{addr, marked};
 use crate::{bst, harness::Structure, list, queue, skiplist};
-use lrp_exec::SharedMem;
-use lrp_model::{Addr, Trace};
+use lrp_exec::{PmemCtx, SharedMem};
+use lrp_model::{Addr, Annot, OpKind, ThreadId, Trace};
 use std::collections::BTreeSet;
 
 /// A raw word-granular memory image (e.g. reconstructed NVM contents).
@@ -72,6 +75,40 @@ impl From<SharedMem> for MemImage {
     }
 }
 
+/// Read-only view of an image for the structures' own searches
+/// ([`crate::Handle::lookup`]).
+pub(crate) struct ImageCtx<'a>(pub(crate) &'a MemImage);
+
+impl PmemCtx for ImageCtx<'_> {
+    fn tid(&self) -> ThreadId {
+        0
+    }
+
+    async fn read_annot(&mut self, addr: Addr, _annot: Annot) -> u64 {
+        self.0.read(addr)
+    }
+
+    async fn write_annot(&mut self, addr: Addr, _val: u64, _annot: Annot) {
+        unreachable!("image lookups only read (write at {addr:#x})")
+    }
+
+    async fn cas_annot(&mut self, addr: Addr, _old: u64, _new: u64, _annot: Annot) -> (bool, u64) {
+        unreachable!("image lookups only read (cas at {addr:#x})")
+    }
+
+    fn alloc(&mut self, _words: usize) -> Addr {
+        unreachable!("image lookups never allocate")
+    }
+
+    fn rand(&mut self) -> u64 {
+        0
+    }
+
+    fn op_begin(&mut self, _op: OpKind) {}
+
+    fn op_end(&mut self, _result: u64) {}
+}
+
 fn poison(v: u64) -> bool {
     v == Trace::POISON
 }
@@ -121,6 +158,14 @@ pub enum Recovered {
 impl Recovered {
     /// The key set (panics for queues).
     pub fn keys(&self) -> &BTreeSet<u64> {
+        match self {
+            Recovered::Set(s) => s,
+            Recovered::Queue(_) => panic!("queue state has no key set"),
+        }
+    }
+
+    /// The key set, by value (panics for queues).
+    pub fn into_keys(self) -> BTreeSet<u64> {
         match self {
             Recovered::Set(s) => s,
             Recovered::Queue(_) => panic!("queue state has no key set"),
@@ -221,7 +266,7 @@ fn key_set(mut keys: Vec<u64>) -> Recovered {
 }
 
 fn validate_list(img: &MemImage, roots: &[(String, Addr)]) -> Result<Recovered, ValidationError> {
-    let head = root(roots, "head")?;
+    let head = root(roots, ROOT_LIST_HEAD)?;
     let mut keys = Vec::new();
     validate_chain(img, head, &|_| Ok(()), &mut keys)?;
     Ok(key_set(keys))
@@ -231,16 +276,15 @@ fn validate_hashmap(
     img: &MemImage,
     roots: &[(String, Addr)],
 ) -> Result<Recovered, ValidationError> {
-    let buckets = root(roots, "buckets")?;
-    let nbuckets = root(roots, "nbuckets")?;
+    let buckets = root(roots, ROOT_BUCKETS)?;
+    let nbuckets = root(roots, ROOT_NBUCKETS)?;
     let map = crate::hashmap::HashMap { buckets, nbuckets };
     let mut all = Vec::new();
     for i in 0..nbuckets {
         let loc = buckets + 8 * i;
         let check_key = |k: u64| {
             // Every key must hash to the bucket it sits in.
-            let h = k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-            if h % map.nbuckets == i {
+            if map.bucket(k) == i {
                 Ok(())
             } else {
                 Err(ValidationError::Shape(format!(
@@ -254,7 +298,7 @@ fn validate_hashmap(
 }
 
 fn validate_bst(img: &MemImage, roots: &[(String, Addr)]) -> Result<Recovered, ValidationError> {
-    let r = root(roots, "bst_r")?;
+    let r = root(roots, ROOT_BST_R)?;
     let mut out = Vec::new();
     // Explicit stack: (node, lo inclusive, hi inclusive).
     let mut stack = vec![(r, 0u64, u64::MAX)];
@@ -319,7 +363,7 @@ fn validate_skiplist(
     img: &MemImage,
     roots: &[(String, Addr)],
 ) -> Result<Recovered, ValidationError> {
-    let head = root(roots, "sl_head")?;
+    let head = root(roots, ROOT_SKIPLIST_HEAD)?;
     // Level 0 is the ground truth.
     let mut present = Vec::new();
     let mut cur = {
@@ -404,7 +448,7 @@ fn validate_skiplist(
 }
 
 fn validate_queue(img: &MemImage, roots: &[(String, Addr)]) -> Result<Recovered, ValidationError> {
-    let anchor = root(roots, "q_anchor")?;
+    let anchor = root(roots, ROOT_QUEUE_ANCHOR)?;
     let head = img.read(anchor);
     let tail = img.read(anchor + 8);
     if poison(head) || poison(tail) {

@@ -20,8 +20,7 @@ use crate::check::check_null_recovery;
 use crate::crash::CrashPlan;
 use lrp_baselines::arp::{arp_schedule, ArpOrder};
 use lrp_exec::{body, run, ExecConfig, PmemCtx, SchedPolicy};
-use lrp_lfds::list::LinkedList;
-use lrp_lfds::Structure;
+use lrp_lfds::{Handle, Structure};
 use lrp_model::spec::{check_arp, check_rp};
 use lrp_model::Trace;
 use lrp_model::{Event, OpKind, OpMarker};
@@ -172,9 +171,7 @@ pub fn figure1() -> Figure1 {
     let trace = run(
         &cfg,
         |s| {
-            let l = LinkedList::new(s);
-            l.populate(s, &[10, 50]);
-            s.set_root("head", l.head_loc);
+            Handle::new(s, Structure::LinkedList, &[10, 50], 0);
         },
         vec![
             body(|mut c| async move {

@@ -44,15 +44,12 @@ use lrp_detect::{
     stamp, write_table_setup, ResolvedStatus, Resolver, SlotKind, SlotRecord, SlotSpec, SlotTable,
     ROOT_BASE, ROOT_CLIENTS, ROOT_RING,
 };
-use lrp_exec::{block_on, body, run_on, Arenas, DirectCtx, ExecConfig, PmemCtx, SchedPolicy};
-use lrp_exec::{SharedMem, ThreadBody, Xorshift64};
-use lrp_lfds::bst::Bst;
-use lrp_lfds::hashmap::HashMap as LfdHashMap;
-use lrp_lfds::list::LinkedList;
-use lrp_lfds::skiplist::SkipList;
-use lrp_lfds::{validate_image, MemImage, Recovered, Structure};
+use lrp_exec::{body, run_on, Arenas, DirectCtx, ExecConfig, PmemCtx, SchedPolicy};
+use lrp_exec::{SharedMem, ThreadBody};
+use lrp_lfds::handle::{default_nbuckets, initial_keys};
+use lrp_lfds::{validate_image, Handle, MemImage, Recovered, SetOp, Structure};
 use lrp_model::spec::PersistSchedule;
-use lrp_model::{line_of, Addr, Annot, OpKind, ThreadId, Trace, LINE_BYTES, WORD_BYTES};
+use lrp_model::{line_of, Addr, OpKind, ThreadId, Trace, LINE_BYTES, WORD_BYTES};
 use lrp_obs::{ObsReport, ObsSummary, RecorderConfig, Stats};
 use lrp_recovery::{crash_restart_random, rebuild_resolution, PersistWalk};
 use lrp_sim::{Mechanism, NvmMode, Sim, SimConfig};
@@ -102,26 +99,20 @@ impl KvOp {
 
 /// One request as the shard executes it: the op plus the wire request
 /// id. The id's high 16 bits name the issuing client/channel, which
-/// homes the op's detectable-operation slot; `rid == 0` means
-/// "untracked" (no slot is stamped — used by callers that never
-/// resolve, e.g. throughput benches).
+/// homes the op's detectable-operation slot; a mutation with
+/// `rid == 0` stamps no slot (wire ids are chosen by the client).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardReq {
     /// The key-value operation.
     pub op: KvOp,
-    /// Wire request id (`client << 48 | seq`), or 0 for untracked.
+    /// Wire request id (`client << 48 | seq`).
     pub rid: u64,
 }
 
 impl ShardReq {
-    /// A tracked request.
+    /// A request with wire id `rid`.
     pub fn new(op: KvOp, rid: u64) -> ShardReq {
         ShardReq { op, rid }
-    }
-
-    /// An untracked request (no detectable-operation stamp).
-    pub fn untracked(op: KvOp) -> ShardReq {
-        ShardReq { op, rid: 0 }
     }
 }
 
@@ -179,22 +170,8 @@ impl ShardConfig {
         }
     }
 
-    fn nbuckets(&self) -> u64 {
-        (self.initial_size as u64).max(4)
-    }
-
     fn threads(&self) -> ThreadId {
         self.sim_threads.max(1)
-    }
-
-    fn initial_keys(&self) -> BTreeSet<u64> {
-        let mut rng = Xorshift64::new(self.seed.wrapping_add(0xA11C));
-        let mut set = BTreeSet::new();
-        let target = (self.initial_size as u64).min(self.key_range) as usize;
-        while set.len() < target {
-            set.insert(rng.below(self.key_range) + 1);
-        }
-        set
     }
 }
 
@@ -228,7 +205,8 @@ pub struct CrashOutcome {
     /// and the shard fell back to its last committed state).
     pub recovered: usize,
     /// Durably-committed keys missing after restart that no in-flight
-    /// delete could explain — must be empty (the paper's claim).
+    /// delete or pending removal ([`Shard::unsettled`]) could explain —
+    /// must be empty (the paper's claim).
     pub lost_acked: Vec<u64>,
     /// Recovered keys never committed that no in-flight insert could
     /// explain — must also be empty.
@@ -309,8 +287,8 @@ pub struct Shard {
     /// Keys whose presence in the durable image is not final: a BST leaf
     /// whose removal persisted its flag but not its splice still counts
     /// as present, and whichever later batch finishes the splice changes
-    /// the key's membership without mutating it. They are looked up
-    /// again at every commit until they settle.
+    /// the key's membership without mutating it (a crashed batch too).
+    /// They are looked up again at every commit until they settle.
     unsettled: BTreeSet<u64>,
     batches: u64,
     counters: ShardCounters,
@@ -354,35 +332,8 @@ impl Heap {
     fn populate(cfg: &ShardConfig, keys: &BTreeSet<u64>, slots: Option<&SlotTable>) -> Heap {
         let keys: Vec<u64> = keys.iter().copied().collect();
         let mut s = DirectCtx::new(cfg.threads(), cfg.seed);
-        let handle = match cfg.structure {
-            Structure::LinkedList => {
-                let l = LinkedList::new(&mut s);
-                l.populate(&mut s, &keys);
-                s.set_root("head", l.head_loc);
-                Handle::List(l)
-            }
-            Structure::HashMap => {
-                let m = LfdHashMap::new(&mut s, cfg.nbuckets());
-                m.populate(&mut s, &keys);
-                s.set_root("buckets", m.buckets);
-                s.set_root("nbuckets", m.nbuckets);
-                Handle::Map(m)
-            }
-            Structure::Bst => {
-                let b = Bst::new(&mut s);
-                b.populate(&mut s, &keys);
-                s.set_root("bst_r", b.r);
-                s.set_root("bst_s", b.s);
-                Handle::Bst(b)
-            }
-            Structure::SkipList => {
-                let sl = SkipList::new(&mut s);
-                sl.populate(&mut s, &keys);
-                s.set_root("sl_head", sl.head);
-                Handle::Skip(sl)
-            }
-            Structure::Queue => unreachable!("rejected by ShardConfig::new"),
-        };
+        let nbuckets = default_nbuckets(cfg.initial_size);
+        let handle = Handle::new(&mut s, cfg.structure, &keys, nbuckets);
         let slot_base = match slots {
             Some(table) => {
                 let spec = table.spec();
@@ -447,7 +398,8 @@ impl Shard {
     /// Creates the shard and populates its initial keys into a fresh
     /// durable image (durable by construction).
     pub fn new(cfg: ShardConfig) -> Shard {
-        let committed = cfg.initial_keys();
+        let size = (cfg.initial_size as u64).min(cfg.key_range) as usize;
+        let committed = initial_keys(cfg.seed, size, cfg.key_range);
         let slots = cfg.detect.map(SlotTable::new);
         let heap = Heap::populate(&cfg, &committed, slots.as_ref());
         Shard {
@@ -469,6 +421,13 @@ impl Shard {
     /// The shard's current durable contents.
     pub fn committed(&self) -> &BTreeSet<u64> {
         &self.committed
+    }
+
+    /// Committed keys whose presence in the durable image is not final
+    /// (a BST removal persisted its flag but not its splice): an op of
+    /// the next batch may finish the removal and drop them.
+    pub fn unsettled(&self) -> &BTreeSet<u64> {
+        &self.unsettled
     }
 
     /// The durable NVM image the shard would restart from now.
@@ -618,7 +577,7 @@ impl Shard {
             let mut persisted_at = 0u64;
             for e in &trace.events[m.first_event as usize..m.end_event as usize] {
                 if e.is_write_effect() {
-                    match sched_stamp(&run.schedule, e.id) {
+                    match run.schedule.stamp(e.id) {
                         Some(_) => persisted_at = persisted_at.max(persist_time[e.id as usize]),
                         None => durable = false,
                     }
@@ -628,7 +587,7 @@ impl Shard {
                     // observed survives a crash: the initial image, or a
                     // persisted write.
                     if let Some(w) = e.rf {
-                        if sched_stamp(&run.schedule, w).is_none() {
+                        if run.schedule.stamp(w).is_none() {
                             durable = false;
                         }
                     }
@@ -720,7 +679,7 @@ impl Shard {
 
         // Commit: the durable contents are whatever null recovery gets
         // back from the image at the final persist stamp.
-        let last = last_stamp(&run.sched);
+        let last = run.sched.distinct_stamps().last().copied();
         if self.commit(ops, &run.trace, &run.sched, last) {
             self.downgrade_contradicted(ops, &mut run.results);
             // The same image carries the batch's durable stamps: they
@@ -903,9 +862,11 @@ impl Shard {
         let torn_before = self.counters.slot_torn;
         let (recovered_count, lost_acked, phantom) = match restart.recovered {
             Ok(rec) => {
-                let recovered: BTreeSet<u64> = rec.keys().iter().copied().collect();
+                let recovered = rec.into_keys();
                 // In-flight mutations may or may not have reached NVM;
-                // they excuse differences but nothing else does.
+                // they excuse differences, and so does a pending
+                // removal (an in-flight op may finish its splice), but
+                // nothing else does.
                 let inflight_dels: BTreeSet<u64> = ops
                     .iter()
                     .filter(|o| matches!(o.op, KvOp::Del(_)))
@@ -918,7 +879,7 @@ impl Shard {
                     .collect();
                 let lost: Vec<u64> = committed_before
                     .difference(&recovered)
-                    .filter(|k| !inflight_dels.contains(k))
+                    .filter(|k| !inflight_dels.contains(k) && !self.unsettled.contains(k))
                     .copied()
                     .collect();
                 let phantom: Vec<u64> = recovered
@@ -968,95 +929,14 @@ impl Shard {
     }
 }
 
-fn sched_stamp(sched: &PersistSchedule, e: lrp_model::EventId) -> Option<u64> {
-    sched.stamp(e)
-}
-
-fn last_stamp(sched: &PersistSchedule) -> Option<u64> {
-    sched.distinct_stamps().last().copied()
-}
-
 fn recovered_set(
     structure: Structure,
     roots: &[(String, Addr)],
     image: &MemImage,
 ) -> Option<BTreeSet<u64>> {
-    match validate_image(structure, roots, image) {
-        Ok(Recovered::Set(s)) => Some(s),
-        Ok(Recovered::Queue(_)) => unreachable!("queue rejected by ShardConfig::new"),
-        Err(_) => None,
-    }
-}
-
-#[derive(Clone, Copy)]
-enum Handle {
-    List(LinkedList),
-    Map(LfdHashMap),
-    Bst(Bst),
-    Skip(SkipList),
-}
-
-impl Handle {
-    /// `(present, settled)` for `key` in a durable image, by the
-    /// structure's own search. Only a BST removal has a persisted
-    /// intermediate state that recovery still counts as present (the
-    /// flagged leaf); every other answer is settled.
-    fn lookup(self, img: &MemImage, key: u64) -> (bool, bool) {
-        let c = &mut ImageCtx(img);
-        block_on(async {
-            match self {
-                Handle::List(l) => (l.contains(c, key).await, true),
-                Handle::Map(m) => (m.contains(c, key).await, true),
-                Handle::Bst(b) => b.lookup(c, key).await,
-                Handle::Skip(sl) => (sl.contains(c, key).await, true),
-            }
-        })
-    }
-
-    /// The keys of `keys` whose removal is pending in `img`.
-    fn pending_removals(self, img: &MemImage, keys: &BTreeSet<u64>) -> BTreeSet<u64> {
-        match self {
-            Handle::Bst(_) => keys
-                .iter()
-                .copied()
-                .filter(|&k| !self.lookup(img, k).1)
-                .collect(),
-            _ => BTreeSet::new(),
-        }
-    }
-}
-
-/// Read-only view of a durable image for the structures' searches.
-struct ImageCtx<'a>(&'a MemImage);
-
-impl PmemCtx for ImageCtx<'_> {
-    fn tid(&self) -> ThreadId {
-        0
-    }
-
-    async fn read_annot(&mut self, addr: Addr, _annot: Annot) -> u64 {
-        self.0.read(addr)
-    }
-
-    async fn write_annot(&mut self, addr: Addr, _val: u64, _annot: Annot) {
-        unreachable!("durable-image lookups only read (write at {addr:#x})")
-    }
-
-    async fn cas_annot(&mut self, addr: Addr, _old: u64, _new: u64, _annot: Annot) -> (bool, u64) {
-        unreachable!("durable-image lookups only read (cas at {addr:#x})")
-    }
-
-    fn alloc(&mut self, _words: usize) -> Addr {
-        unreachable!("durable-image lookups never allocate")
-    }
-
-    fn rand(&mut self) -> u64 {
-        0
-    }
-
-    fn op_begin(&mut self, _op: OpKind) {}
-
-    fn op_end(&mut self, _result: u64) {}
+    validate_image(structure, roots, image)
+        .ok()
+        .map(Recovered::into_keys)
 }
 
 /// Stamps a tracked mutation's slot record between the structure op and
@@ -1092,6 +972,8 @@ async fn stamp_slot<C: PmemCtx>(
     .await;
 }
 
+/// Issues one request: the set operation through the structure's
+/// handle, a tracked mutation's slot stamp, then `op_end`.
 async fn issue<C: PmemCtx>(
     c: &mut C,
     h: Handle,
@@ -1099,54 +981,17 @@ async fn issue<C: PmemCtx>(
     batch: u64,
     req: ShardReq,
 ) {
-    // Static labels: the per-request hot loop must not format strings.
-    let [get_site, put_site, del_site] = match h {
-        Handle::List(_) => [
-            "linkedlist/contains",
-            "linkedlist/insert",
-            "linkedlist/delete",
-        ],
-        Handle::Map(_) => ["hashmap/contains", "hashmap/insert", "hashmap/delete"],
-        Handle::Bst(_) => ["bstree/contains", "bstree/insert", "bstree/delete"],
-        Handle::Skip(_) => ["skiplist/contains", "skiplist/insert", "skiplist/delete"],
+    let (op, kind) = match req.op {
+        KvOp::Get(_) => (SetOp::Contains, None),
+        KvOp::Put(_) => (SetOp::Insert, Some(SlotKind::Put)),
+        KvOp::Del(_) => (SetOp::Delete, Some(SlotKind::Del)),
     };
-    match req.op {
-        KvOp::Get(k) => {
-            c.op_begin(OpKind::Contains(k));
-            c.site_op(get_site);
-            let r = match h {
-                Handle::List(l) => l.contains(c, k).await,
-                Handle::Map(m) => m.contains(c, k).await,
-                Handle::Bst(b) => b.contains(c, k).await,
-                Handle::Skip(sl) => sl.contains(c, k).await,
-            };
-            c.op_end(r as u64);
-        }
-        KvOp::Put(k) => {
-            c.op_begin(OpKind::Insert(k, k));
-            c.site_op(put_site);
-            let r = match h {
-                Handle::List(l) => l.insert(c, k, k).await,
-                Handle::Map(m) => m.insert(c, k, k).await,
-                Handle::Bst(b) => b.insert(c, k, k).await,
-                Handle::Skip(sl) => sl.insert(c, k, k).await,
-            };
-            stamp_slot(c, det, batch, req.rid, k, SlotKind::Put, r).await;
-            c.op_end(r as u64);
-        }
-        KvOp::Del(k) => {
-            c.op_begin(OpKind::Delete(k));
-            c.site_op(del_site);
-            let r = match h {
-                Handle::List(l) => l.delete(c, k).await,
-                Handle::Map(m) => m.delete(c, k).await,
-                Handle::Bst(b) => b.delete(c, k).await,
-                Handle::Skip(sl) => sl.delete(c, k).await,
-            };
-            stamp_slot(c, det, batch, req.rid, k, SlotKind::Del, r).await;
-            c.op_end(r as u64);
-        }
+    let k = req.op.key();
+    let r = h.drive(c, op, k).await;
+    if let Some(kind) = kind {
+        stamp_slot(c, det, batch, req.rid, k, kind, r).await;
     }
+    c.op_end(r as u64);
 }
 
 #[cfg(test)]

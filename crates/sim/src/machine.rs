@@ -1394,7 +1394,10 @@ impl<'t> Sim<'t> {
                 is_gets,
                 was_release,
             } => {
-                self.finish_downgrade(c, line, is_gets, was_release);
+                // Reached after an I2 engine run: the line itself already
+                // persisted locally, so the directory need not persist
+                // again.
+                self.finish_downgrade(c, line, is_gets, false, was_release);
             }
         }
     }
@@ -1703,7 +1706,7 @@ impl<'t> Sim<'t> {
         }
         if act.flush_before.is_empty() {
             let persist = act.persist_at_dir;
-            self.finish_downgrade_with(c, line, is_gets, persist, was_release);
+            self.finish_downgrade(c, line, is_gets, persist, was_release);
         } else {
             self.l1s[c].downgrading.push(line);
             let scan = self.l1s[c].mech.scan_cycles();
@@ -1721,13 +1724,7 @@ impl<'t> Sim<'t> {
         }
     }
 
-    fn finish_downgrade(&mut self, c: usize, line: LineAddr, is_gets: bool, was_release: bool) {
-        // Reached after an I2 engine run: the line itself already
-        // persisted locally, so the directory need not persist again.
-        self.finish_downgrade_with(c, line, is_gets, false, was_release);
-    }
-
-    fn finish_downgrade_with(
+    fn finish_downgrade(
         &mut self,
         c: usize,
         line: LineAddr,
@@ -2042,6 +2039,18 @@ impl<'t> Sim<'t> {
         }
     }
 
+    /// I4: a data write-back reached the directory; if it still carries
+    /// unpersisted writes (`covered`), the directory must persist them
+    /// before granting. (Skipped for mechanisms whose directory does not
+    /// persist write-backs at all — the volatile baseline.)
+    fn audit_dir_writeback(&mut self, covered: &[EventId], persist: bool) {
+        if let Some(r) = self.recorder.as_mut() {
+            if self.l1s[0].mech.dir_persists_writebacks() {
+                r.audit.dir_writeback(!covered.is_empty(), persist);
+            }
+        }
+    }
+
     /// Completes an owner-data transaction: optionally persists the
     /// write-back (I4), updates the LLC, grants, and unbusies.
     fn dir_complete_owner_data(
@@ -2052,16 +2061,7 @@ impl<'t> Sim<'t> {
         persist: bool,
         owner_kept_shared: bool,
     ) {
-        // I4: a data write-back reached the directory; if it still
-        // carries unpersisted writes, the directory must persist them
-        // before granting. (Skipped for mechanisms whose directory does
-        // not persist write-backs at all — the volatile baseline.)
-        if self.recorder.is_some() && self.l1s[0].mech.dir_persists_writebacks() {
-            let carries = !covered.is_empty();
-            if let Some(r) = self.recorder.as_mut() {
-                r.audit.dir_writeback(carries, persist);
-            }
-        }
+        self.audit_dir_writeback(&covered, persist);
         let di = self.dir_id(line);
         let entry = &mut self.dir[di];
         if dirty || !covered.is_empty() {
@@ -2069,11 +2069,9 @@ impl<'t> Sim<'t> {
         }
         let t = entry.busy.as_mut().expect("transaction");
         if persist && !covered.is_empty() {
+            // The transaction keeps the requester and kind it finishes
+            // with after the persist (`dir_persist_done`).
             t.phase = TransPhase::AwaitPersist;
-            t.putm_stash = Some((Vec::new(), dirty, false));
-            // Remember how to finish after the persist.
-            let is_getm = t.is_getm;
-            let req = t.requester;
             let n = self.nvm_of(line);
             let lat = self.noc(self.tile_of_bank(line), self.tile_of_nvm(n), true);
             self.nvm_submit(
@@ -2085,15 +2083,9 @@ impl<'t> Sim<'t> {
                     origin: NvmOrigin::DirPersist,
                 },
             );
-            // Stash completion context in the transaction.
-            let entry = &mut self.dir[di];
-            let t = entry.busy.as_mut().unwrap();
-            t.is_getm = is_getm;
-            t.requester = req;
-            // owner_kept_shared folded into state update at completion:
-            t.putack_to = None;
             // Record owner_kept_shared via state now (owner already
-            // downgraded itself).
+            // downgraded itself); completion adds the requester.
+            let entry = &mut self.dir[di];
             if owner_kept_shared {
                 if let DirState::Owned(o) = entry.state {
                     entry.state = DirState::Shared(vec![o]);
@@ -2188,13 +2180,7 @@ impl<'t> Sim<'t> {
             self.send_l1(core, line, Msg::PutAck, from, false);
             return;
         }
-        // I4, same enforcement point as `dir_complete_owner_data`.
-        if self.recorder.is_some() && self.l1s[0].mech.dir_persists_writebacks() {
-            let carries = !covered.is_empty();
-            if let Some(r) = self.recorder.as_mut() {
-                r.audit.dir_writeback(carries, persist);
-            }
-        }
+        self.audit_dir_writeback(&covered, persist);
         let entry = &mut self.dir[di];
         if dirty || !covered.is_empty() {
             entry.in_llc = true;
