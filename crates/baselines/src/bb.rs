@@ -227,10 +227,10 @@ impl PersistMech for BufferedBarrier {
         }
     }
 
-    fn obs_drain(&mut self) -> Vec<MechEvent> {
-        match self.obs.as_mut() {
-            Some(buf) => std::mem::take(buf),
-            None => Vec::new(),
+    fn obs_drain(&mut self, sink: &mut dyn FnMut(&[MechEvent])) {
+        if let Some(buf) = self.obs.as_mut().filter(|buf| !buf.is_empty()) {
+            sink(buf);
+            buf.clear();
         }
     }
 }

@@ -303,10 +303,10 @@ impl PersistMech for Lrp {
         }
     }
 
-    fn obs_drain(&mut self) -> Vec<MechEvent> {
-        match self.obs.as_mut() {
-            Some(buf) => std::mem::take(buf),
-            None => Vec::new(),
+    fn obs_drain(&mut self, sink: &mut dyn FnMut(&[MechEvent])) {
+        if let Some(buf) = self.obs.as_mut().filter(|buf| !buf.is_empty()) {
+            sink(buf);
+            buf.clear();
         }
     }
 }
@@ -565,16 +565,23 @@ mod tests {
         assert_eq!(act.flush_before.stages[2], vec![0x40]);
     }
 
+    /// The events one drain hands out.
+    fn drained(l: &mut Lrp) -> Vec<MechEvent> {
+        let mut evs = Vec::new();
+        l.obs_drain(&mut |batch| evs.extend_from_slice(batch));
+        evs
+    }
+
     #[test]
     fn obs_drain_reports_epoch_and_ret_activity() {
         let mut l = Lrp::default();
         let mut l1 = MockL1::default();
         store(&mut l, &mut l1, 0x10, StoreKind::Release);
-        assert!(l.obs_drain().is_empty(), "disabled: no buffering");
+        assert!(drained(&mut l).is_empty(), "disabled: no buffering");
         l.obs_enable();
         store(&mut l, &mut l1, 0x20, StoreKind::Release);
         l.on_flush_issued(&mut l1, 0x20);
-        let evs = l.obs_drain();
+        let evs = drained(&mut l);
         assert!(matches!(
             evs[0],
             MechEvent::EpochAdvance {
@@ -593,7 +600,7 @@ mod tests {
         assert!(evs
             .iter()
             .any(|e| matches!(e, MechEvent::RetSquash { line: 0x20, .. })));
-        assert!(l.obs_drain().is_empty(), "drain empties the buffer");
+        assert!(drained(&mut l).is_empty(), "drain empties the buffer");
     }
 
     #[test]

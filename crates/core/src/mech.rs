@@ -217,14 +217,13 @@ pub trait PersistMech {
     /// tracing them costs nothing.
     fn obs_enable(&mut self) {}
 
-    /// Drains buffered mechanism events (empty unless [`obs_enable`]
-    /// was called). The substrate stamps time and core identity — the
-    /// mechanism knows neither.
+    /// Hands buffered mechanism events to `sink`, if there are any
+    /// (there are none unless [`obs_enable`] was called), and empties
+    /// the buffer, keeping its capacity. The substrate stamps time and
+    /// core identity — the mechanism knows neither.
     ///
     /// [`obs_enable`]: PersistMech::obs_enable
-    fn obs_drain(&mut self) -> Vec<lrp_obs::MechEvent> {
-        Vec::new()
-    }
+    fn obs_drain(&mut self, _sink: &mut dyn FnMut(&[lrp_obs::MechEvent])) {}
 }
 
 /// An in-memory [`L1View`] for mechanism unit tests (used by this crate

@@ -37,4 +37,4 @@ pub mod validate;
 
 pub use handle::{Handle, SetOp};
 pub use harness::{KeyDist, KeySampler, Structure, WorkloadSpec, Zipfian};
-pub use validate::{validate_image, MemImage, Recovered, ValidationError};
+pub use validate::{validate_image, walk_image, MemImage, Recovered, ValidationError};

@@ -265,21 +265,23 @@ fn key_set(mut keys: Vec<u64>) -> Recovered {
     Recovered::Set(keys.into_iter().collect())
 }
 
-fn validate_list(img: &MemImage, roots: &[(String, Addr)]) -> Result<Recovered, ValidationError> {
+fn validate_list(
+    img: &MemImage,
+    roots: &[(String, Addr)],
+    out: &mut Vec<u64>,
+) -> Result<(), ValidationError> {
     let head = root(roots, ROOT_LIST_HEAD)?;
-    let mut keys = Vec::new();
-    validate_chain(img, head, &|_| Ok(()), &mut keys)?;
-    Ok(key_set(keys))
+    validate_chain(img, head, &|_| Ok(()), out)
 }
 
 fn validate_hashmap(
     img: &MemImage,
     roots: &[(String, Addr)],
-) -> Result<Recovered, ValidationError> {
+    out: &mut Vec<u64>,
+) -> Result<(), ValidationError> {
     let buckets = root(roots, ROOT_BUCKETS)?;
     let nbuckets = root(roots, ROOT_NBUCKETS)?;
     let map = crate::hashmap::HashMap { buckets, nbuckets };
-    let mut all = Vec::new();
     for i in 0..nbuckets {
         let loc = buckets + 8 * i;
         let check_key = |k: u64| {
@@ -292,14 +294,17 @@ fn validate_hashmap(
                 )))
             }
         };
-        validate_chain(img, loc, &check_key, &mut all)?;
+        validate_chain(img, loc, &check_key, out)?;
     }
-    Ok(key_set(all))
+    Ok(())
 }
 
-fn validate_bst(img: &MemImage, roots: &[(String, Addr)]) -> Result<Recovered, ValidationError> {
+fn validate_bst(
+    img: &MemImage,
+    roots: &[(String, Addr)],
+    out: &mut Vec<u64>,
+) -> Result<(), ValidationError> {
     let r = root(roots, ROOT_BST_R)?;
-    let mut out = Vec::new();
     // Explicit stack: (node, lo inclusive, hi inclusive).
     let mut stack = vec![(r, 0u64, u64::MAX)];
     let mut steps = 0;
@@ -356,16 +361,16 @@ fn validate_bst(img: &MemImage, roots: &[(String, Addr)]) -> Result<Recovered, V
             }
         }
     }
-    Ok(key_set(out))
+    Ok(())
 }
 
 fn validate_skiplist(
     img: &MemImage,
     roots: &[(String, Addr)],
-) -> Result<Recovered, ValidationError> {
+    present: &mut Vec<u64>,
+) -> Result<(), ValidationError> {
     let head = root(roots, ROOT_SKIPLIST_HEAD)?;
     // Level 0 is the ground truth.
-    let mut present = Vec::new();
     let mut cur = {
         let raw = img.read(head + skiplist::next_off(0));
         if poison(raw) {
@@ -444,10 +449,14 @@ fn validate_skiplist(
             cur = addr(raw);
         }
     }
-    Ok(key_set(present))
+    Ok(())
 }
 
-fn validate_queue(img: &MemImage, roots: &[(String, Addr)]) -> Result<Recovered, ValidationError> {
+fn validate_queue(
+    img: &MemImage,
+    roots: &[(String, Addr)],
+    out: &mut Vec<u64>,
+) -> Result<(), ValidationError> {
     let anchor = root(roots, ROOT_QUEUE_ANCHOR)?;
     let head = img.read(anchor);
     let tail = img.read(anchor + 8);
@@ -458,7 +467,6 @@ fn validate_queue(img: &MemImage, roots: &[(String, Addr)]) -> Result<Recovered,
         });
     }
     // Walk from head; values strictly after the dummy are the contents.
-    let mut out = Vec::new();
     let mut cur = head;
     let mut first = true;
     let mut steps = 0;
@@ -496,7 +504,26 @@ fn validate_queue(img: &MemImage, roots: &[(String, Addr)]) -> Result<Recovered,
     // arbitrarily. Recovery reconstructs it by walking from head, so its
     // chain is deliberately NOT validated.
     let _ = saw_tail;
-    Ok(Recovered::Queue(out))
+    Ok(())
+}
+
+/// Walks a recovered memory image for `structure`, checking every
+/// structural invariant, and appends what it holds to `out`: the
+/// present keys (unsorted) or, for the queue, the values from head to
+/// tail. A caller that needs only the verdict reuses one `out`.
+pub fn walk_image(
+    structure: Structure,
+    roots: &[(String, Addr)],
+    img: &MemImage,
+    out: &mut Vec<u64>,
+) -> Result<(), ValidationError> {
+    match structure {
+        Structure::LinkedList => validate_list(img, roots, out),
+        Structure::HashMap => validate_hashmap(img, roots, out),
+        Structure::Bst => validate_bst(img, roots, out),
+        Structure::SkipList => validate_skiplist(img, roots, out),
+        Structure::Queue => validate_queue(img, roots, out),
+    }
 }
 
 /// Validates a recovered memory image for `structure`, returning the
@@ -506,13 +533,12 @@ pub fn validate_image(
     roots: &[(String, Addr)],
     img: &MemImage,
 ) -> Result<Recovered, ValidationError> {
-    match structure {
-        Structure::LinkedList => validate_list(img, roots),
-        Structure::HashMap => validate_hashmap(img, roots),
-        Structure::Bst => validate_bst(img, roots),
-        Structure::SkipList => validate_skiplist(img, roots),
-        Structure::Queue => validate_queue(img, roots),
-    }
+    let mut out = Vec::new();
+    walk_image(structure, roots, img, &mut out)?;
+    Ok(match structure {
+        Structure::Queue => Recovered::Queue(out),
+        _ => key_set(out),
+    })
 }
 
 #[cfg(test)]

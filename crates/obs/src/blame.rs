@@ -13,15 +13,19 @@
 //!   any key whose true weight exceeds `total/capacity` is present.
 //!   Evictions are counted and exposed, never silent.
 //!
-//! A charge costs O(log K) for a sketch of capacity K: beside its
-//! key-ordered counters the sketch keeps a `(weight, key)` index, whose
-//! first entry is the eviction victim (the smallest `(weight, key)`, so
-//! ties evict the smallest key). During a run the [`crate::Recorder`]
-//! charges rank-interned keys — a site is the rank of its name among
-//! the sorted distinct names, `"unknown"` included — so a charge copies
-//! integers and builds no string (the B-trees allocate only when a node
-//! splits). `finish` renders ranks back to names once; rank order is
-//! name order, so the report equals the one that charging
+//! A charge costs one hash lookup and at most O(log K) swaps for a
+//! sketch of capacity K: counters sit in a slot array, a hash index
+//! maps a key to its slot, and a binary min-heap of slot ids ordered by
+//! `(weight, key)` keeps the eviction victim at its root (the smallest
+//! `(weight, key)`, so ties evict the smallest key). A charge to a
+//! tracked key only raises its weight and sifts it down; a new key in a
+//! full sketch takes the root's slot. Key order is built by sorting,
+//! only when asked for (`entries`, `top`, `merge`, reports). During a
+//! run the [`crate::Recorder`] charges rank-interned keys — a site is
+//! the rank of its name among the sorted distinct names, `"unknown"`
+//! included — so a charge copies integers and, once the sketch is full,
+//! allocates nothing. `finish` renders ranks back to names once; rank
+//! order is name order, so the report equals the one that charging
 //! [`BlameTable::charge`] by name would build.
 //!
 //! Site labels follow the `structure/operation[/phase]` naming scheme
@@ -29,9 +33,9 @@
 
 use crate::json::Json;
 use crate::stats::{FlushClass, StallCause};
-use lrp_model::LineAddr;
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use lrp_model::{FxHashMap, LineAddr};
+use std::collections::BTreeMap;
+use std::hash::Hash;
 
 /// Default sketch capacity (distinct `(site, cause, line)` keys tracked).
 pub const DEFAULT_SKETCH_CAPACITY: usize = 512;
@@ -103,7 +107,7 @@ pub struct BlameCell {
 }
 
 /// One tracked heavy-hitter key: a cache line at a site, per cause.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LineKey {
     /// The `OpSite` label.
     pub site: String,
@@ -125,26 +129,36 @@ pub struct SketchCell {
 /// A space-saving top-K heavy-hitter sketch with deterministic
 /// tie-breaking (smallest key evicts first among minimum weights).
 ///
-/// Beside the key-ordered counters it keeps `(weight, key)` in an
-/// ordered index, so the eviction victim is the index's first entry:
-/// an add costs O(log K) and clones its key at most once, when the
-/// key's index entry moves.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpaceSaving<K: Ord + Clone = LineKey> {
+/// Counters live in a slot array. A binary min-heap of slot ids ordered
+/// by `(weight, key)` keeps the eviction victim at its root, and a hash
+/// index finds a key's slot. A charge to a tracked key is one lookup
+/// and a sift-down (weights only grow); a new key, once the sketch is
+/// full, takes the root's slot and sifts down. Keys are cloned only
+/// when new, and a full sketch allocates nothing. Key order is built
+/// only when asked for ([`SpaceSaving::entries`], `top`, `merge`).
+#[derive(Debug, Clone)]
+pub struct SpaceSaving<K = LineKey> {
     cap: usize,
-    counters: BTreeMap<K, SketchCell>,
-    /// One `(weight, key)` per counter; its first entry is the victim.
-    by_weight: BTreeSet<(u64, K)>,
+    /// Each tracked key and its counter; an eviction reuses the slot.
+    slots: Vec<(K, SketchCell)>,
+    /// Slot ids as a min-heap on `(weight, key)`: `heap[0]` is the victim.
+    heap: Vec<u32>,
+    /// Each slot's position in `heap`.
+    pos: Vec<u32>,
+    /// Key → slot.
+    index: FxHashMap<K, u32>,
     evictions: u64,
 }
 
-impl<K: Ord + Clone> SpaceSaving<K> {
+impl<K: Ord + Hash + Clone> SpaceSaving<K> {
     /// A sketch tracking at most `cap` distinct keys (`0` disables it).
     pub fn new(cap: usize) -> SpaceSaving<K> {
         SpaceSaving {
             cap,
-            counters: BTreeMap::new(),
-            by_weight: BTreeSet::new(),
+            slots: Vec::new(),
+            heap: Vec::new(),
+            pos: Vec::new(),
+            index: FxHashMap::default(),
             evictions: 0,
         }
     }
@@ -160,86 +174,133 @@ impl<K: Ord + Clone> SpaceSaving<K> {
             self.evictions += 1;
             return;
         }
-        let full = self.counters.len() >= self.cap;
-        match self.counters.entry(key) {
-            Entry::Occupied(mut e) => {
-                let old = *e.get();
-                let cell = SketchCell {
-                    weight: old.weight.saturating_add(weight),
-                    error: old.error.saturating_add(error),
-                };
-                if cell.weight != old.weight {
-                    let mut indexed = (old.weight, e.key().clone());
-                    self.by_weight.remove(&indexed);
-                    indexed.0 = cell.weight;
-                    self.by_weight.insert(indexed);
-                }
-                *e.get_mut() = cell;
+        if let Some(&slot) = self.index.get(&key) {
+            let cell = &mut self.slots[slot as usize].1;
+            let old = cell.weight;
+            cell.weight = old.saturating_add(weight);
+            cell.error = cell.error.saturating_add(error);
+            if cell.weight != old {
+                self.sift_down(self.pos[slot as usize] as usize);
             }
-            Entry::Vacant(e) => {
-                // Space-saving eviction: the new key inherits the minimum
-                // counter's weight as both weight floor and error bound.
-                let victim = if full {
-                    self.by_weight.pop_first()
-                } else {
-                    None
-                };
-                let floor = victim.as_ref().map_or(0, |v| v.0);
-                let cell = SketchCell {
-                    weight: floor.saturating_add(weight),
-                    error: floor.saturating_add(error),
-                };
-                self.by_weight.insert((cell.weight, e.key().clone()));
-                e.insert(cell);
-                if let Some((_, victim)) = victim {
-                    self.counters.remove(&victim);
-                    self.evictions += 1;
-                }
+            return;
+        }
+        if self.slots.len() < self.cap {
+            self.push(key, SketchCell { weight, error });
+            return;
+        }
+        // Space-saving eviction: the new key takes the victim's slot and
+        // inherits its weight as both weight floor and error bound.
+        let slot = self.heap[0];
+        let floor = self.slots[slot as usize].1.weight;
+        let cell = SketchCell {
+            weight: floor.saturating_add(weight),
+            error: floor.saturating_add(error),
+        };
+        let (victim, _) = std::mem::replace(&mut self.slots[slot as usize], (key.clone(), cell));
+        self.index.remove(&victim);
+        self.index.insert(key, slot);
+        self.evictions += 1;
+        self.sift_down(0);
+    }
+
+    /// Tracks a key known to be absent, in a new slot (below capacity).
+    fn push(&mut self, key: K, cell: SketchCell) {
+        let slot = self.slots.len() as u32;
+        self.index.insert(key.clone(), slot);
+        self.slots.push((key, cell));
+        self.pos.push(self.heap.len() as u32);
+        self.heap.push(slot);
+        self.sift_up(self.heap.len() - 1);
+    }
+
+    /// Whether slot `a` orders before slot `b` on `(weight, key)`.
+    fn less(&self, a: u32, b: u32) -> bool {
+        let (ka, ca) = &self.slots[a as usize];
+        let (kb, cb) = &self.slots[b as usize];
+        (ca.weight, ka) < (cb.weight, kb)
+    }
+
+    fn swap(&mut self, i: usize, j: usize) {
+        self.heap.swap(i, j);
+        self.pos[self.heap[i] as usize] = i as u32;
+        self.pos[self.heap[j] as usize] = j as u32;
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !self.less(self.heap[i], self.heap[parent]) {
+                break;
             }
+            self.swap(i, parent);
+            i = parent;
+        }
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        loop {
+            let left = 2 * i + 1;
+            if left >= self.heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len() && self.less(self.heap[right], self.heap[left]) {
+                right
+            } else {
+                left
+            };
+            if !self.less(self.heap[child], self.heap[i]) {
+                break;
+            }
+            self.swap(i, child);
+            i = child;
         }
     }
 
     /// Restores one serialized counter, refusing a duplicate key or one
     /// past capacity (either would leave the index inconsistent).
     fn restore(&mut self, key: K, cell: SketchCell) -> Result<(), &'static str> {
-        if self.counters.len() >= self.cap {
+        if self.slots.len() >= self.cap {
             return Err("more sketch lines than sketch_capacity");
         }
-        match self.counters.entry(key) {
-            Entry::Occupied(_) => Err("duplicate sketch line"),
-            Entry::Vacant(e) => {
-                self.by_weight.insert((cell.weight, e.key().clone()));
-                e.insert(cell);
-                Ok(())
-            }
+        if self.index.contains_key(&key) {
+            return Err("duplicate sketch line");
         }
+        self.push(key, cell);
+        Ok(())
     }
 
     /// The same sketch under other keys. `f` must be strictly
     /// increasing (it preserves key order and never merges two keys),
-    /// so ties, `entries` order and later evictions are unchanged.
-    pub(crate) fn map_keys<J: Ord + Clone>(self, mut f: impl FnMut(K) -> J) -> SpaceSaving<J> {
-        let counters: BTreeMap<J, SketchCell> =
-            self.counters.into_iter().map(|(k, c)| (f(k), c)).collect();
+    /// so ties, `entries` order and later evictions are unchanged, and
+    /// the heap stays as it is.
+    pub(crate) fn map_keys<J: Ord + Hash + Clone>(
+        self,
+        mut f: impl FnMut(K) -> J,
+    ) -> SpaceSaving<J> {
+        let slots: Vec<(J, SketchCell)> = self.slots.into_iter().map(|(k, c)| (f(k), c)).collect();
         SpaceSaving {
             cap: self.cap,
-            by_weight: counters
+            index: slots
                 .iter()
-                .map(|(k, c)| (c.weight, k.clone()))
+                .enumerate()
+                .map(|(slot, (k, _))| (k.clone(), slot as u32))
                 .collect(),
-            counters,
+            slots,
+            heap: self.heap,
+            pos: self.pos,
             evictions: self.evictions,
         }
     }
 
     /// Distinct keys currently tracked.
     pub fn len(&self) -> usize {
-        self.counters.len()
+        self.slots.len()
     }
 
     /// True when nothing has been tracked.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
+        self.slots.is_empty()
     }
 
     /// The configured capacity.
@@ -253,30 +314,51 @@ impl<K: Ord + Clone> SpaceSaving<K> {
         self.evictions
     }
 
-    /// All tracked counters in key order.
+    /// All tracked counters in key order (sorted on each call).
     pub fn entries(&self) -> impl Iterator<Item = (&K, &SketchCell)> {
-        self.counters.iter()
+        let mut v: Vec<_> = self.slots.iter().map(|(k, c)| (k, c)).collect();
+        v.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        v.into_iter()
     }
 
     /// The `n` heaviest keys, weight-descending (key order breaks ties).
     pub fn top(&self, n: usize) -> Vec<(&K, &SketchCell)> {
-        let mut v: Vec<_> = self.counters.iter().collect();
-        v.sort_by(|a, b| b.1.weight.cmp(&a.1.weight).then_with(|| a.0.cmp(b.0)));
+        let mut v: Vec<_> = self.slots.iter().map(|(k, c)| (k, c)).collect();
+        v.sort_unstable_by(|a, b| b.1.weight.cmp(&a.1.weight).then_with(|| a.0.cmp(b.0)));
         v.truncate(n);
         v
     }
 
-    /// Folds another sketch into this one. When the union of keys fits
-    /// the capacity the merge is exact (weights and errors sum);
-    /// otherwise overflow keys go through the eviction path and the
-    /// result remains a valid space-saving summary of the union.
+    /// Folds another sketch into this one, in `other`'s key order. When
+    /// the union of keys fits the capacity the merge is exact (weights
+    /// and errors sum); otherwise overflow keys go through the eviction
+    /// path and the result remains a valid space-saving summary of the
+    /// union.
     pub fn merge(&mut self, other: &SpaceSaving<K>) {
-        for (k, c) in &other.counters {
+        for (k, c) in other.entries() {
             self.add_with_error(k.clone(), c.weight, c.error);
         }
         self.evictions += other.evictions;
     }
 }
+
+/// Two sketches are equal when they track the same counters under the
+/// same capacity and eviction count, however their slots are laid out.
+impl<K: Ord + Hash + Clone> PartialEq for SpaceSaving<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cap == other.cap
+            && self.evictions == other.evictions
+            && self.slots.len() == other.slots.len()
+            && self.slots.iter().all(|(k, c)| {
+                other
+                    .index
+                    .get(k)
+                    .is_some_and(|&slot| other.slots[slot as usize].1 == *c)
+            })
+    }
+}
+
+impl<K: Ord + Hash + Clone> Eq for SpaceSaving<K> {}
 
 /// The streaming attribution table: exact `(site, cause)` totals plus
 /// the per-line heavy-hitter sketch.
@@ -689,8 +771,8 @@ mod tests {
         assert_eq!(blame_json(&back).to_compact(), doc.to_compact());
     }
 
-    /// The min-scan sketch the ordered index replaced: its victim is
-    /// found by scanning every counter for the smallest `(weight, key)`.
+    /// The min-scan reference sketch: its victim is found by scanning
+    /// every counter for the smallest `(weight, key)`.
     struct Reference<K> {
         cap: usize,
         counters: BTreeMap<K, SketchCell>,
@@ -737,6 +819,14 @@ mod tests {
             );
         }
 
+        /// The key the next evicting add removes.
+        fn victim(&self) -> Option<&K> {
+            self.counters
+                .iter()
+                .min_by(|a, b| (a.1.weight, a.0).cmp(&(b.1.weight, b.0)))
+                .map(|(k, _)| k)
+        }
+
         fn merge(&mut self, other: &Reference<K>) {
             for (k, c) in &other.counters {
                 self.add_with_error(k.clone(), c.weight, c.error);
@@ -752,16 +842,33 @@ mod tests {
         }
     }
 
-    fn assert_same<K: Ord + Clone + std::fmt::Debug>(s: &SpaceSaving<K>, r: &Reference<K>) {
+    fn assert_same<K: Ord + Hash + Clone + std::fmt::Debug>(s: &SpaceSaving<K>, r: &Reference<K>) {
         assert!(s.entries().eq(r.counters.iter()), "entries differ");
         assert_eq!(s.evictions(), r.evictions);
         for n in [1, 3, s.capacity()] {
             assert_eq!(s.top(n), r.top(n));
         }
-        let indexed: Vec<_> = s.by_weight.iter().map(|(w, k)| (k, *w)).collect();
-        let mut want: Vec<_> = s.entries().map(|(k, c)| (k, c.weight)).collect();
-        want.sort_by(|a, b| (a.1, a.0).cmp(&(b.1, b.0)));
-        assert_eq!(indexed, want, "index out of step with the counters");
+        assert_heap(s);
+    }
+
+    /// The heap orders every slot on `(weight, key)`, and the position
+    /// array and the key index agree with the heap and the slots.
+    fn assert_heap<K: Ord + Hash + Clone + std::fmt::Debug>(s: &SpaceSaving<K>) {
+        assert_eq!(s.heap.len(), s.slots.len());
+        assert_eq!(s.pos.len(), s.slots.len());
+        assert_eq!(s.index.len(), s.slots.len());
+        for (i, &slot) in s.heap.iter().enumerate() {
+            assert_eq!(
+                s.pos[slot as usize] as usize, i,
+                "position of heap entry {i}"
+            );
+            if i > 0 {
+                assert!(!s.less(slot, s.heap[(i - 1) / 2]), "heap order at {i}");
+            }
+        }
+        for (slot, (k, _)) in s.slots.iter().enumerate() {
+            assert_eq!(s.index.get(k), Some(&(slot as u32)), "index of {k:?}");
+        }
     }
 
     /// A seeded stream of `(key, weight)`: few distinct keys, so keys
@@ -817,13 +924,111 @@ mod tests {
         }
     }
 
+    /// A paper-scale stream over rank-interned keys: a fifth of the adds
+    /// hit 64 hot lines, the rest scatter over 200K lines, so most adds
+    /// at capacity 512 evict; weights in 0..8 tie often and include 0.
+    fn paper_stream(seed: u64, len: usize) -> Vec<((u32, BlameCause, LineAddr), u64)> {
+        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let line = if x.is_multiple_of(5) {
+                    (x >> 8) % 64
+                } else {
+                    (x >> 8) % 200_000
+                };
+                let cause = BlameCause::ALL[(x >> 40) as usize % BlameCause::ALL.len()];
+                (((x >> 48) as u32 % 6, cause, line * 64), (x >> 56) % 8)
+            })
+            .collect()
+    }
+
+    /// Adds `stream` to both sketches. After every add the added key's
+    /// counter, the sizes, the eviction counts and the next victim must
+    /// agree (so, inductively, every counter does); every 1024 adds
+    /// and at the end the whole sketches are compared.
+    fn add_both<K: Ord + Hash + Clone + std::fmt::Debug>(
+        s: &mut SpaceSaving<K>,
+        r: &mut Reference<K>,
+        stream: impl IntoIterator<Item = (K, u64)>,
+    ) {
+        for (i, (k, w)) in stream.into_iter().enumerate() {
+            s.add(k.clone(), w);
+            r.add_with_error(k.clone(), w, 0);
+            let cell = s.index.get(&k).map(|&slot| &s.slots[slot as usize].1);
+            assert_eq!(cell, r.counters.get(&k), "counter of {k:?}");
+            assert_eq!((s.len(), s.evictions()), (r.counters.len(), r.evictions));
+            let root = s.heap.first().map(|&slot| &s.slots[slot as usize].0);
+            assert_eq!(root, r.victim(), "victim after add {i}");
+            if i % 1024 == 0 {
+                assert_same(s, r);
+            }
+        }
+        assert_same(s, r);
+    }
+
+    #[test]
+    fn heap_sketch_matches_the_reference_at_paper_scale() {
+        const CAP: usize = DEFAULT_SKETCH_CAPACITY;
+        let mut parts = Vec::new();
+        for (seed, adds) in [(1u64, 50_000), (2, 10_000)] {
+            let stream = paper_stream(seed, adds);
+            assert!(stream.iter().any(|&(_, w)| w == 0), "zero weights");
+            let mut s = SpaceSaving::new(CAP);
+            let mut r = Reference::new(CAP);
+            add_both(&mut s, &mut r, stream);
+            assert!(
+                s.evictions() > adds as u64 / 2,
+                "{} evictions",
+                s.evictions()
+            );
+            let mut weights: Vec<u64> = s.entries().map(|(_, c)| c.weight).collect();
+            weights.sort_unstable();
+            assert!(weights.windows(2).any(|w| w[0] == w[1]), "tied weights");
+            parts.push((s, r));
+        }
+        let (s2, r2) = parts.pop().unwrap();
+        let (mut s, mut r) = parts.pop().unwrap();
+        s.merge(&s2);
+        r.merge(&r2);
+        assert_same(&s, &r);
+        // Renamed keys: strictly increasing, so nothing reorders.
+        let name = |(rank, cause, line): (u32, BlameCause, LineAddr)| LineKey {
+            site: format!("site{rank:02}/op"),
+            cause,
+            line,
+        };
+        let s = s.map_keys(name);
+        let mut r = Reference {
+            cap: r.cap,
+            counters: r.counters.into_iter().map(|(k, c)| (name(k), c)).collect(),
+            evictions: r.evictions,
+        };
+        assert_same(&s, &r);
+        // A restore round trip through the JSON encoding keeps charging
+        // like the sketch it came from.
+        let table = BlameTable {
+            exact: BTreeMap::new(),
+            sketch: s,
+        };
+        let doc = Json::parse(&blame_json(&table).to_compact()).unwrap();
+        let mut back = parse_blame(&doc).unwrap().sketch;
+        assert_eq!(back, table.sketch);
+        let more = paper_stream(3, 2_000)
+            .into_iter()
+            .map(|(k, w)| (name(k), w));
+        add_both(&mut back, &mut r, more);
+    }
+
     thread_local! {
         static CMPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
         static CLONES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     }
 
     /// A key whose comparisons and clones are counted.
-    #[derive(Debug, PartialEq, Eq)]
+    #[derive(Debug, PartialEq, Eq, Hash)]
     struct Counted(u64);
 
     impl Ord for Counted {

@@ -30,8 +30,8 @@ use crate::event::Time;
 use crate::hist::Hist;
 use crate::json::Json;
 use crate::metrics::{hist_json, parse_hist};
-use lrp_model::EventId;
-use std::collections::{BTreeMap, HashMap};
+use lrp_model::{EventId, FxHashMap};
+use std::collections::BTreeMap;
 
 /// What a critical-path segment's cycles were spent on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -169,39 +169,6 @@ impl CritSummary {
         out
     }
 
-    /// Consumes one retired chain's `(kind, cycles)` segments.
-    /// `latency` is its commit-to-persist interval; `ordered` is whether
-    /// the chain's milestones were time-ordered.
-    fn consume(&mut self, segments: &[(CritSegKind, u64)], latency: u64, ordered: bool) {
-        let mut sum = 0u64;
-        let mut shape = String::new();
-        for &(kind, cycles) in segments {
-            let k = kind.idx();
-            self.seg_cycles[k] += cycles;
-            self.seg_counts[k] += 1;
-            self.seg_hist[k].record(cycles);
-            sum += cycles;
-            if !shape.is_empty() {
-                shape.push(';');
-            }
-            shape.push_str(kind.name());
-        }
-        self.path.record(latency);
-        self.max_path = self.max_path.max(latency);
-        self.audit.c1.checks += 1;
-        if sum != latency || !ordered {
-            self.audit.c1.violations += 1;
-        }
-        if let Some(slot) = self.folded.get_mut(&shape) {
-            slot.0 += 1;
-            slot.1 += latency;
-        } else if self.folded.len() < FOLDED_CAP {
-            self.folded.insert(shape, (1, latency));
-        } else {
-            self.folded_dropped += 1;
-        }
-    }
-
     /// Folds another summary into this one (exact for everything except
     /// the shape map, which re-applies the cap).
     pub fn merge(&mut self, other: &CritSummary) {
@@ -256,18 +223,40 @@ struct OpenChain {
     issue: Option<(Time, CritSegKind)>,
 }
 
+/// Retired chains per shape, `(paths, cycles)`, indexed
+/// `[first kind][second kind + 1]`; column 0 holds one-segment chains.
+type ShapeTally = [[(u64, u64); KINDS + 1]; KINDS];
+
+const KINDS: usize = CritSegKind::ALL.len();
+
+// Every shape a tally can hold fits under the cap, so `finish` drops none.
+const _: () = assert!(KINDS * (KINDS + 1) <= FOLDED_CAP);
+
+/// The folded-stack name of the shape at `[first][second]` in a
+/// [`ShapeTally`].
+fn shape_name(first: usize, second: usize) -> String {
+    let first = CritSegKind::ALL[first].name();
+    match second {
+        0 => first.to_string(),
+        s => format!("{first};{}", CritSegKind::ALL[s - 1].name()),
+    }
+}
+
 /// The online engine: feeds on recorder hook calls, retires chains the
 /// moment their persist stamps, and never holds more state than the
 /// simulator holds unpersisted releases. It is the run's only release
 /// clock: its `path` histogram is the release-to-persist latency.
 #[derive(Debug)]
 pub struct CritPath {
-    open: HashMap<EventId, OpenChain>,
+    open: FxHashMap<EventId, OpenChain>,
     /// What cycles between a release's commit and a demand-free flush
     /// issue mean under the attached mechanism (barrier mechanisms
     /// spend them draining epochs; lazy mechanisms defer by design).
     drain_kind: CritSegKind,
     summary: CritSummary,
+    /// Retired chains by shape; folded into `summary.folded` at
+    /// `finish`, so a retirement builds no string.
+    shapes: ShapeTally,
 }
 
 impl CritPath {
@@ -275,9 +264,10 @@ impl CritPath {
     /// `drain_kind` (see `PersistMech::crit_drain_kind` in `lrp-core`).
     pub fn new(drain_kind: CritSegKind) -> CritPath {
         CritPath {
-            open: HashMap::new(),
+            open: FxHashMap::default(),
             drain_kind,
             summary: CritSummary::default(),
+            shapes: [[(0, 0); KINDS + 1]; KINDS],
         }
     }
 
@@ -327,23 +317,55 @@ impl CritPath {
         match chain.issue {
             Some((it, kind)) if chain.commit <= it && it <= t => {
                 let segments = [(kind, it - chain.commit), (CritSegKind::NvmQueue, t - it)];
-                self.summary.consume(&segments, latency, t >= chain.commit);
+                self.consume(&segments, latency, t >= chain.commit);
             }
             // No observed issue: the write reached NVM as a
             // directory-persisted write-back — the whole interval is the
             // coherence transfer that carried it there.
-            None => self.summary.consume(&whole, latency, t >= chain.commit),
+            None => self.consume(&whole, latency, t >= chain.commit),
             // An issue stamp outside [commit, persist] is itself a C1
             // ordering violation; fall back to the single-segment chain
             // so conservation still describes the measured interval.
-            Some(_) => self.summary.consume(&whole, latency, false),
+            Some(_) => self.consume(&whole, latency, false),
         }
+    }
+
+    /// Consumes one retired chain's one or two `(kind, cycles)`
+    /// segments. `latency` is its commit-to-persist interval; `ordered`
+    /// is whether the chain's milestones were time-ordered.
+    fn consume(&mut self, segments: &[(CritSegKind, u64)], latency: u64, ordered: bool) {
+        let s = &mut self.summary;
+        let mut sum = 0u64;
+        for &(kind, cycles) in segments {
+            let k = kind.idx();
+            s.seg_cycles[k] += cycles;
+            s.seg_counts[k] += 1;
+            s.seg_hist[k].record(cycles);
+            sum += cycles;
+        }
+        s.path.record(latency);
+        s.max_path = s.max_path.max(latency);
+        s.audit.c1.checks += 1;
+        if sum != latency || !ordered {
+            s.audit.c1.violations += 1;
+        }
+        let second = segments.get(1).map_or(0, |&(kind, _)| kind.idx() + 1);
+        let slot = &mut self.shapes[segments[0].0.idx()][second];
+        slot.0 += 1;
+        slot.1 += latency;
     }
 
     /// Finalises the run: performs the C2 wall-bound check against
     /// `wall` (end-of-run cycle count) and yields the summary. Chains
     /// still open never persisted and are dropped.
     pub fn finish(mut self, wall: Time) -> CritSummary {
+        for (first, row) in self.shapes.iter().enumerate() {
+            for (second, &tally) in row.iter().enumerate() {
+                if tally.0 > 0 {
+                    self.summary.folded.insert(shape_name(first, second), tally);
+                }
+            }
+        }
         self.summary.audit.c2.checks += 1;
         if self.summary.max_path > wall {
             self.summary.audit.c2.violations += 1;
@@ -548,24 +570,33 @@ mod tests {
         assert_eq!(merged, expect);
     }
 
+    /// All 30 shapes a run can tally fold at `finish`; only `merge`
+    /// meets the cap, where a known shape adds up and new ones drop.
     #[test]
     fn folded_cap_drops_new_shapes_only() {
-        let mut s = CritSummary::default();
-        for i in 0..(FOLDED_CAP as u32 + 4) {
-            let segments = [(CritSegKind::ALL[(i % 5) as usize], i as u64)];
-            // Force distinct shapes by chaining distinct kind names:
-            // 5 base shapes repeat, so drops require a synthetic map.
-            s.consume(&segments, i as u64, true);
+        let mut cp = CritPath::new(CritSegKind::ReleaseOrder);
+        for a in CritSegKind::ALL {
+            cp.consume(&[(a, 1)], 1, true);
+            for b in CritSegKind::ALL {
+                cp.consume(&[(a, 1), (b, 2)], 3, true);
+            }
         }
-        assert_eq!(s.folded.len(), 5); // only 5 distinct single-kind shapes
+        let s = cp.finish(10);
+        assert_eq!(s.folded.len(), 30);
+        assert_eq!(s.folded.get("ret_full;nvm_queue"), Some(&(1, 3)));
+        assert_eq!(s.folded.get("release_order"), Some(&(1, 1)));
         assert_eq!(s.folded_dropped, 0);
-        // Saturate the map artificially, then one more new shape drops.
-        for i in 0..FOLDED_CAP as u64 {
-            s.folded.entry(format!("synthetic{i}")).or_insert((1, 1));
+        // Merging into a saturated map: a known shape adds up, the other
+        // 29 new shapes drop.
+        let mut full = CritSummary::default();
+        for i in 1..FOLDED_CAP as u64 {
+            full.folded.insert(format!("synthetic{i}"), (1, 1));
         }
-        let segments = [(CritSegKind::RetFull, 1), (CritSegKind::RetFull, 1)];
-        s.consume(&segments, 2, true);
-        assert_eq!(s.folded_dropped, 1);
+        full.folded.insert("release_order".to_string(), (1, 1));
+        full.merge(&s);
+        assert_eq!(full.folded.len(), FOLDED_CAP);
+        assert_eq!(full.folded.get("release_order"), Some(&(2, 2)));
+        assert_eq!(full.folded_dropped, 29);
     }
 
     #[test]

@@ -20,8 +20,9 @@ use crate::ring::Ring;
 use crate::series::{IntervalSample, Sampler};
 use crate::stats::{FlushClass, StallCause, Stats};
 use crate::summary::ObsSummary;
-use lrp_model::{EventId, LineAddr};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use lrp_model::{EventId, FxHashMap, LineAddr};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 
 /// What to record and how much to keep.
 #[derive(Debug, Clone)]
@@ -77,8 +78,17 @@ pub struct ObsReport {
     pub summary: ObsSummary,
 }
 
-/// Outstanding flush issues awaiting their acks, oldest first.
-type FlushIssueFifo = VecDeque<(Time, u16, FlushClass)>;
+/// One flush issue awaiting its ack: issue time, site and class.
+type FlushIssue = (Time, u16, FlushClass);
+
+/// Outstanding flush issues of one (core, line), oldest first. The
+/// oldest sits inline, so a line with one flush in flight, the common
+/// case, allocates nothing.
+#[derive(Debug)]
+struct FlushIssueFifo {
+    oldest: FlushIssue,
+    rest: VecDeque<FlushIssue>,
+}
 
 /// A blame sketch key with the site interned as its name's rank.
 type RankedLineKey = (u32, BlameCause, LineAddr);
@@ -161,9 +171,9 @@ pub struct Recorder {
     ret_residency: Hist,
     /// FIFO of issue (time, site, class) per (core, line): acks match
     /// the oldest issue.
-    open_flush: HashMap<(u32, LineAddr), FlushIssueFifo>,
+    open_flush: FxHashMap<(u32, LineAddr), FlushIssueFifo>,
     /// RET entry times per (core, line).
-    ret_entered: HashMap<(u32, LineAddr), Time>,
+    ret_entered: FxHashMap<(u32, LineAddr), Time>,
     engine: Vec<EngineState>,
     /// I1–I4 audit counters; the substrate calls its observation
     /// methods directly at each enforcement point.
@@ -203,8 +213,8 @@ impl Recorder {
             sampler: (cfg.sample_every > 0).then(|| Sampler::new(cfg.sample_every)),
             flush_to_ack: Hist::new(),
             ret_residency: Hist::new(),
-            open_flush: HashMap::new(),
-            ret_entered: HashMap::new(),
+            open_flush: FxHashMap::default(),
+            ret_entered: FxHashMap::default(),
             engine: vec![EngineState::Idle; ncores as usize],
             audit: InvariantAudit::new(),
             ret_high_water: 0,
@@ -305,27 +315,33 @@ impl Recorder {
             self.crit.drain_kind()
         };
         self.crit.flush_issued(t, kind, covered);
-        self.open_flush
-            .entry((core, line))
-            .or_default()
-            .push_back((t, site, class));
+        let issue = (t, site, class);
+        match self.open_flush.entry((core, line)) {
+            Entry::Occupied(mut e) => e.get_mut().rest.push_back(issue),
+            Entry::Vacant(e) => {
+                e.insert(FlushIssueFifo {
+                    oldest: issue,
+                    rest: VecDeque::new(),
+                });
+            }
+        }
         self.push_at_site(t, core, site, EventKind::FlushIssue { line, class });
     }
 
     /// A flush ack arrived for `line` at `core`; persist latency is
     /// charged to the issuing site.
     pub fn flush_ack(&mut self, t: Time, core: u32, line: LineAddr) {
-        let (latency, site) = match self.open_flush.get_mut(&(core, line)) {
-            Some(q) => {
-                let (issued, site, class) = q.pop_front().unwrap_or((t, 0, FlushClass::Critical));
-                if q.is_empty() {
-                    self.open_flush.remove(&(core, line));
-                }
+        let (latency, site) = match self.open_flush.entry((core, line)) {
+            Entry::Occupied(mut e) => {
+                let (issued, site, class) = match e.get_mut().rest.pop_front() {
+                    Some(next) => std::mem::replace(&mut e.get_mut().oldest, next),
+                    None => e.remove().oldest,
+                };
                 let latency = t.saturating_sub(issued);
                 self.charge(site, BlameCause::Flush(class), line, latency);
                 (latency, site)
             }
-            None => (0, self.core_site[core as usize]),
+            Entry::Vacant(_) => (0, self.core_site[core as usize]),
         };
         self.flush_to_ack.record(latency);
         self.push_at_site(t, core, site, EventKind::FlushAck { line, latency });

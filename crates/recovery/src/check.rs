@@ -1,7 +1,7 @@
 //! Null-recovery checking over crash points.
 
 use crate::crash::{CrashPlan, PersistWalk};
-use lrp_lfds::{validate_image, MemImage, Structure, ValidationError};
+use lrp_lfds::{walk_image, MemImage, Structure, ValidationError};
 use lrp_model::spec::PersistSchedule;
 use lrp_model::Trace;
 
@@ -40,7 +40,9 @@ impl std::fmt::Display for RecoveryReport {
 /// Reconstructs the durable state at each crash point of `plan` and runs
 /// the structural validator of `structure` on it. One image, cloned from
 /// the trace's initial image, is advanced through the plan's ascending
-/// stamps by a single [`PersistWalk`].
+/// stamps by a single [`PersistWalk`]. Only the verdict is kept: the
+/// walk appends the recovered contents to one reused buffer and no key
+/// set is built.
 pub fn check_null_recovery(
     structure: Structure,
     trace: &Trace,
@@ -51,11 +53,13 @@ pub fn check_null_recovery(
     let mut walk = PersistWalk::new(trace, sched);
     let mut img = MemImage::new(trace.initial_mem.iter().copied());
     let mut failures = Vec::new();
+    let mut contents = Vec::new();
     for &stamp in &stamps {
         if let Some(cut) = stamp {
             walk.advance(cut, &mut img);
         }
-        if let Err(e) = validate_image(structure, &trace.roots, &img) {
+        contents.clear();
+        if let Err(e) = walk_image(structure, &trace.roots, &img, &mut contents) {
             failures.push((stamp, e));
         }
     }

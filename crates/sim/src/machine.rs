@@ -604,17 +604,13 @@ impl<'t> Sim<'t> {
     /// Drains mechanism-internal events from core `c` into the recorder,
     /// stamped with the current time and core identity.
     fn drain_mech_obs(&mut self, c: usize) {
-        if self.recorder.is_none() {
+        let Some(r) = self.recorder.as_mut() else {
             return;
-        }
-        let evs = self.l1s[c].mech.obs_drain();
-        if evs.is_empty() {
-            return;
-        }
+        };
         let now = self.now;
-        if let Some(r) = self.recorder.as_mut() {
-            r.mech_events(now, c as u32, &evs);
-        }
+        self.l1s[c]
+            .mech
+            .obs_drain(&mut |evs| r.mech_events(now, c as u32, evs));
     }
 
     // -- infrastructure -------------------------------------------------
