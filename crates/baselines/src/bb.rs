@@ -350,6 +350,29 @@ mod tests {
     }
 
     #[test]
+    fn flush_all_drains_every_epoch_in_order() {
+        let mut bb = BufferedBarrier::default();
+        let mut l1 = MockL1::default();
+        store(&mut bb, &mut l1, 0x10, StoreKind::Plain);
+        store(&mut bb, &mut l1, 0x20, StoreKind::Release);
+        store(&mut bb, &mut l1, 0x30, StoreKind::Plain);
+        let mut by_epoch: Vec<(Epoch, LineAddr)> = [0x10, 0x20, 0x30]
+            .into_iter()
+            .filter(|&ln| l1.meta(ln).nvm_dirty)
+            .map(|ln| (l1.meta(ln).min_epoch, ln))
+            .collect();
+        by_epoch.sort_unstable();
+        let run = bb.flush_all(&l1);
+        assert_eq!(run.line_count(), by_epoch.len(), "every dirty line once");
+        let flat = run.flat();
+        let order: Vec<Epoch> = flat.iter().map(|&ln| l1.meta(ln).min_epoch).collect();
+        assert!(order.windows(2).all(|w| w[0] <= w[1]), "epoch order");
+        assert!(run.stages.iter().all(|st| st
+            .iter()
+            .all(|&ln| l1.meta(ln).min_epoch == l1.meta(st[0]).min_epoch)));
+    }
+
+    #[test]
     fn epoch_wrap_flushes_everything() {
         let mut bb = BufferedBarrier::new(BbConfig {
             epoch_limit: 4,

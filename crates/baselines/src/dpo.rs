@@ -125,6 +125,19 @@ mod tests {
     }
 
     #[test]
+    fn flush_all_has_nothing_left_in_the_cache() {
+        // Every store already shipped to the FIFO; the sequencer drains
+        // it, so the end flush finds no nvm-dirty line.
+        let mut d = PersistBuffer::new();
+        let mut l1 = MockL1::default();
+        for line in [0x10, 0x20] {
+            d.on_store(&mut l1, line, StoreKind::Release);
+            d.on_store_commit(&mut l1, line, StoreKind::Release);
+        }
+        assert!(d.flush_all(&l1).is_empty());
+    }
+
+    #[test]
     fn evictions_are_free() {
         let mut d = PersistBuffer::new();
         let mut l1 = MockL1::default();

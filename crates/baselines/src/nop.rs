@@ -4,7 +4,9 @@
 //! evictions; nothing ever stalls for an NVM ack. All figures normalize
 //! to this baseline.
 
-use lrp_core::mech::{DowngradeAction, EvictAction, L1View, PersistMech, StoreAction, StoreKind};
+use lrp_core::mech::{
+    DowngradeAction, EngineRun, EvictAction, L1View, PersistMech, StoreAction, StoreKind,
+};
 use lrp_model::LineAddr;
 
 /// The no-persistency mechanism.
@@ -42,6 +44,12 @@ impl PersistMech for Nop {
         }
     }
 
+    // Volatile: lines are marked nvm-dirty for statistics only, and
+    // nothing ever persists, not even at the end.
+    fn flush_all(&self, _l1: &dyn L1View) -> EngineRun {
+        EngineRun::empty()
+    }
+
     fn dir_persists_writebacks(&self) -> bool {
         false
     }
@@ -65,5 +73,15 @@ mod tests {
         let d = n.on_downgrade(&mut l1, 1);
         assert!(d.flush_before.is_empty() && !d.persist_at_dir);
         assert!(!n.dir_persists_writebacks());
+    }
+
+    #[test]
+    fn flush_all_flushes_nothing() {
+        let mut n = Nop;
+        let mut l1 = MockL1::default();
+        n.on_store_commit(&mut l1, 1, StoreKind::Plain);
+        n.on_store_commit(&mut l1, 2, StoreKind::Release);
+        assert!(l1.meta(1).nvm_dirty, "dirty for statistics");
+        assert!(n.flush_all(&l1).is_empty(), "volatile: no end flush");
     }
 }

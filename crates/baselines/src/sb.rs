@@ -116,6 +116,20 @@ mod tests {
     }
 
     #[test]
+    fn flush_all_is_the_release_barrier() {
+        let sb = StrictBarrier::new();
+        let mut l1 = MockL1::default();
+        dirty(&mut l1, 0x10, 2);
+        dirty(&mut l1, 0x20, 1);
+        dirty(&mut l1, 0x30, 2);
+        let run = sb.flush_all(&l1);
+        assert_eq!(run.stages.len(), 2, "one stage per epoch");
+        assert_eq!(run.stages[0], vec![0x20]);
+        assert_eq!(run.stages[1], vec![0x10, 0x30]);
+        assert!(sb.flush_all(&MockL1::default()).is_empty());
+    }
+
+    #[test]
     fn release_flushes_everything_and_blocks_twice() {
         let mut sb = StrictBarrier::new();
         let mut l1 = MockL1::default();

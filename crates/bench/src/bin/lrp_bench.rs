@@ -71,8 +71,10 @@ const USAGE: &str = "usage:\n  \
     serve-bench  fail a cell whose ops/sec fell or durable p99 rose over\n                 \
     3x, or whose shed rate rose over 0.25; fail a keyspace\n                 \
     sweep whose largest keyspace is over 2x the smallest\n  \
-    serve runs three cells against an in-process server: uniform, zipfian,\n  \
-    zipfian with a mid-run crash-restart (client-observed recovery time);\n  \
+    serve runs five cells against an in-process server: uniform, zipfian,\n  \
+    zipfian with a mid-run crash-restart (client-observed recovery time),\n  \
+    and zipfian under sb and bb; each reports frames sent per logical\n  \
+    request and durable acks per request beside durable-ack p50/p99;\n  \
     then times Shard::execute on 256..65536-key shards\n                 \
     (--shards 2 --conns 4 --requests 1200 --window 16)\n  \
     crash-fuzz crashes a shard at random persist points, then resolves\n  \

@@ -23,7 +23,7 @@ const USAGE: &str = "usage:\n  \
     [--structure linkedlist|hashmap|bstree|skiplist] [--mech M]\n            \
     [--mode cached|uncached] [--sim-threads N] [--size N]\n            \
     [--key-range N] [--seed N] [--audit-samples N]\n            \
-    [--batch-max N] [--batch-wait-ms N] [--queue-depth N]\n            \
+    [--batch-max N] [--queue-depth N]\n            \
     [--metrics-every-ms N] [--metrics-out FILE] [--port-file FILE]\n            \
     [--trace-out FILE] [--span-cap N]\n            \
     [--flight-dir DIR] [--record]\n            \
@@ -33,8 +33,12 @@ const USAGE: &str = "usage:\n  \
     stderr and, with --port-file, to that file)\n  \
     --shards 2     --structure hashmap   --mech lrp   --mode cached\n  \
     --sim-threads 2  --size 64   --key-range 256   --seed 1\n  \
-    --audit-samples 8  --batch-max 16  --batch-wait-ms 5\n  \
-    --queue-depth 64   --metrics-every-ms 250\n  \
+    --audit-samples 8  --batch-max 16  --queue-depth 64\n  \
+    --metrics-every-ms 250\n  \
+    --batch-max N  a shard takes up to N queued requests as one batch the\n                 \
+    moment it is free (no batch timer); each batch ends with\n                 \
+    the mechanism's full flush, so it acks durable (nop never\n                 \
+    persists and acks durable: false)\n  \
     --span-cap N       request spans each shard's log retains, drop-oldest\n                     \
     (default 65536); every answered request records its\n                     \
     wire/queue/batch/execute/persist/ack chain there\n  \
@@ -73,7 +77,6 @@ fn main() {
     let seed = cli.opt_parse("seed").unwrap_or(1u64);
     let audit_samples = cli.opt_parse("audit-samples").unwrap_or(8usize);
     let batch_max = cli.opt_parse("batch-max").unwrap_or(16usize);
-    let batch_wait_ms = cli.opt_parse("batch-wait-ms").unwrap_or(5u64);
     let queue_depth = cli.opt_parse("queue-depth").unwrap_or(64usize);
     let metrics_every_ms = cli.opt_parse("metrics-every-ms").unwrap_or(250u64);
     let metrics_out: Option<String> = cli.opt("metrics-out");
@@ -149,7 +152,6 @@ fn main() {
     cfg.bind = bind;
     cfg.shards = shards;
     cfg.batch_max = batch_max;
-    cfg.batch_wait_ms = batch_wait_ms;
     cfg.queue_depth = queue_depth;
     cfg.metrics_every_ms = metrics_every_ms;
     cfg.spans = span_cap;

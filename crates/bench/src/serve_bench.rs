@@ -1,13 +1,18 @@
 //! End-to-end service benchmark (`lrp-bench serve`).
 //!
 //! Boots an in-process [`lrp_serve::Server`] on a loopback port and
-//! drives it with [`lrp_serve::run_load`] across three cells:
+//! drives it with [`lrp_serve::run_load`] across five cells:
 //!
 //! * `uniform` — uniform keys, verification off: the raw service
 //!   throughput / durable-ack latency cell;
 //! * `zipfian` — hot-key skew: the contention cell;
 //! * `zipfian-crash` — injects a mid-run shard crash with verification
-//!   on, and reports the client-observed crash-recovery time.
+//!   on, and reports the client-observed crash-recovery time;
+//! * `zipfian-sb`, `zipfian-bb` — the `zipfian` cell under the strict
+//!   and buffered barriers. With `zipfian` (LRP) they form a
+//!   service-level Figure 5: per mechanism, the frames sent per logical
+//!   request, the share of requests acked durable, and the durable-ack
+//!   p50/p99.
 //!
 //! Every cell runs with the server's always-on request span log, so
 //! its recording cost is inside every number.
@@ -31,6 +36,7 @@ use lrp_obs::Json;
 use lrp_serve::{
     run_load, Bind, KvOp, LoadSpec, LoadSummary, Server, ServerConfig, Shard, ShardConfig, ShardReq,
 };
+use lrp_sim::Mechanism;
 use std::io;
 use std::time::Instant;
 
@@ -172,8 +178,11 @@ fn median(mut xs: Vec<f64>) -> f64 {
 /// One benchmark cell: a fresh server + one load run.
 #[derive(Debug, Clone)]
 pub struct ServeCell {
-    /// Cell name (`uniform`, `zipfian`, `zipfian-crash`).
+    /// Cell name (`uniform`, `zipfian`, `zipfian-crash`, `zipfian-sb`,
+    /// `zipfian-bb`).
     pub name: &'static str,
+    /// The shards' persistency mechanism.
+    pub mechanism: Mechanism,
     /// The load summary the cell produced.
     pub summary: LoadSummary,
     /// Request spans the server's logs retained at shutdown.
@@ -193,6 +202,17 @@ impl ServeCell {
         } else {
             self.summary.shed as f64 / self.summary.sent as f64
         }
+    }
+
+    /// Frames the client sent per logical request: 1 plus the
+    /// `Resolve` and retry frames uncertain or shed requests cost.
+    pub fn frames_per_request(&self, spec: &ServeBenchSpec) -> f64 {
+        self.summary.sent as f64 / spec.requests.max(1) as f64
+    }
+
+    /// Durable acks per logical request.
+    pub fn durable_share(&self, spec: &ServeBenchSpec) -> f64 {
+        self.summary.acked_durable as f64 / spec.requests.max(1) as f64
     }
 }
 
@@ -231,8 +251,14 @@ fn cell_spec(spec: &ServeBenchSpec, addr: std::net::SocketAddr) -> LoadSpec {
     ls
 }
 
-fn run_cell(spec: &ServeBenchSpec, name: &'static str, crash: bool) -> io::Result<ServeCell> {
+fn run_cell(
+    spec: &ServeBenchSpec,
+    name: &'static str,
+    mechanism: Mechanism,
+    crash: bool,
+) -> io::Result<ServeCell> {
     let mut shard = ShardConfig::new(Structure::HashMap);
+    shard.mechanism = mechanism;
     shard.key_range = spec.key_range;
     shard.seed = spec.seed;
     let mut cfg = ServerConfig::new(shard);
@@ -254,23 +280,26 @@ fn run_cell(spec: &ServeBenchSpec, name: &'static str, crash: bool) -> io::Resul
     let report = server.join();
     Ok(ServeCell {
         name,
+        mechanism,
         summary,
         spans: report.spans().len() as u64,
     })
 }
 
-/// Runs all three cells, each against a fresh server.
+/// Runs all five cells, each against a fresh server.
 pub fn run_serve_bench(
     spec: &ServeBenchSpec,
     mut progress: impl FnMut(&ServeCell),
 ) -> io::Result<ServeReport> {
     let mut cells = Vec::new();
-    for (name, crash) in [
-        ("uniform", false),
-        ("zipfian", false),
-        ("zipfian-crash", true),
+    for (name, mechanism, crash) in [
+        ("uniform", Mechanism::Lrp, false),
+        ("zipfian", Mechanism::Lrp, false),
+        ("zipfian-crash", Mechanism::Lrp, true),
+        ("zipfian-sb", Mechanism::Sb, false),
+        ("zipfian-bb", Mechanism::Bb, false),
     ] {
-        let c = run_cell(spec, name, crash)?;
+        let c = run_cell(spec, name, mechanism, crash)?;
         progress(&c);
         cells.push(c);
     }
@@ -289,6 +318,7 @@ pub fn report_json(r: &ServeReport) -> Json {
         .map(|c| {
             Json::obj([
                 ("name", Json::Str(c.name.to_string())),
+                ("mechanism", Json::Str(c.mechanism.name().to_string())),
                 ("ops_per_sec", Json::F64(c.ops_per_sec())),
                 ("sent", Json::U64(c.summary.sent)),
                 ("completed", Json::U64(c.summary.completed)),
@@ -297,6 +327,11 @@ pub fn report_json(r: &ServeReport) -> Json {
                 ("lat_p99_us", Json::U64(c.summary.lat_p99_us)),
                 ("dur_lat_p50_us", Json::U64(c.summary.dur_lat_p50_us)),
                 ("dur_lat_p99_us", Json::U64(c.summary.dur_lat_p99_us)),
+                (
+                    "frames_per_request",
+                    Json::F64(c.frames_per_request(&r.spec)),
+                ),
+                ("durable_share", Json::F64(c.durable_share(&r.spec))),
                 ("shed_rate", Json::F64(c.shed_rate())),
                 ("backoffs", Json::U64(c.summary.backoffs)),
                 ("spans", Json::U64(c.spans)),
@@ -352,29 +387,35 @@ pub fn render_report(r: &ServeReport) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "serve bench ({} shards, {} conns, {} reqs/cell, window {})\n\
-         {:<16} {:>10} {:>10} {:>10} {:>12} {:>12} {:>10}\n",
+         {:<16} {:>5} {:>10} {:>10} {:>10} {:>12} {:>12} {:>12} {:>10} {:>10}\n",
         r.spec.shards,
         r.spec.conns,
         r.spec.requests,
         r.spec.window,
         "cell",
+        "mech",
         "ops/s",
         "p50 us",
         "p99 us",
+        "dur p50 us",
         "dur p99 us",
         "shed rate",
-        "durable",
+        "frames/req",
+        "dur share",
     ));
     for c in &r.cells {
         out.push_str(&format!(
-            "{:<16} {:>10.0} {:>10} {:>10} {:>12} {:>12.4} {:>10}\n",
+            "{:<16} {:>5} {:>10.0} {:>10} {:>10} {:>12} {:>12} {:>12.4} {:>10.3} {:>10.3}\n",
             c.name,
+            c.mechanism.name(),
             c.ops_per_sec(),
             c.summary.lat_p50_us,
             c.summary.lat_p99_us,
+            c.summary.dur_lat_p50_us,
             c.summary.dur_lat_p99_us,
             c.shed_rate(),
-            c.summary.acked_durable,
+            c.frames_per_request(&r.spec),
+            c.durable_share(&r.spec),
         ));
     }
     if let Some(ms) = r.crash_recovery_ms() {

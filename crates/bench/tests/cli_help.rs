@@ -168,7 +168,6 @@ fn lrp_serve_help_documents_every_flag() {
             "seed",
             "audit-samples",
             "batch-max",
-            "batch-wait-ms",
             "queue-depth",
             "metrics-every-ms",
             "metrics-out",
@@ -181,6 +180,11 @@ fn lrp_serve_help_documents_every_flag() {
             "ring",
             "no-detect",
         ],
+    );
+    let help = help_output(env!("CARGO_BIN_EXE_lrp-serve"));
+    assert!(
+        !help.contains("batch-wait"),
+        "the batch timer is gone:\n{help}"
     );
 }
 
@@ -320,7 +324,7 @@ fn workloads_the_simulator_cannot_replay_exit_2() {
     // A campaign that wrongly runs must not write into the source tree.
     let tmp = std::env::temp_dir().join(format!("lrp-cli-workload-{}", std::process::id()));
     let (out, summary) = (tmp.with_extension("jsonl"), tmp.with_extension("json"));
-    let cases: [(&str, &[&str], &str); 20] = [
+    let cases: [(&str, &[&str], &str); 21] = [
         (eval, &["fig5", "--quick", "--threads", "0"], "--threads"),
         (eval, &["fig5", "--quick", "--threads", "65"], "--threads"),
         (eval, &["fig5", "--quick", "--ops", "0"], "--ops"),
@@ -371,6 +375,9 @@ fn workloads_the_simulator_cannot_replay_exit_2() {
             "--structures",
         ),
         (serve, &["--sim-threads", "65"], "--sim-threads"),
+        // Retired with the batch timer: batches close when the queue
+        // drains.
+        (serve, &["--batch-wait-ms", "5"], "--batch-wait-ms"),
         // An empty workload; more threads than cores stay legal for gen.
         (
             trace,

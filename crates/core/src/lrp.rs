@@ -293,6 +293,12 @@ impl PersistMech for Lrp {
         }
     }
 
+    /// The plan an epoch wrap runs: only-written lines first, then the
+    /// released lines in epoch order.
+    fn flush_all(&self, l1: &dyn L1View) -> EngineRun {
+        self.plan(l1, Epoch::MAX, None)
+    }
+
     fn scan_cycles(&self) -> u64 {
         self.cfg.scan_cycles
     }
@@ -524,6 +530,25 @@ mod tests {
         assert!(flushed.contains(&0x30));
         assert_eq!(l.current_epoch(), 1, "epochs restart");
         assert_eq!(l.ret_len(), 1, "only the new release remains buffered");
+    }
+
+    #[test]
+    fn flush_all_runs_the_epoch_wrap_plan() {
+        let mut l = Lrp::default();
+        let mut l1 = MockL1::default();
+        store(&mut l, &mut l1, 0x10, StoreKind::Plain); // epoch 1
+        store(&mut l, &mut l1, 0x20, StoreKind::Release); // epoch 2
+        store(&mut l, &mut l1, 0x30, StoreKind::Plain); // epoch 2
+        store(&mut l, &mut l1, 0x40, StoreKind::Release); // epoch 3
+        let run = l.flush_all(&l1);
+        assert_eq!(run.stages.len(), 3, "writes, then one stage per release");
+        let mut writes = run.stages[0].clone();
+        writes.sort_unstable();
+        assert_eq!(writes, vec![0x10, 0x30], "only-written lines first");
+        assert_eq!(run.stages[1], vec![0x20], "older release next");
+        assert_eq!(run.stages[2], vec![0x40], "newest release last");
+        assert_eq!(l.current_epoch(), 3, "planning changes no state");
+        assert_eq!(l.ret_len(), 2);
     }
 
     #[test]

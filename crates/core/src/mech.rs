@@ -181,6 +181,15 @@ pub trait PersistMech {
     /// A dirty line is being downgraded by a coherence request.
     fn on_downgrade(&mut self, l1: &mut dyn L1View, line: LineAddr) -> DowngradeAction;
 
+    /// Plans a full flush of every unpersisted line, for a substrate
+    /// that must end durable (a service batch before its acks leave).
+    /// The default is the epoch-ordered barrier a strict barrier runs
+    /// at a release; the flush goes through the core's sequencer, so it
+    /// orders after everything already pending.
+    fn flush_all(&self, l1: &dyn L1View) -> EngineRun {
+        crate::engine::plan_epoch_stages(l1, Epoch::MAX, None)
+    }
+
     /// Whether the directory persists L1 write-backs and blocks the line
     /// until the persist completes (invariant I4). False only for the
     /// volatile baseline.

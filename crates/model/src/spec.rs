@@ -114,17 +114,19 @@ impl std::fmt::Display for PersistDiscipline {
 }
 
 /// Assignment of persist stamps to write events.
+///
+/// Stored as `stamp + 1` per event (0 = never persisted), so a fresh
+/// schedule is plain zeroed memory: its pages are not touched until a
+/// write actually persists.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PersistSchedule {
-    stamps: Vec<Option<u64>>,
+    stamps: Vec<u64>,
 }
 
 impl PersistSchedule {
     /// A schedule over `n` events in which nothing has persisted.
     pub fn new(n: usize) -> Self {
-        PersistSchedule {
-            stamps: vec![None; n],
-        }
+        PersistSchedule { stamps: vec![0; n] }
     }
 
     /// Builds a schedule from an explicit persist order: `order[i]`
@@ -139,12 +141,12 @@ impl PersistSchedule {
 
     /// Records that event `e` persisted at stamp `stamp`.
     pub fn set(&mut self, e: EventId, stamp: u64) {
-        self.stamps[e as usize] = Some(stamp);
+        self.stamps[e as usize] = stamp + 1;
     }
 
     /// The stamp of event `e`, if it persisted.
     pub fn stamp(&self, e: EventId) -> Option<u64> {
-        self.stamps[e as usize]
+        self.stamps[e as usize].checked_sub(1)
     }
 
     /// Number of events covered.
@@ -164,14 +166,18 @@ impl PersistSchedule {
             .events
             .iter()
             .filter(|e| e.is_write_effect())
-            .filter(|e| matches!(self.stamps[e.id as usize], Some(s) if s <= cut))
+            .filter(|e| matches!(self.stamp(e.id), Some(s) if s <= cut))
             .map(|e| e.id)
             .collect()
     }
 
     /// All distinct stamps in ascending order.
     pub fn distinct_stamps(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.stamps.iter().flatten().copied().collect();
+        let mut v: Vec<u64> = self
+            .stamps
+            .iter()
+            .filter_map(|s| s.checked_sub(1))
+            .collect();
         v.sort_unstable();
         v.dedup();
         v

@@ -47,7 +47,8 @@ pub enum SpanPhase {
         /// non-durable ack).
         shed: bool,
     },
-    /// Batch formation window (first op available → batch closed).
+    /// Batch formation window (the worker finds work → the queue
+    /// drained into the batch).
     Batch {
         /// Shard batch number.
         batch: u64,

@@ -12,7 +12,7 @@
 //!                                               │  (admission control:
 //!                                               │   full ⇒ Overloaded)
 //!                                               ▼
-//!                                           batcher (size/deadline)
+//!                                    batcher (closes when the queue drains)
 //!                                               ▼
 //!                               shard: LFD + simulated machine
 //!                               (batch trace ⇒ lrp-sim ⇒ persist
@@ -30,9 +30,11 @@
 //! operations are **durably acked**: an op is durable only when every
 //! write it performed *and everything it read from* has persisted
 //! (reads-from closure), the service-level counterpart of durable
-//! linearizability. Lazy mechanisms (LRP) deliberately leave a volatile
-//! tail — those replies carry `durable: false` and clients treat them
-//! as retryable, exactly like load-shed requests.
+//! linearizability. Each batch's simulation ends with every core's full
+//! flush, so a persisting mechanism (LRP included) acks its batch
+//! durable instead of rolling a lazy tail back. Under the volatile
+//! `nop` replies carry `durable: false`, and clients treat them as
+//! retryable, exactly like load-shed requests.
 //!
 //! [`PersistSchedule`]: lrp_model::spec::PersistSchedule
 

@@ -22,7 +22,7 @@ use lrp_obs::{CritSegKind, CritSummary, GaugeSample, Hist, Json, ObsSummary, Sta
 /// breaking changes. Kept apart from the simulator stream's
 /// [`METRICS_VERSION`](lrp_obs::metrics::METRICS_VERSION) so each
 /// layout versions independently.
-pub const SERVE_METRICS_VERSION: u64 = 2;
+pub const SERVE_METRICS_VERSION: u64 = 3;
 
 /// Names for the four [`lrp_obs::GAUGE_COUNTERS`] slots the serving
 /// layer uses, in slot order.
@@ -46,7 +46,6 @@ pub fn header_json(
     nvm_mode: &str,
     sim_threads: u64,
     batch_max: u64,
-    batch_wait_ms: u64,
     queue_depth: u64,
 ) -> Json {
     Json::obj([
@@ -58,7 +57,6 @@ pub fn header_json(
         ("nvm_mode", Json::Str(nvm_mode.into())),
         ("sim_threads", Json::U64(sim_threads)),
         ("batch_max", Json::U64(batch_max)),
-        ("batch_wait_ms", Json::U64(batch_wait_ms)),
         ("queue_depth", Json::U64(queue_depth)),
     ])
 }
@@ -310,7 +308,7 @@ mod tests {
 
     #[test]
     fn serve_lines_parse_back_and_name_every_slot() {
-        let h = header_json(2, "hashmap", "lrp", "cached", 2, 16, 5, 64);
+        let h = header_json(2, "hashmap", "lrp", "cached", 2, 16, 64);
         let parsed = Json::parse(&h.to_compact()).unwrap();
         assert_eq!(parsed.get("record").unwrap().as_str(), Some("serve-header"));
         assert_eq!(parsed.get("shards").unwrap().as_u64(), Some(2));

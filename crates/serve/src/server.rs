@@ -6,9 +6,10 @@
 //! connection, and one worker thread per shard. Readers route requests
 //! by key hash into a bounded per-shard queue (full queue ⇒ typed
 //! `Overloaded` reply — the reader never blocks on a slow shard, so an
-//! overloaded shard cannot stall the accept path). Each worker drains
-//! its queue in batches (closed by size or deadline), executes the
-//! batch on its [`Shard`], and writes replies directly to the owning
+//! overloaded shard cannot stall the accept path). Each worker is
+//! work-conserving: it takes whatever its queue holds, up to
+//! `batch_max`, as one batch the moment it is free, executes the batch
+//! on its [`Shard`], and writes replies directly to the owning
 //! connections; replies are length-prefixed frames tagged with the
 //! request id, so they may interleave arbitrarily with other traffic on
 //! the same connection.
@@ -28,7 +29,7 @@ use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Where the server listens.
 #[derive(Debug, Clone)]
@@ -49,10 +50,10 @@ pub struct ServerConfig {
     pub shards: usize,
     /// Template shard configuration; each shard derives its own seed.
     pub shard: ShardConfig,
-    /// Maximum requests per batch.
+    /// Maximum requests per batch. A batch closes as soon as the queue
+    /// is empty or holds this many requests; nothing waits for a fuller
+    /// batch.
     pub batch_max: usize,
-    /// Deadline from the first queued request to batch close.
-    pub batch_wait_ms: u64,
     /// Bounded queue length per shard; beyond it requests are shed.
     pub queue_depth: usize,
     /// Width of the `serve-interval` metrics windows (milliseconds).
@@ -69,15 +70,14 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// Defaults: 2 shards on an ephemeral loopback port, batches of 16
-    /// closed after 5 ms, 64-deep queues, 65,536 spans per shard.
+    /// Defaults: 2 shards on an ephemeral loopback port, batches of at
+    /// most 16, 64-deep queues, 65,536 spans per shard.
     pub fn new(shard: ShardConfig) -> ServerConfig {
         ServerConfig {
             bind: Bind::Tcp("127.0.0.1:0".into()),
             shards: 2,
             shard,
             batch_max: 16,
-            batch_wait_ms: 5,
             queue_depth: 64,
             metrics_every_ms: 250,
             spans: 65536,
@@ -503,7 +503,6 @@ impl Server {
             cfg.shard.nvm_mode.name(),
             cfg.shard.sim_threads as u64,
             cfg.batch_max as u64,
-            cfg.batch_wait_ms,
             cfg.queue_depth as u64,
         );
         let mut shard_lines = Vec::new();
@@ -698,7 +697,8 @@ fn reader_loop(mut conn: Conn, reply: Replier, shared: &Arc<Shared>) {
 struct BatchWindow {
     batch: u64,
     size: u32,
-    /// Batch formation: first op available → batch closed.
+    /// Batch formation: the worker finds work → the queue drained
+    /// into the batch.
     open_us: u64,
     close_us: u64,
     /// `Shard::execute` start, its simulator/stamping boundary, and end.
@@ -1068,9 +1068,10 @@ fn publish(shared: &Arc<Shared>, i: usize, shard: &Shard, ack_hist: &Hist, dur_a
     };
 }
 
-/// Blocks until work is available, then closes the batch by size or
-/// deadline. Returns the batch plus its open/close times (µs since
-/// server start; both 0 for the empty shutdown batch).
+/// Blocks until work is available, then takes what the queue holds, up
+/// to `batch_max` requests, as one batch: nothing waits for more.
+/// Returns the batch plus its open/close times (µs since server start;
+/// both 0 for the empty shutdown batch).
 fn collect_batch(shared: &Arc<Shared>, i: usize) -> (Vec<Work>, u64, u64) {
     let sq = &shared.queues[i];
     let mut q = sq.q.lock().unwrap();
@@ -1081,18 +1082,6 @@ fn collect_batch(shared: &Arc<Shared>, i: usize) -> (Vec<Work>, u64, u64) {
         return (Vec::new(), 0, 0);
     }
     let t_open_us = shared.now_us();
-    let deadline = Instant::now() + Duration::from_millis(shared.cfg.batch_wait_ms);
-    while q.len() < shared.cfg.batch_max && !shared.shutdown.load(Ordering::SeqCst) {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            break;
-        }
-        let (guard, timeout) = sq.cv.wait_timeout(q, remaining).unwrap();
-        q = guard;
-        if timeout.timed_out() {
-            break;
-        }
-    }
     let take = q.len().min(shared.cfg.batch_max);
     let batch: Vec<Work> = q.drain(..take).collect();
     (batch, t_open_us, shared.now_us())

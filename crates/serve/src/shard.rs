@@ -13,13 +13,16 @@
 //!    the batch touches, so the simulator warms exactly those lines into
 //!    the LLC and treats their words as durable, as it did when every
 //!    batch started from a fresh image of the whole structure.
-//! 3. The simulator runs the trace under the configured mechanism. The
-//!    recorded persist schedule decides, per request, whether the ack is
-//!    **durable**: every write the op performed must carry a persist
-//!    stamp, and every value it read must come from a persisted write
-//!    (or the durable initial image). Lazy mechanisms leave a volatile
-//!    tail — those requests are answered `durable: false`, which clients
-//!    treat as retryable.
+//! 3. The simulator runs the trace under the configured mechanism and
+//!    ends it with every core's full flush through the mechanism's own
+//!    sequencer ([`Sim::with_final_flush`]; LRP runs its epoch-wrap
+//!    plan), so a batch ends durable instead of rolling its lazy tail
+//!    back. The recorded persist schedule decides, per request, whether
+//!    the ack is **durable**: every write the op performed must carry a
+//!    persist stamp, and every value it read must come from a persisted
+//!    write (or the durable initial image). Under `nop` nothing
+//!    persists, so its requests are answered `durable: false`, which
+//!    clients treat as retryable.
 //! 4. The batch **commits as a delta**: its writes persisted by the
 //!    final stamp are applied to `D` by the same forward walk that
 //!    builds every crash image ([`lrp_recovery::PersistWalk`]),
@@ -251,10 +254,11 @@ pub struct ShardCounters {
     pub obs_dropped: u64,
     /// Torn detectable-operation stamps that appeared in the durable
     /// image, counted by the commit or crash restart that first saw
-    /// them. Expected whenever slots are re-stamped: even under a
-    /// release-ordering discipline a re-stamped slot's plain payload may
-    /// persist before its release-stamped rid, so a cut can hold the old
-    /// rid over the new payload. A torn slot is never resolved `Done`.
+    /// them. A crash cut can tear a re-stamped slot: even under a
+    /// release-ordering discipline its plain payload may persist before
+    /// its release-stamped rid, so the cut holds the old rid over the
+    /// new payload. A commit cut follows the batch's full flush and
+    /// tears nothing. A torn slot is never resolved `Done`.
     pub slot_torn: u64,
     /// Compactions taken (fresh images rebuilt from the validated key
     /// set once the warm heap reached [`COMPACT_FACTOR`] times the last
@@ -545,7 +549,7 @@ impl Shard {
             self.heap.durable_lines(&trace)
         };
         let sim_cfg = SimConfig::new(self.cfg.mechanism).nvm_mode(self.cfg.nvm_mode);
-        let mut sim = Sim::new(sim_cfg, &trace);
+        let mut sim = Sim::new(sim_cfg, &trace).with_final_flush();
         if let Some(rc) = &self.cfg.recorder {
             sim = sim.with_recorder(rc.clone());
         }
@@ -1046,14 +1050,17 @@ mod tests {
     }
 
     #[test]
-    fn lrp_leaves_a_volatile_tail_but_acks_most_writes() {
+    fn lrp_batches_end_durable() {
         let mut s = shard(7);
         let ops = reqs((0..48).map(|i| KvOp::Put(300 + i)));
         let results = s.execute(&ops);
-        let durable = results.iter().filter(|r| r.durable).count();
-        assert!(durable > 0, "no write ever became durable under LRP");
+        // The end flush persists LRP's lazy tail: nothing rolls back.
+        assert!(results.iter().all(|r| r.durable && r.persist_cycles > 0));
         let c = s.counters();
-        assert_eq!(c.acked_durable + c.nondurable, 48);
+        assert_eq!((c.acked_durable, c.nondurable), (48, 0));
+        for k in 300..348 {
+            assert!(s.committed().contains(&k), "put {k} not committed");
+        }
     }
 
     #[test]
@@ -1184,13 +1191,12 @@ mod tests {
         );
     }
 
-    /// Re-stamping a client's slots across batches tears records at
-    /// commit cuts under LRP: a re-stamped slot's plain payload can
-    /// persist before its release-stamped rid, leaving the old rid over
-    /// the new payload. The tear is counted, never resolved, and costs
-    /// no durable ack the ring still covers.
+    /// Re-stamping a client's slots across batches tears no record at a
+    /// commit: every batch ends with a full flush, so its commit cut
+    /// holds each re-stamped slot whole. Every durable ack the client's
+    /// ring still covers resolves `Done` with its outcome.
     #[test]
-    fn restamped_slots_tear_at_commit_cuts_without_losing_recent_acks() {
+    fn restamped_slots_stay_whole_across_commits() {
         let mut s = shard(19);
         let ring = SlotSpec::default().ring;
         let mut acked: Vec<(ShardReq, KvResult)> = Vec::new();
@@ -1212,16 +1218,10 @@ mod tests {
             acked.extend(ops.into_iter().zip(results));
         }
         assert!(seq > 4 * ring, "the run wraps the client's ring");
-        assert!(
-            s.counters().slot_torn > 0,
-            "no torn record appeared at a commit cut"
-        );
-        // Every durable ack among the client's last `ring` requests owns
-        // its slot still, so it resolves `Done` with its outcome.
+        assert_eq!(s.counters().slot_torn, 0, "a commit cut tore a slot");
         let recent = &acked[acked.len() - ring as usize..];
-        let mut durable = 0;
-        for (req, r) in recent.iter().filter(|(_, r)| r.durable) {
-            durable += 1;
+        assert!(recent.iter().all(|(_, r)| r.durable));
+        for (req, r) in recent {
             match s.resolve(req.rid) {
                 ResolvedStatus::Done { applied, key, .. } => {
                     assert_eq!((applied, key), (r.applied, req.op.key()));
@@ -1231,7 +1231,6 @@ mod tests {
                 }
             }
         }
-        assert!(durable > 0, "no recent durable ack to check");
     }
 
     #[test]

@@ -17,7 +17,6 @@ fn small_server(shards: usize, queue_depth: usize, seed: u64) -> ServerConfig {
     let mut cfg = ServerConfig::new(shard);
     cfg.shards = shards;
     cfg.batch_max = 16;
-    cfg.batch_wait_ms = 3;
     cfg.queue_depth = queue_depth;
     cfg.metrics_every_ms = 50;
     cfg
@@ -32,43 +31,26 @@ fn tcp_bind(server: &Server) -> Bind {
     )
 }
 
-/// Repeats `Put(key)`/`Del(key)` (per `insert`) until one attempt is
-/// acked durable, pipelining filler mutations on distinct keys so each
-/// batch carries multi-threaded traffic (a lone op usually stays in
-/// LRP's volatile tail). Returns the durably-acked attempt's wire id
-/// (which doubles as its detectable-op rid), or `None` after ~20
-/// attempts.
-fn durable_mutation(c: &mut Client, key: u64, insert: bool, id_base: u64) -> Option<u64> {
-    const FILLERS: u64 = 12;
-    for attempt in 0..20u64 {
-        let base = id_base + attempt * (FILLERS + 1);
-        let req = if insert {
-            Request::Put { id: base, key }
-        } else {
-            Request::Del { id: base, key }
-        };
-        c.send(&req).unwrap();
-        for f in 0..FILLERS {
-            let fkey = 10_000 + attempt * FILLERS + f;
-            c.send(&Request::Put {
-                id: base + 1 + f,
-                key: fkey,
-            })
-            .unwrap();
+/// Sends `Put(key)`/`Del(key)` (per `insert`) with wire id `id`, which
+/// doubles as its detectable-op rid, and requires a durable ack: every
+/// batch ends with the mechanism's full flush, so under LRP even a lone
+/// mutation persists before its reply leaves.
+fn durable_mutation(c: &mut Client, key: u64, insert: bool, id: u64) -> u64 {
+    let req = if insert {
+        Request::Put { id, key }
+    } else {
+        Request::Del { id, key }
+    };
+    match c.call(&req).unwrap() {
+        Response::Done {
+            id: got, durable, ..
+        } => {
+            assert_eq!(got, id);
+            assert!(durable, "mutation {id} of key {key} acked non-durable");
+            id
         }
-        let mut durable_ack = false;
-        for _ in 0..=FILLERS {
-            match c.recv().unwrap() {
-                Response::Done { id, durable, .. } if id == base => durable_ack = durable,
-                Response::Done { .. } | Response::Overloaded { .. } => {}
-                other => panic!("unexpected reply {other:?}"),
-            }
-        }
-        if durable_ack {
-            return Some(base);
-        }
+        other => panic!("unexpected reply {other:?}"),
     }
-    None
 }
 
 #[test]
@@ -82,26 +64,16 @@ fn basic_ops_round_trip_over_tcp() {
         Response::Pong { id: 1 }
     ));
 
-    // A durable ack is the visibility contract: a `durable: false`
-    // reply is retryable (the effect may sit in the volatile tail and
-    // be dropped at the next commit), so mutate until the ack is
-    // durable — pipelining filler ops so the batch has enough
-    // cross-thread traffic to trigger lazy persists — and only then
-    // assert what a Get observes.
-    assert!(
-        durable_mutation(&mut c, 777, true, 10_000).is_some(),
-        "put 777 never acked durable"
-    );
+    // A durable ack is the visibility contract: only then does the
+    // test assert what a Get observes.
+    durable_mutation(&mut c, 777, true, 10_000);
     match c.call(&Request::Get { id: 3, key: 777 }).unwrap() {
         Response::Value { id: 3, present, .. } => {
             assert!(present, "durably inserted key visible")
         }
         other => panic!("unexpected get reply {other:?}"),
     }
-    assert!(
-        durable_mutation(&mut c, 777, false, 20_000).is_some(),
-        "del 777 never acked durable"
-    );
+    durable_mutation(&mut c, 777, false, 20_000);
     match c.call(&Request::Get { id: 5, key: 777 }).unwrap() {
         Response::Value { id: 5, present, .. } => {
             assert!(!present, "durably deleted key gone")
@@ -225,11 +197,10 @@ fn crash_fires_even_when_the_durable_ack_threshold_is_never_reached() {
 
 #[test]
 fn overload_sheds_with_typed_replies_and_keeps_serving() {
-    // A 1-deep queue with a slow batch deadline forces admission
-    // control to reject most of a pipelined burst.
+    // A 1-deep queue forces admission control to reject most of a
+    // pipelined burst: requests arrive faster than a batch executes.
     let mut cfg = small_server(1, 1, 31);
     cfg.batch_max = 4;
-    cfg.batch_wait_ms = 20;
     let server = Server::start(cfg).unwrap();
     let bind = tcp_bind(&server);
 
@@ -288,7 +259,7 @@ fn resolve_answers_exactly_once_queries_across_a_crash_restart() {
 
     // The wire request id doubles as the detectable-op rid: a durable
     // ack means the slot stamp persisted with the effect.
-    let rid = durable_mutation(&mut c, 321, true, 30_000).expect("put 321 never acked durable");
+    let rid = durable_mutation(&mut c, 321, true, 30_000);
     match c
         .call(&Request::Resolve {
             id: 40_000,

@@ -6,11 +6,12 @@
 //! whose spans explain every `Crashed` reply.
 
 use lrp_lfds::{KeyDist, Structure};
-use lrp_obs::span::audit_chains;
+use lrp_obs::span::{audit_chains, SpanPhase};
 use lrp_obs::{Json, RecorderConfig};
 use lrp_serve::{
     run_load, Bind, Client, LoadSpec, Request, Response, Server, ServerConfig, ShardConfig,
 };
+use lrp_sim::Mechanism;
 
 fn small_server(shards: usize, seed: u64) -> ServerConfig {
     let mut shard = ShardConfig::new(Structure::HashMap);
@@ -21,7 +22,6 @@ fn small_server(shards: usize, seed: u64) -> ServerConfig {
     let mut cfg = ServerConfig::new(shard);
     cfg.shards = shards;
     cfg.batch_max = 16;
-    cfg.batch_wait_ms = 3;
     cfg.queue_depth = 64;
     cfg.metrics_every_ms = 50;
     cfg
@@ -211,20 +211,51 @@ fn metrics_snapshot_reports_live_telemetry_and_ring_drops() {
     server.join();
 }
 
+/// One `Put` on an idle server: it runs as a batch of one, and the
+/// batch's end flush makes it durable under LRP. Under the volatile
+/// `nop` nothing persists, so the same put is acked `durable: false`.
+#[test]
+fn a_lone_put_on_an_idle_server_is_its_own_batch_and_ends_durable() {
+    for (mechanism, want_durable) in [(Mechanism::Lrp, true), (Mechanism::Nop, false)] {
+        let mut cfg = small_server(1, 5);
+        cfg.shard.mechanism = mechanism;
+        let server = Server::start(cfg).unwrap();
+        let mut c = Client::dial(&tcp_bind(&server)).unwrap();
+        match c.call(&Request::Put { id: 7, key: 300 }).unwrap() {
+            Response::Done { id: 7, durable, .. } => {
+                assert_eq!(durable, want_durable, "{mechanism}: lone put's ack")
+            }
+            other => panic!("{mechanism}: unexpected reply {other:?}"),
+        }
+        server.shutdown();
+        let report = server.join();
+        let sizes: Vec<u32> = report
+            .spans()
+            .iter()
+            .filter(|s| s.req == 7)
+            .filter_map(|s| match s.phase {
+                SpanPhase::Batch { size, .. } => Some(size),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sizes, [1], "{mechanism}: the put's batch span");
+    }
+}
+
 #[test]
 fn crash_restart_dumps_a_flight_record_naming_inflight_ops() {
     let dir = std::env::temp_dir().join(format!("lrp-flight-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
     let mut cfg = small_server(1, 97);
-    // A long batch deadline so pipelined puts and the crash land in one
-    // batch — the puts are then "in flight" at the crash.
     cfg.batch_max = 64;
-    cfg.batch_wait_ms = 100;
     cfg.flight_dir = Some(dir.clone());
     let server = Server::start(cfg).unwrap();
     let mut c = Client::dial(&tcp_bind(&server)).unwrap();
 
+    // Pipelined puts, then the crash. However the worker batches them,
+    // each put is answered `Done` (its batch committed before the
+    // crash) or `Crashed` (it was in flight at the crash).
     for i in 0..6u64 {
         c.send(&Request::Put {
             id: 100 + i,
@@ -233,16 +264,18 @@ fn crash_restart_dumps_a_flight_record_naming_inflight_ops() {
         .unwrap();
     }
     c.send(&Request::Crash { id: 200, shard: 0 }).unwrap();
-    let mut crashed = 0;
+    let mut crashed = std::collections::BTreeSet::new();
+    let mut done = 0;
     let mut reported = false;
     for _ in 0..7 {
         match c.recv().unwrap() {
-            Response::Crashed { .. } => crashed += 1,
+            Response::Crashed { id, .. } => assert!(crashed.insert(id)),
+            Response::Done { .. } => done += 1,
             Response::Report { id: 200, .. } => reported = true,
             other => panic!("unexpected reply {other:?}"),
         }
     }
-    assert_eq!(crashed, 6, "every in-flight put answered Crashed");
+    assert_eq!(crashed.len() + done, 6, "every put answered once");
     assert!(reported, "crash verdict reported");
 
     let path = dir.join("flight-shard-0.jsonl");
@@ -258,18 +291,18 @@ fn crash_restart_dumps_a_flight_record_naming_inflight_ops() {
         .iter()
         .find(|l| l.get("event").and_then(Json::as_str) == Some("crash"))
         .expect("dump contains the crash event");
-    let inflight = crash_line.get("inflight").unwrap().as_arr().unwrap();
-    assert_eq!(inflight.len(), 6, "crash event names every in-flight op");
-    assert!(
-        inflight
-            .iter()
-            .any(|op| op.get("id").and_then(Json::as_u64) == Some(100)),
-        "in-flight list names request ids: {crash_line:?}"
-    );
+    let inflight: std::collections::BTreeSet<u64> = crash_line
+        .get("inflight")
+        .unwrap()
+        .as_arr()
+        .unwrap()
+        .iter()
+        .map(|op| op.get("id").and_then(Json::as_u64).unwrap())
+        .collect();
+    assert_eq!(inflight, crashed, "the dump names exactly the Crashed puts");
     // The dump's spans explain each `Crashed` reply: every in-flight id
     // has a crashed ack span.
-    for op in inflight {
-        let id = op.get("id").and_then(Json::as_u64).unwrap();
+    for &id in &inflight {
         assert!(
             lines.iter().any(|l| {
                 l.get("event").and_then(Json::as_str) == Some("ack")

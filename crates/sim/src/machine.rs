@@ -452,10 +452,8 @@ pub struct Sim<'t> {
     /// Sparse: only events actually waited on ever get an entry, so
     /// construction does not scale with trace length.
     rf_waiters: FxHashMap<EventId, Vec<usize>>,
-    /// Persist stamp per event, stored as `stamp + 1` (0 = never
-    /// persisted) so the table is plain zeroed memory: fresh pages are
-    /// not touched until a write actually persists.
-    stamps: Vec<u64>,
+    /// Persist stamp per event, written as each flush completes.
+    stamps: PersistSchedule,
     /// Point-to-point FIFO delivery: earliest next arrival per
     /// (src, dst) tile pair (flat `src * ntiles + dst` table), so
     /// protocol messages on one virtual channel never reorder (grants
@@ -468,6 +466,8 @@ pub struct Sim<'t> {
     /// Event/metric/audit collection; `None` keeps every hook to a
     /// single branch.
     recorder: Option<Recorder>,
+    /// End the run with every core's full flush ([`Sim::with_final_flush`]).
+    final_flush: bool,
     /// The replayed trace: its initial image (first-touch LLC
     /// residency) and its `OpSite` labels.
     trace: &'t Trace,
@@ -548,13 +548,14 @@ impl<'t> Sim<'t> {
             nvms,
             performed: vec![false; nevents],
             rf_waiters: FxHashMap::default(),
-            stamps: vec![0; nevents],
+            stamps: PersistSchedule::new(nevents),
             chan_next: vec![0; ntiles * ntiles],
             ntiles,
             flush_seq: 0,
             persist_log: Vec::new(),
             stats: Stats::default(),
             recorder: None,
+            final_flush: false,
             trace,
         };
         for c in 0..ncores {
@@ -598,6 +599,18 @@ impl<'t> Sim<'t> {
             self.trace.site_names.clone(),
             drain_kind.unwrap_or(CritSegKind::ReleaseOrder),
         ));
+        self
+    }
+
+    /// Ends the run durable: once the replay quiesces, every core's
+    /// sequencer runs its mechanism's full flush
+    /// ([`PersistMech::flush_all`]), so every write a persisting
+    /// mechanism buffered gets a stamp. `Stats::cycles` stays the last
+    /// core's retirement; the flushes count as background.
+    ///
+    /// [`PersistMech::flush_all`]: lrp_core::mech::PersistMech::flush_all
+    pub fn with_final_flush(mut self) -> Self {
+        self.final_flush = true;
         self
     }
 
@@ -743,23 +756,23 @@ impl<'t> Sim<'t> {
 
     // -- run loop -------------------------------------------------------
 
-    /// Runs to completion and returns the results.
-    pub fn run(mut self) -> RunResult {
-        // One slot visit drains every event sharing a timestamp; the
-        // scratch buffer's capacity ping-pongs with the wheel slots so
-        // the loop allocates nothing in steady state. Same-time events
-        // scheduled while a batch is in flight carry larger seqs, so
-        // the next `pop_batch` returns the same timestamp again and
-        // the global (time, seq) order is exactly a heap's.
-        let mut batch: Vec<(u64, u64, PackedEv)> = Vec::new();
-        while let Some(t) = self.evq.pop_batch(&mut batch) {
+    /// Processes events until the wheel is empty.
+    ///
+    /// One slot visit drains every event sharing a timestamp; the
+    /// scratch buffer's capacity ping-pongs with the wheel slots so the
+    /// loop allocates nothing in steady state. Same-time events
+    /// scheduled while a batch is in flight carry larger seqs, so the
+    /// next `pop_batch` returns the same timestamp again and the global
+    /// (time, seq) order is exactly a heap's.
+    fn drain_events(&mut self, batch: &mut Vec<(u64, u64, PackedEv)>) {
+        while let Some(t) = self.evq.pop_batch(batch) {
             assert!(
                 t <= self.cfg.max_cycles,
                 "simulation exceeded max_cycles ({}): likely deadlock",
                 self.cfg.max_cycles
             );
             self.now = t;
-            for &(_, _, p) in &batch {
+            for &(_, _, p) in batch.iter() {
                 let ev = self.unpack(p);
                 match ev {
                     Ev::CoreStep(c) => self.core_step(c),
@@ -776,6 +789,23 @@ impl<'t> Sim<'t> {
             if let Some(r) = self.recorder.as_mut() {
                 r.maybe_sample(self.now, &self.stats);
             }
+        }
+    }
+
+    /// Runs to completion and returns the results.
+    pub fn run(mut self) -> RunResult {
+        let mut batch: Vec<(u64, u64, PackedEv)> = Vec::new();
+        self.drain_events(&mut batch);
+        if self.final_flush {
+            for c in 0..self.l1s.len() {
+                let l1 = &mut self.l1s[c];
+                let run = l1.mech.flush_all(&L1ViewAdapter(&mut l1.cache));
+                if !run.is_empty() {
+                    let scan = l1.mech.scan_cycles();
+                    self.enqueue_run(c, run, FlushClass::Background, JobDone::None, scan);
+                }
+            }
+            self.drain_events(&mut batch);
         }
         for c in &self.cores {
             assert!(
@@ -797,17 +827,11 @@ impl<'t> Sim<'t> {
             self.cores.iter().map(|c| c.ops.len() as u64).sum::<u64>(),
             "online op count drifted from the replayed trace"
         );
-        let mut schedule = PersistSchedule::new(self.stamps.len());
-        for (i, &s) in self.stamps.iter().enumerate() {
-            if s != 0 {
-                schedule.set(i as EventId, s - 1);
-            }
-        }
         let end = self.now.max(self.stats.cycles);
         let obs = self.recorder.take().map(|r| r.finish(end, &self.stats));
         RunResult {
             stats: self.stats,
-            schedule,
+            schedule: self.stamps,
             persist_log: self.persist_log,
             obs,
         }
@@ -1436,7 +1460,7 @@ impl<'t> Sim<'t> {
         let stamp = self.flush_seq;
         self.flush_seq += 1;
         for &e in &covered {
-            self.stamps[e as usize] = stamp + 1;
+            self.stamps.set(e, stamp);
         }
         let now = self.now;
         if let Some(r) = self.recorder.as_mut() {
@@ -1785,23 +1809,20 @@ impl<'t> Sim<'t> {
             (Msg::GetS { .. } | Msg::GetM { .. }, true) => {
                 entry.queue.push_back(msg);
             }
-            (Msg::PutM { .. }, true) => self.dir_putm_busy(line, msg),
-            (Msg::DownResp(_), _) => self.dir_downresp(line, msg),
-            (Msg::InvAck, _) => self.dir_invack(line),
-            (Msg::NvmReadDone, _) => self.dir_fetch_done(line),
-            (Msg::DirPersistDone, _) => self.dir_persist_done(line),
-            (Msg::GetS { core }, false) => self.dir_gets(line, *core),
-            (Msg::GetM { core }, false) => self.dir_getm(line, *core),
-            (Msg::PutM { .. }, false) => self.dir_putm_idle(line, msg),
+            (Msg::PutM { .. }, true) => self.dir_putm_busy(line, di, msg),
+            (Msg::DownResp(_), _) => self.dir_downresp(line, di, msg),
+            (Msg::InvAck, _) => self.dir_invack(line, di),
+            (Msg::NvmReadDone, _) => self.dir_fetch_done(line, di),
+            (Msg::DirPersistDone, _) => self.dir_persist_done(line, di),
+            (Msg::GetS { core }, false) => self.dir_gets(line, di, *core),
+            (Msg::GetM { core }, false) => self.dir_getm(line, di, *core),
+            (Msg::PutM { .. }, false) => self.dir_putm_idle(line, di, msg),
             other => unreachable!("directory received {other:?}"),
         }
     }
 
-    fn dir_pump(&mut self, line: LineAddr) {
-        let Some(&di) = self.dir_ids.get(&line) else {
-            return;
-        };
-        let entry = &mut self.dir[di as usize];
+    fn dir_pump(&mut self, line: LineAddr, di: usize) {
+        let entry = &mut self.dir[di];
         if entry.busy.is_some() {
             return;
         }
@@ -1818,8 +1839,7 @@ impl<'t> Sim<'t> {
         self.schedule(d, Ev::L1Msg(requester, line, Msg::Data { state }));
     }
 
-    fn dir_fetch_or(&mut self, line: LineAddr, requester: usize, is_getm: bool) -> bool {
-        let di = self.dir_id(line);
+    fn dir_fetch_or(&mut self, line: LineAddr, di: usize, requester: usize, is_getm: bool) -> bool {
         let entry = &mut self.dir[di];
         if entry.in_llc {
             return false;
@@ -1846,24 +1866,23 @@ impl<'t> Sim<'t> {
         true
     }
 
-    fn dir_gets(&mut self, line: LineAddr, core: usize) {
-        let di = self.dir_id(line);
+    fn dir_gets(&mut self, line: LineAddr, di: usize, core: usize) {
         if let DirState::Shared(s) = &mut self.dir[di].state {
             if !s.contains(&core) {
                 s.push(core);
             }
             self.grant(line, core, CohState::S);
-            self.dir_pump(line);
+            self.dir_pump(line, di);
             return;
         }
         match self.dir[di].state {
             DirState::Uncached => {
-                if self.dir_fetch_or(line, core, false) {
+                if self.dir_fetch_or(line, di, core, false) {
                     return;
                 }
                 self.dir[di].state = DirState::Owned(core);
                 self.grant(line, core, CohState::E);
-                self.dir_pump(line);
+                self.dir_pump(line, di);
             }
             DirState::Owned(o) => {
                 self.dir[di].busy = Some(Trans {
@@ -1880,23 +1899,22 @@ impl<'t> Sim<'t> {
         }
     }
 
-    fn dir_getm(&mut self, line: LineAddr, core: usize) {
-        let di = self.dir_id(line);
+    fn dir_getm(&mut self, line: LineAddr, di: usize, core: usize) {
         match &self.dir[di].state {
             DirState::Uncached => {
-                if self.dir_fetch_or(line, core, true) {
+                if self.dir_fetch_or(line, di, core, true) {
                     return;
                 }
                 self.dir[di].state = DirState::Owned(core);
                 self.grant(line, core, CohState::M);
-                self.dir_pump(line);
+                self.dir_pump(line, di);
             }
             DirState::Shared(s) => {
                 let others: Vec<usize> = s.iter().copied().filter(|&x| x != core).collect();
                 if others.is_empty() {
                     self.dir[di].state = DirState::Owned(core);
                     self.grant(line, core, CohState::M);
-                    self.dir_pump(line);
+                    self.dir_pump(line, di);
                 } else {
                     let n = others.len();
                     self.dir[di].busy = Some(Trans {
@@ -1916,7 +1934,7 @@ impl<'t> Sim<'t> {
                 // The owner lost the line silently and re-requested; treat
                 // as a fresh grant.
                 self.grant(line, core, CohState::M);
-                self.dir_pump(line);
+                self.dir_pump(line, di);
             }
             &DirState::Owned(o) => {
                 self.dir[di].busy = Some(Trans {
@@ -1932,8 +1950,7 @@ impl<'t> Sim<'t> {
         }
     }
 
-    fn dir_invack(&mut self, line: LineAddr) {
-        let di = self.dir_id(line);
+    fn dir_invack(&mut self, line: LineAddr, di: usize) {
         let entry = &mut self.dir[di];
         let Some(t) = entry.busy.as_mut() else {
             return;
@@ -1945,27 +1962,25 @@ impl<'t> Sim<'t> {
                 entry.state = DirState::Owned(req);
                 entry.busy = None;
                 self.grant(line, req, CohState::M);
-                self.dir_pump(line);
+                self.dir_pump(line, di);
             }
         }
     }
 
-    fn dir_fetch_done(&mut self, line: LineAddr) {
-        let di = self.dir_id(line);
+    fn dir_fetch_done(&mut self, line: LineAddr, di: usize) {
         let entry = &mut self.dir[di];
         entry.in_llc = true;
         let t = entry.busy.take().expect("fetch transaction");
         entry.state = DirState::Owned(t.requester);
         let state = if t.is_getm { CohState::M } else { CohState::E };
         self.grant(line, t.requester, state);
-        self.dir_pump(line);
+        self.dir_pump(line, di);
     }
 
-    fn dir_downresp(&mut self, line: LineAddr, msg: Msg) {
+    fn dir_downresp(&mut self, line: LineAddr, di: usize, msg: Msg) {
         let Msg::DownResp(resp) = msg else {
             unreachable!()
         };
-        let di = self.dir_id(line);
         let entry = &mut self.dir[di];
         let Some(t) = entry.busy.as_mut() else {
             // A response for a transaction completed via a stashed PutM.
@@ -1976,12 +1991,12 @@ impl<'t> Sim<'t> {
         }
         if resp.stale {
             if let Some((covered, dirty, persist)) = t.putm_stash.take() {
-                self.dir_complete_owner_data(line, covered, dirty, persist, false);
+                self.dir_complete_owner_data(line, di, covered, dirty, persist, false);
             } else if resp.putm_coming {
                 t.phase = TransPhase::AwaitStalePutm { kept_shared: false };
             } else {
                 // Clean silent drop: LLC data is current.
-                self.dir_complete_owner_data(line, Vec::new(), false, false, false);
+                self.dir_complete_owner_data(line, di, Vec::new(), false, false, false);
             }
         } else {
             let DownRespData {
@@ -1991,11 +2006,11 @@ impl<'t> Sim<'t> {
                 kept_shared,
                 ..
             } = resp;
-            self.dir_complete_owner_data(line, covered, dirty, persist_at_dir, kept_shared);
+            self.dir_complete_owner_data(line, di, covered, dirty, persist_at_dir, kept_shared);
         }
     }
 
-    fn dir_putm_busy(&mut self, line: LineAddr, msg: Msg) {
+    fn dir_putm_busy(&mut self, line: LineAddr, di: usize, msg: Msg) {
         let Msg::PutM {
             core,
             covered,
@@ -2005,7 +2020,6 @@ impl<'t> Sim<'t> {
         else {
             unreachable!()
         };
-        let di = self.dir_id(line);
         let entry = &mut self.dir[di];
         let is_owner = entry.state == DirState::Owned(core);
         let Some(t) = entry.busy.as_mut() else {
@@ -2023,7 +2037,7 @@ impl<'t> Sim<'t> {
             };
             let from = self.tile_of_bank(line);
             self.send_l1(core, line, Msg::PutAck, from, false);
-            self.dir_complete_owner_data(line, covered, dirty, persist, kept_shared);
+            self.dir_complete_owner_data(line, di, covered, dirty, persist, kept_shared);
         } else {
             // Unrelated transaction in flight: queue the PutM.
             entry.queue.push_back(Msg::PutM {
@@ -2052,13 +2066,13 @@ impl<'t> Sim<'t> {
     fn dir_complete_owner_data(
         &mut self,
         line: LineAddr,
+        di: usize,
         covered: Vec<EventId>,
         dirty: bool,
         persist: bool,
         owner_kept_shared: bool,
     ) {
         self.audit_dir_writeback(&covered, persist);
-        let di = self.dir_id(line);
         let entry = &mut self.dir[di];
         if dirty || !covered.is_empty() {
             entry.in_llc = true;
@@ -2113,11 +2127,10 @@ impl<'t> Sim<'t> {
             entry.state = DirState::Shared(sharers);
             self.grant(line, req, CohState::S);
         }
-        self.dir_pump(line);
+        self.dir_pump(line, di);
     }
 
-    fn dir_persist_done(&mut self, line: LineAddr) {
-        let di = self.dir_id(line);
+    fn dir_persist_done(&mut self, line: LineAddr, di: usize) {
         let entry = &mut self.dir[di];
         let Some(t) = entry.busy.as_mut() else {
             return;
@@ -2143,7 +2156,7 @@ impl<'t> Sim<'t> {
                     entry.state = DirState::Shared(sharers);
                     self.grant(line, req, CohState::S);
                 }
-                self.dir_pump(line);
+                self.dir_pump(line, di);
             }
             TransPhase::AwaitPutPersist => {
                 let to = t.putack_to;
@@ -2153,13 +2166,13 @@ impl<'t> Sim<'t> {
                     let from = self.tile_of_bank(line);
                     self.send_l1(o, line, Msg::PutAck, from, false);
                 }
-                self.dir_pump(line);
+                self.dir_pump(line, di);
             }
             _ => {}
         }
     }
 
-    fn dir_putm_idle(&mut self, line: LineAddr, msg: Msg) {
+    fn dir_putm_idle(&mut self, line: LineAddr, di: usize, msg: Msg) {
         let Msg::PutM {
             core,
             covered,
@@ -2169,7 +2182,6 @@ impl<'t> Sim<'t> {
         else {
             unreachable!()
         };
-        let di = self.dir_id(line);
         if self.dir[di].state != DirState::Owned(core) {
             // Late PutM after the line moved on; data is superseded.
             let from = self.tile_of_bank(line);
@@ -2204,7 +2216,7 @@ impl<'t> Sim<'t> {
             entry.state = DirState::Uncached;
             let from = self.tile_of_bank(line);
             self.send_l1(core, line, Msg::PutAck, from, false);
-            self.dir_pump(line);
+            self.dir_pump(line, di);
         }
     }
 }
